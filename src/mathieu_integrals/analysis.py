@@ -24,7 +24,7 @@ from typing import Sequence
 from .builder import FormalIntegral, SystemParams, build_integral, conic_at_section
 from .dynamics import (SectionPoint, _integration_points, _rhs_linear,
                        integrate_orbit, monodromy, stroboscopic_section)
-from .errors import BracketFailure, DegenerateConic, NoRoot, Unbounded
+from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 #: tolerances for the escape cross-check runs (escape detection does not
 #: need the orbit-accuracy tolerances and is much cheaper without them)
@@ -49,10 +49,6 @@ class CriticalEpsResult:
     oracle: str  # "trace" or "escape"
     iterations: int
     escape_check: bool | None = None  # cross-check verdict, None if skipped
-
-
-def _trace_excess(params: SystemParams, eps: float) -> float:
-    return abs(monodromy(params, eps).trace) - 2.0
 
 
 def _escapes(params: SystemParams, eps: float, n_periods: int, r_escape: float) -> bool:
@@ -87,7 +83,7 @@ def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if oracle == "trace":
-        unstable = lambda e: _trace_excess(params, sign * e) > 0.0
+        unstable = lambda e: abs(monodromy(params, sign * e).trace) > 2.0
     elif oracle == "escape":
         unstable = lambda e: _escapes(params, sign * e, _ORACLE_PERIODS, _ORACLE_R)
     else:
@@ -138,6 +134,9 @@ def section_residual(phi: FormalIntegral, section: Sequence[SectionPoint],
     a, b, d = conic_at_section(phi, epsilon)
     values = [a * p.x * p.x + b * p.y * p.y + 2.0 * d * p.x * p.y for p in section]
     level = values[0]
+    if level == 0.0:
+        raise InvalidInput("the integral vanishes at the initial condition (the origin?); "
+                           "the relative residual is undefined")
     return max(abs(v - level) for v in values) / abs(level)
 
 
@@ -145,8 +144,8 @@ def convergence_study(params: SystemParams, epsilon: float, orders: Sequence[int
                       n_periods: int = 200, x0: float = 0.0, y0: float = 1.0) -> ConvergenceReport:
     """Residuals of the truncated integral over one orbit, per order."""
     orders = tuple(orders)
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise ValueError("orders must be strictly ascending")
+    if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
+        raise InvalidInput("orders must be non-empty and strictly ascending")
     phi = build_integral(params, max(orders))
     traj = integrate_orbit(params, x0, y0, n_periods, samples_per_period=1, epsilon=epsilon)
     section = stroboscopic_section(traj, params)
@@ -214,7 +213,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     within the expanded search interval.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
     tr_guess = monodromy(params, eps_guess).trace
     theta_guess = math.acos(max(-1.0, min(1.0, tr_guess / 2.0)))
     m = round(n * theta_guess / (2.0 * math.pi))

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedSpectrum, ResonanceDetected, SecularTerm
+from .errors import InvalidInput, MalformedSpectrum, ResonanceDetected, SecularTerm
 from .trigseries import COS, SIN, FrequencyBase, TrigSeries, as_rational
 
 
@@ -57,7 +57,9 @@ class SystemParams:
         object.__setattr__(self, "omega", as_rational(self.omega))
         object.__setattr__(self, "omega1", as_rational(self.omega1))
         if self.omega <= 0 or self.omega1 <= 0:
-            raise ValueError("omega and omega1 must be positive")
+            raise InvalidInput("omega and omega1 must be positive")
+        if not math.isfinite(self.epsilon):
+            raise InvalidInput("epsilon must be finite")
 
     @property
     def base(self) -> FrequencyBase:
@@ -368,9 +370,9 @@ def build_integral(params: SystemParams, order: int = 10, seed: str = "H0") -> F
     if seed != "H0":
         raise ValueError(f"unknown seed {seed!r}; the non-resonant build is seeded with H0")
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise InvalidInput("order must be >= 0")
     if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds the hard cap {MAX_ORDER}")
+        raise InvalidInput(f"order {order} exceeds the hard cap {MAX_ORDER}")
     check_nonresonant(params, order)
     orders = [h0_form(params)]
     for s in range(order):

@@ -5,26 +5,31 @@ emits plain data (CSV or JSON); plotting is left to external tools.
 Frequencies are parsed exactly ("0.9" and "9/10" both mean the rational
 9/10); outputs are deterministic and written atomically.
 
-Exit codes: 0 success, 1 internal error, 2 domain error (resonance
-detected, bracket failure, ...).
+Exit codes: 0 success, 1 internal error, 2 domain error (bad input,
+resonance detected, bracket failure, unbounded orbit, ...).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from fractions import Fraction
 
 import click
 
 from . import analysis, builder, dynamics, output, resonant
-from .errors import DomainError
+from .errors import DomainError, InvalidInput
 
 DEFAULT_EPS_GRID = [j / 100 for j in range(-18, 19, 2)]
 
 
 def _params(omega: str, omega1: str, epsilon: float) -> builder.SystemParams:
-    return builder.SystemParams(Fraction(omega), Fraction(omega1), epsilon)
+    try:
+        freqs = Fraction(omega), Fraction(omega1)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"--omega {omega} --omega1 {omega1}: not exact rationals") from None
+    return builder.SystemParams(*freqs, epsilon)
 
 
 def domain_errors(fn):
@@ -35,9 +40,6 @@ def domain_errors(fn):
         try:
             return fn(*args, **kwargs)
         except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except NotImplementedError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -73,7 +75,8 @@ def format_option(fn):
 def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) -> int:
     if time_ is None:
         return periods
-    import math
+    if not math.isfinite(time_):
+        raise InvalidInput("--time must be finite")
     return max(1, math.ceil(time_ / params.period))
 
 
@@ -266,10 +269,10 @@ def cmd_monodromy(omega, omega1, epsilon, n, out):
 def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbolic):
     """Resonant (omega = 2*omega1) integral: C-series, mixing, section form."""
     params = _params(omega, omega1, epsilon)
+    constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
     c_series = resonant.build_resonant_c(params, order)
     phi = resonant.build_resonant_phi(params, order)
     combo = resonant.eliminate_secular(c_series, phi)
-    constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
 
     traj = dynamics.integrate_orbit(params, x0, y0, periods, samples_per_period=1)

@@ -1,21 +1,22 @@
 """Numerical integration, stroboscopic sections, monodromy, escapes.
 
-The equations of motion are linear in (x, y):
+The equations of motion are linear in (x, y) with period T = 2 pi/omega,
 
     dx/dt = y,    dy/dt = -(omega1^2 - 2 eps cos(omega t)) x,
 
-augmented with the conjugate momentum of time,
+augmented with the conjugate momentum of time, dE/dt = -dH/dt =
+-eps omega x^2 sin(omega t), from E(0) = -H(x0, y0, 0); E is integrated,
+never recomputed as -H, so |H + E| is an independent accuracy check.
 
-    dE/dt = -dH/dt = -eps * omega * x^2 * sin(omega t),
-
-initialized at E(0) = -H(x0, y0, 0) so that H + E stays at zero to
-integrator accuracy; tracking E as a state variable (instead of
-recomputing -H) makes |H + E| a genuine independent accuracy check.
-
-The stepper is an embedded Dormand-Prince 5(4) pair with standard error
-control at tight default tolerances (1e-12).  Steps are clamped so the
-solution lands *exactly* on requested sample times; section samples
-therefore carry t = k*T with no interpolation involved.
+By Floquet theory one period serves every stroboscopic study.  A
+Dormand-Prince 5(4) pair (error control at 1e-12 by default) solves,
+over [0, T] only, for the fundamental matrix M(s) and the energy form
+Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
+m11 m12); then z(kT + s) = M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z
+and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
+sample grid s = j T/spp, so section samples carry t = k*T.  Only the
+escape oracle ``analysis._escapes``, the independent reference, streams
+the stepper over many periods.
 """
 
 from __future__ import annotations
@@ -25,35 +26,24 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .builder import SystemParams
-from .errors import StepFailure
+from .errors import InvalidInput, StepFailure, Unbounded
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 
-# Dormand-Prince 5(4) tableau.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# b5 - b4: weights of the embedded error estimate
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order
+# weights B, and E = b5 - b4, the weights of the embedded error estimate.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
 
 _MAX_STEPS = 5_000_000
-
-_A21, = _A[1]
-_A31, _A32 = _A[2]
-_A41, _A42, _A43 = _A[3]
-_A51, _A52, _A53, _A54 = _A[4]
-_A61, _A62, _A63, _A64, _A65 = _A[5]
-_B1, _B2, _B3, _B4, _B5W, _B6 = _A[6][0], _A[6][1], _A[6][2], _A[6][3], _A[6][4], _A[6][5]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 
 def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[float],
@@ -62,40 +52,37 @@ def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[flo
 
     The step is clamped to land exactly on each target, and the time
     stamp is set to the target itself, so no landing error accumulates.
-    The stage loop is unrolled: this is the hot path of every orbit,
-    sweep and bisection in the package.  Implemented as a generator so
-    escape probes can stop as soon as a threshold is crossed.
+    The stage loop is unrolled: this runs the one-period solve behind
+    every orbit, section and monodromy, and the escape oracle's long
+    runs.  Implemented as a generator so escape probes can stop as soon
+    as a threshold is crossed.
     """
     n = len(y0)
     rng = range(n)
     t = t0
     y = tuple(y0)
     k1 = f(t, y)
-    if targets:
-        span = abs(targets[-1] - t0) or 1.0
-        h = min(1e-2 * span, 0.1)
-    else:
-        h = 0.1
+    h = min(1e-2 * (abs(targets[-1] - t0) or 1.0), 0.1) if targets else 0.1
     steps = 0
     for target in targets:
         while t < target:
             clamped = t + h >= target
             h_try = (target - t) if clamped else h
-            k2 = f(t + _C[1] * h_try,
+            k2 = f(t + _C2 * h_try,
                    tuple(y[j] + h_try * (_A21 * k1[j]) for j in rng))
-            k3 = f(t + _C[2] * h_try,
+            k3 = f(t + _C3 * h_try,
                    tuple(y[j] + h_try * (_A31 * k1[j] + _A32 * k2[j]) for j in rng))
-            k4 = f(t + _C[3] * h_try,
+            k4 = f(t + _C4 * h_try,
                    tuple(y[j] + h_try * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j])
                          for j in rng))
-            k5 = f(t + _C[4] * h_try,
+            k5 = f(t + _C5 * h_try,
                    tuple(y[j] + h_try * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j]
                                          + _A54 * k4[j]) for j in rng))
             k6 = f(t + h_try,
                    tuple(y[j] + h_try * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j]
                                          + _A64 * k4[j] + _A65 * k5[j]) for j in rng))
             y5 = tuple(y[j] + h_try * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j]
-                                       + _B5W * k5[j] + _B6 * k6[j]) for j in rng)
+                                       + _B5 * k5[j] + _B6 * k6[j]) for j in rng)
             k7 = f(t + h_try, y5)  # first-same-as-last stage
             err = 0.0
             for j in rng:
@@ -105,9 +92,7 @@ def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[flo
                 err += (e / scale) ** 2
             err = math.sqrt(err / n)
             if err <= 1.0:
-                t = target if clamped else t + h_try
-                y = y5
-                k1 = k7
+                t, y, k1 = (target if clamped else t + h_try), y5, k7
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 h = h_try * factor
             else:
@@ -118,11 +103,6 @@ def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[flo
             if steps > _MAX_STEPS:
                 raise StepFailure("step budget exhausted")
         yield (t, y)
-
-
-def _integrate_to_targets(f: Callable, t0: float, y0: tuple, targets: Sequence[float],
-                          rtol: float, atol: float):
-    return list(_integration_points(f, t0, y0, targets, rtol, atol))
 
 
 @dataclass(frozen=True)
@@ -177,17 +157,18 @@ class Monodromy:
         return complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0)
 
 
-def _rhs_extended(params: SystemParams, epsilon: float):
+def _rhs_period(params: SystemParams, epsilon: float):
+    """Flow of (M row-major, Q): the fundamental matrix and the energy form."""
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
     two_eps = 2.0 * epsilon
     eps_om = epsilon * om
 
     def f(t, u):
-        x, y, _ = u
-        return (y,
-                -(om1sq - two_eps * math.cos(om * t)) * x,
-                -eps_om * x * x * math.sin(om * t))
+        m11, m12, m21, m22 = u[:4]
+        k = om1sq - two_eps * math.cos(om * t)
+        s = -eps_om * math.sin(om * t)
+        return (m21, m22, -k * m11, -k * m12, s * m11 * m11, s * m12 * m12, s * m11 * m12)
 
     return f
 
@@ -206,31 +187,50 @@ def _rhs_linear(params: SystemParams, epsilon: float):
 
 def _eps_arg(epsilon) -> float:
     if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
+        raise InvalidInput("epsilon must be finite")
     return float(epsilon)
+
+
+def _one_period(params: SystemParams, eps: float, samples_per_period: int,
+                rtol: float, atol: float) -> list[tuple]:
+    """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp."""
+    T = params.period
+    targets = [(j / samples_per_period) * T for j in range(1, samples_per_period + 1)]
+    return [u for _, u in _integration_points(_rhs_period(params, eps), 0.0,
+                                               (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                                               targets, rtol, atol)]
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
                     samples_per_period: int = 1, epsilon: float | None = None,
                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list[PhaseState]:
-    """Integrate the extended system over n periods.
+    """Propagate the extended system over n periods.
 
     Samples land on the uniform sub-period grid t = (k + i/spp) * T,
-    always hitting the section times t = k*T exactly.  E is integrated
-    alongside, initialized at -H(x0, y0, 0).
+    always hitting the section times t = k*T exactly.  E starts at
+    -H(x0, y0, 0) and advances by the integrated energy form Q, never
+    by re-evaluating H.  Raises Unbounded once the state overflows.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    if samples_per_period < 1:
-        raise ValueError("samples_per_period must be >= 1")
+    if n_periods < 1 or samples_per_period < 1:
+        raise InvalidInput("n_periods and samples_per_period must be >= 1")
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise InvalidInput("the initial condition must be finite")
     eps = params.epsilon if epsilon is None else _eps_arg(epsilon)
     T = params.period
-    e0 = -params.hamiltonian(x0, y0, 0.0, eps)
-    targets = [(j / samples_per_period) * T for j in range(1, n_periods * samples_per_period + 1)]
-    f = _rhs_extended(params, eps)
-    states = [PhaseState(x0, y0, 0.0, e0)]
-    for t, (x, y, e) in _integrate_to_targets(f, 0.0, (x0, y0, e0), targets, rtol, atol):
-        states.append(PhaseState(x, y, t, e))
+    grid = _one_period(params, eps, samples_per_period, rtol, atol)
+    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0, eps)
+    states = [PhaseState(x, y, 0.0, e)]
+    i = 0
+    for k in range(n_periods):
+        for m11, m12, m21, m22, q11, q22, q12 in grid:
+            i += 1
+            energy = e + q11 * x * x + q22 * y * y + 2.0 * q12 * x * y
+            # E is quadratic in the state, so it is the first to overflow
+            if not math.isfinite(energy):
+                raise Unbounded(f"the state overflows in period {k + 1}; the orbit is unbounded")
+            states.append(PhaseState(m11 * x + m12 * y, m21 * x + m22 * y,
+                                     (i / samples_per_period) * T, energy))
+        x, y, e = states[-1].x, states[-1].y, states[-1].E
     return states
 
 
@@ -254,19 +254,20 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Monodromy:
     """Fundamental matrix of the linear system over [0, n*T].
 
-    Obtained by integrating the basis initial conditions (1,0) and
-    (0,1); the system is linear, so this is the exact flow map, not a
-    linearization.
+    The one-period matrix M(T) is the exact flow map of the linear
+    system (not a linearization), and the coefficients are T-periodic,
+    so the n-period matrix is M(T)^n.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
-    T = params.period
-    f = _rhs_linear(params, _eps_arg(epsilon))
-    cols = []
-    for z0 in ((1.0, 0.0), (0.0, 1.0)):
-        (_, z1), = _integrate_to_targets(f, 0.0, z0, [n * T], rtol, atol)
-        cols.append(z1)
-    return Monodromy(m11=cols[0][0], m12=cols[1][0], m21=cols[0][1], m22=cols[1][1], n=n)
+        raise InvalidInput("n must be >= 1")
+    (a, b, c, d, *_), = _one_period(params, _eps_arg(epsilon), 1, rtol, atol)
+    m11, m12, m21, m22 = a, b, c, d
+    for _ in range(n - 1):
+        m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
+                              c * m11 + d * m21, c * m12 + d * m22)
+    if not all(map(math.isfinite, (m11, m12, m21, m22))):
+        raise Unbounded(f"the monodromy over {n} periods overflows")
+    return Monodromy(m11=m11, m12=m12, m21=m21, m22=m22, n=n)
 
 
 @dataclass(frozen=True)
@@ -324,8 +325,6 @@ def integrate_backward(params: SystemParams, x0: float, y0: float, n_periods: in
     (x, y) -> (x, -y) of the forward flow; no negative-step integration
     is needed.
     """
-    eps = params.epsilon if epsilon is None else _eps_arg(epsilon)
-    f = _rhs_linear(params, eps)
-    (_, (x, my)), = _integrate_to_targets(f, 0.0, (x0, -y0), [n_periods * params.period],
-                                          rtol, atol)
+    eps = params.epsilon if epsilon is None else epsilon
+    x, my = monodromy(params, eps, n_periods, rtol, atol).apply(x0, -y0)
     return x, -my

@@ -11,6 +11,10 @@ class DomainError(Exception):
     """Base class for domain-level failures."""
 
 
+class InvalidInput(DomainError, ValueError):
+    """A parameter or initial condition outside the problem's domain."""
+
+
 class ResonanceDetected(DomainError):
     """A commensurability j*omega = 2*omega1 blocks the non-resonant recursion."""
 
@@ -30,6 +34,10 @@ class SecularTerm(DomainError):
 
 class MalformedSpectrum(DomainError):
     """A series handed to back-substitution has frequency content outside m in {-2, 0, 2}."""
+
+
+class UnsupportedResonance(DomainError, NotImplementedError):
+    """A higher commensurability j*omega = 2*omega1 (j >= 2) has no construction here."""
 
 
 class NotResonant(DomainError):

@@ -59,15 +59,6 @@ def section_rows(points: Sequence[SectionPoint], params: SystemParams) -> list[t
     return [(p.k, p.k * T, p.x, p.y, p.E, p.d, p.r) for p in points]
 
 
-def trajectory_csv(states: Sequence[PhaseState], params: SystemParams,
-                   samples_per_period: int) -> str:
-    return columns_csv(ORBIT_COLUMNS, trajectory_rows(states, params, samples_per_period))
-
-
-def section_csv(points: Sequence[SectionPoint], params: SystemParams) -> str:
-    return columns_csv(ORBIT_COLUMNS, section_rows(points, params))
-
-
 def _cell(value) -> str:
     if isinstance(value, str):
         return value

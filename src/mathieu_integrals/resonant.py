@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .builder import (FormalIntegral, QuadFormSeries, SystemParams,
                       conic_at_section, h0_form, recursion_step)
-from .errors import NotResonant, UnsolvableSecular
+from .errors import InvalidInput, NotResonant, UnsolvableSecular, UnsupportedResonance
 from .trigseries import COS, SIN, TrigSeries
 
 _RESONANCE_SCAN = 64
@@ -50,7 +50,7 @@ def require_primary_resonance(params: SystemParams):
         return
     for j in range(2, _RESONANCE_SCAN + 1):
         if j * params.omega == 2 * params.omega1:
-            raise NotImplementedError(
+            raise UnsupportedResonance(
                 f"resonance {j}*omega = 2*omega1 requires its own seed invariants; "
                 "only the primary resonance omega = 2*omega1 is implemented"
             )
@@ -76,7 +76,7 @@ def build_resonant_c(params: SystemParams, order: int) -> FormalIntegral:
     """C-series seeded with C0, phased, secular terms retained."""
     require_primary_resonance(params)
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise InvalidInput("order must be >= 0")
     seed, _ = resonant_seeds(params)
     orders = [seed]
     for _ in range(order):
@@ -93,7 +93,7 @@ def build_resonant_phi(params: SystemParams, order: int) -> FormalIntegral:
     """
     require_primary_resonance(params)
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise InvalidInput("order must be >= 0")
     orders = [h0_form(params)]
     for _ in range(order):
         orders.append(recursion_step(params, orders[-1], phased=True, secular_allowed=True))
@@ -116,7 +116,7 @@ class PhaseConstants:
         om1 = float(params.omega1)
         two_phi0 = y0 * y0 + om1 * om1 * x0 * x0
         if two_phi0 == 0.0:
-            raise ValueError("phase constants are undefined at the origin")
+            raise InvalidInput("phase constants are undefined at the origin")
         return cls((y0 * y0 - om1 * om1 * x0 * x0) / two_phi0,
                    -2.0 * om1 * x0 * y0 / two_phi0)
 

@@ -171,9 +171,6 @@ class TrigSeries:
     def m_values(self) -> set[int]:
         return {key[2] for key in self._terms}
 
-    def has_generators(self) -> bool:
-        return any(key[4] or key[5] for key in self._terms)
-
     def secular_part(self) -> "TrigSeries":
         """The sub-series with secular degree >= 1."""
         return TrigSeries(self.base, ((key, c) for key, c in self._terms.items() if key[0] >= 1))

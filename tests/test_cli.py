@@ -186,3 +186,24 @@ class TestAnalysisCommands:
         res = invoke(runner, "resonant", "--omega1", "2")
         assert res.exit_code == 2
         assert "primary resonance" in res.output
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ["section", "--omega1", "0"],
+        ["section", "--omega", "-2"],
+        ["section", "--omega1", "9/0"],
+        ["section", "--epsilon", "nan"],
+        ["section", "--epsilon", "inf"],
+        ["section", "--epsilon", "0.5", "--periods", "3000"],
+        ["section", "--periods", "0"],
+        ["orbit", "--samples", "0"],
+        ["monodromy", "--n", "0"],
+        ["convergence", "--x0", "0", "--y0", "0"],
+        ["resonant", "--omega1", "1", "--x0", "0", "--y0", "0"],
+    ])
+    def test_one_line_error_and_exit_2(self, runner, args):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

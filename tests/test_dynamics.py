@@ -11,9 +11,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from mathieu_integrals import (StepFailure, SystemParams, escape_diagnostics,
-                               integrate_orbit, monodromy, stroboscopic_section)
-from mathieu_integrals.dynamics import integrate_backward
+from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
+                               escape_diagnostics, integrate_orbit, monodromy,
+                               stroboscopic_section)
+from mathieu_integrals.dynamics import _integration_points, _rhs_linear, integrate_backward
+from mathieu_integrals.errors import DomainError, InvalidInput
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
 
@@ -184,3 +186,89 @@ class TestReversibility:
         xe, ye = traj[-1].x, traj[-1].y
         xb, yb = integrate_backward(P01, xe, ye, 50)
         assert math.hypot(xb - 0.0, yb - 1.0) < 1e-7
+
+
+def _direct_dp5(params, n_periods):
+    """Section states (x, y) from DP5 streamed over the whole horizon.
+
+    This is the engine of the escape oracle, which shares nothing with
+    the one-period propagator but the stepper.
+    """
+    T = params.period
+    f = _rhs_linear(params, params.epsilon)
+    targets = [k * T for k in range(1, n_periods + 1)]
+    return [z for _, z in _integration_points(f, 0.0, (0.0, 1.0), targets, 1e-12, 1e-12)]
+
+
+class TestPropagator:
+    """The one-period propagator against direct multi-period integration."""
+
+    @pytest.mark.parametrize("omega1,eps,periods,tol", [
+        ("9/10", 0.1, 200, 1e-8),
+        ("9/10", 0.18, 200, 1e-8),
+        ("9/10", 0.185, 200, 1e-8),
+        ("9/10", -0.185, 200, 1e-8),
+        ("9/10", 0.19, 200, 1e-8),
+        ("1/10", 0.1, 200, 1e-8),
+        ("11/10", 0.1, 200, 1e-8),
+        ("11/10", -0.1, 200, 1e-8),
+        ("9/10", 0.185, 2000, 1e-6),
+        ("9/10", -0.185, 2000, 1e-6),
+    ])
+    def test_agrees_with_direct_dp5(self, omega1, eps, periods, tol):
+        params = SystemParams(F(2), F(omega1), eps)
+        traj = integrate_orbit(params, 0.0, 1.0, periods)
+        ref = _direct_dp5(params, periods)
+        for s, (x, y) in zip(traj[1:], ref):
+            assert math.hypot(s.x - x, s.y - y) <= tol * max(1.0, math.hypot(x, y))
+
+    @pytest.mark.parametrize("omega1,eps", [
+        ("9/10", e) for e in (0.01, 0.05, 0.1, 0.15, 0.18, 0.185, 0.19, 0.2, 0.22,
+                              -0.1, -0.15, -0.18, -0.185)
+    ] + [("1/10", 0.1), ("11/10", 0.1), ("11/10", -0.1), ("1", 0.05)])
+    def test_extended_energy_over_200_periods(self, omega1, eps):
+        params = SystemParams(F(2), F(omega1), eps)
+        traj = integrate_orbit(params, 0.0, 1.0, 200, samples_per_period=4)
+        for s in traj:
+            assert abs(params.hamiltonian(s.x, s.y, s.t) + s.E) <= 1e-7 * max(1.0, abs(s.E))
+
+    def test_work_independent_of_horizon(self, monkeypatch):
+        times = []
+        rhs_period = dynamics._rhs_period
+
+        def counting(params, eps):
+            f = rhs_period(params, eps)
+
+            def g(t, u):
+                times.append(t)
+                return f(t, u)
+
+            return g
+
+        monkeypatch.setattr(dynamics, "_rhs_period", counting)
+        counts = []
+        for n in (20, 2000):
+            times.clear()
+            integrate_orbit(P01, 0.0, 1.0, n)
+            counts.append(len(times))
+            assert max(times) <= P01.period  # one period of integration, never more
+        assert counts[0] == counts[1] > 0
+
+
+class TestNonFinite:
+    def test_overflow_is_unbounded_with_period_index(self):
+        params = SystemParams(F(2), F(9, 10), 0.5)
+        with pytest.raises(Unbounded, match=r"overflows in period \d+"):
+            integrate_orbit(params, 0.0, 1.0, 3000)
+        with pytest.raises(Unbounded):
+            monodromy(params, 0.5, n=3000)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidInput, match="finite") as info:
+            SystemParams(F(2), F(9, 10), eps)
+        assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)
+
+    def test_non_finite_initial_condition_rejected(self):
+        with pytest.raises(InvalidInput):
+            integrate_orbit(P01, math.nan, 1.0, 1)
