@@ -27,6 +27,12 @@ c0 = cos(2 omega1 t0), s0 = sin(2 omega1 t0) and is switched on with
 ``phased=True`` (needed by the resonant construction, which also allows
 secular powers of t).  The plain non-resonant build runs unphased with
 secular terms forbidden.
+
+Each step is a fixed linear map on the harmonic coefficients.
+``recursion_step`` applies it in closed form on integer numerators; the
+composition of ``poisson_bracket_with_h1``, ``substitute_zero_order``,
+``TrigSeries.integrate`` and ``back_substitute`` computes the same step
+in TrigSeries arithmetic and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, MalformedSpectrum, ResonanceDetected, SecularTerm
-from .trigseries import COS, SIN, FrequencyBase, TrigSeries, as_rational
+from .trigseries import COS, SIN, FrequencyBase, TrigSeries, _common_numerators, as_rational
 
 
 @dataclass(frozen=True)
@@ -131,10 +137,6 @@ class QuadFormSeries:
 
     def scale(self, factor) -> "QuadFormSeries":
         return QuadFormSeries(self.cxx.scale(factor), self.cyy.scale(factor), self.cxy.scale(factor))
-
-    def mul_series(self, series: TrigSeries) -> "QuadFormSeries":
-        """Multiply every coefficient by a TrigSeries (e.g. a constant-ring element)."""
-        return QuadFormSeries(self.cxx * series, self.cyy * series, self.cxy * series)
 
     @property
     def is_zero(self) -> bool:
@@ -295,13 +297,161 @@ def back_substitute(params: SystemParams, s: TrigSeries, phased: bool = False,
                           TrigSeries(base, raw_xy))
 
 
+def _add(acc: dict, key, value: int):
+    acc[key] = acc.get(key, 0) + value
+
+
+def _times_cos_omega(acc: dict, terms: dict, factor: int):
+    """acc += factor * cos(omega t) * terms by product-to-sum; ``factor`` is even."""
+    half = factor // 2
+    for (p, k, _, ph, a, b), c in terms.items():
+        if k == 0:
+            _add(acc, (p, 1, 0, COS, a, b), factor * c)
+            continue
+        c *= half
+        _add(acc, (p, k + 1, 0, ph, a, b), c)
+        if k > 1 or ph == COS:  # sin(0) vanishes
+            _add(acc, (p, k - 1, 0, ph, a, b), c)
+
+
+def _antiderivative(p: int, phase: int, c: int, scale: int, n: int) -> tuple[list, int]:
+    """int_0^t c s^p trig(nu s) ds for nu = n/scale != 0, by parts.
+
+    Returns the terms (degree, phase, coefficient) and the constant that
+    makes the antiderivative vanish at t = 0.  ``c`` must carry the
+    factor n^(p+1), so every division is exact.
+    """
+    out = []
+    while True:
+        c = c * scale // n
+        if phase == COS:
+            out.append((p, SIN, c))
+            if not p:
+                return out, 0
+            c, phase = -c * p, SIN
+        else:
+            out.append((p, COS, -c))
+            if not p:
+                return out, c
+            c, phase = c * p, COS
+        p -= 1
+
+
+def _add_phased(acc: dict, p: int, a: int, b: int, xc: int, xs: int, phased: bool):
+    """acc += (xc c0 + xs s0) t^p c0^a s0^b, or xc t^p c0^a s0^b unphased (c0 = 1, s0 = 0)."""
+    if not phased:
+        _add(acc, (p, 0, 0, COS, a, b), xc)
+        return
+    if a:  # c0^2 = 1 - s0^2
+        _add(acc, (p, 0, 0, COS, 0, b), xc)
+        _add(acc, (p, 0, 0, COS, 0, b + 2), -xc)
+    else:
+        _add(acc, (p, 0, 0, COS, 1, b), xc)
+    _add(acc, (p, 0, 0, COS, a, b + 1), xs)
+
+
 def recursion_step(params: SystemParams, f: QuadFormSeries, phased: bool = False,
                    secular_allowed: bool = False) -> QuadFormSeries:
-    """One order of the recursion: back_substitute(int(substitute(K)))."""
-    k = poisson_bracket_with_h1(params, f)
-    on_orbit = substitute_zero_order(params, k, phased=phased)
-    return back_substitute(params, on_orbit.integrate(), phased=phased,
-                           secular_allowed=secular_allowed)
+    """One order of the recursion, in closed form per envelope harmonic.
+
+    Equal to ``back_substitute(substitute_zero_order(poisson_bracket_with_h1(f))
+    .integrate())``, which stays as the reference, but computed on integer
+    numerators over one common denominator.  With P = -2 vd^2 cos(wt) cxy
+    and Q = -4 vd vn cos(wt) cyy (omega1 = vn/vd), the integrand on the
+    orbit is proportional to P - P cos 2psi + Q sin 2psi.  The first
+    term is a pure envelope (m = 0) and integrates onto the
+    (y^2 + omega1^2 x^2) channel; the others are split into the lattice
+    frequencies k*omega -+ 2*omega1 (m = -+2), integrated there and
+    recombined into the (y^2 - omega1^2 x^2) and xy channels.  Phasing
+    rotates (cos 2psi, sin 2psi) by the same angle before and after the
+    integration, so it changes only the constant of integration and the
+    exact-zero-frequency (resonant) terms, which pick up c0 and s0.
+    """
+    base = params.base
+    om, om1 = params.omega, params.omega1
+    vn, vd = om1.numerator, om1.denominator
+    scale = om.denominator * vd  # nu(k, m) = (k * kw + m * mw) / scale
+    kw, mw = om.numerator * vd, vn * om.denominator
+    den, (cyy, cxy) = _common_numerators((f.cyy, f.cxy))
+    P: dict = {}
+    Q: dict = {}
+    _times_cos_omega(P, cxy, -2 * vd * vd)
+    _times_cos_omega(Q, cyy, -4 * vd * vn)
+
+    # one multiplier that makes every division below exact
+    divisors = {(k * kw) ** (p + 1) for (p, k, *_) in P}
+    for (p, k, *_) in (*P, *Q):
+        divisors.update((p + 1, (k * kw + 2 * mw) ** (p + 1), (k * kw - 2 * mw) ** (p + 1)))
+    divisors.discard(0)
+    mult = math.lcm(*divisors)
+
+    # the m = 0 channel; the m = -+2 lattice drops its product-to-sum halves,
+    # so this channel is doubled to share the scale
+    A: dict = {}
+    for (p, k, _, ph, a, b), c in P.items():
+        c *= 2 * mult
+        if k == 0:
+            _add(A, (p + 1, 0, 0, COS, a, b), c // (p + 1))
+            continue
+        out, const = _antiderivative(p, ph, c, scale, k * kw)
+        for q, ph2, c2 in out:
+            _add(A, (q, k, 0, ph2, a, b), c2)
+        _add(A, (0, 0, 0, COS, a, b), const)
+
+    # the m = -+2 channel: U cos(2 w1 t) + V sin(2 w1 t) with U = -P, V = Q
+    U: dict = {}
+    V: dict = {}
+    for osc, terms, sign in ((COS, P, -mult), (SIN, Q, mult)):
+        for (p, k, _, ph, a, b), c in terms.items():
+            c *= sign
+            lam = ph ^ osc
+            for sigma in (1, -1):
+                # trig(kwt) trig(2w1t) -> (1/2) trig((kw + sigma 2w1) t)
+                cc = -c if osc == SIN and (ph == SIN) == (sigma == 1) else c
+                n = k * kw + 2 * sigma * mw
+                if n == 0:
+                    # resonance: cos of the exact zero frequency is 1, its sine 0
+                    xc, xs = (cc, 0) if lam == COS else (0, cc)
+                    _add_phased(A, p + 1, a, b, xc // (p + 1), xs // (p + 1), phased)
+                    continue
+                out, _ = _antiderivative(p, lam, cc, scale, n)
+                for q, ph2, c2 in out:
+                    # trig((kw + sigma 2w1) t) back to trig(kwt) x {cos, sin}(2w1t)
+                    if ph2 == COS:
+                        _add(U, (q, k, 0, COS, a, b), c2)
+                        if k:
+                            _add(V, (q, k, 0, SIN, a, b), -sigma * c2)
+                    else:
+                        if k:
+                            _add(U, (q, k, 0, SIN, a, b), c2)
+                        _add(V, (q, k, 0, COS, a, b), sigma * c2)
+    # the constant of integration cancels the m = -+2 part at t = 0, where
+    # it is the phase rotation of (U(0), V(0))
+    consts: dict = {}
+    for sign, terms, i in ((-1, U, 0), (1, V, 1)):
+        for (q, _, _, ph, a, b), c in terms.items():
+            if q == 0 and ph == COS:
+                consts.setdefault((a, b), [0, 0])[i] += sign * c
+    for (a, b), (xc, xs) in consts.items():
+        _add_phased(A, 0, a, b, xc, xs, phased)
+
+    # (1, cos 2psi, sin 2psi) -> (y^2 + w1^2 x^2, y^2 - w1^2 x^2, 2 w1 xy)
+    yy = {key: vd * vd * c for key, c in A.items()}
+    xx = {key: vn * vn * c for key, c in A.items()}
+    for key, c in U.items():
+        _add(yy, key, vd * vd * c)
+        _add(xx, key, -vn * vn * c)
+    xy = {key: 2 * vn * vd * c for key, c in V.items()}
+    den_out = 4 * den * mult * vn * vn * vd * vd
+    if not secular_allowed:
+        secular = [key for terms in (xx, yy, xy) for key, c in terms.items() if c and key[0]]
+        if secular:
+            p, k, *_ = min(secular)
+            raise SecularTerm(f"secular term of degree {p} at harmonic k={k} "
+                              "is not allowed in this construction")
+    return QuadFormSeries(TrigSeries._from_numerators(base, xx, den_out),
+                          TrigSeries._from_numerators(base, yy, den_out),
+                          TrigSeries._from_numerators(base, xy, den_out))
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,8 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     params = _params(omega, omega1, epsilon)
     constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
     c_series = resonant.build_resonant_c(params, order)
-    phi = resonant.build_resonant_phi(params, order)
+    # the elimination reads Phi through order - 1 (and at least order 1)
+    phi = resonant.build_resonant_phi(params, min(order, max(1, order - 1)))
     combo = resonant.eliminate_secular(c_series, phi)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
 
@@ -307,7 +308,10 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
 def cmd_convergence(omega, omega1, epsilon, format_, orders, periods, x0, y0, out):
     """Section residual of the truncated integral per truncation order."""
     params = _params(omega, omega1, epsilon)
-    order_list = [int(tok) for tok in orders.split(",") if tok.strip()]
+    try:
+        order_list = [int(tok) for tok in orders.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidInput(f"--orders {orders}: not a comma-separated list of integers") from None
     report = analysis.convergence_study(params, epsilon, order_list, n_periods=periods,
                                         x0=x0, y0=y0)
     rows = list(zip(report.orders, report.residuals))

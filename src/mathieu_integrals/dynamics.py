@@ -13,15 +13,16 @@ Dormand-Prince 5(4) pair (error control at 1e-12 by default) solves,
 over [0, T] only, for the fundamental matrix M(s) and the energy form
 Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
 m11 m12); then z(kT + s) = M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z
-and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
-sample grid s = j T/spp, so section samples carry t = k*T.  Only the
-escape oracle ``analysis._escapes``, the independent reference, streams
-the stepper over many periods.
+and the n-period monodromy is M(T)^n, from a solve of M alone.  Steps
+land *exactly* on the sample grid s = j T/spp, so section samples carry
+t = k*T.  Only the escape oracle ``analysis._escapes``, the independent
+reference, streams the stepper over many periods.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,6 +45,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339
                                 22 / 525, -1 / 40)
 
 _MAX_STEPS = 5_000_000
+#: smallest relative tolerance the float64 error estimate can meet
+_RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 
 def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[float],
@@ -55,8 +58,13 @@ def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[flo
     The stage loop is unrolled: this runs the one-period solve behind
     every orbit, section and monodromy, and the escape oracle's long
     runs.  Implemented as a generator so escape probes can stop as soon
-    as a threshold is crossed.
+    as a threshold is crossed.  A relative tolerance below the float64
+    floor raises StepFailure at once: roundoff in the error estimate
+    would keep the controller shrinking the step until it underflows.
     """
+    if rtol < _RTOL_FLOOR:
+        raise StepFailure(f"rtol = {rtol:g} is below the float64 floor {_RTOL_FLOOR:.3g} "
+                          "(100 x machine epsilon)")
     n = len(y0)
     rng = range(n)
     t = t0
@@ -173,6 +181,20 @@ def _rhs_period(params: SystemParams, epsilon: float):
     return f
 
 
+def _rhs_matrix(params: SystemParams, epsilon: float):
+    """Flow of M row-major alone."""
+    om = float(params.omega)
+    om1sq = float(params.omega1) ** 2
+    two_eps = 2.0 * epsilon
+
+    def f(t, u):
+        m11, m12, m21, m22 = u
+        k = om1sq - two_eps * math.cos(om * t)
+        return (m21, m22, -k * m11, -k * m12)
+
+    return f
+
+
 def _rhs_linear(params: SystemParams, epsilon: float):
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
@@ -192,13 +214,15 @@ def _eps_arg(epsilon) -> float:
 
 
 def _one_period(params: SystemParams, eps: float, samples_per_period: int,
-                rtol: float, atol: float) -> list[tuple]:
-    """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp."""
+                rtol: float, atol: float, energy: bool = True) -> list[tuple]:
+    """(m11, m12, m21, m22[, q11, q22, q12]) at s_j = (j/spp) * T, j = 1..spp."""
     T = params.period
     targets = [(j / samples_per_period) * T for j in range(1, samples_per_period + 1)]
-    return [u for _, u in _integration_points(_rhs_period(params, eps), 0.0,
-                                               (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
-                                               targets, rtol, atol)]
+    if energy:
+        rhs, start = _rhs_period(params, eps), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    else:
+        rhs, start = _rhs_matrix(params, eps), (1.0, 0.0, 0.0, 1.0)
+    return [u for _, u in _integration_points(rhs, 0.0, start, targets, rtol, atol)]
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
@@ -256,11 +280,12 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1,
 
     The one-period matrix M(T) is the exact flow map of the linear
     system (not a linearization), and the coefficients are T-periodic,
-    so the n-period matrix is M(T)^n.
+    so the n-period matrix is M(T)^n.  The solve carries M alone,
+    without the energy form that orbits need.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    (a, b, c, d, *_), = _one_period(params, _eps_arg(epsilon), 1, rtol, atol)
+    (a, b, c, d), = _one_period(params, _eps_arg(epsilon), 1, rtol, atol, energy=False)
     m11, m12, m21, m22 = a, b, c, d
     for _ in range(n - 1):
         m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,

@@ -28,13 +28,14 @@ c0, s0; they are bound numerically from the initial conditions via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import (FormalIntegral, QuadFormSeries, SystemParams,
+from .builder import (FormalIntegral, QuadFormSeries, SystemParams, _add,
                       conic_at_section, h0_form, recursion_step)
 from .errors import InvalidInput, NotResonant, UnsolvableSecular, UnsupportedResonance
-from .trigseries import COS, SIN, TrigSeries
+from .trigseries import COS, SIN, TrigSeries, _common_numerators
 
 _RESONANCE_SCAN = 64
 
@@ -150,46 +151,95 @@ class ResonantIntegral:
         return self.combined.evaluate(x, y, t, epsilon, c0=c.c0, s0=c.s0)
 
 
-def _solve_ratio(target: QuadFormSeries, reference: QuadFormSeries) -> TrigSeries:
+#: a quadratic form as integer numerators over one denominator:
+#: (den, [xx, yy, xy]), each a dict from TrigSeries term keys to ints
+_Numerators = tuple[int, list[dict]]
+
+
+def _numerators(q: QuadFormSeries) -> _Numerators:
+    return _common_numerators((q.cxx, q.cyy, q.cxy))
+
+
+def _secular(form: _Numerators) -> _Numerators:
+    den, parts = form
+    return den, [{key: c for key, c in part.items() if key[0]} for part in parts]
+
+
+def _times_ring(form: _Numerators, ring: tuple[int, dict]) -> _Numerators:
+    """form * q for q = sum_(a, b) n_ab c0^a s0^b / den, reduced with c0^2 = 1 - s0^2.
+
+    A convolution over the generator monomials; everything else in the
+    term key is left alone, because q does not depend on t.
+    """
+    den, parts = form
+    qden, q = ring
+    out = []
+    for part in parts:
+        acc: dict = {}
+        for (p, k, m, ph, a, b), c in part.items():
+            for (qa, qb), qc in q.items():
+                v = c * qc
+                if a + qa == 2:
+                    _add(acc, (p, k, m, ph, 0, b + qb), v)
+                    _add(acc, (p, k, m, ph, 0, b + qb + 2), -v)
+                else:
+                    _add(acc, (p, k, m, ph, a + qa, b + qb), v)
+        out.append(acc)
+    return den * qden, out
+
+
+def _sum(forms: list[_Numerators]) -> _Numerators:
+    den = math.lcm(*(d for d, _ in forms))
+    out: list[dict] = [{}, {}, {}]
+    for d, parts in forms:
+        scale = den // d
+        for acc, part in zip(out, parts):
+            for key, c in part.items():
+                _add(acc, key, c * scale)
+    return den, out
+
+
+def _solve_ratio(target: _Numerators, reference: _Numerators) -> tuple[int, dict]:
     """Solve target + q*reference = 0 for q in the constant ring, exactly.
 
     q is a t-independent element of Q[c0, s0]/(c0^2 + s0^2 - 1),
-    returned as a constant TrigSeries.  At order 2 the solution is a
-    plain rational (1/4 for omega = 2, omega1 = 1); at higher orders the
-    residual may be proportional to the reference only up to generator
-    monomials, so the quotient picks up c0 powers.  The candidate is
-    built by monomial division against the smallest reference component
-    and then verified by exact multiplication; if the verification
-    fails, no constant multiple of the reference cancels the target and
-    UnsolvableSecular is raised.
+    returned as numerators over a denominator (den, {(a, b): n}).  At
+    order 2 the solution is a plain rational (1/4 for omega = 2,
+    omega1 = 1); at higher orders the residual may be proportional to
+    the reference only up to generator monomials, so the quotient picks
+    up c0 powers.  The candidate is built by monomial division against
+    the smallest reference component and then verified by exact
+    multiplication; if the verification fails, no constant multiple of
+    the reference cancels the target and UnsolvableSecular is raised.
     """
-    base = target.base
-    ref_components = (reference.cxx, reference.cyy, reference.cxy)
-    tgt_components = (target.cxx, target.cyy, target.cxy)
-
-    candidates = [(ref, tgt) for ref, tgt in zip(ref_components, tgt_components)
-                  if not ref.is_zero]
+    tden, tgt_parts = target
+    rden, ref_parts = reference
+    tgt_parts = [{key: c for key, c in part.items() if c} for part in tgt_parts]
+    candidates = [(ref, tgt) for ref, tgt in zip(ref_parts, tgt_parts) if ref]
     if not candidates:
-        if target.is_zero:
-            return TrigSeries.constant(base, 0)
+        if not any(tgt_parts):
+            return 1, {}
         raise UnsolvableSecular("no reference secular term available for cancellation")
-    ref, tgt = min(candidates, key=lambda pair: len(pair[0].terms()))
-    (rp, rk, rm, rph, ra, rb), rcoeff = ref.terms()[0]
-
-    raw = []
-    for (p, k, m, ph, a, b), coeff in tgt.terms():
+    ref, tgt = min(candidates, key=lambda pair: len(pair[0]))
+    rkey = min(ref)
+    rp, rk, rm, rph, ra, rb = rkey
+    quotient = {}
+    for (p, k, m, ph, a, b), c in tgt.items():
         if (p, k, m, ph) != (rp, rk, rm, rph) or a < ra or b < rb:
             raise UnsolvableSecular(
                 "secular parts are not proportional over the constant ring"
             )
-        raw.append(((0, 0, 0, 0, a - ra, b - rb), -coeff / rcoeff))
-    q = TrigSeries(base, raw)
+        quotient[(a - ra, b - rb)] = Fraction(-c * rden, tden * ref[rkey])
+    qden = math.lcm(*(c.denominator for c in quotient.values()))
+    q = (qden, {ab: c.numerator * (qden // c.denominator) for ab, c in quotient.items()})
 
-    for ref_c, tgt_c in zip(ref_components, tgt_components):
-        if not (tgt_c + ref_c * q).is_zero:
-            raise UnsolvableSecular(
-                "secular parts are not proportional; the mixing ansatz cannot cancel them"
-            )
+    pden, products = _times_ring(reference, q)
+    for tgt_c, prod in zip(tgt_parts, products):
+        for key in tgt_c.keys() | prod.keys():
+            if tgt_c.get(key, 0) * pden + prod.get(key, 0) * tden:
+                raise UnsolvableSecular(
+                    "secular parts are not proportional; the mixing ansatz cannot cancel them"
+                )
     return q
 
 
@@ -200,7 +250,9 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
     The coefficient q_{n-1} is fixed by the order-n cancellation
     q_{n-1} * sec(Phi_1) = -(sec(C_n) + sum_{i<=n-2} q_i sec(Phi_{n-i})),
     solved exactly over the rationals with the generators kept symbolic
-    (so q_1 = 1/4 comes out even for initial phases with s0 = 0).
+    (so q_1 = 1/4 comes out even for initial phases with s0 = 0).  The
+    sums and the products by q run on integer numerators; only the
+    results become Fractions.
     """
     if c_series.params != phi_series.params:
         raise ValueError("C and Phi series were built over different parameters")
@@ -210,29 +262,32 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
     if s >= 1 and phi_series.order < max(1, s - 1):
         raise ValueError("Phi-series not built deep enough for the requested mixing")
 
-    qs: list[TrigSeries] = []
+    cs = [_numerators(q) for q in c_series.orders[:s + 1]]
+    phi = [_numerators(q) for q in phi_series.orders[:s]]
+    qs: list[tuple[int, dict]] = []
     if s >= 2:
-        phi1_sec = phi_series.orders[1].secular_part()
+        phi_sec = [_secular(form) for form in phi]
         for n in range(2, s + 1):
-            residual = c_series.orders[n].secular_part()
-            for i, q in enumerate(qs, start=1):
-                residual = residual + phi_series.orders[n - i].secular_part().mul_series(q)
-            qs.append(_solve_ratio(residual, phi1_sec))
+            residual = _sum([_secular(cs[n])]
+                            + [_times_ring(phi_sec[n - i], q) for i, q in enumerate(qs, start=1)])
+            qs.append(_solve_ratio(residual, phi_sec[1]))
 
+    base = c_series.params.base
     combined = [c_series.orders[0]]
     for n in range(1, s + 1):
-        term = c_series.orders[n]
-        for i, q in enumerate(qs, start=1):
-            if i > n:
-                break
-            term = term + phi_series.orders[n - i].mul_series(q)
-        if not term.secular_part().is_zero:
+        den, parts = _sum([cs[n]] + [_times_ring(phi[n - i], q)
+                                     for i, q in enumerate(qs[:n], start=1)])
+        if any(c and key[0] for part in parts for key, c in part.items()):
             raise UnsolvableSecular(f"secular content survives at order {n}")
-        combined.append(term)
+        combined.append(QuadFormSeries(*(TrigSeries._from_numerators(base, part, den)
+                                         for part in parts)))
 
+    mix = tuple(TrigSeries._from_numerators(base, {(0, 0, 0, COS, a, b): c
+                                                   for (a, b), c in q.items()}, den)
+                for den, q in qs)
     combined_integral = FormalIntegral(c_series.params, tuple(combined), seed="C0",
                                        secular_allowed=False, phased=True)
-    return ResonantIntegral(base=c_series, phi=phi_series, mix=tuple(qs),
+    return ResonantIntegral(base=c_series, phi=phi_series, mix=mix,
                             combined=combined_integral)
 
 

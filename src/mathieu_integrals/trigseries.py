@@ -81,6 +81,14 @@ class FrequencyBase:
         return k * self.omega + m * self.omega1
 
 
+def _common_numerators(series: Iterable["TrigSeries"]) -> tuple[int, list[dict[TermKey, int]]]:
+    """Integer numerators of every series' coefficients over their least common denominator."""
+    series = list(series)
+    den = math.lcm(*(c.denominator for s in series for c in s._terms.values()))
+    return den, [{key: c.numerator * (den // c.denominator) for key, c in s._terms.items()}
+                 for s in series]
+
+
 def _reduce_generators(a: int, b: int, coeff: Fraction) -> Iterator[tuple[int, int, Fraction]]:
     """Rewrite c0^a s0^b with a >= 2 using c0^2 = 1 - s0^2.
 
@@ -146,6 +154,15 @@ class TrigSeries:
                  p: int = 0, c0_pow: int = 0, s0_pow: int = 0) -> "TrigSeries":
         """Single term coeff * c0^a s0^b * t^p * trig((k*omega + m*omega1) t)."""
         return cls(base, [((p, k, m, phase, c0_pow, s0_pow), as_rational(coeff))])
+
+    @classmethod
+    def _from_numerators(cls, base: FrequencyBase, nums: dict[TermKey, int],
+                         den: int) -> "TrigSeries":
+        """Series with coefficients n/den, zeros pruned; the keys must already be canonical."""
+        out = cls.__new__(cls)
+        out.base = base
+        out._terms = {key: Fraction(n, den) for key, n in nums.items() if n}
+        return out
 
     # -- inspection -----------------------------------------------------
 

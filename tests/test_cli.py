@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from mathieu_integrals import SystemParams, build_integral
+from mathieu_integrals import SystemParams, build_integral, resonant
 from mathieu_integrals.cli import main
 
 
@@ -188,6 +188,24 @@ class TestAnalysisCommands:
         assert "primary resonance" in res.output
 
 
+class TestResonantCommand:
+    @pytest.mark.parametrize("order, depth", [(0, 0), (1, 1), (2, 1), (10, 9)])
+    def test_phi_only_as_deep_as_the_elimination_reads(self, runner, monkeypatch, tmp_path,
+                                                       order, depth):
+        built = []
+        build_phi = resonant.build_resonant_phi
+
+        def recording(params, n):
+            built.append(n)
+            return build_phi(params, n)
+
+        monkeypatch.setattr(resonant, "build_resonant_phi", recording)
+        res = invoke(runner, "resonant", "--omega1", "1", "--order", str(order),
+                     "--out", str(tmp_path / "r.json"))
+        assert res.exit_code == 0
+        assert built == [depth]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("args", [
         ["section", "--omega1", "0"],
@@ -201,6 +219,8 @@ class TestBadInput:
         ["monodromy", "--n", "0"],
         ["convergence", "--x0", "0", "--y0", "0"],
         ["resonant", "--omega1", "1", "--x0", "0", "--y0", "0"],
+        ["convergence", "--orders", "x"],
+        ["convergence", "--orders", "4,x"],
     ])
     def test_one_line_error_and_exit_2(self, runner, args):
         res = invoke(runner, *args)

@@ -73,6 +73,18 @@ class TestSampling:
         with pytest.raises(StepFailure):
             integrate_orbit(P01, 0.0, 1.0, 1, rtol=1e-40, atol=1e-40)
 
+    def test_tolerance_below_float64_floor_fails_before_stepping(self):
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return _rhs_linear(P01, 0.1)(t, u)
+
+        with pytest.raises(StepFailure, match="float64 floor"):
+            list(_integration_points(rhs, 0.0, (0.0, 1.0), [1.0], 1e-15, 1e-12))
+        assert calls == []
+        list(_integration_points(rhs, 0.0, (0.0, 1.0), [1.0], 1e-13, 1e-12))  # above the floor
+
 
 class TestExtendedEnergy:
     def test_h_plus_e_bounded_by_1e8(self, orbit_cache):
@@ -178,6 +190,20 @@ class TestMonodromy:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             monodromy(P01, 0.1, n=0)
+
+    @pytest.mark.parametrize("omega1, eps", [("9/10", 0.0), ("9/10", 0.18), ("9/10", -0.185),
+                                             ("1/10", 0.9), ("11/10", 0.1),
+                                             ("301/100", 0.1), ("1/2", 1.5)])
+    def test_matrix_only_solve_matches_energy_solve(self, omega1, eps):
+        # monodromy solves for M alone, so its error norm runs over 4
+        # components instead of 7 and the accepted steps differ slightly
+        params = SystemParams(F(2), F(omega1), eps)
+        m = monodromy(params, eps)
+        (a, b, c, d, *_), = dynamics._one_period(params, eps, 1, dynamics.DEFAULT_RTOL,
+                                                 dynamics.DEFAULT_ATOL)
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
+        diff = max(abs(m.m11 - a), abs(m.m12 - b), abs(m.m21 - c), abs(m.m22 - d))
+        assert diff <= 2e-12 * scale
 
 
 class TestReversibility:
