@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import FormalIntegral, SystemParams, build_integral, conic_at_section
-from .dynamics import (SectionPoint, _integration_points, _rhs_linear,
-                       integrate_orbit, monodromy, stroboscopic_section)
+from .dynamics import (SectionPoint, _hill_points, integrate_orbit, monodromy,
+                       stroboscopic_section)
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 #: tolerances for the escape cross-check runs (escape detection does not
@@ -58,11 +58,9 @@ def _escapes(params: SystemParams, eps: float, n_periods: int, r_escape: float) 
     crossing, so deeply unstable runs cost almost nothing (and never
     overflow the state).
     """
-    f = _rhs_linear(params, eps)
     T = params.period
     targets = [k * T for k in range(1, n_periods + 1)]
-    for _t, (x, y) in _integration_points(f, 0.0, (0.0, 1.0), targets,
-                                          _CHECK_RTOL, _CHECK_ATOL):
+    for x, y in _hill_points(params, eps, (0.0, 1.0), targets, _CHECK_RTOL, _CHECK_ATOL):
         if math.hypot(x, y) > r_escape:
             return True
     return False
@@ -233,12 +231,12 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     lo = hi = None
     for _ in range(8):
         lo, hi = eps_guess - radius, eps_guess + radius
-        if g(lo) * g(hi) <= 0.0:
+        glo = g(lo)
+        if glo * g(hi) <= 0.0:
             break
         radius *= 2.0
     else:
         raise NoRoot(f"no period-{n} orbit parameter within {radius:.3g} of {eps_guess}")
-    glo = g(lo)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         gm = g(mid)

@@ -80,6 +80,13 @@ def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) 
     return max(1, math.ceil(time_ / params.period))
 
 
+def _section(params: builder.SystemParams, x0: float, y0: float,
+             n_periods: int) -> list[dynamics.SectionPoint]:
+    """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0)."""
+    traj = dynamics.integrate_orbit(params, x0, y0, n_periods, samples_per_period=1)
+    return dynamics.stroboscopic_section(traj, params)
+
+
 def _write(path: str | None, text: str, default_stdout: bool = True):
     if path:
         output.atomic_write_text(path, text)
@@ -140,13 +147,11 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     params = _params(omega, omega1, epsilon)
     n = _n_periods(params, periods, time_)
-    spp = 1 if section_only else samples
-    traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=spp)
     if section_only:
-        pts = dynamics.stroboscopic_section(traj, params)
-        rows = output.section_rows(pts, params)
+        rows = output.section_rows(_section(params, x0, y0, n), params)
     else:
-        rows = output.trajectory_rows(traj, params, spp)
+        traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=samples)
+        rows = output.trajectory_rows(traj, params, samples)
     _write(out, output.tabular(output.ORBIT_COLUMNS, rows, format_))
 
 
@@ -159,9 +164,7 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)
-    n = _n_periods(params, periods, time_)
-    traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=1)
-    pts = dynamics.stroboscopic_section(traj, params)
+    pts = _section(params, x0, y0, _n_periods(params, periods, time_))
     _write(out, output.tabular(output.ORBIT_COLUMNS, output.section_rows(pts, params),
                                format_))
 
@@ -179,9 +182,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     Escape runs annotate the first period index beyond the threshold.
     """
     params = _params(omega, omega1, epsilon)
-    n = _n_periods(params, periods, time_)
-    traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=1)
-    pts = dynamics.stroboscopic_section(traj, params)
+    pts = _section(params, x0, y0, _n_periods(params, periods, time_))
     report = dynamics.escape_diagnostics(pts, r_escape=r_escape, period=params.period)
     rows = [(p.k, p.k * params.period, p.d, p.r) for p in pts]
     text = output.tabular(("k", "t", "d", "r"), rows, format_)
@@ -199,9 +200,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
-    n = _n_periods(params, periods, time_)
-    traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=1)
-    pts = dynamics.stroboscopic_section(traj, params)
+    pts = _section(params, x0, y0, _n_periods(params, periods, time_))
     rows = [(p.k, p.k * params.period, p.x, p.E) for p in pts]
     _write(out, output.tabular(("k", "t", "x", "E"), rows, format_))
 
@@ -276,8 +275,7 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     combo = resonant.eliminate_secular(c_series, phi)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
 
-    traj = dynamics.integrate_orbit(params, x0, y0, periods, samples_per_period=1)
-    pts = dynamics.stroboscopic_section(traj, params)
+    pts = _section(params, x0, y0, periods)
     level = a * x0 * x0 + b * y0 * y0 + 2 * d * x0 * y0
     residuals = [abs(a * p.x * p.x + b * p.y * p.y + 2 * d * p.x * p.y - level) / abs(level)
                  for p in pts]

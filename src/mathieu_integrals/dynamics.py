@@ -13,10 +13,16 @@ Dormand-Prince 5(4) pair (error control at 1e-12 by default) solves,
 over [0, T] only, for the fundamental matrix M(s) and the energy form
 Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
 m11 m12); then z(kT + s) = M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z
-and the n-period monodromy is M(T)^n, from a solve of M alone.  Steps
-land *exactly* on the sample grid s = j T/spp, so section samples carry
-t = k*T.  Only the escape oracle ``analysis._escapes``, the independent
-reference, streams the stepper over many periods.
+and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
+sample grid s = j T/spp, so section samples carry t = k*T.
+
+Two steppers share one tableau and controller.  ``_integration_points``
+takes any right-hand side and runs the 7-component (M, Q) solve of
+orbits.  ``_hill_points`` is the same method specialised to the Hill
+equation on scalar solution columns, bit-identical to the generic one:
+it solves the two columns of M(T) for ``monodromy`` and streams one
+column over many periods for the escape oracle ``analysis._escapes``,
+the independent reference.
 """
 
 from __future__ import annotations
@@ -56,11 +62,12 @@ def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[flo
     The step is clamped to land exactly on each target, and the time
     stamp is set to the target itself, so no landing error accumulates.
     The stage loop is unrolled: this runs the one-period solve behind
-    every orbit, section and monodromy, and the escape oracle's long
-    runs.  Implemented as a generator so escape probes can stop as soon
-    as a threshold is crossed.  A relative tolerance below the float64
-    floor raises StepFailure at once: roundoff in the error estimate
-    would keep the controller shrinking the step until it underflows.
+    every orbit and section, and is the reference that ``_hill_points``
+    must reproduce bit for bit.  Implemented as a generator, like
+    ``_hill_points``, whose escape runs stop at the first crossing.  A
+    relative tolerance below the float64 floor raises StepFailure at
+    once: roundoff in the error estimate would keep the controller
+    shrinking the step until it underflows.
     """
     if rtol < _RTOL_FLOOR:
         raise StepFailure(f"rtol = {rtol:g} is below the float64 floor {_RTOL_FLOOR:.3g} "
@@ -111,6 +118,90 @@ def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[flo
             if steps > _MAX_STEPS:
                 raise StepFailure("step budget exhausted")
         yield (t, y)
+
+
+def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Sequence[float],
+                 rtol: float, atol: float):
+    """Solution columns of x'' = -(omega1^2 - 2 eps cos(omega t)) x from t = 0.
+
+    ``u0`` = (x_1, ..., x_c, y_1, ..., y_c) holds c columns (x_i, y_i)
+    that share one step; the state at each target is yielded in the
+    same layout.  This is ``_integration_points`` specialised to the
+    Hill equation and bit-identical to it with ``_rhs_linear`` (c = 1)
+    or the row-major matrix flow (c = 2, the monodromy): the same
+    tableau, controller, checks and error norm summed over every x
+    component, then every y component.  w(t) = omega1^2 - 2 eps
+    cos(omega t) does not depend on the state, so it is evaluated once
+    per stage for all columns (the FSAL stage reuses the last one, taken
+    at the same time), and each column runs its stages on scalars.
+    """
+    if rtol < _RTOL_FLOOR:
+        raise StepFailure(f"rtol = {rtol:g} is below the float64 floor {_RTOL_FLOOR:.3g} "
+                          "(100 x machine epsilon)")
+    om = float(params.omega)
+    om1sq = float(params.omega1) ** 2
+    two_eps = 2.0 * epsilon
+    cos = math.cos
+    n = len(u0)
+    c = n // 2
+    t = 0.0
+    w = om1sq - two_eps * cos(om * t)
+    # per column: x, y and the stage-1 slopes (x', y') = (y, -w x)
+    cols = [(x, y, y, -w * x) for x, y in zip(u0[:c], u0[c:])]
+    h = min(1e-2 * (abs(targets[-1]) or 1.0), 0.1) if targets else 0.1
+    steps = 0
+    for target in targets:
+        while t < target:
+            clamped = t + h >= target
+            hh = (target - t) if clamped else h
+            w2 = om1sq - two_eps * cos(om * (t + _C2 * hh))
+            w3 = om1sq - two_eps * cos(om * (t + _C3 * hh))
+            w4 = om1sq - two_eps * cos(om * (t + _C4 * hh))
+            w5 = om1sq - two_eps * cos(om * (t + _C5 * hh))
+            w6 = om1sq - two_eps * cos(om * (t + hh))
+            new = []
+            ex = []
+            ey = []
+            for x, y, p1, q1 in cols:
+                p2 = y + hh * (_A21 * q1)
+                q2 = -w2 * (x + hh * (_A21 * p1))
+                p3 = y + hh * (_A31 * q1 + _A32 * q2)
+                q3 = -w3 * (x + hh * (_A31 * p1 + _A32 * p2))
+                p4 = y + hh * (_A41 * q1 + _A42 * q2 + _A43 * q3)
+                q4 = -w4 * (x + hh * (_A41 * p1 + _A42 * p2 + _A43 * p3))
+                p5 = y + hh * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
+                q5 = -w5 * (x + hh * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
+                p6 = y + hh * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
+                q6 = -w6 * (x + hh * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4
+                                      + _A65 * p5))
+                x5 = x + hh * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+                y5 = y + hh * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
+                q7 = -w6 * x5  # first-same-as-last stage, at the time of stage 6
+                e = hh * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * y5)
+                a, b = abs(x), abs(x5)
+                ex.append((e / (atol + rtol * (b if b > a else a))) ** 2)
+                e = hh * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7)
+                a, b = abs(y), abs(y5)
+                ey.append((e / (atol + rtol * (b if b > a else a))) ** 2)
+                new.append((x5, y5, y5, q7))
+            err = 0.0
+            for v in ex:
+                err += v
+            for v in ey:
+                err += v
+            err = math.sqrt(err / n)
+            if err <= 1.0:
+                t, cols = (target if clamped else t + hh), new
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h = hh * factor
+            else:
+                h = hh * max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepFailure(f"step size underflow at t = {t}")
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise StepFailure("step budget exhausted")
+        yield tuple(col[0] for col in cols) + tuple(col[1] for col in cols)
 
 
 @dataclass(frozen=True)
@@ -181,20 +272,6 @@ def _rhs_period(params: SystemParams, epsilon: float):
     return f
 
 
-def _rhs_matrix(params: SystemParams, epsilon: float):
-    """Flow of M row-major alone."""
-    om = float(params.omega)
-    om1sq = float(params.omega1) ** 2
-    two_eps = 2.0 * epsilon
-
-    def f(t, u):
-        m11, m12, m21, m22 = u
-        k = om1sq - two_eps * math.cos(om * t)
-        return (m21, m22, -k * m11, -k * m12)
-
-    return f
-
-
 def _rhs_linear(params: SystemParams, epsilon: float):
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
@@ -214,15 +291,13 @@ def _eps_arg(epsilon) -> float:
 
 
 def _one_period(params: SystemParams, eps: float, samples_per_period: int,
-                rtol: float, atol: float, energy: bool = True) -> list[tuple]:
-    """(m11, m12, m21, m22[, q11, q22, q12]) at s_j = (j/spp) * T, j = 1..spp."""
+                rtol: float, atol: float) -> list[tuple]:
+    """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp."""
     T = params.period
     targets = [(j / samples_per_period) * T for j in range(1, samples_per_period + 1)]
-    if energy:
-        rhs, start = _rhs_period(params, eps), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    else:
-        rhs, start = _rhs_matrix(params, eps), (1.0, 0.0, 0.0, 1.0)
-    return [u for _, u in _integration_points(rhs, 0.0, start, targets, rtol, atol)]
+    start = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    return [u for _, u in _integration_points(_rhs_period(params, eps), 0.0, start, targets,
+                                              rtol, atol)]
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
@@ -280,12 +355,13 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1,
 
     The one-period matrix M(T) is the exact flow map of the linear
     system (not a linearization), and the coefficients are T-periodic,
-    so the n-period matrix is M(T)^n.  The solve carries M alone,
-    without the energy form that orbits need.
+    so the n-period matrix is M(T)^n.  The solve carries the columns of
+    M alone, without the energy form that orbits need.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    (a, b, c, d), = _one_period(params, _eps_arg(epsilon), 1, rtol, atol, energy=False)
+    (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), (1.0, 0.0, 0.0, 1.0),
+                                 [params.period], rtol, atol)
     m11, m12, m21, m22 = a, b, c, d
     for _ in range(n - 1):
         m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
@@ -305,16 +381,20 @@ class EscapeReport:
     r_squared: float | None
 
 
-def escape_diagnostics(section: Sequence[SectionPoint], r_escape: float = 1e3,
+def escape_diagnostics(section: Sequence[SectionPoint], r_escape: float = 1e3, *,
                        period: float | None = None) -> EscapeReport:
     """Escape test and least-squares growth of log r(kT) over the tail.
 
     ``escaped`` is true iff r exceeds ``r_escape``; the growth rate is
     the slope of log r versus t fitted over the post-transient tail
     (the second half of the points up to the first threshold crossing).
+    ``period`` is the driving period T = 2 pi/omega of the section and
+    must be given: section points carry k, not t.
     """
     if not section:
         raise ValueError("empty section")
+    if period is None or not 0.0 < period < math.inf:
+        raise InvalidInput(f"escape_diagnostics needs the driving period T > 0, got {period}")
     cut = len(section)
     k_escape = None
     for i, pt in enumerate(section):
@@ -326,8 +406,7 @@ def escape_diagnostics(section: Sequence[SectionPoint], r_escape: float = 1e3,
     tail = section[cut // 2: cut]
     if not escaped or len(tail) < 3:
         return EscapeReport(escaped, k_escape, None, None)
-    T = period if period is not None else math.pi
-    ts = [pt.k * T for pt in tail]
+    ts = [pt.k * period for pt in tail]
     ls = [math.log(pt.r) for pt in tail]
     n = len(ts)
     tbar = sum(ts) / n

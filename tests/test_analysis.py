@@ -4,13 +4,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                build_integral, conic_at_section, convergence_study,
                                cover_count, critical_epsilon, find_periodic_orbit,
                                integrate_orbit, invariant_curve_points, monodromy,
                                stroboscopic_section)
-from mathieu_integrals.analysis import section_residual, section_semiaxis_x
+from mathieu_integrals.analysis import _escapes, section_residual, section_semiaxis_x
 
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
@@ -71,6 +73,16 @@ class TestCriticalEpsilon:
         res_escape = critical_epsilon(SystemParams(F(2), F(om1), 0.0),
                                       oracle="escape", tol=2e-5, cross_check=False)
         assert abs(res_escape.eps_crit - crit_cache(om1).eps_crit) < 1e-4
+
+    # about 0.25 s per 700-period stable run, so the examples are few
+    @settings(max_examples=15, deadline=None)
+    @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
+           eps=st.floats(min_value=-1.0, max_value=1.0))
+    def test_escape_verdict_matches_trace_away_from_boundary(self, omega1, eps):
+        params = SystemParams(F(2), omega1, eps)
+        trace = monodromy(params, eps).trace
+        assume(abs(abs(trace) - 2.0) >= 0.05)
+        assert _escapes(params, eps, 700, 1e3) == (abs(trace) > 2.0)
 
 
 class TestConvergence:

@@ -14,7 +14,8 @@ import pytest
 from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
                                escape_diagnostics, integrate_orbit, monodromy,
                                stroboscopic_section)
-from mathieu_integrals.dynamics import _integration_points, _rhs_linear, integrate_backward
+from mathieu_integrals.dynamics import (_hill_points, _integration_points, _rhs_linear,
+                                        integrate_backward)
 from mathieu_integrals.errors import DomainError, InvalidInput
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
@@ -142,6 +143,22 @@ class TestEscape:
         with pytest.raises(ValueError):
             escape_diagnostics([])
 
+    @pytest.mark.parametrize("period", [None, 0.0, -math.pi, math.nan, math.inf])
+    def test_period_is_required(self, orbit_cache, period):
+        _, _, pts = orbit_cache("9/10", 0.19, 150)
+        with pytest.raises(InvalidInput, match="period"):
+            escape_diagnostics(pts, period=period)
+
+    def test_growth_rate_is_floquet_exponent_at_omega_3(self):
+        # T = 2 pi/3, not the pi of omega = 2: the fitted slope of log r
+        # against t must be log|lambda_max| / T of the monodromy
+        params = SystemParams(F(3), F(3, 2), 0.3)
+        pts = stroboscopic_section(integrate_orbit(params, 0.0, 1.0, 100), params)
+        report = escape_diagnostics(pts, period=params.period)
+        lam = max(abs(ev) for ev in monodromy(params, 0.3).eigenvalues())
+        assert report.escaped
+        assert report.growth_rate == pytest.approx(math.log(lam) / params.period, rel=1e-3)
+
 
 class TestMonodromy:
     def test_unperturbed_trace_analytic(self):
@@ -204,6 +221,60 @@ class TestMonodromy:
         scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
         diff = max(abs(m.m11 - a), abs(m.m12 - b), abs(m.m21 - c), abs(m.m22 - d))
         assert diff <= 2e-12 * scale
+
+
+def _matrix_rhs(params, eps):
+    """The row-major fundamental-matrix flow as a generic 4-component RHS."""
+    om, om1sq = float(params.omega), float(params.omega1) ** 2
+
+    def f(t, u):
+        m11, m12, m21, m22 = u
+        w = om1sq - 2.0 * eps * math.cos(om * t)
+        return (m21, m22, -w * m11, -w * m12)
+
+    return f
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+class TestHillKernel:
+    """The specialised Hill-equation stepper against the generic one."""
+
+    @pytest.mark.parametrize("eps, periods", [(0.1857848562 - 1e-3, 700),
+                                              (-(0.1857848562 - 1e-3), 700),
+                                              (0.25, 60)])  # the last one escapes
+    def test_one_column_stream_is_bit_identical(self, eps, periods):
+        params = SystemParams(F(2), F(9, 10), eps)
+        targets = [k * params.period for k in range(1, periods + 1)]
+        kernel = list(_hill_points(params, eps, (0.0, 1.0), targets, 1e-9, 1e-9))
+        generic = [u for _, u in _integration_points(_rhs_linear(params, eps), 0.0, (0.0, 1.0),
+                                                     targets, 1e-9, 1e-9)]
+        assert len(kernel) == periods
+        assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
+        if eps == 0.25:
+            assert math.hypot(*kernel[-1]) > 1e3
+
+    @pytest.mark.parametrize("omega1, eps", [("9/10", 0.0), ("9/10", 0.18), ("9/10", -0.185),
+                                             ("1/10", 0.9), ("11/10", 0.1),
+                                             ("301/100", 0.1), ("1/2", 1.5)])
+    @pytest.mark.parametrize("n", [1, 17])
+    def test_monodromy_is_bit_identical_to_generic_solve(self, omega1, eps, n):
+        params = SystemParams(F(2), F(omega1), eps)
+        (_, (a, b, c, d)), = _integration_points(_matrix_rhs(params, eps), 0.0,
+                                                 (1.0, 0.0, 0.0, 1.0), [params.period],
+                                                 dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
+        m11, m12, m21, m22 = a, b, c, d
+        for _ in range(n - 1):
+            m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
+                                  c * m11 + d * m21, c * m12 + d * m22)
+        m = monodromy(params, eps, n=n)
+        assert _bits((m.m11, m.m12, m.m21, m.m22)) == _bits((m11, m12, m21, m22))
+
+    def test_monodromy_below_float64_floor_fails(self):
+        with pytest.raises(StepFailure, match="float64 floor"):
+            monodromy(P01, 0.1, rtol=1e-15)
 
 
 class TestReversibility:
