@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import FormalIntegral, SystemParams, build_integral, conic_at_section
-from .dynamics import (SectionPoint, _hill_points, integrate_orbit, monodromy,
-                       stroboscopic_section)
+from .dynamics import SectionPoint, _hill_points, _section, monodromy
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 #: tolerances for the escape cross-check runs (escape detection does not
@@ -79,7 +78,7 @@ def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
     is found up to |eps| = 10.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise InvalidInput(f"sign must be +1 or -1, got {sign}")
     if oracle == "trace":
         unstable = lambda e: abs(monodromy(params, sign * e).trace) > 2.0
     elif oracle == "escape":
@@ -145,8 +144,7 @@ def convergence_study(params: SystemParams, epsilon: float, orders: Sequence[int
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise InvalidInput("orders must be non-empty and strictly ascending")
     phi = build_integral(params, max(orders))
-    traj = integrate_orbit(params, x0, y0, n_periods, samples_per_period=1, epsilon=epsilon)
-    section = stroboscopic_section(traj, params)
+    section = _section(params, x0, y0, n_periods, epsilon)
     residuals = tuple(section_residual(phi.truncated(s), section, epsilon) for s in orders)
     return ConvergenceReport(orders=orders, residuals=residuals, epsilon=epsilon,
                              n_periods=n_periods)
@@ -212,13 +210,12 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    tr_guess = monodromy(params, eps_guess).trace
-    theta_guess = math.acos(max(-1.0, min(1.0, tr_guess / 2.0)))
+    m_guess = monodromy(params, eps_guess)
+    theta_guess = math.acos(max(-1.0, min(1.0, m_guess.trace / 2.0)))
     m = round(n * theta_guess / (2.0 * math.pi))
     target = 2.0 * math.cos(2.0 * math.pi * m / n)
 
-    mono_guess = monodromy(params, eps_guess, n=n)
-    gx, gy = mono_guess.apply(x0, y0)
+    gx, gy = m_guess.power(n).apply(x0, y0)
     guess_distance = math.hypot(gx - x0, gy - y0)
     if guess_distance <= return_tol:
         return PeriodicOrbitResult(epsilon=eps_guess, n=n, winding=m,

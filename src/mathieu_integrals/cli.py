@@ -80,13 +80,6 @@ def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) 
     return max(1, math.ceil(time_ / params.period))
 
 
-def _section(params: builder.SystemParams, x0: float, y0: float,
-             n_periods: int) -> list[dynamics.SectionPoint]:
-    """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0)."""
-    traj = dynamics.integrate_orbit(params, x0, y0, n_periods, samples_per_period=1)
-    return dynamics.stroboscopic_section(traj, params)
-
-
 def _write(path: str | None, text: str, default_stdout: bool = True):
     if path:
         output.atomic_write_text(path, text)
@@ -148,7 +141,7 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
     params = _params(omega, omega1, epsilon)
     n = _n_periods(params, periods, time_)
     if section_only:
-        rows = output.section_rows(_section(params, x0, y0, n), params)
+        rows = output.section_rows(dynamics._section(params, x0, y0, n), params)
     else:
         traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=samples)
         rows = output.trajectory_rows(traj, params, samples)
@@ -164,7 +157,7 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)
-    pts = _section(params, x0, y0, _n_periods(params, periods, time_))
+    pts = dynamics._section(params, x0, y0, _n_periods(params, periods, time_))
     _write(out, output.tabular(output.ORBIT_COLUMNS, output.section_rows(pts, params),
                                format_))
 
@@ -182,7 +175,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     Escape runs annotate the first period index beyond the threshold.
     """
     params = _params(omega, omega1, epsilon)
-    pts = _section(params, x0, y0, _n_periods(params, periods, time_))
+    pts = dynamics._section(params, x0, y0, _n_periods(params, periods, time_))
     report = dynamics.escape_diagnostics(pts, r_escape=r_escape, period=params.period)
     rows = [(p.k, p.k * params.period, p.d, p.r) for p in pts]
     text = output.tabular(("k", "t", "d", "r"), rows, format_)
@@ -200,7 +193,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
-    pts = _section(params, x0, y0, _n_periods(params, periods, time_))
+    pts = dynamics._section(params, x0, y0, _n_periods(params, periods, time_))
     rows = [(p.k, p.k * params.period, p.x, p.E) for p in pts]
     _write(out, output.tabular(("k", "t", "x", "E"), rows, format_))
 
@@ -216,8 +209,6 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 @domain_errors
 def cmd_critical_eps(omega, omega1, epsilon, sign, oracle, no_cross_check, out):
     """Locate the escape boundary eps_crit."""
-    if sign == 0:
-        raise click.BadParameter("--sign must be +1 or -1")
     params = _params(omega, omega1, epsilon)
     result = analysis.critical_epsilon(params, sign=sign, oracle=oracle,
                                        cross_check=not no_cross_check)
@@ -275,7 +266,7 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     combo = resonant.eliminate_secular(c_series, phi)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
 
-    pts = _section(params, x0, y0, periods)
+    pts = dynamics._section(params, x0, y0, periods)
     level = a * x0 * x0 + b * y0 * y0 + 2 * d * x0 * y0
     residuals = [abs(a * p.x * p.x + b * p.y * p.y + 2 * d * p.x * p.y - level) / abs(level)
                  for p in pts]

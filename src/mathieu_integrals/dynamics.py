@@ -16,13 +16,12 @@ m11 m12); then z(kT + s) = M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z
 and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
 sample grid s = j T/spp, so section samples carry t = k*T.
 
-Two steppers share one tableau and controller.  ``_integration_points``
-takes any right-hand side and runs the 7-component (M, Q) solve of
-orbits.  ``_hill_points`` is the same method specialised to the Hill
-equation on scalar solution columns, bit-identical to the generic one:
-it solves the two columns of M(T) for ``monodromy`` and streams one
+One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
+Hill equation on scalar solution columns.  It solves M(T) alone for
+``monodromy``, (M, Q) on the sample grid for orbits, and streams one
 column over many periods for the escape oracle ``analysis._escapes``,
-the independent reference.
+the independent reference.  The generic stepper it reproduces bit for
+bit lives in ``tests/dp5_reference.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
@@ -55,85 +54,30 @@ _MAX_STEPS = 5_000_000
 _RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 
-def _integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[float],
-                        rtol: float, atol: float):
-    """Integrate y' = f(t, y), yielding the state at each target time.
-
-    The step is clamped to land exactly on each target, and the time
-    stamp is set to the target itself, so no landing error accumulates.
-    The stage loop is unrolled: this runs the one-period solve behind
-    every orbit and section, and is the reference that ``_hill_points``
-    must reproduce bit for bit.  Implemented as a generator, like
-    ``_hill_points``, whose escape runs stop at the first crossing.  A
-    relative tolerance below the float64 floor raises StepFailure at
-    once: roundoff in the error estimate would keep the controller
-    shrinking the step until it underflows.
-    """
-    if rtol < _RTOL_FLOOR:
-        raise StepFailure(f"rtol = {rtol:g} is below the float64 floor {_RTOL_FLOOR:.3g} "
-                          "(100 x machine epsilon)")
-    n = len(y0)
-    rng = range(n)
-    t = t0
-    y = tuple(y0)
-    k1 = f(t, y)
-    h = min(1e-2 * (abs(targets[-1] - t0) or 1.0), 0.1) if targets else 0.1
-    steps = 0
-    for target in targets:
-        while t < target:
-            clamped = t + h >= target
-            h_try = (target - t) if clamped else h
-            k2 = f(t + _C2 * h_try,
-                   tuple(y[j] + h_try * (_A21 * k1[j]) for j in rng))
-            k3 = f(t + _C3 * h_try,
-                   tuple(y[j] + h_try * (_A31 * k1[j] + _A32 * k2[j]) for j in rng))
-            k4 = f(t + _C4 * h_try,
-                   tuple(y[j] + h_try * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j])
-                         for j in rng))
-            k5 = f(t + _C5 * h_try,
-                   tuple(y[j] + h_try * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j]
-                                         + _A54 * k4[j]) for j in rng))
-            k6 = f(t + h_try,
-                   tuple(y[j] + h_try * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j]
-                                         + _A64 * k4[j] + _A65 * k5[j]) for j in rng))
-            y5 = tuple(y[j] + h_try * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j]
-                                       + _B5 * k5[j] + _B6 * k6[j]) for j in rng)
-            k7 = f(t + h_try, y5)  # first-same-as-last stage
-            err = 0.0
-            for j in rng:
-                e = h_try * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j]
-                             + _E5 * k5[j] + _E6 * k6[j] + _E7 * k7[j])
-                scale = atol + rtol * max(abs(y[j]), abs(y5[j]))
-                err += (e / scale) ** 2
-            err = math.sqrt(err / n)
-            if err <= 1.0:
-                t, y, k1 = (target if clamped else t + h_try), y5, k7
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h = h_try * factor
-            else:
-                h = h_try * max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepFailure(f"step size underflow at t = {t}")
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise StepFailure("step budget exhausted")
-        yield (t, y)
-
-
 def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Sequence[float],
-                 rtol: float, atol: float):
+                 rtol: float, atol: float, energy: bool = False):
     """Solution columns of x'' = -(omega1^2 - 2 eps cos(omega t)) x from t = 0.
 
     ``u0`` = (x_1, ..., x_c, y_1, ..., y_c) holds c columns (x_i, y_i)
     that share one step; the state at each target is yielded in the
-    same layout.  This is ``_integration_points`` specialised to the
-    Hill equation and bit-identical to it with ``_rhs_linear`` (c = 1)
-    or the row-major matrix flow (c = 2, the monodromy): the same
-    tableau, controller, checks and error norm summed over every x
-    component, then every y component.  w(t) = omega1^2 - 2 eps
-    cos(omega t) does not depend on the state, so it is evaluated once
-    per stage for all columns (the FSAL stage reuses the last one, taken
-    at the same time), and each column runs its stages on scalars.
+    same layout.  With ``energy`` the two columns are those of M and
+    the energy form Q = (q11, q22, q12), dQ/dt = -eps omega sin(omega t)
+    (m11^2, m12^2, m11 m12), rides along from Q(0) = 0 and is appended
+    to each state: the (M row-major, Q) layout of ``_one_period``.
+
+    Dormand-Prince 5(4) with an error norm summed over every x
+    component, then every y component, then Q.  The step is clamped to
+    land exactly on each target, and the time stamp is set to the
+    target itself, so no landing error accumulates.  w(t) = omega1^2 -
+    2 eps cos(omega t) and the energy weight -eps omega sin(omega t) do
+    not depend on the state, so each is evaluated once per stage for
+    all columns (the first-same-as-last stage reuses stage 6's, taken at
+    the same time), and each column runs its stages on scalars.  A
+    relative tolerance below the float64 floor raises StepFailure at
+    once: roundoff in the error estimate would keep the controller
+    shrinking the step until it underflows.  Non-finite stages (an eps
+    so large that the coefficients or the solution overflow) end in
+    Unbounded.
     """
     if rtol < _RTOL_FLOOR:
         raise StepFailure(f"rtol = {rtol:g} is below the float64 floor {_RTOL_FLOOR:.3g} "
@@ -141,15 +85,21 @@ def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Seque
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
     two_eps = 2.0 * epsilon
-    cos = math.cos
-    n = len(u0)
-    c = n // 2
+    eps_om = epsilon * om
+    cos, sin = math.cos, math.sin
+    c = len(u0) // 2
+    n = len(u0) + 3 if energy else len(u0)
     t = 0.0
     w = om1sq - two_eps * cos(om * t)
     # per column: x, y and the stage-1 slopes (x', y') = (y, -w x)
     cols = [(x, y, y, -w * x) for x, y in zip(u0[:c], u0[c:])]
+    if energy:
+        s = -eps_om * sin(om * t)
+        a, b = u0[0], u0[1]
+        quad, g1 = (0.0, 0.0, 0.0), (s * a * a, s * b * b, s * a * b)
     h = min(1e-2 * (abs(targets[-1]) or 1.0), 0.1) if targets else 0.1
     steps = 0
+    xs = []  # stage x values of each column, for the energy form
     for target in targets:
         while t < target:
             clamped = t + h >= target
@@ -160,48 +110,72 @@ def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Seque
             w5 = om1sq - two_eps * cos(om * (t + _C5 * hh))
             w6 = om1sq - two_eps * cos(om * (t + hh))
             new = []
-            ex = []
+            err = 0.0  # the x terms, then the y terms, then the energy form
             ey = []
             for x, y, p1, q1 in cols:
                 p2 = y + hh * (_A21 * q1)
                 q2 = -w2 * (x + hh * (_A21 * p1))
                 p3 = y + hh * (_A31 * q1 + _A32 * q2)
-                q3 = -w3 * (x + hh * (_A31 * p1 + _A32 * p2))
+                X3 = x + hh * (_A31 * p1 + _A32 * p2)
+                q3 = -w3 * X3
                 p4 = y + hh * (_A41 * q1 + _A42 * q2 + _A43 * q3)
-                q4 = -w4 * (x + hh * (_A41 * p1 + _A42 * p2 + _A43 * p3))
+                X4 = x + hh * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+                q4 = -w4 * X4
                 p5 = y + hh * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
-                q5 = -w5 * (x + hh * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
+                X5 = x + hh * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+                q5 = -w5 * X5
                 p6 = y + hh * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
-                q6 = -w6 * (x + hh * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4
-                                      + _A65 * p5))
-                x5 = x + hh * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-                y5 = y + hh * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
-                q7 = -w6 * x5  # first-same-as-last stage, at the time of stage 6
-                e = hh * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * y5)
-                a, b = abs(x), abs(x5)
-                ex.append((e / (atol + rtol * (b if b > a else a))) ** 2)
+                X6 = x + hh * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+                q6 = -w6 * X6
+                xn = x + hh * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+                yn = y + hh * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
+                q7 = -w6 * xn  # first-same-as-last stage, at the time of stage 6
+                e = hh * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * yn)
+                a, b = abs(x), abs(xn)
+                err += (e / (atol + rtol * (b if b > a else a))) ** 2
                 e = hh * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7)
-                a, b = abs(y), abs(y5)
+                a, b = abs(y), abs(yn)
                 ey.append((e / (atol + rtol * (b if b > a else a))) ** 2)
-                new.append((x5, y5, y5, q7))
-            err = 0.0
-            for v in ex:
-                err += v
+                new.append((xn, yn, yn, q7))
+                if energy:
+                    xs.append((X3, X4, X5, X6, xn))
             for v in ey:
                 err += v
+            if energy:
+                # stage 2 has weight 0 in both the solution and the error
+                s3 = -eps_om * sin(om * (t + _C3 * hh))
+                s4 = -eps_om * sin(om * (t + _C4 * hh))
+                s5 = -eps_om * sin(om * (t + _C5 * hh))
+                s6 = -eps_om * sin(om * (t + hh))
+                g3, g4, g5, g6, g7 = [(s * a * a, s * b * b, s * a * b)
+                                      for s, a, b in zip((s3, s4, s5, s6, s6), *xs)]
+                xs.clear()
+                quad_new = []
+                for q, k1, k3, k4, k5, k6, k7 in zip(quad, g1, g3, g4, g5, g6, g7):
+                    qn = q + hh * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+                    e = hh * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+                    a, b = abs(q), abs(qn)
+                    err += (e / (atol + rtol * (b if b > a else a))) ** 2
+                    quad_new.append(qn)
             err = math.sqrt(err / n)
             if err <= 1.0:
                 t, cols = (target if clamped else t + hh), new
+                if energy:
+                    quad, g1 = quad_new, g7
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 h = hh * factor
             else:
                 h = hh * max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)):
+                if not math.isfinite(err):
+                    raise Unbounded(f"the solution leaves float64 at t = {t}: "
+                                    "its stages overflow")
                 raise StepFailure(f"step size underflow at t = {t}")
             steps += 1
             if steps > _MAX_STEPS:
                 raise StepFailure("step budget exhausted")
-        yield tuple(col[0] for col in cols) + tuple(col[1] for col in cols)
+        state = tuple(col[0] for col in cols) + tuple(col[1] for col in cols)
+        yield state + tuple(quad) if energy else state
 
 
 @dataclass(frozen=True)
@@ -247,6 +221,19 @@ class Monodromy:
     def apply(self, x: float, y: float) -> tuple[float, float]:
         return self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y
 
+    def power(self, n: int) -> Monodromy:
+        """The matrix over n times as many periods, M^n."""
+        if n < 1:
+            raise InvalidInput("n must be >= 1")
+        a, b, c, d = self.m11, self.m12, self.m21, self.m22
+        m11, m12, m21, m22 = a, b, c, d
+        for _ in range(n - 1):
+            m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
+                                  c * m11 + d * m21, c * m12 + d * m22)
+        if not all(map(math.isfinite, (m11, m12, m21, m22))):
+            raise Unbounded(f"the monodromy over {n * self.n} periods overflows")
+        return Monodromy(m11=m11, m12=m12, m21=m21, m22=m22, n=n * self.n)
+
     def eigenvalues(self) -> tuple[complex, complex]:
         tr = self.trace
         disc = tr * tr - 4.0 * self.det
@@ -254,34 +241,6 @@ class Monodromy:
         if disc >= 0.0:
             return complex((tr + root) / 2.0), complex((tr - root) / 2.0)
         return complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0)
-
-
-def _rhs_period(params: SystemParams, epsilon: float):
-    """Flow of (M row-major, Q): the fundamental matrix and the energy form."""
-    om = float(params.omega)
-    om1sq = float(params.omega1) ** 2
-    two_eps = 2.0 * epsilon
-    eps_om = epsilon * om
-
-    def f(t, u):
-        m11, m12, m21, m22 = u[:4]
-        k = om1sq - two_eps * math.cos(om * t)
-        s = -eps_om * math.sin(om * t)
-        return (m21, m22, -k * m11, -k * m12, s * m11 * m11, s * m12 * m12, s * m11 * m12)
-
-    return f
-
-
-def _rhs_linear(params: SystemParams, epsilon: float):
-    om = float(params.omega)
-    om1sq = float(params.omega1) ** 2
-    two_eps = 2.0 * epsilon
-
-    def f(t, u):
-        x, y = u
-        return (y, -(om1sq - two_eps * math.cos(om * t)) * x)
-
-    return f
 
 
 def _eps_arg(epsilon) -> float:
@@ -295,9 +254,8 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int,
     """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp."""
     T = params.period
     targets = [(j / samples_per_period) * T for j in range(1, samples_per_period + 1)]
-    start = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    return [u for _, u in _integration_points(_rhs_period(params, eps), 0.0, start, targets,
-                                              rtol, atol)]
+    return list(_hill_points(params, eps, (1.0, 0.0, 0.0, 1.0), targets, rtol, atol,
+                             energy=True))
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
@@ -349,6 +307,13 @@ def stroboscopic_section(trajectory: Sequence[PhaseState], params: SystemParams)
     return out
 
 
+def _section(params: SystemParams, x0: float, y0: float, n_periods: int,
+             epsilon: float | None = None) -> list[SectionPoint]:
+    """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0)."""
+    traj = integrate_orbit(params, x0, y0, n_periods, samples_per_period=1, epsilon=epsilon)
+    return stroboscopic_section(traj, params)
+
+
 def monodromy(params: SystemParams, epsilon: float, n: int = 1,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Monodromy:
     """Fundamental matrix of the linear system over [0, n*T].
@@ -358,17 +323,9 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1,
     so the n-period matrix is M(T)^n.  The solve carries the columns of
     M alone, without the energy form that orbits need.
     """
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
     (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), (1.0, 0.0, 0.0, 1.0),
                                  [params.period], rtol, atol)
-    m11, m12, m21, m22 = a, b, c, d
-    for _ in range(n - 1):
-        m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
-                              c * m11 + d * m21, c * m12 + d * m22)
-    if not all(map(math.isfinite, (m11, m12, m21, m22))):
-        raise Unbounded(f"the monodromy over {n} periods overflows")
-    return Monodromy(m11=m11, m12=m12, m21=m21, m22=m22, n=n)
+    return Monodromy(m11=a, m12=b, m21=c, m22=d, n=1).power(n)
 
 
 @dataclass(frozen=True)
@@ -395,6 +352,8 @@ def escape_diagnostics(section: Sequence[SectionPoint], r_escape: float = 1e3, *
         raise ValueError("empty section")
     if period is None or not 0.0 < period < math.inf:
         raise InvalidInput(f"escape_diagnostics needs the driving period T > 0, got {period}")
+    if not 0.0 < r_escape < math.inf:
+        raise InvalidInput(f"the escape radius must be positive and finite, got {r_escape}")
     cut = len(section)
     k_escape = None
     for i, pt in enumerate(section):

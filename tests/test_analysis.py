@@ -7,12 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
+from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded, analysis,
                                build_integral, conic_at_section, convergence_study,
                                cover_count, critical_epsilon, find_periodic_orbit,
                                integrate_orbit, invariant_curve_points, monodromy,
                                stroboscopic_section)
 from mathieu_integrals.analysis import _escapes, section_residual, section_semiaxis_x
+from mathieu_integrals.errors import InvalidInput
 
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
@@ -59,6 +60,10 @@ class TestCriticalEpsilon:
         with pytest.raises(ValueError):
             critical_epsilon(P01, oracle="nonsense")
         with pytest.raises(ValueError):
+            critical_epsilon(P01, sign=0)
+
+    def test_sign_zero_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="sign"):
             critical_epsilon(P01, sign=0)
 
     def test_escape_oracle_agrees_with_trace(self, crit_cache):
@@ -176,6 +181,20 @@ class TestPeriodicOrbits:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             find_periodic_orbit(P01, 0.1, 0)
+
+    def test_guess_is_solved_once(self, monkeypatch):
+        # the closure test at the guess is the n-th power of the winding
+        # solve: only the refined eps asks for an n-period monodromy
+        calls = []
+
+        def recording(params, eps, n=1):
+            calls.append((eps, n))
+            return monodromy(params, eps, n=n)
+
+        monkeypatch.setattr(analysis, "monodromy", recording)
+        res = find_periodic_orbit(P01, 0.15, 17)
+        assert calls[0] == (0.15, 1)
+        assert [c for c in calls if c[1] != 1] == [(res.epsilon, 17)]
 
 
 class TestInvariantCurves:

@@ -221,6 +221,11 @@ class TestBadInput:
         ["resonant", "--omega1", "1", "--x0", "0", "--y0", "0"],
         ["convergence", "--orders", "x"],
         ["convergence", "--orders", "4,x"],
+        ["distances", "--r-escape", "-1"],
+        ["distances", "--r-escape", "nan"],
+        ["critical-eps", "--sign", "0"],
+        ["monodromy", "--epsilon", "1e308"],
+        ["section", "--epsilon", "1e300"],
     ])
     def test_one_line_error_and_exit_2(self, runner, args):
         res = invoke(runner, *args)

@@ -7,18 +7,38 @@ extended energy provides an independent accuracy monitor.
 
 import math
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dp5_reference import integration_points, one_period, rhs_linear
 from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
                                escape_diagnostics, integrate_orbit, monodromy,
                                stroboscopic_section)
-from mathieu_integrals.dynamics import (_hill_points, _integration_points, _rhs_linear,
-                                        integrate_backward)
+from mathieu_integrals.dynamics import _hill_points, integrate_backward
 from mathieu_integrals.errors import DomainError, InvalidInput
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
+
+
+def _count_trig(monkeypatch):
+    """Record the arguments of every cos and sin call made by ``dynamics``."""
+    args = []
+
+    def counted(fn):
+        def g(x):
+            args.append(x)
+            return fn(x)
+        return g
+
+    proxy = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                     if not k.startswith("_")})
+    proxy.cos, proxy.sin = counted(math.cos), counted(math.sin)
+    monkeypatch.setattr(dynamics, "math", proxy)
+    return args
 
 
 class TestHarmonicLimit:
@@ -79,12 +99,20 @@ class TestSampling:
 
         def rhs(t, u):
             calls.append(t)
-            return _rhs_linear(P01, 0.1)(t, u)
+            return rhs_linear(P01, 0.1)(t, u)
 
         with pytest.raises(StepFailure, match="float64 floor"):
-            list(_integration_points(rhs, 0.0, (0.0, 1.0), [1.0], 1e-15, 1e-12))
+            list(integration_points(rhs, 0.0, (0.0, 1.0), [1.0], 1e-15, 1e-12))
         assert calls == []
-        list(_integration_points(rhs, 0.0, (0.0, 1.0), [1.0], 1e-13, 1e-12))  # above the floor
+        list(integration_points(rhs, 0.0, (0.0, 1.0), [1.0], 1e-13, 1e-12))  # above the floor
+
+    def test_orbit_below_float64_floor_fails_before_any_trig(self, monkeypatch):
+        trig = _count_trig(monkeypatch)
+        with pytest.raises(StepFailure, match="float64 floor"):
+            integrate_orbit(P01, 0.0, 1.0, 1, rtol=1e-15)
+        assert trig == []
+        integrate_orbit(P01, 0.0, 1.0, 1, rtol=1e-13)  # above the floor
+        assert trig
 
 
 class TestExtendedEnergy:
@@ -142,6 +170,12 @@ class TestEscape:
     def test_empty_section_rejected(self):
         with pytest.raises(ValueError):
             escape_diagnostics([])
+
+    @pytest.mark.parametrize("r_escape", [-1.0, 0.0, math.nan, math.inf])
+    def test_escape_radius_must_be_positive_and_finite(self, orbit_cache, r_escape):
+        params, _, pts = orbit_cache("9/10", 0.19, 150)
+        with pytest.raises(InvalidInput, match="escape radius"):
+            escape_diagnostics(pts, r_escape=r_escape, period=params.period)
 
     @pytest.mark.parametrize("period", [None, 0.0, -math.pi, math.nan, math.inf])
     def test_period_is_required(self, orbit_cache, period):
@@ -207,6 +241,15 @@ class TestMonodromy:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             monodromy(P01, 0.1, n=0)
+        with pytest.raises(ValueError):
+            monodromy(P01, 0.1).power(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_power_is_the_n_period_monodromy(self, n):
+        # bit for bit: monodromy(n) is the power of the one-period solve
+        m = monodromy(P01, 0.18).power(n)
+        assert m == monodromy(P01, 0.18, n=n) and m.n == n
+        assert m.power(2).n == 2 * n
 
     @pytest.mark.parametrize("omega1, eps", [("9/10", 0.0), ("9/10", 0.18), ("9/10", -0.185),
                                              ("1/10", 0.9), ("11/10", 0.1),
@@ -239,6 +282,13 @@ def _bits(values):
     return [v.hex() for v in values]
 
 
+def _assert_orbit_solve_is_generic_solve(params, spp):
+    """The one-period (M, Q) solve equals the generic 7-component DP5 bit for bit."""
+    args = (params, params.epsilon, spp, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
+    assert [_bits(u) for u in dynamics._one_period(*args)] == \
+        [_bits(u) for u in one_period(*args)]
+
+
 class TestHillKernel:
     """The specialised Hill-equation stepper against the generic one."""
 
@@ -249,8 +299,8 @@ class TestHillKernel:
         params = SystemParams(F(2), F(9, 10), eps)
         targets = [k * params.period for k in range(1, periods + 1)]
         kernel = list(_hill_points(params, eps, (0.0, 1.0), targets, 1e-9, 1e-9))
-        generic = [u for _, u in _integration_points(_rhs_linear(params, eps), 0.0, (0.0, 1.0),
-                                                     targets, 1e-9, 1e-9)]
+        generic = [u for _, u in integration_points(rhs_linear(params, eps), 0.0, (0.0, 1.0),
+                                                    targets, 1e-9, 1e-9)]
         assert len(kernel) == periods
         assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
         if eps == 0.25:
@@ -262,9 +312,9 @@ class TestHillKernel:
     @pytest.mark.parametrize("n", [1, 17])
     def test_monodromy_is_bit_identical_to_generic_solve(self, omega1, eps, n):
         params = SystemParams(F(2), F(omega1), eps)
-        (_, (a, b, c, d)), = _integration_points(_matrix_rhs(params, eps), 0.0,
-                                                 (1.0, 0.0, 0.0, 1.0), [params.period],
-                                                 dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
+        (_, (a, b, c, d)), = integration_points(_matrix_rhs(params, eps), 0.0,
+                                                (1.0, 0.0, 0.0, 1.0), [params.period],
+                                                dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
         m11, m12, m21, m22 = a, b, c, d
         for _ in range(n - 1):
             m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
@@ -275,6 +325,19 @@ class TestHillKernel:
     def test_monodromy_below_float64_floor_fails(self):
         with pytest.raises(StepFailure, match="float64 floor"):
             monodromy(P01, 0.1, rtol=1e-15)
+
+    @pytest.mark.parametrize("omega1, eps, spp", [("9/10", 0.1, 1), ("9/10", -0.185, 64),
+                                                  ("1/10", 0.9, 4), ("301/100", 0.1, 3)])
+    def test_orbit_solve_is_bit_identical_to_generic_solve(self, omega1, eps, spp):
+        _assert_orbit_solve_is_generic_solve(SystemParams(F(2), F(omega1), eps), spp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(omega=st.fractions(min_value=F(1, 2), max_value=4, max_denominator=20),
+           omega1=st.fractions(min_value=F(1, 20), max_value=3, max_denominator=20),
+           eps=st.floats(min_value=-1.0, max_value=1.0),
+           spp=st.sampled_from([1, 2, 3, 8, 64]))
+    def test_orbit_solve_matches_generic_solve_property(self, omega, omega1, eps, spp):
+        _assert_orbit_solve_is_generic_solve(SystemParams(omega, omega1, eps), spp)
 
 
 class TestReversibility:
@@ -292,9 +355,9 @@ def _direct_dp5(params, n_periods):
     the one-period propagator but the stepper.
     """
     T = params.period
-    f = _rhs_linear(params, params.epsilon)
+    f = rhs_linear(params, params.epsilon)
     targets = [k * T for k in range(1, n_periods + 1)]
-    return [z for _, z in _integration_points(f, 0.0, (0.0, 1.0), targets, 1e-12, 1e-12)]
+    return [z for _, z in integration_points(f, 0.0, (0.0, 1.0), targets, 1e-12, 1e-12)]
 
 
 class TestPropagator:
@@ -330,25 +393,15 @@ class TestPropagator:
             assert abs(params.hamiltonian(s.x, s.y, s.t) + s.E) <= 1e-7 * max(1.0, abs(s.E))
 
     def test_work_independent_of_horizon(self, monkeypatch):
-        times = []
-        rhs_period = dynamics._rhs_period
-
-        def counting(params, eps):
-            f = rhs_period(params, eps)
-
-            def g(t, u):
-                times.append(t)
-                return f(t, u)
-
-            return g
-
-        monkeypatch.setattr(dynamics, "_rhs_period", counting)
+        # the stages evaluate cos(omega t) and sin(omega t) once each
+        trig = _count_trig(monkeypatch)
         counts = []
         for n in (20, 2000):
-            times.clear()
+            trig.clear()
             integrate_orbit(P01, 0.0, 1.0, n)
-            counts.append(len(times))
-            assert max(times) <= P01.period  # one period of integration, never more
+            counts.append(len(trig))
+            # one period of integration, never more
+            assert max(trig) <= float(P01.omega) * P01.period
         assert counts[0] == counts[1] > 0
 
 
@@ -359,6 +412,15 @@ class TestNonFinite:
             integrate_orbit(params, 0.0, 1.0, 3000)
         with pytest.raises(Unbounded):
             monodromy(params, 0.5, n=3000)
+
+    @pytest.mark.parametrize("eps", [1e300, 1e308, -1e308])
+    def test_overflowing_coefficients_are_unbounded_with_time(self, eps):
+        # 2 eps cos(omega t) overflows or the stages do: not a step-size underflow
+        params = SystemParams(F(2), F(9, 10), eps)
+        with pytest.raises(Unbounded, match=r"at t = 0\.0"):
+            monodromy(params, eps)
+        with pytest.raises(Unbounded, match=r"at t = 0\.0"):
+            integrate_orbit(params, 0.0, 1.0, 1)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_epsilon_rejected(self, eps):
