@@ -4,8 +4,8 @@
   so boundedness is governed by the Floquet multipliers of the
   one-period monodromy matrix M: orbits stay bounded iff |tr M| <= 2.
   The primary oracle therefore bisects g(eps) = |tr M(eps)| - 2, which
-  is far cheaper than escape simulation; an escape run just above and
-  below the boundary cross-checks the verdict.
+  is far cheaper than escape simulation; symplectic escape runs just
+  above and below the boundary cross-check the verdict.
 * convergence_study: conservation quality of the truncated integral as
   a function of truncation order, measured on section points.
 * cover_count: how many section points outline the invariant curve once.
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import FormalIntegral, SystemParams, build_integral, conic_at_section
-from .dynamics import SectionPoint, _hill_points, _section, monodromy
+from .dynamics import SectionPoint, _section, monodromy
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
-#: tolerances for the escape cross-check runs (escape detection does not
-#: need the orbit-accuracy tolerances and is much cheaper without them)
-_CHECK_RTOL = 1e-9
-_CHECK_ATOL = 1e-9
+#: Yoshida's 4th-order composition of leapfrog with weights (w1, 1 - 2 w1,
+#: w1): per kick (drift before it, its time, its weight) in units of h
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_YOSHIDA = ((_W1 / 2, _W1 / 2, _W1), (0.5 - _W1 / 2, 0.5, 1.0 - 2.0 * _W1),
+            (0.5 - _W1 / 2, 1.0 - _W1 / 2, _W1))
 
 #: escape-oracle settings.  Bounded orbits just below the boundary can
 #: themselves stretch to large radii (the section ellipses blow up along
@@ -50,16 +51,41 @@ class CriticalEpsResult:
     escape_check: bool | None = None  # cross-check verdict, None if skipped
 
 
+def _symplectic_period(params: SystemParams, eps: float) -> tuple[float, float, float, float]:
+    """One-period map ((a, b), (c, d)) of the escape stream; see ``_escapes``."""
+    if not math.isfinite(eps):
+        raise InvalidInput(f"epsilon must be finite, got {eps}")
+    omega, omega1_sq, T = float(params.omega), float(params.omega1) ** 2, params.period
+    n = max(256, math.ceil(T * max(omega, math.sqrt(omega1_sq + 2.0 * abs(eps))) / 0.03))
+    h = T / n
+    stages = [(drift * h, f, weight * h) for drift, f, weight in _YOSHIDA]
+    last = _W1 / 2 * h  # the drift that ends each step
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # x row (a, b), y row (c, d) of the two columns
+    for j in range(n):
+        for drift, f, weight in stages:
+            a, b = a + drift * c, b + drift * d
+            k = weight * (omega1_sq - 2.0 * eps * math.cos(omega * (j + f) * h))
+            c, d = c - k * a, d - k * b
+        a, b = a + last * c, b + last * d
+    return a, b, c, d
+
+
 def _escapes(params: SystemParams, eps: float, n_periods: int, r_escape: float) -> bool:
     """Does the orbit from (0, 1) leave the radius within the horizon?
 
-    Streams the integration one period at a time and stops at the first
-    crossing, so deeply unstable runs cost almost nothing (and never
-    overflow the state).
+    It is M_h^k (0, 1) at kT (the system is linear), M_h the one-period
+    map of Yoshida's 4th-order leapfrog composition at h = T/N, N =
+    max(256, ceil(T Omega / 0.03)), Omega = max(omega, sqrt(omega1^2 +
+    2 |eps|)), each kick at (j + f) h from its step index j.  Drifts and
+    kicks have det 1: nothing damps or grows the orbit artificially.  For
+    |eps| <= 1, |tr M_h - tr M| <= 2 (h Omega)^4 Omega T max(1, |tr M|),
+    9e-6 near the boundary at omega = 2, under the oracle's 3e-5
+    resolution.  It shares no code with ``monodromy``'s DP5 solve.
     """
-    T = params.period
-    targets = [k * T for k in range(1, n_periods + 1)]
-    for x, y in _hill_points(params, eps, (0.0, 1.0), targets, _CHECK_RTOL, _CHECK_ATOL):
+    a, b, c, d = _symplectic_period(params, eps)
+    x, y = 0.0, 1.0
+    for _ in range(n_periods):
+        x, y = a * x + b * y, c * x + d * y
         if math.hypot(x, y) > r_escape:
             return True
     return False

@@ -75,8 +75,8 @@ def format_option(fn):
 def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) -> int:
     if time_ is None:
         return periods
-    if not math.isfinite(time_):
-        raise InvalidInput("--time must be finite")
+    if not (math.isfinite(time_) and time_ > 0):
+        raise InvalidInput("--time must be positive and finite")
     return max(1, math.ceil(time_ / params.period))
 
 
@@ -200,7 +200,7 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 
 @main.command("critical-eps")
 @common_options
-@click.option("--sign", default=1, show_default=True, type=click.IntRange(-1, 1),
+@click.option("--sign", default=1, show_default=True, type=int,
               help="+1 for the positive boundary, -1 for the negative one.")
 @click.option("--oracle", default="trace", show_default=True,
               type=click.Choice(["trace", "escape"]))

@@ -17,11 +17,10 @@ and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
 sample grid s = j T/spp, so section samples carry t = k*T.
 
 One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
-Hill equation on scalar solution columns.  It solves M(T) alone for
-``monodromy``, (M, Q) on the sample grid for orbits, and streams one
-column over many periods for the escape oracle ``analysis._escapes``,
-the independent reference.  The generic stepper it reproduces bit for
-bit lives in ``tests/dp5_reference.py``.
+Hill equation on scalar solution columns: M(T) alone for ``monodromy``,
+(M, Q) on the sample grid for orbits.  The escape oracle has its own
+symplectic integrator (``analysis._escapes``).  The generic stepper it
+reproduces bit for bit lives in ``tests/dp5_reference.py``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 ``dynamics._hill_points`` is this stepper specialised to the Hill
 equation and must reproduce it bit for bit: with ``rhs_linear`` on one
-solution column (the escape stream) and with ``rhs_period`` on the
+solution column streamed over many periods and with ``rhs_period`` on the
 7-component (M row-major, Q) system of the one-period propagator.  It
 shares the tableau, the float64 floor and the step budget of
 ``dynamics`` and nothing else.

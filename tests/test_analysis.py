@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded, analysis,
                                build_integral, conic_at_section, convergence_study,
-                               cover_count, critical_epsilon, find_periodic_orbit,
+                               cover_count, critical_epsilon, dynamics, find_periodic_orbit,
                                integrate_orbit, invariant_curve_points, monodromy,
                                stroboscopic_section)
-from mathieu_integrals.analysis import _escapes, section_residual, section_semiaxis_x
+from mathieu_integrals.analysis import (_escapes, _symplectic_period, section_residual,
+                                        section_semiaxis_x)
 from mathieu_integrals.errors import InvalidInput
 
 
@@ -79,8 +80,8 @@ class TestCriticalEpsilon:
                                       oracle="escape", tol=2e-5, cross_check=False)
         assert abs(res_escape.eps_crit - crit_cache(om1).eps_crit) < 1e-4
 
-    # about 0.25 s per 700-period stable run, so the examples are few
-    @settings(max_examples=15, deadline=None)
+    # a 700-period run costs about a millisecond on the one-period map
+    @settings(max_examples=100, deadline=None)
     @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
            eps=st.floats(min_value=-1.0, max_value=1.0))
     def test_escape_verdict_matches_trace_away_from_boundary(self, omega1, eps):
@@ -88,6 +89,59 @@ class TestCriticalEpsilon:
         trace = monodromy(params, eps).trace
         assume(abs(abs(trace) - 2.0) >= 0.05)
         assert _escapes(params, eps, 700, 1e3) == (abs(trace) > 2.0)
+
+    @pytest.mark.parametrize("om1, sign", [("9/10", -1), ("1/10", 1), ("1/10", -1),
+                                           ("11/10", 1), ("11/10", -1)])
+    def test_escape_check_confirms_boundary(self, crit_cache, om1, sign):
+        assert crit_cache(om1, sign).escape_check is True
+
+
+def _assert_symplectic_map_accuracy(omega, omega1, eps):
+    """|tr M_h - tr M| <= 2 (h Omega)^4 Omega T max(1, |tr M|) and det M_h = 1."""
+    params = SystemParams(F(omega), F(omega1), eps)
+    a, b, c, d = _symplectic_period(params, eps)
+    trace = monodromy(params, eps).trace
+    big = max(float(omega), math.sqrt(float(params.omega1) ** 2 + 2.0 * abs(eps)))
+    T = params.period
+    h = T / max(256, math.ceil(T * big / 0.03))
+    assert abs(a + d - trace) <= 2.0 * (h * big) ** 4 * big * T * max(1.0, abs(trace))
+    # the det of a large matrix carries the roundoff of a*d and b*c
+    assert abs(a * d - b * c - 1.0) <= 1e-12 * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+
+
+class TestSymplecticEscapeStream:
+    """The escape oracle's one-period map and its independence from dynamics."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega=st.sampled_from([1, 2, 3]),
+           omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
+           eps=st.floats(min_value=-1.0, max_value=1.0))
+    def test_trace_and_det_bound(self, omega, omega1, eps):
+        _assert_symplectic_map_accuracy(omega, omega1, eps)
+
+    @pytest.mark.parametrize("omega1, eps", [("301/100", 6.4986), ("1/10", 10.0), ("3", 10.0)])
+    def test_trace_and_det_bound_at_large_eps(self, omega1, eps):
+        _assert_symplectic_map_accuracy(2, omega1, eps)
+
+    def test_verdicts_reach_no_dynamics(self, monkeypatch):
+        cases = [("9/10", 0.1857848626 - 1e-3), ("9/10", 0.1857848626 + 1e-3),
+                 ("1/10", 0.5), ("1/10", 1.0), ("11/10", -0.3), ("3/2", 0.3)]
+        params = [SystemParams(F(2), F(om1), eps) for om1, eps in cases]
+        expected = [abs(monodromy(p, p.epsilon).trace) > 2.0 for p in params]
+        assert any(expected) and not all(expected)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the escape stream reached dynamics")
+
+        for target, name in [(dynamics, "_hill_points"), (dynamics, "monodromy"),
+                             (dynamics, "_one_period"), (analysis, "monodromy")]:
+            monkeypatch.setattr(target, name, boom)
+        assert [_escapes(p, p.epsilon, 700, 1e3) for p in params] == expected
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_is_invalid_input(self, eps):
+        with pytest.raises(InvalidInput, match="finite"):
+            _escapes(P01, eps, 700, 1e3)
 
 
 class TestConvergence:

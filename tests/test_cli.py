@@ -224,6 +224,10 @@ class TestBadInput:
         ["distances", "--r-escape", "-1"],
         ["distances", "--r-escape", "nan"],
         ["critical-eps", "--sign", "0"],
+        ["critical-eps", "--sign", "2"],
+        ["critical-eps", "--sign", "-2"],
+        ["distances", "--time", "-1"],
+        ["distances", "--time", "0"],
         ["monodromy", "--epsilon", "1e308"],
         ["section", "--epsilon", "1e300"],
     ])

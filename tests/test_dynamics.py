@@ -349,10 +349,8 @@ class TestReversibility:
 
 
 def _direct_dp5(params, n_periods):
-    """Section states (x, y) from DP5 streamed over the whole horizon.
-
-    This is the engine of the escape oracle, which shares nothing with
-    the one-period propagator but the stepper.
+    """Section states (x, y) from DP5 streamed over the whole horizon,
+    which shares nothing with the one-period propagator but the stepper.
     """
     T = params.period
     f = rhs_linear(params, params.epsilon)
