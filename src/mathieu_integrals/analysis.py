@@ -38,6 +38,9 @@ _YOSHIDA = ((_W1 / 2, _W1 / 2, _W1), (0.5 - _W1 / 2, 0.5, 1.0 - 2.0 * _W1),
 #: cross it; these values keep the oracle's resolution near 3e-5.
 _ORACLE_PERIODS = 2000
 _ORACLE_R = 150.0
+#: horizon and radius of the cross-check runs at eps_crit -+ 1e-3
+_CHECK_PERIODS = 700
+_CHECK_R = 1e3
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,7 @@ def _escapes(params: SystemParams, eps: float, n_periods: int, r_escape: float) 
 
 
 def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
-                     tol: float = 1e-10, cross_check: bool = True,
-                     check_periods: int = 700, check_r: float = 1e3) -> CriticalEpsResult:
+                     tol: float = 1e-10, cross_check: bool = True) -> CriticalEpsResult:
     """Locate eps_crit by bisection on the chosen instability oracle.
 
     ``oracle="trace"`` bisects |tr M(eps)| - 2 = 0 over sign*[0, hi]
@@ -130,8 +132,8 @@ def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
 
     check: bool | None = None
     if cross_check and 0.5 * (lo + hi) > 2e-3:
-        above = _escapes(params, eps_crit + sign * 1e-3, check_periods, check_r)
-        below = _escapes(params, eps_crit - sign * 1e-3, check_periods, check_r)
+        above = _escapes(params, eps_crit + sign * 1e-3, _CHECK_PERIODS, _CHECK_R)
+        below = _escapes(params, eps_crit - sign * 1e-3, _CHECK_PERIODS, _CHECK_R)
         check = above and not below
     return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
                              oracle=oracle, iterations=iterations, escape_check=check)
@@ -176,7 +178,7 @@ def convergence_study(params: SystemParams, epsilon: float, orders: Sequence[int
                              n_periods=n_periods)
 
 
-def cover_count(section: Sequence[SectionPoint], omega1: float, r_limit: float = 1e3) -> int:
+def cover_count(section: Sequence[SectionPoint], omega1: float) -> int:
     """Points needed for the section sequence to outline its curve once.
 
     The section conics are centrally symmetric, so the polar angle of a
@@ -186,7 +188,8 @@ def cover_count(section: Sequence[SectionPoint], omega1: float, r_limit: float =
     the accumulated sweep reaches a half turn (equivalently 2*pi of
     winding counted at both antipodes); the count is taken at the step
     that lands nearest the half turn, matching how the recurrence of the
-    maximum section distance d is read off.
+    maximum section distance d is read off.  Raises Unbounded if a point
+    passes r = 1e3 first.
     """
     if len(section) < 3:
         raise ValueError("need at least 3 section points")
@@ -194,7 +197,7 @@ def cover_count(section: Sequence[SectionPoint], omega1: float, r_limit: float =
     cum = 0.0
     prev = math.atan2(section[0].y, omega1 * section[0].x)
     for idx, pt in enumerate(section[1:], start=1):
-        if pt.r > r_limit:
+        if pt.r > 1e3:
             raise Unbounded(f"section escapes at k = {pt.k} before covering the curve")
         theta = math.atan2(pt.y, omega1 * pt.x)
         step = (theta - prev + half_pi) % math.pi - half_pi
@@ -219,8 +222,7 @@ class PeriodicOrbitResult:
 
 def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
                         x0: float = 0.0, y0: float = 1.0,
-                        search_radius: float = 0.02,
-                        return_tol: float = 1e-10) -> PeriodicOrbitResult:
+                        search_radius: float = 0.02) -> PeriodicOrbitResult:
     """Refine eps near eps_guess so the flow over nT closes the orbit.
 
     The flow map is linear, so the orbit through any (x0, y0) closes
@@ -228,8 +230,8 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     satisfies n*theta = 2*pi*m; the nearest integer m is taken from the
     guess and theta(eps) is solved for via the trace equation
     tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so plain
-    bisection applies).  A guess that already closes within
-    ``return_tol`` is returned as is; this also covers tangent roots
+    bisection applies).  A guess that already closes within 1e-10 is
+    returned as is; this also covers tangent roots
     (e.g. eps = 0, where the trace is even in eps and a sign change
     cannot be bracketed).  Raises NoRoot when no sign change exists
     within the expanded search interval.
@@ -243,7 +245,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
 
     gx, gy = m_guess.power(n).apply(x0, y0)
     guess_distance = math.hypot(gx - x0, gy - y0)
-    if guess_distance <= return_tol:
+    if guess_distance <= 1e-10:
         return PeriodicOrbitResult(epsilon=eps_guess, n=n, winding=m,
                                    return_distance=guess_distance)
 

@@ -509,7 +509,7 @@ def check_nonresonant(params: SystemParams, order: int):
             raise ResonanceDetected(j)
 
 
-def build_integral(params: SystemParams, order: int = 10, seed: str = "H0") -> FormalIntegral:
+def build_integral(params: SystemParams, order: int = 10) -> FormalIntegral:
     """Build the non-resonant formal integral seeded with H0 to the given order.
 
     Raises ResonanceDetected when j*omega = 2*omega1 for some j <= order+1
@@ -517,8 +517,6 @@ def build_integral(params: SystemParams, order: int = 10, seed: str = "H0") -> F
     SecularTerm if a secular term survives despite non-resonance (an
     internal-consistency failure).
     """
-    if seed != "H0":
-        raise ValueError(f"unknown seed {seed!r}; the non-resonant build is seeded with H0")
     if order < 0:
         raise InvalidInput("order must be >= 0")
     if order > MAX_ORDER:

@@ -11,7 +11,6 @@ resonance detected, bracket failure, unbounded orbit, ...).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from fractions import Fraction
@@ -32,18 +31,19 @@ def _params(omega: str, omega1: str, epsilon: float) -> builder.SystemParams:
     return builder.SystemParams(*freqs, epsilon)
 
 
-def domain_errors(fn):
-    """Map DomainError to exit code 2, leaving real bugs to exit 1."""
+class _OneLineErrors(click.Group):
+    """End a DomainError or a value click cannot parse with one ``error:``
+    line and exit 2 (click's usage error takes four); real bugs exit 1."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            message = exc.format_message()
         except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+            message = str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(2)
 
 
 def common_options(fn):
@@ -80,15 +80,15 @@ def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) 
     return max(1, math.ceil(time_ / params.period))
 
 
-def _write(path: str | None, text: str, default_stdout: bool = True):
+def _write(path: str | None, text: str):
     if path:
         output.atomic_write_text(path, text)
         click.echo(f"wrote {path}")
-    elif default_stdout:
+    else:
         click.echo(text, nl=False)
 
 
-@click.group()
+@click.group(cls=_OneLineErrors)
 def main():
     """Formal integrals and Floquet analysis of the driven oscillator."""
 
@@ -101,7 +101,6 @@ def main():
               help="CSV of section-conic coefficients over an epsilon grid.")
 @click.option("--dump-symbolic", is_flag=True, help="Print the symbolic JSON to stdout.")
 @click.option("--pretty", is_flag=True, help="Print a human-readable series dump.")
-@domain_errors
 def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symbolic, pretty):
     """Build the non-resonant formal integral and dump it."""
     params = _params(omega, omega1, epsilon)
@@ -134,7 +133,6 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
               help="Samples per period.")
 @click.option("--section-only", is_flag=True, help="Emit only the t = kT samples.")
 @click.option("--out", default=None, type=click.Path())
-@domain_errors
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
               section_only, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
@@ -153,7 +151,6 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
 @orbit_options
 @format_option
 @click.option("--out", default=None, type=click.Path())
-@domain_errors
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)
@@ -168,7 +165,6 @@ def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 @format_option
 @click.option("--r-escape", default=1e3, show_default=True, type=float)
 @click.option("--out", default=None, type=click.Path())
-@domain_errors
 def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_escape, out):
     """Section distances d = sqrt(omega1^2 x^2 + y^2) and r vs time.
 
@@ -189,7 +185,6 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 @orbit_options
 @format_option
 @click.option("--out", default=None, type=click.Path())
-@domain_errors
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
@@ -206,7 +201,6 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
               type=click.Choice(["trace", "escape"]))
 @click.option("--no-cross-check", is_flag=True, help="Skip the escape cross-check runs.")
 @click.option("--out", default=None, type=click.Path(), help="JSON report path.")
-@domain_errors
 def cmd_critical_eps(omega, omega1, epsilon, sign, oracle, no_cross_check, out):
     """Locate the escape boundary eps_crit."""
     params = _params(omega, omega1, epsilon)
@@ -230,7 +224,6 @@ def cmd_critical_eps(omega, omega1, epsilon, sign, oracle, no_cross_check, out):
 @common_options
 @click.option("--n", default=1, show_default=True, type=int, help="Number of periods.")
 @click.option("--out", default=None, type=click.Path())
-@domain_errors
 def cmd_monodromy(omega, omega1, epsilon, n, out):
     """Fundamental-solution matrix over n periods."""
     params = _params(omega, omega1, epsilon)
@@ -255,14 +248,13 @@ def cmd_monodromy(omega, omega1, epsilon, n, out):
 @click.option("--periods", default=15, show_default=True, type=int)
 @click.option("--out", default=None, type=click.Path(), help="JSON report path.")
 @click.option("--dump-symbolic", is_flag=True)
-@domain_errors
 def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbolic):
     """Resonant (omega = 2*omega1) integral: C-series, mixing, section form."""
     params = _params(omega, omega1, epsilon)
     constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
     c_series = resonant.build_resonant_c(params, order)
-    # the elimination reads Phi through order - 1 (and at least order 1)
-    phi = resonant.build_resonant_phi(params, min(order, max(1, order - 1)))
+    # the elimination reads Phi_0 and Phi_1 only
+    phi = resonant.build_resonant_phi(params, min(order, 1))
     combo = resonant.eliminate_secular(c_series, phi)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
 
@@ -293,7 +285,6 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
 @click.option("--x0", default=0.0, show_default=True, type=float)
 @click.option("--y0", default=1.0, show_default=True, type=float)
 @click.option("--out", default=None, type=click.Path())
-@domain_errors
 def cmd_convergence(omega, omega1, epsilon, format_, orders, periods, x0, y0, out):
     """Section residual of the truncated integral per truncation order."""
     params = _params(omega, omega1, epsilon)

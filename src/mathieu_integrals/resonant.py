@@ -13,10 +13,14 @@ recursion with C0 (phased, secular terms retained) gives a series C
 whose secular parts are proportional, order by order, to the secular
 parts of the phased H0-seeded series Phi.  Mixing the two,
 
-    Cbar_n = C_n + sum_i q_i * Phi_{n-i},
+    Cbar_n = C_n + sum_{i=1}^{min(n, s-1)} q_i * Phi_{n-i},
 
-with rational q_i solved order by order, cancels every secular term;
-for omega = 2, omega1 = 1 the first mixing coefficient is exactly 1/4.
+with q_i in the constant ring Q[c0, s0]/(c0^2 + s0^2 - 1), cancels every
+secular term through order s (q_1 = 1/4 at omega = 2, omega1 = 1).  The
+recursion step R is linear over that ring, so the partial sums
+X_n = C_n + sum_{i<n} q_i Phi_{n-i} obey X_1 = R(C_0) and
+X_{n+1} = R(X_n) + q_n Phi_1, where q_n solves sec R(X_n) + q_n sec Phi_1 = 0;
+then Cbar_n = X_n + q_n Phi_0 for n < s and Cbar_s = X_s.
 
 All dependence on the unknown phase t0 is confined to the generators
 c0, s0; they are bound numerically from the initial conditions via
@@ -124,7 +128,7 @@ class PhaseConstants:
 
 @dataclass(frozen=True)
 class ResonantIntegral:
-    """C-series, mixing coefficients, and the secular-free combination.
+    """Mixing coefficients and the secular-free combination.
 
     ``mix[i]`` is the coefficient q_{i+1} of the eps^{i+1} * Phi admixture,
     an element of the constant ring Q[c0, s0]/(c0^2 + s0^2 - 1) stored as
@@ -132,8 +136,6 @@ class ResonantIntegral:
     omega1 = 1); from q_2 on the coefficients may carry c0 powers.
     """
 
-    base: FormalIntegral
-    phi: FormalIntegral
     mix: tuple[TrigSeries, ...]
     combined: FormalIntegral
 
@@ -247,11 +249,11 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
                       order: int | None = None) -> ResonantIntegral:
     """Mix the C and Phi series so no secular term survives through ``order``.
 
-    The coefficient q_{n-1} is fixed by the order-n cancellation
-    q_{n-1} * sec(Phi_1) = -(sec(C_n) + sum_{i<=n-2} q_i sec(Phi_{n-i})),
-    solved exactly over the rationals with the generators kept symbolic
-    (so q_1 = 1/4 comes out even for initial phases with s0 = 0).  The
-    sums and the products by q run on integer numerators; only the
+    Runs X_1 = R(C_0), X_{n+1} = R(X_n) + q_n Phi_1 (module docstring),
+    so only C_0, Phi_0 and Phi_1 are read.  Each q_n is solved exactly
+    with the generators kept symbolic (so q_1 = 1/4 comes out even for
+    initial phases with s0 = 0), and each Cbar_n is checked for secular
+    terms.  Sums and products by q run on integer numerators; only the
     results become Fractions.
     """
     if c_series.params != phi_series.params:
@@ -259,36 +261,41 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
     s = c_series.order if order is None else order
     if s > c_series.order:
         raise ValueError(f"C-series only built through order {c_series.order}")
-    if s >= 1 and phi_series.order < max(1, s - 1):
+    if s >= 1 and phi_series.order < 1:
         raise ValueError("Phi-series not built deep enough for the requested mixing")
 
-    cs = [_numerators(q) for q in c_series.orders[:s + 1]]
-    phi = [_numerators(q) for q in phi_series.orders[:s]]
-    qs: list[tuple[int, dict]] = []
-    if s >= 2:
-        phi_sec = [_secular(form) for form in phi]
-        for n in range(2, s + 1):
-            residual = _sum([_secular(cs[n])]
-                            + [_times_ring(phi_sec[n - i], q) for i, q in enumerate(qs, start=1)])
-            qs.append(_solve_ratio(residual, phi_sec[1]))
+    params = c_series.params
+    base = params.base
 
-    base = c_series.params.base
-    combined = [c_series.orders[0]]
-    for n in range(1, s + 1):
-        den, parts = _sum([cs[n]] + [_times_ring(phi[n - i], q)
-                                     for i, q in enumerate(qs[:n], start=1)])
+    def form(nums: _Numerators) -> QuadFormSeries:
+        den, parts = nums
+        return QuadFormSeries(*(TrigSeries._from_numerators(base, part, den) for part in parts))
+
+    def step(q: QuadFormSeries) -> _Numerators:
+        return _numerators(recursion_step(params, q, phased=True, secular_allowed=True))
+
+    qs: list[tuple[int, dict]] = []
+    cbars: list[_Numerators] = []
+    if s >= 1:
+        phi0, phi1 = (_numerators(q) for q in phi_series.orders[:2])
+        x = step(c_series.orders[0])
+        for _ in range(1, s):
+            nxt = step(form(x))
+            qs.append(_solve_ratio(_secular(nxt), _secular(phi1)))
+            cbars.append(_sum([x, _times_ring(phi0, qs[-1])]))
+            x = _sum([nxt, _times_ring(phi1, qs[-1])])
+        cbars.append(x)
+    for n, (_, parts) in enumerate(cbars, start=1):
         if any(c and key[0] for part in parts for key, c in part.items()):
             raise UnsolvableSecular(f"secular content survives at order {n}")
-        combined.append(QuadFormSeries(*(TrigSeries._from_numerators(base, part, den)
-                                         for part in parts)))
 
     mix = tuple(TrigSeries._from_numerators(base, {(0, 0, 0, COS, a, b): c
                                                    for (a, b), c in q.items()}, den)
                 for den, q in qs)
-    combined_integral = FormalIntegral(c_series.params, tuple(combined), seed="C0",
+    combined = (c_series.orders[0], *map(form, cbars))
+    combined_integral = FormalIntegral(params, combined, seed="C0",
                                        secular_allowed=False, phased=True)
-    return ResonantIntegral(base=c_series, phi=phi_series, mix=mix,
-                            combined=combined_integral)
+    return ResonantIntegral(mix=mix, combined=combined_integral)
 
 
 def resonant_section_form(resonant: ResonantIntegral, epsilon: float,

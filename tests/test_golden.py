@@ -5,7 +5,10 @@ JSON, recorded from the Fraction pipeline (bracket, lattice TrigSeries,
 integrate, back-substitute) before the recursion ran on integers.  The
 output must stay byte-identical: orders 0-40 of the non-resonant
 integral at three omega1 values, and the resonant C-series, mixing
-coefficients and combined integral for orders 0-10.
+coefficients and combined integral for orders 0-10 at (omega, omega1) =
+(2, 1) and (3, 3/2) and for orders 12 and 16 at (2, 1).  The (3, 3/2)
+and order-12/16 digests were recorded from the elimination that summed
+q_i * Phi_(n-i) over full-depth Phi, before it ran as one recursion.
 """
 
 import hashlib
@@ -48,11 +51,21 @@ def test_build_integral_orders_0_to_40(omega1, tmp_path):
         assert sha256(out.read_text()) == want[n]
 
 
+def resonant_digest(tmp_path, order, *freqs):
+    out = tmp_path / "resonant.json"
+    run("resonant", *freqs, "--order", str(order), "--dump-symbolic", "--out", str(out))
+    doc = json.loads(out.read_text())
+    return sha256(json_text({key: doc[key] for key in ("mix", "c_series", "combined")}))
+
+
 @pytest.mark.parametrize("order", range(11))
 def test_resonant_symbolic_orders_0_to_10(order, tmp_path):
-    out = tmp_path / "resonant.json"
-    run("resonant", "--omega1", "1", "--order", str(order), "--dump-symbolic",
-        "--out", str(out))
-    doc = json.loads(out.read_text())
-    symbolic = {key: doc[key] for key in ("mix", "c_series", "combined")}
-    assert sha256(json_text(symbolic)) == GOLDEN["resonant"]["1"][order]
+    assert resonant_digest(tmp_path, order, "--omega1", "1") == GOLDEN["resonant"]["1"][order]
+    got = resonant_digest(tmp_path, order, "--omega", "3", "--omega1", "3/2")
+    assert got == GOLDEN["resonant"]["3/2"][order]
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_resonant_symbolic_deep_orders(order, tmp_path):
+    want = GOLDEN["resonant_deep"]["1"][str(order)]
+    assert resonant_digest(tmp_path, order, "--omega1", "1") == want

@@ -218,6 +218,46 @@ class TestElimination:
             eliminate_secular(c_series, broken)
 
 
+class TestMixingRecurrence:
+    """The loop over X_n against the direct sum it replaces.
+
+    The reference rebuilds Cbar_n = C_n + sum_{i=1}^{min(n, s-1)} q_i Phi_{n-i}
+    with the Fraction TrigSeries product from full-depth C and Phi series,
+    and checks that it is secular-free, so a wrong q cannot pass either.
+    """
+
+    @pytest.mark.parametrize("omega, omega1", [(F(2), F(1)), (F(3), F(3, 2))],
+                             ids=["2,1", "3,3/2"])
+    def test_combined_equals_direct_sum(self, omega, omega1):
+        params = SystemParams(omega, omega1, 0.0)
+        c_full, phi_full = build_resonant_c(params, 12), build_resonant_phi(params, 12)
+        mix = eliminate_secular(c_full, phi_full).mix
+        products = {}
+
+        def q_phi(i, j):
+            if (i, j) not in products:
+                q, f = mix[i - 1], phi_full.orders[j]
+                products[i, j] = QuadFormSeries(q * f.cxx, q * f.cyy, q * f.cxy)
+            return products[i, j]
+
+        for s in range(13):
+            combo = eliminate_secular(c_full, phi_full, order=s)
+            assert combo.mix == mix[:max(0, s - 1)]
+            want = [c_full.orders[0]]
+            for n in range(1, s + 1):
+                cbar = c_full.orders[n]
+                for i in range(1, min(n, s - 1) + 1):
+                    cbar = cbar + q_phi(i, n - i)
+                assert cbar.secular_part().is_zero
+                want.append(cbar)
+            assert combo.combined.orders == tuple(want)
+
+    def test_phi_to_order_1_is_enough(self):
+        c10 = build_resonant_c(P, 10)
+        shallow = eliminate_secular(c10, build_resonant_phi(P, 1))
+        assert shallow == eliminate_secular(c10, build_resonant_phi(P, 10))
+
+
 class TestSectionForm:
     def test_unperturbed_hyperbola(self, combo):
         a, b, d = resonant_section_form(combo, 0.0)
