@@ -252,10 +252,10 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     """Resonant (omega = 2*omega1) integral: C-series, mixing, section form."""
     params = _params(omega, omega1, epsilon)
     constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
-    c_series = resonant.build_resonant_c(params, order)
-    # the elimination reads Phi_0 and Phi_1 only
+    # the elimination reads C_0, Phi_0 and Phi_1 only; the full C is built to be printed
+    c_series = resonant.build_resonant_c(params, order if dump_symbolic else 0)
     phi = resonant.build_resonant_phi(params, min(order, 1))
-    combo = resonant.eliminate_secular(c_series, phi)
+    combo = resonant.eliminate_secular(c_series, phi, order)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
 
     pts = dynamics._section(params, x0, y0, periods)

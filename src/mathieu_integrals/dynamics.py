@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
@@ -177,8 +177,7 @@ def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Seque
         yield state + tuple(quad) if energy else state
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """One orbit sample: position, momentum, time, and -energy."""
 
     x: float
@@ -187,8 +186,7 @@ class PhaseState:
     E: float
 
 
-@dataclass(frozen=True)
-class SectionPoint:
+class SectionPoint(NamedTuple):
     """A stroboscopic sample at t = k*T with its two radius measures."""
 
     x: float
@@ -286,7 +284,7 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
                 raise Unbounded(f"the state overflows in period {k + 1}; the orbit is unbounded")
             states.append(PhaseState(m11 * x + m12 * y, m21 * x + m22 * y,
                                      (i / samples_per_period) * T, energy))
-        x, y, e = states[-1].x, states[-1].y, states[-1].E
+        x, y, _, e = states[-1]
     return states
 
 
@@ -295,14 +293,11 @@ def stroboscopic_section(trajectory: Sequence[PhaseState], params: SystemParams)
     T = params.period
     om1 = float(params.omega1)
     out = []
-    for state in trajectory:
-        k = round(state.t / T) if state.t else 0
-        if abs(state.t - k * T) <= 1e-12 * max(T, state.t):
-            out.append(SectionPoint(
-                x=state.x, y=state.y, E=state.E, k=k,
-                d=math.sqrt(om1 * om1 * state.x * state.x + state.y * state.y),
-                r=math.sqrt(state.x * state.x + state.y * state.y),
-            ))
+    for x, y, t, E in trajectory:
+        k = round(t / T) if t else 0
+        if abs(t - k * T) <= 1e-12 * max(T, t):
+            out.append(SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y),
+                                    math.sqrt(x * x + y * y)))
     return out
 
 

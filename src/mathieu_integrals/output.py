@@ -17,15 +17,14 @@ from .builder import SystemParams
 from .dynamics import PhaseState, SectionPoint
 
 
-def fmt(value: float) -> str:
-    """17 significant digits: enough to round-trip any double."""
-    return format(value, ".17g")
-
-
 def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0o022)  # os.umask reads the mask only by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        # mkstemp creates 0o600; give the mode open(path, "w") would give
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -46,31 +45,32 @@ def trajectory_rows(states: Sequence[PhaseState], params: SystemParams,
                     samples_per_period: int) -> list[tuple]:
     """Rows k,t,x,y,E,d,r; k is the period index of the sample."""
     om1 = float(params.omega1)
-    rows = []
-    for i, s in enumerate(states):
-        d = math.sqrt(om1 * om1 * s.x * s.x + s.y * s.y)
-        rows.append((i // samples_per_period, s.t, s.x, s.y, s.E, d,
-                     math.hypot(s.x, s.y)))
-    return rows
+    sqrt, hypot = math.sqrt, math.hypot
+    return [(i // samples_per_period, t, x, y, E, sqrt(om1 * om1 * x * x + y * y), hypot(x, y))
+            for i, (x, y, t, E) in enumerate(states)]
 
 
 def section_rows(points: Sequence[SectionPoint], params: SystemParams) -> list[tuple]:
     T = params.period
-    return [(p.k, p.k * T, p.x, p.y, p.E, p.d, p.r) for p in points]
+    return [(k, k * T, x, y, E, d, r) for x, y, E, k, d, r in points]
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return fmt(value)
+def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
+    """One line per row: str and int (bool too) cells as str(), others as %.17g.
 
-
-def columns_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    Each row is formatted by one ``%`` with a template built once per
+    tuple of cell types, looked up per row because a column's type may
+    change between rows.
+    """
     lines = [",".join(header)]
+    templates: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(_cell(cell) for cell in row))
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%s" if issubclass(t, (str, int)) else "%.17g" for t in types)
+        lines.append(template % row)
     return "\n".join(lines) + "\n"
 
 
@@ -79,7 +79,7 @@ def columns_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return json_text({"columns": list(header), "rows": [list(row) for row in rows]})
 
 
-def tabular(header: Sequence[str], rows: Iterable[Sequence], format: str) -> str:
+def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
     if format == "json":
         return columns_json(header, rows)
     return columns_csv(header, rows)

@@ -250,7 +250,8 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
     """Mix the C and Phi series so no secular term survives through ``order``.
 
     Runs X_1 = R(C_0), X_{n+1} = R(X_n) + q_n Phi_1 (module docstring),
-    so only C_0, Phi_0 and Phi_1 are read.  Each q_n is solved exactly
+    so only C_0, Phi_0 and Phi_1 are read: ``order`` (by default that of
+    the C-series) may exceed the C-series' own.  Each q_n is solved exactly
     with the generators kept symbolic (so q_1 = 1/4 comes out even for
     initial phases with s0 = 0), and each Cbar_n is checked for secular
     terms.  Sums and products by q run on integer numerators; only the
@@ -259,8 +260,6 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
     if c_series.params != phi_series.params:
         raise ValueError("C and Phi series were built over different parameters")
     s = c_series.order if order is None else order
-    if s > c_series.order:
-        raise ValueError(f"C-series only built through order {c_series.order}")
     if s >= 1 and phi_series.order < 1:
         raise ValueError("Phi-series not built deep enough for the requested mixing")
 

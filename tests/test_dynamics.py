@@ -403,6 +403,51 @@ class TestPropagator:
         assert counts[0] == counts[1] > 0
 
 
+class TestRecords:
+    """Orbit samples and section points: immutable, ordered, compared by value."""
+
+    def test_phase_state_unpacks_as_x_y_t_e(self):
+        state = dynamics.PhaseState(1.0, 2.0, 3.0, 4.0)
+        x, y, t, E = state
+        assert (x, y, t, E) == (state.x, state.y, state.t, state.E) == (1.0, 2.0, 3.0, 4.0)
+
+    def test_section_point_unpacks_as_x_y_e_k_d_r(self):
+        point = dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0)
+        x, y, E, k, d, r = point
+        assert ((x, y, E, k, d, r) == (point.x, point.y, point.E, point.k, point.d, point.r)
+                == (1.0, 2.0, 3.0, 4, 5.0, 6.0))
+
+    @pytest.mark.parametrize("record, field", [
+        (dynamics.PhaseState(1.0, 2.0, 3.0, 4.0), "x"),
+        (dynamics.PhaseState(1.0, 2.0, 3.0, 4.0), "E"),
+        (dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0), "k"),
+        (dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0), "r"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+
+    def test_equal_by_value(self):
+        a = dynamics.PhaseState(1.0, 2.0, 3.0, 4.0)
+        assert a == dynamics.PhaseState(x=1.0, y=2.0, t=3.0, E=4.0)
+        assert a != dynamics.PhaseState(1.0, 2.0, 3.0, 5.0)
+        assert hash(a) == hash(dynamics.PhaseState(1.0, 2.0, 3.0, 4.0))
+        p = dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0)
+        assert p == dynamics.SectionPoint(x=1.0, y=2.0, E=3.0, k=4, d=5.0, r=6.0)
+        assert p != dynamics.SectionPoint(1.0, 2.0, 3.0, 5, 5.0, 6.0)
+
+    def test_section_points_carry_the_samples_at_kt(self, orbit_cache):
+        params, traj, sec = orbit_cache("9/10", 0.1, 20, spp=4)
+        assert all(type(s) is dynamics.PhaseState for s in traj)
+        assert all(type(p) is dynamics.SectionPoint for p in sec)
+        assert [p.k for p in sec] == list(range(21))
+        om1 = float(params.omega1)
+        for p, (x, y, t, E) in zip(sec, traj[::4]):
+            assert (p.x, p.y, p.E) == (x, y, E) and t == p.k * params.period
+            assert p.d == math.sqrt(om1 * om1 * x * x + y * y)
+            assert p.r == math.sqrt(x * x + y * y)
+
+
 class TestNonFinite:
     def test_overflow_is_unbounded_with_period_index(self):
         params = SystemParams(F(2), F(9, 10), 0.5)

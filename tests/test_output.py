@@ -1,0 +1,155 @@
+"""CSV formatting and file writing in ``output``.
+
+``columns_csv`` formats each row with one ``%`` template; the reference
+below is the per-cell formatter it replaced, kept verbatim, and every
+table must come out byte for byte the same.
+"""
+
+import math
+import os
+import stat
+from fractions import Fraction as F
+from typing import Iterable, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mathieu_integrals import (SystemParams, build_integral, conic_at_section,
+                               convergence_study, dynamics, integrate_orbit, output)
+
+
+# -- reference: the per-cell formatter, verbatim -------------------------------
+
+def fmt(value: float) -> str:
+    """17 significant digits: enough to round-trip any double."""
+    return format(value, ".17g")
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return fmt(value)
+
+
+def columns_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------------------------------
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+#: where %.17g changes notation, and the ends of the float64 range
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  *_around(1e16), *_around(1e17), *_around(-1e16), *_around(-1e17),
+                  9999999999999998.0, 99999999999999984.0, 1e-4, 1e-5, 0.1, 1 / 3]
+
+cells = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.floats(),
+    st.floats(min_value=1e15, max_value=1e18),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+tables = st.lists(st.lists(cells, max_size=8).map(tuple), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables)
+def test_matches_per_cell_reference(rows):
+    header = ("a", "b", "c")
+    assert output.columns_csv(header, rows) == columns_csv(header, rows)
+
+
+def test_special_floats_one_per_row():
+    rows = [(i, v) for i, v in enumerate(SPECIAL_FLOATS)]
+    text = output.columns_csv(("i", "v"), rows)
+    assert text == columns_csv(("i", "v"), rows)
+    lines = text.splitlines()
+    # %.17g writes 1e16 in full and switches to exponent notation at 1e17
+    assert {"11,10000000000000000", "13,99999999999999984", "14,1e+17", "4,-0",
+            "0,nan"} <= set(lines)
+
+
+def test_column_type_changes_between_rows():
+    rows = [(1, 0.5, "a"), (1.5, 2, "b"), (True, False, 3), (0, 0.0, 0.25),
+            (1.0, 1, True), ("x", math.inf, -0.0), (1, 0.5, "a")]
+    text = output.columns_csv(("p", "q", "r"), rows)
+    assert text == columns_csv(("p", "q", "r"), rows)
+    assert text.splitlines()[1:4] == ["1,0.5,a", "1.5,2,b", "True,False,3"]
+
+
+def test_empty_table_is_the_header():
+    assert output.columns_csv(("k", "t"), []) == "k,t\n"
+
+
+# -- the rows the CLI writes ---------------------------------------------------
+
+P = SystemParams(F(2), F(9, 10), 0.15)
+
+
+@pytest.fixture(scope="module")
+def section():
+    return dynamics._section(P, 0.03, 0.97, 60)
+
+
+def _both(header, rows):
+    assert output.columns_csv(header, rows) == columns_csv(header, rows)
+
+
+def test_orbit_rows():
+    traj = integrate_orbit(P, 0.03, 0.97, 5, samples_per_period=64)
+    _both(output.ORBIT_COLUMNS, output.trajectory_rows(traj, P, 64))
+
+
+def test_escaping_orbit_rows():
+    params = SystemParams(F(2), F(9, 10), 0.19)
+    traj = integrate_orbit(params, 0.0, 1.0, 40, samples_per_period=8)
+    _both(output.ORBIT_COLUMNS, output.trajectory_rows(traj, params, 8))
+
+
+def test_section_rows(section):
+    _both(output.ORBIT_COLUMNS, output.section_rows(section, P))
+
+
+def test_distance_and_energy_rows(section):
+    _both(("k", "t", "d", "r"), [(p.k, p.k * P.period, p.d, p.r) for p in section])
+    _both(("k", "t", "x", "E"), [(p.k, p.k * P.period, p.x, p.E) for p in section])
+
+
+def test_convergence_rows():
+    report = convergence_study(P, 0.15, [2, 4, 6], n_periods=40)
+    _both(("order", "residual"), list(zip(report.orders, report.residuals)))
+
+
+def test_conic_rows():
+    phi = build_integral(P, 6)
+    rows = [(eps, *conic_at_section(phi, eps)) for eps in [j / 100 for j in range(-18, 19, 2)]]
+    _both(("epsilon", "A", "B", "D"), rows)
+
+
+# -- atomic writes -------------------------------------------------------------
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_file_has_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        output.atomic_write_text(str(tmp_path / "atomic.csv"), "k\n")
+        assert os.umask(umask) == umask  # the call put the umask back
+        with open(tmp_path / "plain.csv", "w") as handle:
+            handle.write("k\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "atomic.csv").st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["atomic.csv", "plain.csv"]

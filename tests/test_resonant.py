@@ -252,6 +252,15 @@ class TestMixingRecurrence:
                 want.append(cbar)
             assert combo.combined.orders == tuple(want)
 
+    @pytest.mark.parametrize("omega, omega1", [(F(2), F(1)), (F(3), F(3, 2))],
+                             ids=["2,1", "3,3/2"])
+    def test_c0_alone_is_enough(self, omega, omega1):
+        params = SystemParams(omega, omega1, 0.0)
+        c0, c_full = build_resonant_c(params, 0), build_resonant_c(params, 12)
+        phi = build_resonant_phi(params, 1)
+        for s in range(13):
+            assert eliminate_secular(c0, phi, order=s) == eliminate_secular(c_full, phi, order=s)
+
     def test_phi_to_order_1_is_enough(self):
         c10 = build_resonant_c(P, 10)
         shallow = eliminate_secular(c10, build_resonant_phi(P, 1))
