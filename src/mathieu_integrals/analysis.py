@@ -156,7 +156,13 @@ def section_residual(phi: FormalIntegral, section: Sequence[SectionPoint],
     At section times the integral reduces to its t = 0 conic, so the
     evaluation is exact in the time direction.
     """
-    a, b, d = conic_at_section(phi, epsilon)
+    return _conic_residual(conic_at_section(phi, epsilon), section)
+
+
+def _conic_residual(conic: tuple[float, float, float],
+                    section: Sequence[SectionPoint]) -> float:
+    """max_k |F(x_k, y_k) - F(x_0, y_0)| / |F(x_0, y_0)|, F = A x^2 + B y^2 + 2 D xy."""
+    a, b, d = conic
     values = [a * p.x * p.x + b * p.y * p.y + 2.0 * d * p.x * p.y for p in section]
     level = values[0]
     if level == 0.0:

@@ -116,11 +116,6 @@ class QuadFormSeries:
         return self.cxx.base
 
     @classmethod
-    def zero(cls, base: FrequencyBase) -> "QuadFormSeries":
-        z = TrigSeries.zero(base)
-        return cls(z, z, z)
-
-    @classmethod
     def constant(cls, base: FrequencyBase, cxx, cyy, cxy) -> "QuadFormSeries":
         return cls(TrigSeries.constant(base, cxx),
                    TrigSeries.constant(base, cyy),

@@ -131,19 +131,14 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 @format_option
 @click.option("--samples", default=32, show_default=True, type=int,
               help="Samples per period.")
-@click.option("--section-only", is_flag=True, help="Emit only the t = kT samples.")
 @click.option("--out", default=None, type=click.Path())
-def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples,
-              section_only, out):
+def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     params = _params(omega, omega1, epsilon)
-    n = _n_periods(params, periods, time_)
-    if section_only:
-        rows = output.section_rows(dynamics._section(params, x0, y0, n), params)
-    else:
-        traj = dynamics.integrate_orbit(params, x0, y0, n, samples_per_period=samples)
-        rows = output.trajectory_rows(traj, params, samples)
-    _write(out, output.tabular(output.ORBIT_COLUMNS, rows, format_))
+    traj = dynamics.integrate_orbit(params, x0, y0, _n_periods(params, periods, time_),
+                                    samples_per_period=samples)
+    _write(out, output.tabular(output.ORBIT_COLUMNS,
+                               output.trajectory_rows(traj, params, samples), format_))
 
 
 @main.command("section")
@@ -257,18 +252,14 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     phi = resonant.build_resonant_phi(params, min(order, 1))
     combo = resonant.eliminate_secular(c_series, phi, order)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
-
-    pts = dynamics._section(params, x0, y0, periods)
-    level = a * x0 * x0 + b * y0 * y0 + 2 * d * x0 * y0
-    residuals = [abs(a * p.x * p.x + b * p.y * p.y + 2 * d * p.x * p.y - level) / abs(level)
-                 for p in pts]
+    residual = analysis._conic_residual((a, b, d), dynamics._section(params, x0, y0, periods))
 
     doc = {
         "omega": omega, "omega1": omega1, "epsilon": epsilon, "order": order,
         "mix": [q.to_json_terms() for q in combo.mix],
         "section_form": {"A": a, "B": b, "D": d},
         "phase_constants": {"c0": constants.c0, "s0": constants.s0},
-        "max_section_residual": max(residuals),
+        "max_section_residual": residual,
         "c_series": c_series.to_json_obj() if dump_symbolic else None,
         "combined": combo.combined.to_json_obj() if dump_symbolic else None,
     }

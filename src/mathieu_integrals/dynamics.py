@@ -9,7 +9,7 @@ augmented with the conjugate momentum of time, dE/dt = -dH/dt =
 never recomputed as -H, so |H + E| is an independent accuracy check.
 
 By Floquet theory one period serves every stroboscopic study.  A
-Dormand-Prince 5(4) pair (error control at 1e-12 by default) solves,
+Dormand-Prince 5(4) pair (error control at rtol = atol = 1e-12) solves,
 over [0, T] only, for the fundamental matrix M(s) and the energy form
 Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
 m11 m12); then z(kT + s) = M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z
@@ -17,7 +17,7 @@ and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
 sample grid s = j T/spp, so section samples carry t = k*T.
 
 One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
-Hill equation on scalar solution columns: M(T) alone for ``monodromy``,
+Hill equation on the two columns of M: M(T) alone for ``monodromy``,
 (M, Q) on the sample grid for orbits.  The escape oracle has its own
 symplectic integrator (``analysis._escapes``).  The generic stepper it
 reproduces bit for bit lives in ``tests/dp5_reference.py``.
@@ -26,15 +26,11 @@ reproduces bit for bit lives in ``tests/dp5_reference.py``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
-
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-12
 
 # Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order
 # weights B, and E = b5 - b4, the weights of the embedded error estimate.
@@ -48,55 +44,47 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
                                 22 / 525, -1 / 40)
 
+_RTOL = _ATOL = 1e-12
 _MAX_STEPS = 5_000_000
-#: smallest relative tolerance the float64 error estimate can meet
-_RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 
-def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Sequence[float],
-                 rtol: float, atol: float, energy: bool = False):
-    """Solution columns of x'' = -(omega1^2 - 2 eps cos(omega t)) x from t = 0.
+def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
+                 energy: bool = False):
+    """The fundamental matrix of x'' = -(omega1^2 - 2 eps cos(omega t)) x.
 
-    ``u0`` = (x_1, ..., x_c, y_1, ..., y_c) holds c columns (x_i, y_i)
-    that share one step; the state at each target is yielded in the
-    same layout.  With ``energy`` the two columns are those of M and
-    the energy form Q = (q11, q22, q12), dQ/dt = -eps omega sin(omega t)
-    (m11^2, m12^2, m11 m12), rides along from Q(0) = 0 and is appended
-    to each state: the (M row-major, Q) layout of ``_one_period``.
+    The columns (1, 0) and (0, 1) of M share one step; M at each target
+    is yielded row-major.  With ``energy`` the energy form Q = (q11,
+    q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2, m11 m12),
+    rides along from Q(0) = 0 and is appended to each state: the (M
+    row-major, Q) layout of ``_one_period``.
 
-    Dormand-Prince 5(4) with an error norm summed over every x
-    component, then every y component, then Q.  The step is clamped to
-    land exactly on each target, and the time stamp is set to the
-    target itself, so no landing error accumulates.  w(t) = omega1^2 -
-    2 eps cos(omega t) and the energy weight -eps omega sin(omega t) do
-    not depend on the state, so each is evaluated once per stage for
-    all columns (the first-same-as-last stage reuses stage 6's, taken at
-    the same time), and each column runs its stages on scalars.  A
-    relative tolerance below the float64 floor raises StepFailure at
-    once: roundoff in the error estimate would keep the controller
-    shrinking the step until it underflows.  Non-finite stages (an eps
-    so large that the coefficients or the solution overflow) end in
+    Dormand-Prince 5(4) at rtol = ``_RTOL``, atol = ``_ATOL``, with an
+    error norm summed over every x component, then every y component,
+    then Q.  The step is clamped to land exactly on each target, and the
+    time stamp is set to the target itself, so no landing error
+    accumulates.  w(t) = omega1^2 - 2 eps cos(omega t) and the energy
+    weight -eps omega sin(omega t) do not depend on the state, so each
+    is evaluated once per stage for both columns (the
+    first-same-as-last stage reuses stage 6's, taken at the same time),
+    and each column runs its stages on scalars.  Non-finite stages (an
+    eps so large that the coefficients or the solution overflow) end in
     Unbounded.
     """
-    if rtol < _RTOL_FLOOR:
-        raise StepFailure(f"rtol = {rtol:g} is below the float64 floor {_RTOL_FLOOR:.3g} "
-                          "(100 x machine epsilon)")
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
     two_eps = 2.0 * epsilon
     eps_om = epsilon * om
     cos, sin = math.cos, math.sin
-    c = len(u0) // 2
-    n = len(u0) + 3 if energy else len(u0)
+    rtol, atol = _RTOL, _ATOL
+    n = 7 if energy else 4
     t = 0.0
     w = om1sq - two_eps * cos(om * t)
-    # per column: x, y and the stage-1 slopes (x', y') = (y, -w x)
-    cols = [(x, y, y, -w * x) for x, y in zip(u0[:c], u0[c:])]
+    # per column of M: x, y and the stage-1 slopes (x', y') = (y, -w x)
+    cols = [(x, y, y, -w * x) for x, y in ((1.0, 0.0), (0.0, 1.0))]
     if energy:
         s = -eps_om * sin(om * t)
-        a, b = u0[0], u0[1]
-        quad, g1 = (0.0, 0.0, 0.0), (s * a * a, s * b * b, s * a * b)
-    h = min(1e-2 * (abs(targets[-1]) or 1.0), 0.1) if targets else 0.1
+        quad, g1 = (0.0, 0.0, 0.0), (s, s * 0.0, s * 0.0)  # s (m11^2, m12^2, m11 m12) at M = I
+    h = min(1e-2 * targets[-1], 0.1)
     steps = 0
     xs = []  # stage x values of each column, for the energy form
     for target in targets:
@@ -173,8 +161,8 @@ def _hill_points(params: SystemParams, epsilon: float, u0: tuple, targets: Seque
             steps += 1
             if steps > _MAX_STEPS:
                 raise StepFailure("step budget exhausted")
-        state = tuple(col[0] for col in cols) + tuple(col[1] for col in cols)
-        yield state + tuple(quad) if energy else state
+        (m11, m21, _, _), (m12, m22, _, _) = cols
+        yield (m11, m12, m21, m22, *quad) if energy else (m11, m12, m21, m22)
 
 
 class PhaseState(NamedTuple):
@@ -246,18 +234,16 @@ def _eps_arg(epsilon) -> float:
     return float(epsilon)
 
 
-def _one_period(params: SystemParams, eps: float, samples_per_period: int,
-                rtol: float, atol: float) -> list[tuple]:
+def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> list[tuple]:
     """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp."""
     T = params.period
     targets = [(j / samples_per_period) * T for j in range(1, samples_per_period + 1)]
-    return list(_hill_points(params, eps, (1.0, 0.0, 0.0, 1.0), targets, rtol, atol,
-                             energy=True))
+    return list(_hill_points(params, eps, targets, energy=True))
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
-                    samples_per_period: int = 1, epsilon: float | None = None,
-                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list[PhaseState]:
+                    samples_per_period: int = 1,
+                    epsilon: float | None = None) -> list[PhaseState]:
     """Propagate the extended system over n periods.
 
     Samples land on the uniform sub-period grid t = (k + i/spp) * T,
@@ -271,7 +257,7 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
         raise InvalidInput("the initial condition must be finite")
     eps = params.epsilon if epsilon is None else _eps_arg(epsilon)
     T = params.period
-    grid = _one_period(params, eps, samples_per_period, rtol, atol)
+    grid = _one_period(params, eps, samples_per_period)
     x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0, eps)
     states = [PhaseState(x, y, 0.0, e)]
     i = 0
@@ -308,8 +294,7 @@ def _section(params: SystemParams, x0: float, y0: float, n_periods: int,
     return stroboscopic_section(traj, params)
 
 
-def monodromy(params: SystemParams, epsilon: float, n: int = 1,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Monodromy:
+def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
     """Fundamental matrix of the linear system over [0, n*T].
 
     The one-period matrix M(T) is the exact flow map of the linear
@@ -317,8 +302,7 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1,
     so the n-period matrix is M(T)^n.  The solve carries the columns of
     M alone, without the energy form that orbits need.
     """
-    (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), (1.0, 0.0, 0.0, 1.0),
-                                 [params.period], rtol, atol)
+    (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), [params.period])
     return Monodromy(m11=a, m12=b, m21=c, m22=d, n=1).power(n)
 
 
@@ -371,17 +355,3 @@ def escape_diagnostics(section: Sequence[SectionPoint], r_escape: float = 1e3, *
     ss_tot = sum((l - lbar) ** 2 for l in ls)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return EscapeReport(True, k_escape, slope, r2)
-
-
-def integrate_backward(params: SystemParams, x0: float, y0: float, n_periods: int,
-                       epsilon: float | None = None, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL) -> tuple[float, float]:
-    """State n periods *before* (x0, y0) taken at t = 0.
-
-    The driving is even in t, so time reversal is the conjugation
-    (x, y) -> (x, -y) of the forward flow; no negative-step integration
-    is needed.
-    """
-    eps = params.epsilon if epsilon is None else epsilon
-    x, my = monodromy(params, eps, n_periods, rtol, atol).apply(x0, -y0)
-    return x, -my

@@ -1,24 +1,28 @@
 """Generic Dormand-Prince 5(4) stepper: the reference for the Hill kernel.
 
 ``dynamics._hill_points`` is this stepper specialised to the Hill
-equation and must reproduce it bit for bit: with ``rhs_linear`` on one
-solution column streamed over many periods and with ``rhs_period`` on the
-7-component (M row-major, Q) system of the one-period propagator.  It
-shares the tableau, the float64 floor and the step budget of
-``dynamics`` and nothing else.
+equation and must reproduce it bit for bit: on the 4-component flow of
+M alone (``monodromy``) and with ``rhs_period`` on the 7-component (M
+row-major, Q) system of the one-period propagator.  It shares the
+tableau and the step budget of ``dynamics`` and nothing else; its
+tolerances are parameters, guarded by a float64 floor of its own.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 from mathieu_integrals.builder import SystemParams
 from mathieu_integrals.dynamics import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53,
                                         _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4,
                                         _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6,
-                                        _E7, _MAX_STEPS, _RTOL_FLOOR)
+                                        _E7, _MAX_STEPS)
 from mathieu_integrals.errors import StepFailure
+
+#: smallest relative tolerance the float64 error estimate can meet
+_RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 
 def integration_points(f: Callable, t0: float, y0: tuple, targets: Sequence[float],

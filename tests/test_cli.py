@@ -98,13 +98,6 @@ class TestOrbitCommands:
         assert res.exit_code == 0
         assert len(out.read_text().splitlines()) == 42  # header + 41 samples
 
-    def test_orbit_section_only(self, runner, tmp_path):
-        out = tmp_path / "orb.csv"
-        res = invoke(runner, "orbit", "--periods", "5", "--section-only",
-                     "--out", str(out))
-        assert res.exit_code == 0
-        assert len(out.read_text().splitlines()) == 7
-
     def test_time_flag_overrides_periods(self, runner, tmp_path):
         out = tmp_path / "sec.csv"
         import math
@@ -219,6 +212,7 @@ class TestBadInput:
         ["monodromy", "--n", "0"],
         ["convergence", "--x0", "0", "--y0", "0"],
         ["resonant", "--omega1", "1", "--x0", "0", "--y0", "0"],
+        ["resonant", "--omega1", "1", "--x0", "1", "--y0", "1", "--epsilon", "0"],
         ["convergence", "--orders", "x"],
         ["convergence", "--orders", "4,x"],
         ["distances", "--r-escape", "-1"],
