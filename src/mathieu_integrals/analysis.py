@@ -3,9 +3,10 @@
 * critical_epsilon: locate the escape boundary.  The system is linear,
   so boundedness is governed by the Floquet multipliers of the
   one-period monodromy matrix M: orbits stay bounded iff |tr M| <= 2.
-  The primary oracle therefore bisects g(eps) = |tr M(eps)| - 2, which
-  is far cheaper than escape simulation; symplectic escape runs just
-  above and below the boundary cross-check the verdict.
+  The primary oracle therefore solves |tr M(eps)| = 2 by ITP, bisection's
+  worst case but superlinear on the smooth trace, far cheaper than escape
+  simulation; symplectic escape runs just above and below the boundary
+  cross-check the verdict.
 * convergence_study: conservation quality of the truncated integral as
   a function of truncation order, measured on section points.
 * cover_count: how many section points outline the invariant curve once.
@@ -94,40 +95,64 @@ def _escapes(params: SystemParams, eps: float, n_periods: int, r_escape: float) 
     return False
 
 
+def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
+    """Shrink [lo, hi], f(lo) <= 0 < f(hi) or the reverse, to width <= tol.
+
+    ITP (Oliveira & Takahashi, ACM TOMS 47, 2021; kappa1 = 0.2/w0, kappa2 =
+    2, n0 = 1) converges superlinearly on a smooth f and never takes more
+    than ceil(log2(w0/tol)) + 1 calls; on values +-1 it bisects.
+    """
+    k1, j = 0.2 / (hi - lo), math.ceil(math.log2((hi - lo) / tol))
+    goal = tol - 4.0 * math.ulp(abs(lo) + abs(hi))  # spares the rounding of x
+    while hi - lo > tol and j >= 0:  # 2^j goal bounds the next width
+        mid, xf = 0.5 * (lo + hi), (fhi * lo - flo * hi) / (fhi - flo)  # regula falsi
+        delta = k1 * (hi - lo) ** 2  # push xf towards mid, keep it within r of mid
+        xt = xf + math.copysign(delta, mid - xf) if delta <= abs(mid - xf) else mid
+        r = max(0.0, goal * 2.0 ** j - 0.5 * (hi - lo))
+        x = xt if abs(xt - mid) <= r else mid - math.copysign(r, mid - xf)
+        fx, j = f(x), j - 1
+        if fx == 0.0:
+            return x, x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+    return lo, hi
+
+
 def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
                      tol: float = 1e-10, cross_check: bool = True) -> CriticalEpsResult:
-    """Locate eps_crit by bisection on the chosen instability oracle.
+    """Locate eps_crit as the root of the chosen instability oracle.
 
-    ``oracle="trace"`` bisects |tr M(eps)| - 2 = 0 over sign*[0, hi]
-    with hi auto-expanded until instability is seen; ``oracle="escape"``
-    bisects the escape verdict of the orbit from (0, 1) instead (slower;
-    used as the independent cross-oracle in tests).  The returned
-    bracket has width <= tol.  Raises BracketFailure if no instability
-    is found up to |eps| = 10.
+    hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
+    ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
+    from the expansion's values and tr M(0) = 2 cos(omega1 T) (``oracle=
+    "trace"``), or bisects the escape verdict of the orbit from (0, 1)
+    (``"escape"``: slower, the independent cross-oracle in tests).  The
+    bracket has width <= tol; ``iterations`` counts oracle evaluations.
+    Raises BracketFailure if no instability is found up to |eps| = 10.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
-    if oracle == "trace":
-        unstable = lambda e: abs(monodromy(params, sign * e).trace) > 2.0
-    elif oracle == "escape":
-        unstable = lambda e: _escapes(params, sign * e, _ORACLE_PERIODS, _ORACLE_R)
-    else:
+    evals = []
+
+    def trace(e: float) -> float:
+        evals.append(e)
+        if oracle == "trace":
+            return monodromy(params, sign * e).trace
+        if oracle == "escape":  # a stand-in trace: 3 if the orbit escapes, else 1
+            return 3.0 if _escapes(params, sign * e, _ORACLE_PERIODS, _ORACLE_R) else 1.0
         raise ValueError(f"unknown oracle {oracle!r}")
 
     lo, hi = 0.0, 0.05
-    iterations = 0
-    while not unstable(hi):
-        lo, hi = hi, hi * 1.6
-        iterations += 1
+    t_lo = 2.0 * math.cos(float(params.omega1) * params.period) if oracle == "trace" else 1.0
+    while not abs(t_hi := trace(hi)) > 2.0:
+        lo, t_lo, hi = hi, t_hi, hi * 1.6
         if hi > 10.0:
             raise BracketFailure(f"no instability found up to |eps| = {hi:.3g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if unstable(mid):
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
+    s = math.copysign(1.0, t_hi)
+    lo, hi = _bracketed_root(lambda e: s * trace(e) - 2.0, lo, hi,
+                             s * t_lo - 2.0, s * t_hi - 2.0, tol)
     eps_crit = sign * 0.5 * (lo + hi)
 
     check: bool | None = None
@@ -136,7 +161,7 @@ def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
         below = _escapes(params, eps_crit - sign * 1e-3, _CHECK_PERIODS, _CHECK_R)
         check = above and not below
     return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
-                             oracle=oracle, iterations=iterations, escape_check=check)
+                             oracle=oracle, iterations=len(evals), escape_check=check)
 
 
 @dataclass(frozen=True)
@@ -166,8 +191,9 @@ def _conic_residual(conic: tuple[float, float, float],
     values = [a * p.x * p.x + b * p.y * p.y + 2.0 * d * p.x * p.y for p in section]
     level = values[0]
     if level == 0.0:
-        raise InvalidInput("the integral vanishes at the initial condition (the origin?); "
-                           "the relative residual is undefined")
+        raise InvalidInput("the integral vanishes at the initial condition (the origin, or "
+                           "a start on its zero level set such as an asymptote of the "
+                           "hyperbola); the relative residual is undefined")
     return max(abs(v - level) for v in values) / abs(level)
 
 
@@ -235,8 +261,8 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     after n periods exactly when the one-period rotation number theta
     satisfies n*theta = 2*pi*m; the nearest integer m is taken from the
     guess and theta(eps) is solved for via the trace equation
-    tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so plain
-    bisection applies).  A guess that already closes within 1e-10 is
+    tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so the
+    bracketed root finder applies).  A guess that already closes within 1e-10 is
     returned as is; this also covers tangent roots
     (e.g. eps = 0, where the trace is even in eps and a sign change
     cannot be bracketed).  Raises NoRoot when no sign change exists
@@ -259,27 +285,15 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
         return monodromy(params, e).trace - target
 
     radius = search_radius
-    lo = hi = None
     for _ in range(8):
         lo, hi = eps_guess - radius, eps_guess + radius
-        glo = g(lo)
-        if glo * g(hi) <= 0.0:
+        glo, ghi = g(lo), g(hi)
+        if glo * ghi <= 0.0:
             break
         radius *= 2.0
     else:
         raise NoRoot(f"no period-{n} orbit parameter within {radius:.3g} of {eps_guess}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-        if hi - lo < 1e-13:
-            break
+    lo, hi = _bracketed_root(g, lo, hi, glo, ghi, 1e-13)
     eps = 0.5 * (lo + hi)
     mono = monodromy(params, eps, n=n)
     x1, y1 = mono.apply(x0, y0)

@@ -17,8 +17,8 @@ and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
 sample grid s = j T/spp, so section samples carry t = k*T.
 
 One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
-Hill equation on the two columns of M: M(T) alone for ``monodromy``,
-(M, Q) on the sample grid for orbits.  The escape oracle has its own
+Hill equation on the two columns of M: M(T/2) alone for ``monodromy``
+(the driving is even in t), (M, Q) on the sample grid for orbits.  The escape oracle has its own
 symplectic integrator (``analysis._escapes``).  The generic stepper it
 reproduces bit for bit lives in ``tests/dp5_reference.py``.
 """
@@ -249,16 +249,19 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
     Samples land on the uniform sub-period grid t = (k + i/spp) * T,
     always hitting the section times t = k*T exactly.  E starts at
     -H(x0, y0, 0) and advances by the integrated energy form Q, never
-    by re-evaluating H.  Raises Unbounded once the state overflows.
+    by re-evaluating H.  Raises Unbounded once the propagated state
+    overflows (InvalidInput if E(0) already does).
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise InvalidInput("the initial condition must be finite")
     eps = params.epsilon if epsilon is None else _eps_arg(epsilon)
+    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0, eps)
+    if not math.isfinite(e):
+        raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")
     T = params.period
     grid = _one_period(params, eps, samples_per_period)
-    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0, eps)
     states = [PhaseState(x, y, 0.0, e)]
     i = 0
     for k in range(n_periods):
@@ -300,10 +303,13 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
     The one-period matrix M(T) is the exact flow map of the linear
     system (not a linearization), and the coefficients are T-periodic,
     so the n-period matrix is M(T)^n.  The solve carries the columns of
-    M alone, without the energy form that orbits need.
+    M alone, over half a period: w(t) is even, so the flow over [T/2, T]
+    is R H^-1 R, R = diag(1, -1), H = M(T/2) = ((a, b), (c, d)), and det H
+    = 1 gives M(T) = ((ad + bc, 2bd), (2ac, ad + bc)) (Magnus & Winkler).
     """
-    (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), [params.period])
-    return Monodromy(m11=a, m12=b, m21=c, m22=d, n=1).power(n)
+    (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), [0.5 * params.period])
+    diag = a * d + b * c
+    return Monodromy(m11=diag, m12=2.0 * b * d, m21=2.0 * a * c, m22=diag, n=1).power(n)
 
 
 @dataclass(frozen=True)

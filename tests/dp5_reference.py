@@ -2,7 +2,7 @@
 
 ``dynamics._hill_points`` is this stepper specialised to the Hill
 equation and must reproduce it bit for bit: on the 4-component flow of
-M alone (``monodromy``) and with ``rhs_period`` on the 7-component (M
+M alone (``monodromy`` solves it over half a period) and with ``rhs_period`` on the 7-component (M
 row-major, Q) system of the one-period propagator.  It shares the
 tableau and the step budget of ``dynamics`` and nothing else; its
 tolerances are parameters, guarded by a float64 floor of its own.

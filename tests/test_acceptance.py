@@ -9,8 +9,10 @@ series this construction defines* -- the truncation error at order 6 is
 pinned near 1.7e-2 by the convergence radius eps_crit ~ 0.1857 (ratio
 (0.1/0.1857)^2 ~ 0.29 per order pair, confirmed against the exact
 invariant conic of the one-period map, which the order-28 conic matches
-to 3e-8).  That test is therefore expected to fail; see the project
-notes for the full analysis.
+to 3e-8: 2.05e-8 measured, held to 5e-8 by test_analysis.py,
+TestInvariantCurves::test_order28_conic_is_the_monodromy_invariant_form).
+That test is therefore expected to fail; see the project notes for the
+full analysis.
 """
 
 import math

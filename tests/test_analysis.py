@@ -12,9 +12,9 @@ from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                cover_count, critical_epsilon, dynamics, find_periodic_orbit,
                                integrate_orbit, invariant_curve_points, monodromy,
                                stroboscopic_section)
-from mathieu_integrals.analysis import (_escapes, _symplectic_period, section_residual,
-                                        section_semiaxis_x)
-from mathieu_integrals.errors import InvalidInput
+from mathieu_integrals.analysis import (_bracketed_root, _escapes, _symplectic_period,
+                                        section_residual, section_semiaxis_x)
+from mathieu_integrals.errors import BracketFailure, InvalidInput
 
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
@@ -94,6 +94,108 @@ class TestCriticalEpsilon:
                                            ("11/10", 1), ("11/10", -1)])
     def test_escape_check_confirms_boundary(self, crit_cache, om1, sign):
         assert crit_cache(om1, sign).escape_check is True
+
+    @pytest.mark.parametrize("om1, eps_crit", [("9/10", 0.18578485623598096),
+                                               ("1/10", 0.899645188056641),
+                                               ("11/10", 0.215990180387497)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_boundary_pinned_to_the_bisection_values(self, crit_cache, om1, eps_crit, sign):
+        # the values the one-bit-per-solve bisection over full-period solves found
+        res = crit_cache(om1, sign)
+        assert abs(res.eps_crit - sign * eps_crit) <= 1e-10
+        assert abs(res.bracket[1] - res.bracket[0]) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
+           sign=st.sampled_from([1, -1]))
+    def test_trace_oracle_bracket_and_call_bound(self, omega1, sign):
+        traces = []  # (eps, tr M) of every oracle call
+
+        def recording(params, eps, n=1):
+            m = monodromy(params, eps, n=n)
+            traces.append((eps, m.trace))
+            return m
+
+        params = SystemParams(F(2), omega1, 0.0)
+        tol = 1e-10
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "monodromy", recording)
+            try:
+                res = critical_epsilon(params, sign=sign, tol=tol, cross_check=False)
+            except BracketFailure:
+                res = None
+        # the expansion: hi = 0.05 * 1.6^k until |tr M| > 2, one call each
+        lo, hi, k = 0.0, 0.05, 0
+        while k < len(traces) and abs(traces[k][1]) <= 2.0:
+            assert traces[k][0] == sign * hi
+            lo, hi, k = hi, hi * 1.6, k + 1
+        if res is None:
+            # 17/6 <= omega1 <= 29/10: the expansion steps over every tongue
+            # up to |eps| = 10 and finds all its points stable (ROADMAP item 1)
+            assert k == len(traces) == 12
+            return
+        assert traces[k][0] == sign * hi
+        assert len(traces) == res.iterations
+        assert len(traces) <= (k + 1) + math.ceil(math.log2((hi - lo) / tol)) + 1
+        stable, unstable = res.bracket
+        assert abs(unstable - stable) <= tol
+        g = lambda e: abs(monodromy(params, e).trace) - 2.0
+        if stable == unstable:  # the oracle met |tr M| = 2 exactly
+            assert g(stable) == 0.0
+        else:
+            assert g(stable) <= 0.0 < g(unstable)
+
+    def test_canonical_boundary_call_count(self, monkeypatch):
+        # the bisection made 34 solves here: 4 to expand, 30 to gain 30 bits
+        calls = []
+
+        def recording(params, eps, n=1):
+            calls.append(eps)
+            return monodromy(params, eps, n=n)
+
+        monkeypatch.setattr(analysis, "monodromy", recording)
+        res = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0), cross_check=False)
+        assert len(calls) == res.iterations <= 14
+
+
+class TestBracketedRoot:
+    def test_unit_values_bisect(self):
+        # on +-1 the regula falsi point is the midpoint: the escape oracle's bisection
+        lo, hi, tol, root = 0.128, 0.2048, 1e-10, 0.18578
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 if x > root else -1.0
+
+        got = _bracketed_root(f, lo, hi, -1.0, 1.0, tol)
+        mids = []
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            lo, hi = (lo, mid) if f(mid) > 0 else (mid, hi)
+        assert seen == mids + mids and got == (lo, hi)
+        assert len(mids) == math.ceil(math.log2((0.2048 - 0.128) / tol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.integers(min_value=-2 ** 20 + 1, max_value=2 ** 20 - 1).map(
+               lambda k: k / 2 ** 20),  # x - root is exact, so f(x) = 0 only at the root
+           power=st.sampled_from([1, 3, 5]),
+           scale=st.floats(min_value=1e-3, max_value=1e3),
+           flip=st.booleans(),
+           tol=st.sampled_from([1e-13, 1e-10, 1e-6]))
+    def test_width_sign_change_and_call_bound(self, root, power, scale, flip, tol):
+        s = -1.0 if flip else 1.0
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return s * scale * (x - root) ** power
+
+        lo, hi = _bracketed_root(f, -1.0, 1.0, f(-1.0), f(1.0), tol)
+        del calls[:2]
+        assert len(calls) <= math.ceil(math.log2(2.0 / tol)) + 1
+        assert -1.0 <= lo <= root <= hi <= 1.0 and hi - lo <= tol
 
 
 def _assert_symplectic_map_accuracy(omega, omega1, eps):
@@ -219,7 +321,7 @@ class TestPeriodicOrbits:
 
     def test_17T_orbit_near_015(self):
         res = find_periodic_orbit(P01, 0.15, 17)
-        assert abs(res.epsilon - 0.15) < 1e-3
+        assert abs(res.epsilon - 0.15000340104747015) <= 1e-12  # the bisection's value
         assert res.return_distance <= 1e-8
         assert res.winding == 8
 
@@ -258,6 +360,17 @@ class TestInvariantCurves:
             assert 0.81 * x * x + y * y == pytest.approx(1.0, abs=1e-12)
         assert max(x for x, _ in pts) == pytest.approx(1 / 0.9, abs=1e-9)
         assert max(y for _, y in pts) == pytest.approx(1.0, abs=1e-9)
+
+    def test_order28_conic_is_the_monodromy_invariant_form(self, phi28):
+        # M = ((a, b), (c, a)) keeps F = -c x^2 + b y^2 up to det M: the
+        # exact invariant conic of the one-period map, with D = 0 exactly
+        m = monodromy(P01, 0.1)
+        assert m.m11 == m.m22
+        form = (-m.m21, m.m12, 0.0)
+        conic = conic_at_section(phi28, 0.1)
+        scale = conic[1] / form[1]  # B = 1/2 exactly
+        worst = max(abs(u - scale * v) for u, v in zip(conic, form))
+        assert worst <= 5e-8 * max(map(abs, conic))  # 2.05e-8 measured
 
     def test_order6_curve_close_to_section_points(self, phi28, orbit_cache):
         _, _, pts = orbit_cache("9/10", 0.1, 200)

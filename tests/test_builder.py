@@ -1,10 +1,11 @@
 """Integral-builder tests: the recursion against hand-checked coefficients.
 
 The first- and second-order closed-form coefficients used here were derived
-independently by solving the recursion by hand (and cross-checked
-against the one-period map's exact invariant conic in test_analysis),
-so they pin the whole pipeline: bracket, substitution, exact
-integration, back-substitution.
+independently by solving the recursion by hand, so they pin the whole
+pipeline: bracket, substitution, exact integration, back-substitution.
+The order-28 conic is checked against the one-period map's exact
+invariant conic in test_analysis.py, TestInvariantCurves::
+test_order28_conic_is_the_monodromy_invariant_form.
 """
 
 import math

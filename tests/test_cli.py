@@ -224,6 +224,7 @@ class TestBadInput:
         ["distances", "--time", "0"],
         ["monodromy", "--epsilon", "1e308"],
         ["section", "--epsilon", "1e300"],
+        ["section", "--x0", "1e200", "--periods", "3"],
         ["critical-eps", "--sign", "x"],
         ["section", "--periods", "x"],
         ["section", "--format", "xml"],
@@ -233,3 +234,15 @@ class TestBadInput:
         assert res.exit_code == 2
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args, cause", [
+        # E(0) = -H(x0, y0, 0) is inf - inf: the start, not the propagation, overflows
+        (["section", "--x0", "1e200", "--periods", "3"], "initial energy"),
+        # (1, 1) lies on the asymptote y = x of the hyperbola y^2 - x^2 = 0, not at the origin
+        (["resonant", "--omega1", "1", "--x0", "1", "--y0", "1", "--epsilon", "0"],
+         "zero level set"),
+    ])
+    def test_error_names_its_cause(self, runner, args, cause):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert cause in res.output and "unbounded" not in res.output

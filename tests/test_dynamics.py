@@ -311,16 +311,34 @@ class TestHillKernel:
                                              ("301/100", 0.1), ("1/2", 1.5)])
     @pytest.mark.parametrize("n", [1, 17])
     def test_monodromy_is_bit_identical_to_generic_solve(self, omega1, eps, n):
+        # the generic solve over half a period, assembled into M(T) and raised to n
         params = SystemParams(F(2), F(omega1), eps)
         (_, (a, b, c, d)), = integration_points(_matrix_rhs(params, eps), 0.0,
-                                                (1.0, 0.0, 0.0, 1.0), [params.period],
+                                                (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
                                                 dynamics._RTOL, dynamics._ATOL)
+        a, b, c, d = a * d + b * c, 2.0 * b * d, 2.0 * a * c, a * d + b * c
         m11, m12, m21, m22 = a, b, c, d
         for _ in range(n - 1):
             m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
                                   c * m11 + d * m21, c * m12 + d * m22)
         m = monodromy(params, eps, n=n)
         assert _bits((m.m11, m.m12, m.m21, m.m22)) == _bits((m11, m12, m21, m22))
+
+    # omega >= 2 keeps omega1 T / 2 pi <= 3/2 oscillations per period: the det
+    # error of the 1e-12 solve grows with their number, for the full-period
+    # solve as much as for the half-period one
+    @settings(max_examples=40, deadline=None)
+    @given(omega=st.fractions(min_value=2, max_value=4, max_denominator=20),
+           omega1=st.fractions(min_value=F(1, 20), max_value=3, max_denominator=20),
+           eps=st.floats(min_value=-1.5, max_value=1.5))
+    def test_half_period_monodromy_matches_full_period_solve(self, omega, omega1, eps):
+        params = SystemParams(omega, omega1, eps)
+        m = monodromy(params, eps)
+        full, = _hill_points(params, eps, [params.period])
+        scale = max(1.0, *map(abs, full))
+        assert all(abs(u - v) <= 1e-11 * scale
+                   for u, v in zip((m.m11, m.m12, m.m21, m.m22), full))
+        assert m.m11 == m.m22 and abs(m.det - 1.0) <= 1e-11
 
     @pytest.mark.parametrize("omega1, eps, spp", [("9/10", 0.1, 1), ("9/10", -0.185, 64),
                                                   ("1/10", 0.9, 4), ("301/100", 0.1, 3)])
