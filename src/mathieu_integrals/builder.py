@@ -40,9 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInput, MalformedSpectrum, ResonanceDetected, SecularTerm
-from .trigseries import COS, SIN, FrequencyBase, TrigSeries, _common_numerators, as_rational
+from .trigseries import (COS, SIN, FrequencyBase, TrigSeries, _common_numerators,
+                         _evaluate_table, _float_table, as_rational)
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,16 @@ class QuadFormSeries:
     def max_harmonic(self) -> int:
         return max(self.cxx.max_harmonic(), self.cyy.max_harmonic(), self.cxy.max_harmonic())
 
+    @cached_property
+    def _tables(self) -> tuple[list, list, list]:
+        """Float tables of (cxx, cyy, cxy), converted on first numeric use."""
+        return _float_table(self.cxx), _float_table(self.cyy), _float_table(self.cxy)
+
     def evaluate(self, x: float, y: float, t: float, c0: float = 1.0, s0: float = 0.0) -> float:
-        return (self.cxx.evaluate(t, c0, s0) * x * x
-                + self.cyy.evaluate(t, c0, s0) * y * y
-                + self.cxy.evaluate(t, c0, s0) * x * y)
+        xx, yy, xy = self._tables
+        return (_evaluate_table(xx, t, c0, s0) * x * x
+                + _evaluate_table(yy, t, c0, s0) * y * y
+                + _evaluate_table(xy, t, c0, s0) * x * y)
 
     def value_at_zero(self) -> tuple[Fraction, Fraction, Fraction]:
         """Exact (cxx, cyy, cxy) at t = 0 for generator-free coefficients."""
@@ -539,10 +547,21 @@ def conic_at_section(phi: FormalIntegral, epsilon: float | None = None,
     eps = phi.params.epsilon if epsilon is None else epsilon
     a = b = d = 0.0
     for q in reversed(phi.orders):
-        a = a * eps + q.cxx.evaluate(0.0, c0, s0)
-        b = b * eps + q.cyy.evaluate(0.0, c0, s0)
-        d = d * eps + 0.5 * q.cxy.evaluate(0.0, c0, s0)
+        xx, yy, xy = q._tables
+        a = a * eps + _at_zero(xx, c0, s0)
+        b = b * eps + _at_zero(yy, c0, s0)
+        d = d * eps + 0.5 * _at_zero(xy, c0, s0)
     return a, b, d
+
+
+def _at_zero(table: list[tuple], c0: float, s0: float) -> float:
+    """_evaluate_table(table, 0.0, c0, s0) for finite c0, s0: sine and secular
+    terms add +-0.0 to a sum that starts at +0.0, and cos(0.0) is 1.0."""
+    total = 0.0
+    for _, phase, p, a, b, coeff in table:
+        if phase == COS and not p:
+            total += coeff * c0 ** a * s0 ** b
+    return total
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON emission.
 
-Data files carry no timestamps and use fixed formatting (17 significant
-digits for floats), so identical runs produce byte-identical output.
-Files are written atomically (temp file + rename).
+Data files carry no timestamps and use fixed formatting, so identical
+runs produce byte-identical output.  Each CSV row and each JSON container
+is one ``%`` with a template built once per shape.  Files are written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .builder import SystemParams
@@ -34,8 +37,71 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def _float_text(value: float) -> str:
+    """A float as json spells it: repr, or NaN, Infinity, -Infinity."""
+    if value - value == 0.0:
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+#: JSON text per exact scalar type (a template takes an int as %d)
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for byte.
+
+    A dict with str keys, list or tuple is one ``%`` with a template per
+    (level, keys, value types): ints fill %d slots, other values their
+    JSON text.  Anything else goes to json.dumps, indented to its depth.
+    """
+    templates: dict[tuple, tuple] = {}
+
+    def encode(obj, level: int) -> str:
+        kind = type(obj)
+        if kind in _SCALARS:
+            return _SCALARS[kind](obj)
+        entry = ()
+        if kind is dict or kind is list or kind is tuple:
+            if not obj:
+                return "{}" if kind is dict else "[]"
+            keys = tuple(obj) if kind is dict else None
+            shape = (level, keys, tuple(map(type, obj if keys is None else obj.values())))
+            entry = templates.get(shape)
+            if entry is None:
+                entry = templates[shape] = template(obj, level, keys)
+        if not entry:  # not a container, or a dict with a key that is not a str
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+        text, getter, conversions = entry
+        args = list(getter(obj))
+        for i, convert in conversions:
+            args[i] = convert(args[i])
+        return text % tuple(args)
+
+    def template(obj, level: int, keys: tuple | None) -> tuple:
+        """(text, getter of the slot values, (slot, converter) pairs), or ()."""
+        if keys is None:
+            values, getter, heads, ends = obj, tuple, [""] * len(obj), "[]"
+        elif all(type(key) is str for key in keys):
+            keys = sorted(keys)
+            values = [obj[key] for key in keys]
+            getter = itemgetter(*keys) if len(keys) > 1 else lambda d, key=keys[0]: (d[key],)
+            heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+            ends = "{}"
+        else:
+            return ()
+        types = list(map(type, values))
+        inner = "\n" + "  " * (level + 1)
+        slots = ("," + inner).join(head + ("%d" if t is int else "%s")
+                                   for head, t in zip(heads, types))
+        nested = lambda value: encode(value, level + 1)
+        return (ends[0] + inner + slots + "\n" + "  " * level + ends[1], getter,
+                tuple((i, _SCALARS.get(t, nested)) for i, t in enumerate(types) if t is not int))
+
+    text = encode(obj, 0) + "\n"
+    templates.clear()  # its converters refer back to encode, which refers to it
+    return text
 
 
 ORBIT_COLUMNS = ("k", "t", "x", "y", "E", "d", "r")
@@ -76,7 +142,7 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
 
 def columns_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The same tabular payload as columns_csv, as a JSON document."""
-    return json_text({"columns": list(header), "rows": [list(row) for row in rows]})
+    return json_text({"columns": list(header), "rows": list(rows)})
 
 
 def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:

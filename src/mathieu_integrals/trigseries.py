@@ -14,7 +14,8 @@ Design rules:
 
 * Coefficients are exact rationals and ``omega``, ``omega1`` must be
   rational, so zero-frequency tests are equality tests, never
-  tolerance tests.  Floats enter only through :meth:`TrigSeries.evaluate`.
+  tolerance tests.  Floats enter only through the float table that
+  :meth:`TrigSeries.evaluate` sums (``QuadFormSeries`` caches its own).
 * Frequencies are stored as ``(k, m)`` integer pairs and never collapsed
   to a single numeric value: distinct lattice points with coincidentally
   equal frequency are kept apart.  The single exception is the exact
@@ -338,21 +339,7 @@ class TrigSeries:
 
     def evaluate(self, t: float, c0: float = 1.0, s0: float = 0.0) -> float:
         """Floating evaluation; rationals are converted only here."""
-        om = float(self.base.omega)
-        om1 = float(self.base.omega1)
-        total = 0.0
-        for (p, k, m, phase, a, b), coeff in self._terms.items():
-            arg = (k * om + m * om1) * t
-            trig = math.cos(arg) if phase == COS else math.sin(arg)
-            val = float(coeff) * trig
-            if p:
-                val *= t ** p
-            if a:
-                val *= c0 ** a
-            if b:
-                val *= s0 ** b
-            total += val
-        return total
+        return _evaluate_table(_float_table(self), t, c0, s0)
 
     # -- presentation --------------------------------------------------------
 
@@ -403,6 +390,22 @@ class TrigSeries:
 
     def __repr__(self):
         return f"TrigSeries({self.pretty()})"
+
+
+def _float_table(series: TrigSeries) -> list[tuple]:
+    """The terms as (k*omega + m*omega1, phase, p, a, b, coefficient) floats, in storage order."""
+    om, om1 = float(series.base.omega), float(series.base.omega1)
+    return [(k * om + m * om1, phase, p, a, b, float(coeff))
+            for (p, k, m, phase, a, b), coeff in series._terms.items()]
+
+
+def _evaluate_table(table: list[tuple], t: float, c0: float, s0: float) -> float:
+    """The value at t; a zero power is a factor 1.0, which changes no bit."""
+    total = 0.0
+    for nu, phase, p, a, b, coeff in table:
+        trig = math.cos(nu * t) if phase == COS else math.sin(nu * t)
+        total += coeff * trig * t ** p * c0 ** a * s0 ** b
+    return total
 
 
 _ZERO = Fraction(0)

@@ -13,13 +13,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import series_reference as ref
 from mathieu_integrals import (QuadFormSeries, ResonanceDetected,
                                SecularTerm, SystemParams, build_integral,
                                conic_at_section, h0_form, h1_form, integrate_orbit,
                                poisson_bracket_with_h1, psi_series,
                                stroboscopic_section, substitute_zero_order)
+from mathieu_integrals import output, resonant
 from mathieu_integrals.builder import MAX_ORDER, back_substitute
+from mathieu_integrals.cli import DEFAULT_EPS_GRID, main
 from mathieu_integrals.errors import MalformedSpectrum
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries
 
@@ -273,6 +279,61 @@ class TestConic:
         om1 = 0.9
         estimate = (1 / om1) * (1 - 4 * eps / (4 - 4 * om1 ** 2))
         assert abs(semiaxis - estimate) < 30 * eps ** 2
+
+
+#: the epsilon grid of ``build-integral --conics-out`` at the default --epsilon 0.1
+CLI_GRID = sorted(set(DEFAULT_EPS_GRID + [0.1]))
+
+
+@pytest.fixture(scope="module")
+def combined():
+    """The order-10 resonant combined integral at omega = 2, omega1 = 1."""
+    params = SystemParams(F(2), F(1), 0.05)
+    c = resonant.build_resonant_c(params, 0)
+    phi = resonant.build_resonant_phi(params, 1)
+    return resonant.eliminate_secular(c, phi, 10)
+
+
+class TestFloatTables:
+    """The float tables reproduce the per-call Fraction conversion bit for bit."""
+
+    @pytest.mark.parametrize("omega1", ["9/10", "1/10", "11/10"])
+    def test_conic_grid(self, omega1):
+        phi = build_integral(SystemParams(F(2), F(omega1), 0.1), 28)
+        for eps in CLI_GRID:
+            assert conic_at_section(phi, eps) == ref.conic_at_section(phi, eps)
+
+    @pytest.mark.parametrize("x0, y0", [(0.3, 0.8), (-1.1, 0.45)])
+    def test_resonant_conic_grid(self, combined, x0, y0):
+        pc = resonant.PhaseConstants.from_initial_conditions(combined.combined.params, x0, y0)
+        for eps in CLI_GRID:
+            want = ref.conic_at_section(combined.combined, eps, c0=pc.c0, s0=pc.s0)
+            assert resonant.resonant_section_form(combined, eps, pc) == want
+
+    def test_conics_csv_bytes(self, tmp_path):
+        out = tmp_path / "conics28.csv"
+        res = CliRunner().invoke(main, ["build-integral", "--order", "28", "--out",
+                                        str(tmp_path / "phi28.json"), "--conics-out", str(out)],
+                                 catch_exceptions=False)
+        assert res.exit_code == 0
+        phi = build_integral(P, 28)
+        rows = [(eps, *ref.conic_at_section(phi, eps)) for eps in CLI_GRID]
+        assert out.read_text() == output.columns_csv(("epsilon", "A", "B", "D"), rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.floats(-3.0, 3.0)] * 4), st.floats(-200.0, 200.0),
+           st.floats(-0.2, 0.2), st.floats(-math.pi, math.pi))
+    def test_evaluate(self, phi28, combined, xyc0s0, t, eps, phase):
+        x, y, c0, s0 = xyc0s0
+        for phi in (phi28, combined.combined):
+            assert phi.evaluate(x, y, t, eps, c0, s0) == ref.formal_evaluate(phi, x, y, t, eps,
+                                                                             c0, s0)
+        pc = resonant.PhaseConstants(math.cos(phase), math.sin(phase))
+        assert combined.evaluate(x, y, t, eps, pc) == ref.formal_evaluate(
+            combined.combined, x, y, t, eps, pc.c0, pc.s0)
+        for q in phi28.orders[:4] + combined.combined.orders[:4]:
+            for series in (q.cxx, q.cyy, q.cxy):
+                assert series.evaluate(t, c0, s0) == ref.trig_evaluate(series, t, c0, s0)
 
 
 class TestEvaluation:

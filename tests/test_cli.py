@@ -181,6 +181,25 @@ class TestAnalysisCommands:
         assert "primary resonance" in res.output
 
 
+class TestJsonDocuments:
+    """Every JSON document the CLI writes is json.dumps(indent=2, sort_keys=True) of itself."""
+
+    @pytest.mark.parametrize("args", [
+        ["build-integral", "--order", "6"],
+        ["resonant", "--omega1", "1", "--epsilon", "0.05", "--order", "4", "--dump-symbolic"],
+        ["critical-eps"],
+        ["monodromy", "--epsilon", "0.15", "--n", "3"],
+        ["orbit", "--periods", "2", "--samples", "8", "--format", "json"],
+        ["section", "--periods", "20", "--format", "json"],
+    ], ids=lambda args: args[0])
+    def test_reencodes_to_itself(self, runner, tmp_path, args):
+        out = tmp_path / "doc.json"
+        res = invoke(runner, *args, "--out", str(out))
+        assert res.exit_code == 0
+        text = out.read_text()
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
 class TestResonantCommand:
     @pytest.mark.parametrize("order, depth", [(0, 0), (1, 1), (2, 1), (10, 1)])
     def test_phi_only_as_deep_as_the_elimination_reads(self, runner, monkeypatch, tmp_path,

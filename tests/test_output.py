@@ -1,10 +1,14 @@
-"""CSV formatting and file writing in ``output``.
+"""CSV and JSON formatting and file writing in ``output``.
 
 ``columns_csv`` formats each row with one ``%`` template; the reference
 below is the per-cell formatter it replaced, kept verbatim, and every
-table must come out byte for byte the same.
+table must come out byte for byte the same.  ``json_text`` formats each
+container with one ``%`` template; its reference is
+``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
+import collections
+import json
 import math
 import os
 import stat
@@ -136,6 +140,78 @@ def test_conic_rows():
     phi = build_integral(P, 6)
     rows = [(eps, *conic_at_section(phi, eps)) for eps in [j / 100 for j in range(-18, 19, 2)]]
     _both(("epsilon", "A", "B", "D"), rows)
+
+
+# -- JSON: json.dumps is the reference -----------------------------------------
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+json_keys = st.text(st.characters(), max_size=6) | st.sampled_from(
+    ["%", "%d", "%(k)s", "%%s", ")(", "\\", '"', "\n\t\x00\x7f", "\u00e9\u2028\ud800", "\U0001f600"])
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2 ** 4000), max_value=2 ** 4000),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.text(st.characters(), max_size=6),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=5).map(tuple),
+                               st.dictionaries(json_keys, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_json_matches_json_dumps(obj):
+    assert output.json_text(obj) == dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from("abc"), json_scalars, min_size=3, max_size=3),
+                max_size=8))
+def test_json_same_keys_other_types(rows):
+    # one template per (level, keys, value types): a slot's type may change between dicts
+    assert output.json_text(rows) == dumps(rows)
+
+
+def test_json_bool_is_not_an_int():
+    obj = [{"a": 1, "b": True}, {"a": True, "b": 1}, {"a": 1.0, "b": False}, {"a": 0, "b": None},
+           [1, True], [True, 1], [0, False, 0.0, -0.0, None]]
+    text = output.json_text(obj)
+    assert text == dumps(obj)
+    assert '"b": true' in text and '"a": true' in text
+
+
+def test_json_left_to_json_dumps():
+    # non-str keys and subclasses of the container and scalar types
+    Point = collections.namedtuple("Point", "x y")
+    obj = {"ints": {1: "a", 2: [True, {3: 4}]}, "one": {True: 1}, "floats": {2.5: None},
+           "point": Point(1, 2.5), "ordered": collections.OrderedDict(b=1, a=[]),
+           "empty": [{}, [], ()]}
+    assert output.json_text(obj) == dumps(obj)
+    # equal keys of other types share no template: 1 == True, but "1" != "true"
+    assert output.json_text([{1: "a"}, {True: "a"}]) == dumps([{1: "a"}, {True: "a"}])
+    for bad in ({"a": [F(1, 3)]}, {1: "a", "b": 2}):
+        with pytest.raises(TypeError):
+            output.json_text(bad)
+
+
+def test_json_documents_the_cli_writes():
+    phi = build_integral(P, 8)
+    doc = phi.to_json_obj()
+    doc["epsilon"] = 0.1
+    assert output.json_text(doc) == dumps(doc)
+    rows = output.section_rows(dynamics._section(P, 0.03, 0.97, 20), P)
+    assert output.columns_json(output.ORBIT_COLUMNS, rows) == dumps(
+        {"columns": list(output.ORBIT_COLUMNS), "rows": [list(row) for row in rows]})
 
 
 # -- atomic writes -------------------------------------------------------------
