@@ -548,20 +548,10 @@ def conic_at_section(phi: FormalIntegral, epsilon: float | None = None,
     a = b = d = 0.0
     for q in reversed(phi.orders):
         xx, yy, xy = q._tables
-        a = a * eps + _at_zero(xx, c0, s0)
-        b = b * eps + _at_zero(yy, c0, s0)
-        d = d * eps + 0.5 * _at_zero(xy, c0, s0)
+        a = a * eps + _evaluate_table(xx, 0.0, c0, s0)
+        b = b * eps + _evaluate_table(yy, 0.0, c0, s0)
+        d = d * eps + 0.5 * _evaluate_table(xy, 0.0, c0, s0)
     return a, b, d
-
-
-def _at_zero(table: list[tuple], c0: float, s0: float) -> float:
-    """_evaluate_table(table, 0.0, c0, s0) for finite c0, s0: sine and secular
-    terms add +-0.0 to a sum that starts at +0.0, and cos(0.0) is 1.0."""
-    total = 0.0
-    for _, phase, p, a, b, coeff in table:
-        if phase == COS and not p:
-            total += coeff * c0 ** a * s0 ** b
-    return total
 
 
 @dataclass(frozen=True)

@@ -56,52 +56,52 @@ def json_text(obj) -> str:
     (level, keys, value types): ints fill %d slots, other values their
     JSON text.  Anything else goes to json.dumps, indented to its depth.
     """
-    templates: dict[tuple, tuple] = {}
+    try:
+        return _encode(obj, 0, {}) + "\n"
+    except RecursionError:  # a circular reference, or nesting too deep: json's error
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-    def encode(obj, level: int) -> str:
-        kind = type(obj)
-        if kind in _SCALARS:
-            return _SCALARS[kind](obj)
-        entry = ()
-        if kind is dict or kind is list or kind is tuple:
-            if not obj:
-                return "{}" if kind is dict else "[]"
-            keys = tuple(obj) if kind is dict else None
-            shape = (level, keys, tuple(map(type, obj if keys is None else obj.values())))
-            entry = templates.get(shape)
-            if entry is None:
-                entry = templates[shape] = template(obj, level, keys)
-        if not entry:  # not a container, or a dict with a key that is not a str
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
-        text, getter, conversions = entry
-        args = list(getter(obj))
-        for i, convert in conversions:
-            args[i] = convert(args[i])
-        return text % tuple(args)
 
-    def template(obj, level: int, keys: tuple | None) -> tuple:
-        """(text, getter of the slot values, (slot, converter) pairs), or ()."""
-        if keys is None:
-            values, getter, heads, ends = obj, tuple, [""] * len(obj), "[]"
-        elif all(type(key) is str for key in keys):
-            keys = sorted(keys)
-            values = [obj[key] for key in keys]
-            getter = itemgetter(*keys) if len(keys) > 1 else lambda d, key=keys[0]: (d[key],)
-            heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
-            ends = "{}"
-        else:
-            return ()
-        types = list(map(type, values))
-        inner = "\n" + "  " * (level + 1)
-        slots = ("," + inner).join(head + ("%d" if t is int else "%s")
-                                   for head, t in zip(heads, types))
-        nested = lambda value: encode(value, level + 1)
-        return (ends[0] + inner + slots + "\n" + "  " * level + ends[1], getter,
-                tuple((i, _SCALARS.get(t, nested)) for i, t in enumerate(types) if t is not int))
+def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
+    kind = type(obj)
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    entry = ()
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        keys = tuple(obj) if kind is dict else None
+        shape = (level, keys, tuple(map(type, obj if keys is None else obj.values())))
+        entry = templates.get(shape)
+        if entry is None:
+            entry = templates[shape] = _template(obj, level, keys)
+    if not entry:  # not a container, or a dict with a key that is not a str
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    text, getter, conversions = entry
+    args = list(getter(obj))
+    for i, convert in conversions:
+        args[i] = _encode(args[i], level + 1, templates) if convert is None else convert(args[i])
+    return text % tuple(args)
 
-    text = encode(obj, 0) + "\n"
-    templates.clear()  # its converters refer back to encode, which refers to it
-    return text
+
+def _template(obj, level: int, keys: tuple | None) -> tuple:
+    """(text, getter of the slot values, (slot, converter or None to nest) pairs), or ()."""
+    if keys is None:
+        values, getter, heads, ends = obj, tuple, [""] * len(obj), "[]"
+    elif all(type(key) is str for key in keys):
+        keys = sorted(keys)
+        values = [obj[key] for key in keys]
+        getter = itemgetter(*keys) if len(keys) > 1 else lambda d, key=keys[0]: (d[key],)
+        heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+        ends = "{}"
+    else:
+        return ()
+    types = list(map(type, values))
+    inner = "\n" + "  " * (level + 1)
+    slots = ("," + inner).join(head + ("%d" if t is int else "%s")
+                               for head, t in zip(heads, types))
+    return (ends[0] + inner + slots + "\n" + "  " * level + ends[1], getter,
+            tuple((i, _SCALARS.get(t)) for i, t in enumerate(types) if t is not int))
 
 
 ORBIT_COLUMNS = ("k", "t", "x", "y", "E", "d", "r")

@@ -8,6 +8,7 @@ container with one ``%`` template; its reference is
 """
 
 import collections
+import gc
 import json
 import math
 import os
@@ -202,6 +203,46 @@ def test_json_left_to_json_dumps():
     for bad in ({"a": [F(1, 3)]}, {1: "a", "b": 2}):
         with pytest.raises(TypeError):
             output.json_text(bad)
+
+
+def test_json_errors_are_json_dumps_errors():
+    loop = {"a": [1]}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        json.dumps(loop, indent=2, sort_keys=True)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        output.json_text(loop)
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(RecursionError):
+        json.dumps(deep, indent=2, sort_keys=True)
+    with pytest.raises(RecursionError):
+        output.json_text(deep)
+
+
+def test_json_leaves_no_reference_cycle():
+    # the templates of one call are freed when it returns or raises, without the cyclic GC;
+    # json.dumps with indent leaves cycles of its own, so a failing call is compared with it
+    doc = [{"a": [1, 2.5], "b": {"c": "d"}}, {"a": [3, -0.0], "b": {"c": "e"}}]
+    bad = {"a": F(1, 3)}
+    want = dumps(doc)
+
+    def garbage(call) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                call()
+            except TypeError:
+                pass
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert garbage(lambda: output.json_text(doc) == want or pytest.fail("text differs")) == 0
+    assert (garbage(lambda: output.json_text([doc, bad]))
+            == garbage(lambda: json.dumps(bad, indent=2, sort_keys=True)) > 0)
 
 
 def test_json_documents_the_cli_writes():
