@@ -3,10 +3,11 @@
 * critical_epsilon: locate the escape boundary.  The system is linear,
   so boundedness is governed by the Floquet multipliers of the
   one-period monodromy matrix M: orbits stay bounded iff |tr M| <= 2.
-  The primary oracle therefore solves |tr M(eps)| = 2 by ITP, bisection's
-  worst case but superlinear on the smooth trace, far cheaper than escape
-  simulation; symplectic escape runs just above and below the boundary
-  cross-check the verdict.
+  Both oracles solve |tr M(eps)| = 2 by ITP, bisection's worst case but
+  superlinear on the smooth trace: the primary one on ``monodromy``'s
+  DP5 solve, the independent one on the one-period map of a symplectic
+  leapfrog composition, whose trace also cross-checks the verdict just
+  above and below the boundary.
 * convergence_study: conservation quality of the truncated integral as
   a function of truncation order, measured on section points.
 * cover_count: how many section points outline the invariant curve once.
@@ -32,17 +33,6 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA = ((_W1 / 2, _W1 / 2, _W1), (0.5 - _W1 / 2, 0.5, 1.0 - 2.0 * _W1),
             (0.5 - _W1 / 2, 1.0 - _W1 / 2, _W1))
 
-#: escape-oracle settings.  Bounded orbits just below the boundary can
-#: themselves stretch to large radii (the section ellipses blow up along
-#: x for omega1 > 1), so the threshold radius must sit well above that
-#: envelope and the horizon must leave slowly growing orbits time to
-#: cross it; these values keep the oracle's resolution near 3e-5.
-_ORACLE_PERIODS = 2000
-_ORACLE_R = 150.0
-#: horizon and radius of the cross-check runs at eps_crit -+ 1e-3
-_CHECK_PERIODS = 700
-_CHECK_R = 1e3
-
 
 @dataclass(frozen=True)
 class CriticalEpsResult:
@@ -52,11 +42,11 @@ class CriticalEpsResult:
     bracket: tuple[float, float]
     oracle: str  # "trace" or "escape"
     iterations: int
-    escape_check: bool | None = None  # cross-check verdict, None if skipped
+    escape_check: bool | None = None  # cross-check verdict, None if |eps_crit| <= 2e-3
 
 
 def _symplectic_period(params: SystemParams, eps: float) -> tuple[float, float, float, float]:
-    """One-period map ((a, b), (c, d)) of the escape stream; see ``_escapes``."""
+    """One-period map ((a, b), (c, d)) of the escape oracle; see ``_symplectic_trace``."""
     if not math.isfinite(eps):
         raise InvalidInput(f"epsilon must be finite, got {eps}")
     omega, omega1_sq, T = float(params.omega), float(params.omega1) ** 2, params.period
@@ -74,25 +64,19 @@ def _symplectic_period(params: SystemParams, eps: float) -> tuple[float, float, 
     return a, b, c, d
 
 
-def _escapes(params: SystemParams, eps: float, n_periods: int, r_escape: float) -> bool:
-    """Does the orbit from (0, 1) leave the radius within the horizon?
+def _symplectic_trace(params: SystemParams, eps: float) -> float:
+    """tr M_h, which exceeds 2 in magnitude exactly when the orbits escape.
 
-    It is M_h^k (0, 1) at kT (the system is linear), M_h the one-period
-    map of Yoshida's 4th-order leapfrog composition at h = T/N, N =
-    max(256, ceil(T Omega / 0.03)), Omega = max(omega, sqrt(omega1^2 +
-    2 |eps|)), each kick at (j + f) h from its step index j.  Drifts and
-    kicks have det 1: nothing damps or grows the orbit artificially.  For
-    |eps| <= 1, |tr M_h - tr M| <= 2 (h Omega)^4 Omega T max(1, |tr M|),
-    9e-6 near the boundary at omega = 2, under the oracle's 3e-5
-    resolution.  It shares no code with ``monodromy``'s DP5 solve.
+    M_h is the one-period map of Yoshida's 4th-order leapfrog composition
+    at h = T/N, N = max(256, ceil(T Omega / 0.03)), Omega = max(omega,
+    sqrt(omega1^2 + 2 |eps|)), each kick at (j + f) h from its step index
+    j.  Drifts and kicks have det 1: nothing damps or grows the orbit
+    artificially.  For |eps| <= 1, |tr M_h - tr M| <= 2 (h Omega)^4 Omega
+    T max(1, |tr M|), 9e-6 near the boundary at omega = 2.  It shares no
+    code with ``monodromy``'s DP5 solve.
     """
-    a, b, c, d = _symplectic_period(params, eps)
-    x, y = 0.0, 1.0
-    for _ in range(n_periods):
-        x, y = a * x + b * y, c * x + d * y
-        if math.hypot(x, y) > r_escape:
-            return True
-    return False
+    a, _, _, d = _symplectic_period(params, eps)
+    return a + d
 
 
 def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
@@ -120,46 +104,46 @@ def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
     return lo, hi
 
 
-def critical_epsilon(params: SystemParams, sign: int = 1, oracle: str = "trace",
-                     tol: float = 1e-10, cross_check: bool = True) -> CriticalEpsResult:
-    """Locate eps_crit as the root of the chosen instability oracle.
+def critical_epsilon(params: SystemParams, sign: int = 1,
+                     oracle: str = "trace") -> CriticalEpsResult:
+    """Locate eps_crit as the root of the chosen oracle's trace.
 
     hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
     ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
-    from the expansion's values and tr M(0) = 2 cos(omega1 T) (``oracle=
-    "trace"``), or bisects the escape verdict of the orbit from (0, 1)
-    (``"escape"``: slower, the independent cross-oracle in tests).  The
-    bracket has width <= tol; ``iterations`` counts oracle evaluations.
+    from the expansion's values and tr M(0) = 2 cos(omega1 T).  The trace
+    is ``monodromy``'s (``oracle="trace"``) or the symplectic map's
+    (``"escape"``: the independent cross-oracle in tests).  The bracket
+    has width <= 1e-10; ``iterations`` counts oracle evaluations.
     Raises BracketFailure if no instability is found up to |eps| = 10.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
+    traces = {"trace": lambda e: monodromy(params, e).trace,
+              "escape": lambda e: _symplectic_trace(params, e)}
+    if oracle not in traces:
+        raise ValueError(f"unknown oracle {oracle!r}")
     evals = []
 
     def trace(e: float) -> float:
         evals.append(e)
-        if oracle == "trace":
-            return monodromy(params, sign * e).trace
-        if oracle == "escape":  # a stand-in trace: 3 if the orbit escapes, else 1
-            return 3.0 if _escapes(params, sign * e, _ORACLE_PERIODS, _ORACLE_R) else 1.0
-        raise ValueError(f"unknown oracle {oracle!r}")
+        return traces[oracle](sign * e)
 
     lo, hi = 0.0, 0.05
-    t_lo = 2.0 * math.cos(float(params.omega1) * params.period) if oracle == "trace" else 1.0
+    t_lo = 2.0 * math.cos(float(params.omega1) * params.period)
     while not abs(t_hi := trace(hi)) > 2.0:
         lo, t_lo, hi = hi, t_hi, hi * 1.6
         if hi > 10.0:
             raise BracketFailure(f"no instability found up to |eps| = {hi:.3g}")
     s = math.copysign(1.0, t_hi)
     lo, hi = _bracketed_root(lambda e: s * trace(e) - 2.0, lo, hi,
-                             s * t_lo - 2.0, s * t_hi - 2.0, tol)
+                             s * t_lo - 2.0, s * t_hi - 2.0, 1e-10)
     eps_crit = sign * 0.5 * (lo + hi)
 
-    check: bool | None = None
-    if cross_check and 0.5 * (lo + hi) > 2e-3:
-        above = _escapes(params, eps_crit + sign * 1e-3, _CHECK_PERIODS, _CHECK_R)
-        below = _escapes(params, eps_crit - sign * 1e-3, _CHECK_PERIODS, _CHECK_R)
-        check = above and not below
+    check: bool | None = None  # unstable just beyond eps_crit, stable just inside it
+    if 0.5 * (lo + hi) > 2e-3:
+        above = _symplectic_trace(params, eps_crit + sign * 1e-3)
+        below = _symplectic_trace(params, eps_crit - sign * 1e-3)
+        check = abs(above) > 2.0 >= abs(below)
     return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
                              oracle=oracle, iterations=len(evals), escape_check=check)
 

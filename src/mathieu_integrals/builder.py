@@ -154,6 +154,11 @@ class QuadFormSeries:
         """Float tables of (cxx, cyy, cxy), converted on first numeric use."""
         return _float_table(self.cxx), _float_table(self.cyy), _float_table(self.cxy)
 
+    @cached_property
+    def _sums_at_zero(self) -> dict:
+        """The three tables summed at t = 0, per (c0, s0); see ``conic_at_section``."""
+        return {}
+
     def evaluate(self, x: float, y: float, t: float, c0: float = 1.0, s0: float = 0.0) -> float:
         xx, yy, xy = self._tables
         return (_evaluate_table(xx, t, c0, s0) * x * x
@@ -547,10 +552,11 @@ def conic_at_section(phi: FormalIntegral, epsilon: float | None = None,
     eps = phi.params.epsilon if epsilon is None else epsilon
     a = b = d = 0.0
     for q in reversed(phi.orders):
-        xx, yy, xy = q._tables
-        a = a * eps + _evaluate_table(xx, 0.0, c0, s0)
-        b = b * eps + _evaluate_table(yy, 0.0, c0, s0)
-        d = d * eps + 0.5 * _evaluate_table(xy, 0.0, c0, s0)
+        sums = q._sums_at_zero
+        if (c0, s0) not in sums:  # they depend on the phase pair alone, not on eps
+            sums[c0, s0] = tuple(_evaluate_table(tab, 0.0, c0, s0) for tab in q._tables)
+        xx, yy, xy = sums[c0, s0]
+        a, b, d = a * eps + xx, b * eps + yy, d * eps + 0.5 * xy
     return a, b, d
 
 

@@ -194,13 +194,11 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
               help="+1 for the positive boundary, -1 for the negative one.")
 @click.option("--oracle", default="trace", show_default=True,
               type=click.Choice(["trace", "escape"]))
-@click.option("--no-cross-check", is_flag=True, help="Skip the escape cross-check runs.")
 @click.option("--out", default=None, type=click.Path(), help="JSON report path.")
-def cmd_critical_eps(omega, omega1, epsilon, sign, oracle, no_cross_check, out):
+def cmd_critical_eps(omega, omega1, epsilon, sign, oracle, out):
     """Locate the escape boundary eps_crit."""
     params = _params(omega, omega1, epsilon)
-    result = analysis.critical_epsilon(params, sign=sign, oracle=oracle,
-                                       cross_check=not no_cross_check)
+    result = analysis.critical_epsilon(params, sign=sign, oracle=oracle)
     click.echo(f"{result.eps_crit:.10g}")
     if out:
         doc = {

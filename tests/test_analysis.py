@@ -12,7 +12,7 @@ from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                cover_count, critical_epsilon, dynamics, find_periodic_orbit,
                                integrate_orbit, invariant_curve_points, monodromy,
                                stroboscopic_section)
-from mathieu_integrals.analysis import (_bracketed_root, _escapes, _symplectic_period,
+from mathieu_integrals.analysis import (_bracketed_root, _symplectic_period, _symplectic_trace,
                                         section_residual, section_semiaxis_x)
 from mathieu_integrals.errors import BracketFailure, InvalidInput
 
@@ -50,15 +50,16 @@ class TestCriticalEpsilon:
         # boundary collapses to zero.  |tr| - 2 grows only quadratically
         # at the tongue tip, so the locator resolves it to about the
         # square root of the integrator tolerance.
-        res = critical_epsilon(SystemParams(F(2), F(1), 0.0), cross_check=False)
+        res = critical_epsilon(SystemParams(F(2), F(1), 0.0))
         assert abs(res.eps_crit) < 5e-6
+        assert res.escape_check is None  # |eps_crit| <= 2e-3 skips the cross-check
 
     def test_bracket_failure(self):
         # omega1 = 1/2: a = 1/4 sits at maximal distance from the Mathieu
         # tongues, but every a eventually destabilizes, so force failure
         # with an artificially tiny expansion cap via a huge stable system:
         # instead, check the error path by requesting an absurd oracle
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown oracle 'nonsense'"):
             critical_epsilon(P01, oracle="nonsense")
         with pytest.raises(ValueError):
             critical_epsilon(P01, sign=0)
@@ -67,20 +68,22 @@ class TestCriticalEpsilon:
         with pytest.raises(InvalidInput, match="sign"):
             critical_epsilon(P01, sign=0)
 
-    def test_escape_oracle_agrees_with_trace(self, crit_cache):
-        # independent oracle cross-agreement on the canonical parameters
-        res_escape = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0),
-                                      oracle="escape", tol=2e-5, cross_check=False)
-        assert abs(res_escape.eps_crit - crit_cache("9/10").eps_crit) < 1e-4
+    @staticmethod
+    def _assert_escape_oracle_agrees(crit_cache, om1):
+        # independent oracle cross-agreement in both signs (1.2e-8 measured)
+        for sign in (1, -1):
+            res = critical_epsilon(SystemParams(F(2), F(om1), 0.0), sign=sign, oracle="escape")
+            assert res.oracle == "escape" and res.escape_check is True
+            assert abs(res.eps_crit - crit_cache(om1, sign).eps_crit) <= 1e-6
 
-    @pytest.mark.slow
+    def test_escape_oracle_agrees_with_trace(self, crit_cache):
+        self._assert_escape_oracle_agrees(crit_cache, "9/10")
+
     @pytest.mark.parametrize("om1", ["1/10", "11/10"])
     def test_escape_oracle_agrees_other_params(self, crit_cache, om1):
-        res_escape = critical_epsilon(SystemParams(F(2), F(om1), 0.0),
-                                      oracle="escape", tol=2e-5, cross_check=False)
-        assert abs(res_escape.eps_crit - crit_cache(om1).eps_crit) < 1e-4
+        self._assert_escape_oracle_agrees(crit_cache, om1)
 
-    # a 700-period run costs about a millisecond on the one-period map
+    # one symplectic one-period map costs about 0.35 ms
     @settings(max_examples=100, deadline=None)
     @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
            eps=st.floats(min_value=-1.0, max_value=1.0))
@@ -88,7 +91,7 @@ class TestCriticalEpsilon:
         params = SystemParams(F(2), omega1, eps)
         trace = monodromy(params, eps).trace
         assume(abs(abs(trace) - 2.0) >= 0.05)
-        assert _escapes(params, eps, 700, 1e3) == (abs(trace) > 2.0)
+        assert (abs(_symplectic_trace(params, eps)) > 2.0) == (abs(trace) > 2.0)
 
     @pytest.mark.parametrize("om1, sign", [("9/10", -1), ("1/10", 1), ("1/10", -1),
                                            ("11/10", 1), ("11/10", -1)])
@@ -117,11 +120,11 @@ class TestCriticalEpsilon:
             return m
 
         params = SystemParams(F(2), omega1, 0.0)
-        tol = 1e-10
+        tol = 1e-10  # the bracket width critical_epsilon resolves to
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "monodromy", recording)
             try:
-                res = critical_epsilon(params, sign=sign, tol=tol, cross_check=False)
+                res = critical_epsilon(params, sign=sign)
             except BracketFailure:
                 res = None
         # the expansion: hi = 0.05 * 1.6^k until |tr M| > 2, one call each
@@ -154,13 +157,13 @@ class TestCriticalEpsilon:
             return monodromy(params, eps, n=n)
 
         monkeypatch.setattr(analysis, "monodromy", recording)
-        res = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0), cross_check=False)
+        res = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0))
         assert len(calls) == res.iterations <= 14
 
 
 class TestBracketedRoot:
     def test_unit_values_bisect(self):
-        # on +-1 the regula falsi point is the midpoint: the escape oracle's bisection
+        # on +-1 the regula falsi point is the midpoint, so ITP bisects a two-valued f
         lo, hi, tol, root = 0.128, 0.2048, 1e-10, 0.18578
         seen = []
 
@@ -212,7 +215,7 @@ def _assert_symplectic_map_accuracy(omega, omega1, eps):
 
 
 class TestSymplecticEscapeStream:
-    """The escape oracle's one-period map and its independence from dynamics."""
+    """The escape oracle's one-period map, its trace and its independence from dynamics."""
 
     @settings(max_examples=100, deadline=None)
     @given(omega=st.sampled_from([1, 2, 3]),
@@ -233,17 +236,17 @@ class TestSymplecticEscapeStream:
         assert any(expected) and not all(expected)
 
         def boom(*args, **kwargs):
-            raise AssertionError("the escape stream reached dynamics")
+            raise AssertionError("the symplectic trace reached dynamics")
 
         for target, name in [(dynamics, "_hill_points"), (dynamics, "monodromy"),
                              (dynamics, "_one_period"), (analysis, "monodromy")]:
             monkeypatch.setattr(target, name, boom)
-        assert [_escapes(p, p.epsilon, 700, 1e3) for p in params] == expected
+        assert [abs(_symplectic_trace(p, p.epsilon)) > 2.0 for p in params] == expected
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_is_invalid_input(self, eps):
         with pytest.raises(InvalidInput, match="finite"):
-            _escapes(P01, eps, 700, 1e3)
+            _symplectic_trace(P01, eps)
 
 
 class TestConvergence:

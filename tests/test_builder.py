@@ -310,6 +310,14 @@ class TestFloatTables:
             want = ref.conic_at_section(combined.combined, eps, c0=pc.c0, s0=pc.s0)
             assert resonant.resonant_section_form(combined, eps, pc) == want
 
+    def test_phased_conic_grid_per_phase_pair(self):
+        # odd powers of s0 survive at t = 0 here: (0.6, 0.8) and (0.6, -0.8) differ in D
+        phi = resonant.build_resonant_phi(SystemParams(F(2), F(1), 0.05), 3)
+        for c0, s0 in [(0.6, 0.8), (0.6, -0.8), (1.0, 0.0)]:
+            for eps in CLI_GRID:
+                want = ref.conic_at_section(phi, eps, c0=c0, s0=s0)
+                assert conic_at_section(phi, eps, c0, s0) == want
+
     def test_conics_csv_bytes(self, tmp_path):
         out = tmp_path / "conics28.csv"
         res = CliRunner().invoke(main, ["build-integral", "--order", "28", "--out",

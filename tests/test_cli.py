@@ -134,13 +134,21 @@ class TestOrbitCommands:
 class TestAnalysisCommands:
     def test_critical_eps_stdout(self, runner, tmp_path):
         out = tmp_path / "crit.json"
-        res = invoke(runner, "critical-eps", "--no-cross-check", "--out", str(out))
+        res = invoke(runner, "critical-eps", "--out", str(out))
         assert res.exit_code == 0
         value = float(res.output.strip().splitlines()[0])
         assert abs(value - 0.1857848626) < 1e-6
         doc = json.loads(out.read_text())
         assert doc["oracle"] == "trace"
         assert doc["bracket"][1] - doc["bracket"][0] <= 1e-9
+
+    def test_critical_eps_escape_oracle(self, runner, tmp_path):
+        out = tmp_path / "crit.json"
+        res = invoke(runner, "critical-eps", "--oracle", "escape", "--out", str(out))
+        assert res.exit_code == 0
+        doc = json.loads(out.read_text())
+        assert doc["oracle"] == "escape" and doc["escape_check"] is True
+        assert abs(doc["eps_crit"] - 0.1857848626) < 1e-6
 
     def test_monodromy_json(self, runner):
         res = invoke(runner, "monodromy", "--epsilon", "0.0")

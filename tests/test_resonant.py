@@ -14,7 +14,7 @@ import pytest
 from mathieu_integrals import (NotResonant, PhaseConstants, QuadFormSeries,
                                SystemParams, UnsolvableSecular, build_resonant_c,
                                build_resonant_phi, eliminate_secular,
-                               integrate_orbit, resonant_seeds,
+                               integrate_orbit, monodromy, resonant_seeds,
                                resonant_section_form, stroboscopic_section)
 from mathieu_integrals.builder import (FormalIntegral, h0_form, recursion_step,
                                        substitute_zero_order)
@@ -296,6 +296,27 @@ class TestSectionForm:
         resid = max(abs(a * p.x ** 2 + b * p.y ** 2 + 2 * d * p.x * p.y - level)
                     / abs(level) for p in pts)
         assert resid <= 5e-2
+
+    @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("c0, s0", [(1.0, 0.0), (0.6, 0.8)])
+    def test_order10_form_is_the_monodromy_invariant_form(self, eps, c0, s0):
+        # M^T Q M = Q for (A, B, D) = (-m21, m12, (m11 - m22)/2) and det M = 1:
+        # the exact hyperbolic section invariant, from DP5 at rtol 1e-12 and
+        # sharing no code with the rationals; the bound leaves that 100x
+        params = SystemParams(F(2), F(1), 0.0)
+        m = monodromy(params, eps)
+        assert abs(m.trace) > 2.0
+        form = (-m.m21, m.m12, 0.5 * (m.m11 - m.m22))
+        c, phi = build_resonant_c(params, 0), build_resonant_phi(params, 1)
+
+        def miss(order):
+            conic = resonant_section_form(eliminate_secular(c, phi, order), eps,
+                                          PhaseConstants(c0, s0))
+            scale = sum(u * v for u, v in zip(conic, form)) / sum(v * v for v in form)
+            return max(abs(u - scale * v) for u, v in zip(conic, form)) / max(map(abs, conic))
+
+        assert miss(10) <= 1e-10  # 1.3e-12 measured
+        assert miss(2) > 1e-5  # 3.9e-5 to 1.9e-3 measured
 
 
 class TestPhaseConstants:
