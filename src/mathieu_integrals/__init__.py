@@ -27,7 +27,7 @@ from .errors import (BracketFailure, DegenerateConic, DomainError,
 from .resonant import (PhaseConstants, ResonantIntegral, build_resonant_c,
                        build_resonant_phi, eliminate_secular, resonant_seeds,
                        resonant_section_form)
-from .trigseries import COS, SIN, FrequencyBase, Rational, TrigSeries, as_rational
+from .trigseries import COS, SIN, FrequencyBase, TrigSeries, as_rational
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ __all__ = [
     "DegenerateConic", "DomainError", "EscapeReport", "FormalIntegral",
     "FrequencyBase", "MalformedSpectrum", "Monodromy", "NoRoot", "NotResonant",
     "PeriodicOrbitResult", "PhaseConstants", "PhaseState", "PsiSeries",
-    "QuadFormSeries", "Rational", "ResonanceDetected", "ResonantIntegral",
+    "QuadFormSeries", "ResonanceDetected", "ResonantIntegral",
     "SIN", "SectionPoint", "SecularTerm", "StepFailure", "SystemParams",
     "TrigSeries", "Unbounded", "UnsolvableSecular", "as_rational",
     "back_substitute", "build_integral", "build_resonant_c",

@@ -512,9 +512,29 @@ MAX_ORDER = 40
 
 def check_nonresonant(params: SystemParams, order: int):
     """Raise ResonanceDetected(j) if j*omega = 2*omega1 for some j <= order + 1."""
-    for j in range(1, order + 2):
-        if j * params.omega == 2 * params.omega1:
-            raise ResonanceDetected(j)
+    j = 2 * params.omega1 / params.omega
+    if j.denominator == 1 and j <= order + 1:
+        raise ResonanceDetected(int(j))
+
+
+def _series(params: SystemParams, seed: QuadFormSeries, name: str, order: int,
+            resonant: bool = False) -> FormalIntegral:
+    """The recursion from ``seed`` through ``order``, phased with secular terms if ``resonant``.
+
+    Each step multiplies by cos(omega t) once, so order s carries
+    harmonics up to the seed's largest plus s.
+    """
+    if order < 0:
+        raise InvalidInput("order must be >= 0")
+    bound = seed.max_harmonic()
+    orders = [seed]
+    for s in range(1, order + 1):
+        nxt = recursion_step(params, orders[-1], phased=resonant, secular_allowed=resonant)
+        if nxt.max_harmonic() > bound + s:
+            raise AssertionError(f"order {s} contains harmonics above {bound + s}*omega; "
+                                 "recursion is broken")
+        orders.append(nxt)
+    return FormalIntegral(params, tuple(orders), name, secular_allowed=resonant, phased=resonant)
 
 
 def build_integral(params: SystemParams, order: int = 10) -> FormalIntegral:
@@ -525,20 +545,10 @@ def build_integral(params: SystemParams, order: int = 10) -> FormalIntegral:
     SecularTerm if a secular term survives despite non-resonance (an
     internal-consistency failure).
     """
-    if order < 0:
-        raise InvalidInput("order must be >= 0")
     if order > MAX_ORDER:
         raise InvalidInput(f"order {order} exceeds the hard cap {MAX_ORDER}")
     check_nonresonant(params, order)
-    orders = [h0_form(params)]
-    for s in range(order):
-        nxt = recursion_step(params, orders[-1], phased=False, secular_allowed=False)
-        if nxt.max_harmonic() > s + 1:
-            raise AssertionError(
-                f"order {s + 1} contains harmonics above {s + 1}*omega; recursion is broken"
-            )
-        orders.append(nxt)
-    return FormalIntegral(params, tuple(orders), seed="H0")
+    return _series(params, h0_form(params), "H0", order)
 
 
 def conic_at_section(phi: FormalIntegral, epsilon: float | None = None,

@@ -46,14 +46,16 @@ class _OneLineErrors(click.Group):
         sys.exit(2)
 
 
-def common_options(fn):
+def frequency_options(fn):
     fn = click.option("--omega", default="2", show_default=True,
                       help="Driving frequency (exact rational, e.g. '2' or '9/10').")(fn)
-    fn = click.option("--omega1", default="9/10", show_default=True,
-                      help="Unperturbed frequency (exact rational).")(fn)
-    fn = click.option("--epsilon", default=0.1, show_default=True, type=float,
-                      help="Perturbation strength.")(fn)
-    return fn
+    return click.option("--omega1", default="9/10", show_default=True,
+                        help="Unperturbed frequency (exact rational).")(fn)
+
+
+def common_options(fn):
+    return click.option("--epsilon", default=0.1, show_default=True, type=float,
+                        help="Perturbation strength.")(frequency_options(fn))
 
 
 def orbit_options(fn):
@@ -189,15 +191,15 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 
 
 @main.command("critical-eps")
-@common_options
+@frequency_options
 @click.option("--sign", default=1, show_default=True, type=int,
               help="+1 for the positive boundary, -1 for the negative one.")
 @click.option("--oracle", default="trace", show_default=True,
               type=click.Choice(["trace", "escape"]))
 @click.option("--out", default=None, type=click.Path(), help="JSON report path.")
-def cmd_critical_eps(omega, omega1, epsilon, sign, oracle, out):
+def cmd_critical_eps(omega, omega1, sign, oracle, out):
     """Locate the escape boundary eps_crit."""
-    params = _params(omega, omega1, epsilon)
+    params = _params(omega, omega1, 0.0)
     result = analysis.critical_epsilon(params, sign=sign, oracle=oracle)
     click.echo(f"{result.eps_crit:.10g}")
     if out:
@@ -245,10 +247,7 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     """Resonant (omega = 2*omega1) integral: C-series, mixing, section form."""
     params = _params(omega, omega1, epsilon)
     constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
-    # the elimination reads C_0, Phi_0 and Phi_1 only; the full C is built to be printed
-    c_series = resonant.build_resonant_c(params, order if dump_symbolic else 0)
-    phi = resonant.build_resonant_phi(params, min(order, 1))
-    combo = resonant.eliminate_secular(c_series, phi, order)
+    combo = resonant.eliminate_secular(params, order)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
     residual = analysis._conic_residual((a, b, d), dynamics._section(params, x0, y0, periods))
 
@@ -258,7 +257,8 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
         "section_form": {"A": a, "B": b, "D": d},
         "phase_constants": {"c0": constants.c0, "s0": constants.s0},
         "max_section_residual": residual,
-        "c_series": c_series.to_json_obj() if dump_symbolic else None,
+        "c_series": (resonant.build_resonant_c(params, order).to_json_obj()
+                     if dump_symbolic else None),
         "combined": combo.combined.to_json_obj() if dump_symbolic else None,
     }
     text = output.json_text(doc)

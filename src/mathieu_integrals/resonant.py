@@ -36,12 +36,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import (FormalIntegral, QuadFormSeries, SystemParams, _add,
+from .builder import (FormalIntegral, QuadFormSeries, SystemParams, _add, _series,
                       conic_at_section, h0_form, recursion_step)
 from .errors import InvalidInput, NotResonant, UnsolvableSecular, UnsupportedResonance
 from .trigseries import COS, SIN, TrigSeries, _common_numerators
-
-_RESONANCE_SCAN = 64
 
 
 def require_primary_resonance(params: SystemParams):
@@ -51,14 +49,14 @@ def require_primary_resonance(params: SystemParams):
     their own seed invariants and are not implemented; anything else is
     simply not resonant.
     """
-    if params.omega == 2 * params.omega1:
+    j = 2 * params.omega1 / params.omega
+    if j == 1:
         return
-    for j in range(2, _RESONANCE_SCAN + 1):
-        if j * params.omega == 2 * params.omega1:
-            raise UnsupportedResonance(
-                f"resonance {j}*omega = 2*omega1 requires its own seed invariants; "
-                "only the primary resonance omega = 2*omega1 is implemented"
-            )
+    if j.denominator == 1:
+        raise UnsupportedResonance(
+            f"resonance {j}*omega = 2*omega1 requires its own seed invariants; "
+            "only the primary resonance omega = 2*omega1 is implemented"
+        )
     raise NotResonant(
         f"omega = {params.omega} and omega1 = {params.omega1} do not satisfy "
         "omega = 2*omega1"
@@ -79,14 +77,8 @@ def resonant_seeds(params: SystemParams) -> tuple[QuadFormSeries, QuadFormSeries
 
 def build_resonant_c(params: SystemParams, order: int) -> FormalIntegral:
     """C-series seeded with C0, phased, secular terms retained."""
-    require_primary_resonance(params)
-    if order < 0:
-        raise InvalidInput("order must be >= 0")
     seed, _ = resonant_seeds(params)
-    orders = [seed]
-    for _ in range(order):
-        orders.append(recursion_step(params, orders[-1], phased=True, secular_allowed=True))
-    return FormalIntegral(params, tuple(orders), seed="C0", secular_allowed=True, phased=True)
+    return _series(params, seed, "C0", order, resonant=True)
 
 
 def build_resonant_phi(params: SystemParams, order: int) -> FormalIntegral:
@@ -97,12 +89,7 @@ def build_resonant_phi(params: SystemParams, order: int) -> FormalIntegral:
     (y^2 + x^2) s0 t / 2 at omega = 2, omega1 = 1).
     """
     require_primary_resonance(params)
-    if order < 0:
-        raise InvalidInput("order must be >= 0")
-    orders = [h0_form(params)]
-    for _ in range(order):
-        orders.append(recursion_step(params, orders[-1], phased=True, secular_allowed=True))
-    return FormalIntegral(params, tuple(orders), seed="H0", secular_allowed=True, phased=True)
+    return _series(params, h0_form(params), "H0", order, resonant=True)
 
 
 @dataclass(frozen=True)
@@ -113,13 +100,18 @@ class PhaseConstants:
     s0: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.c0) and math.isfinite(self.s0)):
+            raise InvalidInput("phase constants must be finite")
         if abs(self.c0 ** 2 + self.s0 ** 2 - 1.0) > 1e-9:
-            raise ValueError("phase constants must satisfy c0^2 + s0^2 = 1")
+            raise InvalidInput("phase constants must satisfy c0^2 + s0^2 = 1")
 
     @classmethod
     def from_initial_conditions(cls, params: SystemParams, x0: float, y0: float) -> "PhaseConstants":
         om1 = float(params.omega1)
         two_phi0 = y0 * y0 + om1 * om1 * x0 * x0
+        if not math.isfinite(two_phi0):
+            raise InvalidInput("initial conditions give a non-finite 2*Phi0 = "
+                               "y0^2 + omega1^2 x0^2")
         if two_phi0 == 0.0:
             raise InvalidInput("phase constants are undefined at the origin")
         return cls((y0 * y0 - om1 * om1 * x0 * x0) / two_phi0,
@@ -245,25 +237,19 @@ def _solve_ratio(target: _Numerators, reference: _Numerators) -> tuple[int, dict
     return q
 
 
-def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
-                      order: int | None = None) -> ResonantIntegral:
+def eliminate_secular(params: SystemParams, order: int) -> ResonantIntegral:
     """Mix the C and Phi series so no secular term survives through ``order``.
 
     Runs X_1 = R(C_0), X_{n+1} = R(X_n) + q_n Phi_1 (module docstring),
-    so only C_0, Phi_0 and Phi_1 are read: ``order`` (by default that of
-    the C-series) may exceed the C-series' own.  Each q_n is solved exactly
-    with the generators kept symbolic (so q_1 = 1/4 comes out even for
-    initial phases with s0 = 0), and each Cbar_n is checked for secular
-    terms.  Sums and products by q run on integer numerators; only the
-    results become Fractions.
+    so it forms only C_0 (``resonant_seeds``) and Phi_0, Phi_1
+    (``build_resonant_phi``), never the C-series.  Each q_n is solved
+    exactly with the generators kept symbolic (so q_1 = 1/4 comes out
+    even for initial phases with s0 = 0), and each Cbar_n is checked for
+    secular terms.  Sums and products by q run on integer numerators;
+    only the results become Fractions.
     """
-    if c_series.params != phi_series.params:
-        raise ValueError("C and Phi series were built over different parameters")
-    s = c_series.order if order is None else order
-    if s >= 1 and phi_series.order < 1:
-        raise ValueError("Phi-series not built deep enough for the requested mixing")
-
-    params = c_series.params
+    c0, _ = resonant_seeds(params)
+    phi = build_resonant_phi(params, min(order, 1))
     base = params.base
 
     def form(nums: _Numerators) -> QuadFormSeries:
@@ -275,10 +261,10 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
 
     qs: list[tuple[int, dict]] = []
     cbars: list[_Numerators] = []
-    if s >= 1:
-        phi0, phi1 = (_numerators(q) for q in phi_series.orders[:2])
-        x = step(c_series.orders[0])
-        for _ in range(1, s):
+    if order >= 1:
+        phi0, phi1 = map(_numerators, phi.orders)
+        x = step(c0)
+        for _ in range(1, order):
             nxt = step(form(x))
             qs.append(_solve_ratio(_secular(nxt), _secular(phi1)))
             cbars.append(_sum([x, _times_ring(phi0, qs[-1])]))
@@ -291,7 +277,7 @@ def eliminate_secular(c_series: FormalIntegral, phi_series: FormalIntegral,
     mix = tuple(TrigSeries._from_numerators(base, {(0, 0, 0, COS, a, b): c
                                                    for (a, b), c in q.items()}, den)
                 for den, q in qs)
-    combined = (c_series.orders[0], *map(form, cbars))
+    combined = (c0, *map(form, cbars))
     combined_integral = FormalIntegral(params, combined, seed="C0",
                                        secular_allowed=False, phased=True)
     return ResonantIntegral(mix=mix, combined=combined_integral)

@@ -39,8 +39,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
-Rational = Fraction
-
 COS = 0
 SIN = 1
 

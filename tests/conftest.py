@@ -36,6 +36,22 @@ def orbit_cache():
 
 
 @pytest.fixture(scope="session")
+def form_miss():
+    """Miss of a section conic (A, B, D) from the one-period map's exact invariant.
+
+    M^T Q M = Q for Q = (-m21, m12, (m11 - m22)/2) and det M = 1.  The conic
+    is compared with the least-squares multiple of Q; the largest deviation
+    is taken relative to the conic's largest coefficient.
+    """
+    def miss(conic, m):
+        form = (-m.m21, m.m12, 0.5 * (m.m11 - m.m22))
+        scale = sum(u * v for u, v in zip(conic, form)) / sum(v * v for v in form)
+        return max(abs(u - scale * v) for u, v in zip(conic, form)) / max(map(abs, conic))
+
+    return miss
+
+
+@pytest.fixture(scope="session")
 def crit_cache():
     """Memoized critical-epsilon results: key (omega1, sign) -> CriticalEpsResult."""
     cache = {}

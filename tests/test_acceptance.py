@@ -22,9 +22,9 @@ from fractions import Fraction as F
 import pytest
 
 from mathieu_integrals import (PhaseConstants, SystemParams, build_integral,
-                               build_resonant_c, build_resonant_phi,
-                               cover_count, eliminate_secular, escape_diagnostics,
-                               h1_form, monodromy, psi_series, resonant_section_form)
+                               build_resonant_c, cover_count, eliminate_secular,
+                               escape_diagnostics, h1_form, monodromy, psi_series,
+                               resonant_section_form)
 from mathieu_integrals.analysis import section_residual, section_semiaxis_x
 from mathieu_integrals.builder import QuadFormSeries
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries
@@ -172,8 +172,7 @@ def test_criterion_09_resonant_construction(orbit_cache):
     params = SystemParams(F(2), F(1), 0.05)
     base = params.base
     c_series = build_resonant_c(params, 3)
-    phi = build_resonant_phi(params, 3)
-    combo = eliminate_secular(c_series, phi)
+    combo = eliminate_secular(params, 3)
 
     q1_ok = combo.mix[0] == TrigSeries.constant(base, F(1, 4))
 

@@ -14,6 +14,7 @@ from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                stroboscopic_section)
 from mathieu_integrals.analysis import (_bracketed_root, _symplectic_period, _symplectic_trace,
                                         section_residual, section_semiaxis_x)
+from mathieu_integrals.dynamics import _RTOL
 from mathieu_integrals.errors import BracketFailure, InvalidInput
 
 
@@ -374,6 +375,20 @@ class TestInvariantCurves:
         scale = conic[1] / form[1]  # B = 1/2 exactly
         worst = max(abs(u - scale * v) for u, v in zip(conic, form))
         assert worst <= 5e-8 * max(map(abs, conic))  # 2.05e-8 measured
+
+    @pytest.mark.parametrize("omega1", ["9/10", "1/10", "11/10", "3/2"])
+    def test_series_conic_converges_to_the_monodromy_invariant_form(self, form_miss, omega1):
+        # the abstract's non-resonant claim: as the order S grows, the section
+        # conic approaches the exact invariant of the one-period map.  DP5
+        # resolves M to its tolerance _RTOL, so the miss may stop falling once
+        # it is below _RTOL and must end within 10 * _RTOL at S = 40
+        # (4.4e-12, 4.1e-14, 4.6e-14 and 1.8e-15 measured)
+        params = SystemParams(F(2), F(omega1), 0.1)
+        phi, m = build_integral(params, 40), monodromy(params, 0.1)
+        misses = [form_miss(conic_at_section(phi.truncated(s), 0.1), m)
+                  for s in (2, 6, 10, 14, 20, 28, 40)]
+        assert all(later <= miss for miss, later in zip(misses, misses[1:]) if miss >= _RTOL)
+        assert misses[-1] <= 10 * _RTOL
 
     def test_order6_curve_close_to_section_points(self, phi28, orbit_cache):
         _, _, pts = orbit_cache("9/10", 0.1, 200)

@@ -288,10 +288,7 @@ CLI_GRID = sorted(set(DEFAULT_EPS_GRID + [0.1]))
 @pytest.fixture(scope="module")
 def combined():
     """The order-10 resonant combined integral at omega = 2, omega1 = 1."""
-    params = SystemParams(F(2), F(1), 0.05)
-    c = resonant.build_resonant_c(params, 0)
-    phi = resonant.build_resonant_phi(params, 1)
-    return resonant.eliminate_secular(c, phi, 10)
+    return resonant.eliminate_secular(SystemParams(F(2), F(1), 0.05), 10)
 
 
 class TestFloatTables:

@@ -1,12 +1,18 @@
 """CLI tests: subcommands, exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+import tomllib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mathieu_integrals
 from mathieu_integrals import SystemParams, build_integral, resonant
 from mathieu_integrals.cli import main
 
@@ -255,6 +261,8 @@ class TestBadInput:
         ["critical-eps", "--sign", "x"],
         ["section", "--periods", "x"],
         ["section", "--format", "xml"],
+        ["critical-eps", "--epsilon", "5"],
+        ["resonant", "--omega1", "1", "--x0", "inf"],
     ])
     def test_one_line_error_and_exit_2(self, runner, args):
         res = invoke(runner, *args)
@@ -273,3 +281,27 @@ class TestBadInput:
         res = invoke(runner, *args)
         assert res.exit_code == 2
         assert cause in res.output and "unbounded" not in res.output
+
+
+class TestRuntimeDependencies:
+    """click is the one runtime dependency; numpy and scipy are never needed."""
+
+    def test_pyproject_declares_click_alone(self):
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["dependencies"] == ["click>=8.0"]
+
+    @pytest.mark.parametrize("args", [
+        ["critical-eps"],
+        ["build-integral", "--order", "6"],
+        ["resonant", "--omega1", "1"],
+    ], ids=lambda args: args[0])
+    def test_runs_with_numpy_and_scipy_unimportable(self, tmp_path, args):
+        code = ("import sys; sys.modules['numpy'] = sys.modules['scipy'] = None; "
+                "from mathieu_integrals.cli import main; main(sys.argv[1:])")
+        src = str(Path(mathieu_integrals.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

@@ -16,8 +16,10 @@ from mathieu_integrals import (NotResonant, PhaseConstants, QuadFormSeries,
                                build_resonant_phi, eliminate_secular,
                                integrate_orbit, monodromy, resonant_seeds,
                                resonant_section_form, stroboscopic_section)
-from mathieu_integrals.builder import (FormalIntegral, h0_form, recursion_step,
-                                       substitute_zero_order)
+from mathieu_integrals.builder import recursion_step, substitute_zero_order
+from mathieu_integrals.dynamics import _RTOL
+from mathieu_integrals.errors import InvalidInput, UnsupportedResonance
+from mathieu_integrals.resonant import _numerators, _secular, _solve_ratio
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries
 
 P = SystemParams(F(2), F(1), 0.05)
@@ -39,8 +41,8 @@ def phi_series():
 
 
 @pytest.fixture(scope="module")
-def combo(c_series, phi_series):
-    return eliminate_secular(c_series, phi_series)
+def combo():
+    return eliminate_secular(P, 3)
 
 
 class TestSeeds:
@@ -76,6 +78,11 @@ class TestSeeds:
     def test_higher_resonance_not_implemented(self):
         with pytest.raises(NotImplementedError):
             resonant_seeds(SystemParams(F(2), F(2), 0.0))  # 2*omega = 2*omega1
+
+    def test_far_resonance_is_still_a_resonance(self):
+        # 65*omega = 2*omega1: the exact ratio has no largest j to scan up to
+        with pytest.raises(UnsupportedResonance, match="65"):
+            resonant_seeds(SystemParams(F(1), F(65, 2), 0.0))
 
 
 class TestPhasedPhi:
@@ -193,29 +200,28 @@ class TestElimination:
     def test_combined_order_zero_is_c0(self, combo, c_series):
         assert combo.combined.orders[0] == c_series.orders[0]
 
-    def test_s0_zero_initial_conditions_still_give_quarter(self, c_series, phi_series):
+    def test_s0_zero_initial_conditions_still_give_quarter(self):
         # the solve is symbolic over the generators, so the initial phase
         # never enters; rebuilding changes nothing
-        again = eliminate_secular(c_series, phi_series, order=2)
+        again = eliminate_secular(P, 2)
         assert again.mix[0] == TrigSeries.constant(BASE, F(1, 4))
 
     def test_elimination_stays_solvable_deeper(self):
         # the order-by-order solve keeps working well past order 3
-        c6 = build_resonant_c(P, 6)
-        phi6 = build_resonant_phi(P, 6)
-        combo = eliminate_secular(c6, phi6)
+        combo = eliminate_secular(P, 6)
         assert len(combo.mix) == 5
         assert all(q.secular_part().is_zero for q in combo.combined.orders)
 
-    def test_unsolvable_secular_raises(self, c_series):
-        # a Phi-series whose secular part is not proportional to C's
-        broken = FormalIntegral(P, (h0_form(P),
-                                    QuadFormSeries.constant(BASE, 1, 0, 0),
-                                    QuadFormSeries.constant(BASE, 0, 1, 0),
-                                    QuadFormSeries.constant(BASE, 0, 0, 1)),
-                                seed="H0", secular_allowed=True, phased=True)
+    def test_unsolvable_secular_raises(self, c_series, phi_series):
+        # C_2 and Phi_1 carry their secular parts on x^2 and y^2 alike, so
+        # q_1 = 1/4 solves the pair; a reference with it on x^2 alone is not
+        # proportional to C_2's
+        target = _secular(_numerators(c_series.orders[2]))
+        reference = _secular(_numerators(phi_series.orders[1]))
+        assert _solve_ratio(target, reference) == (4, {(0, 0): 1})
+        den, (xx, _, _) = reference
         with pytest.raises(UnsolvableSecular):
-            eliminate_secular(c_series, broken)
+            _solve_ratio(target, (den, [xx, {}, {}]))
 
 
 class TestMixingRecurrence:
@@ -231,7 +237,7 @@ class TestMixingRecurrence:
     def test_combined_equals_direct_sum(self, omega, omega1):
         params = SystemParams(omega, omega1, 0.0)
         c_full, phi_full = build_resonant_c(params, 12), build_resonant_phi(params, 12)
-        mix = eliminate_secular(c_full, phi_full).mix
+        mix = eliminate_secular(params, 12).mix
         products = {}
 
         def q_phi(i, j):
@@ -241,7 +247,7 @@ class TestMixingRecurrence:
             return products[i, j]
 
         for s in range(13):
-            combo = eliminate_secular(c_full, phi_full, order=s)
+            combo = eliminate_secular(params, s)
             assert combo.mix == mix[:max(0, s - 1)]
             want = [c_full.orders[0]]
             for n in range(1, s + 1):
@@ -251,20 +257,6 @@ class TestMixingRecurrence:
                 assert cbar.secular_part().is_zero
                 want.append(cbar)
             assert combo.combined.orders == tuple(want)
-
-    @pytest.mark.parametrize("omega, omega1", [(F(2), F(1)), (F(3), F(3, 2))],
-                             ids=["2,1", "3,3/2"])
-    def test_c0_alone_is_enough(self, omega, omega1):
-        params = SystemParams(omega, omega1, 0.0)
-        c0, c_full = build_resonant_c(params, 0), build_resonant_c(params, 12)
-        phi = build_resonant_phi(params, 1)
-        for s in range(13):
-            assert eliminate_secular(c0, phi, order=s) == eliminate_secular(c_full, phi, order=s)
-
-    def test_phi_to_order_1_is_enough(self):
-        c10 = build_resonant_c(P, 10)
-        shallow = eliminate_secular(c10, build_resonant_phi(P, 1))
-        assert shallow == eliminate_secular(c10, build_resonant_phi(P, 10))
 
 
 class TestSectionForm:
@@ -299,24 +291,36 @@ class TestSectionForm:
 
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
     @pytest.mark.parametrize("c0, s0", [(1.0, 0.0), (0.6, 0.8)])
-    def test_order10_form_is_the_monodromy_invariant_form(self, eps, c0, s0):
-        # M^T Q M = Q for (A, B, D) = (-m21, m12, (m11 - m22)/2) and det M = 1:
+    def test_order10_form_is_the_monodromy_invariant_form(self, form_miss, eps, c0, s0):
         # the exact hyperbolic section invariant, from DP5 at rtol 1e-12 and
         # sharing no code with the rationals; the bound leaves that 100x
         params = SystemParams(F(2), F(1), 0.0)
         m = monodromy(params, eps)
         assert abs(m.trace) > 2.0
-        form = (-m.m21, m.m12, 0.5 * (m.m11 - m.m22))
-        c, phi = build_resonant_c(params, 0), build_resonant_phi(params, 1)
 
         def miss(order):
-            conic = resonant_section_form(eliminate_secular(c, phi, order), eps,
+            conic = resonant_section_form(eliminate_secular(params, order), eps,
                                           PhaseConstants(c0, s0))
-            scale = sum(u * v for u, v in zip(conic, form)) / sum(v * v for v in form)
-            return max(abs(u - scale * v) for u, v in zip(conic, form)) / max(map(abs, conic))
+            return form_miss(conic, m)
 
         assert miss(10) <= 1e-10  # 1.3e-12 measured
         assert miss(2) > 1e-5  # 3.9e-5 to 1.9e-3 measured
+
+    @pytest.mark.parametrize("c0, s0", [(1.0, 0.0), (0.6, 0.8)])
+    def test_order40_form_at_eps_1(self, form_miss, c0, s0):
+        # the abstract's resonant claim far from eps = 0: order 40 meets the
+        # hyperbolic invariant to 10 * _RTOL = 1e-11, the accuracy DP5 gives M
+        # at its tolerance _RTOL, while order 10 misses it by 1e5 * _RTOL
+        params = SystemParams(F(2), F(1), 0.0)
+        m = monodromy(params, 1.0)
+
+        def miss(order):
+            conic = resonant_section_form(eliminate_secular(params, order), 1.0,
+                                          PhaseConstants(c0, s0))
+            return form_miss(conic, m)
+
+        assert miss(40) <= 10 * _RTOL  # 5.3e-14 measured
+        assert miss(10) > 1e5 * _RTOL  # 2.6e-6 and 6.2e-6 measured
 
 
 class TestPhaseConstants:
@@ -338,6 +342,17 @@ class TestPhaseConstants:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             PhaseConstants.from_initial_conditions(P, 0.0, 0.0)
+
+    @pytest.mark.parametrize("c0, s0", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_constants_rejected(self, c0, s0):
+        # abs(nan) > 1e-9 is False, so the relation check alone lets nan through
+        with pytest.raises(InvalidInput, match="finite"):
+            PhaseConstants(c0, s0)
+
+    @pytest.mark.parametrize("x0, y0", [(math.inf, 1.0), (0.0, math.nan), (1e200, 1.0)])
+    def test_non_finite_initial_conditions_rejected(self, x0, y0):
+        with pytest.raises(InvalidInput, match="non-finite 2\\*Phi0"):
+            PhaseConstants.from_initial_conditions(P, x0, y0)
 
 
 class TestConservation:
