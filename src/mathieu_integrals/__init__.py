@@ -25,7 +25,7 @@ from .errors import (BracketFailure, DegenerateConic, DomainError,
                      MalformedSpectrum, NoRoot, NotResonant, ResonanceDetected,
                      SecularTerm, StepFailure, Unbounded, UnsolvableSecular)
 from .resonant import (PhaseConstants, ResonantIntegral, build_resonant_c,
-                       build_resonant_phi, eliminate_secular, resonant_seeds,
+                       build_resonant_phi, eliminate_secular, resonant_seed,
                        resonant_section_form)
 from .trigseries import COS, SIN, FrequencyBase, TrigSeries, as_rational
 
@@ -44,7 +44,7 @@ __all__ = [
     "cover_count", "critical_epsilon", "eliminate_secular",
     "escape_diagnostics", "find_periodic_orbit", "h0_form", "h1_form",
     "integrate_orbit", "invariant_curve_points", "monodromy",
-    "poisson_bracket_with_h1", "psi_series", "resonant_seeds",
+    "poisson_bracket_with_h1", "psi_series", "resonant_seed",
     "resonant_section_form", "section_residual", "stroboscopic_section",
     "substitute_zero_order",
 ]

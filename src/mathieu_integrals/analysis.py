@@ -3,11 +3,10 @@
 * critical_epsilon: locate the escape boundary.  The system is linear,
   so boundedness is governed by the Floquet multipliers of the
   one-period monodromy matrix M: orbits stay bounded iff |tr M| <= 2.
-  Both oracles solve |tr M(eps)| = 2 by ITP, bisection's worst case but
-  superlinear on the smooth trace: the primary one on ``monodromy``'s
-  DP5 solve, the independent one on the one-period map of a symplectic
-  leapfrog composition, whose trace also cross-checks the verdict just
-  above and below the boundary.
+  ITP solves |tr M(eps)| = 2, bisection's worst case but superlinear on
+  the smooth trace, which Hill's infinite determinant gives in closed
+  form with no ODE solve; ``monodromy``'s DP5 trace, which shares no code
+  with it, cross-checks the verdict just above and below the boundary.
 * convergence_study: conservation quality of the truncated integral as
   a function of truncation order, measured on section points.
 * cover_count: how many section points outline the invariant curve once.
@@ -27,56 +26,59 @@ from .builder import FormalIntegral, SystemParams, build_integral, conic_at_sect
 from .dynamics import SectionPoint, _section, monodromy
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
-#: Yoshida's 4th-order composition of leapfrog with weights (w1, 1 - 2 w1,
-#: w1): per kick (drift before it, its time, its weight) in units of h
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_YOSHIDA = ((_W1 / 2, _W1 / 2, _W1), (0.5 - _W1 / 2, 0.5, 1.0 - 2.0 * _W1),
-            (0.5 - _W1 / 2, 1.0 - _W1 / 2, _W1))
-
-
 @dataclass(frozen=True)
 class CriticalEpsResult:
     """Escape-boundary location with the bracket that pinned it."""
 
     eps_crit: float
     bracket: tuple[float, float]
-    oracle: str  # "trace" or "escape"
     iterations: int
-    escape_check: bool | None = None  # cross-check verdict, None if |eps_crit| <= 2e-3
+    escape_check: bool | None = None  # DP5 cross-check verdict, None if |eps_crit| <= 2e-3
 
 
-def _symplectic_period(params: SystemParams, eps: float) -> tuple[float, float, float, float]:
-    """One-period map ((a, b), (c, d)) of the escape oracle; see ``_symplectic_trace``."""
+def _hill_trace(params: SystemParams, eps: float) -> float:
+    """tr M(T) from Hill's infinite determinant; it shares no code with ``dynamics``.
+
+    z = omega t/2 gives Mathieu's x'' + (a - 2q cos 2z) x = 0, a = 4 s^2,
+    s = omega1/omega, q = 4 eps/omega^2, and tr M = 2 - 4 Delta(0)
+    sin^2(pi s) (Whittaker & Watson, Modern Analysis 19.42).  Scaling row
+    n != 0 of Hill's matrix by 1 - s^2/n^2 and row 0 by a cancels the zeros
+    of the sine: tr M = 2 - pi^2 det B, with no pole at integer s, for B
+    tridiagonal with rows (-q, a, -q) and (q/4n^2, 1 - s^2/n^2, q/4n^2).
+    B commutes with n -> -n; its even and odd parts share the rows n >= 1,
+    so det B = (a D1 + q^2 D2/2) D1 T^2, Dk the determinant of those rows
+    from k to N (a recurrence without division) and T the factor of the
+    rows n > N: prod (1 - s^2/n^2) by Euler-Maclaurin, and the couplings
+    b_n = (q^2/16)/((n^2 - s^2)((n + 1)^2 - s^2)) to first order.  With
+    N = 3s + (C/1e-13)^(1/7), C = (s^2 + q^2)/10 + q^4/500, the neglected
+    terms (second order in b_n, the next Euler-Maclaurin terms: all
+    O(N^-7)) stay below 1e-13 |2 - tr M|; rounding adds a few 1e-13 of
+    |tr M| at large q.
+    """
     if not math.isfinite(eps):
         raise InvalidInput(f"epsilon must be finite, got {eps}")
-    omega, omega1_sq, T = float(params.omega), float(params.omega1) ** 2, params.period
-    n = max(256, math.ceil(T * max(omega, math.sqrt(omega1_sq + 2.0 * abs(eps))) / 0.03))
-    h = T / n
-    stages = [(drift * h, f, weight * h) for drift, f, weight in _YOSHIDA]
-    last = _W1 / 2 * h  # the drift that ends each step
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # x row (a, b), y row (c, d) of the two columns
-    for j in range(n):
-        for drift, f, weight in stages:
-            a, b = a + drift * c, b + drift * d
-            k = weight * (omega1_sq - 2.0 * eps * math.cos(omega * (j + f) * h))
-            c, d = c - k * a, d - k * b
-        a, b = a + last * c, b + last * d
-    return a, b, c, d
-
-
-def _symplectic_trace(params: SystemParams, eps: float) -> float:
-    """tr M_h, which exceeds 2 in magnitude exactly when the orbits escape.
-
-    M_h is the one-period map of Yoshida's 4th-order leapfrog composition
-    at h = T/N, N = max(256, ceil(T Omega / 0.03)), Omega = max(omega,
-    sqrt(omega1^2 + 2 |eps|)), each kick at (j + f) h from its step index
-    j.  Drifts and kicks have det 1: nothing damps or grows the orbit
-    artificially.  For |eps| <= 1, |tr M_h - tr M| <= 2 (h Omega)^4 Omega
-    T max(1, |tr M|), 9e-6 near the boundary at omega = 2.  It shares no
-    code with ``monodromy``'s DP5 solve.
-    """
-    a, _, _, d = _symplectic_period(params, eps)
-    return a + d
+    a, q = float(params.mathieu_a), params.mathieu_q(eps)
+    s, x, qq = 0.5 * math.sqrt(a), 0.25 * a, q * q / 16.0
+    N = math.ceil(3.0 * s + ((x + q * q) * 1e12 + q ** 4 * 2e10) ** (1 / 7))
+    d1, d2 = 1.0, 0.0
+    for n in range(N, 0, -1):
+        d1, d2 = (1.0 - x / (n * n)) * d1 - qq / (n * (n + 1)) ** 2 * d2, d1
+    # sum over n > N of g(n) = log(1 - x/n^2): its integral from L = N + 1/2
+    # plus the midpoint corrections g'(L)/24 - 7 g'''(L)/5760
+    L = N + 0.5
+    g1 = 2.0 * x / (L * (L * L - x))
+    g3 = 2.0 / (L - s) ** 3 + 2.0 / (L + s) ** 3 - 4.0 / L ** 3
+    diag = -L * math.log1p(-x / (L * L)) - 2.0 * s * math.atanh(s / L) + g1 / 24 - 7 * g3 / 5760
+    # sum over n >= N of b_n/qq = F(n + 1/2), F(u) = 1/((u^2 - al^2)(u^2 - be^2)):
+    # its integral from N, by partial fractions, plus F'(N)/24
+    al, be = s + 0.5, abs(s - 0.5)
+    p, r = N * N - al * al, N * N - be * be
+    coupling = ((math.atanh(al / N) / al - (math.atanh(be / N) / be if be else 1.0 / N)) / (2.0 * s)
+                - N * (p + r) / (12.0 * (p * r) ** 2))
+    trace = 2.0 - math.pi ** 2 * (a * d1 + 8.0 * qq * d2) * d1 * math.exp(2.0 * (diag - qq * coupling))
+    if not math.isfinite(trace):
+        raise Unbounded(f"the trace at eps = {eps} leaves float64")
+    return trace
 
 
 def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
@@ -104,36 +106,32 @@ def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
     return lo, hi
 
 
-def critical_epsilon(params: SystemParams, sign: int = 1,
-                     oracle: str = "trace") -> CriticalEpsResult:
-    """Locate eps_crit as the root of the chosen oracle's trace.
+def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
+    """Locate eps_crit as a root of |tr M(eps)| = 2.
 
     hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
     ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
-    from the expansion's values and tr M(0) = 2 cos(omega1 T).  The trace
-    is ``monodromy``'s (``oracle="trace"``) or the symplectic map's
-    (``"escape"``: the independent cross-oracle in tests).  The bracket
-    has width <= 1e-10; ``iterations`` counts oracle evaluations.
-    Raises BracketFailure if no instability is found up to |eps| = 10.
+    from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every
+    trace is ``_hill_trace``'s; ``monodromy``'s DP5 trace, which shares no
+    code with it, cross-checks the verdict 1e-3 beyond and inside the root.
+    The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
+    Raises BracketFailure if every expansion point is stable, the last being
+    |eps| = 0.05 * 1.6^11 = 8.8.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
-    traces = {"trace": lambda e: monodromy(params, e).trace,
-              "escape": lambda e: _symplectic_trace(params, e)}
-    if oracle not in traces:
-        raise ValueError(f"unknown oracle {oracle!r}")
     evals = []
 
     def trace(e: float) -> float:
         evals.append(e)
-        return traces[oracle](sign * e)
+        return _hill_trace(params, sign * e)
 
     lo, hi = 0.0, 0.05
     t_lo = 2.0 * math.cos(float(params.omega1) * params.period)
     while not abs(t_hi := trace(hi)) > 2.0:
         lo, t_lo, hi = hi, t_hi, hi * 1.6
         if hi > 10.0:
-            raise BracketFailure(f"no instability found up to |eps| = {hi:.3g}")
+            raise BracketFailure(f"no instability found up to |eps| = {lo:.3g}")
     s = math.copysign(1.0, t_hi)
     lo, hi = _bracketed_root(lambda e: s * trace(e) - 2.0, lo, hi,
                              s * t_lo - 2.0, s * t_hi - 2.0, 1e-10)
@@ -141,11 +139,11 @@ def critical_epsilon(params: SystemParams, sign: int = 1,
 
     check: bool | None = None  # unstable just beyond eps_crit, stable just inside it
     if 0.5 * (lo + hi) > 2e-3:
-        above = _symplectic_trace(params, eps_crit + sign * 1e-3)
-        below = _symplectic_trace(params, eps_crit - sign * 1e-3)
+        above = monodromy(params, eps_crit + sign * 1e-3).trace
+        below = monodromy(params, eps_crit - sign * 1e-3).trace
         check = abs(above) > 2.0 >= abs(below)
     return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
-                             oracle=oracle, iterations=len(evals), escape_check=check)
+                             iterations=len(evals), escape_check=check)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import analysis, builder, dynamics, output, resonant
-from .errors import DomainError, InvalidInput
+from .errors import BracketFailure, DomainError, InvalidInput
 
 DEFAULT_EPS_GRID = [j / 100 for j in range(-18, 19, 2)]
 
@@ -194,20 +194,21 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 @frequency_options
 @click.option("--sign", default=1, show_default=True, type=int,
               help="+1 for the positive boundary, -1 for the negative one.")
-@click.option("--oracle", default="trace", show_default=True,
-              type=click.Choice(["trace", "escape"]))
 @click.option("--out", default=None, type=click.Path(), help="JSON report path.")
-def cmd_critical_eps(omega, omega1, sign, oracle, out):
+def cmd_critical_eps(omega, omega1, sign, out):
     """Locate the escape boundary eps_crit."""
     params = _params(omega, omega1, 0.0)
-    result = analysis.critical_epsilon(params, sign=sign, oracle=oracle)
+    result = analysis.critical_epsilon(params, sign=sign)
+    if result.escape_check is False:
+        raise BracketFailure(f"eps_crit = {result.eps_crit:.10g} is refuted: the DP5 trace "
+                             "does not turn from stable to unstable across it")
     click.echo(f"{result.eps_crit:.10g}")
     if out:
         doc = {
             "omega": omega, "omega1": omega1, "sign": sign,
             "eps_crit": result.eps_crit,
             "bracket": list(result.bracket),
-            "oracle": result.oracle,
+            "oracle": "hill",
             "iterations": result.iterations,
             "escape_check": result.escape_check,
         }

@@ -18,9 +18,10 @@ sample grid s = j T/spp, so section samples carry t = k*T.
 
 One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
 Hill equation on the two columns of M: M(T/2) alone for ``monodromy``
-(the driving is even in t), (M, Q) on the sample grid for orbits.  The escape oracle has its own
-symplectic integrator (``analysis._symplectic_trace``).  The generic stepper it
-reproduces bit for bit lives in ``tests/dp5_reference.py``.
+(the driving is even in t), (M, Q) on the sample grid for orbits; the
+escape-boundary search reads Hill's determinant instead
+(``analysis._hill_trace``).  The generic stepper it reproduces bit for
+bit lives in ``tests/dp5_reference.py``.
 """
 
 from __future__ import annotations

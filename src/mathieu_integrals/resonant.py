@@ -63,22 +63,18 @@ def require_primary_resonance(params: SystemParams):
     )
 
 
-def resonant_seeds(params: SystemParams) -> tuple[QuadFormSeries, QuadFormSeries]:
-    """The zero-order invariants (C0, S0) as quadratic forms."""
+def resonant_seed(params: SystemParams) -> QuadFormSeries:
+    """The zero-order invariant C0 as a quadratic form."""
     require_primary_resonance(params)
-    base = params.base
     om1 = params.omega1
-    cos_env = TrigSeries.harmonic(base, 1, k=1, m=0, phase=COS)
-    sin_env = TrigSeries.harmonic(base, 1, k=1, m=0, phase=SIN)
-    c0 = QuadFormSeries(cos_env.scale(-om1 ** 2), cos_env, sin_env.scale(2 * om1))
-    s0 = QuadFormSeries(sin_env.scale(-om1 ** 2), sin_env, cos_env.scale(-2 * om1))
-    return c0, s0
+    cos_env = TrigSeries.harmonic(params.base, 1, k=1, m=0, phase=COS)
+    sin_env = TrigSeries.harmonic(params.base, 1, k=1, m=0, phase=SIN)
+    return QuadFormSeries(cos_env.scale(-om1 ** 2), cos_env, sin_env.scale(2 * om1))
 
 
 def build_resonant_c(params: SystemParams, order: int) -> FormalIntegral:
     """C-series seeded with C0, phased, secular terms retained."""
-    seed, _ = resonant_seeds(params)
-    return _series(params, seed, "C0", order, resonant=True)
+    return _series(params, resonant_seed(params), "C0", order, resonant=True)
 
 
 def build_resonant_phi(params: SystemParams, order: int) -> FormalIntegral:
@@ -241,15 +237,15 @@ def eliminate_secular(params: SystemParams, order: int) -> ResonantIntegral:
     """Mix the C and Phi series so no secular term survives through ``order``.
 
     Runs X_1 = R(C_0), X_{n+1} = R(X_n) + q_n Phi_1 (module docstring),
-    so it forms only C_0 (``resonant_seeds``) and Phi_0, Phi_1
-    (``build_resonant_phi``), never the C-series.  Each q_n is solved
-    exactly with the generators kept symbolic (so q_1 = 1/4 comes out
-    even for initial phases with s0 = 0), and each Cbar_n is checked for
-    secular terms.  Sums and products by q run on integer numerators;
-    only the results become Fractions.
+    so it forms only C_0 (``resonant_seed``, the one resonance check) and
+    Phi_0, Phi_1 (the H0-seeded loop of ``build_resonant_phi``), never the
+    C-series.  Each q_n is solved exactly with the generators kept
+    symbolic (so q_1 = 1/4 comes out even for initial phases with s0 =
+    0), and each Cbar_n is checked for secular terms.  Sums and products
+    by q run on integer numerators; only the results become Fractions.
     """
-    c0, _ = resonant_seeds(params)
-    phi = build_resonant_phi(params, min(order, 1))
+    c0 = resonant_seed(params)
+    phi = _series(params, h0_form(params), "H0", min(order, 1), resonant=True)
     base = params.base
 
     def form(nums: _Numerators) -> QuadFormSeries:

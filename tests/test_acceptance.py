@@ -19,8 +19,6 @@ import math
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from mathieu_integrals import (PhaseConstants, SystemParams, build_integral,
                                build_resonant_c, cover_count, eliminate_secular,
                                escape_diagnostics, h1_form, monodromy, psi_series,

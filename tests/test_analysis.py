@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded, analysis,
                                build_integral, conic_at_section, convergence_study,
                                cover_count, critical_epsilon, dynamics, find_periodic_orbit,
-                               integrate_orbit, invariant_curve_points, monodromy,
-                               stroboscopic_section)
-from mathieu_integrals.analysis import (_bracketed_root, _symplectic_period, _symplectic_trace,
-                                        section_residual, section_semiaxis_x)
+                               invariant_curve_points, monodromy)
+from mathieu_integrals.analysis import (_bracketed_root, _hill_trace, section_residual,
+                                        section_semiaxis_x)
 from mathieu_integrals.dynamics import _RTOL
 from mathieu_integrals.errors import BracketFailure, InvalidInput
 
@@ -41,27 +40,34 @@ class TestCriticalEpsilon:
         assert abs(minus + plus) < 1e-6
 
     def test_trace_changes_sign_across_bracket(self, crit_cache):
+        # the search's own trace: DP5's error (~1e-12) exceeds |g| at the ends
+        # of a 4e-11 bracket, so it is compared with roots, not signs, below
         res = crit_cache("9/10")
         lo, hi = res.bracket
-        g = lambda e: abs(monodromy(P01, e).trace) - 2.0
+        g = lambda e: abs(_hill_trace(P01, e)) - 2.0
         assert g(lo) < 0 < g(hi)
 
     def test_works_at_resonance(self):
         # at omega1 = 1 the instability tongue opens at eps = 0: the
         # boundary collapses to zero.  |tr| - 2 grows only quadratically
         # at the tongue tip, so the locator resolves it to about the
-        # square root of the integrator tolerance.
+        # square root of the trace's rounding.
         res = critical_epsilon(SystemParams(F(2), F(1), 0.0))
         assert abs(res.eps_crit) < 5e-6
         assert res.escape_check is None  # |eps_crit| <= 2e-3 skips the cross-check
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_n2_tongue_tip(self, sign):
+        # omega1 = 2 (a = 4): tr - 2 ~ 2e2 eps^4 at the tip, which a DP5
+        # trace error of ~5e-12 swamped (eps_crit = 0.00385 was printed)
+        res = critical_epsilon(SystemParams(F(2), F(2), 0.0), sign=sign)
+        assert abs(res.eps_crit) <= 1e-5
+
     def test_bracket_failure(self):
-        # omega1 = 1/2: a = 1/4 sits at maximal distance from the Mathieu
-        # tongues, but every a eventually destabilizes, so force failure
-        # with an artificially tiny expansion cap via a huge stable system:
-        # instead, check the error path by requesting an absurd oracle
-        with pytest.raises(ValueError, match="unknown oracle 'nonsense'"):
-            critical_epsilon(P01, oracle="nonsense")
+        # 17/6: the expansion steps over every tongue (ROADMAP item 1), and
+        # the message names the last |eps| it tested, 0.05 * 1.6^11
+        with pytest.raises(BracketFailure, match=r"^no instability found up to \|eps\| = 8\.8$"):
+            critical_epsilon(SystemParams(F(2), F(17, 6), 0.0))
         with pytest.raises(ValueError):
             critical_epsilon(P01, sign=0)
 
@@ -71,11 +77,16 @@ class TestCriticalEpsilon:
 
     @staticmethod
     def _assert_escape_oracle_agrees(crit_cache, om1):
-        # independent oracle cross-agreement in both signs (1.2e-8 measured)
+        # the Hill root against the root of the DP5 trace, which shares no
+        # code with it, in both signs (2.2e-11 measured)
+        params = SystemParams(F(2), F(om1), 0.0)
+        g = lambda e: abs(monodromy(params, e).trace) - 2.0
         for sign in (1, -1):
-            res = critical_epsilon(SystemParams(F(2), F(om1), 0.0), sign=sign, oracle="escape")
-            assert res.oracle == "escape" and res.escape_check is True
-            assert abs(res.eps_crit - crit_cache(om1, sign).eps_crit) <= 1e-6
+            res = crit_cache(om1, sign)
+            lo, hi = res.eps_crit - 1e-3, res.eps_crit + 1e-3
+            lo, hi = _bracketed_root(g, lo, hi, g(lo), g(hi), 1e-10)
+            assert res.escape_check is True
+            assert abs(res.eps_crit - 0.5 * (lo + hi)) <= 1e-9
 
     def test_escape_oracle_agrees_with_trace(self, crit_cache):
         self._assert_escape_oracle_agrees(crit_cache, "9/10")
@@ -84,7 +95,6 @@ class TestCriticalEpsilon:
     def test_escape_oracle_agrees_other_params(self, crit_cache, om1):
         self._assert_escape_oracle_agrees(crit_cache, om1)
 
-    # one symplectic one-period map costs about 0.35 ms
     @settings(max_examples=100, deadline=None)
     @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
            eps=st.floats(min_value=-1.0, max_value=1.0))
@@ -92,7 +102,7 @@ class TestCriticalEpsilon:
         params = SystemParams(F(2), omega1, eps)
         trace = monodromy(params, eps).trace
         assume(abs(abs(trace) - 2.0) >= 0.05)
-        assert (abs(_symplectic_trace(params, eps)) > 2.0) == (abs(trace) > 2.0)
+        assert (abs(_hill_trace(params, eps)) > 2.0) == (abs(trace) > 2.0)
 
     @pytest.mark.parametrize("om1, sign", [("9/10", -1), ("1/10", 1), ("1/10", -1),
                                            ("11/10", 1), ("11/10", -1)])
@@ -113,17 +123,17 @@ class TestCriticalEpsilon:
     @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
            sign=st.sampled_from([1, -1]))
     def test_trace_oracle_bracket_and_call_bound(self, omega1, sign):
-        traces = []  # (eps, tr M) of every oracle call
+        traces = []  # (eps, tr M) of every trace evaluation
 
-        def recording(params, eps, n=1):
-            m = monodromy(params, eps, n=n)
-            traces.append((eps, m.trace))
-            return m
+        def recording(params, eps):
+            trace = _hill_trace(params, eps)
+            traces.append((eps, trace))
+            return trace
 
         params = SystemParams(F(2), omega1, 0.0)
         tol = 1e-10  # the bracket width critical_epsilon resolves to
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "monodromy", recording)
+            mp.setattr(analysis, "_hill_trace", recording)
             try:
                 res = critical_epsilon(params, sign=sign)
             except BracketFailure:
@@ -143,8 +153,8 @@ class TestCriticalEpsilon:
         assert len(traces) <= (k + 1) + math.ceil(math.log2((hi - lo) / tol)) + 1
         stable, unstable = res.bracket
         assert abs(unstable - stable) <= tol
-        g = lambda e: abs(monodromy(params, e).trace) - 2.0
-        if stable == unstable:  # the oracle met |tr M| = 2 exactly
+        g = lambda e: abs(_hill_trace(params, e)) - 2.0
+        if stable == unstable:  # the trace met |tr M| = 2 exactly
             assert g(stable) == 0.0
         else:
             assert g(stable) <= 0.0 < g(unstable)
@@ -153,13 +163,28 @@ class TestCriticalEpsilon:
         # the bisection made 34 solves here: 4 to expand, 30 to gain 30 bits
         calls = []
 
-        def recording(params, eps, n=1):
+        def recording(params, eps):
             calls.append(eps)
-            return monodromy(params, eps, n=n)
+            return _hill_trace(params, eps)
 
-        monkeypatch.setattr(analysis, "monodromy", recording)
+        monkeypatch.setattr(analysis, "_hill_trace", recording)
         res = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0))
         assert len(calls) == res.iterations <= 14
+
+    @pytest.mark.parametrize("omega1, solves", [("9/10", 2), ("11/10", 2), ("2", 0)])
+    def test_dp5_runs_only_for_the_cross_check(self, monkeypatch, omega1, solves):
+        # the root search reads the Hill trace; DP5 solves eps_crit -+ 1e-3
+        # when |eps_crit| > 2e-3 (0.186, 0.216) and nothing at the n = 2 tip
+        calls = []
+        hill_points = dynamics._hill_points
+
+        def recording(*args, **kwargs):
+            calls.append(args[1])
+            return hill_points(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_hill_points", recording)
+        critical_epsilon(SystemParams(F(2), F(omega1), 0.0))
+        assert len(calls) == solves
 
 
 class TestBracketedRoot:
@@ -202,32 +227,47 @@ class TestBracketedRoot:
         assert -1.0 <= lo <= root <= hi <= 1.0 and hi - lo <= tol
 
 
-def _assert_symplectic_map_accuracy(omega, omega1, eps):
-    """|tr M_h - tr M| <= 2 (h Omega)^4 Omega T max(1, |tr M|) and det M_h = 1."""
+#: DP5 holds each step's error to _RTOL of the state, so the error of its
+#: trace scales with the largest entry P of M(t) over the period, which a
+#: stable band at large q lifts far above |tr M| (P = 1.5e6 at omega = 2/3,
+#: omega1 = 1, eps = 15): the largest miss over 3000 draws of the ranges
+#: below was 23.5 _RTOL P.  The Hill trace's own error is below 3e-13
+#: relative (against a 30-digit Taylor solve at 21 points, q up to 240).
+HILL_VS_DP5 = 100 * _RTOL
+
+
+def _assert_hill_matches_monodromy(omega, omega1, eps):
     params = SystemParams(F(omega), F(omega1), eps)
-    a, b, c, d = _symplectic_period(params, eps)
-    trace = monodromy(params, eps).trace
-    big = max(float(omega), math.sqrt(float(params.omega1) ** 2 + 2.0 * abs(eps)))
-    T = params.period
-    h = T / max(256, math.ceil(T * big / 0.03))
-    assert abs(a + d - trace) <= 2.0 * (h * big) ** 4 * big * T * max(1.0, abs(trace))
-    # the det of a large matrix carries the roundoff of a*d and b*c
-    assert abs(a * d - b * c - 1.0) <= 1e-12 * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+    samples = [j * params.period / 32 for j in range(1, 33)]
+    peak = max(max(map(abs, m)) for m in dynamics._hill_points(params, eps, samples))
+    assert abs(_hill_trace(params, eps) - monodromy(params, eps).trace) <= HILL_VS_DP5 * peak
 
 
-class TestSymplecticEscapeStream:
-    """The escape oracle's one-period map, its trace and its independence from dynamics."""
+class TestHillTrace:
+    """The root search's trace: Hill's determinant, checked against DP5."""
 
     @settings(max_examples=100, deadline=None)
-    @given(omega=st.sampled_from([1, 2, 3]),
-           omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
-           eps=st.floats(min_value=-1.0, max_value=1.0))
-    def test_trace_and_det_bound(self, omega, omega1, eps):
-        _assert_symplectic_map_accuracy(omega, omega1, eps)
+    @given(omega=st.fractions(min_value=F(1, 2), max_value=F(3), max_denominator=10),
+           omega1=st.one_of(st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
+                            st.integers(min_value=1, max_value=6)),
+           eps=st.floats(min_value=-15.0, max_value=15.0))
+    def test_matches_monodromy(self, omega, omega1, eps):
+        if isinstance(omega1, int):  # an integer omega1/omega: a = 4 r^2, a zero of the sine
+            omega1 = omega1 * omega
+            assume(omega1 <= 3)
+        _assert_hill_matches_monodromy(omega, omega1, eps)
 
-    @pytest.mark.parametrize("omega1, eps", [("301/100", 6.4986), ("1/10", 10.0), ("3", 10.0)])
-    def test_trace_and_det_bound_at_large_eps(self, omega1, eps):
-        _assert_symplectic_map_accuracy(2, omega1, eps)
+    @pytest.mark.parametrize("omega, omega1, eps", [
+        (2, "301/100", 6.4986), (2, "1/10", 10.0), (2, "3", 10.0),
+        (1, "3", 13.72),  # the Yoshida map of the old escape oracle missed by 3.9e-3 here
+        (2, "2", 0.5), (1, "2", 1.0), (2, "1", 0.3)])  # omega1/omega = 1, 2 and 1/2
+    def test_matches_monodromy_at_fixed_points(self, omega, omega1, eps):
+        _assert_hill_matches_monodromy(omega, omega1, eps)
+
+    @pytest.mark.parametrize("omega, omega1", [(2, 2), (1, 3), ("1/2", 3)])
+    def test_integer_ratio_is_no_pole(self, omega, omega1):
+        # a = 4 r^2 zeroes one diagonal entry of B: tr M(0) = 2 cos(2 pi r) = 2 exactly
+        assert _hill_trace(SystemParams(F(omega), F(omega1)), 0.0) == 2.0
 
     def test_verdicts_reach_no_dynamics(self, monkeypatch):
         cases = [("9/10", 0.1857848626 - 1e-3), ("9/10", 0.1857848626 + 1e-3),
@@ -237,17 +277,22 @@ class TestSymplecticEscapeStream:
         assert any(expected) and not all(expected)
 
         def boom(*args, **kwargs):
-            raise AssertionError("the symplectic trace reached dynamics")
+            raise AssertionError("the Hill trace reached dynamics")
 
         for target, name in [(dynamics, "_hill_points"), (dynamics, "monodromy"),
                              (dynamics, "_one_period"), (analysis, "monodromy")]:
             monkeypatch.setattr(target, name, boom)
-        assert [abs(_symplectic_trace(p, p.epsilon)) > 2.0 for p in params] == expected
+        assert [abs(_hill_trace(p, p.epsilon)) > 2.0 for p in params] == expected
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_is_invalid_input(self, eps):
         with pytest.raises(InvalidInput, match="finite"):
-            _symplectic_trace(P01, eps)
+            _hill_trace(P01, eps)
+
+    def test_overflow_is_unbounded(self):
+        # omega = 1/100 makes q = 4e5 at eps = 10: det B leaves float64
+        with pytest.raises(Unbounded, match="float64"):
+            _hill_trace(SystemParams(F(1, 100), F(9, 10)), 10.0)
 
 
 class TestConvergence:

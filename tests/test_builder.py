@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 import series_reference as ref
 from mathieu_integrals import (QuadFormSeries, ResonanceDetected,
                                SecularTerm, SystemParams, build_integral,
-                               conic_at_section, h0_form, h1_form, integrate_orbit,
-                               poisson_bracket_with_h1, psi_series,
-                               stroboscopic_section, substitute_zero_order)
+                               conic_at_section, h0_form, h1_form,
+                               poisson_bracket_with_h1, psi_series, substitute_zero_order)
 from mathieu_integrals import output, resonant
 from mathieu_integrals.builder import MAX_ORDER, back_substitute
 from mathieu_integrals.cli import DEFAULT_EPS_GRID, main

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import SystemParams, build_integral, resonant
+from mathieu_integrals import SystemParams, analysis, build_integral, resonant
 from mathieu_integrals.cli import main
 
 
@@ -145,16 +145,30 @@ class TestAnalysisCommands:
         value = float(res.output.strip().splitlines()[0])
         assert abs(value - 0.1857848626) < 1e-6
         doc = json.loads(out.read_text())
-        assert doc["oracle"] == "trace"
+        assert doc["oracle"] == "hill"
         assert doc["bracket"][1] - doc["bracket"][0] <= 1e-9
 
     def test_critical_eps_escape_oracle(self, runner, tmp_path):
+        # the DP5 trace at eps_crit -+ 1e-3 confirms the Hill root
         out = tmp_path / "crit.json"
-        res = invoke(runner, "critical-eps", "--oracle", "escape", "--out", str(out))
+        res = invoke(runner, "critical-eps", "--omega1", "11/10", "--sign", "-1",
+                     "--out", str(out))
         assert res.exit_code == 0
         doc = json.loads(out.read_text())
-        assert doc["oracle"] == "escape" and doc["escape_check"] is True
-        assert abs(doc["eps_crit"] - 0.1857848626) < 1e-6
+        assert doc["oracle"] == "hill" and doc["escape_check"] is True
+        assert abs(doc["eps_crit"] + 0.21598) < 1e-4
+
+    def test_refuted_root_is_an_error(self, runner, tmp_path, monkeypatch):
+        # a root the DP5 cross-check refutes is never printed as eps_crit
+        refuted = analysis.CriticalEpsResult(eps_crit=0.003851496107, bracket=(0.00385, 0.00386),
+                                             iterations=20, escape_check=False)
+        monkeypatch.setattr(analysis, "critical_epsilon", lambda params, sign: refuted)
+        out = tmp_path / "crit.json"
+        res = invoke(runner, "critical-eps", "--omega1", "2", "--out", str(out))
+        assert res.exit_code == 2
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "refuted" in lines[0]
+        assert not out.exists()
 
     def test_monodromy_json(self, runner):
         res = invoke(runner, "monodromy", "--epsilon", "0.0")
@@ -219,17 +233,17 @@ class TestResonantCommand:
     def test_phi_only_as_deep_as_the_elimination_reads(self, runner, monkeypatch, tmp_path,
                                                        order, depth):
         built = []
-        build_phi = resonant.build_resonant_phi
+        series = resonant._series
 
-        def recording(params, n):
-            built.append(n)
-            return build_phi(params, n)
+        def recording(params, seed, name, n, resonant):
+            built.append((name, n))
+            return series(params, seed, name, n, resonant)
 
-        monkeypatch.setattr(resonant, "build_resonant_phi", recording)
+        monkeypatch.setattr(resonant, "_series", recording)
         res = invoke(runner, "resonant", "--omega1", "1", "--order", str(order),
                      "--out", str(tmp_path / "r.json"))
         assert res.exit_code == 0
-        assert built == [depth]
+        assert built == [("H0", depth)]
 
 
 class TestBadInput:
@@ -262,6 +276,7 @@ class TestBadInput:
         ["section", "--periods", "x"],
         ["section", "--format", "xml"],
         ["critical-eps", "--epsilon", "5"],
+        ["critical-eps", "--oracle", "escape"],
         ["resonant", "--omega1", "1", "--x0", "inf"],
     ])
     def test_one_line_error_and_exit_2(self, runner, args):

@@ -28,7 +28,7 @@ def round_trip(params, f, phased, secular_allowed=True):
 def seed_form(params, seed):
     """H0, or the zero-order invariant C0 or S0 at any frequency pair.
 
-    C0 and S0 are built by hand because resonant_seeds accepts only
+    C0 and S0 are built by hand because resonant_seed accepts only
     omega = 2*omega1.
     """
     if seed == "H0":

@@ -13,9 +13,8 @@ import pytest
 
 from mathieu_integrals import (NotResonant, PhaseConstants, QuadFormSeries,
                                SystemParams, UnsolvableSecular, build_resonant_c,
-                               build_resonant_phi, eliminate_secular,
-                               integrate_orbit, monodromy, resonant_seeds,
-                               resonant_section_form, stroboscopic_section)
+                               build_resonant_phi, eliminate_secular, monodromy,
+                               resonant_seed, resonant_section_form)
 from mathieu_integrals.builder import recursion_step, substitute_zero_order
 from mathieu_integrals.dynamics import _RTOL
 from mathieu_integrals.errors import InvalidInput, UnsupportedResonance
@@ -47,13 +46,13 @@ def combo():
 
 class TestSeeds:
     def test_c0_form(self):
-        c0, _ = resonant_seeds(P)
+        c0 = resonant_seed(P)
         assert c0.cxx == h(-1, 1, 0, COS)
         assert c0.cyy == h(1, 1, 0, COS)
         assert c0.cxy == h(2, 1, 0, SIN)
 
     def test_c0_at_t0_is_constant_quadratic(self):
-        c0, _ = resonant_seeds(P)
+        c0 = resonant_seed(P)
         assert c0.cxx.evaluate(0.0) == -1.0
         assert c0.cyy.evaluate(0.0) == 1.0
         assert c0.cxy.evaluate(0.0) == 0.0
@@ -61,28 +60,29 @@ class TestSeeds:
     def test_c0_reduces_to_cos_phase_constant(self):
         # on the phased zero-order orbit (unit amplitude) all time
         # dependence cancels and C0 becomes the generator c0
-        c0, _ = resonant_seeds(P)
+        c0 = resonant_seed(P)
         reduced = substitute_zero_order(P, c0, phased=True)
         assert reduced == TrigSeries.harmonic(BASE, 1, k=0, m=0, phase=COS, c0_pow=1)
 
     def test_s0_reduces_to_sin_phase_constant(self):
-        # validates the sign convention chosen for the companion seed
-        _, s0 = resonant_seeds(P)
+        # validates the sign convention of the companion invariant
+        # S0 = (y^2 - x^2) sin 2t - 2 xy cos 2t, which no builder needs
+        s0 = QuadFormSeries(h(-1, 1, 0, SIN), h(1, 1, 0, SIN), h(-2, 1, 0, COS))
         reduced = substitute_zero_order(P, s0, phased=True)
         assert reduced == TrigSeries.harmonic(BASE, 1, k=0, m=0, phase=COS, s0_pow=1)
 
     def test_not_resonant(self):
         with pytest.raises(NotResonant):
-            resonant_seeds(SystemParams(F(2), F(9, 10), 0.0))
+            resonant_seed(SystemParams(F(2), F(9, 10), 0.0))
 
     def test_higher_resonance_not_implemented(self):
         with pytest.raises(NotImplementedError):
-            resonant_seeds(SystemParams(F(2), F(2), 0.0))  # 2*omega = 2*omega1
+            resonant_seed(SystemParams(F(2), F(2), 0.0))  # 2*omega = 2*omega1
 
     def test_far_resonance_is_still_a_resonance(self):
         # 65*omega = 2*omega1: the exact ratio has no largest j to scan up to
         with pytest.raises(UnsupportedResonance, match="65"):
-            resonant_seeds(SystemParams(F(1), F(65, 2), 0.0))
+            resonant_seed(SystemParams(F(1), F(65, 2), 0.0))
 
 
 class TestPhasedPhi:
@@ -139,7 +139,7 @@ class TestCSeries:
     def test_c1_generic_formula_off_resonance(self):
         # the same recursion run unphased at a non-resonant frequency pair
         # reproduces the closed form, so the formula holds generally
-        # (the seed is built by hand: resonant_seeds would refuse off-resonance)
+        # (the seed is built by hand: resonant_seed would refuse off-resonance)
         params = SystemParams(F(2), F(9, 10), 0.0)
         base = params.base
         om1 = params.omega1
