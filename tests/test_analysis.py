@@ -71,6 +71,13 @@ class TestCriticalEpsilon:
         with pytest.raises(ValueError):
             critical_epsilon(P01, sign=0)
 
+    def test_refuted_root_raises(self):
+        # omega = 1/100 (s = 90): the trace swings through +-2 many times
+        # within 1e-3 of the expansion's bracket, ITP lands on a later root
+        # and the DP5 cross-check refutes it; the library never returns it
+        with pytest.raises(BracketFailure, match=r"^eps_crit = 0\.435922411 is refuted"):
+            critical_epsilon(SystemParams(F(1, 100), F(9, 10), 0.0))
+
     def test_sign_zero_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="sign"):
             critical_epsilon(P01, sign=0)
@@ -369,8 +376,11 @@ class TestPeriodicOrbits:
         assert res.return_distance <= 1e-10
 
     def test_17T_orbit_near_015(self):
+        # the root of tr M = 2 cos(16 pi/17) from a 30-digit mpmath Taylor solve
+        # of the one-period map, 0.150003401045792350539 (the Hill root misses
+        # it by 1.2e-13; a search on the DP5 trace missed it by 1.7e-12)
         res = find_periodic_orbit(P01, 0.15, 17)
-        assert abs(res.epsilon - 0.15000340104747015) <= 1e-12  # the bisection's value
+        assert abs(res.epsilon - 0.15000340104579235) <= 5e-13
         assert res.return_distance <= 1e-8
         assert res.winding == 8
 
@@ -388,8 +398,9 @@ class TestPeriodicOrbits:
             find_periodic_orbit(P01, 0.1, 0)
 
     def test_guess_is_solved_once(self, monkeypatch):
-        # the closure test at the guess is the n-th power of the winding
-        # solve: only the refined eps asks for an n-period monodromy
+        # DP5 only verifies: one solve at the guess, whose n-th power is the
+        # closure test, and one n-period solve at the root; the search itself
+        # runs on the Hill trace
         calls = []
 
         def recording(params, eps, n=1):
@@ -398,8 +409,22 @@ class TestPeriodicOrbits:
 
         monkeypatch.setattr(analysis, "monodromy", recording)
         res = find_periodic_orbit(P01, 0.15, 17)
-        assert calls[0] == (0.15, 1)
-        assert [c for c in calls if c[1] != 1] == [(res.epsilon, 17)]
+        assert calls == [(0.15, 1), (res.epsilon, 17)]
+
+    @pytest.mark.parametrize("om1, n, guess", [("9/10", 5, 6.55), ("9/10", 17, 0.15),
+                                               ("1/10", 5, 0.51), ("1/10", 17, 0.09),
+                                               ("11/10", 5, 6.02), ("11/10", 17, 0.17)])
+    def test_hill_root_agrees_with_dp5_root(self, om1, n, guess):
+        # the root of the DP5 trace, which shares no code with the Hill
+        # trace the search runs on (3.0e-12 the largest miss measured)
+        params = SystemParams(F(2), F(om1), 0.0)
+        res = find_periodic_orbit(params, guess, n)
+        target = 2.0 * math.cos(2.0 * math.pi * res.winding / n)
+        g = lambda e: monodromy(params, e).trace - target
+        lo, hi = res.epsilon - 1e-3, res.epsilon + 1e-3
+        lo, hi = _bracketed_root(g, lo, hi, g(lo), g(hi), 1e-12)
+        assert abs(res.epsilon - 0.5 * (lo + hi)) <= 1e-9
+        assert res.return_distance <= 1e-9
 
 
 class TestInvariantCurves:

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 import series_reference as ref
 from mathieu_integrals import (QuadFormSeries, ResonanceDetected,
                                SecularTerm, SystemParams, build_integral,
-                               conic_at_section, h0_form, h1_form,
-                               poisson_bracket_with_h1, psi_series, substitute_zero_order)
+                               conic_at_section, h0_form, h1_form, psi_series)
 from mathieu_integrals import output, resonant
-from mathieu_integrals.builder import MAX_ORDER, back_substitute
+from mathieu_integrals.builder import (MAX_ORDER, back_substitute, poisson_bracket_with_h1,
+                                       substitute_zero_order)
 from mathieu_integrals.cli import DEFAULT_EPS_GRID, main
 from mathieu_integrals.errors import MalformedSpectrum
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries

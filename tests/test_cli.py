@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, schemas, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import SystemParams, analysis, build_integral, resonant
+from mathieu_integrals import SystemParams, build_integral, resonant
 from mathieu_integrals.cli import main
 
 
@@ -158,13 +159,11 @@ class TestAnalysisCommands:
         assert doc["oracle"] == "hill" and doc["escape_check"] is True
         assert abs(doc["eps_crit"] + 0.21598) < 1e-4
 
-    def test_refuted_root_is_an_error(self, runner, tmp_path, monkeypatch):
-        # a root the DP5 cross-check refutes is never printed as eps_crit
-        refuted = analysis.CriticalEpsResult(eps_crit=0.003851496107, bracket=(0.00385, 0.00386),
-                                             iterations=20, escape_check=False)
-        monkeypatch.setattr(analysis, "critical_epsilon", lambda params, sign: refuted)
+    def test_refuted_root_is_an_error(self, runner, tmp_path):
+        # a root the DP5 cross-check refutes is never printed as eps_crit:
+        # at omega = 1/100 the search lands on a later crossing of +-2
         out = tmp_path / "crit.json"
-        res = invoke(runner, "critical-eps", "--omega1", "2", "--out", str(out))
+        res = invoke(runner, "critical-eps", "--omega", "1/100", "--out", str(out))
         assert res.exit_code == 2
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "refuted" in lines[0]
@@ -320,3 +319,33 @@ class TestRuntimeDependencies:
         res = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+
+class TestBenchmarkTracer:
+    """perfbench's per-layer mode (``--trace 1``) patches src functions by name."""
+
+    def test_install_finds_every_target_and_uninstall_restores_it(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+
+        def binding(module_name, attr):
+            owner = sys.modules["mathieu_integrals." + module_name]
+            if "." in attr:
+                cls_name, attr = attr.split(".")
+                return vars(getattr(owner, cls_name))[attr]
+            return getattr(owner, attr)
+
+        originals = [binding(module, attr) for module, attr, _ in tracing.TARGETS]
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            patches = list(tracer._patches)
+            assert all(binding(module, attr) is not original for (module, attr, _), original
+                       in zip(tracing.TARGETS, originals))
+        finally:
+            tracer.uninstall()
+        assert all(getattr(holder, key) is original for holder, key, original in patches)
+        assert all(binding(module, attr) is original for (module, attr, _), original
+                   in zip(tracing.TARGETS, originals))

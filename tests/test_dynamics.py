@@ -7,6 +7,7 @@ extended energy provides an independent accuracy monitor.
 
 import math
 import random
+import time
 import types
 from fractions import Fraction as F
 
@@ -485,6 +486,14 @@ class TestNonFinite:
             integrate_orbit(params, 0.0, 1.0, 3000)
         with pytest.raises(Unbounded):
             monodromy(params, 0.5, n=3000)
+
+    def test_power_stops_at_the_first_overflow(self):
+        # the entries overflow within ~100 periods; all 1e9 products would
+        # take minutes
+        start = time.perf_counter()
+        with pytest.raises(Unbounded, match="over 1000000000 periods overflows"):
+            monodromy(SystemParams(F(2), F(9, 10), 5.0), 5.0, n=10**9)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("eps", [1e300, 1e308, -1e308])
     def test_overflowing_coefficients_are_unbounded_with_time(self, eps):
