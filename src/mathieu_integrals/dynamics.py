@@ -47,6 +47,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339
 
 _RTOL = _ATOL = 1e-12
 _MAX_STEPS = 5_000_000
+_POWER_BLOCK = 4096  # Monodromy.power products between overflow checks
 
 
 def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
@@ -213,12 +214,12 @@ class Monodromy:
             raise InvalidInput("n must be >= 1")
         a, b, c, d = self.m11, self.m12, self.m21, self.m22
         m11, m12, m21, m22 = a, b, c, d
-        finite = math.isfinite
-        for _ in range(n - 1):
-            m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
-                                  c * m11 + d * m21, c * m12 + d * m22)
-            if not (finite(m11) and finite(m12) and finite(m21) and finite(m22)):
-                break  # a non-finite entry spreads through its column: M^n overflows
+        for done in range(0, n - 1, _POWER_BLOCK):  # blocks of products, checked once each
+            for _ in range(min(_POWER_BLOCK, n - 1 - done)):
+                m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
+                                      c * m11 + d * m21, c * m12 + d * m22)
+            if not all(map(math.isfinite, (m11, m12, m21, m22))):
+                break  # a non-finite entry stays non-finite: M^n overflows
         if not all(map(math.isfinite, (m11, m12, m21, m22))):
             raise Unbounded(f"the monodromy over {n * self.n} periods overflows")
         return Monodromy(m11=m11, m12=m12, m21=m21, m22=m22, n=n * self.n)

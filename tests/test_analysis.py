@@ -13,7 +13,7 @@ from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                invariant_curve_points, monodromy)
 from mathieu_integrals.analysis import (_bracketed_root, _hill_trace, section_residual,
                                         section_semiaxis_x)
-from mathieu_integrals.dynamics import _RTOL
+from mathieu_integrals.dynamics import _RTOL, Monodromy
 from mathieu_integrals.errors import BracketFailure, InvalidInput
 
 
@@ -77,6 +77,15 @@ class TestCriticalEpsilon:
         # and the DP5 cross-check refutes it; the library never returns it
         with pytest.raises(BracketFailure, match=r"^eps_crit = 0\.435922411 is refuted"):
             critical_epsilon(SystemParams(F(1, 100), F(9, 10), 0.0))
+
+    @pytest.mark.parametrize("trace", [0.0, 3.0])
+    def test_one_sided_cross_check_refutes_the_root(self, monkeypatch, trace):
+        # a DP5 trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
+        # 0, unstable: 3) refutes the Hill root wherever ITP lands
+        m = Monodromy(m11=trace, m12=1.0, m21=-1.0, m22=0.0, n=1)
+        monkeypatch.setattr(analysis, "monodromy", lambda params, eps, n=1: m)
+        with pytest.raises(BracketFailure, match=r"^eps_crit = \S+ is refuted"):
+            critical_epsilon(P01)
 
     def test_sign_zero_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="sign"):
