@@ -187,6 +187,8 @@ def convergence_study(params: SystemParams, epsilon: float, orders: Sequence[int
     orders = tuple(orders)
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise InvalidInput("orders must be non-empty and strictly ascending")
+    if orders[0] < 0:
+        raise InvalidInput(f"order {orders[0]} is negative; orders must be >= 0")
     phi = build_integral(params, max(orders))
     section = _section(params, x0, y0, n_periods, epsilon)
     residuals = tuple(section_residual(phi.truncated(s), section, epsilon) for s in orders)
@@ -268,13 +270,12 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     def g(e: float) -> float:
         return _hill_trace(params, e) - target
 
-    radius = search_radius
-    for _ in range(8):
+    for doubling in range(8):
+        radius = search_radius * 2.0 ** doubling
         lo, hi = eps_guess - radius, eps_guess + radius
         glo, ghi = g(lo), g(hi)
         if glo * ghi <= 0.0:
             break
-        radius *= 2.0
     else:
         raise NoRoot(f"no period-{n} orbit parameter within {radius:.3g} of {eps_guess}")
     lo, hi = _bracketed_root(g, lo, hi, glo, ghi, 1e-13)

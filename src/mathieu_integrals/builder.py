@@ -29,10 +29,12 @@ secular powers of t).  The plain non-resonant build runs unphased with
 secular terms forbidden.
 
 Each step is a fixed linear map on the harmonic coefficients.
-``recursion_step`` applies it in closed form on integer numerators; the
-composition of ``poisson_bracket_with_h1``, ``substitute_zero_order``,
-``TrigSeries.integrate`` and ``back_substitute`` computes the same step
-in TrigSeries arithmetic and is kept as its reference.
+``recursion_step`` applies it in closed form to a ``Form``, one order as
+integer numerators over one denominator (converters ``to_form`` and
+``from_form``); the composition of ``poisson_bracket_with_h1``,
+``substitute_zero_order``, ``TrigSeries.integrate`` and
+``back_substitute`` computes the same step in TrigSeries arithmetic and
+is kept as its reference.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidInput, MalformedSpectrum, ResonanceDetected, SecularTerm
-from .trigseries import (COS, SIN, FrequencyBase, TrigSeries, _common_numerators,
-                         _evaluate_table, _float_table, as_rational)
+from .trigseries import (COS, SIN, FrequencyBase, TrigSeries, _evaluate_table,
+                         _float_table, as_rational)
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,8 @@ class SystemParams:
     ``omega`` and ``omega1`` are exact rationals (they feed the symbolic
     layer); ``epsilon`` is a float used only at evaluation time.  In
     Mathieu normalization the system corresponds to a = 4*omega1^2/omega^2
-    and q = 4*epsilon/omega^2.
+    and q = 4*epsilon/omega^2; omega, omega1, a and 4/omega^2 must be
+    nonzero finite floats.
     """
 
     omega: Fraction
@@ -68,6 +71,19 @@ class SystemParams:
             raise InvalidInput("omega and omega1 must be positive")
         if not math.isfinite(self.epsilon):
             raise InvalidInput("epsilon must be finite")
+        values = []
+        for exact in (self.omega, self.omega1, self.mathieu_a):
+            try:
+                values.append(float(exact))
+            except OverflowError:
+                values.append(math.inf)
+        square = values[0] * values[0]
+        values.append(4.0 / square if square else math.inf)
+        for name, value in zip(("omega", "omega1", "a = 4 omega1^2/omega^2", "4/omega^2"),
+                               values):
+            if not 0.0 < value < math.inf:
+                raise InvalidInput(f"{name} is {value} as a float; the numeric layer "
+                                   "needs it nonzero and finite")
 
     @property
     def base(self) -> FrequencyBase:
@@ -305,6 +321,24 @@ def back_substitute(params: SystemParams, s: TrigSeries, phased: bool = False,
                           TrigSeries(base, raw_xy))
 
 
+#: one order as (den, [xx, yy, xy]), each a dict from TrigSeries term keys to nonzero ints
+Form = tuple[int, list[dict]]
+
+
+def to_form(q: QuadFormSeries) -> Form:
+    """q's coefficients as numerators over their least common denominator."""
+    parts = [s._terms for s in (q.cxx, q.cyy, q.cxy)]
+    den = math.lcm(*(c.denominator for terms in parts for c in terms.values()))
+    return den, [{key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+                 for terms in parts]
+
+
+def from_form(base: FrequencyBase, form: Form) -> QuadFormSeries:
+    """The quadratic form with coefficients numerator/den, reduced."""
+    den, parts = form
+    return QuadFormSeries(*(TrigSeries._from_numerators(base, part, den) for part in parts))
+
+
 def _add(acc: dict, key, value: int):
     acc[key] = acc.get(key, 0) + value
 
@@ -358,29 +392,32 @@ def _add_phased(acc: dict, p: int, a: int, b: int, xc: int, xs: int, phased: boo
     _add(acc, (p, 0, 0, COS, a, b + 1), xs)
 
 
-def recursion_step(params: SystemParams, f: QuadFormSeries, phased: bool = False,
-                   secular_allowed: bool = False) -> QuadFormSeries:
+def recursion_step(params: SystemParams, form: Form, phased: bool = False,
+                   secular_allowed: bool = False) -> Form:
     """One order of the recursion, in closed form per envelope harmonic.
 
-    Equal to ``back_substitute(substitute_zero_order(poisson_bracket_with_h1(f))
-    .integrate())``, which stays as the reference, but computed on integer
-    numerators over one common denominator.  With P = -2 vd^2 cos(wt) cxy
-    and Q = -4 vd vn cos(wt) cyy (omega1 = vn/vd), the integrand on the
-    orbit is proportional to P - P cos 2psi + Q sin 2psi.  The first
-    term is a pure envelope (m = 0) and integrates onto the
-    (y^2 + omega1^2 x^2) channel; the others are split into the lattice
-    frequencies k*omega -+ 2*omega1 (m = -+2), integrated there and
-    recombined into the (y^2 - omega1^2 x^2) and xy channels.  Phasing
-    rotates (cos 2psi, sin 2psi) by the same angle before and after the
-    integration, so it changes only the constant of integration and the
-    exact-zero-frequency (resonant) terms, which pick up c0 and s0.
+    Maps a ``Form`` to the next order's, over the least common denominator
+    of its coefficients; through ``to_form`` and ``from_form`` it equals
+    ``back_substitute(substitute_zero_order(poisson_bracket_with_h1(f))
+    .integrate())``, which stays as the reference.  It multiplies by
+    cos(omega t) once, so no output harmonic exceeds the largest of its
+    only inputs, cyy and cxy, by more than one (else AssertionError).
+    With P = -2 vd^2 cos(wt) cxy and Q = -4 vd vn cos(wt) cyy (omega1 =
+    vn/vd), the integrand on the orbit is proportional to P - P cos 2psi
+    + Q sin 2psi.  The first term is a pure envelope (m = 0) and
+    integrates onto the (y^2 + omega1^2 x^2) channel; the others are
+    split into the lattice frequencies k*omega -+ 2*omega1 (m = -+2),
+    integrated there and recombined into the (y^2 - omega1^2 x^2) and xy
+    channels.  Phasing rotates (cos 2psi, sin 2psi) by the same angle
+    before and after the integration, so it changes only the constant of
+    integration and the exact-zero-frequency (resonant) terms, which pick
+    up c0 and s0.
     """
-    base = params.base
     om, om1 = params.omega, params.omega1
     vn, vd = om1.numerator, om1.denominator
     scale = om.denominator * vd  # nu(k, m) = (k * kw + m * mw) / scale
     kw, mw = om.numerator * vd, vn * om.denominator
-    den, (cyy, cxy) = _common_numerators((f.cyy, f.cxy))
+    den, (_, cyy, cxy) = form
     P: dict = {}
     Q: dict = {}
     _times_cos_omega(P, cxy, -2 * vd * vd)
@@ -451,15 +488,19 @@ def recursion_step(params: SystemParams, f: QuadFormSeries, phased: bool = False
         _add(xx, key, -vn * vn * c)
     xy = {key: 2 * vn * vd * c for key, c in V.items()}
     den_out = 4 * den * mult * vn * vn * vd * vd
+    g = math.gcd(den_out, *(c for terms in (xx, yy, xy) for c in terms.values()))
+    parts = [{key: c // g for key, c in terms.items() if c} for terms in (xx, yy, xy)]
+    bound = max((key[1] for terms in (cyy, cxy) for key in terms), default=0) + 1
+    if any(key[1] > bound for terms in parts for key in terms):
+        raise AssertionError(f"the step yields harmonics above {bound}*omega; "
+                             "recursion is broken")
     if not secular_allowed:
-        secular = [key for terms in (xx, yy, xy) for key, c in terms.items() if c and key[0]]
+        secular = [key for terms in parts for key in terms if key[0]]
         if secular:
             p, k, *_ = min(secular)
             raise SecularTerm(f"secular term of degree {p} at harmonic k={k} "
                               "is not allowed in this construction")
-    return QuadFormSeries(TrigSeries._from_numerators(base, xx, den_out),
-                          TrigSeries._from_numerators(base, yy, den_out),
-                          TrigSeries._from_numerators(base, xy, den_out))
+    return den_out // g, parts
 
 
 @dataclass(frozen=True)
@@ -521,19 +562,15 @@ def _series(params: SystemParams, seed: QuadFormSeries, name: str, order: int,
             resonant: bool = False) -> FormalIntegral:
     """The recursion from ``seed`` through ``order``, phased with secular terms if ``resonant``.
 
-    Each step multiplies by cos(omega t) once, so order s carries
-    harmonics up to the seed's largest plus s.
+    The orders are chained as ``Form``s; each becomes a QuadFormSeries once.
     """
     if order < 0:
         raise InvalidInput("order must be >= 0")
-    bound = seed.max_harmonic()
+    form = to_form(seed)
     orders = [seed]
-    for s in range(1, order + 1):
-        nxt = recursion_step(params, orders[-1], phased=resonant, secular_allowed=resonant)
-        if nxt.max_harmonic() > bound + s:
-            raise AssertionError(f"order {s} contains harmonics above {bound + s}*omega; "
-                                 "recursion is broken")
-        orders.append(nxt)
+    for _ in range(order):
+        form = recursion_step(params, form, phased=resonant, secular_allowed=resonant)
+        orders.append(from_form(params.base, form))
     return FormalIntegral(params, tuple(orders), name, secular_allowed=resonant, phased=resonant)
 
 

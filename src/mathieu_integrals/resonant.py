@@ -20,7 +20,8 @@ secular term through order s (q_1 = 1/4 at omega = 2, omega1 = 1).  The
 recursion step R is linear over that ring, so the partial sums
 X_n = C_n + sum_{i<n} q_i Phi_{n-i} obey X_1 = R(C_0) and
 X_{n+1} = R(X_n) + q_n Phi_1, where q_n solves sec R(X_n) + q_n sec Phi_1 = 0;
-then Cbar_n = X_n + q_n Phi_0 for n < s and Cbar_s = X_s.
+then Cbar_n = X_n + q_n Phi_0 for n < s and Cbar_s = X_s, all as
+integer numerators over one denominator (``builder.Form``).
 
 All dependence on the unknown phase t0 is confined to the generators
 c0, s0; they are bound numerically from the initial conditions via
@@ -36,10 +37,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import (FormalIntegral, QuadFormSeries, SystemParams, _add, _series,
-                      conic_at_section, h0_form, recursion_step)
+from .builder import (Form, FormalIntegral, QuadFormSeries, SystemParams, _add, _series,
+                      conic_at_section, from_form, h0_form, recursion_step, to_form)
 from .errors import InvalidInput, NotResonant, UnsolvableSecular, UnsupportedResonance
-from .trigseries import COS, SIN, TrigSeries, _common_numerators
+from .trigseries import COS, SIN, TrigSeries
 
 
 def require_primary_resonance(params: SystemParams):
@@ -141,55 +142,36 @@ class ResonantIntegral:
         return self.combined.evaluate(x, y, t, epsilon, c0=c.c0, s0=c.s0)
 
 
-#: a quadratic form as integer numerators over one denominator:
-#: (den, [xx, yy, xy]), each a dict from TrigSeries term keys to ints
-_Numerators = tuple[int, list[dict]]
-
-
-def _numerators(q: QuadFormSeries) -> _Numerators:
-    return _common_numerators((q.cxx, q.cyy, q.cxy))
-
-
-def _secular(form: _Numerators) -> _Numerators:
+def _secular(form: Form) -> Form:
     den, parts = form
     return den, [{key: c for key, c in part.items() if key[0]} for part in parts]
 
 
-def _times_ring(form: _Numerators, ring: tuple[int, dict]) -> _Numerators:
-    """form * q for q = sum_(a, b) n_ab c0^a s0^b / den, reduced with c0^2 = 1 - s0^2.
+def _add_multiple(x: Form, y: Form, q: tuple[int, dict]) -> Form:
+    """x + q*y for q = sum_(a, b) n_ab c0^a s0^b / qden, reduced with c0^2 = 1 - s0^2.
 
-    A convolution over the generator monomials; everything else in the
-    term key is left alone, because q does not depend on t.
+    q*y is a convolution over the generator monomials; everything else in
+    the term key is left alone, because q does not depend on t.  Zero sums drop out.
     """
-    den, parts = form
-    qden, q = ring
+    (xden, xparts), (yden, yparts), (qden, qn) = x, y, q
+    den = math.lcm(xden, yden * qden)
+    xscale, yscale = den // xden, den // (yden * qden)
     out = []
-    for part in parts:
-        acc: dict = {}
-        for (p, k, m, ph, a, b), c in part.items():
-            for (qa, qb), qc in q.items():
-                v = c * qc
+    for xpart, ypart in zip(xparts, yparts):
+        acc = {key: c * xscale for key, c in xpart.items()}
+        for (p, k, m, ph, a, b), c in ypart.items():
+            for (qa, qb), qc in qn.items():
+                v = c * qc * yscale
                 if a + qa == 2:
                     _add(acc, (p, k, m, ph, 0, b + qb), v)
                     _add(acc, (p, k, m, ph, 0, b + qb + 2), -v)
                 else:
                     _add(acc, (p, k, m, ph, a + qa, b + qb), v)
-        out.append(acc)
-    return den * qden, out
-
-
-def _sum(forms: list[_Numerators]) -> _Numerators:
-    den = math.lcm(*(d for d, _ in forms))
-    out: list[dict] = [{}, {}, {}]
-    for d, parts in forms:
-        scale = den // d
-        for acc, part in zip(out, parts):
-            for key, c in part.items():
-                _add(acc, key, c * scale)
+        out.append({key: c for key, c in acc.items() if c})
     return den, out
 
 
-def _solve_ratio(target: _Numerators, reference: _Numerators) -> tuple[int, dict]:
+def _solve_ratio(target: Form, reference: Form) -> tuple[int, dict]:
     """Solve target + q*reference = 0 for q in the constant ring, exactly.
 
     q is a t-independent element of Q[c0, s0]/(c0^2 + s0^2 - 1),
@@ -204,7 +186,6 @@ def _solve_ratio(target: _Numerators, reference: _Numerators) -> tuple[int, dict
     """
     tden, tgt_parts = target
     rden, ref_parts = reference
-    tgt_parts = [{key: c for key, c in part.items() if c} for part in tgt_parts]
     candidates = [(ref, tgt) for ref, tgt in zip(ref_parts, tgt_parts) if ref]
     if not candidates:
         if not any(tgt_parts):
@@ -222,14 +203,9 @@ def _solve_ratio(target: _Numerators, reference: _Numerators) -> tuple[int, dict
         quotient[(a - ra, b - rb)] = Fraction(-c * rden, tden * ref[rkey])
     qden = math.lcm(*(c.denominator for c in quotient.values()))
     q = (qden, {ab: c.numerator * (qden // c.denominator) for ab, c in quotient.items()})
-
-    pden, products = _times_ring(reference, q)
-    for tgt_c, prod in zip(tgt_parts, products):
-        for key in tgt_c.keys() | prod.keys():
-            if tgt_c.get(key, 0) * pden + prod.get(key, 0) * tden:
-                raise UnsolvableSecular(
-                    "secular parts are not proportional; the mixing ansatz cannot cancel them"
-                )
+    if any(_add_multiple(target, reference, q)[1]):
+        raise UnsolvableSecular(
+            "secular parts are not proportional; the mixing ansatz cannot cancel them")
     return q
 
 
@@ -237,43 +213,37 @@ def eliminate_secular(params: SystemParams, order: int) -> ResonantIntegral:
     """Mix the C and Phi series so no secular term survives through ``order``.
 
     Runs X_1 = R(C_0), X_{n+1} = R(X_n) + q_n Phi_1 (module docstring),
-    so it forms only C_0 (``resonant_seed``, the one resonance check) and
-    Phi_0, Phi_1 (the H0-seeded loop of ``build_resonant_phi``), never the
-    C-series.  Each q_n is solved exactly with the generators kept
+    R the phased ``recursion_step``, on ``builder.Form``s: Phi_0 = H0,
+    Phi_1 = R(Phi_0), C_0 (``resonant_seed``, the one resonance check)
+    and every X_n stay integer numerators; only the final Cbar_n become
+    QuadFormSeries.  Each q_n is solved exactly with the generators kept
     symbolic (so q_1 = 1/4 comes out even for initial phases with s0 =
-    0), and each Cbar_n is checked for secular terms.  Sums and products
-    by q run on integer numerators; only the results become Fractions.
+    0), and each Cbar_n is checked for secular terms.
     """
     c0 = resonant_seed(params)
-    phi = _series(params, h0_form(params), "H0", min(order, 1), resonant=True)
+    if order < 0:
+        raise InvalidInput("order must be >= 0")
     base = params.base
-
-    def form(nums: _Numerators) -> QuadFormSeries:
-        den, parts = nums
-        return QuadFormSeries(*(TrigSeries._from_numerators(base, part, den) for part in parts))
-
-    def step(q: QuadFormSeries) -> _Numerators:
-        return _numerators(recursion_step(params, q, phased=True, secular_allowed=True))
-
     qs: list[tuple[int, dict]] = []
-    cbars: list[_Numerators] = []
+    cbars: list[Form] = []
     if order >= 1:
-        phi0, phi1 = map(_numerators, phi.orders)
-        x = step(c0)
+        phi0 = to_form(h0_form(params))
+        phi1 = recursion_step(params, phi0, phased=True, secular_allowed=True)
+        x = recursion_step(params, to_form(c0), phased=True, secular_allowed=True)
         for _ in range(1, order):
-            nxt = step(form(x))
+            nxt = recursion_step(params, x, phased=True, secular_allowed=True)
             qs.append(_solve_ratio(_secular(nxt), _secular(phi1)))
-            cbars.append(_sum([x, _times_ring(phi0, qs[-1])]))
-            x = _sum([nxt, _times_ring(phi1, qs[-1])])
+            cbars.append(_add_multiple(x, phi0, qs[-1]))
+            x = _add_multiple(nxt, phi1, qs[-1])
         cbars.append(x)
     for n, (_, parts) in enumerate(cbars, start=1):
-        if any(c and key[0] for part in parts for key, c in part.items()):
+        if any(key[0] for part in parts for key in part):
             raise UnsolvableSecular(f"secular content survives at order {n}")
 
     mix = tuple(TrigSeries._from_numerators(base, {(0, 0, 0, COS, a, b): c
                                                    for (a, b), c in q.items()}, den)
                 for den, q in qs)
-    combined = (c0, *map(form, cbars))
+    combined = (c0, *(from_form(base, cbar) for cbar in cbars))
     combined_integral = FormalIntegral(params, combined, seed="C0",
                                        secular_allowed=False, phased=True)
     return ResonantIntegral(mix=mix, combined=combined_integral)

@@ -80,14 +80,6 @@ class FrequencyBase:
         return k * self.omega + m * self.omega1
 
 
-def _common_numerators(series: Iterable["TrigSeries"]) -> tuple[int, list[dict[TermKey, int]]]:
-    """Integer numerators of every series' coefficients over their least common denominator."""
-    series = list(series)
-    den = math.lcm(*(c.denominator for s in series for c in s._terms.values()))
-    return den, [{key: c.numerator * (den // c.denominator) for key, c in s._terms.items()}
-                 for s in series]
-
-
 def _reduce_generators(a: int, b: int, coeff: Fraction) -> Iterator[tuple[int, int, Fraction]]:
     """Rewrite c0^a s0^b with a >= 2 using c0^2 = 1 - s0^2.
 

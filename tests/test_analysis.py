@@ -339,6 +339,10 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study(P01, 0.1, [4, 2])
 
+    def test_negative_order_rejected_as_input(self):
+        with pytest.raises(InvalidInput, match="order -1 is negative"):
+            convergence_study(P01, 0.1, [-1, 2])
+
     def test_resonance_propagates(self):
         from mathieu_integrals import ResonanceDetected
         with pytest.raises(ResonanceDetected):
@@ -401,6 +405,11 @@ class TestPeriodicOrbits:
     def test_no_root(self):
         with pytest.raises(NoRoot):
             find_periodic_orbit(P01, 0.05, 17, search_radius=1e-7)
+
+    def test_no_root_names_the_widest_interval_tested(self):
+        # the 8th and last attempt tests 0.15 +- 0.02 * 2^7
+        with pytest.raises(NoRoot, match=r"within 2\.56 of 0\.15$"):
+            find_periodic_orbit(P01, 0.15, 5)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,23 @@ class TestBuildIntegral:
         assert res.exit_code == 0
         assert time.time() - start < 60.0
 
+    def test_pretty_prints_one_block_per_order(self, runner, tmp_path):
+        res = invoke(runner, "build-integral", "--order", "3", "--pretty",
+                     "--out", str(tmp_path / "p.json"))
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        heads = [i for i, line in enumerate(lines) if line.startswith("-- order")]
+        assert [lines[i] for i in heads] == [f"-- order eps^{s} --" for s in range(4)]
+        want = build_integral(SystemParams(F(2), F(9, 10)), 1).orders[1].cxx.pretty()
+        assert lines[heads[1] + 1] == f"x^2: {want}"
+
+    def test_dump_symbolic_prints_the_written_bytes(self, runner, tmp_path):
+        out = tmp_path / "p.json"
+        res = invoke(runner, "build-integral", "--order", "3", "--dump-symbolic",
+                     "--out", str(out))
+        assert res.exit_code == 0
+        assert res.stdout_bytes == f"wrote {out}\n".encode() + out.read_bytes()
+
     def test_conics_table(self, runner, tmp_path):
         out = tmp_path / "c.csv"
         res = invoke(runner, "build-integral", "--order", "4",
@@ -231,18 +248,21 @@ class TestResonantCommand:
     @pytest.mark.parametrize("order, depth", [(0, 0), (1, 1), (2, 1), (10, 1)])
     def test_phi_only_as_deep_as_the_elimination_reads(self, runner, monkeypatch, tmp_path,
                                                        order, depth):
-        built = []
-        series = resonant._series
+        # Phi_1 = R(H0) when depth is 1, then X_1 ... X_order; no series is built
+        built, steps = [], []
+        step = resonant.recursion_step
 
-        def recording(params, seed, name, n, resonant):
-            built.append((name, n))
-            return series(params, seed, name, n, resonant)
+        def recording(*args, **kwargs):
+            steps.append(args)
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(resonant, "_series", recording)
+        monkeypatch.setattr(resonant, "_series", lambda *args: built.append(args))
+        monkeypatch.setattr(resonant, "recursion_step", recording)
         res = invoke(runner, "resonant", "--omega1", "1", "--order", str(order),
                      "--out", str(tmp_path / "r.json"))
         assert res.exit_code == 0
-        assert built == [("H0", depth)]
+        assert built == []
+        assert len(steps) == depth + order
 
 
 class TestBadInput:
@@ -261,6 +281,8 @@ class TestBadInput:
         ["resonant", "--omega1", "1", "--x0", "1", "--y0", "1", "--epsilon", "0"],
         ["convergence", "--orders", "x"],
         ["convergence", "--orders", "4,x"],
+        ["convergence", "--orders=-1,2"],
+        ["resonant", "--omega1", "1", "--order", "-1"],
         ["distances", "--r-escape", "-1"],
         ["distances", "--r-escape", "nan"],
         ["critical-eps", "--sign", "0"],
@@ -283,6 +305,24 @@ class TestBadInput:
         assert res.exit_code == 2
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args, name", [
+        (["critical-eps", "--omega", "1e-400"], "omega is 0.0"),
+        (["critical-eps", "--omega", "1e400"], "omega is inf"),
+        (["critical-eps", "--omega", "1e-200"], "a = 4 omega1^2/omega^2 is inf"),
+        (["critical-eps", "--omega1", "1e-200"], "a = 4 omega1^2/omega^2 is 0.0"),
+        (["critical-eps", "--omega1", "1e200"], "a = 4 omega1^2/omega^2 is inf"),
+        (["critical-eps", "--omega", "1e160"], "4/omega^2 is 0.0"),
+        (["section", "--omega1", "1e400"], "omega1 is inf"),
+        (["section", "--omega", "1e-200"], "a = 4 omega1^2/omega^2 is inf"),
+        (["monodromy", "--omega", "1e400"], "omega is inf"),
+        (["build-integral", "--omega", "1e-200", "--order", "2"], "a = 4 omega1^2/omega^2"),
+    ])
+    def test_frequency_outside_the_float_range(self, runner, args, name):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name}")
 
     @pytest.mark.parametrize("args, cause", [
         # E(0) = -H(x0, y0, 0) is inf - inf: the start, not the propagation, overflows

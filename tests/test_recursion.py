@@ -1,10 +1,12 @@
 """The closed-form recursion step against the Fraction round trip.
 
-``recursion_step`` runs per envelope harmonic on integer numerators.
-The reference is the composition it replaced: the bracket, the
-zero-order substitution onto the (k, m) lattice, the termwise integral
-and the back-substitution, all in TrigSeries arithmetic, which shares
-no code with the integer step.
+``recursion_step`` runs per envelope harmonic on integer numerators
+(``builder.Form``); ``step`` below reaches it through the form's two
+converters and checks that its output is already over the least common
+denominator.  The reference is the composition it replaced: the
+bracket, the zero-order substitution onto the (k, m) lattice, the
+termwise integral and the back-substitution, all in TrigSeries
+arithmetic, which shares no code with the integer step.
 """
 
 from fractions import Fraction as F
@@ -13,10 +15,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mathieu_integrals import QuadFormSeries, SecularTerm, SystemParams, h0_form
-from mathieu_integrals.builder import (back_substitute, poisson_bracket_with_h1,
-                                       recursion_step, substitute_zero_order)
+from mathieu_integrals import (QuadFormSeries, SecularTerm, SystemParams, builder,
+                               build_integral, eliminate_secular, h0_form)
+from mathieu_integrals.builder import (back_substitute, from_form, poisson_bracket_with_h1,
+                                       recursion_step, substitute_zero_order, to_form)
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries
+
+
+def step(params, f, phased, secular_allowed=True):
+    form = recursion_step(params, to_form(f), phased=phased, secular_allowed=secular_allowed)
+    got = from_form(params.base, form)
+    assert to_form(got) == form
+    return got
 
 
 def round_trip(params, f, phased, secular_allowed=True):
@@ -48,7 +58,7 @@ def test_step_equals_round_trip_over_12_orders(omega1, seed, phased):
     params = SystemParams(F(2), F(omega1))
     f = seed_form(params, seed)
     for order in range(1, 13):
-        got = recursion_step(params, f, phased=phased, secular_allowed=True)
+        got = step(params, f, phased)
         assert got == round_trip(params, f, phased), f"order {order}"
         f = got
 
@@ -60,7 +70,7 @@ def test_step_equals_round_trip_at_second_resonance(seed, phased):
     params = SystemParams(F(2), F(2))
     f = seed_form(params, seed)
     for order in range(1, 7):
-        got = recursion_step(params, f, phased=phased, secular_allowed=True)
+        got = step(params, f, phased)
         assert got == round_trip(params, f, phased), f"order {order}"
         f = got
 
@@ -71,7 +81,7 @@ def test_secular_rejected_where_the_round_trip_rejects_it():
     with pytest.raises(SecularTerm):
         round_trip(params, h0_form(params), True, secular_allowed=False)
     with pytest.raises(SecularTerm):
-        recursion_step(params, h0_form(params), phased=True, secular_allowed=False)
+        step(params, h0_form(params), True, secular_allowed=False)
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,6 +94,24 @@ def test_step_equals_round_trip_at_random_frequencies(omega, omega1, seed, phase
     params = SystemParams(omega, omega1)
     f = seed_form(params, seed)
     for _ in range(orders):
-        got = recursion_step(params, f, phased=phased, secular_allowed=True)
+        got = step(params, f, phased)
         assert got == round_trip(params, f, phased)
         f = got
+
+
+def test_step_checks_its_harmonic_bound(monkeypatch):
+    # one harmonic too many from harmonic 1 on: Phi_1 = R(H0) stays right, so
+    # the elimination trips the check only in its X_n steps
+    times_cos_omega = builder._times_cos_omega
+
+    def one_too_many(acc, terms, factor):
+        times_cos_omega(acc, terms, factor)
+        top = max((key[1] for key in terms), default=0)
+        if top:
+            acc[(0, top + 2, 0, COS, 0, 0)] = factor
+
+    monkeypatch.setattr(builder, "_times_cos_omega", one_too_many)
+    with pytest.raises(AssertionError, match="recursion is broken"):
+        build_integral(SystemParams(F(2), F(9, 10)), 3)
+    with pytest.raises(AssertionError, match="recursion is broken"):
+        eliminate_secular(SystemParams(F(2), F(1)), 3)

@@ -15,10 +15,10 @@ from mathieu_integrals import (NotResonant, PhaseConstants, QuadFormSeries,
                                SystemParams, UnsolvableSecular, build_resonant_c,
                                build_resonant_phi, eliminate_secular, monodromy,
                                resonant_seed, resonant_section_form)
-from mathieu_integrals.builder import recursion_step, substitute_zero_order
+from mathieu_integrals.builder import from_form, recursion_step, substitute_zero_order, to_form
 from mathieu_integrals.dynamics import _RTOL
 from mathieu_integrals.errors import InvalidInput, UnsupportedResonance
-from mathieu_integrals.resonant import _numerators, _secular, _solve_ratio
+from mathieu_integrals.resonant import _secular, _solve_ratio
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries
 
 P = SystemParams(F(2), F(1), 0.05)
@@ -147,7 +147,8 @@ class TestCSeries:
         sin_env = TrigSeries.harmonic(base, 1, k=1, m=0, phase=SIN)
         c0_form = QuadFormSeries(cos_env.scale(-om1 ** 2), cos_env,
                                  sin_env.scale(2 * om1))
-        c1 = recursion_step(params, c0_form, phased=False, secular_allowed=False)
+        c1 = from_form(base, recursion_step(params, to_form(c0_form), phased=False,
+                                            secular_allowed=False))
         assert c1 == generic_c1(params)
 
     def test_c1_vanishes_at_section_times(self, c_series):
@@ -216,8 +217,8 @@ class TestElimination:
         # C_2 and Phi_1 carry their secular parts on x^2 and y^2 alike, so
         # q_1 = 1/4 solves the pair; a reference with it on x^2 alone is not
         # proportional to C_2's
-        target = _secular(_numerators(c_series.orders[2]))
-        reference = _secular(_numerators(phi_series.orders[1]))
+        target = _secular(to_form(c_series.orders[2]))
+        reference = _secular(to_form(phi_series.orders[1]))
         assert _solve_ratio(target, reference) == (4, {(0, 0): 1})
         den, (xx, _, _) = reference
         with pytest.raises(UnsolvableSecular):
