@@ -8,20 +8,22 @@ augmented with the conjugate momentum of time, dE/dt = -dH/dt =
 -eps omega x^2 sin(omega t), from E(0) = -H(x0, y0, 0); E is integrated,
 never recomputed as -H, so |H + E| is an independent accuracy check.
 
-By Floquet theory one period serves every stroboscopic study.  A
-Dormand-Prince 5(4) pair (error control at rtol = atol = 1e-12) solves,
-over [0, T] only, for the fundamental matrix M(s) and the energy form
-Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
-m11 m12); then z(kT + s) = M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z
-and the n-period monodromy is M(T)^n.  Steps land *exactly* on the
-sample grid s = j T/spp, so section samples carry t = k*T.
+By Floquet theory one period serves every stroboscopic study, and the
+driving is even in t, so half a period does.  A Dormand-Prince 5(4)
+pair (error control at rtol = atol = 1e-12) solves, over [0, T/2] only,
+for the fundamental matrix M(s) and the energy form Q(s) = (q11, q22,
+q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2, m11 m12); time
+reversal gives M and Q on [T/2, T] (``_one_period``).  Then z(kT + s) =
+M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z and the n-period monodromy
+is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so
+section samples carry t = k*T.
 
 One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
-Hill equation on the two columns of M: M(T/2) alone for ``monodromy``
-(the driving is even in t), (M, Q) on the sample grid for orbits; the
-escape-boundary search reads Hill's determinant instead
-(``analysis._hill_trace``).  The generic stepper it reproduces bit for
-bit lives in ``tests/dp5_reference.py``.
+Hill equation on the two columns of M: M(T/2) alone for ``monodromy``,
+(M, Q) on the half-period sample grid for orbits; both assemble M(T) in
+``_full_period``.  The escape-boundary search reads Hill's determinant
+instead (``analysis._hill_trace``).  The generic stepper it reproduces
+bit for bit lives in ``tests/dp5_reference.py``.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
     first-same-as-last stage reuses stage 6's, taken at the same time),
     and each column runs its stages on scalars.  Non-finite stages (an
     eps so large that the coefficients or the solution overflow) end in
-    Unbounded.
+    Unbounded.  A span holding more unperturbed oscillations than the
+    step budget has steps raises StepFailure before the first step.
     """
+    cycles = float(params.omega1) * targets[-1] / (2.0 * math.pi)
+    if cycles > _MAX_STEPS:
+        raise StepFailure(f"the solve over [0, {targets[-1]:.3g}] spans {cycles:.3g} "
+                          f"oscillations of omega1, more than its budget of {_MAX_STEPS} steps")
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
     two_eps = 2.0 * epsilon
@@ -239,11 +246,59 @@ def _eps_arg(epsilon) -> float:
     return float(epsilon)
 
 
+def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """M(T) row-major from H = M(T/2) = ((a, b), (c, d)).
+
+    w(t) is even, so M(-u) = R M(u) R with R = diag(1, -1), and the flow
+    over [T/2, T] is R H^-1 R: M(T) = R H^-1 R H, which det H = 1 makes
+    ((ad + bc, 2bd), (2ac, ad + bc)) (Magnus & Winkler, Hill's Equation).
+    """
+    diag = a * d + b * c
+    return diag, 2.0 * b * d, 2.0 * a * c, diag
+
+
 def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> list[tuple]:
-    """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp."""
+    """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp.
+
+    DP5 solves (M, Q) at s_j for j <= spp/2 and at T/2 (one more target
+    where spp is odd).  Besides M(-u) = R M(u) R, reversal gives
+    Q(-u) = R Q(u) R, and a period composes as M(u + T) = M(u) M(T),
+    Q(u + T) = Q(T) + M(T)^T Q(u) M(T).  So with M(T) from
+    ``_full_period`` and H, Q(T/2) the solve at T/2,
+
+        Q(T) = Q(T/2) - M(T)^T R Q(T/2) R M(T),
+        M(T - u) = R M(u) R M(T),  Q(T - u) = Q(T) + M(T)^T R Q(u) R M(T).
+
+    Sample j > spp/2 mirrors grid index spp - j (index 0 is (I, 0)): by
+    index, never by the float T - s_j, which misses the grid by an ulp.
+    A mirrored sample, T included, carries the error of the solve
+    amplified by up to |M(T)|^2, which shows only where the solution
+    grows by orders of magnitude within one period.
+    """
+    spp = samples_per_period
     T = params.period
-    targets = [(j / samples_per_period) * T for j in range(1, samples_per_period + 1)]
-    return list(_hill_points(params, eps, targets, energy=True))
+    half = spp // 2
+    targets = [(j / spp) * T for j in range(1, half + 1)]
+    if spp % 2:
+        targets.append(0.5 * T)
+    solved = list(_hill_points(params, eps, targets, energy=True))
+    *h, h11, h22, h12 = solved[-1]
+    A, B, C, D = _full_period(*h)
+
+    def reflected(p, q, r):
+        """M(T)^T R Q R M(T) for Q = ((p, r), (r, q)), as (q11, q22, q12)."""
+        u, v, w, z = p * A - r * C, q * C - r * A, p * B - r * D, q * D - r * B
+        return A * u + C * v, B * w + D * z, A * w + C * z
+
+    t11, t22, t12 = reflected(h11, h22, h12)
+    q11_T, q22_T, q12_T = h11 - t11, h22 - t22, h12 - t12
+    mirrored = []
+    for m11, m12, m21, m22, q11, q22, q12 in reversed(
+            [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)] + solved[:spp - half - 1]):
+        t11, t22, t12 = reflected(q11, q22, q12)
+        mirrored.append((m11 * A - m12 * C, m11 * B - m12 * D, m22 * C - m21 * A,
+                         m22 * D - m21 * B, q11_T + t11, q22_T + t22, q12_T + t12))
+    return solved[:half] + mirrored
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
@@ -255,12 +310,16 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
     always hitting the section times t = k*T exactly.  E starts at
     -H(x0, y0, 0) and advances by the integrated energy form Q, never
     by re-evaluating H.  Raises Unbounded once the propagated state
-    overflows (InvalidInput if E(0) already does).
+    overflows (InvalidInput if E(0) already does).  The origin is a
+    fixed point and is rejected as a start.
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise InvalidInput("the initial condition must be finite")
+    if x0 == 0.0 and y0 == 0.0:
+        raise InvalidInput("the initial condition is the origin, a fixed point: "
+                           "its orbit is (0, 0) at every time")
     eps = params.epsilon if epsilon is None else _eps_arg(epsilon)
     x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0, eps)
     if not math.isfinite(e):
@@ -308,13 +367,10 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
     The one-period matrix M(T) is the exact flow map of the linear
     system (not a linearization), and the coefficients are T-periodic,
     so the n-period matrix is M(T)^n.  The solve carries the columns of
-    M alone, over half a period: w(t) is even, so the flow over [T/2, T]
-    is R H^-1 R, R = diag(1, -1), H = M(T/2) = ((a, b), (c, d)), and det H
-    = 1 gives M(T) = ((ad + bc, 2bd), (2ac, ad + bc)) (Magnus & Winkler).
+    M alone, over half a period, and ``_full_period`` assembles M(T).
     """
-    (a, b, c, d), = _hill_points(params, _eps_arg(epsilon), [0.5 * params.period])
-    diag = a * d + b * c
-    return Monodromy(m11=diag, m12=2.0 * b * d, m21=2.0 * a * c, m22=diag, n=1).power(n)
+    half, = _hill_points(params, _eps_arg(epsilon), [0.5 * params.period])
+    return Monodromy(*_full_period(*half), n=1).power(n)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 ``dynamics._hill_points`` is this stepper specialised to the Hill
 equation and must reproduce it bit for bit: on the 4-component flow of
-M alone (``monodromy`` solves it over half a period) and with ``rhs_period`` on the 7-component (M
-row-major, Q) system of the one-period propagator.  It shares the
-tableau and the step budget of ``dynamics`` and nothing else; its
-tolerances are parameters, guarded by a float64 floor of its own.
+M alone and, with ``rhs_period``, on the 7-component (M row-major, Q)
+system; ``monodromy`` and the orbit propagator solve both over half a
+period.  ``one_period`` solves the 7-component system over the whole
+period, the reference for the propagator's time-reversed second half.
+It shares the tableau and the step budget of ``dynamics`` and nothing
+else; its tolerances are parameters, guarded by a float64 floor of its
+own.
 """
 
 from __future__ import annotations

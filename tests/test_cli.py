@@ -277,6 +277,10 @@ class TestBadInput:
         ["orbit", "--samples", "0"],
         ["monodromy", "--n", "0"],
         ["convergence", "--x0", "0", "--y0", "0"],
+        ["section", "--x0", "0", "--y0", "0"],
+        ["orbit", "--x0", "0", "--y0", "0"],
+        ["distances", "--x0", "0", "--y0", "0"],
+        ["energy", "--x0", "0", "--y0", "0"],
         ["resonant", "--omega1", "1", "--x0", "0", "--y0", "0"],
         ["resonant", "--omega1", "1", "--x0", "1", "--y0", "1", "--epsilon", "0"],
         ["convergence", "--orders", "x"],
@@ -305,6 +309,20 @@ class TestBadInput:
         assert res.exit_code == 2
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["monodromy", "--omega", "1e-150"],
+        ["section", "--omega", "1e-150", "--periods", "1"],
+        ["orbit", "--omega", "1e-150"],
+    ], ids=lambda args: args[0])
+    def test_span_beyond_the_step_budget_fails_fast(self, runner, args):
+        # T/2 = 3.1e150 holds 4.5e149 oscillations of omega1: no step budget covers them
+        start = time.perf_counter()
+        res = invoke(runner, *args)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
 
     @pytest.mark.parametrize("args, name", [
         (["critical-eps", "--omega", "1e-400"], "omega is 0.0"),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp5_reference import integration_points, one_period, rhs_linear
+from dp5_reference import integration_points, one_period, rhs_linear, rhs_period
 from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
                                escape_diagnostics, integrate_orbit, monodromy,
                                stroboscopic_section)
@@ -88,6 +88,8 @@ class TestSampling:
             integrate_orbit(P01, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             integrate_orbit(P01, 0.0, 1.0, 1, samples_per_period=0)
+        with pytest.raises(InvalidInput, match="origin"):
+            integrate_orbit(P01, 0.0, -0.0, 1)
 
     def test_step_failure_on_impossible_tolerance(self, monkeypatch):
         # below the roundoff floor of the embedded error estimate the
@@ -101,6 +103,25 @@ class TestSampling:
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
         with pytest.raises(StepFailure, match="step budget exhausted"):
             monodromy(P01, 0.1)
+
+    def test_span_beyond_the_step_budget_fails_before_stepping(self, monkeypatch):
+        # omega = 1e-150 puts 4.5e149 oscillations of omega1 into T/2
+        trig = _count_trig(monkeypatch)
+        params = SystemParams(F(1, 10**150), F(9, 10), 0.1)
+        with pytest.raises(StepFailure, match="oscillations of omega1"):
+            monodromy(params, 0.1)
+        with pytest.raises(StepFailure, match="oscillations of omega1"):
+            integrate_orbit(params, 0.0, 1.0, 1, samples_per_period=32)
+        assert trig == []
+        # the bound is the step budget itself: 10.5 oscillations against 10 steps
+        # fail at once, 9.5 run into the budget
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+        cycle = 2 * math.pi / 0.9
+        with pytest.raises(StepFailure, match="oscillations of omega1"):
+            list(_hill_points(P01, 0.1, [10.5 * cycle]))
+        assert trig == []
+        with pytest.raises(StepFailure, match="step budget exhausted"):
+            list(_hill_points(P01, 0.1, [9.5 * cycle]))
 
     def test_tolerance_below_float64_floor_fails_before_stepping(self):
         calls = []
@@ -282,10 +303,47 @@ def _bits(values):
 
 
 def _assert_orbit_solve_is_generic_solve(params, spp):
-    """The one-period (M, Q) solve equals the generic 7-component DP5 bit for bit."""
-    args = (params, params.epsilon, spp)
-    assert [_bits(u) for u in dynamics._one_period(*args)] == \
-        [_bits(u) for u in one_period(*args, dynamics._RTOL, dynamics._ATOL)]
+    """The half-period (M, Q) solve equals the generic 7-component DP5 bit for bit.
+
+    Its targets are s_j = (j/spp) T for j <= spp/2, then T/2 where spp is
+    odd; ``_one_period`` returns the first spp // 2 of them unchanged.
+    Returns its grid.
+    """
+    eps, T = params.epsilon, params.period
+    targets = [(j / spp) * T for j in range(1, spp // 2 + 1)] + ([0.5 * T] if spp % 2 else [])
+    kernel = list(_hill_points(params, eps, targets, energy=True))
+    generic = [u for _, u in integration_points(rhs_period(params, eps), 0.0,
+                                                (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), targets,
+                                                dynamics._RTOL, dynamics._ATOL)]
+    assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
+    grid = dynamics._one_period(params, eps, spp)
+    assert grid[:spp // 2] == kernel[:spp // 2]
+    return grid
+
+
+def _assert_assembled_period_matches_full_period_solve(params, grid):
+    """The assembled (M, Q) grid against the generic DP5 solve over all of [0, T].
+
+    Up to spp/2 the two solves differ only in their first step.  Sample
+    j > spp/2 is R M(u) R M(T) and Q(T) + M(T)^T R Q(u) R M(T) at u =
+    s_(spp-j), so the error of grid row spp - j (row 0 is (I, 0)) returns
+    amplified by up to |M(T)|^2.  Over 1200 random draws of the property
+    range below and its 300 corners (omega in {1/2, 21/20, 2, 4}, omega1 in
+    {1/20, 1, 3}, eps in {0, +-1/2, +-1}, every spp) the worst entry error
+    was 1.6e-13 of max(1, |row j|) before the middle and 2.0e-11 of
+    max(1, |row j|, |M(T)|^2 |row spp - j|) past it: the bound is 1e-10 of
+    that scale.
+    """
+    spp = len(grid)
+    full = one_period(params, params.epsilon, spp, dynamics._RTOL, dynamics._ATOL)
+    assert len(full) == spp
+    m_T = max(map(abs, grid[-1][:4]))
+    rows = [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)] + grid
+    for j, (got, want) in enumerate(zip(grid, full), start=1):
+        scale = max(1.0, *map(abs, want))
+        if j > spp // 2:
+            scale = max(scale, m_T * m_T * max(map(abs, rows[spp - j])))
+        assert all(abs(u - v) <= 1e-10 * scale for u, v in zip(got, want)), j
 
 
 class TestHillKernel:
@@ -344,7 +402,12 @@ class TestHillKernel:
     @pytest.mark.parametrize("omega1, eps, spp", [("9/10", 0.1, 1), ("9/10", -0.185, 64),
                                                   ("1/10", 0.9, 4), ("301/100", 0.1, 3)])
     def test_orbit_solve_is_bit_identical_to_generic_solve(self, omega1, eps, spp):
-        _assert_orbit_solve_is_generic_solve(SystemParams(F(2), F(omega1), eps), spp)
+        params = SystemParams(F(2), F(omega1), eps)
+        grid = _assert_orbit_solve_is_generic_solve(params, spp)
+        _assert_assembled_period_matches_full_period_solve(params, grid)
+        # the last entry is M(T) from _full_period: equal diagonal, det 1
+        m11, m12, m21, m22, *_ = grid[-1]
+        assert m11 == m22 and abs(m11 * m22 - m12 * m21 - 1.0) <= 1e-11
 
     @settings(max_examples=20, deadline=None)
     @given(omega=st.fractions(min_value=F(1, 2), max_value=4, max_denominator=20),
@@ -352,7 +415,15 @@ class TestHillKernel:
            eps=st.floats(min_value=-1.0, max_value=1.0),
            spp=st.sampled_from([1, 2, 3, 8, 64]))
     def test_orbit_solve_matches_generic_solve_property(self, omega, omega1, eps, spp):
-        _assert_orbit_solve_is_generic_solve(SystemParams(omega, omega1, eps), spp)
+        params = SystemParams(omega, omega1, eps)
+        grid = _assert_orbit_solve_is_generic_solve(params, spp)
+        _assert_assembled_period_matches_full_period_solve(params, grid)
+        # the det error grows with the number of steps, which scales with 1 +
+        # omega1/omega (the driving cycle plus the unperturbed oscillations of a
+        # period), and with |M(T)|^2: worst 5.0e-12 of that scale in 3300 draws
+        m11, m12, m21, m22, *_ = grid[-1]
+        scale = (1 + omega1 / omega) * max(1.0, abs(m11), abs(m12), abs(m21)) ** 2
+        assert m11 == m22 and abs(m11 * m22 - m12 * m21 - 1.0) <= 1e-11 * scale
 
 
 class TestReversibility:
@@ -429,8 +500,8 @@ class TestPropagator:
             trig.clear()
             integrate_orbit(P01, 0.0, 1.0, n)
             counts.append(len(trig))
-            # one period of integration, never more
-            assert max(trig) <= float(P01.omega) * P01.period
+            # half a period of integration, never more
+            assert max(trig) <= float(P01.omega) * (0.5 * P01.period)
         assert counts[0] == counts[1] > 0
 
 
