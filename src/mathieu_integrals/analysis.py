@@ -2,10 +2,10 @@
 
 Every eps search solves the one-period trace equation tr M(eps) = target
 by ITP (``_bracketed_root``) on Hill's determinant (``_hill_trace``); the
-DP5 ``monodromy``, which shares no code with it, only verifies.
+DOP853 ``monodromy``, which shares no code with it, only verifies.
 
 * critical_epsilon: the escape boundary |tr M(eps)| = 2 (orbits stay
-  bounded iff |tr M| <= 2); a root that DP5 refutes raises.
+  bounded iff |tr M| <= 2); a root that ``monodromy`` refutes raises.
 * convergence_study: conservation quality of the truncated integral as
   a function of truncation order, measured on section points.
 * cover_count: how many section points outline the invariant curve once.
@@ -32,7 +32,7 @@ class CriticalEpsResult:
     eps_crit: float
     bracket: tuple[float, float]
     iterations: int
-    escape_check: bool | None = None  # True: DP5 confirmed it; None if |eps_crit| <= 2e-3
+    escape_check: bool | None = None  # True: monodromy confirmed it; None if |eps_crit| <= 2e-3
 
 
 def _hill_trace(params: SystemParams, eps: float) -> float:
@@ -111,7 +111,7 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
     hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
     ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
     from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every
-    trace is ``_hill_trace``'s; ``monodromy``'s DP5 trace, which shares no
+    trace is ``_hill_trace``'s; ``monodromy``'s DOP853 trace, which shares no
     code with it, cross-checks the verdict 1e-3 beyond and inside the root.
     The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
     Raises BracketFailure if every expansion point is stable, the last being
@@ -142,7 +142,7 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
         below = monodromy(params, eps_crit - sign * 1e-3).trace
         check = abs(above) > 2.0 >= abs(below)
         if not check:
-            raise BracketFailure(f"eps_crit = {eps_crit:.10g} is refuted: the DP5 trace "
+            raise BracketFailure(f"eps_crit = {eps_crit:.10g} is refuted: the monodromy trace "
                                  "does not turn from stable to unstable across it")
     return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
                              iterations=len(evals), escape_check=check)
@@ -249,7 +249,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     guess and theta(eps) is solved for via the trace equation
     tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so the
     bracketed root finder applies).  Every trace compared with the target
-    is ``_hill_trace``'s; DP5 ``monodromy`` runs at the guess, returned as
+    is ``_hill_trace``'s; DOP853 ``monodromy`` runs at the guess, returned as
     is if it closes within 1e-10 (this covers tangent roots, e.g. eps = 0,
     where the trace is even in eps), and at the root, for
     ``return_distance``.  Raises NoRoot when no sign change exists within

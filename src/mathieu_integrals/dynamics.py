@@ -9,21 +9,22 @@ augmented with the conjugate momentum of time, dE/dt = -dH/dt =
 never recomputed as -H, so |H + E| is an independent accuracy check.
 
 By Floquet theory one period serves every stroboscopic study, and the
-driving is even in t, so half a period does.  A Dormand-Prince 5(4)
-pair (error control at rtol = atol = 1e-12) solves, over [0, T/2] only,
-for the fundamental matrix M(s) and the energy form Q(s) = (q11, q22,
-q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2, m11 m12); time
-reversal gives M and Q on [T/2, T] (``_one_period``).  Then z(kT + s) =
+driving is even in t, so half a period does.  A Dormand-Prince 8(5,3)
+method (DOP853, error control at rtol = atol = 1e-12) solves, over
+[0, T/2] only, for the fundamental matrix M(s) and the energy form
+Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
+m11 m12); time reversal gives M and Q on [T/2, T] (``_one_period``).  Then z(kT + s) =
 M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z and the n-period monodromy
 is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so
 section samples carry t = k*T.
 
-One stepper, ``_hill_points``, is Dormand-Prince 5(4) specialised to the
-Hill equation on the two columns of M: M(T/2) alone for ``monodromy``,
+One stepper, ``_hill_points``, is DOP853 specialised to the Hill
+equation on the two columns of M: M(T/2) alone for ``monodromy``,
 (M, Q) on the half-period sample grid for orbits; both assemble M(T) in
 ``_full_period``.  The escape-boundary search reads Hill's determinant
 instead (``analysis._hill_trace``).  The generic stepper it reproduces
-bit for bit lives in ``tests/dp5_reference.py``.
+bit for bit lives in ``tests/dop853_reference.py``; a Dormand-Prince
+5(4) stepper in ``tests/dp5_reference.py`` checks it independently.
 """
 
 from __future__ import annotations
@@ -35,17 +36,43 @@ from typing import NamedTuple, Sequence
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
 
-# Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order
-# weights B, and E = b5 - b4, the weights of the embedded error estimate.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
-                                22 / 525, -1 / 40)
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, II.10), by its nonzero entries as float64: the
+# nodes c_i and the rows {j: a_ij} of stages 2..12, the 8th-order weights B,
+# E5, the weights of the 5th-order error estimate, and BHH, the 3rd-order
+# weights whose difference from B is the 3rd-order estimate.  These use
+# stages 1 and 6..12 only, and stage 12 is at c = 1.
+_C = {2: 0.05260015195876773, 3: 0.0789002279381516, 4: 0.1183503419072274, 5: 0.2816496580927726,
+      6: 0.3333333333333333, 7: 0.25, 8: 0.3076923076923077, 9: 0.6512820512820513, 10: 0.6,
+      11: 0.8571428571428571, 12: 1.0}
+_A = {
+    2: {1: 0.05260015195876773},
+    3: {1: 0.0197250569845379, 2: 0.0591751709536137},
+    4: {1: 0.02958758547680685, 3: 0.08876275643042054},
+    5: {1: 0.2413651341592667, 3: -0.8845494793282861, 4: 0.924834003261792},
+    6: {1: 0.037037037037037035, 4: 0.17082860872947386, 5: 0.12546768756682242},
+    7: {1: 0.037109375, 4: 0.17025221101954405, 5: 0.06021653898045596, 6: -0.017578125},
+    8: {1: 0.03709200011850479, 4: 0.17038392571223998, 5: 0.10726203044637328,
+        6: -0.015319437748624402, 7: 0.008273789163814023},
+    9: {1: 0.6241109587160757, 4: -3.3608926294469414, 5: -0.868219346841726, 6: 27.59209969944671,
+        7: 20.154067550477894, 8: -43.48988418106996},
+    10: {1: 0.47766253643826434, 4: -2.4881146199716677, 5: -0.590290826836843,
+         6: 21.230051448181193, 7: 15.279233632882423, 8: -33.28821096898486,
+         9: -0.020331201708508627},
+    11: {1: -0.9371424300859873, 4: 5.186372428844064, 5: 1.0914373489967295,
+         6: -8.149787010746927, 7: -18.52006565999696, 8: 22.739487099350505,
+         9: 2.4936055526796523, 10: -3.0467644718982196},
+    12: {1: 2.273310147516538, 4: -10.53449546673725, 5: -2.0008720582248625, 6: -17.9589318631188,
+         7: 27.94888452941996, 8: -2.8589982771350235, 9: -8.87285693353063,
+         10: 12.360567175794303, 11: 0.6433927460157636},
+}
+_B = {1: 0.054293734116568765, 6: 4.450312892752409, 7: 1.8915178993145003, 8: -5.801203960010585,
+      9: 0.3111643669578199, 10: -0.1521609496625161, 11: 0.20136540080403034,
+      12: 0.04471061572777259}
+_E5 = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
+       8: 1.6643771824549864, 9: -0.35032884874997366, 10: 0.3341791187130175,
+       11: 0.08192320648511571, 12: -0.022355307863886294}
+_BHH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
 
 _RTOL = _ATOL = 1e-12
 _MAX_STEPS = 5_000_000
@@ -62,16 +89,23 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
     rides along from Q(0) = 0 and is appended to each state: the (M
     row-major, Q) layout of ``_one_period``.
 
-    Dormand-Prince 5(4) at rtol = ``_RTOL``, atol = ``_ATOL``, with an
-    error norm summed over every x component, then every y component,
-    then Q.  The step is clamped to land exactly on each target, and the
-    time stamp is set to the target itself, so no landing error
-    accumulates.  w(t) = omega1^2 - 2 eps cos(omega t) and the energy
-    weight -eps omega sin(omega t) do not depend on the state, so each
-    is evaluated once per stage for both columns (the
-    first-same-as-last stage reuses stage 6's, taken at the same time),
-    and each column runs its stages on scalars.  Non-finite stages (an
-    eps so large that the coefficients or the solution overflow) end in
+    DOP853 at rtol = ``_RTOL``, atol = ``_ATOL``: Hairer's error norm
+    |h| e5 / sqrt(n (e5 + e3 / 100)), e5 and e3 the sums of squares of
+    the scaled 5th- and 3rd-order estimates over every x component,
+    then every y component, then Q, and the step exponent -1/8.  The
+    safety factor is 0.75, so a new step aims at err = 0.75^8 = 0.1,
+    not the 0.43 of the usual 0.9: at large q, where a row of M(T/2)
+    ends small after a large excursion, the trace then keeps as close
+    to Hill's determinant as the DP5 kernel's did.  The step is clamped
+    to land exactly on each target, and the time stamp is set to the
+    target itself, so no landing error accumulates.  w(t) = omega1^2 -
+    2 eps cos(omega t) does not depend on the state, so it is evaluated
+    once per stage for both columns, each column runs its stages on
+    scalars, and the next step's first slope reuses stage 12's w
+    (c = 1).  Q does not feed back, so it is a quadrature: its weight
+    -eps omega sin(omega t) is needed only at stages 1 and 6..12, the
+    ones B and the error weights use.  Non-finite stages (an eps so
+    large that the coefficients or the solution overflow) end in
     Unbounded.  A span holding more unperturbed oscillations than the
     step budget has steps raises StepFailure before the first step.
     """
@@ -85,6 +119,16 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
     eps_om = epsilon * om
     cos, sin = math.cos, math.sin
     rtol, atol = _RTOL, _ATOL
+    *nodes, _ = _C.values()  # c2..c11; c12 = 1
+    ((a21,), (a31, a32), (a41, a43), (a51, a53, a54), (a61, a64, a65), (a71, a74, a75, a76),
+     (a81, a84, a85, a86, a87), (a91, a94, a95, a96, a97, a98),
+     (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+     (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11)) = \
+        [row.values() for row in _A.values()]
+    b1, b6, b7, b8, b9, b10, b11, b12 = _B.values()
+    e1, e6, e7, e8, e9, e10, e11, e12 = _E5.values()
+    bhh1, bhh9, bhh12 = _BHH.values()
     n = 7 if energy else 4
     t = 0.0
     w = om1sq - two_eps * cos(om * t)
@@ -100,68 +144,103 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
         while t < target:
             clamped = t + h >= target
             hh = (target - t) if clamped else h
-            w2 = om1sq - two_eps * cos(om * (t + _C2 * hh))
-            w3 = om1sq - two_eps * cos(om * (t + _C3 * hh))
-            w4 = om1sq - two_eps * cos(om * (t + _C4 * hh))
-            w5 = om1sq - two_eps * cos(om * (t + _C5 * hh))
-            w6 = om1sq - two_eps * cos(om * (t + hh))
+            w2, w3, w4, w5, w6, w7, w8, w9, w10, w11 = [
+                om1sq - two_eps * cos(om * (t + c * hh)) for c in nodes]
+            w12 = om1sq - two_eps * cos(om * (t + hh))
             new = []
-            err = 0.0  # the x terms, then the y terms, then the energy form
+            err5 = err3 = 0.0  # the x terms, then the y terms, then the energy form
             ey = []
             for x, y, p1, q1 in cols:
-                p2 = y + hh * (_A21 * q1)
-                q2 = -w2 * (x + hh * (_A21 * p1))
-                p3 = y + hh * (_A31 * q1 + _A32 * q2)
-                X3 = x + hh * (_A31 * p1 + _A32 * p2)
-                q3 = -w3 * X3
-                p4 = y + hh * (_A41 * q1 + _A42 * q2 + _A43 * q3)
-                X4 = x + hh * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-                q4 = -w4 * X4
-                p5 = y + hh * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
-                X5 = x + hh * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-                q5 = -w5 * X5
-                p6 = y + hh * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
-                X6 = x + hh * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+                p2 = y + hh * (a21 * q1)
+                q2 = -w2 * (x + hh * (a21 * p1))
+                p3 = y + hh * (a31 * q1 + a32 * q2)
+                q3 = -w3 * (x + hh * (a31 * p1 + a32 * p2))
+                p4 = y + hh * (a41 * q1 + a43 * q3)
+                q4 = -w4 * (x + hh * (a41 * p1 + a43 * p3))
+                p5 = y + hh * (a51 * q1 + a53 * q3 + a54 * q4)
+                q5 = -w5 * (x + hh * (a51 * p1 + a53 * p3 + a54 * p4))
+                p6 = y + hh * (a61 * q1 + a64 * q4 + a65 * q5)
+                X6 = x + hh * (a61 * p1 + a64 * p4 + a65 * p5)
                 q6 = -w6 * X6
-                xn = x + hh * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-                yn = y + hh * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
-                q7 = -w6 * xn  # first-same-as-last stage, at the time of stage 6
-                e = hh * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * yn)
+                p7 = y + hh * (a71 * q1 + a74 * q4 + a75 * q5 + a76 * q6)
+                X7 = x + hh * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6)
+                q7 = -w7 * X7
+                p8 = y + hh * (a81 * q1 + a84 * q4 + a85 * q5 + a86 * q6 + a87 * q7)
+                X8 = x + hh * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7)
+                q8 = -w8 * X8
+                p9 = y + hh * (a91 * q1 + a94 * q4 + a95 * q5 + a96 * q6 + a97 * q7 + a98 * q8)
+                X9 = x + hh * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7 + a98 * p8)
+                q9 = -w9 * X9
+                p10 = y + hh * (a10_1 * q1 + a10_4 * q4 + a10_5 * q5 + a10_6 * q6 + a10_7 * q7
+                                + a10_8 * q8 + a10_9 * q9)
+                X10 = x + hh * (a10_1 * p1 + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
+                                + a10_8 * p8 + a10_9 * p9)
+                q10 = -w10 * X10
+                p11 = y + hh * (a11_1 * q1 + a11_4 * q4 + a11_5 * q5 + a11_6 * q6 + a11_7 * q7
+                                + a11_8 * q8 + a11_9 * q9 + a11_10 * q10)
+                X11 = x + hh * (a11_1 * p1 + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
+                                + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
+                q11 = -w11 * X11
+                p12 = y + hh * (a12_1 * q1 + a12_4 * q4 + a12_5 * q5 + a12_6 * q6 + a12_7 * q7
+                                + a12_8 * q8 + a12_9 * q9 + a12_10 * q10 + a12_11 * q11)
+                X12 = x + hh * (a12_1 * p1 + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
+                                + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
+                q12 = -w12 * X12
+                pb = (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
+                      + b12 * p12)
+                qb = (b1 * q1 + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9 + b10 * q10 + b11 * q11
+                      + b12 * q12)
+                xn, yn = x + hh * pb, y + hh * qb
                 a, b = abs(x), abs(xn)
-                err += (e / (atol + rtol * (b if b > a else a))) ** 2
-                e = hh * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7)
+                sk = atol + rtol * (b if b > a else a)
+                e = (e1 * p1 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11
+                     + e12 * p12) / sk
+                err5 += e * e
+                e = (pb - bhh1 * p1 - bhh9 * p9 - bhh12 * p12) / sk
+                err3 += e * e
                 a, b = abs(y), abs(yn)
-                ey.append((e / (atol + rtol * (b if b > a else a))) ** 2)
-                new.append((xn, yn, yn, q7))
+                sk = atol + rtol * (b if b > a else a)
+                e = (e1 * q1 + e6 * q6 + e7 * q7 + e8 * q8 + e9 * q9 + e10 * q10 + e11 * q11
+                     + e12 * q12) / sk
+                f = (qb - bhh1 * q1 - bhh9 * q9 - bhh12 * q12) / sk
+                ey.append((e * e, f * f))
+                new.append((xn, yn, yn, -w12 * xn))  # the next first slope, at c = 1
                 if energy:
-                    xs.append((X3, X4, X5, X6, xn))
-            for v in ey:
-                err += v
+                    xs.append((X6, X7, X8, X9, X10, X11, X12, xn))
+            for u, v in ey:
+                err5 += u
+                err3 += v
             if energy:
-                # stage 2 has weight 0 in both the solution and the error
-                s3 = -eps_om * sin(om * (t + _C3 * hh))
-                s4 = -eps_om * sin(om * (t + _C4 * hh))
-                s5 = -eps_om * sin(om * (t + _C5 * hh))
-                s6 = -eps_om * sin(om * (t + hh))
-                g3, g4, g5, g6, g7 = [(s * a * a, s * b * b, s * a * b)
-                                      for s, a, b in zip((s3, s4, s5, s6, s6), *xs)]
+                s12 = -eps_om * sin(om * (t + hh))
+                g6, g7, g8, g9, g10, g11, g12, g13 = [
+                    (s * a * a, s * b * b, s * a * b) for s, a, b in zip(
+                        [-eps_om * sin(om * (t + c * hh)) for c in nodes[4:]] + [s12, s12],
+                        *xs)]
                 xs.clear()
                 quad_new = []
-                for q, k1, k3, k4, k5, k6, k7 in zip(quad, g1, g3, g4, g5, g6, g7):
-                    qn = q + hh * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-                    e = hh * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+                for q, k1, k6, k7, k8, k9, k10, k11, k12 in zip(quad, g1, g6, g7, g8, g9, g10,
+                                                                 g11, g12):
+                    kb = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
+                          + b12 * k12)
+                    qn = q + hh * kb
                     a, b = abs(q), abs(qn)
-                    err += (e / (atol + rtol * (b if b > a else a))) ** 2
+                    sk = atol + rtol * (b if b > a else a)
+                    e = (e1 * k1 + e6 * k6 + e7 * k7 + e8 * k8 + e9 * k9 + e10 * k10
+                         + e11 * k11 + e12 * k12) / sk
+                    err5 += e * e
+                    e = (kb - bhh1 * k1 - bhh9 * k9 - bhh12 * k12) / sk
+                    err3 += e * e
                     quad_new.append(qn)
-            err = math.sqrt(err / n)
+            deno = err5 + 0.01 * err3
+            err = hh * err5 / math.sqrt(deno * n) if deno else 0.0
             if err <= 1.0:
                 t, cols = (target if clamped else t + hh), new
                 if energy:
-                    quad, g1 = quad_new, g7
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    quad, g1 = quad_new, g13
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.75 * err ** -0.125))
                 h = hh * factor
             else:
-                h = hh * max(0.2, 0.9 * err ** -0.2)
+                h = hh * max(0.2, 0.75 * err ** -0.125)
             if h < 1e-14 * max(1.0, abs(t)):
                 if not math.isfinite(err):
                     raise Unbounded(f"the solution leaves float64 at t = {t}: "
@@ -260,7 +339,7 @@ def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, 
 def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> list[tuple]:
     """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp.
 
-    DP5 solves (M, Q) at s_j for j <= spp/2 and at T/2 (one more target
+    DOP853 solves (M, Q) at s_j for j <= spp/2 and at T/2 (one more target
     where spp is odd).  Besides M(-u) = R M(u) R, reversal gives
     Q(-u) = R Q(u) R, and a period composes as M(u + T) = M(u) M(T),
     Q(u + T) = Q(T) + M(T)^T Q(u) M(T).  So with M(T) from
@@ -356,9 +435,15 @@ def stroboscopic_section(trajectory: Sequence[PhaseState], params: SystemParams)
 
 def _section(params: SystemParams, x0: float, y0: float, n_periods: int,
              epsilon: float | None = None) -> list[SectionPoint]:
-    """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0)."""
+    """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0).
+
+    At one sample per period, sample k is the section point at t = kT:
+    the points of ``stroboscopic_section`` without its search for them.
+    """
     traj = integrate_orbit(params, x0, y0, n_periods, samples_per_period=1, epsilon=epsilon)
-    return stroboscopic_section(traj, params)
+    om1 = float(params.omega1)
+    return [SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y), math.sqrt(x * x + y * y))
+            for k, (x, y, _, E) in enumerate(traj)]
 
 
 def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:

@@ -1,14 +1,12 @@
-"""Generic Dormand-Prince 5(4) stepper: the reference for the Hill kernel.
+"""Generic Dormand-Prince 5(4) stepper: an independent reference.
 
-``dynamics._hill_points`` is this stepper specialised to the Hill
-equation and must reproduce it bit for bit: on the 4-component flow of
-M alone and, with ``rhs_period``, on the 7-component (M row-major, Q)
-system; ``monodromy`` and the orbit propagator solve both over half a
-period.  ``one_period`` solves the 7-component system over the whole
-period, the reference for the propagator's time-reversed second half.
-It shares the tableau and the step budget of ``dynamics`` and nothing
-else; its tolerances are parameters, guarded by a float64 floor of its
-own.
+``dynamics._hill_points`` is DOP853; this stepper shares nothing with it
+but the step budget, so it checks the kernel from outside.  It is the
+reference for the multi-period propagation (``rhs_linear`` streamed over
+the whole horizon), for the orbit propagator's time-reversed second half
+(``one_period`` solves the 7-component (M row-major, Q) system over the
+whole period), and for the roots of the monodromy trace (``rhs_matrix``).
+Its tolerances are parameters, guarded by a float64 floor of its own.
 """
 
 from __future__ import annotations
@@ -18,11 +16,20 @@ import sys
 from typing import Callable, Sequence
 
 from mathieu_integrals.builder import SystemParams
-from mathieu_integrals.dynamics import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53,
-                                        _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4,
-                                        _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6,
-                                        _E7, _MAX_STEPS)
+from mathieu_integrals.dynamics import _MAX_STEPS
 from mathieu_integrals.errors import StepFailure
+
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order
+# weights B, and E = b5 - b4, the weights of the embedded error estimate.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
 
 #: smallest relative tolerance the float64 error estimate can meet
 _RTOL_FLOOR = 100 * sys.float_info.epsilon
@@ -101,6 +108,20 @@ def rhs_period(params: SystemParams, epsilon: float):
         k = om1sq - two_eps * math.cos(om * t)
         s = -eps_om * math.sin(om * t)
         return (m21, m22, -k * m11, -k * m12, s * m11 * m11, s * m12 * m12, s * m11 * m12)
+
+    return f
+
+
+def rhs_matrix(params: SystemParams, epsilon: float):
+    """Flow of M row-major: the fundamental matrix alone."""
+    om = float(params.omega)
+    om1sq = float(params.omega1) ** 2
+    two_eps = 2.0 * epsilon
+
+    def f(t, u):
+        m11, m12, m21, m22 = u
+        k = om1sq - two_eps * math.cos(om * t)
+        return (m21, m22, -k * m11, -k * m12)
 
     return f
 

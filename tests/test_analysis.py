@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dp5_reference import integration_points, rhs_matrix
 from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded, analysis,
                                build_integral, conic_at_section, convergence_study,
                                cover_count, critical_epsilon, dynamics, find_periodic_orbit,
@@ -40,7 +41,7 @@ class TestCriticalEpsilon:
         assert abs(minus + plus) < 1e-6
 
     def test_trace_changes_sign_across_bracket(self, crit_cache):
-        # the search's own trace: DP5's error (~1e-12) exceeds |g| at the ends
+        # the search's own trace: the monodromy's error (~1e-12) exceeds |g| at the ends
         # of a 4e-11 bracket, so it is compared with roots, not signs, below
         res = crit_cache("9/10")
         lo, hi = res.bracket
@@ -74,13 +75,13 @@ class TestCriticalEpsilon:
     def test_refuted_root_raises(self):
         # omega = 1/100 (s = 90): the trace swings through +-2 many times
         # within 1e-3 of the expansion's bracket, ITP lands on a later root
-        # and the DP5 cross-check refutes it; the library never returns it
+        # and the monodromy cross-check refutes it; the library never returns it
         with pytest.raises(BracketFailure, match=r"^eps_crit = 0\.435922411 is refuted"):
             critical_epsilon(SystemParams(F(1, 100), F(9, 10), 0.0))
 
     @pytest.mark.parametrize("trace", [0.0, 3.0])
     def test_one_sided_cross_check_refutes_the_root(self, monkeypatch, trace):
-        # a DP5 trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
+        # a monodromy trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
         # 0, unstable: 3) refutes the Hill root wherever ITP lands
         m = Monodromy(m11=trace, m12=1.0, m21=-1.0, m22=0.0, n=1)
         monkeypatch.setattr(analysis, "monodromy", lambda params, eps, n=1: m)
@@ -93,8 +94,8 @@ class TestCriticalEpsilon:
 
     @staticmethod
     def _assert_escape_oracle_agrees(crit_cache, om1):
-        # the Hill root against the root of the DP5 trace, which shares no
-        # code with it, in both signs (2.2e-11 measured)
+        # the Hill root against the root of the monodromy trace, which shares
+        # no code with it, in both signs (1.9e-11 measured)
         params = SystemParams(F(2), F(om1), 0.0)
         g = lambda e: abs(monodromy(params, e).trace) - 2.0
         for sign in (1, -1):
@@ -189,7 +190,7 @@ class TestCriticalEpsilon:
 
     @pytest.mark.parametrize("omega1, solves", [("9/10", 2), ("11/10", 2), ("2", 0)])
     def test_dp5_runs_only_for_the_cross_check(self, monkeypatch, omega1, solves):
-        # the root search reads the Hill trace; DP5 solves eps_crit -+ 1e-3
+        # the root search reads the Hill trace; the kernel solves eps_crit -+ 1e-3
         # when |eps_crit| > 2e-3 (0.186, 0.216) and nothing at the n = 2 tip
         calls = []
         hill_points = dynamics._hill_points
@@ -243,24 +244,24 @@ class TestBracketedRoot:
         assert -1.0 <= lo <= root <= hi <= 1.0 and hi - lo <= tol
 
 
-#: DP5 holds each step's error to _RTOL of the state, so the error of its
+#: The kernel holds each step's error to _RTOL of the state, so the error of its
 #: trace scales with the largest entry P of M(t) over the period, which a
 #: stable band at large q lifts far above |tr M| (P = 1.5e6 at omega = 2/3,
 #: omega1 = 1, eps = 15): the largest miss over 3000 draws of the ranges
-#: below was 23.5 _RTOL P.  The Hill trace's own error is below 3e-13
+#: below was 17.1 _RTOL P.  The Hill trace's own error is below 3e-13
 #: relative (against a 30-digit Taylor solve at 21 points, q up to 240).
-HILL_VS_DP5 = 100 * _RTOL
+HILL_VS_MONODROMY = 100 * _RTOL
 
 
 def _assert_hill_matches_monodromy(omega, omega1, eps):
     params = SystemParams(F(omega), F(omega1), eps)
     samples = [j * params.period / 32 for j in range(1, 33)]
     peak = max(max(map(abs, m)) for m in dynamics._hill_points(params, eps, samples))
-    assert abs(_hill_trace(params, eps) - monodromy(params, eps).trace) <= HILL_VS_DP5 * peak
+    assert abs(_hill_trace(params, eps) - monodromy(params, eps).trace) <= HILL_VS_MONODROMY * peak
 
 
 class TestHillTrace:
-    """The root search's trace: Hill's determinant, checked against DP5."""
+    """The root search's trace: Hill's determinant, checked against the monodromy."""
 
     @settings(max_examples=100, deadline=None)
     @given(omega=st.fractions(min_value=F(1, 2), max_value=F(3), max_denominator=10),
@@ -416,7 +417,7 @@ class TestPeriodicOrbits:
             find_periodic_orbit(P01, 0.1, 0)
 
     def test_guess_is_solved_once(self, monkeypatch):
-        # DP5 only verifies: one solve at the guess, whose n-th power is the
+        # the monodromy only verifies: one solve at the guess, whose n-th power is the
         # closure test, and one n-period solve at the root; the search itself
         # runs on the Hill trace
         calls = []
@@ -433,12 +434,19 @@ class TestPeriodicOrbits:
                                                ("1/10", 5, 0.51), ("1/10", 17, 0.09),
                                                ("11/10", 5, 6.02), ("11/10", 17, 0.17)])
     def test_hill_root_agrees_with_dp5_root(self, om1, n, guess):
-        # the root of the DP5 trace, which shares no code with the Hill
-        # trace the search runs on (3.0e-12 the largest miss measured)
+        # the root of the trace of a generic DP5 solve over half a period, which
+        # shares no code with the Hill trace the search runs on, nor with the
+        # DOP853 kernel (3.0e-12 the largest miss measured)
         params = SystemParams(F(2), F(om1), 0.0)
         res = find_periodic_orbit(params, guess, n)
         target = 2.0 * math.cos(2.0 * math.pi * res.winding / n)
-        g = lambda e: monodromy(params, e).trace - target
+
+        def g(e):
+            (_, (a, b, c, d)), = integration_points(rhs_matrix(params, e), 0.0,
+                                                    (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
+                                                    _RTOL, _RTOL)
+            return 2.0 * (a * d + b * c) - target  # tr M(T), with M(T/2) = ((a, b), (c, d))
+
         lo, hi = res.epsilon - 1e-3, res.epsilon + 1e-3
         lo, hi = _bracketed_root(g, lo, hi, g(lo), g(hi), 1e-12)
         assert abs(res.epsilon - 0.5 * (lo + hi)) <= 1e-9
@@ -467,10 +475,10 @@ class TestInvariantCurves:
     @pytest.mark.parametrize("omega1", ["9/10", "1/10", "11/10", "3/2"])
     def test_series_conic_converges_to_the_monodromy_invariant_form(self, form_miss, omega1):
         # the abstract's non-resonant claim: as the order S grows, the section
-        # conic approaches the exact invariant of the one-period map.  DP5
-        # resolves M to its tolerance _RTOL, so the miss may stop falling once
-        # it is below _RTOL and must end within 10 * _RTOL at S = 40
-        # (4.4e-12, 4.1e-14, 4.6e-14 and 1.8e-15 measured)
+        # conic approaches the exact invariant of the one-period map.  The
+        # kernel resolves M to its tolerance _RTOL, so the miss may stop falling
+        # once it is below _RTOL and must end within 10 * _RTOL at S = 40
+        # (3.9e-12, 4.5e-14, 5.0e-14 and 3.3e-14 measured)
         params = SystemParams(F(2), F(omega1), 0.1)
         phi, m = build_integral(params, 40), monodromy(params, 0.1)
         misses = [form_miss(conic_at_section(phi.truncated(s), 0.1), m)

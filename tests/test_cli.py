@@ -167,7 +167,7 @@ class TestAnalysisCommands:
         assert doc["bracket"][1] - doc["bracket"][0] <= 1e-9
 
     def test_critical_eps_escape_oracle(self, runner, tmp_path):
-        # the DP5 trace at eps_crit -+ 1e-3 confirms the Hill root
+        # the monodromy trace at eps_crit -+ 1e-3 confirms the Hill root
         out = tmp_path / "crit.json"
         res = invoke(runner, "critical-eps", "--omega1", "11/10", "--sign", "-1",
                      "--out", str(out))
@@ -177,7 +177,7 @@ class TestAnalysisCommands:
         assert abs(doc["eps_crit"] + 0.21598) < 1e-4
 
     def test_refuted_root_is_an_error(self, runner, tmp_path):
-        # a root the DP5 cross-check refutes is never printed as eps_crit:
+        # a root the monodromy cross-check refutes is never printed as eps_crit:
         # at omega = 1/100 the search lands on a later crossing of +-2
         out = tmp_path / "crit.json"
         res = invoke(runner, "critical-eps", "--omega", "1/100", "--out", str(out))

@@ -7,6 +7,7 @@ extended energy provides an independent accuracy monitor.
 
 import math
 import random
+import re
 import time
 import types
 from fractions import Fraction as F
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp5_reference import integration_points, one_period, rhs_linear, rhs_period
+import dop853_reference
+from dp5_reference import integration_points, one_period, rhs_linear, rhs_matrix, rhs_period
 from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
                                escape_diagnostics, integrate_orbit, monodromy,
                                stroboscopic_section)
@@ -25,8 +27,8 @@ from mathieu_integrals.errors import DomainError, InvalidInput
 P01 = SystemParams(F(2), F(9, 10), 0.1)
 
 
-def _count_trig(monkeypatch):
-    """Record the arguments of every cos and sin call made by ``dynamics``."""
+def _count_trig(monkeypatch, names=("cos", "sin")):
+    """Record the arguments of every call of ``names`` made by ``dynamics``."""
     args = []
 
     def counted(fn):
@@ -37,7 +39,8 @@ def _count_trig(monkeypatch):
 
     proxy = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
                                      if not k.startswith("_")})
-    proxy.cos, proxy.sin = counted(math.cos), counted(math.sin)
+    for name in names:
+        setattr(proxy, name, counted(getattr(math, name)))
     monkeypatch.setattr(dynamics, "math", proxy)
     return args
 
@@ -286,24 +289,12 @@ class TestMonodromy:
         assert diff <= 2e-12 * scale
 
 
-def _matrix_rhs(params, eps):
-    """The row-major fundamental-matrix flow as a generic 4-component RHS."""
-    om, om1sq = float(params.omega), float(params.omega1) ** 2
-
-    def f(t, u):
-        m11, m12, m21, m22 = u
-        w = om1sq - 2.0 * eps * math.cos(om * t)
-        return (m21, m22, -w * m11, -w * m12)
-
-    return f
-
-
 def _bits(values):
     return [v.hex() for v in values]
 
 
 def _assert_orbit_solve_is_generic_solve(params, spp):
-    """The half-period (M, Q) solve equals the generic 7-component DP5 bit for bit.
+    """The half-period (M, Q) solve equals the generic 7-component DOP853 bit for bit.
 
     Its targets are s_j = (j/spp) T for j <= spp/2, then T/2 where spp is
     odd; ``_one_period`` returns the first spp // 2 of them unchanged.
@@ -312,9 +303,9 @@ def _assert_orbit_solve_is_generic_solve(params, spp):
     eps, T = params.epsilon, params.period
     targets = [(j / spp) * T for j in range(1, spp // 2 + 1)] + ([0.5 * T] if spp % 2 else [])
     kernel = list(_hill_points(params, eps, targets, energy=True))
-    generic = [u for _, u in integration_points(rhs_period(params, eps), 0.0,
-                                                (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), targets,
-                                                dynamics._RTOL, dynamics._ATOL)]
+    generic = [u for _, u in dop853_reference.integration_points(
+        rhs_period(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), targets,
+        dynamics._RTOL, dynamics._ATOL)]
     assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
     grid = dynamics._one_period(params, eps, spp)
     assert grid[:spp // 2] == kernel[:spp // 2]
@@ -324,15 +315,15 @@ def _assert_orbit_solve_is_generic_solve(params, spp):
 def _assert_assembled_period_matches_full_period_solve(params, grid):
     """The assembled (M, Q) grid against the generic DP5 solve over all of [0, T].
 
-    Up to spp/2 the two solves differ only in their first step.  Sample
-    j > spp/2 is R M(u) R M(T) and Q(T) + M(T)^T R Q(u) R M(T) at u =
-    s_(spp-j), so the error of grid row spp - j (row 0 is (I, 0)) returns
-    amplified by up to |M(T)|^2.  Over 1200 random draws of the property
-    range below and its 300 corners (omega in {1/2, 21/20, 2, 4}, omega1 in
-    {1/20, 1, 3}, eps in {0, +-1/2, +-1}, every spp) the worst entry error
-    was 1.6e-13 of max(1, |row j|) before the middle and 2.0e-11 of
-    max(1, |row j|, |M(T)|^2 |row spp - j|) past it: the bound is 1e-10 of
-    that scale.
+    Up to spp/2 the grid is the DOP853 solve and the reference a DP5 one,
+    which share no code.  Sample j > spp/2 is R M(u) R M(T) and
+    Q(T) + M(T)^T R Q(u) R M(T) at u = s_(spp-j), so the error of grid
+    row spp - j (row 0 is (I, 0)) returns amplified by up to |M(T)|^2.
+    Over 1200 random draws of the property range below and its 300
+    corners (omega in {1/2, 21/20, 2, 4}, omega1 in {1/20, 1, 3}, eps in
+    {0, +-1/2, +-1}, every spp) the worst entry error was 9.8e-12 of
+    max(1, |row j|) before the middle and 2.0e-11 of max(1, |row j|,
+    |M(T)|^2 |row spp - j|) past it: the bound is 1e-10 of that scale.
     """
     spp = len(grid)
     full = one_period(params, params.epsilon, spp, dynamics._RTOL, dynamics._ATOL)
@@ -346,8 +337,89 @@ def _assert_assembled_period_matches_full_period_solve(params, grid):
         assert all(abs(u - v) <= 1e-10 * scale for u, v in zip(got, want)), j
 
 
+class TestTableau:
+    """The DOP853 constants, in exact arithmetic on their float64 values."""
+
+    NODES = {1: F(0), **{i: F(c) for i, c in dynamics._C.items()}}
+
+    def test_nodes_are_the_row_sums(self):
+        # c_i = sum_j a_ij, up to the rounding of the row's entries
+        for i, row in dynamics._A.items():
+            weights = [F(a) for a in row.values()]
+            assert abs(sum(weights) - self.NODES[i]) <= 1e-15 * sum(map(abs, weights)), i
+
+    def test_weights_integrate_polynomials_of_degree_below_8(self):
+        # the quadrature conditions of an 8th-order method: sum_i b_i c_i^(k-1) = 1/k
+        for k in range(1, 9):
+            got = sum(F(b) * self.NODES[i] ** (k - 1) for i, b in dynamics._B.items())
+            assert abs(got - F(1, k)) <= 1e-15, k
+
+    def test_error_weights_sum_to_zero(self):
+        # E5 is the difference of two 5th-order weight sets and E3 = B - BHH of
+        # two 3rd-order ones: each annihilates c^(k-1) up to k = 5 and k = 3
+        e3 = {i: F(b) - F(dynamics._BHH.get(i, 0.0)) for i, b in dynamics._B.items()}
+        for weights, order in (({i: F(e) for i, e in dynamics._E5.items()}, 5), (e3, 3)):
+            for k in range(1, order + 1):
+                assert abs(sum(e * self.NODES[i] ** (k - 1) for i, e in weights.items())) <= 1e-15
+
+
+#: M(T/2) and Q(T/2) at omega = 2, as (m11, m12, m21, m22, q11, q22, q12), from
+#: mpmath's Taylor-series ``odefun`` on the 7-component system at 32 and at 42
+#: digits, which agree in all 30 digits kept; eps is the float the solve receives.
+THIRTY_DIGITS = {
+    ("9/10", 0.1): ("0.237747844073993417775230579472", "1.09717596265093196776913923406",
+                    "-0.895592795831429474928722029913", "0.0730905138513204694832065309428",
+                    "-0.12458786684030336899180039459", "-0.110587633582119667833676518956",
+                    "-0.099000197119054077467696222842"),
+    ("9/10", 0.185): ("0.305244201123168532613899918384", "1.09655696395758530385907839847",
+                      "-0.911757341483334567274452072467",
+                      "0.000675320796387947219375533418483",
+                      "-0.250623398042778581444728179421", "-0.20943816139937646509020722968",
+                      "-0.197175551778093797058706772977"),
+    ("301/100", 0.8): ("0.00285349379681209707254396211197", "-0.336872505703713673675256101036",
+                       "2.96841390753532980489777217938", "0.00804943148896190653202742349697",
+                       "-0.675733962766806361641422890991",
+                       "-0.104902914406098252259852916633",
+                       "-0.0068234391101400382597719230224"),
+}
+
+
 class TestHillKernel:
     """The specialised Hill-equation stepper against the generic one."""
+
+    @pytest.mark.parametrize("omega1, eps", list(THIRTY_DIGITS))
+    def test_half_period_solve_matches_30_digits(self, omega1, eps):
+        # worst 6.5e-14 of max(1, |entry|) for (M, Q) and 1.2e-13 for M alone, at
+        # omega1 = 301/100; the DP5 kernel missed by up to 2.0e-12
+        params = SystemParams(F(2), F(omega1), eps)
+        want = [float(v) for v in THIRTY_DIGITS[omega1, eps]]
+        m_q, = _hill_points(params, eps, [0.5 * params.period], energy=True)
+        m, = _hill_points(params, eps, [0.5 * params.period])
+        for got in (m_q, m):
+            assert all(abs(u - v) <= 5e-13 * max(1.0, abs(v)) for u, v in zip(got, want))
+
+    # against the DP5 reference, which shares no code with the kernel: the
+    # output of a command moves by this much from the DP5 kernel's, most of it
+    # DP5's own error (worst 2.2e-12 of max(1, |entry|) in 1200 draws and the corners)
+    @settings(max_examples=30, deadline=None)
+    @given(omega=st.fractions(min_value=2, max_value=4, max_denominator=20),
+           omega1=st.fractions(min_value=F(1, 20), max_value=3, max_denominator=20),
+           eps=st.floats(min_value=-1.5, max_value=1.5))
+    def test_half_period_solve_matches_dp5(self, omega, omega1, eps):
+        params = SystemParams(omega, omega1, eps)
+        half = [0.5 * params.period]
+        got, = _hill_points(params, eps, half, energy=True)
+        (_, want), = integration_points(rhs_period(params, eps), 0.0,
+                                        (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), half,
+                                        dynamics._RTOL, dynamics._ATOL)
+        assert all(abs(u - v) <= 1e-11 * max(1.0, abs(v)) for u, v in zip(got, want))
+
+    def test_half_period_solve_takes_few_steps(self, monkeypatch):
+        # 11 cos calls per step attempt: 188 for the (M, Q) solve at omega1 =
+        # 9/10, eps = 0.1, where the DP5 kernel made 426
+        cos = _count_trig(monkeypatch, ("cos",))
+        list(_hill_points(P01, 0.1, [0.5 * P01.period], energy=True))
+        assert 0 < len(cos) <= 200
 
     @pytest.mark.parametrize("eps, periods", [(0.1857848562 - 1e-3, 40),
                                               (-(0.1857848562 - 1e-3), 40),
@@ -357,9 +429,9 @@ class TestHillKernel:
         params = SystemParams(F(2), F(9, 10), eps)
         targets = [k * params.period for k in range(1, periods + 1)]
         kernel = list(_hill_points(params, eps, targets))
-        generic = [u for _, u in integration_points(_matrix_rhs(params, eps), 0.0,
-                                                    (1.0, 0.0, 0.0, 1.0), targets,
-                                                    dynamics._RTOL, dynamics._ATOL)]
+        generic = [u for _, u in dop853_reference.integration_points(
+            rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0), targets,
+            dynamics._RTOL, dynamics._ATOL)]
         assert len(kernel) == periods
         assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
         if eps == 0.25:
@@ -372,9 +444,9 @@ class TestHillKernel:
     def test_monodromy_is_bit_identical_to_generic_solve(self, omega1, eps, n):
         # the generic solve over half a period, assembled into M(T) and raised to n
         params = SystemParams(F(2), F(omega1), eps)
-        (_, (a, b, c, d)), = integration_points(_matrix_rhs(params, eps), 0.0,
-                                                (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
-                                                dynamics._RTOL, dynamics._ATOL)
+        (_, (a, b, c, d)), = dop853_reference.integration_points(
+            rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
+            dynamics._RTOL, dynamics._ATOL)
         a, b, c, d = a * d + b * c, 2.0 * b * d, 2.0 * a * c, a * d + b * c
         m11, m12, m21, m22 = a, b, c, d
         for _ in range(n - 1):
@@ -420,7 +492,7 @@ class TestHillKernel:
         _assert_assembled_period_matches_full_period_solve(params, grid)
         # the det error grows with the number of steps, which scales with 1 +
         # omega1/omega (the driving cycle plus the unperturbed oscillations of a
-        # period), and with |M(T)|^2: worst 5.0e-12 of that scale in 3300 draws
+        # period), and with |M(T)|^2: worst 1.5e-13 of that scale in 1500 draws
         m11, m12, m21, m22, *_ = grid[-1]
         scale = (1 + omega1 / omega) * max(1.0, abs(m11), abs(m12), abs(m21)) ** 2
         assert m11 == m22 and abs(m11 * m22 - m12 * m21 - 1.0) <= 1e-11 * scale
@@ -537,6 +609,22 @@ class TestRecords:
         p = dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0)
         assert p == dynamics.SectionPoint(x=1.0, y=2.0, E=3.0, k=4, d=5.0, r=6.0)
         assert p != dynamics.SectionPoint(1.0, 2.0, 3.0, 5, 5.0, 6.0)
+
+    @pytest.mark.parametrize("eps, periods", [(0.1, 200), (0.19, 150), (-0.185, 200),
+                                              (0.5, 3000)])  # 0.19 escapes, 0.5 overflows
+    def test_section_is_the_stroboscopic_section(self, eps, periods):
+        # at one sample per period the section points are the samples, bit for bit
+        params = SystemParams(F(2), F(9, 10), eps)
+        try:
+            want = stroboscopic_section(integrate_orbit(params, 0.03, 0.97, periods), params)
+        except Unbounded as exc:
+            with pytest.raises(Unbounded, match=f"^{re.escape(str(exc))}$"):
+                dynamics._section(params, 0.03, 0.97, periods)
+            assert eps == 0.5
+            return
+        got = dynamics._section(params, 0.03, 0.97, periods)
+        assert all(type(p) is dynamics.SectionPoint for p in got)
+        assert [tuple(map(repr, p)) for p in got] == [tuple(map(repr, p)) for p in want]
 
     def test_section_points_carry_the_samples_at_kt(self, orbit_cache):
         params, traj, sec = orbit_cache("9/10", 0.1, 20, spp=4)
