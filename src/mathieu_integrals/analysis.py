@@ -6,8 +6,8 @@ DOP853 ``monodromy``, which shares no code with it, only verifies.
 
 * critical_epsilon: the escape boundary |tr M(eps)| = 2 (orbits stay
   bounded iff |tr M| <= 2); a root that ``monodromy`` refutes raises.
-* convergence_study: conservation quality of the truncated integral as
-  a function of truncation order, measured on section points.
+* section_residual: how well a section conic (A, B, D) is conserved on
+  section points; convergence_study takes it per truncation order.
 * cover_count: how many section points outline the invariant curve once.
 * find_periodic_orbit: refine eps so the orbit through (x0, y0) closes
   after n periods.
@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .builder import FormalIntegral, SystemParams, build_integral, conic_at_section
-from .dynamics import SectionPoint, _section, monodromy
+from .builder import SystemParams, build_integral, conic_at_section
+from .dynamics import SectionPoint, monodromy, stroboscopic_section
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 @dataclass(frozen=True)
@@ -158,19 +158,14 @@ class ConvergenceReport:
     n_periods: int
 
 
-def section_residual(phi: FormalIntegral, section: Sequence[SectionPoint],
-                     epsilon: float) -> float:
-    """max_k |Phi(x_k, y_k, kT) - Phi(x_0, y_0, 0)| / |Phi(x_0, y_0, 0)|.
+def section_residual(conic: tuple[float, float, float],
+                     section: Sequence[SectionPoint]) -> float:
+    """max_k |F(x_k, y_k) - F(x_0, y_0)| / |F(x_0, y_0)|, F = A x^2 + B y^2 + 2 D xy.
 
-    At section times the integral reduces to its t = 0 conic, so the
-    evaluation is exact in the time direction.
+    ``conic`` is the (A, B, D) triple of ``conic_at_section`` or
+    ``resonant_section_form``: at section times an integral reduces to
+    its t = 0 conic, so the evaluation is exact in the time direction.
     """
-    return _conic_residual(conic_at_section(phi, epsilon), section)
-
-
-def _conic_residual(conic: tuple[float, float, float],
-                    section: Sequence[SectionPoint]) -> float:
-    """max_k |F(x_k, y_k) - F(x_0, y_0)| / |F(x_0, y_0)|, F = A x^2 + B y^2 + 2 D xy."""
     a, b, d = conic
     values = [a * p.x * p.x + b * p.y * p.y + 2.0 * d * p.x * p.y for p in section]
     level = values[0]
@@ -181,18 +176,19 @@ def _conic_residual(conic: tuple[float, float, float],
     return max(abs(v - level) for v in values) / abs(level)
 
 
-def convergence_study(params: SystemParams, epsilon: float, orders: Sequence[int],
-                      n_periods: int = 200, x0: float = 0.0, y0: float = 1.0) -> ConvergenceReport:
-    """Residuals of the truncated integral over one orbit, per order."""
+def convergence_study(params: SystemParams, orders: Sequence[int], n_periods: int = 200,
+                      x0: float = 0.0, y0: float = 1.0) -> ConvergenceReport:
+    """Residuals of the truncated integral over one orbit at params.epsilon, per order."""
     orders = tuple(orders)
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise InvalidInput("orders must be non-empty and strictly ascending")
     if orders[0] < 0:
         raise InvalidInput(f"order {orders[0]} is negative; orders must be >= 0")
     phi = build_integral(params, max(orders))
-    section = _section(params, x0, y0, n_periods, epsilon)
-    residuals = tuple(section_residual(phi.truncated(s), section, epsilon) for s in orders)
-    return ConvergenceReport(orders=orders, residuals=residuals, epsilon=epsilon,
+    section = stroboscopic_section(params, x0, y0, n_periods)
+    conics = (conic_at_section(phi.truncated(s), params.epsilon) for s in orders)
+    residuals = tuple(section_residual(conic, section) for conic in conics)
+    return ConvergenceReport(orders=orders, residuals=residuals, epsilon=params.epsilon,
                              n_periods=n_periods)
 
 

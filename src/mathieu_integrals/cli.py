@@ -151,7 +151,7 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, 
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)
-    pts = dynamics._section(params, x0, y0, _n_periods(params, periods, time_))
+    pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
     _write(out, output.tabular(output.ORBIT_COLUMNS, output.section_rows(pts, params),
                                format_))
 
@@ -168,7 +168,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     Escape runs annotate the first period index beyond the threshold.
     """
     params = _params(omega, omega1, epsilon)
-    pts = dynamics._section(params, x0, y0, _n_periods(params, periods, time_))
+    pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
     report = dynamics.escape_diagnostics(pts, r_escape=r_escape, period=params.period)
     rows = [(p.k, p.k * params.period, p.d, p.r) for p in pts]
     text = output.tabular(("k", "t", "d", "r"), rows, format_)
@@ -185,7 +185,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
-    pts = dynamics._section(params, x0, y0, _n_periods(params, periods, time_))
+    pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
     rows = [(p.k, p.k * params.period, p.x, p.E) for p in pts]
     _write(out, output.tabular(("k", "t", "x", "E"), rows, format_))
 
@@ -247,7 +247,8 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
     constants = resonant.PhaseConstants.from_initial_conditions(params, x0, y0)
     combo = resonant.eliminate_secular(params, order)
     a, b, d = resonant.resonant_section_form(combo, epsilon, constants)
-    residual = analysis._conic_residual((a, b, d), dynamics._section(params, x0, y0, periods))
+    residual = analysis.section_residual(
+        (a, b, d), dynamics.stroboscopic_section(params, x0, y0, periods))
 
     doc = {
         "omega": omega, "omega1": omega1, "epsilon": epsilon, "order": order,
@@ -279,8 +280,7 @@ def cmd_convergence(omega, omega1, epsilon, format_, orders, periods, x0, y0, ou
         order_list = [int(tok) for tok in orders.split(",") if tok.strip()]
     except ValueError:
         raise InvalidInput(f"--orders {orders}: not a comma-separated list of integers") from None
-    report = analysis.convergence_study(params, epsilon, order_list, n_periods=periods,
-                                        x0=x0, y0=y0)
+    report = analysis.convergence_study(params, order_list, n_periods=periods, x0=x0, y0=y0)
     rows = list(zip(report.orders, report.residuals))
     _write(out, output.tabular(("order", "residual"), rows, format_))
 

@@ -15,8 +15,8 @@ method (DOP853, error control at rtol = atol = 1e-12) solves, over
 Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
 m11 m12); time reversal gives M and Q on [T/2, T] (``_one_period``).  Then z(kT + s) =
 M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z and the n-period monodromy
-is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so
-section samples carry t = k*T.
+is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so at
+one sample per period sample k is the section point at t = kT.
 
 One stepper, ``_hill_points``, is DOP853 specialised to the Hill
 equation on the two columns of M: M(T/2) alone for ``monodromy``,
@@ -319,12 +319,6 @@ class Monodromy:
         return complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0)
 
 
-def _eps_arg(epsilon) -> float:
-    if not math.isfinite(epsilon):
-        raise InvalidInput("epsilon must be finite")
-    return float(epsilon)
-
-
 def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
     """M(T) row-major from H = M(T/2) = ((a, b), (c, d)).
 
@@ -381,8 +375,7 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> li
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
-                    samples_per_period: int = 1,
-                    epsilon: float | None = None) -> list[PhaseState]:
+                    samples_per_period: int = 1) -> list[PhaseState]:
     """Propagate the extended system over n periods.
 
     Samples land on the uniform sub-period grid t = (k + i/spp) * T,
@@ -399,12 +392,11 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
     if x0 == 0.0 and y0 == 0.0:
         raise InvalidInput("the initial condition is the origin, a fixed point: "
                            "its orbit is (0, 0) at every time")
-    eps = params.epsilon if epsilon is None else _eps_arg(epsilon)
-    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0, eps)
+    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0)
     if not math.isfinite(e):
         raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")
     T = params.period
-    grid = _one_period(params, eps, samples_per_period)
+    grid = _one_period(params, params.epsilon, samples_per_period)
     states = [PhaseState(x, y, 0.0, e)]
     i = 0
     for k in range(n_periods):
@@ -420,27 +412,13 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
     return states
 
 
-def stroboscopic_section(trajectory: Sequence[PhaseState], params: SystemParams) -> list[SectionPoint]:
-    """Extract the subsequence at t = k*T and attach d and r."""
-    T = params.period
-    om1 = float(params.omega1)
-    out = []
-    for x, y, t, E in trajectory:
-        k = round(t / T) if t else 0
-        if abs(t - k * T) <= 1e-12 * max(T, t):
-            out.append(SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y),
-                                    math.sqrt(x * x + y * y)))
-    return out
-
-
-def _section(params: SystemParams, x0: float, y0: float, n_periods: int,
-             epsilon: float | None = None) -> list[SectionPoint]:
+def stroboscopic_section(params: SystemParams, x0: float, y0: float,
+                         n_periods: int) -> list[SectionPoint]:
     """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0).
 
-    At one sample per period, sample k is the section point at t = kT:
-    the points of ``stroboscopic_section`` without its search for them.
+    Sample k of the one-sample-per-period orbit is the point at t = kT.
     """
-    traj = integrate_orbit(params, x0, y0, n_periods, samples_per_period=1, epsilon=epsilon)
+    traj = integrate_orbit(params, x0, y0, n_periods)
     om1 = float(params.omega1)
     return [SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y), math.sqrt(x * x + y * y))
             for k, (x, y, _, E) in enumerate(traj)]
@@ -454,7 +432,9 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
     so the n-period matrix is M(T)^n.  The solve carries the columns of
     M alone, over half a period, and ``_full_period`` assembles M(T).
     """
-    half, = _hill_points(params, _eps_arg(epsilon), [0.5 * params.period])
+    if not math.isfinite(epsilon):
+        raise InvalidInput("epsilon must be finite")
+    half, = _hill_points(params, float(epsilon), [0.5 * params.period])
     return Monodromy(*_full_period(*half), n=1).power(n)
 
 

@@ -18,23 +18,28 @@ from typing import Iterable, Sequence
 
 from .builder import SystemParams
 from .dynamics import PhaseState, SectionPoint
+from .errors import InvalidInput
 
 
 def atomic_write_text(path: str, text: str):
+    """Write by a temp file and a rename; an OSError becomes InvalidInput naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0o022)  # os.umask reads the mask only by setting it
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         # mkstemp creates 0o600; give the mode open(path, "w") would give
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _float_text(value: float) -> str:

@@ -29,7 +29,7 @@ def orbit_cache():
         if key not in cache:
             params = SystemParams(Fraction(2), Fraction(omega1), float(eps))
             traj = integrate_orbit(params, x0, y0, periods, samples_per_period=spp)
-            cache[key] = (params, traj, stroboscopic_section(traj, params))
+            cache[key] = (params, traj, stroboscopic_section(params, x0, y0, periods))
         return cache[key]
 
     return get

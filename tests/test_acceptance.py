@@ -20,7 +20,7 @@ import time
 from fractions import Fraction as F
 
 from mathieu_integrals import (PhaseConstants, SystemParams, build_integral,
-                               build_resonant_c, cover_count, eliminate_secular,
+                               build_resonant_c, conic_at_section, cover_count, eliminate_secular,
                                escape_diagnostics, h1_form, monodromy, psi_series,
                                resonant_section_form)
 from mathieu_integrals.analysis import section_residual, section_semiaxis_x
@@ -85,9 +85,10 @@ def test_criterion_03_symbolic_exactness():
 def test_criterion_04a_conservation_orderings(phi28, orbit_cache):
     _, _, pts10 = orbit_cache("9/10", 0.1, 200)
     _, _, pts15 = orbit_cache("9/10", 0.15, 200)
-    r = {s: section_residual(phi28.truncated(s), pts10, 0.1) for s in (2, 4, 6)}
-    r6_15 = section_residual(phi28.truncated(6), pts15, 0.15)
-    r20_15 = section_residual(phi28.truncated(20), pts15, 0.15)
+    r = {s: section_residual(conic_at_section(phi28.truncated(s), 0.1), pts10)
+         for s in (2, 4, 6)}
+    r6_15 = section_residual(conic_at_section(phi28.truncated(6), 0.15), pts15)
+    r20_15 = section_residual(conic_at_section(phi28.truncated(20), 0.15), pts15)
     ok = r[2] > r[4] > r[6] and r20_15 <= r6_15
     assert report("04a conservation orderings", ok,
                   f"eps=0.1 residuals S=2:{r[2]:.2e} > S=4:{r[4]:.2e} > S=6:{r[6]:.2e}; "
@@ -96,7 +97,7 @@ def test_criterion_04a_conservation_orderings(phi28, orbit_cache):
 
 def test_criterion_04b_absolute_bound(phi28, orbit_cache):
     _, _, pts10 = orbit_cache("9/10", 0.1, 200)
-    r6 = section_residual(phi28.truncated(6), pts10, 0.1)
+    r6 = section_residual(conic_at_section(phi28.truncated(6), 0.1), pts10)
     ok = report("04b conservation absolute bound", r6 <= 1e-3,
                 f"residual(S=6, eps=0.1) = {r6:.3e} vs required <= 1e-3")
     assert ok, (

@@ -244,20 +244,38 @@ class TestBracketedRoot:
         assert -1.0 <= lo <= root <= hi <= 1.0 and hi - lo <= tol
 
 
-#: The kernel holds each step's error to _RTOL of the state, so the error of its
-#: trace scales with the largest entry P of M(t) over the period, which a
-#: stable band at large q lifts far above |tr M| (P = 1.5e6 at omega = 2/3,
-#: omega1 = 1, eps = 15): the largest miss over 3000 draws of the ranges
-#: below was 17.1 _RTOL P.  The Hill trace's own error is below 3e-13
-#: relative (against a 30-digit Taylor solve at 21 points, q up to 240).
-HILL_VS_MONODROMY = 100 * _RTOL
+#: The kernel holds each step's error to _RTOL of the state, so an entry of
+#: H = M(T/2) = ((a, b), (c, d)) ends off by about _RTOL times the largest entry
+#: its row reached on the way: X1 for (a, b) and X2 for (c, d), the largest
+#: |entry| of each row of M(s) on the T/64 grid over [0, T/2], I included.  A row
+#: that ends small after a large excursion keeps that absolute error, and
+#: tr M(T) = 2(ad + bc) (``_full_period``) multiplies it by the other row, so to
+#: first order |d tr| <= C _RTOL 2((|a| + |b|) X2 + (|c| + |d|) X1).  The miss
+#: grows with q a little faster than this: at C = 1 its largest was 1.55 over 2935
+#: uniform draws of the ranges below and 2.37 at their corner omega = 1/2,
+#: eps = -15 (q = 240; omega1 = 47/18, the worst of 256 values).  C = 15 keeps a
+#: margin of about 6x over that, as the former bound (100 _RTOL times the largest
+#: entry over the period) had over its own sweep (17.1), and is still the
+#: tighter of the two at the median draw (0.55 of the former).  The former bound
+#: missed by 1.2x and 6x at omega = 1/2, omega1 = 1/20, eps = 9.0625 and 6.485,
+#: which read 0.041 and 0.032 of this model.  The Hill trace's own error is below
+#: 3e-13 relative (against a 30-digit Taylor solve at 21 points, q up to 240),
+#: added as 3e-13 (2 + |tr M|).
+HILL_VS_MONODROMY = 15 * _RTOL
+HILL_OWN = 3e-13
 
 
 def _assert_hill_matches_monodromy(omega, omega1, eps):
     params = SystemParams(F(omega), F(omega1), eps)
-    samples = [j * params.period / 32 for j in range(1, 33)]
-    peak = max(max(map(abs, m)) for m in dynamics._hill_points(params, eps, samples))
-    assert abs(_hill_trace(params, eps) - monodromy(params, eps).trace) <= HILL_VS_MONODROMY * peak
+    grid = [j * params.period / 64 for j in range(1, 33)]  # ends at T/2 exactly
+    rows = list(dynamics._hill_points(params, eps, grid))
+    a, b, c, d = rows[-1]
+    x1 = max(1.0, *(max(abs(m11), abs(m12)) for m11, m12, _, _ in rows))
+    x2 = max(1.0, *(max(abs(m21), abs(m22)) for _, _, m21, m22 in rows))
+    hill = _hill_trace(params, eps)
+    bound = (HILL_VS_MONODROMY * 2.0 * ((abs(a) + abs(b)) * x2 + (abs(c) + abs(d)) * x1)
+             + HILL_OWN * (2.0 + abs(hill)))
+    assert abs(hill - monodromy(params, eps).trace) <= bound
 
 
 class TestHillTrace:
@@ -315,39 +333,39 @@ class TestHillTrace:
 class TestConvergence:
     def test_monotone_improvement_and_orders(self, orbit_cache, phi28):
         _, _, pts = orbit_cache("9/10", 0.1, 200)
-        residuals = [section_residual(phi28.truncated(s), pts, 0.1)
+        residuals = [section_residual(conic_at_section(phi28.truncated(s), 0.1), pts)
                      for s in (2, 4, 6)]
         assert residuals[0] > residuals[1] > residuals[2]
 
     def test_deeper_truncation_helps_at_015(self, phi28, orbit_cache):
         _, _, pts = orbit_cache("9/10", 0.15, 200)
-        r6 = section_residual(phi28.truncated(6), pts, 0.15)
-        r20 = section_residual(phi28.truncated(20), pts, 0.15)
+        r6 = section_residual(conic_at_section(phi28.truncated(6), 0.15), pts)
+        r20 = section_residual(conic_at_section(phi28.truncated(20), 0.15), pts)
         assert r20 <= r6
 
     def test_slow_convergence_near_critical(self, phi28, orbit_cache):
         # at eps = 0.18 even order 28 stays above the eps = 0.1 order-6 level
         _, _, p18 = orbit_cache("9/10", 0.18, 200)
         _, _, p10 = orbit_cache("9/10", 0.1, 200)
-        r28_018 = section_residual(phi28, p18, 0.18)
-        r6_010 = section_residual(phi28.truncated(6), p10, 0.1)
+        r28_018 = section_residual(conic_at_section(phi28, 0.18), p18)
+        r6_010 = section_residual(conic_at_section(phi28.truncated(6), 0.1), p10)
         assert r28_018 > r6_010
 
     def test_convergence_study_wrapper(self):
-        report = convergence_study(P01, 0.1, [2, 4, 6], n_periods=50)
+        report = convergence_study(P01, [2, 4, 6], n_periods=50)
         assert report.orders == (2, 4, 6)
         assert report.residuals[0] > report.residuals[2]
         with pytest.raises(ValueError):
-            convergence_study(P01, 0.1, [4, 2])
+            convergence_study(P01, [4, 2])
 
     def test_negative_order_rejected_as_input(self):
         with pytest.raises(InvalidInput, match="order -1 is negative"):
-            convergence_study(P01, 0.1, [-1, 2])
+            convergence_study(P01, [-1, 2])
 
     def test_resonance_propagates(self):
         from mathieu_integrals import ResonanceDetected
         with pytest.raises(ResonanceDetected):
-            convergence_study(SystemParams(F(2), F(1), 0.1), 0.1, [2, 4])
+            convergence_study(SystemParams(F(2), F(1), 0.1), [2, 4])
 
 
 class TestCoverCounts:

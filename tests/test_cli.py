@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, schemas, determinism."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import SystemParams, build_integral, resonant
+from mathieu_integrals import SystemParams, build_integral, cli, resonant
 from mathieu_integrals.cli import main
 
 
@@ -354,6 +355,23 @@ class TestBadInput:
         assert res.exit_code == 2
         assert cause in res.output and "unbounded" not in res.output
 
+    @pytest.mark.parametrize("args", [
+        ["section", "--periods", "3", "--out", "{missing}/x.csv"],
+        ["build-integral", "--order", "3", "--conics-out", "{missing}/c.csv"],
+        ["monodromy", "--out", "{directory}"],
+        ["critical-eps", "--out", "{missing}/c.json"],
+    ], ids=lambda args: args[0])
+    def test_unwritable_out_is_one_error_line(self, runner, tmp_path, args):
+        # a missing directory, or a path that is a directory: the error names the
+        # user's path, not the temp file, and the temp file is gone
+        (tmp_path / "taken").mkdir()
+        path = args[-1].format(missing=tmp_path / "missing", directory=tmp_path / "taken")
+        res = invoke(runner, *args[:-1], path)
+        assert res.exit_code == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+
 
 class TestRuntimeDependencies:
     """click is the one runtime dependency; numpy and scipy are never needed."""
@@ -377,6 +395,21 @@ class TestRuntimeDependencies:
         res = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+
+class TestPublicApi:
+    def test_cli_uses_no_private_library_name(self):
+        # the CLI is a client of the library: every name it takes from another
+        # module of the package is public
+        modules = {"analysis", "builder", "dynamics", "output", "resonant"}
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules and node.attr.startswith("_")]
+        private += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module in modules
+                    for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 class TestBenchmarkTracer:

@@ -61,8 +61,7 @@ class TestHarmonicLimit:
 
     def test_section_rotation_step(self):
         params = SystemParams(F(2), F(9, 10), 0.0)
-        traj = integrate_orbit(params, 0.0, 1.0, 40)
-        pts = stroboscopic_section(traj, params)
+        pts = stroboscopic_section(params, 0.0, 1.0, 40)
         # rigid rotation by 2 pi omega1/omega = 0.9 pi per period in (om1 x, y)
         step = 2 * math.pi * 0.9 / 2.0
         for a, b in zip(pts, pts[1:]):
@@ -83,8 +82,8 @@ class TestSampling:
     def test_subperiod_sampling_counts(self):
         traj = integrate_orbit(P01, 0.0, 1.0, 5, samples_per_period=8)
         assert len(traj) == 41
-        pts = stroboscopic_section(traj, P01)
-        assert len(pts) == 6
+        assert [s.t for s in traj[::8]] == [k * P01.period for k in range(6)]
+        assert len(stroboscopic_section(P01, 0.0, 1.0, 5)) == 6
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -211,7 +210,7 @@ class TestEscape:
         # T = 2 pi/3, not the pi of omega = 2: the fitted slope of log r
         # against t must be log|lambda_max| / T of the monodromy
         params = SystemParams(F(3), F(3, 2), 0.3)
-        pts = stroboscopic_section(integrate_orbit(params, 0.0, 1.0, 100), params)
+        pts = stroboscopic_section(params, 0.0, 1.0, 100)
         report = escape_diagnostics(pts, period=params.period)
         lam = max(abs(ev) for ev in monodromy(params, 0.3).eigenvalues())
         assert report.escaped
@@ -613,29 +612,43 @@ class TestRecords:
     @pytest.mark.parametrize("eps, periods", [(0.1, 200), (0.19, 150), (-0.185, 200),
                                               (0.5, 3000)])  # 0.19 escapes, 0.5 overflows
     def test_section_is_the_stroboscopic_section(self, eps, periods):
-        # at one sample per period the section points are the samples, bit for bit
+        # at one sample per period sample k is the section point at t = kT, bit for bit
         params = SystemParams(F(2), F(9, 10), eps)
         try:
-            want = stroboscopic_section(integrate_orbit(params, 0.03, 0.97, periods), params)
+            traj = integrate_orbit(params, 0.03, 0.97, periods, 1)
         except Unbounded as exc:
             with pytest.raises(Unbounded, match=f"^{re.escape(str(exc))}$"):
-                dynamics._section(params, 0.03, 0.97, periods)
+                stroboscopic_section(params, 0.03, 0.97, periods)
             assert eps == 0.5
             return
-        got = dynamics._section(params, 0.03, 0.97, periods)
+        assert all(type(s) is dynamics.PhaseState for s in traj)
+        assert [s.t for s in traj] == [k * params.period for k in range(periods + 1)]
+        om1 = float(params.omega1)
+        want = [dynamics.SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y),
+                                      math.sqrt(x * x + y * y))
+                for k, (x, y, _, E) in enumerate(traj)]
+        got = stroboscopic_section(params, 0.03, 0.97, periods)
         assert all(type(p) is dynamics.SectionPoint for p in got)
         assert [tuple(map(repr, p)) for p in got] == [tuple(map(repr, p)) for p in want]
 
-    def test_section_points_carry_the_samples_at_kt(self, orbit_cache):
-        params, traj, sec = orbit_cache("9/10", 0.1, 20, spp=4)
-        assert all(type(s) is dynamics.PhaseState for s in traj)
-        assert all(type(p) is dynamics.SectionPoint for p in sec)
-        assert [p.k for p in sec] == list(range(21))
-        om1 = float(params.omega1)
-        for p, (x, y, t, E) in zip(sec, traj[::4]):
-            assert (p.x, p.y, p.E) == (x, y, E) and t == p.k * params.period
-            assert p.d == math.sqrt(om1 * om1 * x * x + y * y)
-            assert p.r == math.sqrt(x * x + y * y)
+    def test_section_points_carry_the_samples_at_kt(self):
+        # Sample i*spp of a denser orbit lands on t = kT too, but its one-period map
+        # comes from another step sequence, so it differs by rounding that the flow
+        # amplifies over the horizon: worst 9.9e-10 of max(1, |z_k|) at eps = -0.185
+        # over 110 periods (spp = 64), at most 1.2e-10 for the other cases below;
+        # spp = 2 solves to T/2 alone, as spp = 1 does, and agrees bit for bit.
+        for omega1, eps, periods in [("9/10", 0.1, 200), ("9/10", -0.185, 110),
+                                     ("1/10", 0.1, 200), ("11/10", 0.1, 200), ("1", 0.05, 15)]:
+            params = SystemParams(F(2), F(omega1), eps)
+            sec = stroboscopic_section(params, 0.0, 1.0, periods)
+            assert [p.k for p in sec] == list(range(periods + 1))
+            for spp in (2, 3, 8, 64):
+                samples = integrate_orbit(params, 0.0, 1.0, periods, spp)[::spp]
+                assert len(samples) == len(sec)
+                for p, (x, y, t, E) in zip(sec, samples):
+                    assert t == p.k * params.period
+                    assert math.hypot(p.x - x, p.y - y) <= 5e-9 * max(1.0, p.r)
+                    assert abs(p.E - E) <= 5e-9 * max(1.0, abs(p.E))
 
 
 class TestNonFinite:

@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_integrals import (SystemParams, build_integral, conic_at_section,
-                               convergence_study, dynamics, integrate_orbit, output)
+                               convergence_study, integrate_orbit, output,
+                               stroboscopic_section)
 
 
 # -- reference: the per-cell formatter, verbatim -------------------------------
@@ -105,7 +106,7 @@ P = SystemParams(F(2), F(9, 10), 0.15)
 
 @pytest.fixture(scope="module")
 def section():
-    return dynamics._section(P, 0.03, 0.97, 60)
+    return stroboscopic_section(P, 0.03, 0.97, 60)
 
 
 def _both(header, rows):
@@ -133,7 +134,7 @@ def test_distance_and_energy_rows(section):
 
 
 def test_convergence_rows():
-    report = convergence_study(P, 0.15, [2, 4, 6], n_periods=40)
+    report = convergence_study(P, [2, 4, 6], n_periods=40)
     _both(("order", "residual"), list(zip(report.orders, report.residuals)))
 
 
@@ -250,7 +251,7 @@ def test_json_documents_the_cli_writes():
     doc = phi.to_json_obj()
     doc["epsilon"] = 0.1
     assert output.json_text(doc) == dumps(doc)
-    rows = output.section_rows(dynamics._section(P, 0.03, 0.97, 20), P)
+    rows = output.section_rows(stroboscopic_section(P, 0.03, 0.97, 20), P)
     assert output.columns_json(output.ORBIT_COLUMNS, rows) == dumps(
         {"columns": list(output.ORBIT_COLUMNS), "rows": [list(row) for row in rows]})
 
