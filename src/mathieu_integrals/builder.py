@@ -94,8 +94,9 @@ class SystemParams:
         """Driving period T = 2*pi/omega."""
         return 2.0 * math.pi / float(self.omega)
 
-    @property
+    @cached_property
     def mathieu_a(self) -> Fraction:
+        """a = 4 omega1^2/omega^2, built once per params (the Hill trace reads it per eps)."""
         return 4 * self.omega1 ** 2 / self.omega ** 2
 
     def mathieu_q(self, epsilon: float | None = None) -> float:

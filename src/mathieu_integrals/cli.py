@@ -110,21 +110,22 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
     doc = phi.to_json_obj()
     doc["epsilon"] = epsilon
     text = output.json_text(doc)
+    files, stdout = [], []  # every output is formatted, then written, then printed
     if out:
-        output.atomic_write_text(out, text)
-        click.echo(f"wrote {out}")
+        files.append((out, text))
+        stdout.append(f"wrote {out}\n")
     if dump_symbolic or not out:
-        click.echo(text, nl=False)
+        stdout.append(text)
     if pretty:
-        click.echo(phi.pretty())
+        stdout.append(phi.pretty() + "\n")
     if conics_out:
-        grid = sorted(set(DEFAULT_EPS_GRID + [epsilon]))
-        rows = []
-        for eps in grid:
-            a, b, d = builder.conic_at_section(phi, eps)
-            rows.append((eps, a, b, d))
-        output.atomic_write_text(conics_out, output.columns_csv(("epsilon", "A", "B", "D"), rows))
-        click.echo(f"wrote {conics_out}")
+        rows = [(eps, *builder.conic_at_section(phi, eps))
+                for eps in sorted(set(DEFAULT_EPS_GRID + [epsilon]))]
+        files.append((conics_out, output.columns_csv(("epsilon", "A", "B", "D"), rows)))
+        stdout.append(f"wrote {conics_out}\n")
+    for path, contents in files:
+        output.atomic_write_text(path, contents)
+    click.echo("".join(stdout), nl=False)
 
 
 @main.command("orbit")
@@ -137,10 +138,9 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     params = _params(omega, omega1, epsilon)
-    traj = dynamics.integrate_orbit(params, x0, y0, _n_periods(params, periods, time_),
-                                    samples_per_period=samples)
-    _write(out, output.tabular(output.ORBIT_COLUMNS,
-                               output.trajectory_rows(traj, params, samples), format_))
+    rows = dynamics.orbit_rows(params, x0, y0, _n_periods(params, periods, time_),
+                               samples_per_period=samples)
+    _write(out, output.tabular(output.ORBIT_COLUMNS, rows, format_))
 
 
 @main.command("section")
@@ -199,7 +199,6 @@ def cmd_critical_eps(omega, omega1, sign, out):
     """Locate the escape boundary eps_crit."""
     params = _params(omega, omega1, 0.0)
     result = analysis.critical_epsilon(params, sign=sign)
-    click.echo(f"{result.eps_crit:.10g}")
     if out:
         doc = {
             "omega": omega, "omega1": omega1, "sign": sign,
@@ -210,6 +209,8 @@ def cmd_critical_eps(omega, omega1, sign, out):
             "escape_check": result.escape_check,
         }
         output.atomic_write_text(out, output.json_text(doc))
+    click.echo(f"{result.eps_crit:.10g}")
+    if out:
         click.echo(f"wrote {out}", err=True)
 
 

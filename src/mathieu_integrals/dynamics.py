@@ -18,6 +18,12 @@ M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z and the n-period monodromy
 is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so at
 one sample per period sample k is the section point at t = kT.
 
+One loop walks the period grid (``_propagate``).  In the pass that
+propagates z and E it builds either the orbit table rows (k, t, x, y, E,
+d, r) of ``orbit_rows``, which the CLI formats as they are, or the
+PhaseStates of ``integrate_orbit``; ``stroboscopic_section`` reads row k
+of the one-sample-per-period table as the point at t = kT.
+
 One stepper, ``_hill_points``, is DOP853 specialised to the Hill
 equation on the two columns of M: M(T/2) alone for ``monodromy``,
 (M, Q) on the half-period sample grid for orbits; both assemble M(T) in
@@ -374,16 +380,16 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> li
     return solved[:half] + mirrored
 
 
-def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
-                    samples_per_period: int = 1) -> list[PhaseState]:
-    """Propagate the extended system over n periods.
+def _propagate(params: SystemParams, x0: float, y0: float, n_periods: int,
+               samples_per_period: int, table: bool) -> list[tuple]:
+    """The one loop over the period grid: a row per sample i = 0..n spp (see
+    ``integrate_orbit``).
 
-    Samples land on the uniform sub-period grid t = (k + i/spp) * T,
-    always hitting the section times t = k*T exactly.  E starts at
-    -H(x0, y0, 0) and advances by the integrated energy form Q, never
-    by re-evaluating H.  Raises Unbounded once the propagated state
-    overflows (InvalidInput if E(0) already does).  The origin is a
-    fixed point and is rejected as a start.
+    With ``table`` a row is (k, t, x, y, E, d, r), k = i // spp, d =
+    sqrt(omega1^2 x^2 + y^2), r = hypot(x, y); without, it is the
+    PhaseState (x, y, t, E).  Either is built in the pass that propagates
+    z and E: a PhaseState projected from a table row afterwards costs more
+    than the whole sample does here.
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
@@ -395,33 +401,67 @@ def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
     x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0)
     if not math.isfinite(e):
         raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")
+    spp = samples_per_period
     T = params.period
-    grid = _one_period(params, params.epsilon, samples_per_period)
-    states = [PhaseState(x, y, 0.0, e)]
+    om1 = float(params.omega1)
+    om1sq = om1 * om1  # as trajectory_rows forms it, so d agrees bit for bit
+    sqrt, hypot, isfinite, state = math.sqrt, math.hypot, math.isfinite, tuple.__new__
+    grid = _one_period(params, params.epsilon, spp)
+    rows = [(0, 0.0, x, y, e, sqrt(om1sq * x * x + y * y), hypot(x, y)) if table
+            else state(PhaseState, (x, y, 0.0, e))]
+    append = rows.append
     i = 0
     for k in range(n_periods):
         for m11, m12, m21, m22, q11, q22, q12 in grid:
             i += 1
             energy = e + q11 * x * x + q22 * y * y + 2.0 * q12 * x * y
             # E is quadratic in the state, so it is the first to overflow
-            if not math.isfinite(energy):
+            if not isfinite(energy):
                 raise Unbounded(f"the state overflows in period {k + 1}; the orbit is unbounded")
-            states.append(PhaseState(m11 * x + m12 * y, m21 * x + m22 * y,
-                                     (i / samples_per_period) * T, energy))
-        x, y, _, e = states[-1]
-    return states
+            u, v = m11 * x + m12 * y, m21 * x + m22 * y
+            if table:
+                append((i // spp, (i / spp) * T, u, v, energy, sqrt(om1sq * u * u + v * v),
+                        hypot(u, v)))
+            else:
+                append(state(PhaseState, (u, v, (i / spp) * T, energy)))
+        x, y, e = u, v, energy
+    return rows
+
+
+def orbit_rows(params: SystemParams, x0: float, y0: float, n_periods: int,
+               samples_per_period: int = 1) -> list[tuple]:
+    """The orbit table over n periods: rows (k, t, x, y, E, d, r), one per sample.
+
+    The samples, checks and errors are ``integrate_orbit``'s; k is the
+    period index of the sample, d = sqrt(omega1^2 x^2 + y^2) and r =
+    hypot(x, y).
+    """
+    return _propagate(params, x0, y0, n_periods, samples_per_period, table=True)
+
+
+def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
+                    samples_per_period: int = 1) -> list[PhaseState]:
+    """Propagate the extended system over n periods: PhaseStates (x, y, t, E).
+
+    Samples land on the uniform sub-period grid t = (k + i/spp) * T,
+    always hitting the section times t = k*T exactly.  E starts at
+    -H(x0, y0, 0) and advances by the integrated energy form Q, never
+    by re-evaluating H.  Raises Unbounded once the propagated state
+    overflows (InvalidInput if E(0) already does).  The origin is a
+    fixed point and is rejected as a start.
+    """
+    return _propagate(params, x0, y0, n_periods, samples_per_period, table=False)
 
 
 def stroboscopic_section(params: SystemParams, x0: float, y0: float,
                          n_periods: int) -> list[SectionPoint]:
     """Section points t = kT, k = 0..n_periods, of the orbit from (x0, y0).
 
-    Sample k of the one-sample-per-period orbit is the point at t = kT.
+    Row k of the one-sample-per-period ``orbit_rows`` is the point at t = kT.
     """
-    traj = integrate_orbit(params, x0, y0, n_periods)
-    om1 = float(params.omega1)
-    return [SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y), math.sqrt(x * x + y * y))
-            for k, (x, y, _, E) in enumerate(traj)]
+    sqrt, point = math.sqrt, tuple.__new__
+    return [point(SectionPoint, (x, y, E, k, d, sqrt(x * x + y * y)))
+            for k, _, x, y, E, d, _ in orbit_rows(params, x0, y0, n_periods)]
 
 
 def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:

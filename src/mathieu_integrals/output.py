@@ -2,8 +2,12 @@
 
 Data files carry no timestamps and use fixed formatting, so identical
 runs produce byte-identical output.  Each CSV row and each JSON container
-is one ``%`` with a template built once per shape.  Files are written
-atomically (temp file + rename).
+is one ``%`` with a template built once per shape; a JSON table whose
+columns are each all ints or all finite floats has one row template.
+``trajectory_rows`` and ``section_rows`` turn samples into table rows;
+the ``orbit`` command's table comes from ``dynamics.orbit_rows``, built
+as it propagates, and ``trajectory_rows`` is its reference.  Files are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -146,8 +150,29 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
 
 
 def columns_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The same tabular payload as columns_csv, as a JSON document."""
-    return json_text({"columns": list(header), "rows": list(rows)})
+    """The same tabular payload as columns_csv, as a JSON document: ``json_text``'s bytes.
+
+    A table of equal-length tuple or list rows in which every column is
+    all exact ints or all finite exact floats is one row template, %d per
+    int column and %r (float.__repr__, json's spelling) per float column,
+    applied to each row; any other table goes to ``json_text``.
+    """
+    rows = list(rows)
+    if set(map(type, rows)) <= {tuple, list} and len(set(map(len, rows))) == 1 and rows[0]:
+        slots = []
+        for column in zip(*rows):
+            kinds = set(map(type, column))
+            if kinds == {int}:
+                slots.append("%d")
+            elif kinds == {float} and all(map(math.isfinite, column)):
+                slots.append("%r")
+            else:
+                break
+        else:
+            template = "[\n      " + ",\n      ".join(slots) + "\n    ]"
+            return ('{\n  "columns": ' + _encode(list(header), 1, {}) + ',\n  "rows": [\n    '
+                    + ",\n    ".join(map(template.__mod__, map(tuple, rows))) + "\n  ]\n}\n")
+    return json_text({"columns": list(header), "rows": rows})
 
 
 def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:

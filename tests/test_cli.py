@@ -15,7 +15,8 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import SystemParams, build_integral, cli, resonant
+from mathieu_integrals import (SystemParams, build_integral, cli, integrate_orbit, output,
+                               resonant, stroboscopic_section)
 from mathieu_integrals.cli import main
 
 
@@ -154,6 +155,51 @@ class TestOrbitCommands:
         es19 = [float(r[3]) for r in rows]
         assert min(es19) < -2.0  # drifting toward -infinity
         assert es19.index(min(es19)) > len(es19) // 2
+
+
+    @pytest.mark.parametrize("args", [
+        ["orbit", "--samples", "64", "--periods", "20"],
+        ["orbit", "--samples", "64", "--periods", "20", "--format", "json"],
+        ["orbit", "--samples", "64", "--periods", "40", "--epsilon", "0.19"],
+        ["orbit", "--samples", "64", "--periods", "40", "--epsilon", "0.19", "--format", "json"],
+        ["orbit", "--samples", "64", "--periods", "15", "--omega1", "1", "--epsilon", "0.05"],
+        ["orbit", "--samples", "64", "--periods", "15", "--omega1", "1", "--epsilon", "0.05",
+         "--format", "json"],
+        ["orbit", "--samples", "3", "--periods", "7", "--epsilon", "-0.185", "--format", "json"],
+        ["section", "--periods", "200"],
+        ["section", "--periods", "200", "--epsilon", "0.19", "--format", "json"],
+        ["distances", "--periods", "150", "--epsilon", "0.19"],
+        ["distances", "--periods", "150", "--epsilon", "0.19", "--format", "json"],
+        ["energy", "--periods", "40", "--epsilon", "0.19"],
+        ["energy", "--periods", "41", "--epsilon", "0.18", "--format", "json"],
+    ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+    def test_tables_are_the_library_tables(self, runner, args):
+        # the CLI's bytes are output.tabular of the library's samples, column for column
+        res = invoke(runner, *args, "--x0", "0.03", "--y0", "0.97")
+        assert res.exit_code == 0
+        opts = dict(zip(args[1::2], args[2::2]))
+        params = SystemParams(F(2), F(opts.get("--omega1", "9/10")),
+                              float(opts.get("--epsilon", "0.1")))
+        periods, fmt = int(opts["--periods"]), opts.get("--format", "csv")
+        if args[0] == "orbit":
+            spp = int(opts["--samples"])
+            traj = integrate_orbit(params, 0.03, 0.97, periods, spp)
+            want = output.tabular(output.ORBIT_COLUMNS, output.trajectory_rows(traj, params, spp),
+                                  fmt)
+        else:
+            pts = stroboscopic_section(params, 0.03, 0.97, periods)
+            rows = output.section_rows(pts, params)
+            if args[0] == "section":
+                want = output.tabular(output.ORBIT_COLUMNS, rows, fmt)
+            elif args[0] == "energy":
+                want = output.tabular(("k", "t", "x", "E"),
+                                      [(k, t, x, E) for k, t, x, _, E, _, _ in rows], fmt)
+            else:
+                want = output.tabular(("k", "t", "d", "r"),
+                                      [(k, t, d, r) for k, t, _, _, _, d, r in rows], fmt)
+                if fmt == "csv":
+                    want += f"# escaped at k={next(p.k for p in pts if p.r > 1e3)}\n"
+        assert res.stdout == want
 
 
 class TestAnalysisCommands:
@@ -370,7 +416,15 @@ class TestBadInput:
         assert res.exit_code == 2
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
+        assert res.stdout == ""  # nothing is printed before every file is written
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+
+    def test_unwritable_second_path_prints_nothing(self, runner, tmp_path):
+        res = invoke(runner, "build-integral", "--order", "3", "--out", str(tmp_path / "p.json"),
+                     "--dump-symbolic", "--pretty",
+                     "--conics-out", str(tmp_path / "missing" / "c.csv"))
+        assert res.exit_code == 2
+        assert res.stdout == "" and res.stderr.startswith("error: cannot write ")
 
 
 class TestRuntimeDependencies:
@@ -415,11 +469,28 @@ class TestPublicApi:
 class TestBenchmarkTracer:
     """perfbench's per-layer mode (``--trace 1``) patches src functions by name."""
 
-    def test_install_finds_every_target_and_uninstall_restores_it(self):
+    @staticmethod
+    def _tracing():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        return tracing
+
+    def test_every_target_resolves(self):
+        # Tracer.install() raises on a missing name, so a renamed or removed src
+        # function would otherwise show only in a --trace 1 run
+        missing = []
+        for module_name, attr, _ in self._tracing().TARGETS:
+            owner = getattr(mathieu_integrals, module_name, None)
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module_name}.{attr}")
+        assert missing == []
+
+    def test_install_finds_every_target_and_uninstall_restores_it(self):
+        tracing = self._tracing()
 
         def binding(module_name, attr):
             owner = sys.modules["mathieu_integrals." + module_name]

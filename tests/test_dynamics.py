@@ -654,8 +654,10 @@ class TestRecords:
 class TestNonFinite:
     def test_overflow_is_unbounded_with_period_index(self):
         params = SystemParams(F(2), F(9, 10), 0.5)
-        with pytest.raises(Unbounded, match=r"overflows in period \d+"):
+        with pytest.raises(Unbounded, match=r"overflows in period \d+") as states:
             integrate_orbit(params, 0.0, 1.0, 3000)
+        with pytest.raises(Unbounded, match=f"^{re.escape(str(states.value))}$"):
+            dynamics.orbit_rows(params, 0.0, 1.0, 3000)
         with pytest.raises(Unbounded):
             monodromy(params, 0.5, n=3000)
 

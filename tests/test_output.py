@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_integrals import (SystemParams, build_integral, conic_at_section,
-                               convergence_study, integrate_orbit, output,
+                               convergence_study, dynamics, integrate_orbit, output,
                                stroboscopic_section)
 
 
@@ -113,15 +113,27 @@ def _both(header, rows):
     assert output.columns_csv(header, rows) == columns_csv(header, rows)
 
 
+def _same_cells(got, want):
+    """Equal rows of equal cell types, float bits included."""
+    assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+    assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+
+
 def test_orbit_rows():
     traj = integrate_orbit(P, 0.03, 0.97, 5, samples_per_period=64)
-    _both(output.ORBIT_COLUMNS, output.trajectory_rows(traj, P, 64))
+    want = output.trajectory_rows(traj, P, 64)
+    _both(output.ORBIT_COLUMNS, want)
+    # the CLI's table, built in the propagation loop, is the rows of the samples
+    _same_cells(dynamics.orbit_rows(P, 0.03, 0.97, 5, samples_per_period=64), want)
 
 
 def test_escaping_orbit_rows():
     params = SystemParams(F(2), F(9, 10), 0.19)
-    traj = integrate_orbit(params, 0.0, 1.0, 40, samples_per_period=8)
-    _both(output.ORBIT_COLUMNS, output.trajectory_rows(traj, params, 8))
+    for spp in (1, 3, 8):
+        traj = integrate_orbit(params, 0.0, 1.0, 40, samples_per_period=spp)
+        want = output.trajectory_rows(traj, params, spp)
+        _both(output.ORBIT_COLUMNS, want)
+        _same_cells(dynamics.orbit_rows(params, 0.0, 1.0, 40, spp), want)
 
 
 def test_section_rows(section):
@@ -244,6 +256,38 @@ def test_json_leaves_no_reference_cycle():
     assert garbage(lambda: output.json_text(doc) == want or pytest.fail("text differs")) == 0
     assert (garbage(lambda: output.json_text([doc, bad]))
             == garbage(lambda: json.dumps(bad, indent=2, sort_keys=True)) > 0)
+
+
+int_cells = st.integers() | st.integers(min_value=-(2 ** 4000), max_value=2 ** 4000)
+column_cells = [int_cells, st.floats(allow_nan=False, allow_infinity=False), cells]
+
+
+@st.composite
+def json_tables(draw):
+    """Tables of tuple or list rows: columns of one kind each (the row template's
+    tables), mixed columns, special floats, bools, strings and unequal row lengths."""
+    kinds = draw(st.lists(st.sampled_from(column_cells), max_size=7))
+    n = draw(st.integers(0, 8))
+    rows = [tuple(draw(kind) for kind in kinds) for _ in range(n)]
+    rows += draw(st.lists(st.lists(cells, max_size=8).map(tuple), max_size=2))
+    return [list(row) if draw(st.booleans()) else row for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_tables() | tables)
+def test_columns_json_matches_json_dumps(rows):
+    header = ("k", "t", "%d")
+    assert output.columns_json(header, rows) == dumps(
+        {"columns": list(header), "rows": [list(r) for r in rows]})
+
+
+def test_columns_json_special_floats_and_ints():
+    # a non-finite float, a bool or a float in an int column leaves the row template;
+    # a huge int keeps it
+    for bad in (math.nan, math.inf, -math.inf, True, 1.0, 2 ** 70):
+        rows = [(0, 0.5, 7), (1, 1.5, 8), (2, 2.5, bad)]
+        assert output.columns_json(("a", "b", "c"), rows) == dumps(
+            {"columns": ["a", "b", "c"], "rows": [list(r) for r in rows]})
 
 
 def test_json_documents_the_cli_writes():
