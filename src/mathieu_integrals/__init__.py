@@ -16,9 +16,8 @@ from .analysis import (ConvergenceReport, CriticalEpsResult, PeriodicOrbitResult
                        section_residual)
 from .builder import (FormalIntegral, PsiSeries, QuadFormSeries, SystemParams,
                       build_integral, conic_at_section, h0_form, h1_form, psi_series)
-from .dynamics import (EscapeReport, Monodromy, PhaseState, SectionPoint,
-                       escape_diagnostics, integrate_orbit, monodromy, orbit_rows,
-                       stroboscopic_section)
+from .dynamics import (EscapeReport, Monodromy, OrbitSample, escape_diagnostics,
+                       integrate_orbit, monodromy, orbit_rows, stroboscopic_section)
 from .errors import (BracketFailure, DegenerateConic, DomainError,
                      MalformedSpectrum, NoRoot, NotResonant, ResonanceDetected,
                      SecularTerm, StepFailure, Unbounded, UnsolvableSecular)
@@ -33,9 +32,9 @@ __all__ = [
     "BracketFailure", "COS", "ConvergenceReport", "CriticalEpsResult",
     "DegenerateConic", "DomainError", "EscapeReport", "FormalIntegral",
     "FrequencyBase", "MalformedSpectrum", "Monodromy", "NoRoot", "NotResonant",
-    "PeriodicOrbitResult", "PhaseConstants", "PhaseState", "PsiSeries",
+    "OrbitSample", "PeriodicOrbitResult", "PhaseConstants", "PsiSeries",
     "QuadFormSeries", "ResonanceDetected", "ResonantIntegral",
-    "SIN", "SectionPoint", "SecularTerm", "StepFailure", "SystemParams",
+    "SIN", "SecularTerm", "StepFailure", "SystemParams",
     "TrigSeries", "Unbounded", "UnsolvableSecular", "as_rational",
     "build_integral", "build_resonant_c",
     "build_resonant_phi", "conic_at_section", "convergence_study",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import SystemParams, build_integral, conic_at_section
-from .dynamics import SectionPoint, monodromy, stroboscopic_section
+from .dynamics import OrbitSample, monodromy, stroboscopic_section
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 @dataclass(frozen=True)
@@ -159,13 +159,15 @@ class ConvergenceReport:
 
 
 def section_residual(conic: tuple[float, float, float],
-                     section: Sequence[SectionPoint]) -> float:
+                     section: Sequence[OrbitSample]) -> float:
     """max_k |F(x_k, y_k) - F(x_0, y_0)| / |F(x_0, y_0)|, F = A x^2 + B y^2 + 2 D xy.
 
     ``conic`` is the (A, B, D) triple of ``conic_at_section`` or
     ``resonant_section_form``: at section times an integral reduces to
     its t = 0 conic, so the evaluation is exact in the time direction.
     """
+    if not section:
+        raise InvalidInput("section_residual needs a non-empty section")
     a, b, d = conic
     values = [a * p.x * p.x + b * p.y * p.y + 2.0 * d * p.x * p.y for p in section]
     level = values[0]
@@ -192,7 +194,7 @@ def convergence_study(params: SystemParams, orders: Sequence[int], n_periods: in
                              n_periods=n_periods)
 
 
-def cover_count(section: Sequence[SectionPoint], omega1: float) -> int:
+def cover_count(section: Sequence[OrbitSample], omega1: float) -> int:
     """Points needed for the section sequence to outline its curve once.
 
     The section conics are centrally symmetric, so the polar angle of a
@@ -333,6 +335,6 @@ def invariant_curve_points(conic: tuple[float, float, float], level: float,
     return [(cphi * u - sphi * v, sphi * u + cphi * v) for u, v in pts_uv]
 
 
-def section_semiaxis_x(section: Sequence[SectionPoint]) -> float:
+def section_semiaxis_x(section: Sequence[OrbitSample]) -> float:
     """The x-extent of the section curve, read from the point cloud."""
     return max(abs(p.x) for p in section)

@@ -152,8 +152,7 @@ def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)
     pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    _write(out, output.tabular(output.ORBIT_COLUMNS, output.section_rows(pts, params),
-                               format_))
+    _write(out, output.tabular(output.ORBIT_COLUMNS, pts, format_))
 
 
 @main.command("distances")
@@ -169,8 +168,8 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     """
     params = _params(omega, omega1, epsilon)
     pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    report = dynamics.escape_diagnostics(pts, r_escape=r_escape, period=params.period)
-    rows = [(p.k, p.k * params.period, p.d, p.r) for p in pts]
+    report = dynamics.escape_diagnostics(pts, r_escape=r_escape)
+    rows = [(p.k, p.t, p.d, p.r) for p in pts]
     text = output.tabular(("k", "t", "d", "r"), rows, format_)
     if report.escaped and format_ == "csv":
         text += f"# escaped at k={report.k_escape}\n"
@@ -186,7 +185,7 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
     pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    rows = [(p.k, p.k * params.period, p.x, p.E) for p in pts]
+    rows = [(p.k, p.t, p.x, p.E) for p in pts]
     _write(out, output.tabular(("k", "t", "x", "E"), rows, format_))
 
 

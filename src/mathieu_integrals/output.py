@@ -4,10 +4,11 @@ Data files carry no timestamps and use fixed formatting, so identical
 runs produce byte-identical output.  Each CSV row and each JSON container
 is one ``%`` with a template built once per shape; a JSON table whose
 columns are each all ints or all finite floats has one row template.
-``trajectory_rows`` and ``section_rows`` turn samples into table rows;
-the ``orbit`` command's table comes from ``dynamics.orbit_rows``, built
-as it propagates, and ``trajectory_rows`` is its reference.  Files are
-written atomically (temp file + rename).
+An orbit sample is a table row: the CLI formats ``dynamics.orbit_rows``
+and OrbitSamples as they are.  ``trajectory_rows`` and ``section_rows``
+rebuild the rows of an orbit and of a section from their samples, as
+references for those tables.  Files are written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .builder import SystemParams
-from .dynamics import PhaseState, SectionPoint
+from .dynamics import OrbitSample
 from .errors import InvalidInput
 
 
@@ -116,18 +117,21 @@ def _template(obj, level: int, keys: tuple | None) -> tuple:
 ORBIT_COLUMNS = ("k", "t", "x", "y", "E", "d", "r")
 
 
-def trajectory_rows(states: Sequence[PhaseState], params: SystemParams,
+def trajectory_rows(samples: Sequence[OrbitSample], params: SystemParams,
                     samples_per_period: int) -> list[tuple]:
-    """Rows k,t,x,y,E,d,r; k is the period index of the sample."""
+    """Rows k,t,x,y,E,d,r of an orbit, k = i // spp and d, r recomputed from x and y."""
     om1 = float(params.omega1)
     sqrt, hypot = math.sqrt, math.hypot
     return [(i // samples_per_period, t, x, y, E, sqrt(om1 * om1 * x * x + y * y), hypot(x, y))
-            for i, (x, y, t, E) in enumerate(states)]
+            for i, (_, t, x, y, E, _, _) in enumerate(samples)]
 
 
-def section_rows(points: Sequence[SectionPoint], params: SystemParams) -> list[tuple]:
-    T = params.period
-    return [(k, k * T, x, y, E, d, r) for x, y, E, k, d, r in points]
+def section_rows(points: Sequence[OrbitSample], params: SystemParams) -> list[tuple]:
+    """Rows k,t,x,y,E,d,r of a section, t = kT and d, r recomputed from x and y."""
+    T, om1 = params.period, float(params.omega1)
+    sqrt, hypot = math.sqrt, math.hypot
+    return [(k, k * T, x, y, E, sqrt(om1 * om1 * x * x + y * y), hypot(x, y))
+            for k, _, x, y, E, _, _ in points]
 
 
 def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
@@ -152,13 +156,15 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
 def columns_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The same tabular payload as columns_csv, as a JSON document: ``json_text``'s bytes.
 
-    A table of equal-length tuple or list rows in which every column is
-    all exact ints or all finite exact floats is one row template, %d per
-    int column and %r (float.__repr__, json's spelling) per float column,
-    applied to each row; any other table goes to ``json_text``.
+    A table of equal-length tuple (OrbitSamples too) or list rows in which
+    every column is all exact ints or all finite exact floats is one row
+    template, %d per int column and %r (float.__repr__, json's spelling)
+    per float column, applied to each row; any other table goes to
+    ``json_text``.
     """
     rows = list(rows)
-    if set(map(type, rows)) <= {tuple, list} and len(set(map(len, rows))) == 1 and rows[0]:
+    if (all(isinstance(row, (tuple, list)) for row in rows) and len(set(map(len, rows))) == 1
+            and rows[0]):
         slots = []
         for column in zip(*rows):
             kinds = set(map(type, column))

@@ -146,8 +146,8 @@ def test_criterion_06_extended_energy_identities(phi28, orbit_cache):
 def test_criterion_07_escape_phenomenology(orbit_cache):
     params, _, p19 = orbit_cache("9/10", 0.19, 150)
     _, _, p20 = orbit_cache("9/10", 0.20, 150)
-    r19 = escape_diagnostics(p19, period=params.period)
-    r20 = escape_diagnostics(p20, period=params.period)
+    r19 = escape_diagnostics(p19)
+    r20 = escape_diagnostics(p20)
     ok = (r19.escaped and r19.r_squared > 0.999
           and r20.growth_rate > r19.growth_rate)
     assert report("07 escape phenomenology", ok,

@@ -362,6 +362,10 @@ class TestConvergence:
         with pytest.raises(InvalidInput, match="order -1 is negative"):
             convergence_study(P01, [-1, 2])
 
+    def test_empty_section_rejected_as_input(self):
+        with pytest.raises(InvalidInput, match="non-empty section"):
+            section_residual((1.0, 1.0, 0.0), [])
+
     def test_resonance_propagates(self):
         from mathieu_integrals import ResonanceDetected
         with pytest.raises(ResonanceDetected):

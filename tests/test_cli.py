@@ -201,6 +201,16 @@ class TestOrbitCommands:
                     want += f"# escaped at k={next(p.k for p in pts if p.r > 1e3)}\n"
         assert res.stdout == want
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("eps, periods", [("0.1", "200"), ("0.19", "40")])
+    def test_section_is_the_one_sample_orbit(self, runner, fmt, eps, periods):
+        args = ["--epsilon", eps, "--periods", periods, "--x0", "0.03", "--y0", "0.97",
+                "--format", fmt]
+        section = invoke(runner, "section", *args)
+        orbit = invoke(runner, "orbit", "--samples", "1", *args)
+        assert section.exit_code == orbit.exit_code == 0
+        assert section.stdout == orbit.stdout
+
 
 class TestAnalysisCommands:
     def test_critical_eps_stdout(self, runner, tmp_path):
@@ -464,6 +474,31 @@ class TestPublicApi:
                     if isinstance(node, ast.ImportFrom) and node.module in modules
                     for alias in node.names if alias.name.startswith("_")]
         assert private == []
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from mathieu_integrals import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(mathieu_integrals.__all__)
+        assert len(set(mathieu_integrals.__all__)) == len(mathieu_integrals.__all__)
+
+    def test_readme_library_quickstart_runs(self):
+        # every ```python block under "Library quickstart", run in order in one namespace,
+        # so a name the package no longer has cannot linger in the docs
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("## Library quickstart")
+        end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("## "))
+        namespace, code, blocks = {}, None, 0
+        for number, line in enumerate(lines[start:end], start=start + 1):
+            if code is None and line == "```python":
+                code, fence = [], number
+            elif code is not None and line == "```":
+                # padded so that a traceback names the README's own line
+                exec(compile("\n" * fence + "\n".join(code), "README.md", "exec"), namespace)
+                code, blocks = None, blocks + 1
+            elif code is not None:
+                code.append(line)
+        assert blocks >= 2
 
 
 class TestBenchmarkTracer:

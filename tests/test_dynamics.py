@@ -23,6 +23,7 @@ from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
                                stroboscopic_section)
 from mathieu_integrals.dynamics import _hill_points
 from mathieu_integrals.errors import DomainError, InvalidInput
+from mathieu_integrals.output import ORBIT_COLUMNS
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
 
@@ -170,48 +171,42 @@ class TestOrbitGeometry:
 
 class TestEscape:
     def test_bounded_run(self, orbit_cache):
-        params, _, pts = orbit_cache("9/10", 0.1, 200)
-        report = escape_diagnostics(pts, period=params.period)
+        _, _, pts = orbit_cache("9/10", 0.1, 200)
+        report = escape_diagnostics(pts)
         assert not report.escaped
         assert report.k_escape is None and report.growth_rate is None
         assert all(p.r <= 2.0 for p in pts)
 
     def test_escape_at_019_is_log_linear(self, orbit_cache):
-        params, _, pts = orbit_cache("9/10", 0.19, 150)
-        report = escape_diagnostics(pts, period=params.period)
+        _, _, pts = orbit_cache("9/10", 0.19, 150)
+        report = escape_diagnostics(pts)
         assert report.escaped and report.k_escape is not None
         assert report.growth_rate > 0
         assert report.r_squared > 0.999
 
     def test_growth_increases_with_eps(self, orbit_cache):
-        params, _, p19 = orbit_cache("9/10", 0.19, 150)
+        _, _, p19 = orbit_cache("9/10", 0.19, 150)
         _, _, p20 = orbit_cache("9/10", 0.20, 150)
-        r19 = escape_diagnostics(p19, period=params.period)
-        r20 = escape_diagnostics(p20, period=params.period)
+        r19 = escape_diagnostics(p19)
+        r20 = escape_diagnostics(p20)
         assert r20.growth_rate > r19.growth_rate
 
     def test_empty_section_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="non-empty section"):
             escape_diagnostics([])
 
     @pytest.mark.parametrize("r_escape", [-1.0, 0.0, math.nan, math.inf])
     def test_escape_radius_must_be_positive_and_finite(self, orbit_cache, r_escape):
-        params, _, pts = orbit_cache("9/10", 0.19, 150)
-        with pytest.raises(InvalidInput, match="escape radius"):
-            escape_diagnostics(pts, r_escape=r_escape, period=params.period)
-
-    @pytest.mark.parametrize("period", [None, 0.0, -math.pi, math.nan, math.inf])
-    def test_period_is_required(self, orbit_cache, period):
         _, _, pts = orbit_cache("9/10", 0.19, 150)
-        with pytest.raises(InvalidInput, match="period"):
-            escape_diagnostics(pts, period=period)
+        with pytest.raises(InvalidInput, match="escape radius"):
+            escape_diagnostics(pts, r_escape=r_escape)
 
     def test_growth_rate_is_floquet_exponent_at_omega_3(self):
         # T = 2 pi/3, not the pi of omega = 2: the fitted slope of log r
         # against t must be log|lambda_max| / T of the monodromy
         params = SystemParams(F(3), F(3, 2), 0.3)
         pts = stroboscopic_section(params, 0.0, 1.0, 100)
-        report = escape_diagnostics(pts, period=params.period)
+        report = escape_diagnostics(pts)
         lam = max(abs(ev) for ev in monodromy(params, 0.3).eigenvalues())
         assert report.escaped
         assert report.growth_rate == pytest.approx(math.log(lam) / params.period, rel=1e-3)
@@ -273,6 +268,52 @@ class TestMonodromy:
         m = monodromy(P01, 0.18).power(n)
         assert m == monodromy(P01, 0.18, n=n) and m.n == n
         assert m.power(2).n == 2 * n
+
+    @pytest.mark.parametrize("eps", [0.1, 0.19])  # stable, unstable
+    @pytest.mark.parametrize("n", [3, 17, 64, 1000])
+    def test_power_by_squaring_matches_sequential_products(self, eps, n):
+        # the squares group the products otherwise: 4.5e-14 of the largest entry
+        # the worst measured for n <= 1000
+        m = monodromy(P01, eps)
+        a, b, c, d = m.m11, m.m12, m.m21, m.m22
+        want = (a, b, c, d)
+        for _ in range(n - 1):
+            p, q, r, s = want
+            want = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+        got = m.power(n)
+        diff = max(abs(u - v) for u, v in zip((got.m11, got.m12, got.m21, got.m22), want))
+        assert diff <= 1e-13 * max(map(abs, want))
+        assert got.n == n
+
+    def test_power_squares_no_further_than_n_needs(self):
+        # 2^1000 is finite, 2^1024 is not: a square past bit 9 of n = 1000 would overflow
+        m = dynamics.Monodromy(2.0, 0.0, 0.0, 0.5, n=1)
+        assert m.power(1000) == dynamics.Monodromy(2.0 ** 1000, 0.0, 0.0, 0.5 ** 1000, n=1000)
+        with pytest.raises(Unbounded, match="^the monodromy over 1024 periods overflows$"):
+            m.power(1024)
+
+    def test_power_of_a_billion_stable_periods_is_quick(self):
+        start = time.perf_counter()
+        m = monodromy(P01, 0.1, n=10**9)
+        assert time.perf_counter() - start < 1.0
+        assert m.n == 10**9 and abs(m.trace) < 2.0
+
+    @pytest.mark.parametrize("eps", [0.19, 0.25, -0.3, 1.0, 10.0, 100.0])
+    def test_real_eigenvalues_keep_product_and_sum(self, eps):
+        # the small root is det over the large one: at eps = 100 (tr - sign(tr) s)/2
+        # cancelled to 0.4 % of it; the order stays (tr + s)/2, (tr - s)/2
+        m = monodromy(P01, eps)
+        e1, e2 = m.eigenvalues()
+        assert e1.imag == e2.imag == 0.0
+        assert e1.real * e2.real == pytest.approx(m.det, rel=1e-14)
+        assert e1.real + e2.real == pytest.approx(m.trace, rel=1e-14)
+        assert (abs(e1) > abs(e2)) == (m.trace > 0.0)
+
+    def test_complex_eigenvalues_are_the_half_trace_pair(self):
+        m = monodromy(P01, 0.18)
+        root = math.sqrt(abs(m.trace ** 2 - 4.0 * m.det))
+        assert m.eigenvalues() == (complex(m.trace / 2.0, root / 2.0),
+                                   complex(m.trace / 2.0, -root / 2.0))
 
     @pytest.mark.parametrize("omega1, eps", [("9/10", 0.0), ("9/10", 0.18), ("9/10", -0.185),
                                              ("1/10", 0.9), ("11/10", 0.1),
@@ -442,17 +483,16 @@ class TestHillKernel:
     @pytest.mark.parametrize("n", [1, 17])
     def test_monodromy_is_bit_identical_to_generic_solve(self, omega1, eps, n):
         # the generic solve over half a period, assembled into M(T) and raised to n
+        # by Monodromy.power (checked against sequential products on its own)
         params = SystemParams(F(2), F(omega1), eps)
         (_, (a, b, c, d)), = dop853_reference.integration_points(
             rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
             dynamics._RTOL, dynamics._ATOL)
         a, b, c, d = a * d + b * c, 2.0 * b * d, 2.0 * a * c, a * d + b * c
-        m11, m12, m21, m22 = a, b, c, d
-        for _ in range(n - 1):
-            m11, m12, m21, m22 = (a * m11 + b * m21, a * m12 + b * m22,
-                                  c * m11 + d * m21, c * m12 + d * m22)
+        want = dynamics.Monodromy(a, b, c, d, n=1).power(n)
         m = monodromy(params, eps, n=n)
-        assert _bits((m.m11, m.m12, m.m21, m.m22)) == _bits((m11, m12, m21, m22))
+        assert _bits((m.m11, m.m12, m.m21, m.m22)) == _bits((want.m11, want.m12, want.m21,
+                                                             want.m22))
 
     # omega >= 2 keeps omega1 T / 2 pi <= 3/2 oscillations per period: the det
     # error of the 1e-12 solve grows with their number, for the full-period
@@ -577,59 +617,54 @@ class TestPropagator:
 
 
 class TestRecords:
-    """Orbit samples and section points: immutable, ordered, compared by value."""
+    """Orbit samples: the orbit table's rows, immutable, compared by value."""
 
-    def test_phase_state_unpacks_as_x_y_t_e(self):
-        state = dynamics.PhaseState(1.0, 2.0, 3.0, 4.0)
-        x, y, t, E = state
-        assert (x, y, t, E) == (state.x, state.y, state.t, state.E) == (1.0, 2.0, 3.0, 4.0)
-
-    def test_section_point_unpacks_as_x_y_e_k_d_r(self):
-        point = dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0)
-        x, y, E, k, d, r = point
-        assert ((x, y, E, k, d, r) == (point.x, point.y, point.E, point.k, point.d, point.r)
-                == (1.0, 2.0, 3.0, 4, 5.0, 6.0))
+    def test_orbit_sample_unpacks_as_k_t_x_y_e_d_r(self):
+        sample = dynamics.OrbitSample(4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0)
+        k, t, x, y, E, d, r = sample
+        assert ((k, t, x, y, E, d, r)
+                == (sample.k, sample.t, sample.x, sample.y, sample.E, sample.d, sample.r)
+                == (4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0))
+        assert dynamics.OrbitSample._fields == ORBIT_COLUMNS  # the row's fields, in its order
 
     @pytest.mark.parametrize("record, field", [
-        (dynamics.PhaseState(1.0, 2.0, 3.0, 4.0), "x"),
-        (dynamics.PhaseState(1.0, 2.0, 3.0, 4.0), "E"),
-        (dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0), "k"),
-        (dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0), "r"),
+        (dynamics.OrbitSample(4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0), name) for name in "xEkr"
     ])
     def test_fields_cannot_be_assigned(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, 0.0)
 
     def test_equal_by_value(self):
-        a = dynamics.PhaseState(1.0, 2.0, 3.0, 4.0)
-        assert a == dynamics.PhaseState(x=1.0, y=2.0, t=3.0, E=4.0)
-        assert a != dynamics.PhaseState(1.0, 2.0, 3.0, 5.0)
-        assert hash(a) == hash(dynamics.PhaseState(1.0, 2.0, 3.0, 4.0))
-        p = dynamics.SectionPoint(1.0, 2.0, 3.0, 4, 5.0, 6.0)
-        assert p == dynamics.SectionPoint(x=1.0, y=2.0, E=3.0, k=4, d=5.0, r=6.0)
-        assert p != dynamics.SectionPoint(1.0, 2.0, 3.0, 5, 5.0, 6.0)
+        a = dynamics.OrbitSample(4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0)
+        assert a == dynamics.OrbitSample(k=4, t=3.0, x=1.0, y=2.0, E=5.0, d=6.0, r=7.0)
+        assert a != dynamics.OrbitSample(5, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0)
+        assert hash(a) == hash(dynamics.OrbitSample(4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0))
 
     @pytest.mark.parametrize("eps, periods", [(0.1, 200), (0.19, 150), (-0.185, 200),
                                               (0.5, 3000)])  # 0.19 escapes, 0.5 overflows
     def test_section_is_the_stroboscopic_section(self, eps, periods):
-        # at one sample per period sample k is the section point at t = kT, bit for bit
+        # the section is the one-sample-per-period orbit table, bit for bit, at t = kT
         params = SystemParams(F(2), F(9, 10), eps)
         try:
-            traj = integrate_orbit(params, 0.03, 0.97, periods, 1)
+            rows = dynamics.orbit_rows(params, 0.03, 0.97, periods, 1)
         except Unbounded as exc:
             with pytest.raises(Unbounded, match=f"^{re.escape(str(exc))}$"):
                 stroboscopic_section(params, 0.03, 0.97, periods)
             assert eps == 0.5
             return
-        assert all(type(s) is dynamics.PhaseState for s in traj)
-        assert [s.t for s in traj] == [k * params.period for k in range(periods + 1)]
-        om1 = float(params.omega1)
-        want = [dynamics.SectionPoint(x, y, E, k, math.sqrt(om1 * om1 * x * x + y * y),
-                                      math.sqrt(x * x + y * y))
-                for k, (x, y, _, E) in enumerate(traj)]
         got = stroboscopic_section(params, 0.03, 0.97, periods)
-        assert all(type(p) is dynamics.SectionPoint for p in got)
-        assert [tuple(map(repr, p)) for p in got] == [tuple(map(repr, p)) for p in want]
+        assert all(type(p) is dynamics.OrbitSample for p in got)
+        assert [tuple(map(repr, p)) for p in got] == [tuple(map(repr, row)) for row in rows]
+        assert [(p.k, p.t) for p in got] == [(k, k * params.period) for k in range(periods + 1)]
+
+    @pytest.mark.parametrize("omega1", ["9/10", "1/10", "11/10", "1"])
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.185, 0.19, -0.1, -0.185])
+    def test_section_r_is_within_an_ulp_of_the_square_root(self, omega1, eps):
+        # r is hypot(x, y); the section points had sqrt(x x + y y), at most 1 ulp away
+        params = SystemParams(F(2), F(omega1), eps)
+        for p in stroboscopic_section(params, 0.03, 0.97, 200 if abs(eps) < 0.19 else 40):
+            assert p.r == math.hypot(p.x, p.y)
+            assert abs(p.r - math.sqrt(p.x * p.x + p.y * p.y)) <= math.ulp(p.r)
 
     def test_section_points_carry_the_samples_at_kt(self):
         # Sample i*spp of a denser orbit lands on t = kT too, but its one-period map
@@ -645,8 +680,8 @@ class TestRecords:
             for spp in (2, 3, 8, 64):
                 samples = integrate_orbit(params, 0.0, 1.0, periods, spp)[::spp]
                 assert len(samples) == len(sec)
-                for p, (x, y, t, E) in zip(sec, samples):
-                    assert t == p.k * params.period
+                for p, (k, t, x, y, E, _, _) in zip(sec, samples):
+                    assert (k, t) == (p.k, p.t)
                     assert math.hypot(p.x - x, p.y - y) <= 5e-9 * max(1.0, p.r)
                     assert abs(p.E - E) <= 5e-9 * max(1.0, abs(p.E))
 

@@ -138,6 +138,9 @@ def test_escaping_orbit_rows():
 
 def test_section_rows(section):
     _both(output.ORBIT_COLUMNS, output.section_rows(section, P))
+    # the CLI formats the section's samples as they are: they are its rows
+    _both(output.ORBIT_COLUMNS, section)
+    _same_cells(section, output.section_rows(section, P))
 
 
 def test_distance_and_energy_rows(section):
@@ -298,6 +301,13 @@ def test_json_documents_the_cli_writes():
     rows = output.section_rows(stroboscopic_section(P, 0.03, 0.97, 20), P)
     assert output.columns_json(output.ORBIT_COLUMNS, rows) == dumps(
         {"columns": list(output.ORBIT_COLUMNS), "rows": [list(row) for row in rows]})
+
+
+def test_orbit_samples_take_the_row_template(section, monkeypatch):
+    # OrbitSamples are tuples: one row template, never the general encoder
+    want = dumps({"columns": list(output.ORBIT_COLUMNS), "rows": [list(p) for p in section]})
+    monkeypatch.setattr(output, "json_text", None)
+    assert output.columns_json(output.ORBIT_COLUMNS, section) == want
 
 
 # -- atomic writes -------------------------------------------------------------
