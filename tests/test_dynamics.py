@@ -627,6 +627,20 @@ class TestRecords:
                 == (4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0))
         assert dynamics.OrbitSample._fields == ORBIT_COLUMNS  # the row's fields, in its order
 
+    def test_phase_state_unpacks_as_x_y_t_e(self):
+        # a sample's phase state (x, y, t, E) reads the same by position and by name
+        sample = dynamics.OrbitSample(4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0)
+        _, t, x, y, E, _, _ = sample
+        assert (x, y, t, E) == (sample.x, sample.y, sample.t, sample.E) == (1.0, 2.0, 3.0, 5.0)
+
+    def test_section_point_unpacks_as_x_y_e_k_d_r(self):
+        # a section sample's point fields (x, y, E, k, d, r) read the same by position
+        # and by name, and r is the point's distance from the origin
+        point = stroboscopic_section(P01, 0.03, 0.97, 3)[-1]
+        k, _, x, y, E, d, r = point
+        assert ((x, y, E, k, d, r) == (point.x, point.y, point.E, point.k, point.d, point.r))
+        assert k == 3 and r == math.hypot(x, y)
+
     @pytest.mark.parametrize("record, field", [
         (dynamics.OrbitSample(4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0), name) for name in "xEkr"
     ])
