@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import SystemParams, build_integral, conic_at_section
-from .dynamics import OrbitSample, monodromy, stroboscopic_section
+from .dynamics import R_ESCAPE, OrbitSample, monodromy, stroboscopic_section
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 @dataclass(frozen=True)
@@ -205,15 +205,15 @@ def cover_count(section: Sequence[OrbitSample], omega1: float) -> int:
     winding counted at both antipodes); the count is taken at the step
     that lands nearest the half turn, matching how the recurrence of the
     maximum section distance d is read off.  Raises Unbounded if a point
-    passes r = 1e3 first.
+    passes r = ``R_ESCAPE`` first.
     """
     if len(section) < 3:
-        raise ValueError("need at least 3 section points")
+        raise InvalidInput("cover_count needs at least 3 section points")
     half_pi = math.pi / 2.0
     cum = 0.0
     prev = math.atan2(section[0].y, omega1 * section[0].x)
     for idx, pt in enumerate(section[1:], start=1):
-        if pt.r > 1e3:
+        if pt.r > R_ESCAPE:
             raise Unbounded(f"section escapes at k = {pt.k} before covering the curve")
         theta = math.atan2(pt.y, omega1 * pt.x)
         step = (theta - prev + half_pi) % math.pi - half_pi

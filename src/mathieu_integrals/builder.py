@@ -46,7 +46,7 @@ from functools import cached_property
 
 from .errors import InvalidInput, MalformedSpectrum, ResonanceDetected, SecularTerm
 from .trigseries import (COS, SIN, FrequencyBase, TrigSeries, _evaluate_table,
-                         _float_table, as_rational)
+                         _float_table, _reduce_generators, as_rational)
 
 
 @dataclass(frozen=True)
@@ -385,11 +385,8 @@ def _add_phased(acc: dict, p: int, a: int, b: int, xc: int, xs: int, phased: boo
     if not phased:
         _add(acc, (p, 0, 0, COS, a, b), xc)
         return
-    if a:  # c0^2 = 1 - s0^2
-        _add(acc, (p, 0, 0, COS, 0, b), xc)
-        _add(acc, (p, 0, 0, COS, 0, b + 2), -xc)
-    else:
-        _add(acc, (p, 0, 0, COS, 1, b), xc)
+    for a2, b2, c in _reduce_generators(a + 1, b, xc):
+        _add(acc, (p, 0, 0, COS, a2, b2), c)
     _add(acc, (p, 0, 0, COS, a, b + 1), xs)
 
 

@@ -159,7 +159,7 @@ def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 @common_options
 @orbit_options
 @format_option
-@click.option("--r-escape", default=1e3, show_default=True, type=float)
+@click.option("--r-escape", default=dynamics.R_ESCAPE, show_default=True, type=float)
 @click.option("--out", default=None, type=click.Path())
 def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_escape, out):
     """Section distances d = sqrt(omega1^2 x^2 + y^2) and r vs time.

@@ -81,7 +81,8 @@ _E5 = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
 _BHH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
 
 _RTOL = _ATOL = 1e-12
-_MAX_STEPS = 5_000_000
+_MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's rows
+R_ESCAPE = 1e3  # the radius r = hypot(x, y) past which an orbit has escaped
 
 
 def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
@@ -399,14 +400,18 @@ def orbit_rows(params: SystemParams, x0: float, y0: float, n_periods: int,
     i // spp, d = sqrt(omega1^2 x^2 + y^2) and r = hypot(x, y).  E starts
     at -H(x0, y0, 0) and advances by the integrated energy form Q, never
     by re-evaluating H.  Raises Unbounded once the propagated state
-    overflows (InvalidInput if E(0) already does).  The origin is a fixed
-    point and is rejected as a start.  The rows are plain tuples, built in
+    overflows (InvalidInput if E(0) already does, or if n spp exceeds the
+    ``_MAX_STEPS`` budget).  The origin is a fixed point and is rejected
+    as a start.  The rows are plain tuples, built in
     the pass that propagates z and E, where an OrbitSample per row would
     cost a quarter of the loop; ``integrate_orbit`` views them as
     OrbitSamples.
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
+    if n_periods * samples_per_period > _MAX_STEPS:
+        raise InvalidInput(f"the horizon needs more than the budget of {_MAX_STEPS} rows "
+                           "(periods times samples per period)")
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise InvalidInput("the initial condition must be finite")
     if x0 == 0.0 and y0 == 0.0:
@@ -478,7 +483,8 @@ class EscapeReport:
     r_squared: float | None
 
 
-def escape_diagnostics(section: Sequence[OrbitSample], r_escape: float = 1e3) -> EscapeReport:
+def escape_diagnostics(section: Sequence[OrbitSample],
+                       r_escape: float = R_ESCAPE) -> EscapeReport:
     """Escape test and least-squares growth of log r(t) over the tail.
 
     ``escaped`` is true iff r exceeds ``r_escape``; the growth rate is

@@ -2,13 +2,13 @@
 
 Data files carry no timestamps and use fixed formatting, so identical
 runs produce byte-identical output.  Each CSV row and each JSON container
-is one ``%`` with a template built once per shape; a JSON table whose
-columns are each all ints or all finite floats has one row template.
-An orbit sample is a table row: the CLI formats ``dynamics.orbit_rows``
-and OrbitSamples as they are.  ``trajectory_rows`` and ``section_rows``
-rebuild the rows of an orbit and of a section from their samples, as
-references for those tables.  Files are written atomically (temp file +
-rename).
+is one ``%`` with a template built once per shape.  ``json_text`` is the
+one JSON encoder; a table in it, at any depth, whose columns are each all
+ints or all finite floats has one row template.  An orbit sample is a
+table row: the CLI formats ``dynamics.orbit_rows`` and OrbitSamples as
+they are.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of
+an orbit and of a section from their samples, as references for those
+tables.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ def json_text(obj) -> str:
 
     A dict with str keys, list or tuple is one ``%`` with a template per
     (level, keys, value types): ints fill %d slots, other values their
-    JSON text.  Anything else goes to json.dumps, indented to its depth.
+    JSON text.  A list or tuple of equal-length tuple or list rows, each
+    column all exact ints (%d) or all finite exact floats (%r), is one row
+    template.  Anything else goes to json.dumps, indented to its depth.
     """
     try:
         return _encode(obj, 0, {}) + "\n"
@@ -80,6 +82,8 @@ def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     if kind is dict or kind is list or kind is tuple:
         if not obj:
             return "{}" if kind is dict else "[]"
+        if kind is not dict and (table := _table(obj, level)):
+            return table
         keys = tuple(obj) if kind is dict else None
         shape = (level, keys, tuple(map(type, obj if keys is None else obj.values())))
         entry = templates.get(shape)
@@ -92,6 +96,26 @@ def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     for i, convert in conversions:
         args[i] = _encode(args[i], level + 1, templates) if convert is None else convert(args[i])
     return text % tuple(args)
+
+
+def _table(rows, level: int) -> str | None:
+    """The rows by one row template, or None if they are not such a table."""
+    if not (all(isinstance(row, (tuple, list)) for row in rows) and rows[0]
+            and len(set(map(len, rows))) == 1):
+        return None
+    slots = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            slots.append("%d")
+        elif kinds == {float} and all(map(math.isfinite, column)):
+            slots.append("%r")
+        else:
+            return None
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    template = "[" + inner + ("," + inner).join(slots) + outer + "]"
+    return ("[" + outer + ("," + outer).join(map(template.__mod__, map(tuple, rows)))
+            + "\n" + "  " * level + "]")
 
 
 def _template(obj, level: int, keys: tuple | None) -> tuple:
@@ -114,7 +138,7 @@ def _template(obj, level: int, keys: tuple | None) -> tuple:
             tuple((i, _SCALARS.get(t)) for i, t in enumerate(types) if t is not int))
 
 
-ORBIT_COLUMNS = ("k", "t", "x", "y", "E", "d", "r")
+ORBIT_COLUMNS = OrbitSample._fields
 
 
 def trajectory_rows(samples: Sequence[OrbitSample], params: SystemParams,
@@ -154,31 +178,9 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
 
 
 def columns_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The same tabular payload as columns_csv, as a JSON document: ``json_text``'s bytes.
-
-    A table of equal-length tuple (OrbitSamples too) or list rows in which
-    every column is all exact ints or all finite exact floats is one row
-    template, %d per int column and %r (float.__repr__, json's spelling)
-    per float column, applied to each row; any other table goes to
-    ``json_text``.
-    """
-    rows = list(rows)
-    if (all(isinstance(row, (tuple, list)) for row in rows) and len(set(map(len, rows))) == 1
-            and rows[0]):
-        slots = []
-        for column in zip(*rows):
-            kinds = set(map(type, column))
-            if kinds == {int}:
-                slots.append("%d")
-            elif kinds == {float} and all(map(math.isfinite, column)):
-                slots.append("%r")
-            else:
-                break
-        else:
-            template = "[\n      " + ",\n      ".join(slots) + "\n    ]"
-            return ('{\n  "columns": ' + _encode(list(header), 1, {}) + ',\n  "rows": [\n    '
-                    + ",\n    ".join(map(template.__mod__, map(tuple, rows))) + "\n  ]\n}\n")
-    return json_text({"columns": list(header), "rows": rows})
+    """The same tabular payload as columns_csv, as a JSON document:
+    ``json_text`` of {"columns": header, "rows": rows}."""
+    return json_text({"columns": list(header), "rows": list(rows)})
 
 
 def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from .builder import (Form, FormalIntegral, QuadFormSeries, SystemParams, _add, _series,
                       conic_at_section, from_form, h0_form, recursion_step, to_form)
 from .errors import InvalidInput, NotResonant, UnsolvableSecular, UnsupportedResonance
-from .trigseries import COS, SIN, TrigSeries
+from .trigseries import COS, SIN, TrigSeries, _reduce_generators
 
 
 def require_primary_resonance(params: SystemParams):
@@ -161,12 +161,8 @@ def _add_multiple(x: Form, y: Form, q: tuple[int, dict]) -> Form:
         acc = {key: c * xscale for key, c in xpart.items()}
         for (p, k, m, ph, a, b), c in ypart.items():
             for (qa, qb), qc in qn.items():
-                v = c * qc * yscale
-                if a + qa == 2:
-                    _add(acc, (p, k, m, ph, 0, b + qb), v)
-                    _add(acc, (p, k, m, ph, 0, b + qb + 2), -v)
-                else:
-                    _add(acc, (p, k, m, ph, a + qa, b + qb), v)
+                for a2, b2, v in _reduce_generators(a + qa, b + qb, c * qc * yscale):
+                    _add(acc, (p, k, m, ph, a2, b2), v)
         out.append({key: c for key, c in acc.items() if c})
     return den, out
 

@@ -80,10 +80,12 @@ class FrequencyBase:
         return k * self.omega + m * self.omega1
 
 
-def _reduce_generators(a: int, b: int, coeff: Fraction) -> Iterator[tuple[int, int, Fraction]]:
-    """Rewrite c0^a s0^b with a >= 2 using c0^2 = 1 - s0^2.
+def _reduce_generators(a: int, b: int, coeff: int | Fraction
+                       ) -> Iterator[tuple[int, int, int | Fraction]]:
+    """Rewrite c0^a s0^b with a >= 2 using c0^2 = 1 - s0^2: the one owner of that rule.
 
-    Yields (a', b', coeff') monomials with a' in {0, 1}.
+    Yields (a', b', coeff') monomials with a' in {0, 1}, s0 powers
+    ascending; an int coefficient stays an int.
     """
     if a < 2:
         yield a, b, coeff
@@ -150,9 +152,13 @@ class TrigSeries:
     def _from_numerators(cls, base: FrequencyBase, nums: dict[TermKey, int],
                          den: int) -> "TrigSeries":
         """Series with coefficients n/den, zeros pruned; the keys must already be canonical."""
+        return cls._canonical(base, {key: Fraction(n, den) for key, n in nums.items() if n})
+
+    @classmethod
+    def _canonical(cls, base: FrequencyBase, terms: dict[TermKey, Fraction]) -> "TrigSeries":
+        """The series of ``terms``, taken as they are: canonical keys, no zero coefficient."""
         out = cls.__new__(cls)
-        out.base = base
-        out._terms = {key: Fraction(n, den) for key, n in nums.items() if n}
+        out.base, out._terms = base, terms
         return out
 
     # -- inspection -----------------------------------------------------
@@ -215,16 +221,10 @@ class TrigSeries:
                 merged[key] = tot
             else:
                 merged.pop(key, None)
-        out = TrigSeries.__new__(TrigSeries)
-        out.base = self.base
-        out._terms = merged
-        return out
+        return TrigSeries._canonical(self.base, merged)
 
     def __neg__(self) -> "TrigSeries":
-        out = TrigSeries.__new__(TrigSeries)
-        out.base = self.base
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return TrigSeries._canonical(self.base, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "TrigSeries") -> "TrigSeries":
         if not isinstance(other, TrigSeries):
@@ -236,10 +236,7 @@ class TrigSeries:
         f = as_rational(factor)
         if f == 0:
             return TrigSeries.zero(self.base)
-        out = TrigSeries.__new__(TrigSeries)
-        out.base = self.base
-        out._terms = {key: c * f for key, c in self._terms.items()}
-        return out
+        return TrigSeries._canonical(self.base, {key: c * f for key, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TrigSeries):

@@ -4,9 +4,15 @@ computed once per session and reused across test modules."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from mathieu_integrals import (SystemParams, build_integral, critical_epsilon,
                                integrate_orbit, stroboscopic_section)
+
+# Draws are not derandomized and .hypothesis/ is not kept, so a failing draw prints its
+# @reproduce_failure blob: the example can then be replayed from the log alone.
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 @pytest.fixture(scope="session")

@@ -397,6 +397,12 @@ class TestCoverCounts:
         with pytest.raises(ValueError):
             cover_count(pts[:2], 0.9)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_section_is_invalid_input(self, orbit_cache, n):
+        _, _, pts = orbit_cache("9/10", 0.1, 200)
+        with pytest.raises(InvalidInput, match="at least 3 section points"):
+            cover_count(pts[:n], 0.9)
+
     def test_too_short_section_raises(self, orbit_cache):
         _, _, pts = orbit_cache("9/10", 0.1, 200)
         with pytest.raises(Unbounded):

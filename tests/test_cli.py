@@ -381,6 +381,21 @@ class TestBadInput:
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
 
+    @pytest.mark.parametrize("args", [
+        ["energy", "--time", "1e308", "--periods", "1"],
+        ["section", "--periods", "5000001"],
+        ["distances", "--time", "1e300"],
+        ["orbit", "--periods", "200000", "--samples", "32"],
+    ], ids=lambda args: args[0])
+    def test_horizon_beyond_the_row_budget_fails_fast(self, runner, args):
+        # more periods times samples than the step budget: refused before any row is built
+        start = time.perf_counter()
+        res = invoke(runner, *args)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the horizon needs more than")
+
     @pytest.mark.parametrize("args, name", [
         (["critical-eps", "--omega", "1e-400"], "omega is 0.0"),
         (["critical-eps", "--omega", "1e400"], "omega is inf"),

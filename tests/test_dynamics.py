@@ -5,6 +5,7 @@ the Hamiltonian structure provides det M = 1 and reversibility; the
 extended energy provides an independent accuracy monitor.
 """
 
+import inspect
 import math
 import random
 import re
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import dop853_reference
 from dp5_reference import integration_points, one_period, rhs_linear, rhs_matrix, rhs_period
-from mathieu_integrals import (StepFailure, SystemParams, Unbounded, dynamics,
+from mathieu_integrals import (StepFailure, SystemParams, Unbounded, analysis, cli, dynamics,
                                escape_diagnostics, integrate_orbit, monodromy,
                                stroboscopic_section)
 from mathieu_integrals.dynamics import _hill_points
@@ -93,6 +94,24 @@ class TestSampling:
             integrate_orbit(P01, 0.0, 1.0, 1, samples_per_period=0)
         with pytest.raises(InvalidInput, match="origin"):
             integrate_orbit(P01, 0.0, -0.0, 1)
+
+    @pytest.mark.parametrize("n, spp", [(3 * 10 ** 307, 1), (5_000_001, 1), (2_500_001, 2),
+                                        (1, 5_000_001), (10 ** 400, 10 ** 400)])
+    def test_table_beyond_the_row_budget_fails_fast(self, n, spp):
+        # n spp rows over the step budget are refused before any solve or row
+        start = time.perf_counter()
+        for build in (dynamics.orbit_rows, integrate_orbit):
+            with pytest.raises(InvalidInput, match="budget of 5000000 rows"):
+                build(P01, 0.0, 1.0, n, spp)
+        with pytest.raises(InvalidInput, match="budget"):
+            stroboscopic_section(P01, 0.0, 1.0, n * spp)
+        assert time.perf_counter() - start < 1.0
+
+    def test_table_at_the_row_budget_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 40)
+        assert len(dynamics.orbit_rows(P01, 0.0, 1.0, 5, 8)) == 41
+        with pytest.raises(InvalidInput, match="budget of 40 rows"):
+            dynamics.orbit_rows(P01, 0.0, 1.0, 41, 1)
 
     def test_step_failure_on_impossible_tolerance(self, monkeypatch):
         # below the roundoff floor of the embedded error estimate the
@@ -194,6 +213,12 @@ class TestEscape:
     def test_empty_section_rejected(self):
         with pytest.raises(InvalidInput, match="non-empty section"):
             escape_diagnostics([])
+
+    def test_one_escape_radius(self):
+        # the library default, the CLI's --r-escape default and cover_count share R_ESCAPE
+        default = inspect.signature(escape_diagnostics).parameters["r_escape"].default
+        option = {p.name: p for p in cli.cmd_distances.params}["r_escape"]
+        assert default is option.default is analysis.R_ESCAPE is dynamics.R_ESCAPE == 1e3
 
     @pytest.mark.parametrize("r_escape", [-1.0, 0.0, math.nan, math.inf])
     def test_escape_radius_must_be_positive_and_finite(self, orbit_cache, r_escape):
@@ -626,6 +651,10 @@ class TestRecords:
                 == (sample.k, sample.t, sample.x, sample.y, sample.E, sample.d, sample.r)
                 == (4, 3.0, 1.0, 2.0, 5.0, 6.0, 7.0))
         assert dynamics.OrbitSample._fields == ORBIT_COLUMNS  # the row's fields, in its order
+
+    def test_orbit_columns_are_the_sample_fields(self):
+        # one definition: the table header is the sample type's field tuple itself
+        assert ORBIT_COLUMNS is dynamics.OrbitSample._fields
 
     def test_phase_state_unpacks_as_x_y_t_e(self):
         # a sample's phase state (x, y, t, E) reads the same by position and by name

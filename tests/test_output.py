@@ -304,10 +304,52 @@ def test_json_documents_the_cli_writes():
 
 
 def test_orbit_samples_take_the_row_template(section, monkeypatch):
-    # OrbitSamples are tuples: one row template, never the general encoder
+    # OrbitSamples are tuples: one row template, never the general encoder's json.dumps
     want = dumps({"columns": list(output.ORBIT_COLUMNS), "rows": [list(p) for p in section]})
-    monkeypatch.setattr(output, "json_text", None)
+    monkeypatch.setattr(output, "json", None)
     assert output.columns_json(output.ORBIT_COLUMNS, section) == want
+
+
+@st.composite
+def nested_tables(draw):
+    """A json_tables() table under dict keys and inside lists or tuples, 0 to 3 deep."""
+    obj = draw(json_tables() | tables)
+    for _ in range(draw(st.integers(0, 3))):
+        siblings = draw(st.lists(json_scalars | json_tables(), max_size=2))
+        kind = draw(st.sampled_from(["dict", "list", "tuple"]))
+        if kind == "dict":
+            obj = {**dict(zip(draw(st.lists(json_keys, min_size=2, max_size=2)), siblings)),
+                   draw(json_keys): obj}
+        else:
+            at = draw(st.integers(0, len(siblings)))
+            obj = siblings[:at] + [obj] + siblings[at:]
+            obj = tuple(obj) if kind == "tuple" else obj
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_tables())
+def test_tables_inside_documents_match_json_dumps(obj):
+    assert output.json_text(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, 1.0, 2 ** 70,
+                                 -(2 ** 4000), "s", None, [1]])
+def test_tables_at_every_depth_match_json_dumps(bad):
+    # a special float, a bool, a float in an int column or a short row leaves the row
+    # template; a huge int keeps it
+    for rows in ([(0, 0.5, 7), (1, 1.5, 8), (2, 2.5, bad)], [[0, 0.5, 7], [1, 1.5], [bad]]):
+        for obj in (rows, {"t": rows}, [{"a": [rows, 1]}], ({"b": rows}, [[rows]])):
+            assert output.json_text(obj) == dumps(obj)
+
+
+def test_row_template_at_depth(section, monkeypatch):
+    # a table of OrbitSamples anywhere in a document takes the row template: the general
+    # encoder would hand each sample to json.dumps
+    doc = {"a": [{"b": section}, (section[:3], 1)], "c": section[:1]}
+    want = dumps(doc)
+    monkeypatch.setattr(output, "json", None)
+    assert output.json_text(doc) == want
 
 
 # -- atomic writes -------------------------------------------------------------
