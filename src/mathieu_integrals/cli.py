@@ -3,7 +3,8 @@
 Every figure-type of the underlying study maps to a subcommand that
 emits plain data (CSV or JSON); plotting is left to external tools.
 Frequencies are parsed exactly ("0.9" and "9/10" both mean the rational
-9/10); outputs are deterministic and written atomically.
+9/10); outputs are deterministic, and a file is written atomically as it
+is formatted, one block at a time.
 
 Exit codes: 0 success, 1 internal error, 2 domain error (bad input,
 resonance detected, bracket failure, unbounded orbit, ...).
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import click
 
@@ -82,12 +84,13 @@ def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) 
     return max(1, math.ceil(time_ / params.period))
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, chunks):
+    """Stream the pieces to ``path``, or print them joined once all are made."""
     if path:
-        output.atomic_write_text(path, text)
+        output.atomic_write_chunks(path, chunks)
         click.echo(f"wrote {path}")
     else:
-        click.echo(text, nl=False)
+        click.echo("".join(chunks), nl=False)
 
 
 @click.group(cls=_OneLineErrors)
@@ -109,22 +112,23 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
     phi = builder.build_integral(params, order)
     doc = phi.to_json_obj()
     doc["epsilon"] = epsilon
-    text = output.json_text(doc)
-    files, stdout = [], []  # every output is formatted, then written, then printed
+    # formatted once when it is printed too, streamed when it is only written
+    text = output.json_text(doc) if dump_symbolic or not out else None
+    files, stdout = [], []  # every file is written, then stdout is printed
     if out:
-        files.append((out, text))
+        files.append((out, output.json_chunks(doc) if text is None else (text,)))
         stdout.append(f"wrote {out}\n")
-    if dump_symbolic or not out:
+    if text is not None:
         stdout.append(text)
     if pretty:
         stdout.append(phi.pretty() + "\n")
     if conics_out:
         rows = [(eps, *builder.conic_at_section(phi, eps))
                 for eps in sorted(set(DEFAULT_EPS_GRID + [epsilon]))]
-        files.append((conics_out, output.columns_csv(("epsilon", "A", "B", "D"), rows)))
+        files.append((conics_out, output.csv_chunks(("epsilon", "A", "B", "D"), rows)))
         stdout.append(f"wrote {conics_out}\n")
-    for path, contents in files:
-        output.atomic_write_text(path, contents)
+    for path, chunks in files:
+        output.atomic_write_chunks(path, chunks)
     click.echo("".join(stdout), nl=False)
 
 
@@ -138,9 +142,10 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     params = _params(omega, omega1, epsilon)
-    rows = dynamics.orbit_rows(params, x0, y0, _n_periods(params, periods, time_),
-                               samples_per_period=samples)
-    _write(out, output.tabular(output.ORBIT_COLUMNS, rows, format_))
+    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_),
+                                   samples_per_period=samples)
+    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks),
+                                      format_))
 
 
 @main.command("section")
@@ -152,7 +157,7 @@ def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)
     pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    _write(out, output.tabular(output.ORBIT_COLUMNS, pts, format_))
+    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, pts, format_))
 
 
 @main.command("distances")
@@ -170,10 +175,10 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
     report = dynamics.escape_diagnostics(pts, r_escape=r_escape)
     rows = [(p.k, p.t, p.d, p.r) for p in pts]
-    text = output.tabular(("k", "t", "d", "r"), rows, format_)
+    chunks = output.tabular_chunks(("k", "t", "d", "r"), rows, format_)
     if report.escaped and format_ == "csv":
-        text += f"# escaped at k={report.k_escape}\n"
-    _write(out, text)
+        chunks = chain(chunks, [f"# escaped at k={report.k_escape}\n"])
+    _write(out, chunks)
 
 
 @main.command("energy")
@@ -186,7 +191,7 @@ def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     params = _params(omega, omega1, epsilon)
     pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
     rows = [(p.k, p.t, p.x, p.E) for p in pts]
-    _write(out, output.tabular(("k", "t", "x", "E"), rows, format_))
+    _write(out, output.tabular_chunks(("k", "t", "x", "E"), rows, format_))
 
 
 @main.command("critical-eps")
@@ -207,7 +212,7 @@ def cmd_critical_eps(omega, omega1, sign, out):
             "iterations": result.iterations,
             "escape_check": result.escape_check,
         }
-        output.atomic_write_text(out, output.json_text(doc))
+        output.atomic_write_chunks(out, output.json_chunks(doc))
     click.echo(f"{result.eps_crit:.10g}")
     if out:
         click.echo(f"wrote {out}", err=True)
@@ -229,8 +234,7 @@ def cmd_monodromy(omega, omega1, epsilon, n, out):
         "eigenvalues": [[ev1.real, ev1.imag], [ev2.real, ev2.imag]],
         "stable": abs(m.trace) < 2.0,
     }
-    text = output.json_text(doc)
-    _write(out, text)
+    _write(out, output.json_chunks(doc))
 
 
 @main.command("resonant")
@@ -260,8 +264,7 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
                      if dump_symbolic else None),
         "combined": combo.combined.to_json_obj() if dump_symbolic else None,
     }
-    text = output.json_text(doc)
-    _write(out, text)
+    _write(out, output.json_chunks(doc))
 
 
 @main.command("convergence")
@@ -282,7 +285,7 @@ def cmd_convergence(omega, omega1, epsilon, format_, orders, periods, x0, y0, ou
         raise InvalidInput(f"--orders {orders}: not a comma-separated list of integers") from None
     report = analysis.convergence_study(params, order_list, n_periods=periods, x0=x0, y0=y0)
     rows = list(zip(report.orders, report.residuals))
-    _write(out, output.tabular(("order", "residual"), rows, format_))
+    _write(out, output.tabular_chunks(("order", "residual"), rows, format_))
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z and the n-period monodromy
 is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so at
 one sample per period sample k is the section point at t = kT.
 
-One loop walks the period grid (``orbit_rows``).  In the pass that
-propagates z and E it builds the orbit table rows (k, t, x, y, E, d, r),
-which the CLI's ``orbit`` formats as they are.  Every other caller reads
-the same rows as OrbitSamples (``integrate_orbit``), and the stroboscopic
+One loop walks the period grid (``orbit_blocks``).  In the pass that
+propagates z and E it builds the orbit table rows (k, t, x, y, E, d, r)
+and yields them in blocks of whole periods, which the CLI's ``orbit``
+writes as they come, so its memory does not grow with the horizon.
+``orbit_rows`` joins the blocks in one list; every other caller reads
+those rows as OrbitSamples (``integrate_orbit``), and the stroboscopic
 section is the one-sample-per-period orbit.
 
 One stepper, ``_hill_points``, is DOP853 specialised to the Hill
@@ -37,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
@@ -83,6 +86,7 @@ _BHH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
 _RTOL = _ATOL = 1e-12
 _MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's rows
 R_ESCAPE = 1e3  # the radius r = hypot(x, y) past which an orbit has escaped
+_BLOCK_ROWS = 1024  # the least rows of an orbit_blocks block (but the last)
 
 
 def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
@@ -391,21 +395,20 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> li
     return solved[:half] + mirrored
 
 
-def orbit_rows(params: SystemParams, x0: float, y0: float, n_periods: int,
-               samples_per_period: int = 1) -> list[tuple]:
-    """The orbit table over n periods: rows (k, t, x, y, E, d, r), one per sample.
+def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
+                 samples_per_period: int = 1) -> Iterator[list[tuple]]:
+    """The orbit table over n periods, rows (k, t, x, y, E, d, r), in blocks
+    of whole periods, each but the last of at least ``_BLOCK_ROWS`` rows.
 
     The one loop over the period grid: row i = 0..n spp is the sample at t
-    = (i/spp) T, always hitting the section times t = kT exactly, with k =
-    i // spp, d = sqrt(omega1^2 x^2 + y^2) and r = hypot(x, y).  E starts
-    at -H(x0, y0, 0) and advances by the integrated energy form Q, never
-    by re-evaluating H.  Raises Unbounded once the propagated state
-    overflows (InvalidInput if E(0) already does, or if n spp exceeds the
-    ``_MAX_STEPS`` budget).  The origin is a fixed point and is rejected
-    as a start.  The rows are plain tuples, built in
-    the pass that propagates z and E, where an OrbitSample per row would
-    cost a quarter of the loop; ``integrate_orbit`` views them as
-    OrbitSamples.
+    = (i/spp) T, hitting the section times t = kT exactly, with k = i //
+    spp, d = sqrt(omega1^2 x^2 + y^2) and r = hypot(x, y).  E starts at
+    -H(x0, y0, 0) and advances by the integrated energy form Q, never by
+    re-evaluating H.  The checks (InvalidInput for the origin, a fixed
+    point, for an E(0) that overflows or n spp past the ``_MAX_STEPS``
+    budget) and the half-period solve run at the call; Unbounded comes
+    when the iteration reaches the period that overflows.  The rows are
+    plain tuples: an OrbitSample per row would cost a quarter of the loop.
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
@@ -417,30 +420,44 @@ def orbit_rows(params: SystemParams, x0: float, y0: float, n_periods: int,
     if x0 == 0.0 and y0 == 0.0:
         raise InvalidInput("the initial condition is the origin, a fixed point: "
                            "its orbit is (0, 0) at every time")
-    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0)
+    e = -params.hamiltonian(x0, y0, 0.0)
     if not math.isfinite(e):
         raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")
-    spp = samples_per_period
-    T = params.period
-    om1 = float(params.omega1)
-    om1sq = om1 * om1  # as trajectory_rows forms it, so d agrees bit for bit
-    sqrt, hypot, isfinite = math.sqrt, math.hypot, math.isfinite
-    grid = _one_period(params, params.epsilon, spp)
-    rows = [(0, 0.0, x, y, e, sqrt(om1sq * x * x + y * y), hypot(x, y))]
-    append = rows.append
-    i = 0
-    for k in range(n_periods):
-        for m11, m12, m21, m22, q11, q22, q12 in grid:
-            i += 1
-            energy = e + q11 * x * x + q22 * y * y + 2.0 * q12 * x * y
-            # E is quadratic in the state, so it is the first to overflow
-            if not isfinite(energy):
-                raise Unbounded(f"the state overflows in period {k + 1}; the orbit is unbounded")
-            u, v = m11 * x + m12 * y, m21 * x + m22 * y
-            append((i // spp, (i / spp) * T, u, v, energy, sqrt(om1sq * u * u + v * v),
-                    hypot(u, v)))
-        x, y, e = u, v, energy
-    return rows
+    grid = _one_period(params, params.epsilon, samples_per_period)
+
+    def blocks(x, y, e, spp=samples_per_period):
+        T = params.period
+        om1 = float(params.omega1)
+        om1sq = om1 * om1  # as trajectory_rows forms it, so d agrees bit for bit
+        sqrt, hypot, isfinite = math.sqrt, math.hypot, math.isfinite
+        per_block = -(-_BLOCK_ROWS // spp)
+        rows = [(0, 0.0, x, y, e, sqrt(om1sq * x * x + y * y), hypot(x, y))]
+        i = 0
+        for start in range(0, n_periods, per_block):
+            append = rows.append
+            for k in range(start, min(start + per_block, n_periods)):
+                for m11, m12, m21, m22, q11, q22, q12 in grid:
+                    i += 1
+                    energy = e + q11 * x * x + q22 * y * y + 2.0 * q12 * x * y
+                    # E is quadratic in the state, so it is the first to overflow
+                    if not isfinite(energy):
+                        raise Unbounded(f"the state overflows in period {k + 1}; "
+                                        "the orbit is unbounded")
+                    u, v = m11 * x + m12 * y, m21 * x + m22 * y
+                    append((i // spp, (i / spp) * T, u, v, energy,
+                            sqrt(om1sq * u * u + v * v), hypot(u, v)))
+                x, y, e = u, v, energy
+            yield rows
+            rows = []
+
+    return blocks(x0, y0, e)
+
+
+def orbit_rows(params: SystemParams, x0: float, y0: float, n_periods: int,
+               samples_per_period: int = 1) -> list[tuple]:
+    """The orbit table of ``orbit_blocks`` in one list, about 280 B a row."""
+    return list(chain.from_iterable(
+        orbit_blocks(params, x0, y0, n_periods, samples_per_period)))
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,

@@ -1,14 +1,16 @@
-"""Deterministic CSV/JSON emission.
+"""Deterministic CSV/JSON emission, streamed to disk a block at a time.
 
 Data files carry no timestamps and use fixed formatting, so identical
-runs produce byte-identical output.  Each CSV row and each JSON container
-is one ``%`` with a template built once per shape.  ``json_text`` is the
-one JSON encoder; a table in it, at any depth, whose columns are each all
-ints or all finite floats has one row template.  An orbit sample is a
-table row: the CLI formats ``dynamics.orbit_rows`` and OrbitSamples as
-they are.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of
-an orbit and of a section from their samples, as references for those
-tables.  Files are written atomically (temp file + rename).
+runs produce byte-identical output.  Each format has one encoder, a
+generator of pieces (``csv_chunks``, ``json_chunks``, ``tabular_chunks``)
+that ``columns_csv``, ``json_text``, ``columns_json`` and ``tabular``
+join; a block of table rows is one ``%`` per row by a template built once
+per block.  ``atomic_write_chunks`` writes the pieces to a temp file as
+they are made and renames it after the last, so no command holds a whole
+document or table.  An orbit sample is a table row: the CLI formats
+``dynamics.orbit_blocks`` rows and OrbitSamples as they are.
+``trajectory_rows`` and ``section_rows`` rebuild the rows of an orbit and
+of a section from their samples, as references for those tables.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import json
 import math
 import os
 import tempfile
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .builder import SystemParams
 from .dynamics import OrbitSample
@@ -27,18 +30,27 @@ from .errors import InvalidInput
 
 
 def atomic_write_text(path: str, text: str):
-    """Write by a temp file and a rename; an OSError becomes InvalidInput naming ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Write ``text`` by ``atomic_write_chunks``."""
+    atomic_write_chunks(path, (text,))
+
+
+def atomic_write_chunks(path: str, chunks: Iterable[str]):
+    """Write the pieces to a temp file, renamed to ``path`` after the last one.
+
+    A symbolic link is followed to its target, as open(path, "w") does.  Any
+    exception, the pieces' own included, removes the temp file and leaves
+    ``path`` as it was; an OSError becomes InvalidInput naming ``path``."""
+    target = os.path.realpath(path)
     umask = os.umask(0o022)  # os.umask reads the mask only by setting it
     os.umask(umask)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", text=True)
         # mkstemp creates 0o600; give the mode open(path, "w") would give
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+            handle.writelines(chunks)
+        os.replace(tmp, target)
         tmp = None
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror}") from None
@@ -60,32 +72,81 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
 
 
 def json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for byte.
-
-    A dict with str keys, list or tuple is one ``%`` with a template per
-    (level, keys, value types): ints fill %d slots, other values their
-    JSON text.  A list or tuple of equal-length tuple or list rows, each
-    column all exact ints (%d) or all finite exact floats (%r), is one row
-    template.  Anything else goes to json.dumps, indented to its depth.
-    """
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for byte:
+    the pieces of ``json_chunks`` joined."""
     try:
-        return _encode(obj, 0, {}) + "\n"
+        return "".join(json_chunks(obj))
     except RecursionError:  # a circular reference, or nesting too deep: json's error
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """The text of json_text(obj) in pieces.
+
+    Each item of a dict with str keys, list or tuple in the top ``_DEPTH``
+    levels is a piece, and a list goes ``_BLOCK`` items at a time: a block
+    of equal-length tuple or list rows whose columns are each all exact ints
+    (%d) or all finite exact floats (%r) is one piece by one row template.
+    Deeper, a dict is one ``%`` by a template per (level, keys, value
+    types); anything else goes to json.dumps, indented to its depth.  Where
+    json_text falls back to json.dumps, this raises RecursionError."""
+    yield from _chunks(obj, 0, {})
+    yield "\n"
+
+
+_DEPTH = 3  # the levels whose containers json_chunks splits into pieces
+_BLOCK = 1024  # the items of a list, or the rows of a table, in one block
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    """The items in lists of up to ``_BLOCK``."""
+    items = iter(items)
+    while block := list(islice(items, _BLOCK)):
+        yield block
+
+
+def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
+    kind = type(obj)
+    if level < _DEPTH and (kind is list or kind is tuple):
+        yield from _list_chunks(obj, level, templates)
+    elif level < _DEPTH and kind is dict and obj and all(type(key) is str for key in obj):
+        head, inner = "{", "\n" + "  " * (level + 1)
+        for key in sorted(obj):
+            yield head + inner + encode_basestring_ascii(key) + ": "
+            yield from _chunks(obj[key], level + 1, templates)
+            head = ","
+        yield "\n" + "  " * level + "}"
+    else:
+        yield _encode(obj, level, templates)
+
+
+def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
+    """A JSON list of any iterable's items, a block at a time."""
+    head, outer = "[", "\n" + "  " * (level + 1)
+    for block in _blocks(items):
+        if (table := _table(block, level)) is not None:
+            yield head + outer + table
+            head = ","
+        else:
+            for item in block:
+                yield head + outer
+                yield from _chunks(item, level + 1, templates)
+                head = ","
+    yield "[]" if head == "[" else "\n" + "  " * level + "]"
 
 
 def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     kind = type(obj)
     if kind in _SCALARS:
         return _SCALARS[kind](obj)
+    if kind is list or kind is tuple:
+        return "".join(_list_chunks(obj, level, templates))
     entry = ()
-    if kind is dict or kind is list or kind is tuple:
+    if kind is dict:
         if not obj:
-            return "{}" if kind is dict else "[]"
-        if kind is not dict and (table := _table(obj, level)):
-            return table
-        keys = tuple(obj) if kind is dict else None
-        shape = (level, keys, tuple(map(type, obj if keys is None else obj.values())))
+            return "{}"
+        keys = tuple(obj)
+        shape = (level, keys, tuple(map(type, obj.values())))
         entry = templates.get(shape)
         if entry is None:
             entry = templates[shape] = _template(obj, level, keys)
@@ -98,8 +159,8 @@ def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     return text % tuple(args)
 
 
-def _table(rows, level: int) -> str | None:
-    """The rows by one row template, or None if they are not such a table."""
+def _table(rows: list, level: int) -> str | None:
+    """The rows, joined at ``level`` + 1 by one row template, or None if none fits."""
     if not (all(isinstance(row, (tuple, list)) for row in rows) and rows[0]
             and len(set(map(len, rows))) == 1):
         return None
@@ -114,27 +175,22 @@ def _table(rows, level: int) -> str | None:
             return None
     outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     template = "[" + inner + ("," + inner).join(slots) + outer + "]"
-    return ("[" + outer + ("," + outer).join(map(template.__mod__, map(tuple, rows)))
-            + "\n" + "  " * level + "]")
+    return ("," + outer).join(map(template.__mod__, map(tuple, rows)))
 
 
-def _template(obj, level: int, keys: tuple | None) -> tuple:
+def _template(obj: dict, level: int, keys: tuple) -> tuple:
     """(text, getter of the slot values, (slot, converter or None to nest) pairs), or ()."""
-    if keys is None:
-        values, getter, heads, ends = obj, tuple, [""] * len(obj), "[]"
-    elif all(type(key) is str for key in keys):
-        keys = sorted(keys)
-        values = [obj[key] for key in keys]
-        getter = itemgetter(*keys) if len(keys) > 1 else lambda d, key=keys[0]: (d[key],)
-        heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
-        ends = "{}"
-    else:
+    if not all(type(key) is str for key in keys):
         return ()
+    keys = sorted(keys)
+    values = [obj[key] for key in keys]
+    getter = itemgetter(*keys) if len(keys) > 1 else lambda d, key=keys[0]: (d[key],)
+    heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
     types = list(map(type, values))
     inner = "\n" + "  " * (level + 1)
     slots = ("," + inner).join(head + ("%d" if t is int else "%s")
                                for head, t in zip(heads, types))
-    return (ends[0] + inner + slots + "\n" + "  " * level + ends[1], getter,
+    return ("{" + inner + slots + "\n" + "  " * level + "}", getter,
             tuple((i, _SCALARS.get(t)) for i, t in enumerate(types) if t is not int))
 
 
@@ -159,31 +215,56 @@ def section_rows(points: Sequence[OrbitSample], params: SystemParams) -> list[tu
 
 
 def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
-    """One line per row: str and int (bool too) cells as str(), others as %.17g.
+    """One line per row: str and int (bool too) cells as str(), others as %.17g;
+    the pieces of ``csv_chunks`` joined."""
+    return "".join(csv_chunks(header, rows))
 
-    Each row is formatted by one ``%`` with a template built once per
-    tuple of cell types, looked up per row because a column's type may
-    change between rows.
-    """
-    lines = [",".join(header)]
-    templates: dict[tuple, str] = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                "%s" if issubclass(t, (str, int)) else "%.17g" for t in types)
-        lines.append(template % row)
-    return "\n".join(lines) + "\n"
+
+def csv_chunks(header: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
+    """The text of columns_csv(header, rows): the header line, then one piece
+    per block of up to ``_BLOCK`` rows of any iterable.  A block of rows of
+    one length whose columns each hold only str and int cells or only other
+    cells takes one ``%`` template; in any other block each row takes its own."""
+    yield ",".join(header) + "\n"
+    for block in _blocks(rows):
+        template = _csv_template(block)
+        lines = (map(template.__mod__, block) if template is not None
+                 else (_csv_template([row]) % row for row in block))
+        yield "\n".join(lines) + "\n"
+
+
+def _csv_template(rows: list[tuple]) -> str | None:
+    """The one template of the rows, or None if they have none."""
+    if len(set(map(len, rows))) != 1:
+        return None
+    slots = []
+    for column in zip(*rows):
+        text = {issubclass(t, (str, int)) for t in set(map(type, column))}
+        if len(text) > 1:
+            return None
+        slots.append("%s" if True in text else "%.17g")
+    return ",".join(slots)
 
 
 def columns_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The same tabular payload as columns_csv, as a JSON document:
-    ``json_text`` of {"columns": header, "rows": rows}."""
-    return json_text({"columns": list(header), "rows": list(rows)})
+    """The same tabular payload as columns_csv, as a JSON document: json_text
+    of {"columns": header, "rows": rows}, the pieces of ``tabular_chunks`` joined."""
+    return "".join(tabular_chunks(header, rows, "json"))
 
 
 def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
     if format == "json":
         return columns_json(header, rows)
     return columns_csv(header, rows)
+
+
+def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str) -> Iterator[str]:
+    """The text of tabular(header, rows, format) in pieces, a block of rows
+    at a time, from any iterable of rows."""
+    if format != "json":
+        yield from csv_chunks(header, rows)
+        return
+    templates: dict[tuple, tuple] = {}
+    yield '{\n  "columns": ' + _encode(list(header), 1, templates) + ',\n  "rows": '
+    yield from _list_chunks(rows, 1, templates)
+    yield "\n}\n"

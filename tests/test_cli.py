@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tomllib
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -210,6 +211,71 @@ class TestOrbitCommands:
         orbit = invoke(runner, "orbit", "--samples", "1", *args)
         assert section.exit_code == orbit.exit_code == 0
         assert section.stdout == orbit.stdout
+
+
+class TestStreamedOutput:
+    """Every --out is written as it is formatted, through the atomic writer."""
+
+    def test_out_writes_through_a_symlink(self, runner, tmp_path, monkeypatch):
+        # as open("link.csv", "w") would: the link stays and its target gets the bytes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "real.csv"
+        real.write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(Path("data") / "real.csv")
+        res = invoke(runner, "section", "--periods", "2", "--out", "link.csv")
+        assert res.exit_code == 0 and res.stdout == "wrote link.csv\n"
+        assert (tmp_path / "link.csv").is_symlink()
+        assert real.read_text() == invoke(runner, "section", "--periods", "2").stdout
+        assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
+        assert os.listdir(tmp_path / "data") == ["real.csv"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_failure_in_the_middle_of_a_stream(self, runner, tmp_path, fmt, exists):
+        # E overflows in period 239, after 14 blocks of 16 periods went to the temp file
+        out = tmp_path / f"f.{fmt}"
+        if exists:
+            out.write_text("old\n")
+        args = ["orbit", "--epsilon", "1", "--periods", "5000", "--samples", "64",
+                "--format", fmt]
+        for extra in (["--out", str(out)], []):
+            res = invoke(runner, *args, *extra)
+            assert res.exit_code == 2 and res.stdout == ""
+            assert res.stderr == ("error: the state overflows in period 239; "
+                                  "the orbit is unbounded\n")
+            assert os.listdir(tmp_path) == ([out.name] if exists else [])
+            assert not exists or out.read_text() == "old\n"
+
+    @staticmethod
+    def _peak_mb(runner, *args) -> float:
+        """The tracemalloc peak of one CLI command, after a warm-up run."""
+        invoke(runner, *args[:1])
+        tracemalloc.start()
+        try:
+            res = invoke(runner, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        return peak / 1e6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, fmt):
+        # the whole table would hold about 280 B a row and its text as much again:
+        # about 14 MB at 20,001 rows when formatted whole
+        out = tmp_path / f"o.{fmt}"
+        peak = self._peak_mb(runner, "orbit", "--periods", "20000", "--samples", "1",
+                             "--format", fmt, "--out", str(out))
+        assert peak < 2.0
+        rows = mathieu_integrals.orbit_rows(SystemParams(F(2), F(9, 10), 0.1), 0.0, 1.0, 20000)
+        assert out.read_text() == output.tabular(output.ORBIT_COLUMNS, rows, fmt)
+
+    def test_order_40_integral_streams_in_bounded_memory(self, runner, tmp_path):
+        # the integral itself holds about 2 MB; its 2.1 MB of text goes out in pieces
+        out = tmp_path / "phi40.json"
+        assert self._peak_mb(runner, "build-integral", "--order", "40", "--out", str(out)) < 3.5
+        assert out.stat().st_size > 2_000_000
 
 
 class TestAnalysisCommands:
@@ -561,3 +627,56 @@ class TestBenchmarkTracer:
         assert all(getattr(holder, key) is original for holder, key, original in patches)
         assert all(binding(module, attr) is original for (module, attr, _), original
                    in zip(tracing.TARGETS, originals))
+
+    #: every subcommand, small; each runs once with --out and once to stdout
+    SMOKE = [
+        ["build-integral", "--order", "4", "--pretty", "--conics-out", "conics.csv"],
+        ["orbit", "--periods", "3", "--samples", "4"],
+        ["orbit", "--periods", "3", "--samples", "4", "--format", "json"],
+        ["section", "--periods", "5"],
+        ["distances", "--epsilon", "0.19", "--periods", "40"],
+        ["energy", "--periods", "5", "--format", "json"],
+        ["critical-eps"],
+        ["monodromy", "--epsilon", "0.18"],
+        ["resonant", "--omega1", "1", "--epsilon", "0.05", "--order", "4", "--periods", "3"],
+        ["convergence", "--orders", "2,4", "--periods", "10"],
+    ]
+
+    def test_traced_commands_match_untraced(self, runner, tmp_path, monkeypatch):
+        # the benchmark's --trace 1 passes run the CLI under the tracer's wrappers
+        tracing = self._tracing()
+
+        def run_all(tag: str) -> list:
+            (tmp_path / tag).mkdir()
+            monkeypatch.chdir(tmp_path / tag)
+            results = []
+            for args in self.SMOKE:
+                for extra in ([], ["--out", "out.data"]):
+                    res = invoke(runner, *args, *extra)
+                    files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+                    for p in Path().iterdir():
+                        p.unlink()
+                    results.append((args + extra, res.exit_code, res.stdout_bytes,
+                                    res.stderr_bytes, files))
+            return results
+
+        plain = run_all("plain")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            traced = run_all("traced")
+            # the counted spans take a str to write and give a str table
+            first = len(tracer.spans)
+            text = output.tabular(("k", "t"), [(0, 0.5), (1, 1.5)], "csv")
+            output.atomic_write_text("t.csv", text)
+            output.columns_json(("k", "t"), [(0, 0.5), (1, 1.5)])
+            counted = [(name, count) for name, _, _, _, count in tracer.spans[first:]]
+            tracer.end_pass()
+            metrics = tracer.layer_metrics()
+        finally:
+            tracer.uninstall()
+        assert [result[1] for result in plain] == [0] * 2 * len(self.SMOKE)
+        assert traced == plain
+        assert counted == [("output.format.tabular", None), ("output.format.columns_csv", 2),
+                           ("output.write", len(text)), ("output.format.columns_json", 2)]
+        assert metrics["cli.commands"] == 0 and metrics["builder.terms_max"] > 0

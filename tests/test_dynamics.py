@@ -641,6 +641,55 @@ class TestPropagator:
         assert counts[0] == counts[1] > 0
 
 
+class TestOrbitBlocks:
+    """``orbit_blocks`` yields the orbit table in blocks of whole periods."""
+
+    @pytest.mark.parametrize("periods, spp", [(1, 1), (5, 8), (3000, 1), (1023, 1), (1024, 1),
+                                              (40, 64), (17, 63), (2, 1500)])
+    def test_blocks_are_the_table_in_whole_periods(self, periods, spp):
+        blocks = list(dynamics.orbit_blocks(P01, 0.03, 0.97, periods, spp))
+        rows = [row for block in blocks for row in block]
+        want = dynamics.orbit_rows(P01, 0.03, 0.97, periods, spp)
+        assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in want]
+        assert len(rows) == periods * spp + 1
+        # each block ends on a section time t = kT, and each but the last holds
+        # at least _BLOCK_ROWS rows: the first also holds the start, row 0
+        ends = [len(block) for block in blocks]
+        assert all(n >= dynamics._BLOCK_ROWS for n in ends[:-1])
+        assert all((sum(ends[:j + 1]) - 1) % spp == 0 for j in range(len(ends)))
+        assert (len(blocks[0]) - 1) // spp == -(-dynamics._BLOCK_ROWS // spp) or len(blocks) == 1
+
+    def test_checks_and_the_solve_run_at_the_call(self, monkeypatch):
+        solves = []
+        one_period = dynamics._one_period
+        monkeypatch.setattr(dynamics, "_one_period",
+                            lambda *args: solves.append(args) or one_period(*args))
+        for args in [(0.0, 0.0, 5, 1), (0.0, 1.0, 0, 1), (0.0, 1.0, 1, 0), (math.inf, 1.0, 1, 1),
+                     (1e200, 1.0, 3, 1), (0.0, 1.0, 5_000_001, 1)]:
+            with pytest.raises(InvalidInput):
+                dynamics.orbit_blocks(P01, *args)  # not iterated
+        assert solves == []
+        blocks = dynamics.orbit_blocks(P01, 0.0, 1.0, 5, 8)
+        assert len(solves) == 1
+        next(blocks)
+        assert len(solves) == 1
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+        with pytest.raises(StepFailure):
+            dynamics.orbit_blocks(P01, 0.0, 1.0, 1, 1)
+
+    def test_unbounded_comes_with_the_period_that_overflows(self):
+        # E overflows in period 239 at eps = 1: the blocks before it arrive first
+        params = SystemParams(F(2), F(9, 10), 1.0)
+        blocks = dynamics.orbit_blocks(params, 0.0, 1.0, 5000, 64)
+        got = []
+        with pytest.raises(Unbounded, match="overflows in period 239;"):
+            for block in blocks:
+                got.append(block)
+        assert len(got) == 14 and got[-1][-1][0] == 14 * 16
+        with pytest.raises(Unbounded, match="overflows in period 239;"):
+            dynamics.orbit_rows(params, 0.0, 1.0, 5000, 64)
+
+
 class TestRecords:
     """Orbit samples: the orbit table's rows, immutable, compared by value."""
 

@@ -12,6 +12,7 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 from fractions import Fraction as F
 from typing import Iterable, Sequence
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_integrals import (SystemParams, build_integral, conic_at_section,
+from mathieu_integrals import (SystemParams, Unbounded, build_integral, conic_at_section,
                                convergence_study, dynamics, integrate_orbit, output,
                                stroboscopic_section)
+from mathieu_integrals.errors import InvalidInput
 
 
 # -- reference: the per-cell formatter, verbatim -------------------------------
@@ -188,7 +190,7 @@ json_trees = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(json_trees)
 def test_json_matches_json_dumps(obj):
-    assert output.json_text(obj) == dumps(obj)
+    assert output.json_text(obj) == "".join(output.json_chunks(obj)) == dumps(obj)
 
 
 @settings(max_examples=100, deadline=None)
@@ -330,7 +332,7 @@ def nested_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(nested_tables())
 def test_tables_inside_documents_match_json_dumps(obj):
-    assert output.json_text(obj) == dumps(obj)
+    assert output.json_text(obj) == "".join(output.json_chunks(obj)) == dumps(obj)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, 1.0, 2 ** 70,
@@ -352,6 +354,93 @@ def test_row_template_at_depth(section, monkeypatch):
     assert output.json_text(doc) == want
 
 
+# -- streaming: pieces and blocks ----------------------------------------------
+
+BLOCK_SIZES = [1, 2, 7, 1024]
+
+
+def _at_block_sizes(make) -> list:
+    """make() with ``output._BLOCK`` set to each of BLOCK_SIZES in turn."""
+    old, texts = output._BLOCK, []
+    try:
+        for size in BLOCK_SIZES:
+            output._BLOCK = size
+            texts.append(make())
+    finally:
+        output._BLOCK = old
+    return texts
+
+
+def _tables_at_block_sizes(header, rows):
+    """CSV and JSON tables, alone and inside a document, from a list and from an
+    iterator at every block size: the same bytes as the per-row references."""
+    csv_rows = [tuple(row) for row in rows]
+    csv = columns_csv(header, csv_rows)
+    doc = {"columns": list(header), "rows": [list(row) for row in rows]}
+    table = dumps(doc)
+    nested = dumps({"a": [rows, 1]})
+    for got in _at_block_sizes(lambda: (
+            output.columns_csv(header, csv_rows), output.columns_csv(header, iter(csv_rows)),
+            "".join(output.tabular_chunks(header, iter(csv_rows), "csv")),
+            output.columns_json(header, rows), output.columns_json(header, iter(rows)),
+            "".join(output.tabular_chunks(header, iter(rows), "json")),
+            output.json_text(doc), output.json_text({"a": [rows, 1]}))):
+        assert got == (csv, csv, csv, table, table, table, table, nested)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_tables() | tables)
+def test_tables_match_at_every_block_size(rows):
+    _tables_at_block_sizes(("k", "t", "%d"), rows)
+
+
+_BASE = [(i, 0.5 * i, f"s{i}") for i in range(10)]
+
+
+@pytest.mark.parametrize("rows", [
+    _BASE,
+    _BASE[:7] + [(7.0, 3.5, "s7")] + _BASE[8:],  # int -> float in a later block
+    _BASE[:5] + [(5, 2.5, True)] + _BASE[6:],  # a bool among strings
+    _BASE[:3] + [(True, False, "s3")] + _BASE[4:],  # bools among ints and floats
+    _BASE[:7] + [(7, "x", "s7")] + _BASE[8:],  # a str among floats
+    _BASE[:8] + [(8, math.nan, "s8"), (9, math.inf, "s9")],  # NaN and inf in a later block
+    _BASE[:2] + [(2, -math.inf, "s2")] + _BASE[3:],
+    [(2 ** 70, 0.5, "a"), (-(2 ** 4000), 1.5, "b"), (3, 2.5, "c")] * 3,  # huge ints
+    [(i, float(i)) for i in range(9)] + [(1.5, 2)],  # both columns change type in the last row
+    [(1, 2.5)] * 7 + [(1, 2.5, "x")] + [(1,)] * 2,  # row lengths change
+    [(), (), ()],
+    [],
+], ids=["uniform", "int-float", "bool-str", "bools", "str-float", "nan-inf", "minus-inf",
+        "huge-int", "last-row", "ragged", "empty-rows", "empty"])
+def test_column_type_changes_across_a_block_boundary(rows):
+    _tables_at_block_sizes(("a", "b", "c"), rows)
+    pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
+    # the header line, then one piece per block
+    assert [len(p) for p in pieces] == [1 + -(-len(rows) // size) for size in BLOCK_SIZES]
+
+
+def test_orbit_tables_go_out_a_block_at_a_time():
+    rows = dynamics.orbit_rows(P, 0.03, 0.97, 50, 64)  # 3201 rows: four blocks
+    header = output.ORBIT_COLUMNS
+    csv = list(output.tabular_chunks(header, rows, "csv"))
+    js = list(output.tabular_chunks(header, iter(rows), "json"))
+    assert len(csv) == 1 + 4 and len(js) == 1 + 4 + 2  # the head, blocks, both ends
+    assert "".join(csv) == columns_csv(header, rows)
+    assert "".join(js) == dumps({"columns": list(header), "rows": [list(r) for r in rows]})
+
+
+def test_documents_go_out_an_item_at_a_time():
+    # the items of the top three levels are pieces: an integral's term lists at most
+    doc = build_integral(P, 8).to_json_obj()
+    pieces = list(output.json_chunks(doc))
+    assert "".join(pieces) == dumps(doc)
+    series = [q[key] for q in doc["orders"] for key in ("x2", "y2", "xy")]
+    assert len(pieces) > len(series)
+    at_level_3 = [json.dumps(s, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
+                  for s in series]
+    assert max(map(len, pieces)) == max(map(len, at_level_3))
+
+
 # -- atomic writes -------------------------------------------------------------
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
@@ -367,3 +456,60 @@ def test_written_file_has_the_mode_open_gives(tmp_path, umask):
     mode = stat.S_IMODE(os.stat(tmp_path / "atomic.csv").st_mode)
     assert mode == 0o666 & ~umask == stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode)
     assert sorted(os.listdir(tmp_path)) == ["atomic.csv", "plain.csv"]
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_write_follows_a_link_to_an_existing_file(tmp_path):
+    # open(path, "w") writes through a symbolic link; so does the atomic write
+    (tmp_path / "data").mkdir()
+    real = tmp_path / "data" / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(os.path.join("data", "real.csv"))
+    output.atomic_write_text(str(link), "new\n")
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "real.csv")
+    assert real.read_text() == "new\n"
+    with open(tmp_path / "plain.csv", "w") as handle:
+        handle.write("new\n")
+    assert _mode(real) == _mode(tmp_path / "plain.csv")
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.csv", "plain.csv"]
+    assert os.listdir(tmp_path / "data") == ["real.csv"]
+
+
+def test_write_through_a_dangling_link_creates_its_target(tmp_path):
+    (tmp_path / "data").mkdir()
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "data" / "new.csv")
+    output.atomic_write_chunks(str(link), iter(["k\n", "1\n"]))
+    assert link.is_symlink() and (tmp_path / "data" / "new.csv").read_text() == "k\n1\n"
+    with open(tmp_path / "plain.csv", "w") as handle:
+        handle.write("k\n")
+    assert _mode(tmp_path / "data" / "new.csv") == _mode(tmp_path / "plain.csv")
+    # a link into a missing directory fails as open would, naming the user's path
+    missing = tmp_path / "missing.csv"
+    missing.symlink_to(tmp_path / "nowhere" / "x.csv")
+    with pytest.raises(InvalidInput, match=f"^cannot write {re.escape(str(missing))}: "):
+        output.atomic_write_text(str(missing), "k\n")
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.csv", "missing.csv", "plain.csv"]
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_a_failing_stream_leaves_the_path_as_it_was(tmp_path, exists):
+    # the pieces' generator raises after some pieces were written: no temp file
+    # stays and an existing file keeps its bytes
+    path = tmp_path / "f.csv"
+    if exists:
+        path.write_text("old\n")
+
+    def pieces():
+        yield "k\n"
+        yield "1\n" * 100_000
+        raise Unbounded("the state overflows")
+
+    with pytest.raises(Unbounded, match="the state overflows"):
+        output.atomic_write_chunks(str(path), pieces())
+    assert os.listdir(tmp_path) == (["f.csv"] if exists else [])
+    assert not exists or path.read_text() == "old\n"
