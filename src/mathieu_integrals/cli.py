@@ -155,9 +155,9 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, 
 @click.option("--out", default=None, type=click.Path())
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
-    params = _params(omega, omega1, epsilon)
-    pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, pts, format_))
+    params = _params(omega, omega1, epsilon)  # the section is the one-sample orbit
+    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_))
+    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks), format_))
 
 
 @main.command("distances")
@@ -189,8 +189,8 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
-    pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    rows = [(p.k, p.t, p.x, p.E) for p in pts]
+    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_))
+    rows = ((k, t, x, E) for k, t, x, _, E, _, _ in chain.from_iterable(blocks))
     _write(out, output.tabular_chunks(("k", "t", "x", "E"), rows, format_))
 
 

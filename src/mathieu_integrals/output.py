@@ -5,12 +5,16 @@ runs produce byte-identical output.  Each format has one encoder, a
 generator of pieces (``csv_chunks``, ``json_chunks``, ``tabular_chunks``)
 that ``columns_csv``, ``json_text``, ``columns_json`` and ``tabular``
 join; a block of table rows is one ``%`` per row by a template built once
-per block.  ``atomic_write_chunks`` writes the pieces to a temp file as
-they are made and renames it after the last, so no command holds a whole
-document or table.  An orbit sample is a table row: the CLI formats
-``dynamics.orbit_blocks`` rows and OrbitSamples as they are.
-``trajectory_rows`` and ``section_rows`` rebuild the rows of an orbit and
-of a section from their samples, as references for those tables.
+per block.  A table of more than one block (CSV, or a JSON list whose first
+block takes a row template) is formatted on two CPUs where the process may
+use two and runs no other thread: a forked worker, a copy-on-write copy of
+this process that iterates its own copy of the rows, formats the second half
+of every block (``_formatted``).  ``atomic_write_chunks`` writes the pieces
+to a temp file as they are made and renames it after the last, so no
+command holds a whole document or table.  An orbit sample is a table row:
+the CLI formats ``dynamics.orbit_blocks`` rows and OrbitSamples as they
+are.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of an
+orbit and of a section from their samples, as references for those tables.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import json
 import math
 import os
 import tempfile
-from itertools import islice
+import threading
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .builder import SystemParams
 from .dynamics import OrbitSample
@@ -43,7 +48,7 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]):
     target = os.path.realpath(path)
     umask = os.umask(0o022)  # os.umask reads the mask only by setting it
     os.umask(umask)
-    tmp = None
+    tmp, chunks = None, iter(chunks)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", text=True)
         # mkstemp creates 0o600; give the mode open(path, "w") would give
@@ -55,6 +60,8 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]):
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror}") from None
     finally:
+        if hasattr(chunks, "close"):  # a generator's worker ends with it
+            chunks.close()
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
@@ -96,13 +103,91 @@ def json_chunks(obj) -> Iterator[str]:
 
 _DEPTH = 3  # the levels whose containers json_chunks splits into pieces
 _BLOCK = 1024  # the items of a list, or the rows of a table, in one block
+_in_worker = False  # set in a worker, which forks none of its own
 
 
-def _blocks(items: Iterable) -> Iterator[list]:
-    """The items in lists of up to ``_BLOCK``."""
+#: part(lo, hi) is the text of a block's items lo..hi, and part(0, h) + part(h, n) the whole
+_Parts = Callable[[int, int], str]
+
+
+def _formatted(items: Iterable, parts_of: Callable[[list], _Parts | None]
+               ) -> Iterator[str | list]:
+    """The text part(0, n) of each block of up to ``_BLOCK`` items, part =
+    parts_of(block), or the block itself where that is None.  Where the items
+    make more than one block, the first has parts and ``_may_fork`` allows, a
+    forked worker sends part(h, n), h = n - n // 2, of each block through a
+    pipe while this process formats part(0, h).  The worker iterates its own
+    copy of ``items``, so they must come out the same in both processes (a
+    list, or a generator that computes them).  If the worker fails or stops
+    sending, this process formats the rest itself; the worker is reaped on
+    every way out."""
     items = iter(items)
-    while block := list(islice(items, _BLOCK)):
-        yield block
+    blocks = iter(lambda: list(islice(items, _BLOCK)), [])
+    planned = ((block, parts_of(block)) for block in blocks)
+    ahead = list(islice(planned, 1))
+    more = list(islice(items, 1))  # a second block's first item, if there is one
+    items = chain(more, items)  # which ``blocks`` reads next
+    planned, pid, pipe = chain(iter(ahead), planned), None, None
+    if more and ahead[0][1] is not None and _may_fork():
+        pid, pipe = _fork(planned)
+    del ahead  # so the first block is freed after its turn (an iterator of it, not it)
+    try:
+        for block, part in planned:
+            n = len(block)
+            h = n - n // 2 if pipe else n
+            text = part(0, h) if part else None
+            if part and h < n:  # the worker's part: its byte length, then its UTF-8 bytes
+                size = int.from_bytes(pipe.read(8), "little")
+                data = pipe.read(size)
+                text += data.decode() if size and len(data) == size else part(h, n)
+            yield text if part else block
+            text = data = None  # freed before the next block is formatted
+    except BaseException:
+        if pid:
+            import signal  # only here: it takes a millisecond to import
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pid:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _may_fork() -> bool:
+    """Whether os.fork exists, this process may run on two or more CPUs, no
+    other thread runs (fork copies only the calling one) and it is no worker."""
+    affinity = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    return (not _in_worker and hasattr(os, "fork") and threading.active_count() == 1
+            and len(affinity(0)) >= 2)
+
+
+def _fork(planned: Iterator[tuple[list, _Parts | None]]):
+    """(pid, read end of the pipe) of a worker sending the second part of each
+    block with parts, or (None, None) if no pipe or process is to be had.  The
+    worker leaves by os._exit: it flushes no buffer copied from this process."""
+    global _in_worker
+    fds = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None, None
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:
+        _in_worker = True
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            for block, part in planned:
+                if part is not None and (n := len(block)) > 1:
+                    data = part(n - n // 2, n).encode()
+                    pipe.write(len(data).to_bytes(8, "little") + data)
+                    pipe.flush()
+    finally:
+        os._exit(0)
 
 
 def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
@@ -123,12 +208,12 @@ def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
 def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
     """A JSON list of any iterable's items, a block at a time."""
     head, outer = "[", "\n" + "  " * (level + 1)
-    for block in _blocks(items):
-        if (table := _table(block, level)) is not None:
-            yield head + outer + table
+    for piece in _formatted(items, lambda rows: _table(rows, level)):
+        if type(piece) is str:  # a block's table
+            yield head + outer + piece
             head = ","
         else:
-            for item in block:
+            for item in piece:
                 yield head + outer
                 yield from _chunks(item, level + 1, templates)
                 head = ","
@@ -159,8 +244,8 @@ def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     return text % tuple(args)
 
 
-def _table(rows: list, level: int) -> str | None:
-    """The rows, joined at ``level`` + 1 by one row template, or None if none fits."""
+def _table(rows: list, level: int) -> _Parts | None:
+    """The parts of the rows joined at ``level`` + 1 by one row template, or None."""
     if not (all(isinstance(row, (tuple, list)) for row in rows) and rows[0]
             and len(set(map(len, rows))) == 1):
         return None
@@ -174,8 +259,9 @@ def _table(rows: list, level: int) -> str | None:
         else:
             return None
     outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    template = "[" + inner + ("," + inner).join(slots) + outer + "]"
-    return ("," + outer).join(map(template.__mod__, map(tuple, rows)))
+    template, comma = "[" + inner + ("," + inner).join(slots) + outer + "]", "," + outer
+    return lambda lo, hi: (comma if lo else "") + comma.join(
+        map(template.__mod__, map(tuple, rows[lo:hi])))
 
 
 def _template(obj: dict, level: int, keys: tuple) -> tuple:
@@ -222,15 +308,19 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
 
 def csv_chunks(header: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
     """The text of columns_csv(header, rows): the header line, then one piece
-    per block of up to ``_BLOCK`` rows of any iterable.  A block of rows of
-    one length whose columns each hold only str and int cells or only other
-    cells takes one ``%`` template; in any other block each row takes its own."""
+    per block of up to ``_BLOCK`` rows of any iterable that a forked copy of
+    this process iterates alike (``_formatted``).  A block of rows of one
+    length whose columns each hold only str and int cells or only other cells
+    takes one ``%`` template; in any other block each row takes its own."""
     yield ",".join(header) + "\n"
-    for block in _blocks(rows):
-        template = _csv_template(block)
-        lines = (map(template.__mod__, block) if template is not None
-                 else (_csv_template([row]) % row for row in block))
-        yield "\n".join(lines) + "\n"
+    yield from _formatted(rows, _csv_parts)
+
+
+def _csv_parts(block: list[tuple]) -> _Parts:
+    """The parts of a block's lines: by its one template, or each row by its own."""
+    if (template := _csv_template(block)) is None:
+        return lambda lo, hi: "".join(_csv_template([row]) % row + "\n" for row in block[lo:hi])
+    return lambda lo, hi: "\n".join(map(template.__mod__, block[lo:hi])) + "\n"
 
 
 def _csv_template(rows: list[tuple]) -> str | None:
@@ -260,7 +350,7 @@ def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
 
 def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str) -> Iterator[str]:
     """The text of tabular(header, rows, format) in pieces, a block of rows
-    at a time, from any iterable of rows."""
+    at a time, from any iterable of rows that a forked copy iterates alike."""
     if format != "json":
         yield from csv_chunks(header, rows)
         return

@@ -247,6 +247,32 @@ class TestStreamedOutput:
             assert os.listdir(tmp_path) == ([out.name] if exists else [])
             assert not exists or out.read_text() == "old\n"
 
+    def test_no_worker_outlives_its_command(self, runner, tmp_path, monkeypatch):
+        # a table of more than one block forks a worker on a host with two CPUs;
+        # the command reaps it, also when the orbit overflows part way
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", counted)
+        for fmt in ("csv", "json"):
+            for extra in (["--out", str(tmp_path / f"o.{fmt}")], []):
+                ok = invoke(runner, "orbit", "--periods", "40", "--samples", "64",
+                            "--format", fmt, *extra)
+                overflow = invoke(runner, "orbit", "--epsilon", "1", "--periods", "5000",
+                                  "--samples", "64", "--format", fmt, *extra)
+                assert ok.exit_code == 0 and overflow.exit_code == 2
+                assert overflow.stderr == ("error: the state overflows in period 239; "
+                                           "the orbit is unbounded\n")
+        assert len(forks) == 8
+        with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+
     @staticmethod
     def _peak_mb(runner, *args) -> float:
         """The tracemalloc peak of one CLI command, after a warm-up run."""
@@ -260,16 +286,23 @@ class TestStreamedOutput:
         assert res.exit_code == 0
         return peak / 1e6
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, fmt):
+    @pytest.mark.parametrize("command, fmt", [("orbit", "csv"), ("orbit", "json"),
+                                              ("section", "csv"), ("energy", "json")],
+                             ids=["csv", "json", "section-csv", "energy-json"])
+    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, command, fmt):
         # the whole table would hold about 280 B a row and its text as much again:
         # about 14 MB at 20,001 rows when formatted whole
         out = tmp_path / f"o.{fmt}"
-        peak = self._peak_mb(runner, "orbit", "--periods", "20000", "--samples", "1",
+        samples = ["--samples", "1"] if command == "orbit" else []
+        peak = self._peak_mb(runner, command, "--periods", "20000", *samples,
                              "--format", fmt, "--out", str(out))
         assert peak < 2.0
-        rows = mathieu_integrals.orbit_rows(SystemParams(F(2), F(9, 10), 0.1), 0.0, 1.0, 20000)
-        assert out.read_text() == output.tabular(output.ORBIT_COLUMNS, rows, fmt)
+        # the bytes of the section list the commands built before they streamed
+        pts = stroboscopic_section(SystemParams(F(2), F(9, 10), 0.1), 0.0, 1.0, 20000)
+        header, rows = output.ORBIT_COLUMNS, pts
+        if command == "energy":
+            header, rows = ("k", "t", "x", "E"), [(p.k, p.t, p.x, p.E) for p in pts]
+        assert out.read_text() == output.tabular(header, rows, fmt)
 
     def test_order_40_integral_streams_in_bounded_memory(self, runner, tmp_path):
         # the integral itself holds about 2 MB; its 2.1 MB of text goes out in pieces

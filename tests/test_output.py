@@ -8,14 +8,17 @@ container with one ``%`` template; its reference is
 """
 
 import collections
+import contextlib
 import gc
 import json
 import math
 import os
 import re
 import stat
+import threading
 from fractions import Fraction as F
 from typing import Iterable, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +362,28 @@ def test_row_template_at_depth(section, monkeypatch):
 BLOCK_SIZES = [1, 2, 7, 1024]
 
 
+@contextlib.contextmanager
+def cpus(n: int):
+    """This process may run on n CPUs: with two or more, a table of more than one
+    block forks a worker.  Yields the list of the workers forked."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True), \
+            mock.patch.object(os, "fork", counted):
+        yield forks
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _at_block_sizes(make) -> list:
     """make() with ``output._BLOCK`` set to each of BLOCK_SIZES in turn."""
     old, texts = output._BLOCK, []
@@ -371,27 +396,32 @@ def _at_block_sizes(make) -> list:
     return texts
 
 
-def _tables_at_block_sizes(header, rows):
+def _tables_at_block_sizes(header, rows, n_cpus):
     """CSV and JSON tables, alone and inside a document, from a list and from an
-    iterator at every block size: the same bytes as the per-row references."""
+    iterator at every block size on n_cpus: the same bytes as the per-row references."""
     csv_rows = [tuple(row) for row in rows]
     csv = columns_csv(header, csv_rows)
     doc = {"columns": list(header), "rows": [list(row) for row in rows]}
     table = dumps(doc)
     nested = dumps({"a": [rows, 1]})
-    for got in _at_block_sizes(lambda: (
-            output.columns_csv(header, csv_rows), output.columns_csv(header, iter(csv_rows)),
-            "".join(output.tabular_chunks(header, iter(csv_rows), "csv")),
-            output.columns_json(header, rows), output.columns_json(header, iter(rows)),
-            "".join(output.tabular_chunks(header, iter(rows), "json")),
-            output.json_text(doc), output.json_text({"a": [rows, 1]}))):
-        assert got == (csv, csv, csv, table, table, table, table, nested)
+    with cpus(n_cpus) as forks:
+        for got in _at_block_sizes(lambda: (
+                output.columns_csv(header, csv_rows), output.columns_csv(header, iter(csv_rows)),
+                "".join(output.tabular_chunks(header, iter(csv_rows), "csv")),
+                output.columns_json(header, rows), output.columns_json(header, iter(rows)),
+                "".join(output.tabular_chunks(header, iter(rows), "json")),
+                output.json_text(doc), output.json_text({"a": [rows, 1]}))):
+            assert got == (csv, csv, csv, table, table, table, table, nested)
+    assert bool(forks) == (n_cpus > 1 and len(rows) > 1)
+    _no_worker_left()
 
 
+# one CPU: a worker per multi-block example would cost the suite about 10 s; the
+# block-boundary cases below and the two-process tests further down fork
 @settings(max_examples=150, deadline=None)
 @given(json_tables() | tables)
 def test_tables_match_at_every_block_size(rows):
-    _tables_at_block_sizes(("k", "t", "%d"), rows)
+    _tables_at_block_sizes(("k", "t", "%d"), rows, n_cpus=1)
 
 
 _BASE = [(i, 0.5 * i, f"s{i}") for i in range(10)]
@@ -413,8 +443,9 @@ _BASE = [(i, 0.5 * i, f"s{i}") for i in range(10)]
 ], ids=["uniform", "int-float", "bool-str", "bools", "str-float", "nan-inf", "minus-inf",
         "huge-int", "last-row", "ragged", "empty-rows", "empty"])
 def test_column_type_changes_across_a_block_boundary(rows):
-    _tables_at_block_sizes(("a", "b", "c"), rows)
-    pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
+    _tables_at_block_sizes(("a", "b", "c"), rows, n_cpus=2)
+    with cpus(2):
+        pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
     # the header line, then one piece per block
     assert [len(p) for p in pieces] == [1 + -(-len(rows) // size) for size in BLOCK_SIZES]
 
@@ -439,6 +470,163 @@ def test_documents_go_out_an_item_at_a_time():
     at_level_3 = [json.dumps(s, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
                   for s in series]
     assert max(map(len, pieces)) == max(map(len, at_level_3))
+
+
+# -- two processes: a forked worker formats the second half of every block -----
+
+def _mixed_rows(n: int) -> list[tuple]:
+    """Rows of str (not all ASCII), int and float cells, with a few ragged rows
+    and a bool, so some blocks take their template row by row."""
+    rows = [(i, 0.1 * i, "\u00e9" * (i % 3)) for i in range(n)]
+    rows[n // 2] = (True, 1.5)
+    rows[n // 3] = (1, 2.5, "x", 3.5)
+    return rows
+
+
+def _references(header, rows) -> tuple[str, str]:
+    """The per-row CSV reference and json.dumps of the table."""
+    return columns_csv(header, rows), dumps({"columns": list(header),
+                                             "rows": [list(row) for row in rows]})
+
+
+def _tables(header, rows) -> tuple[str, str]:
+    """CSV and JSON from an iterator of the rows, which the worker copies."""
+    return (output.columns_csv(header, iter(rows)),
+            "".join(output.tabular_chunks(header, iter(rows), "json")))
+
+
+TWO_PROCESS_CASES = {  # (rows, block size, workers forked per table)
+    "one-block": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 15, 64), 1024, 0),  # 961 rows
+    "65-row-second-block": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 17, 64), 1024, 1),
+    "many-blocks": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 80, 64), 1024, 1),  # 5121
+    "small-blocks": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 3, 64), 7, 1),
+    "mixed-cells": (lambda: _mixed_rows(3000), 1024, 1),
+    "mixed-small-blocks": (lambda: _mixed_rows(200), 7, 1),
+}
+
+
+@pytest.mark.parametrize("case", TWO_PROCESS_CASES)
+def test_two_process_tables_match_the_references(case, monkeypatch):
+    make, block, workers = TWO_PROCESS_CASES[case]
+    monkeypatch.setattr(output, "_BLOCK", block)
+    header, rows = ("k", "t", "x", "y", "E", "d", "r"), make()
+    with cpus(1) as forks:
+        one = _tables(header, rows)
+    assert forks == []
+    with cpus(2) as forks:
+        two = _tables(header, rows)
+    # the JSON table of the mixed rows starts with a block that takes no row template
+    assert len(forks) == workers * (1 if case.startswith("mixed") else 2)
+    assert two == one == _references(header, rows)
+    _no_worker_left()
+
+
+def _dying_in_the_worker(rows, at: int):
+    """The rows, but a forked copy of this generator ends its process at row ``at``."""
+    parent = os.getpid()
+    for i, row in enumerate(rows):
+        if i == at and os.getpid() != parent:
+            os._exit(1)
+        yield row
+
+
+@pytest.mark.parametrize("at", [1025, 2050, 4000])
+def test_a_worker_that_dies_part_way_changes_no_byte(at):
+    # the worker iterates rows from 1025 on (the parent read a block and one row
+    # before forking); once it is gone this process formats every remaining half
+    header, rows = output.ORBIT_COLUMNS, dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    with cpus(2) as forks:
+        got = (output.columns_csv(header, _dying_in_the_worker(rows, at)),
+               output.columns_json(header, _dying_in_the_worker(rows, at)))
+    assert len(forks) == 2
+    assert got == _references(header, rows)
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("why", ["one-cpu", "no-fork", "no-affinity-one-cpu", "a-thread",
+                                 "in-a-worker"])
+def test_nothing_forks(why, monkeypatch):
+    header, rows = output.ORBIT_COLUMNS, dynamics.orbit_rows(P, 0.03, 0.97, 40, 64)
+    want = _references(header, rows)
+    stop = threading.Event()
+    with cpus(1 if why == "one-cpu" else 2) as forks:
+        if why == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif why == "no-affinity-one-cpu":
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif why == "in-a-worker":
+            monkeypatch.setattr(output, "_in_worker", True)
+        elif why == "a-thread":
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+        try:
+            got = _tables(header, rows)
+        finally:
+            stop.set()
+        monkeypatch.undo()
+    assert forks == [] and got == want
+    _no_worker_left()
+
+
+def _stops(rows, at: int, exc: BaseException):
+    """The rows up to ``at``, then ``exc``: in both processes, as Unbounded comes."""
+    yield from rows[:at]
+    raise exc
+
+
+@pytest.mark.parametrize("exc", [Unbounded("the state overflows"), KeyboardInterrupt()],
+                         ids=["Unbounded", "KeyboardInterrupt"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_worker_is_reaped_when_the_rows_raise(exc, fmt):
+    rows = dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    with cpus(2) as forks, pytest.raises(type(exc)):
+        "".join(output.tabular_chunks(output.ORBIT_COLUMNS, _stops(rows, 4000, exc), fmt))
+    assert len(forks) == 1
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_worker_is_reaped_when_the_pieces_are_dropped(fmt):
+    rows = dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    with cpus(2) as forks:
+        pieces = output.tabular_chunks(output.ORBIT_COLUMNS, iter(rows), fmt)
+        head = "".join(next(pieces) for _ in range(3))
+        pieces.close()
+    assert len(forks) == 1
+    assert head == _references(output.ORBIT_COLUMNS, rows)[fmt == "json"][:len(head)]
+    _no_worker_left()
+
+
+def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
+    # an OSError on the temp file (a full disk) while the worker formats: the
+    # writer closes its pieces, which reaps the worker before InvalidInput leaves
+    fdopen = os.fdopen
+
+    class Full:
+        def __init__(self, fd, *args):
+            self.handle = fdopen(fd, *args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def writelines(self, pieces):
+            for i, piece in enumerate(pieces):
+                if i == 2:
+                    raise OSError(28, "No space left on device")
+                self.handle.write(piece)
+
+    monkeypatch.setattr(os, "fdopen", Full)
+    rows = dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    with cpus(2) as forks, pytest.raises(InvalidInput, match="No space left on device") as info:
+        output.atomic_write_chunks(str(tmp_path / "o.csv"),
+                                   output.csv_chunks(output.ORBIT_COLUMNS, iter(rows)))
+    assert len(forks) == 1 and os.listdir(tmp_path) == []
+    _no_worker_left()  # while the error's traceback still holds the pieces' generator
+    assert info.value.__traceback__ is not None
 
 
 # -- atomic writes -------------------------------------------------------------
