@@ -17,7 +17,7 @@ from .analysis import (ConvergenceReport, CriticalEpsResult, PeriodicOrbitResult
 from .builder import (FormalIntegral, PsiSeries, QuadFormSeries, SystemParams,
                       build_integral, conic_at_section, h0_form, h1_form, psi_series)
 from .dynamics import (EscapeReport, Monodromy, OrbitSample, escape_diagnostics,
-                       integrate_orbit, monodromy, orbit_rows, stroboscopic_section)
+                       integrate_orbit, monodromy, orbit_blocks, stroboscopic_section)
 from .errors import (BracketFailure, DegenerateConic, DomainError,
                      MalformedSpectrum, NoRoot, NotResonant, ResonanceDetected,
                      SecularTerm, StepFailure, Unbounded, UnsolvableSecular)
@@ -40,7 +40,7 @@ __all__ = [
     "build_resonant_phi", "conic_at_section", "convergence_study",
     "cover_count", "critical_epsilon", "eliminate_secular",
     "escape_diagnostics", "find_periodic_orbit", "h0_form", "h1_form",
-    "integrate_orbit", "invariant_curve_points", "monodromy", "orbit_rows",
+    "integrate_orbit", "invariant_curve_points", "monodromy", "orbit_blocks",
     "psi_series", "resonant_seed",
     "resonant_section_form", "section_residual", "stroboscopic_section",
 ]

@@ -172,13 +172,22 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     Escape runs annotate the first period index beyond the threshold.
     """
     params = _params(omega, omega1, epsilon)
-    pts = dynamics.stroboscopic_section(params, x0, y0, _n_periods(params, periods, time_))
-    report = dynamics.escape_diagnostics(pts, r_escape=r_escape)
-    rows = [(p.k, p.t, p.d, p.r) for p in pts]
-    chunks = output.tabular_chunks(("k", "t", "d", "r"), rows, format_)
-    if report.escaped and format_ == "csv":
-        chunks = chain(chunks, [f"# escaped at k={report.k_escape}\n"])
-    _write(out, chunks)
+    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_))
+    reports = []  # one per block, up to the first block in which the orbit escaped
+
+    def rows():
+        for block in blocks:
+            if not (reports and reports[-1].escaped):
+                reports.append(dynamics.escape_diagnostics(params, block, r_escape=r_escape))
+            for k, t, _, _, _, d, r in block:
+                yield k, t, d, r
+
+    def chunks():
+        yield from output.tabular_chunks(("k", "t", "d", "r"), rows(), format_)
+        if reports[-1].escaped and format_ == "csv":
+            yield f"# escaped at k={reports[-1].k_escape}\n"
+
+    _write(out, chunks())
 
 
 @main.command("energy")

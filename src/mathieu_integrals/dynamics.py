@@ -20,11 +20,12 @@ one sample per period sample k is the section point at t = kT.
 
 One loop walks the period grid (``orbit_blocks``).  In the pass that
 propagates z and E it builds the orbit table rows (k, t, x, y, E, d, r)
-and yields them in blocks of whole periods, which the CLI's ``orbit``
-writes as they come, so its memory does not grow with the horizon.
-``orbit_rows`` joins the blocks in one list; every other caller reads
-those rows as OrbitSamples (``integrate_orbit``), and the stroboscopic
-section is the one-sample-per-period orbit.
+and yields them in blocks of whole periods, which the CLI writes as they
+come, so its memory does not grow with the horizon.  ``integrate_orbit``
+is the one list form, the rows as OrbitSamples, and the stroboscopic
+section is the one-sample-per-period orbit.  ``escape_diagnostics``
+reads rows of either form up to the first one past the escape radius;
+the growth rate of an escaped orbit is its Floquet exponent, from M(T).
 
 One stepper, ``_hill_points``, is DOP853 specialised to the Hill
 equation on the two columns of M: M(T/2) alone for ``monodromy``,
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
@@ -453,20 +453,14 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
     return blocks(x0, y0, e)
 
 
-def orbit_rows(params: SystemParams, x0: float, y0: float, n_periods: int,
-               samples_per_period: int = 1) -> list[tuple]:
-    """The orbit table of ``orbit_blocks`` in one list, about 280 B a row."""
-    return list(chain.from_iterable(
-        orbit_blocks(params, x0, y0, n_periods, samples_per_period)))
-
-
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
                     samples_per_period: int = 1) -> list[OrbitSample]:
-    """Propagate the extended system over n periods: the rows of ``orbit_rows``
-    as OrbitSamples (k, t, x, y, E, d, r), with its checks and errors."""
+    """Propagate the extended system over n periods: the rows of ``orbit_blocks``
+    in one list, as OrbitSamples (k, t, x, y, E, d, r), with its checks and errors."""
     sample = tuple.__new__
     return [sample(OrbitSample, row)
-            for row in orbit_rows(params, x0, y0, n_periods, samples_per_period)]
+            for block in orbit_blocks(params, x0, y0, n_periods, samples_per_period)
+            for row in block]
 
 
 def stroboscopic_section(params: SystemParams, x0: float, y0: float,
@@ -492,46 +486,32 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
 
 @dataclass(frozen=True)
 class EscapeReport:
-    """Escape verdict plus the log-distance growth fit over the tail."""
+    """Escape verdict, and the growth rate of an orbit that escaped."""
 
     escaped: bool
     k_escape: int | None
     growth_rate: float | None
-    r_squared: float | None
 
 
-def escape_diagnostics(section: Sequence[OrbitSample],
+def escape_diagnostics(params: SystemParams, section: Iterable[Sequence],
                        r_escape: float = R_ESCAPE) -> EscapeReport:
-    """Escape test and least-squares growth of log r(t) over the tail.
+    """Escape test of an orbit's rows (k, t, x, y, E, d, r) or OrbitSamples.
 
-    ``escaped`` is true iff r exceeds ``r_escape``; the growth rate is
-    the slope of log r versus t fitted over the post-transient tail
-    (the second half of the points up to the first threshold crossing).
+    The rows are read by position, up to the first whose r exceeds
+    ``r_escape``: the orbit escaped there, at period index k_escape.  The
+    growth rate of an escaped orbit is the Floquet exponent log|lambda_1|/T
+    of the larger multiplier of monodromy(params, params.epsilon), the rate
+    of log r once the orbit follows the unstable direction (Magnus &
+    Winkler, Hill's Equation, ch. 1).
     """
-    if not section:
-        raise InvalidInput("escape_diagnostics needs a non-empty section")
     if not 0.0 < r_escape < math.inf:
         raise InvalidInput(f"the escape radius must be positive and finite, got {r_escape}")
-    cut = len(section)
-    k_escape = None
-    for i, pt in enumerate(section):
-        if pt.r > r_escape:
-            cut = i + 1
-            k_escape = pt.k
-            break
-    escaped = k_escape is not None
-    tail = section[cut // 2: cut]
-    if not escaped or len(tail) < 3:
-        return EscapeReport(escaped, k_escape, None, None)
-    ts = [pt.t for pt in tail]
-    ls = [math.log(pt.r) for pt in tail]
-    n = len(ts)
-    tbar = sum(ts) / n
-    lbar = sum(ls) / n
-    stt = sum((t - tbar) ** 2 for t in ts)
-    stl = sum((t - tbar) * (l - lbar) for t, l in zip(ts, ls))
-    slope = stl / stt
-    ss_res = sum((l - lbar - slope * (t - tbar)) ** 2 for t, l in zip(ts, ls))
-    ss_tot = sum((l - lbar) ** 2 for l in ls)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return EscapeReport(True, k_escape, slope, r2)
+    empty = True
+    for row in section:
+        if row[6] > r_escape:
+            multiplier = max(map(abs, monodromy(params, params.epsilon).eigenvalues()))
+            return EscapeReport(True, row[0], math.log(multiplier) / params.period)
+        empty = False
+    if empty:
+        raise InvalidInput("escape_diagnostics needs a non-empty section")
+    return EscapeReport(False, None, None)

@@ -12,8 +12,8 @@ this process that iterates its own copy of the rows, formats the second half
 of every block (``_formatted``).  ``atomic_write_chunks`` writes the pieces
 to a temp file as they are made and renames it after the last, so no
 command holds a whole document or table.  An orbit sample is a table row:
-the CLI formats ``dynamics.orbit_blocks`` rows and OrbitSamples as they
-are.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of an
+the CLI streams ``dynamics.orbit_blocks`` rows, and OrbitSamples format
+alike.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of an
 orbit and of a section from their samples, as references for those tables.
 """
 

@@ -269,7 +269,15 @@ class TestStreamedOutput:
                 assert ok.exit_code == 0 and overflow.exit_code == 2
                 assert overflow.stderr == ("error: the state overflows in period 239; "
                                            "the orbit is unbounded\n")
-        assert len(forks) == 8
+                # r first passes the radius at k = 1106, in the second block of
+                # periods, whose escape check the worker runs too
+                distances = invoke(runner, "distances", "--epsilon", "0.12", "--periods", "3000",
+                                   "--x0", "0.3", "--y0", "0.5", "--r-escape", "0.7635084",
+                                   "--format", fmt, *extra)
+                assert distances.exit_code == 0
+                text = (tmp_path / f"o.{fmt}").read_text() if extra else distances.stdout
+                assert text.endswith("# escaped at k=1106\n" if fmt == "csv" else "]\n}\n")
+        assert len(forks) == 12
         with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -286,23 +294,32 @@ class TestStreamedOutput:
         assert res.exit_code == 0
         return peak / 1e6
 
-    @pytest.mark.parametrize("command, fmt", [("orbit", "csv"), ("orbit", "json"),
-                                              ("section", "csv"), ("energy", "json")],
-                             ids=["csv", "json", "section-csv", "energy-json"])
-    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, command, fmt):
+    @pytest.mark.parametrize("command, fmt, start", [
+        ("orbit", "csv", ()), ("orbit", "json", ()), ("section", "csv", ()),
+        ("energy", "json", ()), ("distances", "json", ()),
+        # r first passes the radius at k = 13717, deep in the stream
+        ("distances", "csv", ("--x0", "0.5", "--y0", "0", "--r-escape", "0.8147323135"))],
+        ids=["csv", "json", "section-csv", "energy-json", "distances-json", "distances-csv"])
+    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, command, fmt, start):
         # the whole table would hold about 280 B a row and its text as much again:
         # about 14 MB at 20,001 rows when formatted whole
         out = tmp_path / f"o.{fmt}"
         samples = ["--samples", "1"] if command == "orbit" else []
-        peak = self._peak_mb(runner, command, "--periods", "20000", *samples,
+        peak = self._peak_mb(runner, command, "--periods", "20000", *samples, *start,
                              "--format", fmt, "--out", str(out))
         assert peak < 2.0
         # the bytes of the section list the commands built before they streamed
-        pts = stroboscopic_section(SystemParams(F(2), F(9, 10), 0.1), 0.0, 1.0, 20000)
-        header, rows = output.ORBIT_COLUMNS, pts
+        x0, y0 = (0.5, 0.0) if start else (0.0, 1.0)
+        pts = stroboscopic_section(SystemParams(F(2), F(9, 10), 0.1), x0, y0, 20000)
+        header, rows, tail = output.ORBIT_COLUMNS, pts, ""
         if command == "energy":
             header, rows = ("k", "t", "x", "E"), [(p.k, p.t, p.x, p.E) for p in pts]
-        assert out.read_text() == output.tabular(header, rows, fmt)
+        elif command == "distances":
+            header, rows = ("k", "t", "d", "r"), [(p.k, p.t, p.d, p.r) for p in pts]
+        if start:
+            assert next(p.k for p in pts if p.r > 0.8147323135) == 13717
+            tail = "# escaped at k=13717\n"
+        assert out.read_text() == output.tabular(header, rows, fmt) + tail
 
     def test_order_40_integral_streams_in_bounded_memory(self, runner, tmp_path):
         # the integral itself holds about 2 MB; its 2.1 MB of text goes out in pieces

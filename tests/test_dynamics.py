@@ -25,6 +25,7 @@ from mathieu_integrals import (StepFailure, SystemParams, Unbounded, analysis, c
 from mathieu_integrals.dynamics import _hill_points
 from mathieu_integrals.errors import DomainError, InvalidInput
 from mathieu_integrals.output import ORBIT_COLUMNS
+from orbit_reference import orbit_rows, tail_fit
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
 
@@ -100,7 +101,7 @@ class TestSampling:
     def test_table_beyond_the_row_budget_fails_fast(self, n, spp):
         # n spp rows over the step budget are refused before any solve or row
         start = time.perf_counter()
-        for build in (dynamics.orbit_rows, integrate_orbit):
+        for build in (orbit_rows, integrate_orbit):
             with pytest.raises(InvalidInput, match="budget of 5000000 rows"):
                 build(P01, 0.0, 1.0, n, spp)
         with pytest.raises(InvalidInput, match="budget"):
@@ -109,9 +110,9 @@ class TestSampling:
 
     def test_table_at_the_row_budget_is_allowed(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 40)
-        assert len(dynamics.orbit_rows(P01, 0.0, 1.0, 5, 8)) == 41
+        assert len(orbit_rows(P01, 0.0, 1.0, 5, 8)) == 41
         with pytest.raises(InvalidInput, match="budget of 40 rows"):
-            dynamics.orbit_rows(P01, 0.0, 1.0, 41, 1)
+            orbit_rows(P01, 0.0, 1.0, 41, 1)
 
     def test_step_failure_on_impossible_tolerance(self, monkeypatch):
         # below the roundoff floor of the embedded error estimate the
@@ -190,29 +191,30 @@ class TestOrbitGeometry:
 
 class TestEscape:
     def test_bounded_run(self, orbit_cache):
-        _, _, pts = orbit_cache("9/10", 0.1, 200)
-        report = escape_diagnostics(pts)
+        params, _, pts = orbit_cache("9/10", 0.1, 200)
+        report = escape_diagnostics(params, pts)
         assert not report.escaped
         assert report.k_escape is None and report.growth_rate is None
         assert all(p.r <= 2.0 for p in pts)
 
     def test_escape_at_019_is_log_linear(self, orbit_cache):
-        _, _, pts = orbit_cache("9/10", 0.19, 150)
-        report = escape_diagnostics(pts)
+        params, _, pts = orbit_cache("9/10", 0.19, 150)
+        report = escape_diagnostics(params, pts)
         assert report.escaped and report.k_escape is not None
         assert report.growth_rate > 0
-        assert report.r_squared > 0.999
+        assert tail_fit(pts).r_squared > 0.999
 
     def test_growth_increases_with_eps(self, orbit_cache):
-        _, _, p19 = orbit_cache("9/10", 0.19, 150)
-        _, _, p20 = orbit_cache("9/10", 0.20, 150)
-        r19 = escape_diagnostics(p19)
-        r20 = escape_diagnostics(p20)
+        params19, _, p19 = orbit_cache("9/10", 0.19, 150)
+        params20, _, p20 = orbit_cache("9/10", 0.20, 150)
+        r19 = escape_diagnostics(params19, p19)
+        r20 = escape_diagnostics(params20, p20)
         assert r20.growth_rate > r19.growth_rate
 
     def test_empty_section_rejected(self):
-        with pytest.raises(InvalidInput, match="non-empty section"):
-            escape_diagnostics([])
+        for empty in ([], iter(())):
+            with pytest.raises(InvalidInput, match="^escape_diagnostics needs a non-empty section$"):
+                escape_diagnostics(P01, empty)
 
     def test_one_escape_radius(self):
         # the library default, the CLI's --r-escape default and cover_count share R_ESCAPE
@@ -222,19 +224,64 @@ class TestEscape:
 
     @pytest.mark.parametrize("r_escape", [-1.0, 0.0, math.nan, math.inf])
     def test_escape_radius_must_be_positive_and_finite(self, orbit_cache, r_escape):
-        _, _, pts = orbit_cache("9/10", 0.19, 150)
-        with pytest.raises(InvalidInput, match="escape radius"):
-            escape_diagnostics(pts, r_escape=r_escape)
+        params, _, pts = orbit_cache("9/10", 0.19, 150)
+        with pytest.raises(InvalidInput, match="^the escape radius must be positive and finite, "
+                                               f"got {r_escape}$"):
+            escape_diagnostics(params, pts, r_escape=r_escape)
 
     def test_growth_rate_is_floquet_exponent_at_omega_3(self):
         # T = 2 pi/3, not the pi of omega = 2: the fitted slope of log r
         # against t must be log|lambda_max| / T of the monodromy
         params = SystemParams(F(3), F(3, 2), 0.3)
         pts = stroboscopic_section(params, 0.0, 1.0, 100)
-        report = escape_diagnostics(pts)
+        report = escape_diagnostics(params, pts)
         lam = max(abs(ev) for ev in monodromy(params, 0.3).eigenvalues())
         assert report.escaped
         assert report.growth_rate == pytest.approx(math.log(lam) / params.period, rel=1e-3)
+        assert report.growth_rate == pytest.approx(tail_fit(pts).growth_rate, rel=1e-3)
+
+    @pytest.mark.parametrize("eps, periods", [(0.19, 150), (0.20, 150), (1.0, 60)])
+    def test_growth_rate_is_the_fitted_slope(self, orbit_cache, eps, periods):
+        # the Floquet exponent against the least-squares slope of log r over the
+        # tail: 7.4e-5, 6.8e-5 and 1.1e-5 apart, relative
+        params, _, pts = orbit_cache("9/10", eps, periods)
+        report, fit = escape_diagnostics(params, pts), tail_fit(pts)
+        assert report.escaped and fit.escaped and report.k_escape == fit.k_escape
+        assert fit.r_squared > 0.999
+        assert report.growth_rate == pytest.approx(fit.growth_rate, rel=1e-3)
+
+    def test_reads_no_row_past_the_first_crossing(self):
+        params = SystemParams(F(2), F(9, 10), 0.19)
+        rows = orbit_rows(params, 0.0, 1.0, 150)
+        first = next(i for i, row in enumerate(rows) if row[6] > 1e3)
+
+        def stream():
+            yield from rows[:first + 1]
+            raise AssertionError("a row past the first crossing was read")
+
+        report = escape_diagnostics(params, stream())
+        assert report.escaped and report.k_escape == rows[first][0] == 114
+
+    def test_rows_and_samples_give_one_report(self):
+        for eps, periods, r_escape in [(0.1, 200, 1e3), (0.19, 150, 1e3), (0.19, 40, 1.5),
+                                       (0.1, 20, 0.5)]:
+            params = SystemParams(F(2), F(9, 10), eps)
+            rows = orbit_rows(params, 0.0, 1.0, periods)
+            samples = stroboscopic_section(params, 0.0, 1.0, periods)
+            assert (escape_diagnostics(params, rows, r_escape)
+                    == escape_diagnostics(params, samples, r_escape)
+                    == escape_diagnostics(params, iter(rows), r_escape))
+
+    def test_early_crossing_has_a_growth_rate(self):
+        # the fit needed 3 tail points and gave None when r passed the radius
+        # within the first 3 samples; the Floquet exponent needs no samples
+        params = SystemParams(F(2), F(9, 10), 0.19)
+        pts = stroboscopic_section(params, 0.0, 2.0, 10)
+        report = escape_diagnostics(params, pts, r_escape=1.0)
+        assert report.escaped and report.k_escape == 0
+        assert tail_fit(pts, r_escape=1.0).growth_rate is None
+        lam = max(abs(ev) for ev in monodromy(params, 0.19).eigenvalues())
+        assert report.growth_rate == math.log(lam) / params.period > 0
 
 
 class TestMonodromy:
@@ -649,7 +696,7 @@ class TestOrbitBlocks:
     def test_blocks_are_the_table_in_whole_periods(self, periods, spp):
         blocks = list(dynamics.orbit_blocks(P01, 0.03, 0.97, periods, spp))
         rows = [row for block in blocks for row in block]
-        want = dynamics.orbit_rows(P01, 0.03, 0.97, periods, spp)
+        want = orbit_rows(P01, 0.03, 0.97, periods, spp)
         assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in want]
         assert len(rows) == periods * spp + 1
         # each block ends on a section time t = kT, and each but the last holds
@@ -687,7 +734,7 @@ class TestOrbitBlocks:
                 got.append(block)
         assert len(got) == 14 and got[-1][-1][0] == 14 * 16
         with pytest.raises(Unbounded, match="overflows in period 239;"):
-            dynamics.orbit_rows(params, 0.0, 1.0, 5000, 64)
+            orbit_rows(params, 0.0, 1.0, 5000, 64)
 
 
 class TestRecords:
@@ -738,7 +785,7 @@ class TestRecords:
         # the section is the one-sample-per-period orbit table, bit for bit, at t = kT
         params = SystemParams(F(2), F(9, 10), eps)
         try:
-            rows = dynamics.orbit_rows(params, 0.03, 0.97, periods, 1)
+            rows = orbit_rows(params, 0.03, 0.97, periods, 1)
         except Unbounded as exc:
             with pytest.raises(Unbounded, match=f"^{re.escape(str(exc))}$"):
                 stroboscopic_section(params, 0.03, 0.97, periods)
@@ -784,7 +831,7 @@ class TestNonFinite:
         with pytest.raises(Unbounded, match=r"overflows in period \d+") as states:
             integrate_orbit(params, 0.0, 1.0, 3000)
         with pytest.raises(Unbounded, match=f"^{re.escape(str(states.value))}$"):
-            dynamics.orbit_rows(params, 0.0, 1.0, 3000)
+            orbit_rows(params, 0.0, 1.0, 3000)
         with pytest.raises(Unbounded):
             monodromy(params, 0.5, n=3000)
 

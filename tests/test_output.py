@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_integrals import (SystemParams, Unbounded, build_integral, conic_at_section,
-                               convergence_study, dynamics, integrate_orbit, output,
-                               stroboscopic_section)
+                               convergence_study, integrate_orbit, output, stroboscopic_section)
 from mathieu_integrals.errors import InvalidInput
+from orbit_reference import orbit_rows
 
 
 # -- reference: the per-cell formatter, verbatim -------------------------------
@@ -129,7 +129,7 @@ def test_orbit_rows():
     want = output.trajectory_rows(traj, P, 64)
     _both(output.ORBIT_COLUMNS, want)
     # the CLI's table, built in the propagation loop, is the rows of the samples
-    _same_cells(dynamics.orbit_rows(P, 0.03, 0.97, 5, samples_per_period=64), want)
+    _same_cells(orbit_rows(P, 0.03, 0.97, 5, samples_per_period=64), want)
 
 
 def test_escaping_orbit_rows():
@@ -138,7 +138,7 @@ def test_escaping_orbit_rows():
         traj = integrate_orbit(params, 0.0, 1.0, 40, samples_per_period=spp)
         want = output.trajectory_rows(traj, params, spp)
         _both(output.ORBIT_COLUMNS, want)
-        _same_cells(dynamics.orbit_rows(params, 0.0, 1.0, 40, spp), want)
+        _same_cells(orbit_rows(params, 0.0, 1.0, 40, spp), want)
 
 
 def test_section_rows(section):
@@ -451,7 +451,7 @@ def test_column_type_changes_across_a_block_boundary(rows):
 
 
 def test_orbit_tables_go_out_a_block_at_a_time():
-    rows = dynamics.orbit_rows(P, 0.03, 0.97, 50, 64)  # 3201 rows: four blocks
+    rows = orbit_rows(P, 0.03, 0.97, 50, 64)  # 3201 rows: four blocks
     header = output.ORBIT_COLUMNS
     csv = list(output.tabular_chunks(header, rows, "csv"))
     js = list(output.tabular_chunks(header, iter(rows), "json"))
@@ -496,10 +496,10 @@ def _tables(header, rows) -> tuple[str, str]:
 
 
 TWO_PROCESS_CASES = {  # (rows, block size, workers forked per table)
-    "one-block": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 15, 64), 1024, 0),  # 961 rows
-    "65-row-second-block": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 17, 64), 1024, 1),
-    "many-blocks": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 80, 64), 1024, 1),  # 5121
-    "small-blocks": (lambda: dynamics.orbit_rows(P, 0.03, 0.97, 3, 64), 7, 1),
+    "one-block": (lambda: orbit_rows(P, 0.03, 0.97, 15, 64), 1024, 0),  # 961 rows
+    "65-row-second-block": (lambda: orbit_rows(P, 0.03, 0.97, 17, 64), 1024, 1),
+    "many-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 80, 64), 1024, 1),  # 5121
+    "small-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 3, 64), 7, 1),
     "mixed-cells": (lambda: _mixed_rows(3000), 1024, 1),
     "mixed-small-blocks": (lambda: _mixed_rows(200), 7, 1),
 }
@@ -534,7 +534,7 @@ def _dying_in_the_worker(rows, at: int):
 def test_a_worker_that_dies_part_way_changes_no_byte(at):
     # the worker iterates rows from 1025 on (the parent read a block and one row
     # before forking); once it is gone this process formats every remaining half
-    header, rows = output.ORBIT_COLUMNS, dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks:
         got = (output.columns_csv(header, _dying_in_the_worker(rows, at)),
                output.columns_json(header, _dying_in_the_worker(rows, at)))
@@ -546,7 +546,7 @@ def test_a_worker_that_dies_part_way_changes_no_byte(at):
 @pytest.mark.parametrize("why", ["one-cpu", "no-fork", "no-affinity-one-cpu", "a-thread",
                                  "in-a-worker"])
 def test_nothing_forks(why, monkeypatch):
-    header, rows = output.ORBIT_COLUMNS, dynamics.orbit_rows(P, 0.03, 0.97, 40, 64)
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
     want = _references(header, rows)
     stop = threading.Event()
     with cpus(1 if why == "one-cpu" else 2) as forks:
@@ -579,7 +579,7 @@ def _stops(rows, at: int, exc: BaseException):
                          ids=["Unbounded", "KeyboardInterrupt"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_the_worker_is_reaped_when_the_rows_raise(exc, fmt):
-    rows = dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    rows = orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks, pytest.raises(type(exc)):
         "".join(output.tabular_chunks(output.ORBIT_COLUMNS, _stops(rows, 4000, exc), fmt))
     assert len(forks) == 1
@@ -588,7 +588,7 @@ def test_the_worker_is_reaped_when_the_rows_raise(exc, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_the_worker_is_reaped_when_the_pieces_are_dropped(fmt):
-    rows = dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    rows = orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks:
         pieces = output.tabular_chunks(output.ORBIT_COLUMNS, iter(rows), fmt)
         head = "".join(next(pieces) for _ in range(3))
@@ -620,7 +620,7 @@ def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
                 self.handle.write(piece)
 
     monkeypatch.setattr(os, "fdopen", Full)
-    rows = dynamics.orbit_rows(P, 0.03, 0.97, 80, 64)
+    rows = orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks, pytest.raises(InvalidInput, match="No space left on device") as info:
         output.atomic_write_chunks(str(tmp_path / "o.csv"),
                                    output.csv_chunks(output.ORBIT_COLUMNS, iter(rows)))
