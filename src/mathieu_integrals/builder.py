@@ -35,6 +35,17 @@ integer numerators over one denominator (converters ``to_form`` and
 ``substitute_zero_order``, ``TrigSeries.integrate`` and
 ``back_substitute`` computes the same step in TrigSeries arithmetic and
 is kept as its reference.
+
+A built order keeps its ``Form``'s integers: ``from_form`` makes
+numerator-backed series, whose float tables divide the integers and
+whose ``to_json_obj`` reduces each coefficient by one gcd, so no order
+of 1 or more makes a Fraction until something reads it exactly.
+``FormalIntegral.json_document`` hands the orders to
+``output.json_chunks`` unconverted, which reduces each one as it writes
+it, the odd orders in a second process for a large document: of the
+order-40 command's 143 ms in process, the recursion takes about 50 ms,
+where building the orders took about 128 ms when each coefficient became
+a Fraction as it was built.
 """
 
 from __future__ import annotations
@@ -335,7 +346,8 @@ def to_form(q: QuadFormSeries) -> Form:
 
 
 def from_form(base: FrequencyBase, form: Form) -> QuadFormSeries:
-    """The quadratic form with coefficients numerator/den, reduced."""
+    """The quadratic form with coefficients numerator/den, numerator-backed:
+    each is reduced when it is read."""
     den, parts = form
     return QuadFormSeries(*(TrigSeries._from_numerators(base, part, den) for part in parts))
 
@@ -531,6 +543,15 @@ class FormalIntegral:
         return acc
 
     def to_json_obj(self) -> dict:
+        """The integral as plain JSON types: ``json_document`` with each order's JSON."""
+        doc = self.json_document()
+        doc["orders"] = [q.to_json_obj() for q in self.orders]
+        return doc
+
+    def json_document(self) -> dict:
+        """The document of ``to_json_obj`` with the quadratic forms themselves as
+        its "orders": ``output.json_chunks`` writes the same bytes, reducing each
+        order's coefficients as it writes that order."""
         return {
             "omega": str(self.params.omega),
             "omega1": str(self.params.omega1),
@@ -538,7 +559,7 @@ class FormalIntegral:
             "order": self.order,
             "phased": self.phased,
             "secular_allowed": self.secular_allowed,
-            "orders": [q.to_json_obj() for q in self.orders],
+            "orders": self.orders,
         }
 
     def pretty(self) -> str:

@@ -110,7 +110,7 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
     """Build the non-resonant formal integral and dump it."""
     params = _params(omega, omega1, epsilon)
     phi = builder.build_integral(params, order)
-    doc = phi.to_json_obj()
+    doc = phi.json_document()
     doc["epsilon"] = epsilon
     # formatted once when it is printed too, streamed when it is only written
     text = output.json_text(doc) if dump_symbolic or not out else None

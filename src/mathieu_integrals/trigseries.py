@@ -16,6 +16,10 @@ Design rules:
   rational, so zero-frequency tests are equality tests, never
   tolerance tests.  Floats enter only through the float table that
   :meth:`TrigSeries.evaluate` sums (``QuadFormSeries`` caches its own).
+* A series built from integer numerators over one denominator keeps
+  them and makes its Fractions on the first exact access: its float
+  table divides the integers, and its JSON terms reduce each one by a
+  single gcd, so writing a built order never normalises a Fraction.
 * Frequencies are stored as ``(k, m)`` integer pairs and never collapsed
   to a single numeric value: distinct lattice points with coincidentally
   equal frequency are kept apart.  The single exception is the exact
@@ -102,7 +106,7 @@ class TrigSeries:
     new series, so values can be shared freely across threads.
     """
 
-    __slots__ = ("base", "_terms")
+    __slots__ = ("base", "_terms", "_numerators")
 
     def __init__(self, base: FrequencyBase, terms: Iterable[tuple[TermKey, Fraction]] = ()):
         acc: dict[TermKey, Fraction] = {}
@@ -131,6 +135,7 @@ class TrigSeries:
                     acc.pop(key, None)
         self.base = base
         self._terms = acc
+        self._numerators = None
 
     # -- constructors ---------------------------------------------------
 
@@ -151,15 +156,40 @@ class TrigSeries:
     @classmethod
     def _from_numerators(cls, base: FrequencyBase, nums: dict[TermKey, int],
                          den: int) -> "TrigSeries":
-        """Series with coefficients n/den, zeros pruned; the keys must already be canonical."""
-        return cls._canonical(base, {key: Fraction(n, den) for key, n in nums.items() if n})
+        """Series with coefficients n/den, den > 0, zeros pruned; the keys must
+        already be canonical.  It keeps the integers until an exact access
+        (``__getattr__``) needs the Fractions."""
+        out = cls.__new__(cls)
+        out.base, out._numerators = base, ({key: n for key, n in nums.items() if n}, den)
+        return out
 
     @classmethod
     def _canonical(cls, base: FrequencyBase, terms: dict[TermKey, Fraction]) -> "TrigSeries":
         """The series of ``terms``, taken as they are: canonical keys, no zero coefficient."""
         out = cls.__new__(cls)
-        out.base, out._terms = base, terms
+        out.base, out._terms, out._numerators = base, terms, None
         return out
+
+    def __getattr__(self, name: str):
+        """``_terms`` of a numerator-backed series, its Fractions made on this first
+        read; every other constructor sets it, so no other series gets here."""
+        if name != "_terms" or self._numerators is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nums, den = self._numerators
+        terms = self._terms = {key: Fraction(n, den) for key, n in nums.items()}
+        return terms
+
+    def _keys(self) -> dict:
+        """A dict keyed by the term keys, read without making a Fraction."""
+        return self._terms if self._numerators is None else self._numerators[0]
+
+    def _pairs(self) -> Iterator[tuple[TermKey, int, int]]:
+        """(key, numerator, denominator > 0) per term in storage order, made without
+        a Fraction; a numerator-backed pair is not in lowest terms."""
+        if self._numerators is None:
+            return ((key, c.numerator, c.denominator) for key, c in self._terms.items())
+        nums, den = self._numerators
+        return ((key, n, den) for key, n in nums.items())
 
     # -- inspection -----------------------------------------------------
 
@@ -173,17 +203,21 @@ class TrigSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys()
 
     def max_secular_degree(self) -> int:
-        return max((key[0] for key in self._terms), default=0)
+        return max((key[0] for key in self._keys()), default=0)
 
     def max_harmonic(self) -> int:
         """Largest |k| (driving-frequency multiple) present."""
-        return max((abs(key[1]) for key in self._terms), default=0)
+        return max((abs(key[1]) for key in self._keys()), default=0)
 
     def m_values(self) -> set[int]:
-        return {key[2] for key in self._terms}
+        return {key[2] for key in self._keys()}
+
+    def _numerator_bits(self) -> int:
+        """The bit lengths of the stored numerators, summed: the size of writing them."""
+        return sum(n.bit_length() for _, n, _ in self._pairs())
 
     def secular_part(self) -> "TrigSeries":
         """The sub-series with secular degree >= 1."""
@@ -333,18 +367,20 @@ class TrigSeries:
     def to_json_terms(self) -> list[dict]:
         """JSON-ready term list sorted by (p, k, m, phase).
 
-        Each entry is {"p", "k", "m", "phase", "num", "den"}; a
-        "generators" object is attached only when c0/s0 powers occur.
+        Each entry is {"p", "k", "m", "phase", "num", "den"}, the coefficient
+        in lowest terms by one gcd, making no Fraction; a "generators" object
+        is attached only when c0/s0 powers occur.
         """
         out = []
-        for (p, k, m, phase, a, b), coeff in self.terms():
+        for (p, k, m, phase, a, b), num, den in sorted(self._pairs()):
+            g = math.gcd(num, den)
             obj = {
                 "p": p,
                 "k": k,
                 "m": m,
                 "phase": _PHASE_NAMES[phase],
-                "num": coeff.numerator,
-                "den": coeff.denominator,
+                "num": num // g,
+                "den": den // g,
             }
             if a or b:
                 obj["generators"] = {"c0": a, "s0": b}
@@ -380,10 +416,13 @@ class TrigSeries:
 
 
 def _float_table(series: TrigSeries) -> list[tuple]:
-    """The terms as (k*omega + m*omega1, phase, p, a, b, coefficient) floats, in storage order."""
+    """The terms as (k*omega + m*omega1, phase, p, a, b, coefficient) floats, in storage order.
+
+    Each coefficient is n / den: int true division is correctly rounded, so it
+    is float(Fraction(n, den)) to the bit, whether or not n / den is reduced."""
     om, om1 = float(series.base.omega), float(series.base.omega1)
-    return [(k * om + m * om1, phase, p, a, b, float(coeff))
-            for (p, k, m, phase, a, b), coeff in series._terms.items()]
+    return [(k * om + m * om1, phase, p, a, b, n / den)
+            for (p, k, m, phase, a, b), n, den in series._pairs()]
 
 
 def _evaluate_table(table: list[tuple], t: float, c0: float, s0: float) -> float:

@@ -1,6 +1,7 @@
 """Shared fixtures: expensive orbits, builds and boundary locations are
 computed once per session and reused across test modules."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,37 @@ from mathieu_integrals import (SystemParams, build_integral, critical_epsilon,
 # @reproduce_failure blob: the example can then be replayed from the log alone.
 settings.register_profile("print-blob", print_blob=True)
 settings.load_profile("print-blob")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped, such as
+    a forked output worker that some way out of a command does not reap."""
+    yield
+    left = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child at all
+            break
+        left.append(pid or "one still running")
+        if not pid:
+            break
+    assert not left, f"child processes left behind: {left}"
+
+
+@pytest.fixture(scope="session")
+def fractions_made():
+    """Whether a series holds Fractions yet.  A numerator-backed one makes them on
+    its first exact access, so this looks without reading ``_terms``."""
+    def made(series) -> bool:
+        try:
+            object.__getattribute__(series, "_terms")
+        except AttributeError:
+            return False
+        return True
+
+    return made
 
 
 @pytest.fixture(scope="session")

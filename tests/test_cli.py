@@ -4,8 +4,10 @@ import ast
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tomllib
 import tracemalloc
@@ -16,8 +18,8 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import (SystemParams, build_integral, cli, integrate_orbit, output,
-                               resonant, stroboscopic_section)
+from mathieu_integrals import (QuadFormSeries, SystemParams, build_integral, builder, cli,
+                               integrate_orbit, output, resonant, stroboscopic_section)
 from mathieu_integrals.cli import main
 
 
@@ -29,6 +31,22 @@ def runner():
 def invoke(runner, *args):
     result = runner.invoke(main, list(args), catch_exceptions=False)
     return result
+
+
+def on_cpus(monkeypatch, n: int) -> list:
+    """This process may run on n CPUs from here on; returns the list of the
+    workers forked."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestBuildIntegral:
@@ -213,6 +231,80 @@ class TestOrbitCommands:
         assert section.stdout == orbit.stdout
 
 
+OVERFLOW_240 = "the state overflows in period 240; the orbit is unbounded"
+
+
+class TestIntegralDocument:
+    """build-integral reduces each order's coefficients as it writes that order,
+    the odd orders in a forked worker where the orders are large enough."""
+
+    @staticmethod
+    def _written(runner, tmp_path, order: int, *extra) -> bytes:
+        out = tmp_path / "phi.json"
+        res = invoke(runner, "build-integral", "--order", str(order), "--out", str(out), *extra)
+        assert res.exit_code == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("order, workers", [(6, 0), (28, 1), (40, 1)])
+    def test_large_documents_are_written_by_two_processes(self, runner, tmp_path, monkeypatch,
+                                                          order, workers):
+        one = self._written(runner, tmp_path, order)
+        forks = on_cpus(monkeypatch, 2)
+        assert self._written(runner, tmp_path, order) == one
+        assert len(forks) == workers
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_writing_order_40_makes_no_fraction(self, runner, tmp_path, monkeypatch,
+                                                fractions_made, n_cpus):
+        built, build = [], builder.build_integral
+
+        def kept(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(builder, "build_integral", kept)
+        on_cpus(monkeypatch, n_cpus)
+        self._written(runner, tmp_path, 40, "--conics-out", str(tmp_path / "c.csv"))
+        [phi] = built
+        assert not any(fractions_made(s) for q in phi.orders[1:] for s in (q.cxx, q.cyy, q.cxy))
+
+    @pytest.mark.parametrize("at", [0, 7, 19])
+    def test_a_worker_killed_part_way_changes_no_byte(self, runner, tmp_path, monkeypatch, at):
+        # the worker writes the 20 odd orders; it is killed as it starts its at-th,
+        # and this process writes that order and every later one itself
+        one = self._written(runner, tmp_path, 40)
+        parent, convert, started = os.getpid(), QuadFormSeries.to_json_obj, []
+
+        def dying(q):
+            if os.getpid() != parent:
+                if len(started) == at:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                started.append(q)
+            return convert(q)
+
+        monkeypatch.setattr(QuadFormSeries, "to_json_obj", dying)
+        forks = on_cpus(monkeypatch, 2)
+        assert self._written(runner, tmp_path, 40) == one
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("why", ["one-cpu", "a-thread"])
+    def test_nothing_forks(self, runner, tmp_path, monkeypatch, why):
+        forks = on_cpus(monkeypatch, 1 if why == "one-cpu" else 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "a-thread":
+            thread.start()
+        try:
+            text = self._written(runner, tmp_path, 40)
+        finally:
+            stop.set()
+            if why == "a-thread":
+                thread.join(timeout=10)
+        assert forks == [] and not thread.is_alive()
+        monkeypatch.undo()
+        assert text == self._written(runner, tmp_path, 40)
+
+
 class TestStreamedOutput:
     """Every --out is written as it is formatted, through the atomic writer."""
 
@@ -246,6 +338,24 @@ class TestStreamedOutput:
                                   "the orbit is unbounded\n")
             assert os.listdir(tmp_path) == ([out.name] if exists else [])
             assert not exists or out.read_text() == "old\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args, error", [
+        (["distances", "--r-escape", "-1"],
+         "the escape radius must be positive and finite, got -1.0"),
+        (["distances", "--epsilon", "1", "--periods", "5000"], OVERFLOW_240),
+        (["section", "--epsilon", "1", "--periods", "5000"], OVERFLOW_240),
+        (["energy", "--epsilon", "1", "--periods", "5000"], OVERFLOW_240),
+    ], ids=["distances-radius", "distances-overflow", "section-overflow", "energy-overflow"])
+    def test_the_first_block_is_checked_before_the_path(self, runner, tmp_path, args, error,
+                                                        fmt):
+        # the first piece of a table holds its first block, which the writer reads
+        # before it makes the temp file: bad input there is named, not the path
+        res = invoke(runner, *args, "--format", fmt,
+                     "--out", str(tmp_path / "missing" / f"o.{fmt}"))
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: {error}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_no_worker_outlives_its_command(self, runner, tmp_path, monkeypatch):
         # a table of more than one block forks a worker on a host with two CPUs;

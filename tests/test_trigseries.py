@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_integrals.trigseries import (COS, SIN, FrequencyBase, TrigSeries,
+from mathieu_integrals import SystemParams, build_integral
+from mathieu_integrals.trigseries import (COS, SIN, FrequencyBase, TrigSeries, _float_table,
                                           as_rational)
 
 BASE = FrequencyBase(F(2), F(9, 10))
@@ -223,6 +224,63 @@ class TestSerialization:
         gens = [o.get("generators") for o in objs]
         assert {"c0": 1, "s0": 0} in gens
         assert any(g is None for g in gens)
+
+
+# -- numerator-backed series: integers over one denominator ----------------------
+
+def _bits(most: int):
+    """Positive integers of up to ``most`` bits, spread over the bit lengths."""
+    return st.integers(1, most).flatmap(lambda b: st.integers(2 ** (b - 1), 2 ** b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bits(2000), _bits(2000), _bits(2000), st.booleans())
+def test_numerators_divide_and_reduce_as_fractions_do(fractions_made, a, d, g, negative):
+    # n and den share the factor g, up to about 4,000 bits each
+    n, den = (-a if negative else a) * g, d * g
+    series = TrigSeries._from_numerators(BASE, {(0, 1, 0, COS, 0, 0): n}, den)
+    want = F(n, den)
+    try:
+        expected = float(want).hex()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _float_table(series)
+    else:
+        # int true division is correctly rounded, as float(Fraction(n, den)) is
+        assert (n / den).hex() == _float_table(series)[0][-1].hex() == expected
+    [term] = series.to_json_terms()
+    assert (term["num"], term["den"]) == (want.numerator, want.denominator)
+    assert not fractions_made(series)
+
+
+def test_numerator_backed_orders_agree_with_fraction_backed(fractions_made):
+    phi = build_integral(SystemParams(F(2), F(9, 10), 0.1), 12)
+    for q in phi.orders[1:]:
+        for backed in (q.cxx, q.cyy, q.cxy):
+            nums, den = backed._numerators
+
+            def fresh():
+                return TrigSeries._from_numerators(backed.base, nums, den)
+
+            exact = TrigSeries(backed.base, ((key, F(n, den)) for key, n in nums.items()))
+            # read without a Fraction: the float table in storage order, the JSON
+            # terms and the keys
+            s = fresh()
+            assert _float_table(s) == _float_table(exact)
+            assert s.to_json_terms() == exact.to_json_terms()
+            assert (s.is_zero, s.max_secular_degree(), s.max_harmonic(), s.m_values()) == (
+                exact.is_zero, exact.max_secular_degree(), exact.max_harmonic(),
+                exact.m_values())
+            assert not fractions_made(s)
+            # each exact access makes the Fractions on its own
+            assert fresh().terms() == exact.terms()
+            s = fresh()
+            assert [s.coefficient(*key) for key, _ in exact.terms()] == [
+                c for _, c in exact.terms()]
+            assert fresh() == exact and hash(fresh()) == hash(exact)
+            assert fresh().pretty() == exact.pretty()
+            assert fresh() * fresh() == exact * exact
+            assert (fresh() - exact).is_zero and fractions_made(s)
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
