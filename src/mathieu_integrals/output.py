@@ -28,6 +28,7 @@ orbit and of a section from their samples, as references for those tables.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -163,6 +164,7 @@ def _formatted(items: Iterable, parts_of: Callable[[list], _Parts | None], per_b
         if pid:
             pipe.close()
             os.waitpid(pid, 0)
+            gc.unfreeze()
 
 
 def _may_fork() -> bool:
@@ -176,13 +178,20 @@ def _may_fork() -> bool:
 def _fork(planned: Iterator[tuple[list, _Parts | None]]):
     """(pid, read end of the pipe) of a worker sending the second part of each
     block with parts, or (None, None) if no pipe or process is to be had.  The
-    worker leaves by os._exit: it flushes no buffer copied from this process."""
+    worker leaves by os._exit: it flushes no buffer copied from this process.
+    The objects of this process stay out of the cyclic collector until the
+    caller has reaped the worker (``gc.freeze``, undone by ``gc.unfreeze``):
+    a full collection in either process would otherwise write to the header
+    of every object and so copy every page the two share: 10-14 ms, at points
+    set by the allocations before it, in a 27 MB process on a 2-CPU x86-64 VM."""
     global _in_worker
     fds = ()
     try:
         fds = read_fd, write_fd = os.pipe()
+        gc.freeze()
         pid = os.fork()
     except OSError:
+        gc.unfreeze()
         for fd in fds:
             os.close(fd)
         return None, None

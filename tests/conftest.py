@@ -1,6 +1,7 @@
 """Shared fixtures: expensive orbits, builds and boundary locations are
 computed once per session and reused across test modules."""
 
+import gc
 import os
 from fractions import Fraction
 
@@ -17,10 +18,12 @@ settings.load_profile("print-blob")
 
 
 @pytest.fixture(autouse=True)
-def no_child_process_left():
+def no_worker_left_behind():
     """Fail a test that leaves a child process behind, running or unreaped, such as
-    a forked output worker that some way out of a command does not reap."""
+    a forked output worker that some way out of a command does not reap, or that
+    leaves objects out of the cyclic collector (``gc.freeze`` around a worker)."""
     yield
+    assert gc.get_freeze_count() == 0, "objects left frozen out of the collector"
     left = []
     while True:
         try:

@@ -543,8 +543,8 @@ def test_a_worker_that_dies_part_way_changes_no_byte(at):
     _no_worker_left()
 
 
-@pytest.mark.parametrize("why", ["one-cpu", "no-fork", "no-affinity-one-cpu", "a-thread",
-                                 "in-a-worker"])
+@pytest.mark.parametrize("why", ["one-cpu", "no-fork", "fork-fails", "no-affinity-one-cpu",
+                                 "a-thread", "in-a-worker"])
 def test_nothing_forks(why, monkeypatch):
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
     want = _references(header, rows)
@@ -552,6 +552,8 @@ def test_nothing_forks(why, monkeypatch):
     with cpus(1 if why == "one-cpu" else 2) as forks:
         if why == "no-fork":
             monkeypatch.delattr(os, "fork")
+        elif why == "fork-fails":  # no process to be had: the same bytes from this one
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(11, "no process")))
         elif why == "no-affinity-one-cpu":
             monkeypatch.delattr(os, "sched_getaffinity")
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
