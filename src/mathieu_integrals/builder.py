@@ -42,10 +42,10 @@ whose ``to_json_obj`` reduces each coefficient by one gcd, so no order
 of 1 or more makes a Fraction until something reads it exactly.
 ``FormalIntegral.json_document`` hands the orders to
 ``output.json_chunks`` unconverted, which reduces each one as it writes
-it, the odd orders in a second process for a large document: of the
-order-40 command's 143 ms in process, the recursion takes about 50 ms,
-where building the orders took about 128 ms when each coefficient became
-a Fraction as it was built.
+it, the orders past half of the numerator bits in a second process for
+a large document: of the order-40 command's 119 ms in process, the
+recursion takes about 50 ms, where building the orders took about 128 ms
+when each coefficient became a Fraction as it was built.
 """
 
 from __future__ import annotations

@@ -76,12 +76,14 @@ def format_option(fn):
                         help="Tabular output format.")(fn)
 
 
-def _n_periods(params: builder.SystemParams, periods: int, time_: float | None) -> int:
-    if time_ is None:
-        return periods
-    if not (math.isfinite(time_) and time_ > 0):
-        raise InvalidInput("--time must be positive and finite")
-    return max(1, math.ceil(time_ / params.period))
+def _orbit(params: builder.SystemParams, x0: float, y0: float, periods: int,
+           time_: float | None, samples: int = 1):
+    """The orbit's ``orbit_blocks`` over --periods or --time, and its number of rows."""
+    if time_ is not None:
+        if not (math.isfinite(time_) and time_ > 0):
+            raise InvalidInput("--time must be positive and finite")
+        periods = max(1, math.ceil(time_ / params.period))
+    return dynamics.orbit_blocks(params, x0, y0, periods, samples), periods * samples + 1
 
 
 def _write(path: str | None, chunks):
@@ -142,10 +144,9 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     params = _params(omega, omega1, epsilon)
-    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_),
-                                   samples_per_period=samples)
+    blocks, n = _orbit(params, x0, y0, periods, time_, samples)
     _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks),
-                                      format_))
+                                      format_, n))
 
 
 @main.command("section")
@@ -156,8 +157,9 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, 
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)  # the section is the one-sample orbit
-    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_))
-    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks), format_))
+    blocks, n = _orbit(params, x0, y0, periods, time_)
+    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks),
+                                      format_, n))
 
 
 @main.command("distances")
@@ -172,7 +174,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     Escape runs annotate the first period index beyond the threshold.
     """
     params = _params(omega, omega1, epsilon)
-    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_))
+    blocks, n = _orbit(params, x0, y0, periods, time_)
     reports = []  # one per block, up to the first block in which the orbit escaped
 
     def rows():
@@ -183,7 +185,11 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
                 yield k, t, d, r
 
     def chunks():
-        yield from output.tabular_chunks(("k", "t", "d", "r"), rows(), format_)
+        table = rows()
+        yield from output.tabular_chunks(("k", "t", "d", "r"), table, format_, n)
+        for _ in table:  # rows a forked worker formatted, up to the escape this process checks
+            if reports[-1].escaped:
+                break
         if reports[-1].escaped and format_ == "csv":
             yield f"# escaped at k={reports[-1].k_escape}\n"
 
@@ -198,9 +204,9 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
-    blocks = dynamics.orbit_blocks(params, x0, y0, _n_periods(params, periods, time_))
+    blocks, n = _orbit(params, x0, y0, periods, time_)
     rows = ((k, t, x, E) for k, t, x, _, E, _, _ in chain.from_iterable(blocks))
-    _write(out, output.tabular_chunks(("k", "t", "x", "E"), rows, format_))
+    _write(out, output.tabular_chunks(("k", "t", "x", "E"), rows, format_, n))
 
 
 @main.command("critical-eps")

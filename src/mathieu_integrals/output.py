@@ -5,25 +5,24 @@ runs produce byte-identical output.  Each format has one encoder, a
 generator of pieces (``csv_chunks``, ``json_chunks``, ``tabular_chunks``)
 that ``columns_csv``, ``json_text``, ``columns_json`` and ``tabular``
 join; a block of table rows is one ``%`` per row by a template built once
-per block.  A table of more than one block (CSV, or a JSON list whose first
-block takes a row template) is formatted on two CPUs where the process may
-use two and runs no other thread: a forked worker, a copy-on-write copy of
-this process that iterates its own copy of the rows, formats the second half
-of every block (``_formatted``).  An integral's orders, handed over as
-QuadFormSeries (``FormalIntegral.json_document``), are converted here as
-they are written, each coefficient reduced by one gcd; where their
-numerators hold at least ``_ORDERS_FORK_BITS`` bits (``build-integral``
-from order 26 at omega1 = 9/10) the same kind of worker writes the odd
-orders while this process writes the even ones: ``build-integral --order
-40 --out`` takes about 143 ms in process instead of 185 ms on one process.
-``atomic_write_chunks`` writes the pieces to a temp file as they are made
-and renames it after the last, so no command holds a whole document or
-table; a table's first piece is its head with its first block, read before
-the temp file is made, so bad input or an overflow there is named before
-an unwritable path.  An orbit sample is a table row:
-the CLI streams ``dynamics.orbit_blocks`` rows, and OrbitSamples format
-alike.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of an
-orbit and of a section from their samples, as references for those tables.
+per block, and a row's text does not depend on its block.  Where the
+process may use two CPUs and runs no other thread, a table of more than two
+blocks whose number of rows is known (a list, or a count the caller gives,
+as the CLI does for an orbit) is split at its middle row (``_formatted``):
+this process formats the head while a forked worker, a copy-on-write copy
+that iterates its own copy of the rows, formats the tail into an unlinked
+spool file that this process then appends.  An integral's orders, handed
+over as QuadFormSeries (``FormalIntegral.json_document``), are converted
+as they are written, each coefficient reduced by one gcd, and split the
+same way where their numerators hold at least ``_ORDERS_FORK_BITS`` bits,
+at the order where the cumulative bits reach half.  ``atomic_write_chunks``
+writes the pieces to a temp file as they are made and renames it after the
+last, so no command holds a whole document or table; a table's first piece
+is its head with its first block, read before the temp file is made, so bad
+input or an overflow there is named before an unwritable path.  An orbit
+sample is a table row, and OrbitSamples format alike; ``trajectory_rows``
+and ``section_rows`` rebuild the rows of an orbit and of a section from
+their samples, as references for those tables.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 import os
 import tempfile
 import threading
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -116,45 +115,29 @@ def json_chunks(obj) -> Iterator[str]:
 
 _DEPTH = 3  # the levels whose containers json_chunks splits into pieces
 _BLOCK = 1024  # the items of a list, or the rows of a table, in one block
+_SPOOL_PIECE = 1 << 16  # the characters of a worker's text appended as one piece
 _in_worker = False  # set in a worker, which forks none of its own
 
 
-#: part(lo, hi) is the text of a block's items lo..hi, and part(0, h) + part(h, n) the whole
-_Parts = Callable[[int, int], str]
+_Pieces = Callable[[list, int], Iterable[str]]  # pieces(block, i): text of items i, i + 1, ...
 
 
-def _formatted(items: Iterable, parts_of: Callable[[list], _Parts | None], per_block: int = 0,
-               worth_a_worker: bool = True) -> Iterator[str | list]:
-    """The text part(0, n) of each block of up to ``per_block`` (else ``_BLOCK``) items,
-    part = parts_of(block), or the block itself where that is None.  Where the
-    items make more than one block, the first has parts, ``worth_a_worker``
-    holds and ``_may_fork`` allows, a forked worker sends part(h, n), h = n -
-    n // 2, of each block through a pipe while this process formats part(0, h).
-    The worker iterates its own copy of ``items``, so they must come out the
-    same in both processes (a list, or a generator that computes them).  If the
-    worker fails or stops sending, this process formats the rest itself; the
-    worker is reaped on every way out."""
+def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None) -> Iterator[str]:
+    """The pieces of each block of up to ``_BLOCK`` items.  Where a split point ``h``
+    is given and ``_may_fork`` allows, a worker (``_fork``) spools the pieces of
+    items h, h + 1, ... (the tail) while this process yields the head's; once the
+    worker reports its spool whole, this process yields it ``_SPOOL_PIECE`` characters
+    at a time, else it goes on with its own items from h, so an error comes from the
+    same item as on one process.  The worker is reaped and the spool closed on every way out."""
     items = iter(items)
-    blocks = iter(lambda: list(islice(items, per_block or _BLOCK)), [])
-    planned = ((block, parts_of(block)) for block in blocks)
-    ahead = list(islice(planned, 1))
-    more = list(islice(items, 1))  # a second block's first item, if there is one
-    items = chain(more, items)  # which ``blocks`` reads next
-    planned, pid, pipe = chain(iter(ahead), planned), None, None
-    if more and ahead[0][1] is not None and worth_a_worker and _may_fork():
-        pid, pipe = _fork(planned)
-    del ahead  # so the first block is freed after its turn (an iterator of it, not it)
+    pid, spool, done = _fork(items, pieces, h) if h and _may_fork() else (None, None, None)
     try:
-        for block, part in planned:
-            n = len(block)
-            h = n - n // 2 if pipe else n
-            text = part(0, h) if part else None
-            if part and h < n:  # the worker's part: its byte length, then its UTF-8 bytes
-                size = int.from_bytes(pipe.read(8), "little")
-                data = pipe.read(size)
-                text += data.decode() if size and len(data) == size else part(h, n)
-            yield text if part else block
-            text = data = None  # freed before the next block is formatted
+        yield from _blocks(islice(items, h) if pid else items, pieces, 0)
+        if pid and os.read(done, 1):  # the worker's one byte, or b"" once it is gone
+            spool.seek(0)
+            yield from iter(lambda: spool.read(_SPOOL_PIECE), "")
+        elif pid:
+            yield from _blocks(items, pieces, h)
     except BaseException:
         if pid:
             import signal  # only here: it takes a millisecond to import
@@ -162,9 +145,17 @@ def _formatted(items: Iterable, parts_of: Callable[[list], _Parts | None], per_b
         raise
     finally:
         if pid:
-            pipe.close()
             os.waitpid(pid, 0)
+            os.close(done)
+            spool.close()
             gc.unfreeze()
+
+
+def _blocks(items: Iterator, pieces: _Pieces, i: int) -> Iterator[str]:
+    """The pieces of each block of up to ``_BLOCK`` of the items, the first item i."""
+    for block in iter(lambda: list(islice(items, _BLOCK)), []):
+        yield from pieces(block, i)
+        i += len(block)
 
 
 def _may_fork() -> bool:
@@ -175,40 +166,47 @@ def _may_fork() -> bool:
             and len(affinity(0)) >= 2)
 
 
-def _fork(planned: Iterator[tuple[list, _Parts | None]]):
-    """(pid, read end of the pipe) of a worker sending the second part of each
-    block with parts, or (None, None) if no pipe or process is to be had.  The
-    worker leaves by os._exit: it flushes no buffer copied from this process.
-    The objects of this process stay out of the cyclic collector until the
-    caller has reaped the worker (``gc.freeze``, undone by ``gc.unfreeze``):
-    a full collection in either process would otherwise write to the header
-    of every object and so copy every page the two share: 10-14 ms, at points
-    set by the allocations before it, in a 27 MB process on a 2-CPU x86-64 VM."""
+def _fork(items: Iterator, pieces: _Pieces, h: int):
+    """(pid, spool, read end of a pipe) of a worker that iterates its own copy of the
+    items (a list, or a generator that computes them alike), spools the pieces of
+    those from h on to an unlinked temp file, then writes one byte to the pipe and
+    leaves by os._exit; or (None, None, None) if no file, pipe or process is to be
+    had.  This process's objects stay out of the cyclic collector (``gc.freeze``)
+    until the worker is reaped: a full collection would write to every object's
+    header and copy every shared page (10-14 ms in a 27 MB process on 2 CPUs)."""
     global _in_worker
-    fds = ()
+    spool, fds = None, ()
     try:
-        fds = read_fd, write_fd = os.pipe()
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+        fds = done, ready = os.pipe()
         gc.freeze()
         pid = os.fork()
     except OSError:
         gc.unfreeze()
         for fd in fds:
             os.close(fd)
-        return None, None
+        if spool:
+            spool.close()
+        return None, None, None
     if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
+        os.close(ready)
+        return pid, spool, done
     try:
         _in_worker = True
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            for block, part in planned:
-                if part is not None and (n := len(block)) > 1:
-                    data = part(n - n // 2, n).encode()
-                    pipe.write(len(data).to_bytes(8, "little") + data)
-                    pipe.flush()
+        os.close(done)
+        next(islice(items, h, h), None)  # the head, iterated but not formatted
+        spool.writelines(_blocks(items, pieces, h))
+        spool.flush()
+        os.write(ready, b"\1")
     finally:
         os._exit(0)
+
+
+def _half(rows: Iterable, length: int | None) -> int | None:
+    """The middle row of a table of over two blocks (len(rows), else ``length`` rows): a
+    worker costs 2-3 ms at 28 MB on 2 CPUs, which a 64-sample orbit repays from ~1,500 rows."""
+    n = len(rows) if type(rows) in (list, tuple) else length or 0
+    return n - n // 2 if n > 2 * _BLOCK else None
 
 
 def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
@@ -226,47 +224,42 @@ def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
         yield _encode(obj, level, templates)
 
 
-def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
-    """A JSON list of any iterable's items, a block at a time; a list or tuple
-    of an integral's orders (QuadFormSeries) goes two orders at a time, a
-    worker taking the odd ones where their numerators hold at least
-    ``_ORDERS_FORK_BITS`` bits (``_order_parts``)."""
-    head, outer = "[", "\n" + "  " * (level + 1)
+def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
+                 h: int | None = None) -> Iterator[str]:
+    """A JSON list of any iterable's items, a block at a time, split at ``h`` between
+    two processes (``_formatted``).  A list or tuple of an integral's orders
+    (QuadFormSeries) goes an order at a time, each converted to its JSON object
+    (``QuadFormSeries.to_json_obj``, which reduces its coefficients) as it is
+    formatted, split at the first order where the cumulative numerator bits reach
+    half of all, if all reach ``_ORDERS_FORK_BITS``."""
+    outer, convert = "\n" + "  " * (level + 1), None
     if type(items) in (list, tuple) and items and all(
             type(q) is QuadFormSeries for q in items):
-        bits = sum(s._numerator_bits() for q in items for s in (q.cxx, q.cyy, q.cxy))
-        pieces = _formatted(items, lambda pair: _order_parts(pair, level, templates), 2,
-                            bits >= _ORDERS_FORK_BITS)
-    else:
-        pieces = _formatted(items, lambda rows: _table(rows, level))
-    for piece in pieces:
-        if type(piece) is str:  # a block's table
-            yield head + outer + piece
-            head = ","
-        else:
-            for item in piece:
-                yield head + outer
-                yield from _chunks(item, level + 1, templates)
-                head = ","
-    yield "[]" if head == "[" else "\n" + "  " * level + "]"
+        bits = list(accumulate(sum(s._numerator_bits() for s in (q.cxx, q.cyy, q.cxy))
+                               for q in items))
+        convert = QuadFormSeries.to_json_obj
+        h = (next(i for i, b in enumerate(bits) if 2 * b >= bits[-1])
+             if bits[-1] >= _ORDERS_FORK_BITS else None)
+
+    def pieces(block: list, i: int) -> Iterator[str]:
+        if (table := _table(block, level)) is not None:
+            yield ("," if i else "[") + outer + table
+            return
+        for i, item in enumerate(block, i):
+            yield ("," if i else "[") + outer
+            yield from _chunks(convert(item) if convert else item, level + 1, templates)
+
+    empty = True
+    for piece in _formatted(items, pieces, h):
+        yield piece
+        empty = False
+    yield "[]" if empty else "\n" + "  " * level + "]"
 
 
-#: the numerator bits of an integral's orders from which two processes write them.
-#: The fork, the worker's start and its reaping cost about 5 ms, which the odd
-#: orders repay from about order 24 at omega1 = 9/10 (695,492 bits: 38.8 ms on one
-#: process and on two; order 26 holds 944,992 bits, order 28 1,255,992)
+#: the numerator bits of an integral's orders from which two processes write them: the
+#: worker's 5 ms (fork, start, reaping) is repaid from about order 24 at omega1 = 9/10
+#: (695,492 bits; order 26 holds 944,992 bits, order 28 1,255,992)
 _ORDERS_FORK_BITS = 800_000
-
-
-def _order_parts(orders: list[QuadFormSeries], level: int, templates: dict[tuple, tuple]
-                 ) -> _Parts:
-    """The parts of a block of orders at ``level`` + 1, each converted to its JSON
-    object (``QuadFormSeries.to_json_obj``, which reduces its coefficients) as it
-    is formatted: the cost of an order grows steeply with its number, so the
-    two processes take alternate ones."""
-    comma = ",\n" + "  " * (level + 1)
-    return lambda lo, hi: (comma if lo else "") + comma.join(
-        "".join(_chunks(q.to_json_obj(), level + 1, templates)) for q in orders[lo:hi])
 
 
 def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
@@ -293,8 +286,8 @@ def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     return text % tuple(args)
 
 
-def _table(rows: list, level: int) -> _Parts | None:
-    """The parts of the rows joined at ``level`` + 1 by one row template, or None."""
+def _table(rows: list, level: int) -> str | None:
+    """The rows joined at ``level`` + 1 by one row template, or None."""
     if not (all(isinstance(row, (tuple, list)) for row in rows) and rows[0]
             and len(set(map(len, rows))) == 1):
         return None
@@ -308,9 +301,8 @@ def _table(rows: list, level: int) -> _Parts | None:
         else:
             return None
     outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    template, comma = "[" + inner + ("," + inner).join(slots) + outer + "]", "," + outer
-    return lambda lo, hi: (comma if lo else "") + comma.join(
-        map(template.__mod__, map(tuple, rows[lo:hi])))
+    template = "[" + inner + ("," + inner).join(slots) + outer + "]"
+    return ("," + outer).join(map(template.__mod__, map(tuple, rows)))
 
 
 def _template(obj: dict, level: int, keys: tuple) -> tuple:
@@ -355,20 +347,22 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
     return "".join(csv_chunks(header, rows))
 
 
-def csv_chunks(header: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
+def csv_chunks(header: Sequence[str], rows: Iterable[tuple],
+               length: int | None = None) -> Iterator[str]:
     """The text of columns_csv(header, rows): the header line with the first
-    block, then one piece per later block of up to ``_BLOCK`` rows of any
-    iterable that a forked copy of this process iterates alike
-    (``_formatted``).  A block of rows of one length whose columns each hold
-    only str and int cells or only other cells takes one ``%`` template; in
-    any other block each row takes its own."""
-    yield from _with_head(",".join(header) + "\n", _formatted(rows, _csv_parts))
+    block, then one piece per later block of up to ``_BLOCK`` rows.  A block of
+    rows of one length whose columns each hold only str and int cells or only
+    other cells takes one ``%`` template; in any other block each row takes its
+    own.  A table of more than two blocks whose number of rows is known (the
+    len() of a list or tuple, else ``length``) may be split between two
+    processes that each iterate the rows (``_formatted``)."""
+    yield from _with_head(",".join(header) + "\n", _formatted(
+        rows, lambda block, i: (_csv_text(block),), _half(rows, length)))
 
 
 def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
-    """``head`` joined to the first of the pieces, then the rest: a table's first
-    piece holds its first block, so ``atomic_write_chunks`` reads that block
-    before it creates the file."""
+    """``head`` joined to the first of the pieces, then the rest: ``atomic_write_chunks``
+    reads a table's first block before it creates the file."""
     try:
         yield head + next(pieces, "")
         yield from pieces
@@ -376,11 +370,11 @@ def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
         pieces.close()
 
 
-def _csv_parts(block: list[tuple]) -> _Parts:
-    """The parts of a block's lines: by its one template, or each row by its own."""
+def _csv_text(block: list[tuple]) -> str:
+    """A block's lines: by its one template, or each row by its own."""
     if (template := _csv_template(block)) is None:
-        return lambda lo, hi: "".join(_csv_template([row]) % row + "\n" for row in block[lo:hi])
-    return lambda lo, hi: "\n".join(map(template.__mod__, block[lo:hi])) + "\n"
+        return "".join(_csv_template([row]) % row + "\n" for row in block)
+    return "\n".join(map(template.__mod__, block)) + "\n"
 
 
 def _csv_template(rows: list[tuple]) -> str | None:
@@ -408,14 +402,14 @@ def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
     return columns_csv(header, rows)
 
 
-def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str) -> Iterator[str]:
+def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str,
+                   length: int | None = None) -> Iterator[str]:
     """The text of tabular(header, rows, format) in pieces, a block of rows
-    at a time, the head with the first block, from any iterable of rows that
-    a forked copy iterates alike."""
+    at a time, the head with the first block; ``length`` as for csv_chunks."""
     if format != "json":
-        yield from csv_chunks(header, rows)
+        yield from csv_chunks(header, rows, length)
         return
     templates: dict[tuple, tuple] = {}
     yield from _with_head('{\n  "columns": ' + _encode(list(header), 1, templates)
-                          + ',\n  "rows": ', _list_chunks(rows, 1, templates))
+                          + ',\n  "rows": ', _list_chunks(rows, 1, templates, _half(rows, length)))
     yield "\n}\n"

@@ -17,13 +17,31 @@ settings.register_profile("print-blob", print_blob=True)
 settings.load_profile("print-blob")
 
 
+def _unlinked_files() -> set[str]:
+    """The files this process holds open that have no name (Linux only): an output
+    worker's spool is one while its table is written."""
+    fds = "/proc/self/fd"
+    found = set()
+    for fd in os.listdir(fds) if os.path.isdir(fds) else ():
+        try:
+            target = os.readlink(os.path.join(fds, fd))
+        except OSError:  # the descriptor of the listing itself, closed by now
+            continue
+        if target.endswith(" (deleted)"):
+            found.add(target)
+    return found
+
+
 @pytest.fixture(autouse=True)
 def no_worker_left_behind():
     """Fail a test that leaves a child process behind, running or unreaped, such as
-    a forked output worker that some way out of a command does not reap, or that
-    leaves objects out of the cyclic collector (``gc.freeze`` around a worker)."""
+    a forked output worker that some way out of a command does not reap, that
+    leaves objects out of the cyclic collector (``gc.freeze`` around a worker) or
+    that leaves a file open that has no name (a worker's spool)."""
+    before = _unlinked_files()
     yield
     assert gc.get_freeze_count() == 0, "objects left frozen out of the collector"
+    assert not _unlinked_files() - before, "a spool left open"
     left = []
     while True:
         try:

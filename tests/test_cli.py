@@ -236,7 +236,8 @@ OVERFLOW_240 = "the state overflows in period 240; the orbit is unbounded"
 
 class TestIntegralDocument:
     """build-integral reduces each order's coefficients as it writes that order,
-    the odd orders in a forked worker where the orders are large enough."""
+    in a forked worker from the order at which the numerator bits reach half,
+    where the orders are large enough."""
 
     @staticmethod
     def _written(runner, tmp_path, order: int, *extra) -> bytes:
@@ -268,10 +269,10 @@ class TestIntegralDocument:
         [phi] = built
         assert not any(fractions_made(s) for q in phi.orders[1:] for s in (q.cxx, q.cyy, q.cxy))
 
-    @pytest.mark.parametrize("at", [0, 7, 19])
+    @pytest.mark.parametrize("at", [0, 3, 6])
     def test_a_worker_killed_part_way_changes_no_byte(self, runner, tmp_path, monkeypatch, at):
-        # the worker writes the 20 odd orders; it is killed as it starts its at-th,
-        # and this process writes that order and every later one itself
+        # the worker writes orders 34 to 40, where the numerator bits reach half; it is
+        # killed as it starts its at-th, and this process writes all seven itself
         one = self._written(runner, tmp_path, 40)
         parent, convert, started = os.getpid(), QuadFormSeries.to_json_obj, []
 
@@ -358,7 +359,7 @@ class TestStreamedOutput:
         assert os.listdir(tmp_path) == []
 
     def test_no_worker_outlives_its_command(self, runner, tmp_path, monkeypatch):
-        # a table of more than one block forks a worker on a host with two CPUs;
+        # a table of more than two blocks forks a worker on a host with two CPUs;
         # the command reaps it, also when the orbit overflows part way
         forks, fork = [], os.fork
 
@@ -410,14 +411,18 @@ class TestStreamedOutput:
         # r first passes the radius at k = 13717, deep in the stream
         ("distances", "csv", ("--x0", "0.5", "--y0", "0", "--r-escape", "0.8147323135"))],
         ids=["csv", "json", "section-csv", "energy-json", "distances-json", "distances-csv"])
-    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, command, fmt, start):
+    def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, monkeypatch, command,
+                                                  fmt, start):
         # the whole table would hold about 280 B a row and its text as much again:
-        # about 14 MB at 20,001 rows when formatted whole
+        # about 14 MB at 20,001 rows when formatted whole.  On two CPUs a worker
+        # formats rows 10,001 to 20,000, so the escape at k = 13717 is in its tail
         out = tmp_path / f"o.{fmt}"
         samples = ["--samples", "1"] if command == "orbit" else []
+        forks = on_cpus(monkeypatch, 2)
         peak = self._peak_mb(runner, command, "--periods", "20000", *samples, *start,
                              "--format", fmt, "--out", str(out))
         assert peak < 2.0
+        assert len(forks) == 1 + (command == "orbit")  # and the warm-up orbit's 6401 rows
         # the bytes of the section list the commands built before they streamed
         x0, y0 = (0.5, 0.0) if start else (0.0, 1.0)
         pts = stroboscopic_section(SystemParams(F(2), F(9, 10), 0.1), x0, y0, 20000)

@@ -14,7 +14,9 @@ import json
 import math
 import os
 import re
+import signal
 import stat
+import tempfile
 import threading
 from fractions import Fraction as F
 from typing import Iterable, Sequence
@@ -412,7 +414,7 @@ def _tables_at_block_sizes(header, rows, n_cpus):
                 "".join(output.tabular_chunks(header, iter(rows), "json")),
                 output.json_text(doc), output.json_text({"a": [rows, 1]}))):
             assert got == (csv, csv, csv, table, table, table, table, nested)
-    assert bool(forks) == (n_cpus > 1 and len(rows) > 1)
+    assert bool(forks) == (n_cpus > 1 and len(rows) > 2)  # over two blocks of one row
     _no_worker_left()
 
 
@@ -444,17 +446,24 @@ _BASE = [(i, 0.5 * i, f"s{i}") for i in range(10)]
         "huge-int", "last-row", "ragged", "empty-rows", "empty"])
 def test_column_type_changes_across_a_block_boundary(rows):
     _tables_at_block_sizes(("a", "b", "c"), rows, n_cpus=2)
-    with cpus(2):
-        pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
-    # the header line with the first block, then one piece per later block
-    assert [len(p) for p in pieces] == [max(1, -(-len(rows) // size)) for size in BLOCK_SIZES]
+    for n_cpus in (1, 2):
+        with cpus(n_cpus):
+            pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
+        # the header line with the first block, then one piece per later block; on two
+        # CPUs a table of more than two blocks goes so up to its split point h and the
+        # worker's spool is one more piece
+        n, h = len(rows), len(rows) - len(rows) // 2
+        assert [len(p) for p in pieces] == [
+            -(-h // size) + 1 if n_cpus == 2 and n > 2 * size else max(1, -(-n // size))
+            for size in BLOCK_SIZES]
 
 
 def test_orbit_tables_go_out_a_block_at_a_time():
     rows = orbit_rows(P, 0.03, 0.97, 50, 64)  # 3201 rows: four blocks
     header = output.ORBIT_COLUMNS
-    csv = list(output.tabular_chunks(header, rows, "csv"))
-    js = list(output.tabular_chunks(header, iter(rows), "json"))
+    with cpus(1):
+        csv = list(output.tabular_chunks(header, rows, "csv"))
+        js = list(output.tabular_chunks(header, iter(rows), "json", len(rows)))
     assert len(csv) == 4 and len(js) == 4 + 2  # the head with the first block, blocks, both ends
     assert "".join(csv) == columns_csv(header, rows)
     assert "".join(js) == dumps({"columns": list(header), "rows": [list(r) for r in rows]})
@@ -472,12 +481,12 @@ def test_documents_go_out_an_item_at_a_time():
     assert max(map(len, pieces)) == max(map(len, at_level_3))
 
 
-# -- two processes: a forked worker formats the second half of every block -----
+# -- two processes: this one formats the head of a table, a forked worker the tail
 
 def _mixed_rows(n: int) -> list[tuple]:
     """Rows of str (not all ASCII), int and float cells, with a few ragged rows
     and a bool, so some blocks take their template row by row."""
-    rows = [(i, 0.1 * i, "\u00e9" * (i % 3)) for i in range(n)]
+    rows = [(i, 0.1 * i, "é" * (i % 3)) for i in range(n)]
     rows[n // 2] = (True, 1.5)
     rows[n // 3] = (1, 2.5, "x", 3.5)
     return rows
@@ -490,24 +499,29 @@ def _references(header, rows) -> tuple[str, str]:
 
 
 def _tables(header, rows) -> tuple[str, str]:
-    """CSV and JSON from an iterator of the rows, which the worker copies."""
-    return (output.columns_csv(header, iter(rows)),
-            "".join(output.tabular_chunks(header, iter(rows), "json")))
+    """CSV from the list of rows and JSON from an iterator of them with their
+    number: each a table of known length, whose rows the worker copies."""
+    return (output.columns_csv(header, rows),
+            "".join(output.tabular_chunks(header, iter(rows), "json", len(rows))))
 
 
-TWO_PROCESS_CASES = {  # (rows, block size, workers forked per table)
-    "one-block": (lambda: orbit_rows(P, 0.03, 0.97, 15, 64), 1024, 0),  # 961 rows
-    "65-row-second-block": (lambda: orbit_rows(P, 0.03, 0.97, 17, 64), 1024, 1),
-    "many-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 80, 64), 1024, 1),  # 5121
-    "small-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 3, 64), 7, 1),
-    "mixed-cells": (lambda: _mixed_rows(3000), 1024, 1),
-    "mixed-small-blocks": (lambda: _mixed_rows(200), 7, 1),
+TWO_PROCESS_CASES = {  # (rows, block size, a worker per table)
+    "one-block": (lambda: orbit_rows(P, 0.03, 0.97, 15, 64), 1024, False),  # 961 rows
+    "a-block-and-a-row": (lambda: orbit_rows(P, 0.03, 0.97, 16, 64), 1024, False),  # 1025
+    "65-row-second-block": (lambda: orbit_rows(P, 0.03, 0.97, 17, 64), 1024, False),
+    "two-full-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 32, 64)[:2048], 1024, False),
+    "two-blocks-and-a-row": (lambda: orbit_rows(P, 0.03, 0.97, 32, 64), 1024, True),  # 2049
+    "many-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 80, 64), 1024, True),  # 5121
+    "small-blocks": (lambda: orbit_rows(P, 0.03, 0.97, 3, 64), 7, True),
+    # the JSON table of the mixed rows starts with a block that takes no row template
+    "mixed-cells": (lambda: _mixed_rows(3000), 1024, True),
+    "mixed-small-blocks": (lambda: _mixed_rows(200), 7, True),
 }
 
 
 @pytest.mark.parametrize("case", TWO_PROCESS_CASES)
 def test_two_process_tables_match_the_references(case, monkeypatch):
-    make, block, workers = TWO_PROCESS_CASES[case]
+    make, block, forked = TWO_PROCESS_CASES[case]
     monkeypatch.setattr(output, "_BLOCK", block)
     header, rows = ("k", "t", "x", "y", "E", "d", "r"), make()
     with cpus(1) as forks:
@@ -515,36 +529,63 @@ def test_two_process_tables_match_the_references(case, monkeypatch):
     assert forks == []
     with cpus(2) as forks:
         two = _tables(header, rows)
-    # the JSON table of the mixed rows starts with a block that takes no row template
-    assert len(forks) == workers * (1 if case.startswith("mixed") else 2)
+    assert len(forks) == 2 * forked  # the row count alone decides
     assert two == one == _references(header, rows)
     _no_worker_left()
 
 
-def _dying_in_the_worker(rows, at: int):
-    """The rows, but a forked copy of this generator ends its process at row ``at``."""
+def test_a_table_of_unknown_length_forks_nothing():
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
+    with cpus(2) as forks:
+        got = (output.columns_csv(header, iter(rows)), output.columns_json(header, iter(rows)),
+               output.json_text({"columns": list(header), "rows": rows}))
+    assert forks == [] and got[:2] == _references(header, rows) and got[2] == got[1]
+
+
+def _ending_in_the_worker(rows, at: int, how: str = "exit"):
+    """The rows, but a forked copy of this generator ends its process at row
+    ``at`` (at len(rows): once it has yielded every row), by os._exit or SIGKILL.
+    This process is named here: the worker may be the first to start the generator."""
     parent = os.getpid()
-    for i, row in enumerate(rows):
-        if i == at and os.getpid() != parent:
-            os._exit(1)
-        yield row
+
+    def rows_of_this_process():
+        for i, row in enumerate([*rows, None]):
+            if i == at and os.getpid() != parent:
+                if how == "exit":
+                    os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            if row is not None:
+                yield row
+
+    return rows_of_this_process()
 
 
-@pytest.mark.parametrize("at", [1025, 2050, 4000])
-def test_a_worker_that_dies_part_way_changes_no_byte(at):
-    # the worker iterates rows from 1025 on (the parent read a block and one row
-    # before forking); once it is gone this process formats every remaining half
+def _ended_in_the_worker(at: int, how: str = "exit"):
+    # the worker iterates its copy of the rows from row 0 and formats rows 2561 to 5120,
+    # the tail; once it is gone without its report this process formats them itself
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks:
-        got = (output.columns_csv(header, _dying_in_the_worker(rows, at)),
-               output.columns_json(header, _dying_in_the_worker(rows, at)))
+        got = tuple("".join(output.tabular_chunks(header, _ending_in_the_worker(rows, at, how),
+                                                  fmt, len(rows))) for fmt in ("csv", "json"))
     assert len(forks) == 2
     assert got == _references(header, rows)
     _no_worker_left()
 
 
-@pytest.mark.parametrize("why", ["one-cpu", "no-fork", "fork-fails", "no-affinity-one-cpu",
-                                 "a-thread", "in-a-worker"])
+@pytest.mark.parametrize("at", [0, 1025, 2050, 2560, 2561, 4000, 5120, 5121])
+def test_a_worker_that_dies_part_way_changes_no_byte(at):
+    # rows 0-2560 are the head, which the worker iterates unformatted; 5121 is after
+    # the last row, before the worker's report
+    _ended_in_the_worker(at)
+
+
+@pytest.mark.parametrize("at", [1000, 2561, 5120, 5121])
+def test_a_worker_killed_part_way_changes_no_byte(at):
+    _ended_in_the_worker(at, "SIGKILL")
+
+
+@pytest.mark.parametrize("why", ["one-cpu", "no-fork", "fork-fails", "no-spool", "no-pipe",
+                                 "no-affinity-one-cpu", "a-thread", "in-a-worker"])
 def test_nothing_forks(why, monkeypatch):
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
     want = _references(header, rows)
@@ -554,6 +595,11 @@ def test_nothing_forks(why, monkeypatch):
             monkeypatch.delattr(os, "fork")
         elif why == "fork-fails":  # no process to be had: the same bytes from this one
             monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(11, "no process")))
+        elif why == "no-spool":  # no temp file to be had
+            monkeypatch.setattr(tempfile, "TemporaryFile",
+                                mock.Mock(side_effect=OSError(28, "no space")))
+        elif why == "no-pipe":
+            monkeypatch.setattr(os, "pipe", mock.Mock(side_effect=OSError(24, "no fds")))
         elif why == "no-affinity-one-cpu":
             monkeypatch.delattr(os, "sched_getaffinity")
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -571,9 +617,11 @@ def test_nothing_forks(why, monkeypatch):
     _no_worker_left()
 
 
-def _stops(rows, at: int, exc: BaseException):
-    """The rows up to ``at``, then ``exc``: in both processes, as Unbounded comes."""
+def _stops(rows, at: int, exc: BaseException, raised: list):
+    """The rows up to ``at``, then ``exc``: in both processes, as Unbounded comes.
+    Each raise is noted in ``raised`` as (pid, row)."""
     yield from rows[:at]
+    raised.append((os.getpid(), at))
     raise exc
 
 
@@ -581,18 +629,25 @@ def _stops(rows, at: int, exc: BaseException):
                          ids=["Unbounded", "KeyboardInterrupt"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_the_worker_is_reaped_when_the_rows_raise(exc, fmt):
+    # the rows are 5121 with the split at 2561: the error of a head row (1000) comes
+    # from the head; the worker stops at one in the tail (4000), and this process,
+    # going on with its own rows from the split, comes to the same row
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
-    with cpus(2) as forks, pytest.raises(type(exc)):
-        "".join(output.tabular_chunks(output.ORBIT_COLUMNS, _stops(rows, 4000, exc), fmt))
-    assert len(forks) == 1
-    _no_worker_left()
+    for at in (1000, 4000):
+        raised = []
+        with cpus(2) as forks, pytest.raises(type(exc)) as info:
+            "".join(output.tabular_chunks(output.ORBIT_COLUMNS, _stops(rows, at, exc, raised),
+                                          fmt, len(rows)))
+        assert info.value is exc and raised == [(os.getpid(), at)]
+        assert len(forks) == 1
+        _no_worker_left()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_the_worker_is_reaped_when_the_pieces_are_dropped(fmt):
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks:
-        pieces = output.tabular_chunks(output.ORBIT_COLUMNS, iter(rows), fmt)
+        pieces = output.tabular_chunks(output.ORBIT_COLUMNS, rows, fmt)
         head = "".join(next(pieces) for _ in range(3))
         pieces.close()
     assert len(forks) == 1
@@ -601,8 +656,10 @@ def test_the_worker_is_reaped_when_the_pieces_are_dropped(fmt):
 
 
 def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
-    # an OSError on the temp file (a full disk) while the worker formats: the
-    # writer closes its pieces, which reaps the worker before InvalidInput leaves
+    # an OSError on the temp file (a full disk) at the last piece of the head (the
+    # CSV head is three pieces, of 1024, 1024 and 513 rows) or at the first piece of
+    # the worker's spool: the writer closes its pieces, which reaps the worker and
+    # closes the spool before InvalidInput leaves
     fdopen = os.fdopen
 
     class Full:
@@ -617,18 +674,32 @@ def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
 
         def writelines(self, pieces):
             for i, piece in enumerate(pieces):
-                if i == 2:
+                if i == at:
                     raise OSError(28, "No space left on device")
                 self.handle.write(piece)
 
     monkeypatch.setattr(os, "fdopen", Full)
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
-    with cpus(2) as forks, pytest.raises(InvalidInput, match="No space left on device") as info:
-        output.atomic_write_chunks(str(tmp_path / "o.csv"),
-                                   output.csv_chunks(output.ORBIT_COLUMNS, iter(rows)))
-    assert len(forks) == 1 and os.listdir(tmp_path) == []
-    _no_worker_left()  # while the error's traceback still holds the pieces' generator
-    assert info.value.__traceback__ is not None
+    for at in (2, 3):
+        with cpus(2) as forks, pytest.raises(InvalidInput, match="No space left") as info:
+            output.atomic_write_chunks(str(tmp_path / "o.csv"),
+                                       output.csv_chunks(output.ORBIT_COLUMNS, rows))
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
+        _no_worker_left()  # while the error's traceback still holds the pieces' generator
+        assert info.value.__traceback__ is not None
+
+
+def test_the_spool_goes_out_in_bounded_pieces(monkeypatch):
+    # the worker's text comes back in pieces of _SPOOL_PIECE characters, cut anywhere,
+    # also inside a character of more than one UTF-8 byte
+    monkeypatch.setattr(output, "_SPOOL_PIECE", 1000)
+    header, rows = ("k", "t", "s"), _mixed_rows(3000)
+    with cpus(2) as forks:
+        pieces = list(output.csv_chunks(header, rows))
+    assert len(forks) == 1
+    assert "".join(pieces) == columns_csv(header, rows)
+    tail = pieces[2:]  # after the head's blocks of 1024 and 476 rows
+    assert {len(piece) for piece in tail[:-1]} == {1000} and 0 < len(tail[-1]) <= 1000
 
 
 # -- atomic writes -------------------------------------------------------------
