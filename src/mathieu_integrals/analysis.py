@@ -1,11 +1,15 @@
 """Higher-level studies combining the symbolic and numeric layers.
 
 Every eps search solves the one-period trace equation tr M(eps) = target
-by ITP (``_bracketed_root``) on Hill's determinant (``_hill_trace``); the
-DOP853 ``monodromy``, which shares no code with it, only verifies.
+by ITP (``_bracketed_root``) on Hill's determinants (``_hill_trace``, two
+of the four factors of ``dynamics.monodromy``).  The DOP853 stepper
+(``_stepped``), which shares no code with them, only verifies: the
+critical_epsilon verdicts at eps_crit +- 1e-3 and find_periodic_orbit's
+closure at the guess and at the root.  tests/dp5_reference.py checks both
+paths from outside.
 
 * critical_epsilon: the escape boundary |tr M(eps)| = 2 (orbits stay
-  bounded iff |tr M| <= 2); a root that ``monodromy`` refutes raises.
+  bounded iff |tr M| <= 2); a root that the stepper refutes raises.
 * section_residual: how well a section conic (A, B, D) is conserved on
   section points; convergence_study takes it per truncation order.
 * cover_count: how many section points outline the invariant curve once.
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import SystemParams, build_integral, conic_at_section
-from .dynamics import R_ESCAPE, OrbitSample, monodromy, stroboscopic_section
+from .dynamics import (R_ESCAPE, Monodromy, OrbitSample, _full_period, _hill_factors,
+                       _hill_points, stroboscopic_section)
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 @dataclass(frozen=True)
@@ -32,52 +37,31 @@ class CriticalEpsResult:
     eps_crit: float
     bracket: tuple[float, float]
     iterations: int
-    escape_check: bool | None = None  # True: monodromy confirmed it; None if |eps_crit| <= 2e-3
+    escape_check: bool | None = None  # True: the stepper confirmed it; None if |eps_crit| <= 2e-3
 
 
 def _hill_trace(params: SystemParams, eps: float) -> float:
-    """tr M(T) from Hill's infinite determinant; it shares no code with ``dynamics``.
+    """tr M(T) = 2 + 4 h12 h21 from Hill's determinants, with no ODE solve.
 
-    z = omega t/2 gives Mathieu's x'' + (a - 2q cos 2z) x = 0, a = 4 s^2,
-    s = omega1/omega, q = 4 eps/omega^2, and tr M = 2 - 4 Delta(0)
-    sin^2(pi s) (Whittaker & Watson, Modern Analysis 19.42).  Scaling row
-    n != 0 of Hill's matrix by 1 - s^2/n^2 and row 0 by a cancels the zeros
-    of the sine: tr M = 2 - pi^2 det B, with no pole at integer s, for B
-    tridiagonal with rows (-q, a, -q) and (q/4n^2, 1 - s^2/n^2, q/4n^2).
-    B commutes with n -> -n; its even and odd parts share the rows n >= 1,
-    so det B = (a D1 + q^2 D2/2) D1 T^2, Dk the determinant of those rows
-    from k to N (a recurrence without division) and T the factor of the
-    rows n > N: prod (1 - s^2/n^2) by Euler-Maclaurin, and the couplings
-    b_n = (q^2/16)/((n^2 - s^2)((n + 1)^2 - s^2)) to first order.  With
-    N = 3s + (C/1e-13)^(1/7), C = (s^2 + q^2)/10 + q^4/500, the neglected
-    terms (second order in b_n, the next Euler-Maclaurin terms: all
-    O(N^-7)) stay below 1e-13 |2 - tr M|; rounding adds a few 1e-13 of
-    |tr M| at large q.
+    H = M(T/2) has det 1, so ``_full_period`` gives tr M(T) = 2 + 4 h12
+    h21 = 2 + 4 S C' at z = pi/2: the two pi-periodic factors of
+    ``dynamics._hill_factors`` (Whittaker & Watson, Modern Analysis 19.42).
+    It shares no code with the DOP853 stepper, which cross-checks it
+    (``_stepped``); ``tests/dp5_reference.py`` checks both from outside.
     """
     if not math.isfinite(eps):
         raise InvalidInput(f"epsilon must be finite, got {eps}")
-    a, q = float(params.mathieu_a), params.mathieu_q(eps)
-    s, x, qq = 0.5 * math.sqrt(a), 0.25 * a, q * q / 16.0
-    N = math.ceil(3.0 * s + ((x + q * q) * 1e12 + q ** 4 * 2e10) ** (1 / 7))
-    d1, d2 = 1.0, 0.0
-    for n in range(N, 0, -1):
-        d1, d2 = (1.0 - x / (n * n)) * d1 - qq / (n * (n + 1)) ** 2 * d2, d1
-    # sum over n > N of g(n) = log(1 - x/n^2): its integral from L = N + 1/2
-    # plus the midpoint corrections g'(L)/24 - 7 g'''(L)/5760
-    L = N + 0.5
-    g1 = 2.0 * x / (L * (L * L - x))
-    g3 = 2.0 / (L - s) ** 3 + 2.0 / (L + s) ** 3 - 4.0 / L ** 3
-    diag = -L * math.log1p(-x / (L * L)) - 2.0 * s * math.atanh(s / L) + g1 / 24 - 7 * g3 / 5760
-    # sum over n >= N of b_n/qq = F(n + 1/2), F(u) = 1/((u^2 - al^2)(u^2 - be^2)):
-    # its integral from N, by partial fractions, plus F'(N)/24
-    al, be = s + 0.5, abs(s - 0.5)
-    p, r = N * N - al * al, N * N - be * be
-    coupling = ((math.atanh(al / N) / al - (math.atanh(be / N) / be if be else 1.0 / N)) / (2.0 * s)
-                - N * (p + r) / (12.0 * (p * r) ** 2))
-    trace = 2.0 - math.pi ** 2 * (a * d1 + 8.0 * qq * d2) * d1 * math.exp(2.0 * (diag - qq * coupling))
+    c_prime, s = _hill_factors(params, eps)
+    trace = 2.0 + 4.0 * s * c_prime
     if not math.isfinite(trace):
         raise Unbounded(f"the trace at eps = {eps} leaves float64")
     return trace
+
+
+def _stepped(params: SystemParams, eps: float, n: int = 1) -> Monodromy:
+    """M(nT) from the DOP853 stepper alone, sharing no code with ``_hill_factors``."""
+    half, = _hill_points(params, eps, [0.5 * params.period])
+    return Monodromy(*_full_period(*half), n=1).power(n)
 
 
 def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
@@ -111,8 +95,8 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
     hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
     ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
     from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every
-    trace is ``_hill_trace``'s; ``monodromy``'s DOP853 trace, which shares no
-    code with it, cross-checks the verdict 1e-3 beyond and inside the root.
+    trace is ``_hill_trace``'s; the stepper's trace (``_stepped``), which shares
+    no code with it, cross-checks the verdict 1e-3 beyond and inside the root.
     The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
     Raises BracketFailure if every expansion point is stable, the last being
     |eps| = 0.05 * 1.6^11 = 8.8, or if the cross-check refutes the root.
@@ -138,8 +122,8 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
 
     check: bool | None = None  # unstable just beyond eps_crit, stable just inside it
     if 0.5 * (lo + hi) > 2e-3:
-        above = monodromy(params, eps_crit + sign * 1e-3).trace
-        below = monodromy(params, eps_crit - sign * 1e-3).trace
+        above = _stepped(params, eps_crit + sign * 1e-3).trace
+        below = _stepped(params, eps_crit - sign * 1e-3).trace
         check = abs(above) > 2.0 >= abs(below)
         if not check:
             raise BracketFailure(f"eps_crit = {eps_crit:.10g} is refuted: the monodromy trace "
@@ -247,10 +231,10 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     guess and theta(eps) is solved for via the trace equation
     tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so the
     bracketed root finder applies).  Every trace compared with the target
-    is ``_hill_trace``'s; DOP853 ``monodromy`` runs at the guess, returned as
-    is if it closes within 1e-10 (this covers tangent roots, e.g. eps = 0,
-    where the trace is even in eps), and at the root, for
-    ``return_distance``.  Raises NoRoot when no sign change exists within
+    is ``_hill_trace``'s; the stepper's M(nT) (``_stepped``) runs at the
+    guess, returned as is if it closes within 1e-10 (this covers tangent
+    roots, e.g. eps = 0, where the trace is even in eps), and at the root,
+    for ``return_distance``.  Raises NoRoot when no sign change exists within
     the expanded search interval.
     """
     if n < 1:
@@ -259,7 +243,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     m = round(n * theta_guess / (2.0 * math.pi))
     target = 2.0 * math.cos(2.0 * math.pi * m / n)
 
-    gx, gy = monodromy(params, eps_guess).power(n).apply(x0, y0)
+    gx, gy = _stepped(params, eps_guess, n).apply(x0, y0)
     guess_distance = math.hypot(gx - x0, gy - y0)
     if guess_distance <= 1e-10:
         return PeriodicOrbitResult(epsilon=eps_guess, n=n, winding=m,
@@ -278,8 +262,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
         raise NoRoot(f"no period-{n} orbit parameter within {radius:.3g} of {eps_guess}")
     lo, hi = _bracketed_root(g, lo, hi, glo, ghi, 1e-13)
     eps = 0.5 * (lo + hi)
-    mono = monodromy(params, eps, n=n)
-    x1, y1 = mono.apply(x0, y0)
+    x1, y1 = _stepped(params, eps, n).apply(x0, y0)
     dist = math.hypot(x1 - x0, y1 - y0)
     return PeriodicOrbitResult(epsilon=eps, n=n, winding=m, return_distance=dist)
 

@@ -1,39 +1,57 @@
-"""Numerical integration, stroboscopic sections, monodromy, escapes.
+"""Stroboscopic sections, orbits, monodromy and escapes, mostly without an ODE solve.
 
 The equations of motion are linear in (x, y) with period T = 2 pi/omega,
 
     dx/dt = y,    dy/dt = -(omega1^2 - 2 eps cos(omega t)) x,
 
-augmented with the conjugate momentum of time, dE/dt = -dH/dt =
--eps omega x^2 sin(omega t), from E(0) = -H(x0, y0, 0); E is integrated,
-never recomputed as -H, so |H + E| is an independent accuracy check.
+and the conjugate momentum of time, E with dE/dt = -dH/dt, is E = -H(x,
+y, t) along every orbit: each row takes it so from its state.
 
 By Floquet theory one period serves every stroboscopic study, and the
-driving is even in t, so half a period does.  A Dormand-Prince 8(5,3)
-method (DOP853, error control at rtol = atol = 1e-12) solves, over
-[0, T/2] only, for the fundamental matrix M(s) and the energy form
-Q(s) = (q11, q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2,
-m11 m12); time reversal gives M and Q on [T/2, T] (``_one_period``).  Then z(kT + s) =
-M(s) z(kT), E(kT + s) = E(kT) + z^T Q(s) z and the n-period monodromy
-is M(T)^n.  Steps land *exactly* on the sample grid s = j T/spp, so at
-one sample per period sample k is the section point at t = kT.
+driving is even in t, so half a period does: with M(s) the fundamental
+matrix and H = M(T/2), M(T) = R H^-1 R H, R = diag(1, -1)
+(``_full_period``), and the n-period monodromy is M(T)^n.  H comes from
+Hill's determinants (``_half_period``).  With z = omega t/2 the equation
+is Mathieu's x'' + (a - 2q cos 2z) x = 0, a = 4 omega1^2/omega^2, q =
+4 eps/omega^2; C and S, the even and odd solutions (C(0) = 1, S'(0) =
+1), give H = ((C, (2/omega) S), ((omega/2) C', S')) at z = pi/2.  As
+entire functions of a, C' vanishes at z = pi/2 exactly on the
+characteristic values a_2n(q), S on b_2n+2, C on a_2n+1 and S' on b_2n+1
+(DLMF 28.2; Magnus & Winkler, Hill's Equation, ch. 1-2), the eigenvalues
+of the four symmetric tridiagonal Hill matrices A(q) (DLMF 28.4).
+Hadamard's factorisation of an entire function of order 1/2 by its zeros
+then gives f(a; q) = f(a; 0) det(a - A(q)) / det(a - A(0)): both sides
+have the same zeros and order, and their ratio tends to 1 as a -> -inf.
+The free values f(a; 0) are -sqrt(a) sin(pi sqrt(a)/2), sin(pi
+sqrt(a)/2)/sqrt(a), cos(pi sqrt(a)/2) and cos(pi sqrt(a)/2), each a
+product over the free diagonal k^2 of A(0), so dividing row k by -k^2
+cancels det(a - A(0)) row by row, and no zero of a sine is divided by
+(``_hill_factors``; the row k = 0 of C' keeps its free value's factor
+a).  Every entry of M(T) = ((1 + 2 h12 h21, 2 h12 h22), (2 h11 h21, 1 +
+2 h12 h21)) is then a product of determinants, each accurate to its own
+size.
+
+A Dormand-Prince 8(5,3) method (DOP853, error control at rtol = atol =
+1e-12, ``_hill_points``) solves for M at the samples strictly inside (0,
+T/2) of orbits with two or more samples per period; time reversal gives
+the rest of the period (``_one_period``), and z(kT + s) = M(s) z(kT).
+Steps land *exactly* on the sample grid s = j T/spp, so sample k of a
+one-sample orbit is the section point at t = kT, where nothing is solved.
 
 One loop walks the period grid (``orbit_blocks``).  In the pass that
-propagates z and E it builds the orbit table rows (k, t, x, y, E, d, r)
-and yields them in blocks of whole periods, which the CLI writes as they
+propagates z it builds the orbit table rows (k, t, x, y, E, d, r) and
+yields them in blocks of whole periods, which the CLI writes as they
 come, so its memory does not grow with the horizon.  ``integrate_orbit``
 is the one list form, the rows as OrbitSamples, and the stroboscopic
 section is the one-sample-per-period orbit.  ``escape_diagnostics``
 reads rows of either form up to the first one past the escape radius;
 the growth rate of an escaped orbit is its Floquet exponent, from M(T).
 
-One stepper, ``_hill_points``, is DOP853 specialised to the Hill
-equation on the two columns of M: M(T/2) alone for ``monodromy``,
-(M, Q) on the half-period sample grid for orbits; both assemble M(T) in
-``_full_period``.  The escape-boundary search reads Hill's determinant
-instead (``analysis._hill_trace``).  The generic stepper it reproduces
-bit for bit lives in ``tests/dop853_reference.py``; a Dormand-Prince
-5(4) stepper in ``tests/dp5_reference.py`` checks it independently.
+The stepper also cross-checks the determinants (``analysis._stepped``).
+The generic stepper it reproduces bit for bit lives in
+``tests/dop853_reference.py``; a Dormand-Prince 5(4) stepper in
+``tests/dp5_reference.py``, which still integrates the energy form, is
+the independent oracle for M and for E.
 """
 
 from __future__ import annotations
@@ -87,23 +105,20 @@ _RTOL = _ATOL = 1e-12
 _MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's rows
 R_ESCAPE = 1e3  # the radius r = hypot(x, y) past which an orbit has escaped
 _BLOCK_ROWS = 1024  # the least rows of an orbit_blocks block (but the last)
+_HUGE = 2.0 ** 600  # the rescaling step of Hill's determinant recurrence
 
 
-def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
-                 energy: bool = False):
+def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float]):
     """The fundamental matrix of x'' = -(omega1^2 - 2 eps cos(omega t)) x.
 
     The columns (1, 0) and (0, 1) of M share one step; M at each target
-    is yielded row-major.  With ``energy`` the energy form Q = (q11,
-    q22, q12), dQ/dt = -eps omega sin(omega t) (m11^2, m12^2, m11 m12),
-    rides along from Q(0) = 0 and is appended to each state: the (M
-    row-major, Q) layout of ``_one_period``.
+    is yielded row-major.
 
     DOP853 at rtol = ``_RTOL``, atol = ``_ATOL``: Hairer's error norm
     |h| e5 / sqrt(n (e5 + e3 / 100)), e5 and e3 the sums of squares of
     the scaled 5th- and 3rd-order estimates over every x component,
-    then every y component, then Q, and the step exponent -1/8.  The
-    safety factor is 0.75, so a new step aims at err = 0.75^8 = 0.1,
+    then every y component, and the step exponent -1/8.  The safety
+    factor is 0.75, so a new step aims at err = 0.75^8 = 0.1,
     not the 0.43 of the usual 0.9: at large q, where a row of M(T/2)
     ends small after a large excursion, the trace then keeps as close
     to Hill's determinant as the DP5 kernel's did.  The step is clamped
@@ -112,12 +127,10 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
     2 eps cos(omega t) does not depend on the state, so it is evaluated
     once per stage for both columns, each column runs its stages on
     scalars, and the next step's first slope reuses stage 12's w
-    (c = 1).  Q does not feed back, so it is a quadrature: its weight
-    -eps omega sin(omega t) is needed only at stages 1 and 6..12, the
-    ones B and the error weights use.  Non-finite stages (an eps so
-    large that the coefficients or the solution overflow) end in
-    Unbounded.  A span holding more unperturbed oscillations than the
-    step budget has steps raises StepFailure before the first step.
+    (c = 1).  Non-finite stages (an eps so large that the coefficients
+    or the solution overflow) end in Unbounded.  A span holding more
+    unperturbed oscillations than the step budget has steps raises
+    StepFailure before the first step.
     """
     cycles = float(params.omega1) * targets[-1] / (2.0 * math.pi)
     if cycles > _MAX_STEPS:
@@ -126,8 +139,7 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
     om = float(params.omega)
     om1sq = float(params.omega1) ** 2
     two_eps = 2.0 * epsilon
-    eps_om = epsilon * om
-    cos, sin = math.cos, math.sin
+    cos = math.cos
     rtol, atol = _RTOL, _ATOL
     *nodes, _ = _C.values()  # c2..c11; c12 = 1
     ((a21,), (a31, a32), (a41, a43), (a51, a53, a54), (a61, a64, a65), (a71, a74, a75, a76),
@@ -139,17 +151,12 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
     b1, b6, b7, b8, b9, b10, b11, b12 = _B.values()
     e1, e6, e7, e8, e9, e10, e11, e12 = _E5.values()
     bhh1, bhh9, bhh12 = _BHH.values()
-    n = 7 if energy else 4
     t = 0.0
     w = om1sq - two_eps * cos(om * t)
     # per column of M: x, y and the stage-1 slopes (x', y') = (y, -w x)
     cols = [(x, y, y, -w * x) for x, y in ((1.0, 0.0), (0.0, 1.0))]
-    if energy:
-        s = -eps_om * sin(om * t)
-        quad, g1 = (0.0, 0.0, 0.0), (s, s * 0.0, s * 0.0)  # s (m11^2, m12^2, m11 m12) at M = I
     h = min(1e-2 * targets[-1], 0.1)
     steps = 0
-    xs = []  # stage x values of each column, for the energy form
     for target in targets:
         while t < target:
             clamped = t + h >= target
@@ -158,7 +165,7 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
                 om1sq - two_eps * cos(om * (t + c * hh)) for c in nodes]
             w12 = om1sq - two_eps * cos(om * (t + hh))
             new = []
-            err5 = err3 = 0.0  # the x terms, then the y terms, then the energy form
+            err5 = err3 = 0.0  # the x terms, then the y terms
             ey = []
             for x, y, p1, q1 in cols:
                 p2 = y + hh * (a21 * q1)
@@ -170,32 +177,27 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
                 p5 = y + hh * (a51 * q1 + a53 * q3 + a54 * q4)
                 q5 = -w5 * (x + hh * (a51 * p1 + a53 * p3 + a54 * p4))
                 p6 = y + hh * (a61 * q1 + a64 * q4 + a65 * q5)
-                X6 = x + hh * (a61 * p1 + a64 * p4 + a65 * p5)
-                q6 = -w6 * X6
+                q6 = -w6 * (x + hh * (a61 * p1 + a64 * p4 + a65 * p5))
                 p7 = y + hh * (a71 * q1 + a74 * q4 + a75 * q5 + a76 * q6)
-                X7 = x + hh * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6)
-                q7 = -w7 * X7
+                q7 = -w7 * (x + hh * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6))
                 p8 = y + hh * (a81 * q1 + a84 * q4 + a85 * q5 + a86 * q6 + a87 * q7)
-                X8 = x + hh * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7)
-                q8 = -w8 * X8
+                q8 = -w8 * (x + hh * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7))
                 p9 = y + hh * (a91 * q1 + a94 * q4 + a95 * q5 + a96 * q6 + a97 * q7 + a98 * q8)
-                X9 = x + hh * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7 + a98 * p8)
-                q9 = -w9 * X9
+                q9 = -w9 * (x + hh * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7
+                                      + a98 * p8))
                 p10 = y + hh * (a10_1 * q1 + a10_4 * q4 + a10_5 * q5 + a10_6 * q6 + a10_7 * q7
                                 + a10_8 * q8 + a10_9 * q9)
-                X10 = x + hh * (a10_1 * p1 + a10_4 * p4 + a10_5 * p5 + a10_6 * p6 + a10_7 * p7
-                                + a10_8 * p8 + a10_9 * p9)
-                q10 = -w10 * X10
+                q10 = -w10 * (x + hh * (a10_1 * p1 + a10_4 * p4 + a10_5 * p5 + a10_6 * p6
+                                        + a10_7 * p7 + a10_8 * p8 + a10_9 * p9))
                 p11 = y + hh * (a11_1 * q1 + a11_4 * q4 + a11_5 * q5 + a11_6 * q6 + a11_7 * q7
                                 + a11_8 * q8 + a11_9 * q9 + a11_10 * q10)
-                X11 = x + hh * (a11_1 * p1 + a11_4 * p4 + a11_5 * p5 + a11_6 * p6 + a11_7 * p7
-                                + a11_8 * p8 + a11_9 * p9 + a11_10 * p10)
-                q11 = -w11 * X11
+                q11 = -w11 * (x + hh * (a11_1 * p1 + a11_4 * p4 + a11_5 * p5 + a11_6 * p6
+                                        + a11_7 * p7 + a11_8 * p8 + a11_9 * p9 + a11_10 * p10))
                 p12 = y + hh * (a12_1 * q1 + a12_4 * q4 + a12_5 * q5 + a12_6 * q6 + a12_7 * q7
                                 + a12_8 * q8 + a12_9 * q9 + a12_10 * q10 + a12_11 * q11)
-                X12 = x + hh * (a12_1 * p1 + a12_4 * p4 + a12_5 * p5 + a12_6 * p6 + a12_7 * p7
-                                + a12_8 * p8 + a12_9 * p9 + a12_10 * p10 + a12_11 * p11)
-                q12 = -w12 * X12
+                q12 = -w12 * (x + hh * (a12_1 * p1 + a12_4 * p4 + a12_5 * p5 + a12_6 * p6
+                                        + a12_7 * p7 + a12_8 * p8 + a12_9 * p9 + a12_10 * p10
+                                        + a12_11 * p11))
                 pb = (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
                       + b12 * p12)
                 qb = (b1 * q1 + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9 + b10 * q10 + b11 * q11
@@ -215,38 +217,13 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
                 f = (qb - bhh1 * q1 - bhh9 * q9 - bhh12 * q12) / sk
                 ey.append((e * e, f * f))
                 new.append((xn, yn, yn, -w12 * xn))  # the next first slope, at c = 1
-                if energy:
-                    xs.append((X6, X7, X8, X9, X10, X11, X12, xn))
             for u, v in ey:
                 err5 += u
                 err3 += v
-            if energy:
-                s12 = -eps_om * sin(om * (t + hh))
-                g6, g7, g8, g9, g10, g11, g12, g13 = [
-                    (s * a * a, s * b * b, s * a * b) for s, a, b in zip(
-                        [-eps_om * sin(om * (t + c * hh)) for c in nodes[4:]] + [s12, s12],
-                        *xs)]
-                xs.clear()
-                quad_new = []
-                for q, k1, k6, k7, k8, k9, k10, k11, k12 in zip(quad, g1, g6, g7, g8, g9, g10,
-                                                                 g11, g12):
-                    kb = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
-                          + b12 * k12)
-                    qn = q + hh * kb
-                    a, b = abs(q), abs(qn)
-                    sk = atol + rtol * (b if b > a else a)
-                    e = (e1 * k1 + e6 * k6 + e7 * k7 + e8 * k8 + e9 * k9 + e10 * k10
-                         + e11 * k11 + e12 * k12) / sk
-                    err5 += e * e
-                    e = (kb - bhh1 * k1 - bhh9 * k9 - bhh12 * k12) / sk
-                    err3 += e * e
-                    quad_new.append(qn)
             deno = err5 + 0.01 * err3
-            err = hh * err5 / math.sqrt(deno * n) if deno else 0.0
+            err = hh * err5 / math.sqrt(deno * 4) if deno else 0.0
             if err <= 1.0:
                 t, cols = (target if clamped else t + hh), new
-                if energy:
-                    quad, g1 = quad_new, g13
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.75 * err ** -0.125))
                 h = hh * factor
             else:
@@ -260,7 +237,7 @@ def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
             if steps > _MAX_STEPS:
                 raise StepFailure("step budget exhausted")
         (m11, m21, _, _), (m12, m22, _, _) = cols
-        yield (m11, m12, m21, m22, *quad) if energy else (m11, m12, m21, m22)
+        yield m11, m12, m21, m22
 
 
 class OrbitSample(NamedTuple):
@@ -340,6 +317,84 @@ def _product(p: tuple, q: tuple) -> tuple[float, float, float, float]:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
+def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[float, float]:
+    """(C'(pi/2), S(pi/2)), or (C(pi/2), S'(pi/2)) if ``odd``: Hill's determinants.
+
+    Two of H's entries, by the Hadamard form of the module docstring.
+    Row k of the class's Hill matrix, divided by -k^2, has 1 - s^2/u^2 on
+    the diagonal (s = omega1/omega, u = k/2 = n, or n + 1/2 if ``odd``)
+    and couples to the next by (q^2/16)/(u (u + 1))^2; the first row,
+    k = 0 or 1, differs.  D1 and D2, the determinants of the rows n >= 1
+    and n >= 2 up to N, come from a recurrence without division, rescaled
+    by 2^-+600 whenever it leaves [2^-600, 2^600] (at large q it decays
+    far below 1 over the rows past sqrt(q), then grows to the size of H),
+    so it leaves float64 only where the value does.  The rows past N enter as a factor: prod (1 - s^2/u^2)
+    by Euler-Maclaurin, and the couplings b_u = (q^2/16)/((u^2 - s^2)
+    ((u + 1)^2 - s^2)) to first order.  With N = 3s + (C/1e-13)^(1/7),
+    C = (s^2 + q^2)/10 + q^4/500, the neglected terms (second order in
+    b_u and the next Euler-Maclaurin terms: O(N^-7) at most) stay below
+    1e-13 of the value; rounding adds a few 1e-13 at large q.  A value
+    may be +-inf.  N past ``_MAX_STEPS`` raises Unbounded where a < |q| (the
+    solution grows like exp(0.85 sqrt|q|) within half a period) and
+    StepFailure otherwise; neither calls cos or sin.
+    """
+    a, q = float(params.mathieu_a), params.mathieu_q(eps)
+    s, x, q2 = 0.5 * math.sqrt(a), 0.25 * a, q * q
+    qq = q2 / 16.0
+    size = 3.0 * s + ((x + q2) * 1e12 + q2 * q2 * 2e10) ** (1 / 7)
+    if not size <= _MAX_STEPS:
+        if a < abs(q):
+            raise Unbounded(f"the solution leaves float64 within half a period at eps = {eps}")
+        raise StepFailure(f"half a period spans {0.5 * s:.3g} oscillations of omega1 at q = "
+                          f"{q:.3g}: Hill's determinant needs more rows than its budget "
+                          f"of {_MAX_STEPS}")
+    N, h = math.ceil(size), 0.5 if odd else 0.0
+    d1, d2, scale, tiny = 1.0, 0.0, 0, 1.0 / _HUGE
+    for n in range(N, 0, -1):
+        u = n + h
+        d1, d2 = (1.0 - x / (u * u)) * d1 - qq / (u * (u + 1.0)) ** 2 * d2, d1
+        if not tiny < abs(d1) < _HUGE:
+            if abs(d1) >= _HUGE:
+                d1, d2, scale = d1 * tiny, d2 * tiny, scale + 1
+            elif abs(d2) <= tiny:  # both small: decaying, not crossing zero
+                d1, d2, scale = d1 * _HUGE, d2 * _HUGE, scale - 1
+    # sum over the rows past N of g(u) = log(1 - x/u^2): its integral from
+    # L = N + h + 1/2 plus the midpoint corrections at L, g'/24 - 7 g'''/5760
+    # + 31 g^(5)/967680
+    u = N + h
+    L = u + 0.5
+    g1 = 2.0 * x / (L * (L * L - x))
+    g3 = 2.0 / (L - s) ** 3 + 2.0 / (L + s) ** 3 - 4.0 / L ** 3
+    g5 = 24.0 / (L - s) ** 5 + 24.0 / (L + s) ** 5 - 48.0 / L ** 5
+    diag = (-L * math.log1p(-x / (L * L)) - 2.0 * s * math.atanh(s / L) + g1 / 24
+            - 7 * g3 / 5760 + 31 * g5 / 967680)
+    # sum from row N on of b_u/qq = F(u + 1/2), F(v) = 1/((v^2 - al^2)(v^2 - be^2)):
+    # its integral from u = N + h, by partial fractions, plus F'(u)/24
+    al, be = s + 0.5, abs(s - 0.5)
+    p, r = u * u - al * al, u * u - be * be
+    coupling = ((math.atanh(al / u) / al - (math.atanh(be / u) / be if be else 1.0 / u)) / (2.0 * s)
+                - u * (p + r) / (12.0 * (p * r) ** 2))
+    tail = math.exp(diag - qq * coupling)
+    if odd:  # row k = 1 holds 1 +- q - a and couples to row 3 by q^2/9
+        first, second = (1.0 + q - a) * d1 - q2 / 9.0 * d2, (1.0 - q - a) * d1 - q2 / 9.0 * d2
+    else:  # row k = 0, not divided, holds a and couples to row 2 by q^2/2
+        tail *= 0.5 * math.pi
+        first, second = -(a * d1 + 8.0 * qq * d2), d1
+    first, second = first * tail, second * tail
+    factor = _HUGE if scale > 0 else tiny
+    for _ in range(abs(scale)):  # powers of two: exact, or +-inf or 0 past float64
+        first, second = first * factor, second * factor
+    return first, second
+
+
+def _half_period(params: SystemParams, eps: float) -> tuple[float, float, float, float]:
+    """H = M(T/2) = ((C, (2/omega) S), ((omega/2) C', S')) at z = pi/2, row-major."""
+    c_prime, s = _hill_factors(params, eps)
+    c, s_prime = _hill_factors(params, eps, odd=True)
+    om = float(params.omega)
+    return c, 2.0 * s / om, 0.5 * om * c_prime, s_prime
+
+
 def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
     """M(T) row-major from H = M(T/2) = ((a, b), (c, d)).
 
@@ -352,47 +407,33 @@ def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, 
 
 
 def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> list[tuple]:
-    """(m11, m12, m21, m22, q11, q22, q12) at s_j = (j/spp) * T, j = 1..spp.
+    """(m11, m12, m21, m22, g) at s_j = (j/spp) * T, j = 1..spp.
 
-    DOP853 solves (M, Q) at s_j for j <= spp/2 and at T/2 (one more target
-    where spp is odd).  Besides M(-u) = R M(u) R, reversal gives
-    Q(-u) = R Q(u) R, and a period composes as M(u + T) = M(u) M(T),
-    Q(u + T) = Q(T) + M(T)^T Q(u) M(T).  So with M(T) from
-    ``_full_period`` and H, Q(T/2) the solve at T/2,
-
-        Q(T) = Q(T/2) - M(T)^T R Q(T/2) R M(T),
-        M(T - u) = R M(u) R M(T),  Q(T - u) = Q(T) + M(T)^T R Q(u) R M(T).
-
-    Sample j > spp/2 mirrors grid index spp - j (index 0 is (I, 0)): by
-    index, never by the float T - s_j, which misses the grid by an ulp.
-    A mirrored sample, T included, carries the error of the solve
-    amplified by up to |M(T)|^2, which shows only where the solution
-    grows by orders of magnitude within one period.
+    g = eps cos(omega s_j) - omega1^2/2, so that E = g x^2 - y^2/2 = -H
+    at s_j.  DOP853 solves M at the s_j strictly inside (0, T/2), and H =
+    M(T/2) is ``_half_period``'s, so at one sample per period nothing is
+    solved.  M(-u) = R M(u) R and M(u + T) = M(u) M(T) give, with M(T)
+    from ``_full_period``, M(T - u) = R M(u) R M(T).  Sample j > spp/2
+    mirrors grid index spp - j (index 0 is I): by index, never by the float
+    T - s_j, which misses the grid by an ulp.  A mirrored sample carries
+    the error of the solve amplified by up to |M(T)|, which shows only
+    where the solution grows by orders of magnitude within one period.
     """
     spp = samples_per_period
     T = params.period
     half = spp // 2
-    targets = [(j / spp) * T for j in range(1, half + 1)]
-    if spp % 2:
-        targets.append(0.5 * T)
-    solved = list(_hill_points(params, eps, targets, energy=True))
-    *h, h11, h22, h12 = solved[-1]
+    inner = [(j / spp) * T for j in range(1, (spp + 1) // 2)]
+    solved = list(_hill_points(params, eps, inner)) if inner else []
+    h = _half_period(params, eps)
+    if not spp % 2:
+        solved.append(h)
     A, B, C, D = _full_period(*h)
-
-    def reflected(p, q, r):
-        """M(T)^T R Q R M(T) for Q = ((p, r), (r, q)), as (q11, q22, q12)."""
-        u, v, w, z = p * A - r * C, q * C - r * A, p * B - r * D, q * D - r * B
-        return A * u + C * v, B * w + D * z, A * w + C * z
-
-    t11, t22, t12 = reflected(h11, h22, h12)
-    q11_T, q22_T, q12_T = h11 - t11, h22 - t22, h12 - t12
-    mirrored = []
-    for m11, m12, m21, m22, q11, q22, q12 in reversed(
-            [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)] + solved[:spp - half - 1]):
-        t11, t22, t12 = reflected(q11, q22, q12)
-        mirrored.append((m11 * A - m12 * C, m11 * B - m12 * D, m22 * C - m21 * A,
-                         m22 * D - m21 * B, q11_T + t11, q22_T + t22, q12_T + t12))
-    return solved[:half] + mirrored
+    mirrored = [(m11 * A - m12 * C, m11 * B - m12 * D, m22 * C - m21 * A, m22 * D - m21 * B)
+                for m11, m12, m21, m22
+                in reversed([(1.0, 0.0, 0.0, 1.0)] + solved[:spp - half - 1])]
+    om1sq = float(params.omega1) ** 2  # cos(omega s_j) = cos(omega s_(spp - j)), s_j <= T/2
+    return [(*m, eps * math.cos(2.0 * math.pi * min(j, spp - j) / spp) - 0.5 * om1sq)
+            for j, m in enumerate(solved[:half] + mirrored, start=1)]
 
 
 def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
@@ -402,11 +443,10 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
 
     The one loop over the period grid: row i = 0..n spp is the sample at t
     = (i/spp) T, hitting the section times t = kT exactly, with k = i //
-    spp, d = sqrt(omega1^2 x^2 + y^2) and r = hypot(x, y).  E starts at
-    -H(x0, y0, 0) and advances by the integrated energy form Q, never by
-    re-evaluating H.  The checks (InvalidInput for the origin, a fixed
+    spp, d = sqrt(omega1^2 x^2 + y^2), r = hypot(x, y) and E = -H(x, y, t),
+    from ``_one_period``'s g.  The checks (InvalidInput for the origin, a fixed
     point, for an E(0) that overflows or n spp past the ``_MAX_STEPS``
-    budget) and the half-period solve run at the call; Unbounded comes
+    budget) and ``_one_period`` run at the call; Unbounded comes
     when the iteration reaches the period that overflows.  The rows are
     plain tuples: an OrbitSample per row would cost a quarter of the loop.
     """
@@ -425,7 +465,7 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
         raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")
     grid = _one_period(params, params.epsilon, samples_per_period)
 
-    def blocks(x, y, e, spp=samples_per_period):
+    def blocks(x, y, spp=samples_per_period):
         T = params.period
         om1 = float(params.omega1)
         om1sq = om1 * om1  # as trajectory_rows forms it, so d agrees bit for bit
@@ -436,21 +476,25 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
         for start in range(0, n_periods, per_block):
             append = rows.append
             for k in range(start, min(start + per_block, n_periods)):
-                for m11, m12, m21, m22, q11, q22, q12 in grid:
+                for m11, m12, m21, m22, g in grid:
                     i += 1
-                    energy = e + q11 * x * x + q22 * y * y + 2.0 * q12 * x * y
-                    # E is quadratic in the state, so it is the first to overflow
-                    if not isfinite(energy):
-                        raise Unbounded(f"the state overflows in period {k + 1}; "
-                                        "the orbit is unbounded")
                     u, v = m11 * x + m12 * y, m21 * x + m22 * y
+                    energy = g * u * u - 0.5 * v * v
+                    # E is quadratic in the state, so it is the first to overflow;
+                    # its terms may overflow where E does not: take them at 2^-512
+                    if not isfinite(energy):
+                        a, b = u * 2.0 ** -256, v * 2.0 ** -256
+                        energy = (g * a * a - 0.5 * b * b) * 2.0 ** 512
+                        if not isfinite(energy):
+                            raise Unbounded(f"the state overflows in period {k + 1}; "
+                                            "the orbit is unbounded")
                     append((i // spp, (i / spp) * T, u, v, energy,
                             sqrt(om1sq * u * u + v * v), hypot(u, v)))
-                x, y, e = u, v, energy
+                x, y = u, v
             yield rows
             rows = []
 
-    return blocks(x0, y0, e)
+    return blocks(x0, y0)
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,
@@ -475,13 +519,12 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
 
     The one-period matrix M(T) is the exact flow map of the linear
     system (not a linearization), and the coefficients are T-periodic,
-    so the n-period matrix is M(T)^n.  The solve carries the columns of
-    M alone, over half a period, and ``_full_period`` assembles M(T).
+    so the n-period matrix is M(T)^n.  ``_full_period`` assembles M(T)
+    from Hill's determinants (``_half_period``); nothing is solved.
     """
     if not math.isfinite(epsilon):
         raise InvalidInput("epsilon must be finite")
-    half, = _hill_points(params, float(epsilon), [0.5 * params.period])
-    return Monodromy(*_full_period(*half), n=1).power(n)
+    return Monodromy(*_full_period(*_half_period(params, float(epsilon))), n=1).power(n)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """Generic, tableau-driven DOP853 stepper: the reference for the Hill kernel.
 
 ``dynamics._hill_points`` is this stepper specialised to the Hill
-equation and must reproduce it bit for bit: on the 4-component flow of
-M alone and, with ``dp5_reference.rhs_period``, on the 7-component (M
-row-major, Q) system.  It reads the tableau and the step budget from
+equation and must reproduce it bit for bit on the 4-component flow of
+M.  It reads the tableau and the step budget from
 ``dynamics`` and nothing else: every stage is a loop over the nonzero
 weights of its row, summed left to right as the kernel's expressions
 are.

@@ -1,11 +1,13 @@
 """Generic Dormand-Prince 5(4) stepper: an independent reference.
 
-``dynamics._hill_points`` is DOP853; this stepper shares nothing with it
-but the step budget, so it checks the kernel from outside.  It is the
-reference for the multi-period propagation (``rhs_linear`` streamed over
-the whole horizon), for the orbit propagator's time-reversed second half
-(``one_period`` solves the 7-component (M row-major, Q) system over the
-whole period), and for the roots of the monodromy trace (``rhs_matrix``).
+``dynamics._hill_points`` is DOP853, and ``dynamics._half_period`` reads
+Hill's determinants; this stepper shares nothing with either but the
+step budget, so it checks both from outside.  It is the reference for
+the multi-period propagation (``rhs_linear`` streamed over the whole
+horizon), for the orbit propagator's time-reversed second half and for
+E (``one_period`` solves the 7-component (M row-major, Q) system over
+the whole period, integrating the energy form that the library replaced
+by E = -H), and for the roots of the monodromy trace (``rhs_matrix``).
 Its tolerances are parameters, guarded by a float64 floor of its own.
 """
 

@@ -1,5 +1,7 @@
 """Boundary location, convergence, cover counts, periodic orbits, conics."""
 
+import ast
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -81,10 +83,10 @@ class TestCriticalEpsilon:
 
     @pytest.mark.parametrize("trace", [0.0, 3.0])
     def test_one_sided_cross_check_refutes_the_root(self, monkeypatch, trace):
-        # a monodromy trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
+        # a stepper trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
         # 0, unstable: 3) refutes the Hill root wherever ITP lands
         m = Monodromy(m11=trace, m12=1.0, m21=-1.0, m22=0.0, n=1)
-        monkeypatch.setattr(analysis, "monodromy", lambda params, eps, n=1: m)
+        monkeypatch.setattr(analysis, "_stepped", lambda params, eps, n=1: m)
         with pytest.raises(BracketFailure, match=r"^eps_crit = \S+ is refuted"):
             critical_epsilon(P01)
 
@@ -94,10 +96,10 @@ class TestCriticalEpsilon:
 
     @staticmethod
     def _assert_escape_oracle_agrees(crit_cache, om1):
-        # the Hill root against the root of the monodromy trace, which shares
-        # no code with it, in both signs (1.9e-11 measured)
+        # the Hill root against the root of the DOP853 stepper's trace, which
+        # shares no code with it, in both signs (1.9e-11 measured)
         params = SystemParams(F(2), F(om1), 0.0)
-        g = lambda e: abs(monodromy(params, e).trace) - 2.0
+        g = lambda e: abs(analysis._stepped(params, e).trace) - 2.0
         for sign in (1, -1):
             res = crit_cache(om1, sign)
             lo, hi = res.eps_crit - 1e-3, res.eps_crit + 1e-3
@@ -117,7 +119,7 @@ class TestCriticalEpsilon:
            eps=st.floats(min_value=-1.0, max_value=1.0))
     def test_escape_verdict_matches_trace_away_from_boundary(self, omega1, eps):
         params = SystemParams(F(2), omega1, eps)
-        trace = monodromy(params, eps).trace
+        trace = analysis._stepped(params, eps).trace
         assume(abs(abs(trace) - 2.0) >= 0.05)
         assert (abs(_hill_trace(params, eps)) > 2.0) == (abs(trace) > 2.0)
 
@@ -135,6 +137,17 @@ class TestCriticalEpsilon:
         res = crit_cache(om1, sign)
         assert abs(res.eps_crit - sign * eps_crit) <= 1e-10
         assert abs(res.bracket[1] - res.bracket[0]) <= 1e-10
+
+    @pytest.mark.parametrize("om1, former", [("9/10", 0.18578485621415186),
+                                             ("1/10", 0.8996451880578997),
+                                             ("11/10", 0.21599018038488604)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_boundary_within_1e_12_of_the_whole_line_determinant(self, crit_cache, om1,
+                                                                 former, sign):
+        # the roots the trace of the whole-line Hill determinant gave; the two
+        # periodic factors carry one more Euler-Maclaurin term of the diagonal
+        # tail, which moves them by 5.4e-13, 0 and 5.3e-13 of themselves
+        assert abs(crit_cache(om1, sign).eps_crit - sign * former) <= 1e-12 * former
 
     @settings(max_examples=25, deadline=None)
     @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
@@ -200,8 +213,58 @@ class TestCriticalEpsilon:
             return hill_points(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_hill_points", recording)
+        monkeypatch.setattr(analysis, "_hill_points", recording)  # the cross-check's name
         critical_epsilon(SystemParams(F(2), F(omega1), 0.0))
         assert len(calls) == solves
+
+
+def _call_graph(*modules):
+    """Each function name of ``modules`` -> the names it calls, bare or as attributes."""
+    graph = {}
+    for module in modules:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.FunctionDef):
+                graph.setdefault(node.name, set()).update(
+                    call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                    for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and isinstance(call.func, (ast.Name, ast.Attribute)))
+    return graph
+
+
+def _reach(graph, name, skip=()):
+    """The names reachable from ``name`` through ``graph``, not through ``skip``."""
+    seen, todo = set(), [name]
+    while todo:
+        for callee in graph.get(todo.pop(), ()):
+            if callee not in seen and callee not in skip:
+                seen.add(callee)
+                todo.append(callee)
+    return seen
+
+
+class TestIndependentPaths:
+    """The cross-checks run the stepper; the searches and the monodromy do not."""
+
+    GRAPH = _call_graph(analysis, dynamics)
+    DETERMINANTS = {"_hill_factors", "_half_period"}
+
+    @pytest.mark.parametrize("name", ["critical_epsilon", "find_periodic_orbit"])
+    def test_cross_checks_reach_the_stepper_alone(self, name):
+        # every call but the search's own trace: the +-1e-3 verdicts and the
+        # guess and root closures
+        checks = _reach(self.GRAPH, name, skip={"_hill_trace"})
+        assert {"_hill_points", "_full_period"} <= checks
+        assert not checks & (self.DETERMINANTS | {"monodromy"})
+
+    @pytest.mark.parametrize("name", ["_hill_factors", "_half_period", "_hill_trace",
+                                      "monodromy"])
+    def test_determinants_reach_no_stepper(self, name):
+        assert "_hill_points" not in _reach(self.GRAPH, name)
+
+    def test_the_graph_sees_the_calls(self):
+        assert "_hill_factors" in _reach(self.GRAPH, "monodromy")
+        assert "_hill_factors" in _reach(self.GRAPH, "critical_epsilon")
+        assert "_hill_points" in _reach(self.GRAPH, "_stepped")
 
 
 class TestBracketedRoot:
@@ -275,11 +338,12 @@ def _assert_hill_matches_monodromy(omega, omega1, eps):
     hill = _hill_trace(params, eps)
     bound = (HILL_VS_MONODROMY * 2.0 * ((abs(a) + abs(b)) * x2 + (abs(c) + abs(d)) * x1)
              + HILL_OWN * (2.0 + abs(hill)))
-    assert abs(hill - monodromy(params, eps).trace) <= bound
+    # the stepper's one-target solve, the critical_epsilon cross-check's trace
+    assert abs(hill - analysis._stepped(params, eps).trace) <= bound
 
 
 class TestHillTrace:
-    """The root search's trace: Hill's determinant, checked against the monodromy."""
+    """The root search's trace: Hill's determinants, checked against the DOP853 stepper."""
 
     @settings(max_examples=100, deadline=None)
     @given(omega=st.fractions(min_value=F(1, 2), max_value=F(3), max_denominator=10),
@@ -308,14 +372,15 @@ class TestHillTrace:
         cases = [("9/10", 0.1857848626 - 1e-3), ("9/10", 0.1857848626 + 1e-3),
                  ("1/10", 0.5), ("1/10", 1.0), ("11/10", -0.3), ("3/2", 0.3)]
         params = [SystemParams(F(2), F(om1), eps) for om1, eps in cases]
-        expected = [abs(monodromy(p, p.epsilon).trace) > 2.0 for p in params]
+        expected = [abs(analysis._stepped(p, p.epsilon).trace) > 2.0 for p in params]
         assert any(expected) and not all(expected)
 
         def boom(*args, **kwargs):
-            raise AssertionError("the Hill trace reached dynamics")
+            raise AssertionError("the Hill trace reached the stepper")
 
         for target, name in [(dynamics, "_hill_points"), (dynamics, "monodromy"),
-                             (dynamics, "_one_period"), (analysis, "monodromy")]:
+                             (dynamics, "_one_period"), (dynamics, "_full_period"),
+                             (analysis, "_hill_points"), (analysis, "_stepped")]:
             monkeypatch.setattr(target, name, boom)
         assert [abs(_hill_trace(p, p.epsilon)) > 2.0 for p in params] == expected
 
@@ -445,18 +510,18 @@ class TestPeriodicOrbits:
             find_periodic_orbit(P01, 0.1, 0)
 
     def test_guess_is_solved_once(self, monkeypatch):
-        # the monodromy only verifies: one solve at the guess, whose n-th power is the
-        # closure test, and one n-period solve at the root; the search itself
-        # runs on the Hill trace
+        # the stepper only verifies: one solve at the guess, whose n-th power is the
+        # closure test, and one at the root; the search itself runs on the Hill trace
         calls = []
+        stepped = analysis._stepped
 
         def recording(params, eps, n=1):
             calls.append((eps, n))
-            return monodromy(params, eps, n=n)
+            return stepped(params, eps, n)
 
-        monkeypatch.setattr(analysis, "monodromy", recording)
+        monkeypatch.setattr(analysis, "_stepped", recording)
         res = find_periodic_orbit(P01, 0.15, 17)
-        assert calls == [(0.15, 1), (res.epsilon, 17)]
+        assert calls == [(0.15, 17), (res.epsilon, 17)]
 
     @pytest.mark.parametrize("om1, n, guess", [("9/10", 5, 6.55), ("9/10", 17, 0.15),
                                                ("1/10", 5, 0.51), ("1/10", 17, 0.09),
@@ -504,9 +569,9 @@ class TestInvariantCurves:
     def test_series_conic_converges_to_the_monodromy_invariant_form(self, form_miss, omega1):
         # the abstract's non-resonant claim: as the order S grows, the section
         # conic approaches the exact invariant of the one-period map.  The
-        # kernel resolves M to its tolerance _RTOL, so the miss may stop falling
+        # stepper resolves M to its tolerance _RTOL, so the miss may stop falling
         # once it is below _RTOL and must end within 10 * _RTOL at S = 40
-        # (3.9e-12, 4.5e-14, 5.0e-14 and 3.3e-14 measured)
+        # (4.0e-12, 6.9e-18, 3.0e-14 and 1.2e-16 measured against Hill's M)
         params = SystemParams(F(2), F(omega1), 0.1)
         phi, m = build_integral(params, 40), monodromy(params, 0.1)
         misses = [form_miss(conic_at_section(phi.truncated(s), 0.1), m)

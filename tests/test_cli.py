@@ -234,6 +234,23 @@ class TestOrbitCommands:
 OVERFLOW_240 = "the state overflows in period 240; the orbit is unbounded"
 
 
+class TestLargeEpsilon:
+    """At eps = 3e4, |M(T)| ~ 1e129: the state at t = T, E(T) = -H ~ 4e248."""
+
+    def test_overflow_comes_in_the_period_where_e_leaves_float64(self, runner):
+        # z(2T) ~ 1e254 puts |E(2T)| = |H(z(2T), 0)| past float64; E(T) fits
+        res = invoke(runner, "section", "--epsilon", "3e4", "--periods", "2")
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == "error: the state overflows in period 2; the orbit is unbounded\n"
+        res = invoke(runner, "section", "--epsilon", "3e4", "--periods", "1")
+        assert res.exit_code == 0
+        k, t, x, y, e, _, _ = map(float, res.stdout.splitlines()[-1].split(","))
+        params = SystemParams(2, F(9, 10), 3e4)
+        assert k == 1 and abs(e) > 1e248
+        # -H's terms are 6e4 times E here, so two roundings of it differ by 7.8e-12
+        assert abs(e + params.hamiltonian(x, y, t)) <= 1e-10 * abs(e)
+
+
 class TestIntegralDocument:
     """build-integral reduces each order's coefficients as it writes that order,
     in a forked worker from the order at which the numerator bits reach half,

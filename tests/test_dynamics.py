@@ -1,10 +1,12 @@
 """Integrator, section, monodromy and escape tests.
 
 The harmonic-oscillator limit (eps = 0) provides closed-form oracles;
-the Hamiltonian structure provides det M = 1 and reversibility; the
-extended energy provides an independent accuracy monitor.
+the Hamiltonian structure provides det M = 1 and reversibility; E = -H
+holds by construction, so the DP5 reference's integrated energy form and
+30-digit solves are the oracles for E.
 """
 
+import ast
 import inspect
 import math
 import random
@@ -12,13 +14,14 @@ import re
 import time
 import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dop853_reference
-from dp5_reference import integration_points, one_period, rhs_linear, rhs_matrix, rhs_period
+from dp5_reference import integration_points, one_period, rhs_linear, rhs_matrix
 from mathieu_integrals import (StepFailure, SystemParams, Unbounded, analysis, cli, dynamics,
                                escape_diagnostics, integrate_orbit, monodromy,
                                stroboscopic_section)
@@ -58,9 +61,11 @@ class TestHarmonicLimit:
             assert s.y == pytest.approx(math.cos(om1 * s.t), abs=1e-9)
 
     def test_energy_constant_without_driving(self):
+        # E = -H(x, y, t) and dE/dt = -dH/dt is identically zero: E moves only by
+        # the error of the state (3.2e-13 measured)
         params = SystemParams(F(2), F(9, 10), 0.0)
         traj = integrate_orbit(params, 0.0, 1.0, 10, samples_per_period=4)
-        assert all(s.E == traj[0].E for s in traj)  # dE/dt is identically zero
+        assert all(abs(s.E - traj[0].E) <= 1e-12 for s in traj)
 
     def test_section_rotation_step(self):
         params = SystemParams(F(2), F(9, 10), 0.0)
@@ -109,10 +114,11 @@ class TestSampling:
         assert time.perf_counter() - start < 1.0
 
     def test_table_at_the_row_budget_is_allowed(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_MAX_STEPS", 40)
-        assert len(orbit_rows(P01, 0.0, 1.0, 5, 8)) == 41
-        with pytest.raises(InvalidInput, match="budget of 40 rows"):
-            orbit_rows(P01, 0.0, 1.0, 41, 1)
+        # 50, not fewer: Hill's determinant takes 43 rows of the same budget here
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
+        assert len(orbit_rows(P01, 0.0, 1.0, 5, 10)) == 51
+        with pytest.raises(InvalidInput, match="budget of 50 rows"):
+            orbit_rows(P01, 0.0, 1.0, 51, 1)
 
     def test_step_failure_on_impossible_tolerance(self, monkeypatch):
         # below the roundoff floor of the embedded error estimate the
@@ -120,15 +126,16 @@ class TestSampling:
         monkeypatch.setattr(dynamics, "_RTOL", 1e-40)
         monkeypatch.setattr(dynamics, "_ATOL", 1e-40)
         with pytest.raises(StepFailure, match="step size underflow"):
-            integrate_orbit(P01, 0.0, 1.0, 1)
+            integrate_orbit(P01, 0.0, 1.0, 1, samples_per_period=4)  # one sample solves nothing
 
     def test_step_failure_on_exhausted_budget(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
         with pytest.raises(StepFailure, match="step budget exhausted"):
-            monodromy(P01, 0.1)
+            list(_hill_points(P01, 0.1, [0.5 * P01.period]))
 
     def test_span_beyond_the_step_budget_fails_before_stepping(self, monkeypatch):
-        # omega = 1e-150 puts 4.5e149 oscillations of omega1 into T/2
+        # omega = 1e-150 puts 4.5e149 oscillations of omega1 into T/2: Hill's
+        # determinant (monodromy) would need 3 rows for each, the stepper a step
         trig = _count_trig(monkeypatch)
         params = SystemParams(F(1, 10**150), F(9, 10), 0.1)
         with pytest.raises(StepFailure, match="oscillations of omega1"):
@@ -161,6 +168,7 @@ class TestSampling:
 
 class TestExtendedEnergy:
     def test_h_plus_e_bounded_by_1e8(self, orbit_cache):
+        # E = -H(x, y, t) of each row: only the rounding of the two forms differs
         params, traj, _ = orbit_cache("9/10", 0.1, 200, 8)
         worst = max(abs(params.hamiltonian(s.x, s.y, s.t) + s.E) for s in traj)
         assert worst <= 1e-8
@@ -391,13 +399,17 @@ class TestMonodromy:
                                              ("1/10", 0.9), ("11/10", 0.1),
                                              ("301/100", 0.1), ("1/2", 1.5)])
     def test_matrix_only_solve_matches_energy_solve(self, omega1, eps):
-        # monodromy solves for M alone, so its error norm runs over 4
-        # components instead of 7 and the accepted steps differ slightly
+        # The energy solve is gone (E = -H), so the one-sample grid is the
+        # monodromy itself, from Hill's determinants; the matrix-only DOP853
+        # solve, which shares no code with them, is within 2e-12 of its scale
         params = SystemParams(F(2), F(omega1), eps)
         m = monodromy(params, eps)
-        (a, b, c, d, *_), = dynamics._one_period(params, eps, 1)
+        (a, b, c, d, _), = dynamics._one_period(params, eps, 1)
+        assert (a, b, c, d) == (m.m11, m.m12, m.m21, m.m22)
+        s = analysis._stepped(params, eps)
         scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
-        diff = max(abs(m.m11 - a), abs(m.m12 - b), abs(m.m21 - c), abs(m.m22 - d))
+        diff = max(abs(m.m11 - s.m11), abs(m.m12 - s.m12), abs(m.m21 - s.m21),
+                   abs(m.m22 - s.m22))
         assert diff <= 2e-12 * scale
 
 
@@ -406,47 +418,54 @@ def _bits(values):
 
 
 def _assert_orbit_solve_is_generic_solve(params, spp):
-    """The half-period (M, Q) solve equals the generic 7-component DOP853 bit for bit.
+    """The stepper's solve equals the generic 4-component DOP853 bit for bit.
 
-    Its targets are s_j = (j/spp) T for j <= spp/2, then T/2 where spp is
-    odd; ``_one_period`` returns the first spp // 2 of them unchanged.
-    Returns its grid.
+    Its targets are the s_j = (j/spp) T strictly inside (0, T/2), none
+    where spp <= 2; ``_one_period`` returns their M unchanged, then H =
+    M(T/2) from Hill's determinants where spp is even.  Returns its grid.
     """
     eps, T = params.epsilon, params.period
-    targets = [(j / spp) * T for j in range(1, spp // 2 + 1)] + ([0.5 * T] if spp % 2 else [])
-    kernel = list(_hill_points(params, eps, targets, energy=True))
-    generic = [u for _, u in dop853_reference.integration_points(
-        rhs_period(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), targets,
-        dynamics._RTOL, dynamics._ATOL)]
-    assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
+    targets = [(j / spp) * T for j in range(1, (spp + 1) // 2)]
     grid = dynamics._one_period(params, eps, spp)
-    assert grid[:spp // 2] == kernel[:spp // 2]
+    if targets:
+        kernel = list(_hill_points(params, eps, targets))
+        generic = [u for _, u in dop853_reference.integration_points(
+            rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0), targets,
+            dynamics._RTOL, dynamics._ATOL)]
+        assert [_bits(u) for u in kernel] == [_bits(u) for u in generic]
+        assert [row[:4] for row in grid[:len(targets)]] == kernel
+    if spp % 2 == 0:
+        assert grid[spp // 2 - 1][:4] == dynamics._half_period(params, eps)
     return grid
 
 
 def _assert_assembled_period_matches_full_period_solve(params, grid):
-    """The assembled (M, Q) grid against the generic DP5 solve over all of [0, T].
+    """The assembled grid against the generic DP5 solve over all of [0, T].
 
-    Up to spp/2 the grid is the DOP853 solve and the reference a DP5 one,
-    which share no code.  Sample j > spp/2 is R M(u) R M(T) and
-    Q(T) + M(T)^T R Q(u) R M(T) at u = s_(spp-j), so the error of grid
-    row spp - j (row 0 is (I, 0)) returns amplified by up to |M(T)|^2.
-    Over 1200 random draws of the property range below and its 300
-    corners (omega in {1/2, 21/20, 2, 4}, omega1 in {1/20, 1, 3}, eps in
-    {0, +-1/2, +-1}, every spp) the worst entry error was 9.8e-12 of
-    max(1, |row j|) before the middle and 2.0e-11 of max(1, |row j|,
-    |M(T)|^2 |row spp - j|) past it: the bound is 1e-10 of that scale.
+    Before the middle the grid is the DOP853 solve, at the middle Hill's
+    H, and the reference a DP5 solve of (M, Q), which shares no code with
+    either.  Sample j > spp/2 is R M(u) R M(T) at u = s_(spp-j), so the
+    error of grid row spp - j (row 0 is I) returns amplified by up to
+    |M(T)|.  With Q in the grid the worst over 1200 random draws of the
+    property range below and its 300 corners was 2.0e-11 of max(1, |row
+    j|, |M(T)|^2 |row spp - j|) past the middle, 9.8e-12 of max(1, |row
+    j|) before it; M alone keeps to 1e-10 of max(1, |row j|, |M(T)| |row
+    spp - j|).  Each sample's g is eps cos(omega s_j) - omega1^2/2, so
+    that g x^2 - y^2/2 is -H there.
     """
-    spp = len(grid)
-    full = one_period(params, params.epsilon, spp, dynamics._RTOL, dynamics._ATOL)
+    spp, eps = len(grid), params.epsilon
+    full = one_period(params, eps, spp, dynamics._RTOL, dynamics._ATOL)
     assert len(full) == spp
     m_T = max(map(abs, grid[-1][:4]))
-    rows = [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)] + grid
+    rows = [(1.0, 0.0, 0.0, 1.0)] + [row[:4] for row in grid]
+    om, om1 = float(params.omega), float(params.omega1)
     for j, (got, want) in enumerate(zip(grid, full), start=1):
-        scale = max(1.0, *map(abs, want))
+        scale = max(1.0, *map(abs, want[:4]))
         if j > spp // 2:
-            scale = max(scale, m_T * m_T * max(map(abs, rows[spp - j])))
-        assert all(abs(u - v) <= 1e-10 * scale for u, v in zip(got, want)), j
+            scale = max(scale, m_T * max(map(abs, rows[spp - j])))
+        assert all(abs(u - v) <= 1e-10 * scale for u, v in zip(got[:4], want[:4])), j
+        g = eps * math.cos(om * (j / spp) * params.period) - 0.5 * om1 * om1
+        assert abs(got[4] - g) <= 1e-15 * max(1.0, abs(eps)), j
 
 
 class TestTableau:
@@ -475,40 +494,81 @@ class TestTableau:
                 assert abs(sum(e * self.NODES[i] ** (k - 1) for i, e in weights.items())) <= 1e-15
 
 
-#: M(T/2) and Q(T/2) at omega = 2, as (m11, m12, m21, m22, q11, q22, q12), from
-#: mpmath's Taylor-series ``odefun`` on the 7-component system at 32 and at 42
-#: digits, which agree in all 30 digits kept; eps is the float the solve receives.
-THIRTY_DIGITS = {
-    ("9/10", 0.1): ("0.237747844073993417775230579472", "1.09717596265093196776913923406",
-                    "-0.895592795831429474928722029913", "0.0730905138513204694832065309428",
-                    "-0.12458786684030336899180039459", "-0.110587633582119667833676518956",
-                    "-0.099000197119054077467696222842"),
-    ("9/10", 0.185): ("0.305244201123168532613899918384", "1.09655696395758530385907839847",
-                      "-0.911757341483334567274452072467",
-                      "0.000675320796387947219375533418483",
-                      "-0.250623398042778581444728179421", "-0.20943816139937646509020722968",
-                      "-0.197175551778093797058706772977"),
-    ("301/100", 0.8): ("0.00285349379681209707254396211197", "-0.336872505703713673675256101036",
-                       "2.96841390753532980489777217938", "0.00804943148896190653202742349697",
-                       "-0.675733962766806361641422890991",
-                       "-0.104902914406098252259852916633",
-                       "-0.0068234391101400382597719230224"),
+#: H = M(T/2) row-major at (omega, omega1, eps), to 30 digits, from
+#: tests/make_literals.py: mpmath's Taylor-series ``odefun`` at 40 and at 50
+#: digits, which agree in all 30 kept.  eps is the float the library receives
+#: (6.485 is 5.7e-16 below the decimal, which moves h11 by 7.9e-12 of itself).
+HALF_PERIOD = {
+    ("2", "9/10", 0.1): (
+        "0.237747844073993417775230579472",
+        "1.09717596265093196776913923406",
+        "-0.895592795831429474928722029913",
+        "0.0730905138513204694832065309428",
+    ),
+    ("2", "9/10", 0.185): (
+        "0.305244201123168532613899918384",
+        "1.09655696395758530385907839847",
+        "-0.911757341483334567274452072467",
+        "0.000675320796387947219375533418483",
+    ),
+    ("2", "301/100", 0.8): (
+        "0.00285349379681209707254396211197",
+        "-0.336872505703713673675256101036",
+        "2.96841390753532980489777217938",
+        "0.00804943148896190653202742349697",
+    ),
+    ("1/2", "1/20", 6.485): (
+        "0.148013541284346510858861144314",
+        "0.0412543213702934098263589172470",
+        "-19966.5972640684896387743692385",
+        "-5558.33211653662334551407152430",
+    ),
+    ("2", "1", 0.05): (
+        "0.0390238274014400588088423747862",
+        "0.999937729623518709953654659208",
+        "-1.00160438509863633126949676827",
+        "-0.0395146995866946837695104472375",
+    ),
+    ("2", "2", 0.5): (
+        "-0.847678850066164462093172763451",
+        "-0.00408972774338225637509367489231",
+        "-0.0817306445496375837984951257994",
+        "-1.18008636880160379937724316078",
+    ),
 }
+#: E = -H(x, y, t) at t = (j/16) T, j = 1..16, on the orbit from (0, 1) at omega = 2,
+#: omega1 = 9/10, eps = 100, from the 30-digit solve of tests/make_literals.py
+E_AT_EPS_100 = (
+    "-1.17997330888916983161553801841",
+    "-270.924089713976472387699408656",
+    "-34702.8353320718519279824265022",
+    "-1181767.75821310642481372272826",
+    "-6909770.44117503374787395041753",
+    "-8489857.68229787858897105530460",
+    "-10050054.5721484004287356176508",
+    "-10529171.4632739126249551932889",
+    "-9988023.24655871491534169821114",
+    "-8532927.66426684033898101029650",
+    "-7195173.09540876054518260873509",
+    "-412799.506665343056759506206803",
+    "4393970.57899832093959877520524",
+    "37242868.0858667623288589865894",
+    "2000113255.41245837968198356419",
+    "65568132861.9609329045736279224",
+)
 
 
 class TestHillKernel:
     """The specialised Hill-equation stepper against the generic one."""
 
-    @pytest.mark.parametrize("omega1, eps", list(THIRTY_DIGITS))
+    @pytest.mark.parametrize("omega1, eps", [("9/10", 0.1), ("9/10", 0.185), ("301/100", 0.8)])
     def test_half_period_solve_matches_30_digits(self, omega1, eps):
-        # worst 6.5e-14 of max(1, |entry|) for (M, Q) and 1.2e-13 for M alone, at
-        # omega1 = 301/100; the DP5 kernel missed by up to 2.0e-12
+        # worst 1.2e-13 of max(1, |entry|), at omega1 = 301/100; the DP5 kernel
+        # missed by up to 2.0e-12
         params = SystemParams(F(2), F(omega1), eps)
-        want = [float(v) for v in THIRTY_DIGITS[omega1, eps]]
-        m_q, = _hill_points(params, eps, [0.5 * params.period], energy=True)
-        m, = _hill_points(params, eps, [0.5 * params.period])
-        for got in (m_q, m):
-            assert all(abs(u - v) <= 5e-13 * max(1.0, abs(v)) for u, v in zip(got, want))
+        want = [float(v) for v in HALF_PERIOD["2", omega1, eps]]
+        got, = _hill_points(params, eps, [0.5 * params.period])
+        assert all(abs(u - v) <= 5e-13 * max(1.0, abs(v)) for u, v in zip(got, want))
 
     # against the DP5 reference, which shares no code with the kernel: the
     # output of a command moves by this much from the DP5 kernel's, most of it
@@ -520,17 +580,16 @@ class TestHillKernel:
     def test_half_period_solve_matches_dp5(self, omega, omega1, eps):
         params = SystemParams(omega, omega1, eps)
         half = [0.5 * params.period]
-        got, = _hill_points(params, eps, half, energy=True)
-        (_, want), = integration_points(rhs_period(params, eps), 0.0,
-                                        (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), half,
-                                        dynamics._RTOL, dynamics._ATOL)
+        got, = _hill_points(params, eps, half)
+        (_, want), = integration_points(rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0),
+                                        half, dynamics._RTOL, dynamics._ATOL)
         assert all(abs(u - v) <= 1e-11 * max(1.0, abs(v)) for u, v in zip(got, want))
 
     def test_half_period_solve_takes_few_steps(self, monkeypatch):
         # 11 cos calls per step attempt: 188 for the (M, Q) solve at omega1 =
-        # 9/10, eps = 0.1, where the DP5 kernel made 426
+        # 9/10, eps = 0.1, where the DP5 kernel made 426; M alone makes 188 too
         cos = _count_trig(monkeypatch, ("cos",))
-        list(_hill_points(P01, 0.1, [0.5 * P01.period], energy=True))
+        list(_hill_points(P01, 0.1, [0.5 * P01.period]))
         assert 0 < len(cos) <= 200
 
     @pytest.mark.parametrize("eps, periods", [(0.1857848562 - 1e-3, 40),
@@ -555,14 +614,15 @@ class TestHillKernel:
     @pytest.mark.parametrize("n", [1, 17])
     def test_monodromy_is_bit_identical_to_generic_solve(self, omega1, eps, n):
         # the generic solve over half a period, assembled into M(T) and raised to n
-        # by Monodromy.power (checked against sequential products on its own)
+        # by Monodromy.power (checked against sequential products on its own): the
+        # stepper's monodromy, which cross-checks the Hill one in analysis
         params = SystemParams(F(2), F(omega1), eps)
         (_, (a, b, c, d)), = dop853_reference.integration_points(
             rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
             dynamics._RTOL, dynamics._ATOL)
         a, b, c, d = a * d + b * c, 2.0 * b * d, 2.0 * a * c, a * d + b * c
         want = dynamics.Monodromy(a, b, c, d, n=1).power(n)
-        m = monodromy(params, eps, n=n)
+        m = analysis._stepped(params, eps, n)
         assert _bits((m.m11, m.m12, m.m21, m.m22)) == _bits((want.m11, want.m12, want.m21,
                                                              want.m22))
 
@@ -609,6 +669,98 @@ class TestHillKernel:
         assert m11 == m22 and abs(m11 * m22 - m12 * m21 - 1.0) <= 1e-11 * scale
 
 
+def test_no_test_module_imports_mpmath():
+    # the literals are made by hand with tests/make_literals.py, which pytest does
+    # not collect; the suite runs without mpmath
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == "make_literals.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not imported & {"mpmath", "make_literals"}, path.name
+
+
+#: the relative bound of each entry of H at each HALF_PERIOD case, and of
+#: h11 h22 - h12 h21 - 1 over max(1, |h11 h22|), with the worst measured: rounding
+#: at small q (8.2e-16, 1.3e-13 in an h22 of 6.8e-4 whose terms cancel, 4.0e-15,
+#: 3.5e-16 at the half-integer omega1/omega, 1.1e-15 at the integer one), and the
+#: cancelling recurrence of C at q = 104 (1.2e-11 in h11; 2.2e-16, 6.7e-16, 1.6e-15,
+#: 1.1e-11, 3.3e-16 and 1.8e-15 for the Wronskian)
+HALF_PERIOD_BOUND = {("2", "9/10", 0.1): 1e-14, ("2", "9/10", 0.185): 5e-13,
+                     ("2", "301/100", 0.8): 2e-14, ("1/2", "1/20", 6.485): 5e-11,
+                     ("2", "1", 0.05): 1e-14, ("2", "2", 0.5): 1e-14}
+
+
+class TestHalfPeriod:
+    """H = M(T/2) from Hill's determinants, which solve no ODE."""
+
+    @pytest.mark.parametrize("omega, omega1, eps", list(HALF_PERIOD))
+    def test_matches_30_digits(self, omega, omega1, eps):
+        params = SystemParams(F(omega), F(omega1), eps)
+        got = dynamics._half_period(params, eps)
+        want = [float(v) for v in HALF_PERIOD[omega, omega1, eps]]
+        bound = HALF_PERIOD_BOUND[omega, omega1, eps]
+        assert all(abs(u - v) <= bound * abs(v) for u, v in zip(got, want))
+        h11, h12, h21, h22 = got
+        assert abs(h11 * h22 - h12 * h21 - 1.0) <= bound * max(1.0, abs(h11 * h22))
+
+    def test_one_sample_per_period_solves_nothing(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the stepper ran")
+
+        monkeypatch.setattr(dynamics, "_hill_points", boom)
+        params = SystemParams(F(2), F(9, 10), 0.19)
+        assert len(stroboscopic_section(params, 0.0, 1.0, 40)) == 41
+        assert escape_diagnostics(params, orbit_rows(params, 0.0, 1.0, 150)).escaped
+        assert abs(monodromy(params, 0.19, n=3).trace) > 2.0
+        assert len(integrate_orbit(params, 0.0, 1.0, 2, samples_per_period=2)) == 5
+        with pytest.raises(AssertionError, match="the stepper ran"):
+            integrate_orbit(params, 0.0, 1.0, 2, samples_per_period=3)
+
+    @pytest.mark.parametrize("eps, bound", [(1e4, 1e-10), (-1e4, 1e-10), (3e4, 1e-10)])
+    def test_large_eps_monodromy_matches_the_stepper(self, eps, bound):
+        # |M(T)| ~ 1e75 and 1e129: every entry is a product, so each keeps its relative
+        # accuracy (4.4e-12, 4.4e-12 and 1.1e-11 from the stepper's measured)
+        params = SystemParams(F(2), F(9, 10), eps)
+        m, s = monodromy(params, eps), analysis._stepped(params, eps)
+        for u, v in zip((m.m11, m.m12, m.m21, m.m22), (s.m11, s.m12, s.m21, s.m22)):
+            assert abs(u - v) <= bound * abs(v)
+
+    def test_the_recurrence_rescales_exactly(self, monkeypatch):
+        # at eps = 3e5 (q = 3e5) H ~ 1e200 is finite and only M(T) ~ H^2 leaves
+        # float64; rescaling by powers of two changes no bit, also every few rows
+        cases = [(SystemParams(F(om), F(om1), eps), eps) for om, om1, eps in HALF_PERIOD]
+        cases.append((SystemParams(F(2), F(9, 10), 3e5), 3e5))
+        want = [dynamics._half_period(*case) for case in cases]
+        assert all(map(math.isfinite, want[-1])) and max(map(abs, want[-1])) > 2.0 ** 600
+        with pytest.raises(Unbounded, match="overflows"):
+            monodromy(*cases[-1])
+        monkeypatch.setattr(dynamics, "_HUGE", 2.0 ** 4)
+        assert [dynamics._half_period(*case) for case in cases] == want
+
+    def test_a_recurrence_that_decays_first_is_rescaled_up(self):
+        # at q = 3e8 the recurrence falls below 5e-324 over the rows past sqrt(q)
+        # before it grows to H ~ exp(0.85 sqrt(q)): scaled only down, it gave H = 0,
+        # M(T) = I and a trace of 2
+        params = SystemParams(F(2), F(9, 10), 3e8)
+        with pytest.raises(Unbounded, match="overflows"):
+            monodromy(params, 3e8)
+        with pytest.raises(Unbounded, match="leaves float64"):
+            analysis._hill_trace(params, 3e8)
+
+    def test_energy_over_one_period_at_eps_100_matches_30_digits(self):
+        # E = -H of the state: 2.1e-8 of |E| at worst, at the samples mirrored past
+        # T/2, which carry the error of the solve amplified by |M(T)|
+        params = SystemParams(F(2), F(9, 10), 100.0)
+        rows = integrate_orbit(params, 0.0, 1.0, 1, samples_per_period=16)
+        assert len(rows) == 17
+        for row, want in zip(rows[1:], map(float, E_AT_EPS_100)):
+            assert abs(row.E - want) <= 1e-6 * abs(want)
+
+
 class TestReversibility:
     def test_forward_backward_round_trip(self):
         traj = integrate_orbit(P01, 0.0, 1.0, 50)
@@ -627,6 +779,20 @@ def _direct_dp5(params, n_periods):
     f = rhs_linear(params, params.epsilon)
     targets = [k * T for k in range(1, n_periods + 1)]
     return [z for _, z in integration_points(f, 0.0, (0.0, 1.0), targets, 1e-12, 1e-12)]
+
+
+def _dp5_energies(params, x0, y0, n_periods, spp):
+    """E at every sample from the DP5 reference's (M, Q) over one whole period,
+    which integrates the energy form and shares no code with -H."""
+    grid = one_period(params, params.epsilon, spp, 1e-12, 1e-12)
+    x, y, e = x0, y0, -params.hamiltonian(x0, y0, 0.0)
+    energies = [e]
+    for _ in range(n_periods):
+        energies += [e + q11 * x * x + q22 * y * y + 2.0 * q12 * x * y
+                     for _, _, _, _, q11, q22, q12 in grid]
+        m11, m12, m21, m22, *_ = grid[-1]
+        x, y, e = m11 * x + m12 * y, m21 * x + m22 * y, energies[-1]
+    return energies
 
 
 class TestPropagator:
@@ -670,18 +836,44 @@ class TestPropagator:
                               -0.1, -0.15, -0.18, -0.185)
     ] + [("1/10", 0.1), ("11/10", 0.1), ("11/10", -0.1), ("1", 0.05)])
     def test_extended_energy_over_200_periods(self, omega1, eps):
+        # E = -H(x, y, t) by construction, so its oracle is the energy form Q of
+        # the DP5 reference, integrated: E(kT + s) = E(kT) + z^T Q(s) z, z = z(kT)
         params = SystemParams(F(2), F(omega1), eps)
         traj = integrate_orbit(params, 0.0, 1.0, 200, samples_per_period=4)
-        for s in traj:
-            assert abs(params.hamiltonian(s.x, s.y, s.t) + s.E) <= 1e-7 * max(1.0, abs(s.E))
+        ref = _dp5_energies(params, 0.0, 1.0, 200, 4)
+        assert len(ref) == len(traj)
+        for s, e in zip(traj, ref):
+            assert abs(s.E - e) <= 1e-7 * max(1.0, abs(e))
+
+    @pytest.mark.parametrize("omega1, eps, periods", [
+        *[("9/10", e, 200) for e in (0.01, 0.05, 0.1, 0.15, 0.18, 0.185, -0.1, -0.15, -0.18)],
+        *[("9/10", e, 64) for e in (0.19, 0.2, 0.22)],
+        ("1/10", 0.1, 200), ("11/10", 0.1, 200), ("11/10", -0.1, 200), ("1", 0.05, 15)])
+    def test_section_rows_match_a_tight_solve(self, monkeypatch, omega1, eps, periods):
+        # the benchmark's section parameters against M(T) from the stepper at rtol =
+        # atol = 1e-14: 7.6e-12 of max(1, |z|) in x, y and 9.1e-12 of max(1, |E|) in
+        # E the worst (omega1 = 1/10), 2.0e-12 elsewhere
+        params = SystemParams(F(2), F(omega1), eps)
+        rows = orbit_rows(params, 0.02, 0.97, periods)
+        monkeypatch.setattr(dynamics, "_RTOL", 1e-14)
+        monkeypatch.setattr(dynamics, "_ATOL", 1e-14)
+        half, = _hill_points(params, eps, [0.5 * params.period])
+        m = dynamics.Monodromy(*dynamics._full_period(*half), n=1)
+        x, y = 0.02, 0.97
+        for _, _, u, v, e, _, _ in rows[1:]:
+            x, y = m.apply(x, y)
+            assert max(abs(u - x), abs(v - y)) <= 2e-11 * max(1.0, abs(x), abs(y))
+            want = -params.hamiltonian(x, y, 0.0)
+            assert abs(e - want) <= 2e-11 * max(1.0, abs(want))
 
     def test_work_independent_of_horizon(self, monkeypatch):
-        # the stages evaluate cos(omega t) and sin(omega t) once each
+        # the stages evaluate cos(omega t) once each, over [0, T/4] at four samples
+        # a period (one sample per period solves nothing), then g at each sample
         trig = _count_trig(monkeypatch)
         counts = []
         for n in (20, 2000):
             trig.clear()
-            integrate_orbit(P01, 0.0, 1.0, n)
+            integrate_orbit(P01, 0.0, 1.0, n, samples_per_period=4)
             counts.append(len(trig))
             # half a period of integration, never more
             assert max(trig) <= float(P01.omega) * (0.5 * P01.period)
@@ -845,12 +1037,19 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("eps", [1e300, 1e308, -1e308])
     def test_overflowing_coefficients_are_unbounded_with_time(self, eps):
-        # 2 eps cos(omega t) overflows or the stages do: not a step-size underflow
+        # 2 eps cos(omega t) overflows or the stages do: not a step-size underflow.
+        # Hill's determinants would need 1e171 rows and more, where the solution
+        # grows like exp(0.85 sqrt|q|) within half a period
         params = SystemParams(F(2), F(9, 10), eps)
         with pytest.raises(Unbounded, match=r"at t = 0\.0"):
-            monodromy(params, eps)
+            list(_hill_points(params, eps, [0.5 * params.period]))
         with pytest.raises(Unbounded, match=r"at t = 0\.0"):
-            integrate_orbit(params, 0.0, 1.0, 1)
+            integrate_orbit(params, 0.0, 1.0, 1, samples_per_period=4)
+        for one_sample in (lambda: monodromy(params, eps),
+                           lambda: integrate_orbit(params, 0.0, 1.0, 1)):
+            with pytest.raises(Unbounded, match=re.escape(
+                    f"the solution leaves float64 within half a period at eps = {eps}")):
+                one_sample()
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_epsilon_rejected(self, eps):

@@ -293,8 +293,8 @@ class TestSectionForm:
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
     @pytest.mark.parametrize("c0, s0", [(1.0, 0.0), (0.6, 0.8)])
     def test_order10_form_is_the_monodromy_invariant_form(self, form_miss, eps, c0, s0):
-        # the exact hyperbolic section invariant, from DOP853 at rtol 1e-12 and
-        # sharing no code with the rationals; the bound leaves that 100x
+        # the exact hyperbolic section invariant, from Hill's determinants (about
+        # 1e-15) and sharing no code with the rationals; the bound leaves 1e-10
         params = SystemParams(F(2), F(1), 0.0)
         m = monodromy(params, eps)
         assert abs(m.trace) > 2.0
@@ -304,14 +304,15 @@ class TestSectionForm:
                                           PhaseConstants(c0, s0))
             return form_miss(conic, m)
 
-        assert miss(10) <= 1e-10  # 7.8e-13 measured
+        assert miss(10) <= 1e-10  # 1.5e-15 measured
         assert miss(2) > 1e-5  # 3.9e-5 to 1.9e-3 measured
 
     @pytest.mark.parametrize("c0, s0", [(1.0, 0.0), (0.6, 0.8)])
     def test_order40_form_at_eps_1(self, form_miss, c0, s0):
         # the abstract's resonant claim far from eps = 0: order 40 meets the
-        # hyperbolic invariant to 10 * _RTOL = 1e-11, the accuracy DOP853 gives M
-        # at its tolerance _RTOL, while order 10 misses it by 1e5 * _RTOL
+        # hyperbolic invariant to 10 * _RTOL = 1e-11, the accuracy the DOP853
+        # stepper gives M at its tolerance _RTOL (Hill's determinants: about
+        # 1e-15), while order 10 misses it by 1e5 * _RTOL
         params = SystemParams(F(2), F(1), 0.0)
         m = monodromy(params, 1.0)
 
@@ -320,7 +321,7 @@ class TestSectionForm:
                                           PhaseConstants(c0, s0))
             return form_miss(conic, m)
 
-        assert miss(40) <= 10 * _RTOL  # 1.0e-13 measured
+        assert miss(40) <= 10 * _RTOL  # 1.7e-16 measured
         assert miss(10) > 1e5 * _RTOL  # 2.6e-6 and 6.2e-6 measured
 
 
