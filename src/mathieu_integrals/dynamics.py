@@ -27,9 +27,9 @@ sqrt(a)/2)/sqrt(a), cos(pi sqrt(a)/2) and cos(pi sqrt(a)/2), each a
 product over the free diagonal k^2 of A(0), so dividing row k by -k^2
 cancels det(a - A(0)) row by row, and no zero of a sine is divided by
 (``_hill_factors``; the row k = 0 of C' keeps its free value's factor
-a).  Every entry of M(T) = ((1 + 2 h12 h21, 2 h12 h22), (2 h11 h21, 1 +
-2 h12 h21)) is then a product of determinants, each accurate to its own
-size.
+a).  Every entry of M(T) = ((h11 h22 + h12 h21, 2 h12 h22), (2 h11 h21,
+h11 h22 + h12 h21)) is then a sum or product of determinants (the
+diagonal is 1 + 2 h12 h21 when det H = 1).
 
 A Dormand-Prince 8(5,3) method (DOP853, error control at rtol = atol =
 1e-12, ``_hill_points``) solves for M at the samples strictly inside (0,
@@ -45,7 +45,9 @@ come, so its memory does not grow with the horizon.  ``integrate_orbit``
 is the one list form, the rows as OrbitSamples, and the stroboscopic
 section is the one-sample-per-period orbit.  ``escape_diagnostics``
 reads rows of either form up to the first one past the escape radius;
-the growth rate of an escaped orbit is its Floquet exponent, from M(T).
+the growth rate of an escaped orbit is its Floquet exponent.  The flow
+preserves area (Liouville), so det M(T) = 1: the multipliers and exponent
+come from tr M(T) alone, never from the entries' det (0 at eps = 1e4).
 
 The stepper also cross-checks the determinants (``analysis._stepped``).
 The generic stepper it reproduces bit for bit lives in
@@ -267,10 +269,6 @@ class Monodromy:
     def trace(self) -> float:
         return self.m11 + self.m22
 
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
     def apply(self, x: float, y: float) -> tuple[float, float]:
         return self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y
 
@@ -290,24 +288,25 @@ class Monodromy:
             product = _product(product, product)
             if bit == "1":
                 product = _product(product, m)
-        if not all(map(math.isfinite, product)):
-            raise Unbounded(f"the monodromy over {n * self.n} periods overflows")
-        return Monodromy(*product, n=n * self.n)
+        periods = n * self.n
+        if not all(map(math.isfinite, (*product, product[0] + product[3]))):  # and tr ~ lambda_big
+            raise Unbounded(f"the monodromy over {periods} period{'s' * (periods > 1)} overflows")
+        return Monodromy(*product, n=periods)
 
     def eigenvalues(self) -> tuple[complex, complex]:
-        """The roots (tr + s)/2 and (tr - s)/2 of l^2 - tr l + det, s^2 = tr^2 - 4 det.
+        """The roots (tr + s)/2 and (tr - s)/2 of l^2 - tr l + 1, s^2 = tr^2 - 4.
 
-        A real pair takes the root of larger modulus as (tr + copysign(s,
-        tr))/2, which does not cancel, and the other as det over it.
+        With tau = tr/2, a real pair takes the root of larger modulus as tau
+        + tau sqrt((1 - 1/tau)(1 + 1/tau)), which neither cancels nor
+        overflows, and the other as 1 over it.
         """
-        tr = self.trace
-        disc = tr * tr - 4.0 * self.det
-        root = math.sqrt(abs(disc))
-        if disc >= 0.0:
-            big = (tr + math.copysign(root, tr)) / 2.0
-            small = complex(self.det / big if big else 0.0)
-            return (complex(big), small) if math.copysign(1.0, tr) > 0.0 else (small, complex(big))
-        return complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0)
+        tau = self.trace / 2.0
+        if abs(tau) < 1.0:
+            root = math.sqrt((1.0 - tau) * (1.0 + tau))
+            return complex(tau, root), complex(tau, -root)
+        big = tau + tau * math.sqrt((1.0 - 1.0 / tau) * (1.0 + 1.0 / tau))
+        pair = complex(big), complex(1.0 / big)
+        return pair if tau > 0.0 else pair[::-1]
 
 
 def _product(p: tuple, q: tuple) -> tuple[float, float, float, float]:
@@ -543,17 +542,17 @@ def escape_diagnostics(params: SystemParams, section: Iterable[Sequence],
     The rows are read by position, up to the first whose r exceeds
     ``r_escape``: the orbit escaped there, at period index k_escape.  The
     growth rate of an escaped orbit is the Floquet exponent log|lambda_1|/T
-    of the larger multiplier of monodromy(params, params.epsilon), the rate
-    of log r once the orbit follows the unstable direction (Magnus &
-    Winkler, Hill's Equation, ch. 1).
+    = arccosh(|tr|/2)/T of monodromy(params, params.epsilon) (det M = 1),
+    0 where |tr| <= 2: the rate of log r once the orbit follows the
+    unstable direction (Magnus & Winkler, Hill's Equation, ch. 1).
     """
     if not 0.0 < r_escape < math.inf:
         raise InvalidInput(f"the escape radius must be positive and finite, got {r_escape}")
     empty = True
     for row in section:
         if row[6] > r_escape:
-            multiplier = max(map(abs, monodromy(params, params.epsilon).eigenvalues()))
-            return EscapeReport(True, row[0], math.log(multiplier) / params.period)
+            half_trace = abs(monodromy(params, params.epsilon).trace) / 2.0
+            return EscapeReport(True, row[0], math.acosh(max(1.0, half_trace)) / params.period)
         empty = False
     if empty:
         raise InvalidInput("escape_diagnostics needs a non-empty section")

@@ -496,8 +496,34 @@ class TestAnalysisCommands:
         assert res.exit_code == 0
         doc = json.loads(res.output)
         assert doc["stable"] is True
-        assert abs(doc["det"] - 1.0) < 1e-9
+        (m11, m12), (m21, m22) = doc["matrix"]
+        assert abs(m11 * m22 - m12 * m21 - 1.0) < 1e-9
+        assert doc["det"] == 1.0  # the flow's, not the entries'
         assert abs(doc["trace"] + 1.9021130325903071) < 1e-9
+
+    @pytest.mark.parametrize("eps, small", [("1e4", 1.3278874073150866e-74),
+                                            ("3e4", -7.061568606928933e-128),
+                                            ("1e5", -5.342306361679288e-233)])
+    def test_monodromy_json_at_large_eps_is_finite(self, runner, eps, small):
+        # the entries' det read 0, -1.3e238 and NaN here, and so did a multiplier
+        res = invoke(runner, "monodromy", "--epsilon", eps)
+        assert res.exit_code == 0
+        assert "NaN" not in res.stdout and "Infinity" not in res.stdout
+        doc = json.loads(res.stdout)
+        assert doc["det"] == 1.0 and doc["stable"] is False
+        (b1, i1), (b2, i2) = doc["eigenvalues"]
+        assert i1 == i2 == 0.0
+        assert min(b1, b2, key=abs) == pytest.approx(small, rel=1e-12)
+        assert abs(b1 * b2 - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("args, periods", [
+        (["--epsilon", "1e6"], "1 period"),
+        # finite entries of 0.95e308 whose trace is not: it printed Infinity
+        (["--omega", "1/2", "--epsilon", "1.0004", "--n", "162"], "162 periods")])
+    def test_monodromy_overflow_is_one_line(self, runner, args, periods):
+        res = invoke(runner, "monodromy", *args)
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: the monodromy over {periods} overflows\n"
 
     def test_convergence_improves(self, runner, tmp_path):
         out = tmp_path / "conv.csv"

@@ -7,6 +7,7 @@ holds by construction, so the DP5 reference's integrated energy form and
 """
 
 import ast
+import cmath
 import inspect
 import math
 import random
@@ -288,8 +289,21 @@ class TestEscape:
         report = escape_diagnostics(params, pts, r_escape=1.0)
         assert report.escaped and report.k_escape == 0
         assert tail_fit(pts, r_escape=1.0).growth_rate is None
-        lam = max(abs(ev) for ev in monodromy(params, 0.19).eigenvalues())
-        assert report.growth_rate == math.log(lam) / params.period > 0
+        m = monodromy(params, 0.19)
+        assert report.growth_rate == math.acosh(abs(m.trace) / 2.0) / params.period > 0
+        lam = max(abs(ev) for ev in m.eigenvalues())
+        assert report.growth_rate == pytest.approx(math.log(lam) / params.period, rel=1e-12)
+
+    @pytest.mark.parametrize("omega1, eps", [("9/10", 0.0), ("11/10", 0.0), ("9/10", -0.18),
+                                             ("9/10", 0.1)])
+    def test_an_escaped_stable_orbit_grows_at_zero(self, omega1, eps):
+        # r = 1 passes the radius at k = 0; |tr| < 2, so the exponent is 0, not
+        # the +-1e-16 of log|lambda| on the unit circle
+        params = SystemParams(F(2), F(omega1), eps)
+        report = escape_diagnostics(params, stroboscopic_section(params, 0.0, 1.0, 5),
+                                    r_escape=0.5)
+        assert report.escaped and report.k_escape == 0
+        assert report.growth_rate == 0.0
 
 
 class TestMonodromy:
@@ -302,7 +316,7 @@ class TestMonodromy:
         for _ in range(20):
             eps = rng.uniform(-0.25, 0.25)
             m = monodromy(P01, eps)
-            assert abs(m.det - 1.0) < 1e-9
+            assert abs(m.m11 * m.m22 - m.m12 * m.m21 - 1.0) < 1e-9
 
     def test_flow_linearity(self):
         rng = random.Random(1)
@@ -380,20 +394,61 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("eps", [0.19, 0.25, -0.3, 1.0, 10.0, 100.0])
     def test_real_eigenvalues_keep_product_and_sum(self, eps):
-        # the small root is det over the large one: at eps = 100 (tr - sign(tr) s)/2
-        # cancelled to 0.4 % of it; the order stays (tr + s)/2, (tr - s)/2
+        # det M = 1: the small root is 1 over the large one, whatever the
+        # entries' det; the order stays (tr + s)/2, (tr - s)/2
         m = monodromy(P01, eps)
         e1, e2 = m.eigenvalues()
         assert e1.imag == e2.imag == 0.0
-        assert e1.real * e2.real == pytest.approx(m.det, rel=1e-14)
+        assert abs(e1.real * e2.real - 1.0) <= 1e-15
         assert e1.real + e2.real == pytest.approx(m.trace, rel=1e-14)
         assert (abs(e1) > abs(e2)) == (m.trace > 0.0)
 
     def test_complex_eigenvalues_are_the_half_trace_pair(self):
         m = monodromy(P01, 0.18)
-        root = math.sqrt(abs(m.trace ** 2 - 4.0 * m.det))
-        assert m.eigenvalues() == (complex(m.trace / 2.0, root / 2.0),
-                                   complex(m.trace / 2.0, -root / 2.0))
+        tau = m.trace / 2.0
+        root = math.sqrt((1.0 - tau) * (1.0 + tau))
+        assert m.eigenvalues() == (complex(tau, root), complex(tau, -root))
+        e1, e2 = m.eigenvalues()
+        assert abs((e1 * e2).real - 1.0) <= 1e-15 and e1 + e2 == m.trace
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.18, 0.19])
+    def test_small_eps_multipliers_agree_with_the_entries_det(self, eps):
+        # where the entries' det is 1 to ~1e-14, the roots of l^2 - tr l + det
+        # move by 2.4e-13 relative at most (the imaginary part at 0.18)
+        m = monodromy(P01, eps)
+        tr, det = m.trace, m.m11 * m.m22 - m.m12 * m.m21
+        root = cmath.sqrt(tr * tr - 4.0 * det)
+        for got, want in zip(m.eigenvalues(), ((tr + root) / 2.0, (tr - root) / 2.0)):
+            assert got.real == pytest.approx(want.real, rel=1e-12)
+            assert got.imag == pytest.approx(want.imag, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [100.0, 1e4, 3e4, 1e5])
+    def test_large_eps_multipliers_come_from_the_trace(self, eps):
+        # the entries' det reads 0.992, 0, -1.3e238 and NaN here: each entry is
+        # accurate only to its own size, so the multipliers take det M = 1
+        params = SystemParams(F(2), F(9, 10), eps)
+        m = monodromy(params, eps)
+        big, small = sorted(m.eigenvalues(), key=abs, reverse=True)
+        assert big.imag == small.imag == 0.0
+        assert abs(big.real * small.real - 1.0) <= 1e-15
+        assert math.copysign(1.0, small.real) == math.copysign(1.0, m.trace)
+        # the stepper's M(T), which shares no code with the determinants
+        stepped = analysis._stepped(params, eps).trace
+        assert abs(big.real - stepped) <= 1e-9 * abs(stepped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(half=st.floats(min_value=0.0, max_value=5e299), negative=st.booleans(),
+           m12=st.floats(allow_nan=False, allow_infinity=False),
+           m21=st.floats(allow_nan=False, allow_infinity=False))
+    def test_multipliers_depend_on_the_trace_alone(self, half, negative, m12, m21):
+        # |tr| in [0, 1e300]: tr/2 + tr/2 and tr + 0 are both tr exactly
+        tr = -2.0 * half if negative else 2.0 * half
+        pair = dynamics.Monodromy(tr / 2.0, m12, m21, tr / 2.0, n=1).eigenvalues()
+        assert dynamics.Monodromy(tr, m21, m12, 0.0, n=1).eigenvalues() == pair
+        e1, e2 = pair
+        assert all(map(cmath.isfinite, pair))
+        assert abs((e1 * e2).real - 1.0) <= 1e-15 and (e1 * e2).imag == 0.0
+        assert abs((e1 + e2).real - tr) <= 1e-15 * abs(tr)
 
     @pytest.mark.parametrize("omega1, eps", [("9/10", 0.0), ("9/10", 0.18), ("9/10", -0.185),
                                              ("1/10", 0.9), ("11/10", 0.1),
@@ -640,7 +695,7 @@ class TestHillKernel:
         scale = max(1.0, *map(abs, full))
         assert all(abs(u - v) <= 1e-11 * scale
                    for u, v in zip((m.m11, m.m12, m.m21, m.m22), full))
-        assert m.m11 == m.m22 and abs(m.det - 1.0) <= 1e-11
+        assert m.m11 == m.m22 and abs(m.m11 * m.m22 - m.m12 * m.m21 - 1.0) <= 1e-11
 
     @pytest.mark.parametrize("omega1, eps, spp", [("9/10", 0.1, 1), ("9/10", -0.185, 64),
                                                   ("1/10", 0.9, 4), ("301/100", 0.1, 3)])
@@ -1034,6 +1089,17 @@ class TestNonFinite:
         with pytest.raises(Unbounded, match="over 1000000000 periods overflows"):
             monodromy(SystemParams(F(2), F(9, 10), 5.0), 5.0, n=10**9)
         assert time.perf_counter() - start < 1.0
+
+    def test_power_with_an_overflowing_trace_is_unbounded(self):
+        # at omega = 1/2 the entries of M(T)^162 are alike, 0.95e308 each: finite,
+        # but their trace, and with it the larger multiplier, is past float64
+        params = SystemParams(F(1, 2), F(9, 10), 1.0004)
+        one, most = (monodromy(params, 1.0004, n=n) for n in (1, 161))
+        entries = dynamics._product((most.m11, most.m12, most.m21, most.m22),
+                                    (one.m11, one.m12, one.m21, one.m22))
+        assert all(map(math.isfinite, entries)) and entries[0] + entries[3] == math.inf
+        with pytest.raises(Unbounded, match="^the monodromy over 162 periods overflows$"):
+            monodromy(params, 1.0004, n=162)
 
     @pytest.mark.parametrize("eps", [1e300, 1e308, -1e308])
     def test_overflowing_coefficients_are_unbounded_with_time(self, eps):
