@@ -36,16 +36,10 @@ integer numerators over one denominator (converters ``to_form`` and
 ``back_substitute`` computes the same step in TrigSeries arithmetic and
 is kept as its reference.
 
-A built order keeps its ``Form``'s integers: ``from_form`` makes
-numerator-backed series, whose float tables divide the integers and
-whose ``to_json_obj`` reduces each coefficient by one gcd, so no order
-of 1 or more makes a Fraction until something reads it exactly.
-``FormalIntegral.json_document`` hands the orders to
-``output.json_chunks`` unconverted, which reduces each one as it writes
-it, the orders past half of the numerator bits in a second process for
-a large document: of the order-40 command's 119 ms in process, the
-recursion takes about 50 ms, where building the orders took about 128 ms
-when each coefficient became a Fraction as it was built.
+A built order is ``from_form`` of its ``Form``: its series keep those
+integers, as every TrigSeries stores its coefficients.
+``FormalIntegral.json_document`` hands the orders to ``output.json_chunks``,
+which reduces each coefficient by one gcd as it writes that order.
 """
 
 from __future__ import annotations
@@ -338,16 +332,14 @@ Form = tuple[int, list[dict]]
 
 
 def to_form(q: QuadFormSeries) -> Form:
-    """q's coefficients as numerators over their least common denominator."""
-    parts = [s._terms for s in (q.cxx, q.cyy, q.cxy)]
-    den = math.lcm(*(c.denominator for terms in parts for c in terms.values()))
-    return den, [{key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-                 for terms in parts]
+    """q's coefficients as numerators over the lcm of their series' denominators."""
+    parts = (q.cxx, q.cyy, q.cxy)
+    den = math.lcm(*(s._den for s in parts))
+    return den, [{key: n * (den // s._den) for key, n in s._nums.items()} for s in parts]
 
 
 def from_form(base: FrequencyBase, form: Form) -> QuadFormSeries:
-    """The quadratic form with coefficients numerator/den, numerator-backed:
-    each is reduced when it is read."""
+    """The quadratic form with coefficients numerator/den."""
     den, parts = form
     return QuadFormSeries(*(TrigSeries._from_numerators(base, part, den) for part in parts))
 

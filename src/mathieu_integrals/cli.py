@@ -175,25 +175,18 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     """
     params = _params(omega, omega1, epsilon)
     blocks, n = _orbit(params, x0, y0, periods, time_)
-    reports = []  # one per block, up to the first block in which the orbit escaped
 
     def rows():
+        report = None  # checked per block up to the first in which the orbit escaped
         for block in blocks:
-            if not (reports and reports[-1].escaped):
-                reports.append(dynamics.escape_diagnostics(params, block, r_escape=r_escape))
+            if not (report and report.escaped):
+                report = dynamics.escape_diagnostics(params, block, r_escape=r_escape)
             for k, t, _, _, _, d, r in block:
                 yield k, t, d, r
+        if report.escaped and format_ == "csv":  # written by the process of the last row
+            yield (f"# escaped at k={report.k_escape}",)
 
-    def chunks():
-        table = rows()
-        yield from output.tabular_chunks(("k", "t", "d", "r"), table, format_, n)
-        for _ in table:  # rows a forked worker formatted, up to the escape this process checks
-            if reports[-1].escaped:
-                break
-        if reports[-1].escaped and format_ == "csv":
-            yield f"# escaped at k={reports[-1].k_escape}\n"
-
-    _write(out, chunks())
+    _write(out, output.tabular_chunks(("k", "t", "d", "r"), rows(), format_, n))
 
 
 @main.command("energy")

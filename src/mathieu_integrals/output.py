@@ -5,24 +5,21 @@ runs produce byte-identical output.  Each format has one encoder, a
 generator of pieces (``csv_chunks``, ``json_chunks``, ``tabular_chunks``)
 that ``columns_csv``, ``json_text``, ``columns_json`` and ``tabular``
 join; a block of table rows is one ``%`` per row by a template built once
-per block, and a row's text does not depend on its block.  Where the
-process may use two CPUs and runs no other thread, a table of more than two
-blocks whose number of rows is known (a list, or a count the caller gives,
-as the CLI does for an orbit) is split at its middle row (``_formatted``):
-this process formats the head while a forked worker, a copy-on-write copy
-that iterates its own copy of the rows, formats the tail into an unlinked
-spool file that this process then appends.  An integral's orders, handed
-over as QuadFormSeries (``FormalIntegral.json_document``), are converted
-as they are written, each coefficient reduced by one gcd, and split the
-same way where their numerators hold at least ``_ORDERS_FORK_BITS`` bits,
-at the order where the cumulative bits reach half.  ``atomic_write_chunks``
-writes the pieces to a temp file as they are made and renames it after the
-last, so no command holds a whole document or table; a table's first piece
-is its head with its first block, read before the temp file is made, so bad
-input or an overflow there is named before an unwritable path.  An orbit
-sample is a table row, and OrbitSamples format alike; ``trajectory_rows``
-and ``section_rows`` rebuild the rows of an orbit and of a section from
-their samples, as references for those tables.
+per block, and a row's text does not depend on its block.  An integral's
+orders (QuadFormSeries, from ``FormalIntegral.json_document``) are each
+converted to JSON as they are written.
+
+Where the process may use two CPUs and runs no other thread, a table of
+more than two blocks whose number of rows is known, or orders whose
+numerators hold at least ``_ORDERS_FORK_BITS`` bits, is split once
+(``_formatted``): a forked worker formats the tail into an unlinked spool
+file that this process appends after formatting the head itself.
+``atomic_write_chunks`` writes the pieces to a temp file and renames it
+after the last, so no command holds a whole document or table; a table's
+first piece is its head with its first block, read before the temp file
+is made, so bad input or an overflow there is named before an unwritable
+path.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of an
+orbit and of a section from their samples, as references for those tables.
 """
 
 from __future__ import annotations

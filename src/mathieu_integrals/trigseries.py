@@ -16,10 +16,10 @@ Design rules:
   rational, so zero-frequency tests are equality tests, never
   tolerance tests.  Floats enter only through the float table that
   :meth:`TrigSeries.evaluate` sums (``QuadFormSeries`` caches its own).
-* A series built from integer numerators over one denominator keeps
-  them and makes its Fractions on the first exact access: its float
-  table divides the integers, and its JSON terms reduce each one by a
-  single gcd, so writing a built order never normalises a Fraction.
+* A series stores integer numerators over one positive denominator,
+  not necessarily the least.  Fractions are made only when a caller
+  reads a coefficient exactly; the float table divides the integers,
+  and the JSON terms reduce each numerator by one gcd.
 * Frequencies are stored as ``(k, m)`` integer pairs and never collapsed
   to a single numeric value: distinct lattice points with coincidentally
   equal frequency are kept apart.  The single exception is the exact
@@ -106,7 +106,7 @@ class TrigSeries:
     new series, so values can be shared freely across threads.
     """
 
-    __slots__ = ("base", "_terms", "_numerators")
+    __slots__ = ("base", "_nums", "_den")
 
     def __init__(self, base: FrequencyBase, terms: Iterable[tuple[TermKey, Fraction]] = ()):
         acc: dict[TermKey, Fraction] = {}
@@ -128,14 +128,14 @@ class TrigSeries:
                     if ph == SIN:
                         cc = -cc
                 key = (p, kk, mm, ph, a2, b2)
-                tot = acc.get(key, _ZERO) + cc
+                tot = acc.get(key, 0) + cc
                 if tot:
                     acc[key] = tot
                 else:
                     acc.pop(key, None)
-        self.base = base
-        self._terms = acc
-        self._numerators = None
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        self.base, self._den = base, den
+        self._nums = {key: c.numerator * (den // c.denominator) for key, c in acc.items()}
 
     # -- constructors ---------------------------------------------------
 
@@ -157,71 +157,43 @@ class TrigSeries:
     def _from_numerators(cls, base: FrequencyBase, nums: dict[TermKey, int],
                          den: int) -> "TrigSeries":
         """Series with coefficients n/den, den > 0, zeros pruned; the keys must
-        already be canonical.  It keeps the integers until an exact access
-        (``__getattr__``) needs the Fractions."""
+        already be canonical."""
         out = cls.__new__(cls)
-        out.base, out._numerators = base, ({key: n for key, n in nums.items() if n}, den)
+        out.base, out._nums, out._den = base, {key: n for key, n in nums.items() if n}, den
         return out
-
-    @classmethod
-    def _canonical(cls, base: FrequencyBase, terms: dict[TermKey, Fraction]) -> "TrigSeries":
-        """The series of ``terms``, taken as they are: canonical keys, no zero coefficient."""
-        out = cls.__new__(cls)
-        out.base, out._terms, out._numerators = base, terms, None
-        return out
-
-    def __getattr__(self, name: str):
-        """``_terms`` of a numerator-backed series, its Fractions made on this first
-        read; every other constructor sets it, so no other series gets here."""
-        if name != "_terms" or self._numerators is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nums, den = self._numerators
-        terms = self._terms = {key: Fraction(n, den) for key, n in nums.items()}
-        return terms
-
-    def _keys(self) -> dict:
-        """A dict keyed by the term keys, read without making a Fraction."""
-        return self._terms if self._numerators is None else self._numerators[0]
-
-    def _pairs(self) -> Iterator[tuple[TermKey, int, int]]:
-        """(key, numerator, denominator > 0) per term in storage order, made without
-        a Fraction; a numerator-backed pair is not in lowest terms."""
-        if self._numerators is None:
-            return ((key, c.numerator, c.denominator) for key, c in self._terms.items())
-        nums, den = self._numerators
-        return ((key, n, den) for key, n in nums.items())
 
     # -- inspection -----------------------------------------------------
 
     def terms(self) -> list[tuple[TermKey, Fraction]]:
         """Terms sorted by (p, k, m, phase, a, b)."""
-        return sorted(self._terms.items())
+        return sorted((key, Fraction(n, self._den)) for key, n in self._nums.items())
 
     def coefficient(self, p: int, k: int, m: int, phase: int,
                     c0_pow: int = 0, s0_pow: int = 0) -> Fraction:
-        return self._terms.get((p, k, m, phase, c0_pow, s0_pow), _ZERO)
+        return Fraction(self._nums.get((p, k, m, phase, c0_pow, s0_pow), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._keys()
+        return not self._nums
 
     def max_secular_degree(self) -> int:
-        return max((key[0] for key in self._keys()), default=0)
+        return max((key[0] for key in self._nums), default=0)
 
     def max_harmonic(self) -> int:
         """Largest |k| (driving-frequency multiple) present."""
-        return max((abs(key[1]) for key in self._keys()), default=0)
+        return max((abs(key[1]) for key in self._nums), default=0)
 
     def m_values(self) -> set[int]:
-        return {key[2] for key in self._keys()}
+        return {key[2] for key in self._nums}
 
     def _numerator_bits(self) -> int:
         """The bit lengths of the stored numerators, summed: the size of writing them."""
-        return sum(n.bit_length() for _, n, _ in self._pairs())
+        return sum(n.bit_length() for n in self._nums.values())
 
     def secular_part(self) -> "TrigSeries":
         """The sub-series with secular degree >= 1."""
-        return TrigSeries(self.base, ((key, c) for key, c in self._terms.items() if key[0] >= 1))
+        return TrigSeries._from_numerators(
+            self.base, {key: n for key, n in self._nums.items() if key[0] >= 1}, self._den)
 
     def constant_at_zero(self) -> Fraction:
         """Exact value at t = 0 for generator-free series.
@@ -229,14 +201,14 @@ class TrigSeries:
         Raises ValueError when a surviving term carries c0/s0 powers,
         because then the value depends on the phase binding.
         """
-        total = _ZERO
-        for (p, _k, _m, phase, a, b), coeff in self._terms.items():
+        total = 0
+        for (p, _k, _m, phase, a, b), n in self._nums.items():
             if p > 0 or phase == SIN:
                 continue
             if a or b:
                 raise ValueError("series has phase-generator content; evaluate numerically")
-            total += coeff
-        return total
+            total += n
+        return Fraction(total, self._den)
 
     # -- algebra ---------------------------------------------------------
 
@@ -248,17 +220,16 @@ class TrigSeries:
         if not isinstance(other, TrigSeries):
             return NotImplemented
         self._check_base(other)
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            tot = merged.get(key, _ZERO) + c
-            if tot:
-                merged[key] = tot
-            else:
-                merged.pop(key, None)
-        return TrigSeries._canonical(self.base, merged)
+        den = math.lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        merged = {key: n * f for key, n in self._nums.items()}
+        for key, n in other._nums.items():
+            merged[key] = merged.get(key, 0) + n * g
+        return TrigSeries._from_numerators(self.base, merged, den)
 
     def __neg__(self) -> "TrigSeries":
-        return TrigSeries._canonical(self.base, {key: -c for key, c in self._terms.items()})
+        return TrigSeries._from_numerators(
+            self.base, {key: -n for key, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "TrigSeries") -> "TrigSeries":
         if not isinstance(other, TrigSeries):
@@ -268,18 +239,19 @@ class TrigSeries:
     def scale(self, factor) -> "TrigSeries":
         """Multiply by an exact rational scalar."""
         f = as_rational(factor)
-        if f == 0:
-            return TrigSeries.zero(self.base)
-        return TrigSeries._canonical(self.base, {key: c * f for key, c in self._terms.items()})
+        return TrigSeries._from_numerators(
+            self.base, {key: n * f.numerator for key, n in self._nums.items()},
+            self._den * f.denominator)
 
     def __mul__(self, other):
         if isinstance(other, TrigSeries):
             self._check_base(other)
             raw: list[tuple[TermKey, Fraction]] = []
-            for (p1, k1, m1, ph1, a1, b1), c1 in self._terms.items():
-                for (p2, k2, m2, ph2, a2, b2), c2 in other._terms.items():
+            den = 2 * self._den * other._den
+            for (p1, k1, m1, ph1, a1, b1), n1 in self._nums.items():
+                for (p2, k2, m2, ph2, a2, b2), n2 in other._nums.items():
                     p, a, b = p1 + p2, a1 + a2, b1 + b2
-                    half = c1 * c2 * _HALF
+                    half = Fraction(n1 * n2, den)
                     ks, ms = k1 + k2, m1 + m2  # sum frequency
                     kd, md = k1 - k2, m1 - m2  # difference frequency
                     if ph1 == COS and ph2 == COS:
@@ -302,12 +274,16 @@ class TrigSeries:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
+        """Equal values: the same keys, and n1/d1 == n2/d2 for each."""
         if not isinstance(other, TrigSeries):
             return NotImplemented
-        return self.base == other.base and self._terms == other._terms
+        d1, d2, theirs = self._den, other._den, other._nums
+        return (self.base == other.base and self._nums.keys() == theirs.keys()
+                and all(n * d2 == theirs[key] * d1 for key, n in self._nums.items()))
 
     def __hash__(self):
-        return hash((self.base, frozenset(self._terms.items())))
+        return hash((self.base, frozenset(
+            (key, Fraction(n, self._den)) for key, n in self._nums.items())))
 
     # -- calculus ---------------------------------------------------------
 
@@ -338,14 +314,15 @@ class TrigSeries:
                 else:
                     raw.append(((0, 0, 0, COS, a, b), coeff / nu))
 
-        for (p, k, m, phase, a, b), coeff in self._terms.items():
-            emit(p, k, m, phase, a, b, coeff)
+        for (p, k, m, phase, a, b), n in self._nums.items():
+            emit(p, k, m, phase, a, b, Fraction(n, self._den))
         return TrigSeries(self.base, raw)
 
     def derivative(self) -> "TrigSeries":
         """Termwise d/dt (exact)."""
         raw: list[tuple[TermKey, Fraction]] = []
-        for (p, k, m, phase, a, b), coeff in self._terms.items():
+        for (p, k, m, phase, a, b), n in self._nums.items():
+            coeff = Fraction(n, self._den)
             if p:
                 raw.append(((p - 1, k, m, phase, a, b), coeff * p))
             nu = self.base.nu(k, m)
@@ -371,8 +348,8 @@ class TrigSeries:
         in lowest terms by one gcd, making no Fraction; a "generators" object
         is attached only when c0/s0 powers occur.
         """
-        out = []
-        for (p, k, m, phase, a, b), num, den in sorted(self._pairs()):
+        out, den = [], self._den
+        for (p, k, m, phase, a, b), num in sorted(self._nums.items()):
             g = math.gcd(num, den)
             obj = {
                 "p": p,
@@ -420,9 +397,9 @@ def _float_table(series: TrigSeries) -> list[tuple]:
 
     Each coefficient is n / den: int true division is correctly rounded, so it
     is float(Fraction(n, den)) to the bit, whether or not n / den is reduced."""
-    om, om1 = float(series.base.omega), float(series.base.omega1)
+    om, om1, den = float(series.base.omega), float(series.base.omega1), series._den
     return [(k * om + m * om1, phase, p, a, b, n / den)
-            for (p, k, m, phase, a, b), n, den in series._pairs()]
+            for (p, k, m, phase, a, b), n in series._nums.items()]
 
 
 def _evaluate_table(table: list[tuple], t: float, c0: float, s0: float) -> float:
@@ -433,6 +410,3 @@ def _evaluate_table(table: list[tuple], t: float, c0: float, s0: float) -> float
         total += coeff * trig * t ** p * c0 ** a * s0 ** b
     return total
 
-
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)

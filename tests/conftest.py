@@ -55,20 +55,6 @@ def no_worker_left_behind():
 
 
 @pytest.fixture(scope="session")
-def fractions_made():
-    """Whether a series holds Fractions yet.  A numerator-backed one makes them on
-    its first exact access, so this looks without reading ``_terms``."""
-    def made(series) -> bool:
-        try:
-            object.__getattribute__(series, "_terms")
-        except AttributeError:
-            return False
-        return True
-
-    return made
-
-
-@pytest.fixture(scope="session")
 def params09():
     return SystemParams(Fraction(2), Fraction(9, 10), 0.1)
 

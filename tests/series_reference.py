@@ -3,13 +3,15 @@
 These are ``TrigSeries.evaluate``, ``QuadFormSeries.evaluate``,
 ``FormalIntegral.evaluate`` and ``conic_at_section`` as they were
 before each ``QuadFormSeries`` kept float tables of its coefficients,
-kept verbatim (``self`` renamed): each call converts every Fraction
-again.  The float tables must reproduce them bit for bit.
+kept as they were but for reading the stored numerators (``self``
+renamed): each call converts every coefficient again, through a
+Fraction.  The float tables must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from mathieu_integrals.trigseries import COS
 
@@ -19,10 +21,11 @@ def trig_evaluate(series, t: float, c0: float = 1.0, s0: float = 0.0) -> float:
     om = float(series.base.omega)
     om1 = float(series.base.omega1)
     total = 0.0
-    for (p, k, m, phase, a, b), coeff in series._terms.items():
+    # storage order, which fixes the bits of the sum
+    for (p, k, m, phase, a, b), n in series._nums.items():
         arg = (k * om + m * om1) * t
         trig = math.cos(arg) if phase == COS else math.sin(arg)
-        val = float(coeff) * trig
+        val = float(Fraction(n, series._den)) * trig
         if p:
             val *= t ** p
         if a:

@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import (QuadFormSeries, SystemParams, build_integral, builder, cli,
+from mathieu_integrals import (QuadFormSeries, SystemParams, build_integral, cli, dynamics,
                                integrate_orbit, output, resonant, stroboscopic_section)
 from mathieu_integrals.cli import main
 
@@ -271,21 +271,6 @@ class TestIntegralDocument:
         assert self._written(runner, tmp_path, order) == one
         assert len(forks) == workers
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_writing_order_40_makes_no_fraction(self, runner, tmp_path, monkeypatch,
-                                                fractions_made, n_cpus):
-        built, build = [], builder.build_integral
-
-        def kept(*args):
-            built.append(build(*args))
-            return built[-1]
-
-        monkeypatch.setattr(builder, "build_integral", kept)
-        on_cpus(monkeypatch, n_cpus)
-        self._written(runner, tmp_path, 40, "--conics-out", str(tmp_path / "c.csv"))
-        [phi] = built
-        assert not any(fractions_made(s) for q in phi.orders[1:] for s in (q.cxx, q.cyy, q.cxy))
-
     @pytest.mark.parametrize("at", [0, 3, 6])
     def test_a_worker_killed_part_way_changes_no_byte(self, runner, tmp_path, monkeypatch, at):
         # the worker writes orders 34 to 40, where the numerator bits reach half; it is
@@ -452,6 +437,31 @@ class TestStreamedOutput:
             assert next(p.k for p in pts if p.r > 0.8147323135) == 13717
             tail = "# escaped at k=13717\n"
         assert out.read_text() == output.tabular(header, rows, fmt) + tail
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_distances_reads_no_row_past_the_split(self, runner, monkeypatch, n_cpus):
+        # 20,001 rows split at h = 10,001 on two CPUs; the escape at k = 13717 is in
+        # the tail, whose worker checks it and writes the escape line
+        parent, blocks, pulled = os.getpid(), dynamics.orbit_blocks, []
+
+        def counted(*args):
+            def rows(made):
+                for block in made:
+                    if os.getpid() == parent:
+                        pulled.append(len(block))
+                    yield block
+            return rows(blocks(*args))
+
+        monkeypatch.setattr(dynamics, "orbit_blocks", counted)
+        forks = on_cpus(monkeypatch, n_cpus)
+        res = invoke(runner, "distances", "--periods", "20000", "--x0", "0.5", "--y0", "0",
+                     "--r-escape", "0.8147323135")
+        assert res.exit_code == 0 and res.stdout.endswith("\n# escaped at k=13717\n")
+        assert len(forks) == n_cpus - 1
+        if forks:  # this process stops with the block that holds row h - 1
+            assert sum(pulled[:-1]) < 10_001 <= sum(pulled) < 13_717
+        else:
+            assert sum(pulled) == 20_001
 
     def test_order_40_integral_streams_in_bounded_memory(self, runner, tmp_path):
         # the integral itself holds about 2 MB; its 2.1 MB of text goes out in pieces

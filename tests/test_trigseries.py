@@ -1,13 +1,18 @@
 """Coefficient-engine tests: canonical forms, exact calculus, evaluation."""
 
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mathieu_integrals
 from mathieu_integrals import SystemParams, build_integral
 from mathieu_integrals.trigseries import (COS, SIN, FrequencyBase, TrigSeries, _float_table,
                                           as_rational)
@@ -226,7 +231,7 @@ class TestSerialization:
         assert any(g is None for g in gens)
 
 
-# -- numerator-backed series: integers over one denominator ----------------------
+# -- the one storage: integer numerators over one denominator, not always the least --
 
 def _bits(most: int):
     """Positive integers of up to ``most`` bits, spread over the bit lengths."""
@@ -235,7 +240,7 @@ def _bits(most: int):
 
 @settings(max_examples=300, deadline=None)
 @given(_bits(2000), _bits(2000), _bits(2000), st.booleans())
-def test_numerators_divide_and_reduce_as_fractions_do(fractions_made, a, d, g, negative):
+def test_numerators_divide_and_reduce_as_fractions_do(a, d, g, negative):
     # n and den share the factor g, up to about 4,000 bits each
     n, den = (-a if negative else a) * g, d * g
     series = TrigSeries._from_numerators(BASE, {(0, 1, 0, COS, 0, 0): n}, den)
@@ -250,37 +255,55 @@ def test_numerators_divide_and_reduce_as_fractions_do(fractions_made, a, d, g, n
         assert (n / den).hex() == _float_table(series)[0][-1].hex() == expected
     [term] = series.to_json_terms()
     assert (term["num"], term["den"]) == (want.numerator, want.denominator)
-    assert not fractions_made(series)
 
 
-def test_numerator_backed_orders_agree_with_fraction_backed(fractions_made):
+def test_numerator_backed_orders_agree_with_fraction_backed():
     phi = build_integral(SystemParams(F(2), F(9, 10), 0.1), 12)
     for q in phi.orders[1:]:
-        for backed in (q.cxx, q.cyy, q.cxy):
-            nums, den = backed._numerators
-
-            def fresh():
-                return TrigSeries._from_numerators(backed.base, nums, den)
-
-            exact = TrigSeries(backed.base, ((key, F(n, den)) for key, n in nums.items()))
-            # read without a Fraction: the float table in storage order, the JSON
-            # terms and the keys
-            s = fresh()
+        for s in (q.cxx, q.cyy, q.cxy):
+            nums, den = s._nums, s._den
+            # the same values through the constructor, over their least denominator
+            exact = TrigSeries(s.base, ((key, F(n, den)) for key, n in nums.items()))
+            assert list(exact._nums) == list(nums)
             assert _float_table(s) == _float_table(exact)
             assert s.to_json_terms() == exact.to_json_terms()
             assert (s.is_zero, s.max_secular_degree(), s.max_harmonic(), s.m_values()) == (
                 exact.is_zero, exact.max_secular_degree(), exact.max_harmonic(),
                 exact.m_values())
-            assert not fractions_made(s)
-            # each exact access makes the Fractions on its own
-            assert fresh().terms() == exact.terms()
-            s = fresh()
+            assert s.terms() == exact.terms()
             assert [s.coefficient(*key) for key, _ in exact.terms()] == [
                 c for _, c in exact.terms()]
-            assert fresh() == exact and hash(fresh()) == hash(exact)
-            assert fresh().pretty() == exact.pretty()
-            assert fresh() * fresh() == exact * exact
-            assert (fresh() - exact).is_zero and fractions_made(s)
+            assert s == exact and hash(s) == hash(exact)
+            assert s.pretty() == exact.pretty()
+            assert s * s == exact * exact
+            assert (s - exact).is_zero
+
+
+def _series_of(terms):
+    return TrigSeries(BASE, [((p, k, m, ph, a, b), c) for p, k, m, ph, a, b, c in terms])
+
+
+series_terms = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3),
+                                  st.sampled_from([-2, 0, 2]), st.sampled_from([COS, SIN]),
+                                  st.integers(0, 2), st.integers(0, 2),
+                                  st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+                        max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_terms, st.integers(2, 10 ** 30), series_terms)
+def test_a_common_factor_changes_no_value(terms, g, other_terms):
+    s, other = _series_of(terms), _series_of(other_terms)
+    assume(not other.is_zero)
+    scaled = TrigSeries._from_numerators(BASE, {key: n * g for key, n in s._nums.items()},
+                                         s._den * g)
+    assert scaled == s and s == scaled and hash(scaled) == hash(s)
+    assert scaled.terms() == s.terms() and scaled.pretty() == s.pretty()
+    assert scaled.to_json_terms() == s.to_json_terms()
+    # the float table keeps the storage order and every bit
+    assert [(*row[:-1], row[-1].hex()) for row in _float_table(scaled)] == [
+        (*row[:-1], row[-1].hex()) for row in _float_table(s)]
+    assert scaled + other != s and s + other != scaled
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -299,3 +322,26 @@ def test_ring_axioms(terms_a, terms_b):
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b).scale(F(2, 3)) == a.scale(F(2, 3)) + b.scale(F(2, 3))
+
+
+def _storage_reads() -> set[tuple[str, str]]:
+    """(module, outermost function or "<module>") of every ``._nums`` or ``._den``
+    in the package."""
+    found = set()
+    for info in pkgutil.iter_modules(mathieu_integrals.__path__):
+        module = importlib.import_module(f"mathieu_integrals.{info.name}")
+        tree, owner = ast.parse(inspect.getsource(module)), {}
+        for fn in ast.walk(tree):  # outer functions first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        found.update((info.name, owner.get(node, "<module>")) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den"))
+    return found
+
+
+def test_trigseries_owns_the_storage_format():
+    # builder.to_form is the one reader outside: resonant does integer algebra on forms
+    reads = _storage_reads()
+    assert ("trigseries", "_float_table") in reads and ("builder", "to_form") in reads
+    assert {read for read in reads if read[0] != "trigseries"} == {("builder", "to_form")}
