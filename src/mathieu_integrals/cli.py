@@ -183,7 +183,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
                 report = dynamics.escape_diagnostics(params, block, r_escape=r_escape)
             for k, t, _, _, _, d, r in block:
                 yield k, t, d, r
-        if report.escaped and format_ == "csv":  # written by the process of the last row
+        if report.escaped:  # written by the process of the last row
             yield (f"# escaped at k={report.k_escape}",)
 
     _write(out, output.tabular_chunks(("k", "t", "d", "r"), rows(), format_, n))

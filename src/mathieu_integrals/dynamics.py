@@ -32,10 +32,9 @@ h11 h22 + h12 h21)) is then a sum or product of determinants (the
 diagonal is 1 + 2 h12 h21 when det H = 1).
 
 A Dormand-Prince 8(5,3) method (DOP853, error control at rtol = atol =
-1e-12, ``_hill_points``) solves for M at the samples strictly inside (0,
-T/2) of orbits with two or more samples per period; time reversal gives
-the rest of the period (``_one_period``), and z(kT + s) = M(s) z(kT).
-Steps land *exactly* on the sample grid s = j T/spp, so sample k of a
+1e-12, ``_hill_points``) solves M forward, each sample to its own size,
+at the samples strictly inside (0, T) of orbits with two or more samples
+per period (``_one_period``), and z(kT + s) = M(s) z(kT).  Sample k of a
 one-sample orbit is the section point at t = kT, where nothing is solved.
 
 One loop walks the period grid (``orbit_blocks``).  In the pass that
@@ -316,8 +315,9 @@ def _product(p: tuple, q: tuple) -> tuple[float, float, float, float]:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[float, float]:
-    """(C'(pi/2), S(pi/2)), or (C(pi/2), S'(pi/2)) if ``odd``: Hill's determinants.
+def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[float, ...]:
+    """(C'(pi/2), S(pi/2)), or (C(pi/2), S'(pi/2), g_C, g_S') if ``odd``: Hill's
+    determinants, and the growth of the odd values' rounding.
 
     Two of H's entries, by the Hadamard form of the module docstring.
     Row k of the class's Hill matrix, divided by -k^2, has 1 - s^2/u^2 on
@@ -335,7 +335,8 @@ def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[
     1e-13 of the value; rounding adds a few 1e-13 at large q.  A value
     may be +-inf.  N past ``_MAX_STEPS`` raises Unbounded where a < |q| (the
     solution grows like exp(0.85 sqrt|q|) within half a period) and
-    StepFailure otherwise; neither calls cos or sin.
+    StepFailure otherwise; neither calls cos or sin.  The first row sums
+    two terms into each value; g is their sizes' sum over its size (inf at 0).
     """
     a, q = float(params.mathieu_a), params.mathieu_q(eps)
     s, x, q2 = 0.5 * math.sqrt(a), 0.25 * a, q * q
@@ -375,23 +376,36 @@ def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[
                 - u * (p + r) / (12.0 * (p * r) ** 2))
     tail = math.exp(diag - qq * coupling)
     if odd:  # row k = 1 holds 1 +- q - a and couples to row 3 by q^2/9
-        first, second = (1.0 + q - a) * d1 - q2 / 9.0 * d2, (1.0 - q - a) * d1 - q2 / 9.0 * d2
+        plus, minus, coupled = (1.0 + q - a) * d1, (1.0 - q - a) * d1, q2 / 9.0 * d2
+        first, second = plus - coupled, minus - coupled
+        growth = [(abs(t) + abs(coupled)) / abs(v) if v else math.inf
+                  for t, v in ((plus, first), (minus, second))]
     else:  # row k = 0, not divided, holds a and couples to row 2 by q^2/2
         tail *= 0.5 * math.pi
-        first, second = -(a * d1 + 8.0 * qq * d2), d1
+        first, second, growth = -(a * d1 + 8.0 * qq * d2), d1, ()
     first, second = first * tail, second * tail
     factor = _HUGE if scale > 0 else tiny
     for _ in range(abs(scale)):  # powers of two: exact, or +-inf or 0 past float64
         first, second = first * factor, second * factor
-    return first, second
+    return first, second, *growth
 
 
 def _half_period(params: SystemParams, eps: float) -> tuple[float, float, float, float]:
-    """H = M(T/2) = ((C, (2/omega) S), ((omega/2) C', S')) at z = pi/2, row-major."""
+    """H = M(T/2) = ((C, (2/omega) S), ((omega/2) C', S')) at z = pi/2, row-major.
+
+    det H = 1 gives h11 = (1 + h12 h21)/h22 too, whose rounding grows by
+    (1 + |h12 h21|)/|h11 h22| + g_S' (g of ``_hill_factors``) on entries
+    with up to 1e-13 of truncation: it is taken where g_C is over 1000 times
+    that (C cancels by 3.8e4 at q = 104), never at a zero of S' or h11 h22.
+    """
     c_prime, s = _hill_factors(params, eps)
-    c, s_prime = _hill_factors(params, eps, odd=True)
+    c, s_prime, grows_c, grows_s = _hill_factors(params, eps, odd=True)
     om = float(params.omega)
-    return c, 2.0 * s / om, 0.5 * om * c_prime, s_prime
+    h12, h21 = 2.0 * s / om, 0.5 * om * c_prime
+    product = 1.0 + h12 * h21  # h11 h22
+    if product and grows_c > 1e3 * ((1.0 + abs(h12 * h21)) / abs(product) + grows_s):
+        c = product / s_prime
+    return c, h12, h21, s_prime
 
 
 def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -406,33 +420,17 @@ def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, 
 
 
 def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> list[tuple]:
-    """(m11, m12, m21, m22, g) at s_j = (j/spp) * T, j = 1..spp.
-
-    g = eps cos(omega s_j) - omega1^2/2, so that E = g x^2 - y^2/2 = -H
-    at s_j.  DOP853 solves M at the s_j strictly inside (0, T/2), and H =
-    M(T/2) is ``_half_period``'s, so at one sample per period nothing is
-    solved.  M(-u) = R M(u) R and M(u + T) = M(u) M(T) give, with M(T)
-    from ``_full_period``, M(T - u) = R M(u) R M(T).  Sample j > spp/2
-    mirrors grid index spp - j (index 0 is I): by index, never by the float
-    T - s_j, which misses the grid by an ulp.  A mirrored sample carries
-    the error of the solve amplified by up to |M(T)|, which shows only
-    where the solution grows by orders of magnitude within one period.
+    """(m11, m12, m21, m22, g) at s_j = (j/spp) * T, j = 1..spp, g = eps cos(omega
+    s_j) - omega1^2/2, so that E = g x^2 - y^2/2 = -H at s_j.  M(T) comes from
+    Hill's determinants, first, so a period they refuse takes no step; DOP853
+    solves M forward at the s_j strictly inside (0, T), each to its own size.
     """
-    spp = samples_per_period
-    T = params.period
-    half = spp // 2
-    inner = [(j / spp) * T for j in range(1, (spp + 1) // 2)]
-    solved = list(_hill_points(params, eps, inner)) if inner else []
-    h = _half_period(params, eps)
-    if not spp % 2:
-        solved.append(h)
-    A, B, C, D = _full_period(*h)
-    mirrored = [(m11 * A - m12 * C, m11 * B - m12 * D, m22 * C - m21 * A, m22 * D - m21 * B)
-                for m11, m12, m21, m22
-                in reversed([(1.0, 0.0, 0.0, 1.0)] + solved[:spp - half - 1])]
-    om1sq = float(params.omega1) ** 2  # cos(omega s_j) = cos(omega s_(spp - j)), s_j <= T/2
-    return [(*m, eps * math.cos(2.0 * math.pi * min(j, spp - j) / spp) - 0.5 * om1sq)
-            for j, m in enumerate(solved[:half] + mirrored, start=1)]
+    spp, T = samples_per_period, params.period
+    last = _full_period(*_half_period(params, eps))
+    inner = [(j / spp) * T for j in range(1, spp)]
+    grid = [*(_hill_points(params, eps, inner) if inner else ()), last]
+    g0 = 0.5 * float(params.omega1) ** 2
+    return [(*m, eps * math.cos(2.0 * math.pi * j / spp) - g0) for j, m in enumerate(grid, 1)]
 
 
 def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,

@@ -14,6 +14,11 @@ run at 40 and at 50 digits; the script stops if the two disagree in the
   t = (j/16) T, j = 1..16, on the orbit from (0, 1) at omega = 2,
   omega1 = 9/10, eps = 100 (E is -H along every orbit, so the solved state
   gives it exactly).
+* ``ORBIT_STATES`` in tests/test_dynamics.py: x and y at t = (j/spp) T,
+  j = 1..spp, on the orbit from (0, 1) over one period at omega = 2,
+  omega1 = 9/10, eps = 100 with 16 samples and eps = 1000 with 8, flattened
+  as x1, y1, x2, y2, ...: the samples past T/2 are where a solve whose
+  error grows with the solution shows it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ HALF_PERIOD_CASES = [  # (omega, omega1, eps): eps is the float the library rece
     ("1/2", "1/20", 6.485), ("2", "1", 0.05), ("2", "2", 0.5),
 ]
 E_CASE = ("2", "9/10", 100.0, 16)  # (omega, omega1, eps, samples per period)
+ORBIT_CASES = [("2", "9/10", 100.0, 16), ("2", "9/10", 1000.0, 8)]
 
 
 def _mp(value) -> mpmath.mpf:
@@ -75,12 +81,23 @@ def energies(omega, omega1, eps, spp):
     return _at_two_precisions(compute)
 
 
+def states(omega, omega1, eps, spp):
+    def compute():
+        times = [2 * mpmath.pi * j / (spp * _mp(omega)) for j in range(1, spp + 1)]
+        return [v for state in _flow(omega, omega1, eps, (0, 1), times) for v in state]
+    return _at_two_precisions(compute)
+
+
 def main():
     print("HALF_PERIOD = {")
     for case in HALF_PERIOD_CASES:
         print(f"    {case!r}: {tuple(half_period(*case))!r},")
     print("}")
     print(f"E_AT_EPS_100 = {tuple(energies(*E_CASE))!r}")
+    print("ORBIT_STATES = {")
+    for case in ORBIT_CASES:
+        print(f"    {case!r}: {tuple(states(*case))!r},")
+    print("}")
 
 
 if __name__ == "__main__":

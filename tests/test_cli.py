@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, schemas, determinism."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -213,11 +214,11 @@ class TestOrbitCommands:
             elif args[0] == "energy":
                 want = output.tabular(("k", "t", "x", "E"),
                                       [(k, t, x, E) for k, t, x, _, E, _, _ in rows], fmt)
-            else:
+            else:  # the escape line is the last row, in either format
                 want = output.tabular(("k", "t", "d", "r"),
-                                      [(k, t, d, r) for k, t, _, _, _, d, r in rows], fmt)
-                if fmt == "csv":
-                    want += f"# escaped at k={next(p.k for p in pts if p.r > 1e3)}\n"
+                                      [*((k, t, d, r) for k, t, _, _, _, d, r in rows),
+                                       (f"# escaped at k={next(p.k for p in pts if p.r > 1e3)}",)],
+                                      fmt)
         assert res.stdout == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -389,7 +390,8 @@ class TestStreamedOutput:
                                    "--format", fmt, *extra)
                 assert distances.exit_code == 0
                 text = (tmp_path / f"o.{fmt}").read_text() if extra else distances.stdout
-                assert text.endswith("# escaped at k=1106\n" if fmt == "csv" else "]\n}\n")
+                assert text.endswith("\n# escaped at k=1106\n" if fmt == "csv" else
+                                     '\n      "# escaped at k=1106"\n    ]\n  ]\n}\n')
         assert len(forks) == 12
         with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
             os.waitpid(-1, os.WNOHANG)
@@ -411,8 +413,10 @@ class TestStreamedOutput:
         ("orbit", "csv", ()), ("orbit", "json", ()), ("section", "csv", ()),
         ("energy", "json", ()), ("distances", "json", ()),
         # r first passes the radius at k = 13717, deep in the stream
-        ("distances", "csv", ("--x0", "0.5", "--y0", "0", "--r-escape", "0.8147323135"))],
-        ids=["csv", "json", "section-csv", "energy-json", "distances-json", "distances-csv"])
+        ("distances", "csv", ("--x0", "0.5", "--y0", "0", "--r-escape", "0.8147323135")),
+        ("distances", "json", ("--x0", "0.5", "--y0", "0", "--r-escape", "0.8147323135"))],
+        ids=["csv", "json", "section-csv", "energy-json", "distances-json", "distances-csv",
+             "distances-escape-json"])
     def test_long_orbit_streams_in_bounded_memory(self, runner, tmp_path, monkeypatch, command,
                                                   fmt, start):
         # the whole table would hold about 280 B a row and its text as much again:
@@ -428,15 +432,28 @@ class TestStreamedOutput:
         # the bytes of the section list the commands built before they streamed
         x0, y0 = (0.5, 0.0) if start else (0.0, 1.0)
         pts = stroboscopic_section(SystemParams(F(2), F(9, 10), 0.1), x0, y0, 20000)
-        header, rows, tail = output.ORBIT_COLUMNS, pts, ""
+        header, rows = output.ORBIT_COLUMNS, pts
         if command == "energy":
             header, rows = ("k", "t", "x", "E"), [(p.k, p.t, p.x, p.E) for p in pts]
         elif command == "distances":
             header, rows = ("k", "t", "d", "r"), [(p.k, p.t, p.d, p.r) for p in pts]
-        if start:
+        if start:  # the escape line is the last row, in either format
             assert next(p.k for p in pts if p.r > 0.8147323135) == 13717
-            tail = "# escaped at k=13717\n"
-        assert out.read_text() == output.tabular(header, rows, fmt) + tail
+            rows.append(("# escaped at k=13717",))
+        assert out.read_text() == output.tabular(header, rows, fmt)
+
+    @pytest.mark.parametrize("args, digest", [
+        (("--format", "json", "--r-escape", "1e90"),
+         "ddaa9958766af68448b42cb34b1c95435857ab9a16390fe7e0e5a47361ccf888"),
+        (("--r-escape", "0.8147323135"),
+         "9da266b2c09d53c5280e25d5e6d8f1f196af8ea106e14dc51d20bc16bc8e536d")],
+        ids=["json-no-escape", "csv-escape"])
+    def test_distances_bytes_outside_json_escapes_are_unchanged(self, runner, args, digest):
+        # SHA-256 of the stdout, recorded before the JSON document carried the
+        # escape line: a document without an escape, and the CSV, keep their bytes
+        res = invoke(runner, "distances", "--periods", "20000", "--x0", "0.5", "--y0", "0", *args)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_distances_reads_no_row_past_the_split(self, runner, monkeypatch, n_cpus):
