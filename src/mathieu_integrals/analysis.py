@@ -2,7 +2,7 @@
 
 Every eps search solves the one-period trace equation tr M(eps) = target
 by ITP (``_bracketed_root``) on Hill's determinants (``_hill_trace``, two
-of the four factors of ``dynamics.monodromy``).  The DOP853 stepper
+of the four factors of ``dynamics.monodromy``).  The Taylor stepper
 (``_stepped``), which shares no code with them, only verifies: the
 critical_epsilon verdicts at eps_crit +- 1e-3 and find_periodic_orbit's
 closure at the guess and at the root.  tests/dp5_reference.py checks both
@@ -46,7 +46,7 @@ def _hill_trace(params: SystemParams, eps: float) -> float:
     H = M(T/2) has det 1, so ``_full_period`` gives tr M(T) = 2 + 4 h12
     h21 = 2 + 4 S C' at z = pi/2: the two pi-periodic factors of
     ``dynamics._hill_factors`` (Whittaker & Watson, Modern Analysis 19.42).
-    It shares no code with the DOP853 stepper, which cross-checks it
+    It shares no code with the Taylor stepper, which cross-checks it
     (``_stepped``); ``tests/dp5_reference.py`` checks both from outside.
     """
     if not math.isfinite(eps):
@@ -59,7 +59,7 @@ def _hill_trace(params: SystemParams, eps: float) -> float:
 
 
 def _stepped(params: SystemParams, eps: float, n: int = 1) -> Monodromy:
-    """M(nT) from the DOP853 stepper alone, sharing no code with ``_hill_factors``."""
+    """M(nT) from the Taylor stepper alone, sharing no code with ``_hill_factors``."""
     half, = _hill_points(params, eps, [0.5 * params.period])
     return Monodromy(*_full_period(*half), n=1).power(n)
 
@@ -99,10 +99,14 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
     no code with it, cross-checks the verdict 1e-3 beyond and inside the root.
     The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
     Raises BracketFailure if every expansion point is stable, the last being
-    |eps| = 0.05 * 1.6^11 = 8.8, or if the cross-check refutes the root.
+    |eps| = 0.05 * 1.6^11 = 8.8, or if the cross-check refutes the root.  At a =
+    1 and a = 4 the tongues of a_1, b_1 (1 +- q) and of b_2, a_2 (4 - q^2/12,
+    4 + 5q^2/12) hold a at every q != 0 (DLMF 28.6): eps_crit is 0, no trace taken.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
+    if params.mathieu_a in (1, 4):
+        return CriticalEpsResult(eps_crit=0.0, bracket=(0.0, 0.0), iterations=0)
     evals = []
 
     def trace(e: float) -> float:

@@ -31,10 +31,12 @@ a).  Every entry of M(T) = ((h11 h22 + h12 h21, 2 h12 h22), (2 h11 h21,
 h11 h22 + h12 h21)) is then a sum or product of determinants (the
 diagonal is 1 + 2 h12 h21 when det H = 1).
 
-A Dormand-Prince 8(5,3) method (DOP853, error control at rtol = atol =
-1e-12, ``_hill_points``) solves M forward, each sample to its own size,
-at the samples strictly inside (0, T) of orbits with two or more samples
-per period (``_one_period``), and z(kT + s) = M(s) z(kT).  Sample k of a
+Inside a period a Taylor stepper (``_hill_points``) solves M forward at
+the samples strictly inside (0, T) of orbits with two or more samples per
+period (``_one_period``), and z(kT + s) = M(s) z(kT).  The equation is
+linear with an entire coefficient, so each step's series is an exact
+recurrence, summed to a term count bounded a priori: no error estimate,
+no rejected step, and a step count known before the first.  Sample k of a
 one-sample orbit is the section point at t = kT, where nothing is solved.
 
 One loop walks the period grid (``orbit_blocks``).  In the pass that
@@ -49,196 +51,90 @@ preserves area (Liouville), so det M(T) = 1: the multipliers and exponent
 come from tr M(T) alone, never from the entries' det (0 at eps = 1e4).
 
 The stepper also cross-checks the determinants (``analysis._stepped``).
-The generic stepper it reproduces bit for bit lives in
-``tests/dop853_reference.py``; a Dormand-Prince 5(4) stepper in
-``tests/dp5_reference.py``, which still integrates the energy form, is
-the independent oracle for M and for E.
+A Dormand-Prince 5(4) stepper in ``tests/dp5_reference.py``, which still
+integrates the energy form, is the independent oracle for M and for E.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
 
-# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving Ordinary
-# Differential Equations I, II.10), by its nonzero entries as float64: the
-# nodes c_i and the rows {j: a_ij} of stages 2..12, the 8th-order weights B,
-# E5, the weights of the 5th-order error estimate, and BHH, the 3rd-order
-# weights whose difference from B is the 3rd-order estimate.  These use
-# stages 1 and 6..12 only, and stage 12 is at c = 1.
-_C = {2: 0.05260015195876773, 3: 0.0789002279381516, 4: 0.1183503419072274, 5: 0.2816496580927726,
-      6: 0.3333333333333333, 7: 0.25, 8: 0.3076923076923077, 9: 0.6512820512820513, 10: 0.6,
-      11: 0.8571428571428571, 12: 1.0}
-_A = {
-    2: {1: 0.05260015195876773},
-    3: {1: 0.0197250569845379, 2: 0.0591751709536137},
-    4: {1: 0.02958758547680685, 3: 0.08876275643042054},
-    5: {1: 0.2413651341592667, 3: -0.8845494793282861, 4: 0.924834003261792},
-    6: {1: 0.037037037037037035, 4: 0.17082860872947386, 5: 0.12546768756682242},
-    7: {1: 0.037109375, 4: 0.17025221101954405, 5: 0.06021653898045596, 6: -0.017578125},
-    8: {1: 0.03709200011850479, 4: 0.17038392571223998, 5: 0.10726203044637328,
-        6: -0.015319437748624402, 7: 0.008273789163814023},
-    9: {1: 0.6241109587160757, 4: -3.3608926294469414, 5: -0.868219346841726, 6: 27.59209969944671,
-        7: 20.154067550477894, 8: -43.48988418106996},
-    10: {1: 0.47766253643826434, 4: -2.4881146199716677, 5: -0.590290826836843,
-         6: 21.230051448181193, 7: 15.279233632882423, 8: -33.28821096898486,
-         9: -0.020331201708508627},
-    11: {1: -0.9371424300859873, 4: 5.186372428844064, 5: 1.0914373489967295,
-         6: -8.149787010746927, 7: -18.52006565999696, 8: 22.739487099350505,
-         9: 2.4936055526796523, 10: -3.0467644718982196},
-    12: {1: 2.273310147516538, 4: -10.53449546673725, 5: -2.0008720582248625, 6: -17.9589318631188,
-         7: 27.94888452941996, 8: -2.8589982771350235, 9: -8.87285693353063,
-         10: 12.360567175794303, 11: 0.6433927460157636},
-}
-_B = {1: 0.054293734116568765, 6: 4.450312892752409, 7: 1.8915178993145003, 8: -5.801203960010585,
-      9: 0.3111643669578199, 10: -0.1521609496625161, 11: 0.20136540080403034,
-      12: 0.04471061572777259}
-_E5 = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
-       8: 1.6643771824549864, 9: -0.35032884874997366, 10: 0.3341791187130175,
-       11: 0.08192320648511571, 12: -0.022355307863886294}
-_BHH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
-
-_RTOL = _ATOL = 1e-12
+_RHO = 1.5  # a Taylor step's h times the fastest rate of the flow, at most
 _MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's rows
 R_ESCAPE = 1e3  # the radius r = hypot(x, y) past which an orbit has escaped
 _BLOCK_ROWS = 1024  # the least rows of an orbit_blocks block (but the last)
 _HUGE = 2.0 ** 600  # the rescaling step of Hill's determinant recurrence
 
 
-def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float]):
-    """The fundamental matrix of x'' = -(omega1^2 - 2 eps cos(omega t)) x.
+def _term_count(a: float, b: float, c: float) -> int:
+    """The terms of a step's series whose tail is below 2^-53 of its start.
 
-    The columns (1, 0) and (0, 1) of M share one step; M at each target
-    is yielded row-major.
-
-    DOP853 at rtol = ``_RTOL``, atol = ``_ATOL``: Hairer's error norm
-    |h| e5 / sqrt(n (e5 + e3 / 100)), e5 and e3 the sums of squares of
-    the scaled 5th- and 3rd-order estimates over every x component,
-    then every y component, and the step exponent -1/8.  The safety
-    factor is 0.75, so a new step aims at err = 0.75^8 = 0.1,
-    not the 0.43 of the usual 0.9: at large q, where a row of M(T/2)
-    ends small after a large excursion, the trace then keeps as close
-    to Hill's determinant as the DP5 kernel's did.  The step is clamped
-    to land exactly on each target, and the time stamp is set to the
-    target itself, so no landing error accumulates.  w(t) = omega1^2 -
-    2 eps cos(omega t) does not depend on the state, so it is evaluated
-    once per stage for both columns, each column runs its stages on
-    scalars, and the next step's first slope reuses stage 12's w
-    (c = 1).  Non-finite stages (an eps so large that the coefficients
-    or the solution overflow) end in Unbounded.  A span holding more
-    unperturbed oscillations than the step budget has steps raises
-    StepFailure before the first step.
+    a = h^2 omega1^2, b = 2 |eps| h^2 and c = h omega bound the recurrence's
+    coefficients by a + b and b c^k/k!, so |X_n| <= m_n max(|X_0|, |X_1|), m the
+    positive series of u'' = (a + b e^(c s)) u, u(0) = u'(0) = 1; N >= 3 is the
+    least with sum n m_n, n >= N, below 2^-53 (a bound on x's tail and h y's
+    whatever the signs).  It grows with h: the largest step's serves every step.
     """
-    cycles = float(params.omega1) * targets[-1] / (2.0 * math.pi)
-    if cycles > _MAX_STEPS:
-        raise StepFailure(f"the solve over [0, {targets[-1]:.3g}] spans {cycles:.3g} "
-                          f"oscillations of omega1, more than its budget of {_MAX_STEPS} steps")
-    om = float(params.omega)
-    om1sq = float(params.omega1) ** 2
-    two_eps = 2.0 * epsilon
-    cos = math.cos
-    rtol, atol = _RTOL, _ATOL
-    *nodes, _ = _C.values()  # c2..c11; c12 = 1
-    ((a21,), (a31, a32), (a41, a43), (a51, a53, a54), (a61, a64, a65), (a71, a74, a75, a76),
-     (a81, a84, a85, a86, a87), (a91, a94, a95, a96, a97, a98),
-     (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
-     (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11)) = \
-        [row.values() for row in _A.values()]
-    b1, b6, b7, b8, b9, b10, b11, b12 = _B.values()
-    e1, e6, e7, e8, e9, e10, e11, e12 = _E5.values()
-    bhh1, bhh9, bhh12 = _BHH.values()
-    t = 0.0
-    w = om1sq - two_eps * cos(om * t)
-    # per column of M: x, y and the stage-1 slopes (x', y') = (y, -w x)
-    cols = [(x, y, y, -w * x) for x, y in ((1.0, 0.0), (0.0, 1.0))]
-    h = min(1e-2 * targets[-1], 0.1)
-    steps = 0
+    u, m = [a + b, b * c], [1.0, 1.0]
+    while len(m) * m[-1] >= 2.0 ** -70:  # the tail past m stays far below 2^-53
+        n = len(m) - 2
+        m.append(sum(map(operator.mul, u, m[n::-1])) / ((n + 1) * (n + 2)))
+        u.append(u[-1] * c / len(u))
+    tails = accumulate(n * m[n] for n in reversed(range(3, len(m))))
+    return len(m) - sum(tail <= 2.0 ** -53 for tail in tails)
+
+
+def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float]):
+    """The fundamental matrix of x'' = -w(t) x, w(t) = omega1^2 - 2 eps cos(omega t).
+
+    M at each target is yielded row-major.  The span to each target is cut into
+    equal steps of h <= ``_RHO`` / max(sqrt(omega1^2 + 2|eps|), omega), counted
+    against ``_MAX_STEPS`` before the first.  With t = t0 + h s over a step, w's
+    Taylor coefficients are closed-form from one cos and one sin at t0: h^k W_k =
+    -2 eps (h omega)^k/k! cos(omega t0 + k pi/2) (+ omega1^2 at k = 0), and x =
+    sum X_n s^n solves (n + 1)(n + 2) X_{n+2} = -h^2 sum_k h^k W_k X_{n-k} (Jorba
+    & Zou, Experimental Mathematics 14, 2005), summed to ``_term_count`` terms for
+    both columns at once.  A state that leaves float64 is Unbounded at its step.
+    """
+    om, om1sq, two_eps = float(params.omega), float(params.omega1) ** 2, 2.0 * epsilon
+    rate = max(math.sqrt(om1sq + abs(two_eps)), om) / _RHO  # steps per unit time
+    spans, t = [], 0.0
     for target in targets:
-        while t < target:
-            clamped = t + h >= target
-            hh = (target - t) if clamped else h
-            w2, w3, w4, w5, w6, w7, w8, w9, w10, w11 = [
-                om1sq - two_eps * cos(om * (t + c * hh)) for c in nodes]
-            w12 = om1sq - two_eps * cos(om * (t + hh))
-            new = []
-            err5 = err3 = 0.0  # the x terms, then the y terms
-            ey = []
-            for x, y, p1, q1 in cols:
-                p2 = y + hh * (a21 * q1)
-                q2 = -w2 * (x + hh * (a21 * p1))
-                p3 = y + hh * (a31 * q1 + a32 * q2)
-                q3 = -w3 * (x + hh * (a31 * p1 + a32 * p2))
-                p4 = y + hh * (a41 * q1 + a43 * q3)
-                q4 = -w4 * (x + hh * (a41 * p1 + a43 * p3))
-                p5 = y + hh * (a51 * q1 + a53 * q3 + a54 * q4)
-                q5 = -w5 * (x + hh * (a51 * p1 + a53 * p3 + a54 * p4))
-                p6 = y + hh * (a61 * q1 + a64 * q4 + a65 * q5)
-                q6 = -w6 * (x + hh * (a61 * p1 + a64 * p4 + a65 * p5))
-                p7 = y + hh * (a71 * q1 + a74 * q4 + a75 * q5 + a76 * q6)
-                q7 = -w7 * (x + hh * (a71 * p1 + a74 * p4 + a75 * p5 + a76 * p6))
-                p8 = y + hh * (a81 * q1 + a84 * q4 + a85 * q5 + a86 * q6 + a87 * q7)
-                q8 = -w8 * (x + hh * (a81 * p1 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7))
-                p9 = y + hh * (a91 * q1 + a94 * q4 + a95 * q5 + a96 * q6 + a97 * q7 + a98 * q8)
-                q9 = -w9 * (x + hh * (a91 * p1 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7
-                                      + a98 * p8))
-                p10 = y + hh * (a10_1 * q1 + a10_4 * q4 + a10_5 * q5 + a10_6 * q6 + a10_7 * q7
-                                + a10_8 * q8 + a10_9 * q9)
-                q10 = -w10 * (x + hh * (a10_1 * p1 + a10_4 * p4 + a10_5 * p5 + a10_6 * p6
-                                        + a10_7 * p7 + a10_8 * p8 + a10_9 * p9))
-                p11 = y + hh * (a11_1 * q1 + a11_4 * q4 + a11_5 * q5 + a11_6 * q6 + a11_7 * q7
-                                + a11_8 * q8 + a11_9 * q9 + a11_10 * q10)
-                q11 = -w11 * (x + hh * (a11_1 * p1 + a11_4 * p4 + a11_5 * p5 + a11_6 * p6
-                                        + a11_7 * p7 + a11_8 * p8 + a11_9 * p9 + a11_10 * p10))
-                p12 = y + hh * (a12_1 * q1 + a12_4 * q4 + a12_5 * q5 + a12_6 * q6 + a12_7 * q7
-                                + a12_8 * q8 + a12_9 * q9 + a12_10 * q10 + a12_11 * q11)
-                q12 = -w12 * (x + hh * (a12_1 * p1 + a12_4 * p4 + a12_5 * p5 + a12_6 * p6
-                                        + a12_7 * p7 + a12_8 * p8 + a12_9 * p9 + a12_10 * p10
-                                        + a12_11 * p11))
-                pb = (b1 * p1 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11
-                      + b12 * p12)
-                qb = (b1 * q1 + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9 + b10 * q10 + b11 * q11
-                      + b12 * q12)
-                xn, yn = x + hh * pb, y + hh * qb
-                a, b = abs(x), abs(xn)
-                sk = atol + rtol * (b if b > a else a)
-                e = (e1 * p1 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11
-                     + e12 * p12) / sk
-                err5 += e * e
-                e = (pb - bhh1 * p1 - bhh9 * p9 - bhh12 * p12) / sk
-                err3 += e * e
-                a, b = abs(y), abs(yn)
-                sk = atol + rtol * (b if b > a else a)
-                e = (e1 * q1 + e6 * q6 + e7 * q7 + e8 * q8 + e9 * q9 + e10 * q10 + e11 * q11
-                     + e12 * q12) / sk
-                f = (qb - bhh1 * q1 - bhh9 * q9 - bhh12 * q12) / sk
-                ey.append((e * e, f * f))
-                new.append((xn, yn, yn, -w12 * xn))  # the next first slope, at c = 1
-            for u, v in ey:
-                err5 += u
-                err3 += v
-            deno = err5 + 0.01 * err3
-            err = hh * err5 / math.sqrt(deno * 4) if deno else 0.0
-            if err <= 1.0:
-                t, cols = (target if clamped else t + hh), new
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.75 * err ** -0.125))
-                h = hh * factor
-            else:
-                h = hh * max(0.2, 0.75 * err ** -0.125)
-            if h < 1e-14 * max(1.0, abs(t)):
-                if not math.isfinite(err):
-                    raise Unbounded(f"the solution leaves float64 at t = {t}: "
-                                    "its stages overflow")
-                raise StepFailure(f"step size underflow at t = {t}")
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise StepFailure("step budget exhausted")
-        (m11, m21, _, _), (m12, m22, _, _) = cols
-        yield m11, m12, m21, m22
+        n = (target - t) * rate if target > t else 0.0
+        spans.append((t, target, math.ceil(n) if n < math.inf else n))
+        t = max(t, target)
+    steps = sum(n for *_, n in spans)
+    if steps > _MAX_STEPS:
+        raise StepFailure(f"the solve over [0, {t:.3g}] takes {steps:.3g} steps, more than "
+                          f"its budget of {_MAX_STEPS}")
+    h = max(((b - a) / n for a, b, n in spans if n), default=0.0)
+    count = _term_count(h * h * om1sq, abs(two_eps) * h * h, h * om)
+    cos, sin, mul, isfinite = math.cos, math.sin, operator.mul, cmath.isfinite
+    x, y = 1.0 + 0.0j, 1.0j  # the columns (1, 0) and (0, 1) of M
+    for a, b, n in spans:
+        h = (b - a) / max(n, 1)
+        p = [-two_eps * h * h * (h * om) ** k / math.factorial(k) for k in range(count - 2)]
+        for i in range(n):
+            theta = om * (a + i * h)
+            c, s = complex(cos(theta)), complex(sin(theta))  # complex products are quicker
+            turn = (c, -s, -c, s)  # cos(theta + k pi/2) by k mod 4
+            v = [h * h * om1sq + p[0] * c, *(p[k] * turn[k & 3] for k in range(1, len(p)))]
+            terms = [x, h * y]
+            for k in range(count - 2):
+                terms.append(-sum(map(mul, v, terms[k::-1])) / ((k + 1) * (k + 2)))
+            x = sum(reversed(terms))
+            y = sum(map(mul, range(count), terms)) / h
+            if not (isfinite(x) and isfinite(y)):
+                raise Unbounded(f"the solution leaves float64 at t = {a + (i + 1) * h}")
+        yield x.real, x.imag, y.real, y.imag
 
 
 class OrbitSample(NamedTuple):
@@ -422,8 +318,8 @@ def _full_period(a: float, b: float, c: float, d: float) -> tuple[float, float, 
 def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> list[tuple]:
     """(m11, m12, m21, m22, g) at s_j = (j/spp) * T, j = 1..spp, g = eps cos(omega
     s_j) - omega1^2/2, so that E = g x^2 - y^2/2 = -H at s_j.  M(T) comes from
-    Hill's determinants, first, so a period they refuse takes no step; DOP853
-    solves M forward at the s_j strictly inside (0, T), each to its own size.
+    Hill's determinants, first, so a period they refuse takes no step; the
+    Taylor stepper solves M forward at the s_j strictly inside (0, T).
     """
     spp, T = samples_per_period, params.period
     last = _full_period(*_half_period(params, eps))

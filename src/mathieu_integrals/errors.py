@@ -49,7 +49,7 @@ class UnsolvableSecular(DomainError):
 
 
 class StepFailure(DomainError):
-    """The adaptive integrator could not meet its tolerance."""
+    """A solve needs more steps, or a Hill determinant more rows, than its budget."""
 
 
 class BracketFailure(DomainError):

@@ -1,14 +1,15 @@
 """Generic Dormand-Prince 5(4) stepper: an independent reference.
 
-``dynamics._hill_points`` is DOP853, and ``dynamics._half_period`` reads
-Hill's determinants; this stepper shares nothing with either but the
+``dynamics._hill_points`` is a Taylor stepper, and ``dynamics._half_period``
+reads Hill's determinants; this stepper shares nothing with either but the
 step budget, so it checks both from outside.  It is the reference for
 the multi-period propagation (``rhs_linear`` streamed over the whole
-horizon), for the orbit propagator's time-reversed second half and for
-E (``one_period`` solves the 7-component (M row-major, Q) system over
-the whole period, integrating the energy form that the library replaced
-by E = -H), and for the roots of the monodromy trace (``rhs_matrix``).
-Its tolerances are parameters, guarded by a float64 floor of its own.
+horizon), for the orbit grid inside (0, T) and for E (``one_period``
+solves the 7-component (M row-major, Q) system over the whole period,
+integrating the energy form that the library replaced by E = -H), and
+for M at given targets and the roots of the monodromy trace
+(``rhs_matrix``).  Its tolerances are parameters, guarded by a float64
+floor of its own; the tests run it at rtol = atol = 1e-12.
 """
 
 from __future__ import annotations

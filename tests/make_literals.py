@@ -16,9 +16,13 @@ run at 40 and at 50 digits; the script stops if the two disagree in the
   gives it exactly).
 * ``ORBIT_STATES`` in tests/test_dynamics.py: x and y at t = (j/spp) T,
   j = 1..spp, on the orbit from (0, 1) over one period at omega = 2,
-  omega1 = 9/10, eps = 100 with 16 samples and eps = 1000 with 8, flattened
-  as x1, y1, x2, y2, ...: the samples past T/2 are where a solve whose
-  error grows with the solution shows it.
+  flattened as x1, y1, x2, y2, ...: at omega1 = 9/10, eps = 100 with 16
+  samples and eps = 1000 with 8, where the samples past T/2 show a solve
+  whose error grows with the solution, and on the dense grids of the
+  benchmark's ``orbits`` workload, 64 samples at omega1 = 9/10, eps = 0.185
+  and at omega1 = 1, eps = 0.05, where the Taylor stepper's steps are
+  shortest, and 4 samples at omega1 = 1, eps = +-1/2, where w and w' both
+  vanish at a step's start (t = 0 and t = T/2).
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ HALF_PERIOD_CASES = [  # (omega, omega1, eps): eps is the float the library rece
     ("1/2", "1/20", 6.485), ("2", "1", 0.05), ("2", "2", 0.5),
 ]
 E_CASE = ("2", "9/10", 100.0, 16)  # (omega, omega1, eps, samples per period)
-ORBIT_CASES = [("2", "9/10", 100.0, 16), ("2", "9/10", 1000.0, 8)]
+ORBIT_CASES = [("2", "9/10", 100.0, 16), ("2", "9/10", 1000.0, 8),
+               ("2", "9/10", 0.185, 64), ("2", "1", 0.05, 64),
+               ("2", "1", 0.5, 4), ("2", "1", -0.5, 4)]
 
 
 def _mp(value) -> mpmath.mpf:

@@ -16,14 +16,45 @@ from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                invariant_curve_points, monodromy)
 from mathieu_integrals.analysis import (_bracketed_root, _hill_trace, section_residual,
                                         section_semiaxis_x)
-from mathieu_integrals.dynamics import _RTOL, Monodromy
+from mathieu_integrals.dynamics import Monodromy
 from mathieu_integrals.errors import BracketFailure, InvalidInput
 
 
 P01 = SystemParams(F(2), F(9, 10), 0.1)
+TOL = 1e-12  # the DP5 reference's rtol = atol, and the unit of the stepper bounds
+
+
+def _dp5_trace(params, eps):
+    """tr M(T) = 2(ad + bc) from the DP5 reference's M(T/2) = ((a, b), (c, d))."""
+    (_, (a, b, c, d)), = integration_points(rhs_matrix(params, eps), 0.0, (1.0, 0.0, 0.0, 1.0),
+                                            [0.5 * params.period], TOL, TOL)
+    return 2.0 * (a * d + b * c)
 
 
 class TestCriticalEpsilon:
+    @pytest.mark.parametrize("omega, omega1", [(2, "1"), (2, "2"), (4, "2"), (1, "1/2")])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_zero_at_a_1_and_4(self, omega, omega1, sign):
+        # a_1, b_1 = 1 +- q + O(q^2) and b_2 = 4 - q^2/12 < 4 < a_2 = 4 + 5q^2/12
+        # (DLMF 28.6): the tongue at a = 1 and a = 4 holds a for every q != 0, so
+        # eps_crit is 0 in both signs; the DP5 reference's trace, which shares no
+        # code with the library, is past 2 at eps = +-0.02 (3.4e-9 past at a = 4,
+        # omega = 2)
+        params = SystemParams(F(omega), F(omega1), 0.0)
+        assert params.mathieu_a in (1, 4)
+        res = critical_epsilon(params, sign)
+        assert res == analysis.CriticalEpsResult(0.0, (0.0, 0.0), 0, None)
+        assert math.copysign(1.0, res.eps_crit) == 1.0
+        assert abs(_dp5_trace(params, sign * 0.02)) > 2.0
+
+    def test_a_9_is_no_special_case(self, crit_cache):
+        # the tongue at a = 9 opens at 9 + q^2/16 and does not hold a = 9: stable at
+        # eps = +-0.02, and eps_crit is the root
+        params = SystemParams(F(2), F(3), 0.0)
+        assert all(abs(_dp5_trace(params, e)) < 2.0 for e in (0.02, -0.02))
+        res = crit_cache("3")
+        assert abs(res.eps_crit - 6.818513197) < 1e-9 and res.escape_check is True
+
     def test_canonical_value(self, crit_cache):
         res = crit_cache("9/10")
         assert abs(res.eps_crit - 0.1857848626) < 1e-6
@@ -96,7 +127,7 @@ class TestCriticalEpsilon:
 
     @staticmethod
     def _assert_escape_oracle_agrees(crit_cache, om1):
-        # the Hill root against the root of the DOP853 stepper's trace, which
+        # the Hill root against the root of the Taylor stepper's trace, which
         # shares no code with it, in both signs (1.9e-11 measured)
         params = SystemParams(F(2), F(om1), 0.0)
         g = lambda e: abs(analysis._stepped(params, e).trace) - 2.0
@@ -168,6 +199,9 @@ class TestCriticalEpsilon:
                 res = critical_epsilon(params, sign=sign)
             except BracketFailure:
                 res = None
+        if params.mathieu_a in (1, 4):  # eps_crit = 0, with no trace (test_zero_at_a_1_and_4)
+            assert traces == [] and res.eps_crit == 0.0
+            return
         # the expansion: hi = 0.05 * 1.6^k until |tr M| > 2, one call each
         lo, hi, k = 0.0, 0.05, 0
         while k < len(traces) and abs(traces[k][1]) <= 2.0:
@@ -307,24 +341,20 @@ class TestBracketedRoot:
         assert -1.0 <= lo <= root <= hi <= 1.0 and hi - lo <= tol
 
 
-#: The kernel holds each step's error to _RTOL of the state, so an entry of
-#: H = M(T/2) = ((a, b), (c, d)) ends off by about _RTOL times the largest entry
-#: its row reached on the way: X1 for (a, b) and X2 for (c, d), the largest
-#: |entry| of each row of M(s) on the T/64 grid over [0, T/2], I included.  A row
-#: that ends small after a large excursion keeps that absolute error, and
+#: TOL = 1e-12 is the bound's unit: the tolerance of the DOP853 kernel that the
+#: Taylor stepper replaced, which held each step's error to TOL of the state, so
+#: an entry of H = M(T/2) = ((a, b), (c, d)) ended off by about TOL times the
+#: largest entry its row reached on the way: X1 for (a, b) and X2 for (c, d), the
+#: largest |entry| of each row of M(s) on the T/64 grid over [0, T/2], I included.
+#: A row that ends small after a large excursion keeps that absolute error, and
 #: tr M(T) = 2(ad + bc) (``_full_period``) multiplies it by the other row, so to
-#: first order |d tr| <= C _RTOL 2((|a| + |b|) X2 + (|c| + |d|) X1).  The miss
-#: grows with q a little faster than this: at C = 1 its largest was 1.55 over 2935
-#: uniform draws of the ranges below and 2.37 at their corner omega = 1/2,
-#: eps = -15 (q = 240; omega1 = 47/18, the worst of 256 values).  C = 15 keeps a
-#: margin of about 6x over that, as the former bound (100 _RTOL times the largest
-#: entry over the period) had over its own sweep (17.1), and is still the
-#: tighter of the two at the median draw (0.55 of the former).  The former bound
-#: missed by 1.2x and 6x at omega = 1/2, omega1 = 1/20, eps = 9.0625 and 6.485,
-#: which read 0.041 and 0.032 of this model.  The Hill trace's own error is below
-#: 3e-13 relative (against a 30-digit Taylor solve at 21 points, q up to 240),
-#: added as 3e-13 (2 + |tr M|).
-HILL_VS_MONODROMY = 15 * _RTOL
+#: first order |d tr| <= C TOL 2((|a| + |b|) X2 + (|c| + |d|) X1).  C = 15 had a
+#: margin of about 6x over DOP853's worst (2.37, at omega = 1/2, eps = -15,
+#: omega1 = 47/18); the Taylor stepper's worst is C = 0.046 over 1500 uniform
+#: draws of the ranges below and 60 values of omega1 at that corner (median
+#: 0.005).  The Hill trace's own error is below 3e-13 relative (against a
+#: 30-digit Taylor solve at 21 points, q up to 240), added as 3e-13 (2 + |tr M|).
+HILL_VS_MONODROMY = 15 * TOL
 HILL_OWN = 3e-13
 
 
@@ -343,7 +373,7 @@ def _assert_hill_matches_monodromy(omega, omega1, eps):
 
 
 class TestHillTrace:
-    """The root search's trace: Hill's determinants, checked against the DOP853 stepper."""
+    """The root search's trace: Hill's determinants, checked against the Taylor stepper."""
 
     @settings(max_examples=100, deadline=None)
     @given(omega=st.fractions(min_value=F(1, 2), max_value=F(3), max_denominator=10),
@@ -529,16 +559,13 @@ class TestPeriodicOrbits:
     def test_hill_root_agrees_with_dp5_root(self, om1, n, guess):
         # the root of the trace of a generic DP5 solve over half a period, which
         # shares no code with the Hill trace the search runs on, nor with the
-        # DOP853 kernel (3.0e-12 the largest miss measured)
+        # Taylor stepper (3.0e-12 the largest miss measured)
         params = SystemParams(F(2), F(om1), 0.0)
         res = find_periodic_orbit(params, guess, n)
         target = 2.0 * math.cos(2.0 * math.pi * res.winding / n)
 
         def g(e):
-            (_, (a, b, c, d)), = integration_points(rhs_matrix(params, e), 0.0,
-                                                    (1.0, 0.0, 0.0, 1.0), [0.5 * params.period],
-                                                    _RTOL, _RTOL)
-            return 2.0 * (a * d + b * c) - target  # tr M(T), with M(T/2) = ((a, b), (c, d))
+            return _dp5_trace(params, e) - target
 
         lo, hi = res.epsilon - 1e-3, res.epsilon + 1e-3
         lo, hi = _bracketed_root(g, lo, hi, g(lo), g(hi), 1e-12)
@@ -568,16 +595,16 @@ class TestInvariantCurves:
     @pytest.mark.parametrize("omega1", ["9/10", "1/10", "11/10", "3/2"])
     def test_series_conic_converges_to_the_monodromy_invariant_form(self, form_miss, omega1):
         # the abstract's non-resonant claim: as the order S grows, the section
-        # conic approaches the exact invariant of the one-period map.  The
-        # stepper resolves M to its tolerance _RTOL, so the miss may stop falling
-        # once it is below _RTOL and must end within 10 * _RTOL at S = 40
+        # conic approaches the exact invariant of the one-period map.  The miss
+        # may stop falling once it is below TOL and must end within 10 * TOL at
+        # S = 40
         # (4.0e-12, 6.9e-18, 3.0e-14 and 1.2e-16 measured against Hill's M)
         params = SystemParams(F(2), F(omega1), 0.1)
         phi, m = build_integral(params, 40), monodromy(params, 0.1)
         misses = [form_miss(conic_at_section(phi.truncated(s), 0.1), m)
                   for s in (2, 6, 10, 14, 20, 28, 40)]
-        assert all(later <= miss for miss, later in zip(misses, misses[1:]) if miss >= _RTOL)
-        assert misses[-1] <= 10 * _RTOL
+        assert all(later <= miss for miss, later in zip(misses, misses[1:]) if miss >= TOL)
+        assert misses[-1] <= 10 * TOL
 
     def test_order6_curve_close_to_section_points(self, phi28, orbit_cache):
         _, _, pts = orbit_cache("9/10", 0.1, 200)

@@ -508,6 +508,23 @@ class TestAnalysisCommands:
         assert doc["oracle"] == "hill" and doc["escape_check"] is True
         assert abs(doc["eps_crit"] + 0.21598) < 1e-4
 
+    @pytest.mark.parametrize("omega, omega1", [("2", "1"), ("2", "2"), ("4", "2"), ("1", "1/2")])
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_critical_eps_is_zero_at_a_1_and_4(self, runner, tmp_path, omega, omega1, sign):
+        # a = 4 omega1^2/omega^2 is 1 or 4: the tongue holds a at every q != 0, and
+        # the rounding of tr -+ 2 printed 1.6e-8 and 6.4e-7 here
+        out = tmp_path / "crit.json"
+        res = invoke(runner, "critical-eps", "--omega", omega, "--omega1", omega1,
+                     "--sign", sign, "--out", str(out))
+        assert res.exit_code == 0 and res.stdout == "0\n"
+        doc = json.loads(out.read_text())
+        assert (doc["eps_crit"], doc["bracket"], doc["escape_check"]) == (0.0, [0.0, 0.0], None)
+
+    def test_critical_eps_at_a_9_is_not_zero(self, runner):
+        # the tongue at a = 9 opens at 9 + q^2/16: it does not hold a = 9
+        res = invoke(runner, "critical-eps", "--omega1", "3")
+        assert res.exit_code == 0 and res.stdout == "6.818513197\n"
+
     def test_refuted_root_is_an_error(self, runner, tmp_path):
         # a root the monodromy cross-check refutes is never printed as eps_crit:
         # at omega = 1/100 the search lands on a later crossing of +-2

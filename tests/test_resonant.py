@@ -16,13 +16,13 @@ from mathieu_integrals import (NotResonant, PhaseConstants, QuadFormSeries,
                                build_resonant_phi, eliminate_secular, monodromy,
                                resonant_seed, resonant_section_form)
 from mathieu_integrals.builder import from_form, recursion_step, substitute_zero_order, to_form
-from mathieu_integrals.dynamics import _RTOL
 from mathieu_integrals.errors import InvalidInput, UnsupportedResonance
 from mathieu_integrals.resonant import _secular, _solve_ratio
 from mathieu_integrals.trigseries import COS, SIN, TrigSeries
 
 P = SystemParams(F(2), F(1), 0.05)
 BASE = P.base
+TOL = 1e-12  # the unit of the stepper bounds
 
 
 def h(coeff, k, m, phase, base=BASE, **kw):
@@ -310,9 +310,9 @@ class TestSectionForm:
     @pytest.mark.parametrize("c0, s0", [(1.0, 0.0), (0.6, 0.8)])
     def test_order40_form_at_eps_1(self, form_miss, c0, s0):
         # the abstract's resonant claim far from eps = 0: order 40 meets the
-        # hyperbolic invariant to 10 * _RTOL = 1e-11, the accuracy the DOP853
-        # stepper gives M at its tolerance _RTOL (Hill's determinants: about
-        # 1e-15), while order 10 misses it by 1e5 * _RTOL
+        # hyperbolic invariant to 10 * TOL = 1e-11, the accuracy a stepper at
+        # rtol = TOL gives M (Hill's determinants, which give m here: about
+        # 1e-15), while order 10 misses it by 1e5 * TOL
         params = SystemParams(F(2), F(1), 0.0)
         m = monodromy(params, 1.0)
 
@@ -321,8 +321,8 @@ class TestSectionForm:
                                           PhaseConstants(c0, s0))
             return form_miss(conic, m)
 
-        assert miss(40) <= 10 * _RTOL  # 1.7e-16 measured
-        assert miss(10) > 1e5 * _RTOL  # 2.6e-6 and 6.2e-6 measured
+        assert miss(40) <= 10 * TOL  # 1.7e-16 measured
+        assert miss(10) > 1e5 * TOL  # 2.6e-6 and 6.2e-6 measured
 
 
 class TestPhaseConstants:
