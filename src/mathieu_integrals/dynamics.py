@@ -36,8 +36,9 @@ the samples strictly inside (0, T) of orbits with two or more samples per
 period (``_one_period``), and z(kT + s) = M(s) z(kT).  The equation is
 linear with an entire coefficient, so each step's series is an exact
 recurrence, summed to a term count bounded a priori: no error estimate,
-no rejected step, and a step count known before the first.  Sample k of a
-one-sample orbit is the section point at t = kT, where nothing is solved.
+no rejected step, and equal steps, set by the last sample before the
+first, off whose series every sample is read.  Sample k of a one-sample
+orbit is the section point at t = kT, where nothing is solved.
 
 One loop walks the period grid (``orbit_blocks``).  In the pass that
 propagates z it builds the orbit table rows (k, t, x, y, E, d, r) and
@@ -95,46 +96,45 @@ def _term_count(a: float, b: float, c: float) -> int:
 def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float]):
     """The fundamental matrix of x'' = -w(t) x, w(t) = omega1^2 - 2 eps cos(omega t).
 
-    M at each target is yielded row-major.  The span to each target is cut into
-    equal steps of h <= ``_RHO`` / max(sqrt(omega1^2 + 2|eps|), omega), counted
-    against ``_MAX_STEPS`` before the first.  With t = t0 + h s over a step, w's
-    Taylor coefficients are closed-form from one cos and one sin at t0: h^k W_k =
-    -2 eps (h omega)^k/k! cos(omega t0 + k pi/2) (+ omega1^2 at k = 0), and x =
-    sum X_n s^n solves (n + 1)(n + 2) X_{n+2} = -h^2 sum_k h^k W_k X_{n-k} (Jorba
-    & Zou, Experimental Mathematics 14, 2005), summed to ``_term_count`` terms for
-    both columns at once.  A state that leaves float64 is Unbounded at its step.
+    M at each target (ascending from 0) is yielded row-major.  [0, t], t the last target,
+    is cut into equal steps of h <= ``_RHO``/max(sqrt(omega1^2 + 2|eps|), omega), counted
+    against ``_MAX_STEPS`` before the first.  With t = t0 + h s over a step, w's Taylor
+    coefficients are closed-form from one cos and one sin at t0: h^k W_k = -2 eps (h
+    omega)^k/k! cos(omega t0 + k pi/2) (+ omega1^2 at k = 0), and x = sum X_n s^n solves
+    (n + 1)(n + 2) X_{n+2} = -h^2 sum_k h^k W_k X_{n-k} (Jorba & Zou, Exp. Math. 14, 2005)
+    for both columns at once, summed with x' to ``_term_count`` terms at each target in
+    the step and at s = 1, which starts the next.  A state past float64 is Unbounded.
     """
     om, om1sq, two_eps = float(params.omega), float(params.omega1) ** 2, 2.0 * epsilon
     rate = max(math.sqrt(om1sq + abs(two_eps)), om) / _RHO  # steps per unit time
-    spans, t = [], 0.0
-    for target in targets:
-        n = (target - t) * rate if target > t else 0.0
-        spans.append((t, target, math.ceil(n) if n < math.inf else n))
-        t = max(t, target)
-    steps = sum(n for *_, n in spans)
+    t = targets[-1] if targets else 0.0
+    steps = math.ceil(t * rate) if t * rate < math.inf else math.inf
     if steps > _MAX_STEPS:
         raise StepFailure(f"the solve over [0, {t:.3g}] takes {steps:.3g} steps, more than "
                           f"its budget of {_MAX_STEPS}")
-    h = max(((b - a) / n for a, b, n in spans if n), default=0.0)
+    h = t / steps if steps else 0.0
     count = _term_count(h * h * om1sq, abs(two_eps) * h * h, h * om)
+    p = [-two_eps * h * h * (h * om) ** k / math.factorial(k) for k in range(count - 2)]
     cos, sin, mul, isfinite = math.cos, math.sin, operator.mul, cmath.isfinite
-    x, y = 1.0 + 0.0j, 1.0j  # the columns (1, 0) and (0, 1) of M
-    for a, b, n in spans:
-        h = (b - a) / max(n, 1)
-        p = [-two_eps * h * h * (h * om) ** k / math.factorial(k) for k in range(count - 2)]
-        for i in range(n):
-            theta = om * (a + i * h)
-            c, s = complex(cos(theta)), complex(sin(theta))  # complex products are quicker
-            turn = (c, -s, -c, s)  # cos(theta + k pi/2) by k mod 4
-            v = [h * h * om1sq + p[0] * c, *(p[k] * turn[k & 3] for k in range(1, len(p)))]
-            terms = [x, h * y]
-            for k in range(count - 2):
-                terms.append(-sum(map(mul, v, terms[k::-1])) / ((k + 1) * (k + 2)))
-            x = sum(reversed(terms))
-            y = sum(map(mul, range(count), terms)) / h
-            if not (isfinite(x) and isfinite(y)):
-                raise Unbounded(f"the solution leaves float64 at t = {a + (i + 1) * h}")
-        yield x.real, x.imag, y.real, y.imag
+    x, y, j = 1.0 + 0.0j, 1.0j, 0  # the columns (1, 0) and (0, 1) of M; the next target
+    for i in range(steps):
+        theta = om * (i * h)
+        c, s = complex(cos(theta)), complex(sin(theta))  # complex products are quicker
+        turn = (c, -s, -c, s)  # cos(theta + k pi/2) by k mod 4
+        v = [h * h * om1sq + p[0] * c, *(p[k] * turn[k & 3] for k in range(1, len(p)))]
+        terms = [x, h * y]
+        for k in range(count - 2):
+            terms.append(-sum(map(mul, v, terms[k::-1])) / ((k + 1) * (k + 2)))
+        while j < len(targets) and targets[j] < min((i + 1) * h, t):  # at s = u in [0, 1)
+            u, z, dz = (targets[j] - i * h) / h, terms[-1], 0j
+            for term in terms[-2::-1]:  # x and h x' by Horner's rule, at once
+                z, dz = z * u + term, dz * u + z
+            yield z.real, z.imag, dz.real / h, dz.imag / h
+            j += 1
+        x, y = sum(reversed(terms)), sum(map(mul, range(count), terms)) / h
+        if not (isfinite(x) and isfinite(y)):
+            raise Unbounded(f"the solution leaves float64 at t = {(i + 1) * h}")
+    yield from [(x.real, x.imag, y.real, y.imag)] * (len(targets) - j)  # those at t
 
 
 class OrbitSample(NamedTuple):
@@ -223,9 +223,9 @@ def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[
     and n >= 2 up to N, come from a recurrence without division, rescaled
     by 2^-+600 whenever it leaves [2^-600, 2^600] (at large q it decays
     far below 1 over the rows past sqrt(q), then grows to the size of H),
-    so it leaves float64 only where the value does.  The rows past N enter as a factor: prod (1 - s^2/u^2)
-    by Euler-Maclaurin, and the couplings b_u = (q^2/16)/((u^2 - s^2)
-    ((u + 1)^2 - s^2)) to first order.  With N = 3s + (C/1e-13)^(1/7),
+    so it leaves float64 only where the value does.  The rows past N enter as a factor, its
+    exponent rescaled alike: prod (1 - s^2/u^2) by Euler-Maclaurin, and the couplings b_u =
+    (q^2/16)/((u^2 - s^2) ((u + 1)^2 - s^2)) to first order.  With N = 3s + (C/1e-13)^(1/7),
     C = (s^2 + q^2)/10 + q^4/500, the neglected terms (second order in
     b_u and the next Euler-Maclaurin terms: O(N^-7) at most) stay below
     1e-13 of the value; rounding adds a few 1e-13 at large q.  A value
@@ -270,7 +270,9 @@ def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[
     p, r = u * u - al * al, u * u - be * be
     coupling = ((math.atanh(al / u) / al - (math.atanh(be / u) / be if be else 1.0 / u)) / (2.0 * s)
                 - u * (p + r) / (12.0 * (p * r) ** 2))
-    tail = math.exp(diag - qq * coupling)
+    log_tail = diag - qq * coupling  # about -s/3 at large s: its exp underflows past s = 2240
+    shift = round(log_tail / math.log(_HUGE))  # whole powers of _HUGE join the rescaling
+    tail, scale = math.exp(log_tail - shift * math.log(_HUGE)), scale + shift
     if odd:  # row k = 1 holds 1 +- q - a and couples to row 3 by q^2/9
         plus, minus, coupled = (1.0 + q - a) * d1, (1.0 - q - a) * d1, q2 / 9.0 * d2
         first, second = plus - coupled, minus - coupled
@@ -324,7 +326,7 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> li
     spp, T = samples_per_period, params.period
     last = _full_period(*_half_period(params, eps))
     inner = [(j / spp) * T for j in range(1, spp)]
-    grid = [*(_hill_points(params, eps, inner) if inner else ()), last]
+    grid = [*_hill_points(params, eps, inner), last]
     g0 = 0.5 * float(params.omega1) ** 2
     return [(*m, eps * math.cos(2.0 * math.pi * j / spp) - g0) for j, m in enumerate(grid, 1)]
 
