@@ -16,6 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 import click
 
@@ -86,6 +87,20 @@ def _orbit(params: builder.SystemParams, x0: float, y0: float, periods: int,
     return dynamics.orbit_blocks(params, x0, y0, periods, samples), periods * samples + 1
 
 
+def _table(header, blocks: dynamics.OrbitBlocks, n: int, format_: str, columns=None):
+    """The pieces of the orbit table's ``columns`` (all if None), its ``n`` rows split
+    where a worker starts the tail from its own first row (``OrbitBlocks.split``)."""
+    def rows(blocks):
+        rows = chain.from_iterable(blocks)
+        return map(itemgetter(*columns), rows) if columns else rows
+
+    def split(h):
+        h, head, tail = blocks.split(h)
+        return h, rows(head), rows(tail)
+
+    return output.tabular_chunks(header, rows(blocks), format_, n, split, fixed=True)
+
+
 def _write(path: str | None, chunks):
     """Stream the pieces to ``path``, or print them joined once all are made."""
     if path:
@@ -144,9 +159,8 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     params = _params(omega, omega1, epsilon)
-    blocks, n = _orbit(params, x0, y0, periods, time_, samples)
-    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks),
-                                      format_, n))
+    _write(out, _table(output.ORBIT_COLUMNS, *_orbit(params, x0, y0, periods, time_, samples),
+                       format_))
 
 
 @main.command("section")
@@ -157,9 +171,7 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, 
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT."""
     params = _params(omega, omega1, epsilon)  # the section is the one-sample orbit
-    blocks, n = _orbit(params, x0, y0, periods, time_)
-    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks),
-                                      format_, n))
+    _write(out, _table(output.ORBIT_COLUMNS, *_orbit(params, x0, y0, periods, time_), format_))
 
 
 @main.command("distances")
@@ -197,9 +209,8 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     params = _params(omega, omega1, epsilon)
-    blocks, n = _orbit(params, x0, y0, periods, time_)
-    rows = ((k, t, x, E) for k, t, x, _, E, _, _ in chain.from_iterable(blocks))
-    _write(out, output.tabular_chunks(("k", "t", "x", "E"), rows, format_, n))
+    _write(out, _table(("k", "t", "x", "E"), *_orbit(params, x0, y0, periods, time_), format_,
+                       (0, 1, 2, 4)))
 
 
 @main.command("critical-eps")

@@ -43,7 +43,9 @@ orbit is the section point at t = kT, where nothing is solved.
 One loop walks the period grid (``orbit_blocks``).  In the pass that
 propagates z it builds the orbit table rows (k, t, x, y, E, d, r) and
 yields them in blocks of whole periods, which the CLI writes as they
-come, so its memory does not grow with the horizon.  ``integrate_orbit``
+come, so its memory does not grow with the horizon; the same loop also runs
+from a later period, whose state the one-period map alone gives
+(``OrbitBlocks.split``: the CLI's second process starts there).  ``integrate_orbit``
 is the one list form, the rows as OrbitSamples, and the stroboscopic
 section is the one-sample-per-period orbit.  ``escape_diagnostics``
 reads rows of either form up to the first one past the escape radius;
@@ -63,7 +65,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
@@ -331,8 +333,30 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> li
     return [(*m, eps * math.cos(2.0 * math.pi * j / spp) - g0) for j, m in enumerate(grid, 1)]
 
 
+class OrbitBlocks:
+    """The blocks of ``orbit_blocks`` as an iterator, and the same table split in two
+    (``split``), each part made without the rows of the other."""
+
+    def __init__(self, blocks: Callable[[int, int], Iterator[list[tuple]]], spp: int, n: int):
+        self._blocks, self._spp, self._n, self._all = blocks, spp, n, blocks(0, n)
+
+    def __iter__(self) -> OrbitBlocks:
+        return self
+
+    def __next__(self) -> list[tuple]:
+        return next(self._all)
+
+    def split(self, row: int) -> tuple[int, Iterator[list[tuple]], Iterator[list[tuple]]]:
+        """(h, the blocks of rows 0 to h - 1, those of rows h, h + 1, ...) for h = p spp
+        + 1, the first row of period p, the last period to start by ``row`` (p >= 1).
+        The tail's state at t = pT is the start's times M(T) p times, the products the
+        row loop makes at each period's end, so each row is bit for bit the whole table's."""
+        p = max(1, (row - 1) // self._spp)
+        return p * self._spp + 1, self._blocks(0, p), self._blocks(p, self._n)
+
+
 def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
-                 samples_per_period: int = 1) -> Iterator[list[tuple]]:
+                 samples_per_period: int = 1) -> OrbitBlocks:
     """The orbit table over n periods, rows (k, t, x, y, E, d, r), in blocks
     of whole periods, each but the last of at least ``_BLOCK_ROWS`` rows.
 
@@ -343,7 +367,9 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
     point, for an E(0) that overflows or n spp past the ``_MAX_STEPS``
     budget) and ``_one_period`` run at the call; Unbounded comes
     when the iteration reaches the period that overflows.  The rows are
-    plain tuples: an OrbitSample per row would cost a quarter of the loop.
+    plain tuples of an int and six floats: an OrbitSample per row would cost a
+    quarter of the loop.
+    ``OrbitBlocks.split`` runs the same loop over a head and a tail of the periods.
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
@@ -360,17 +386,21 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
         raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")
     grid = _one_period(params, params.epsilon, samples_per_period)
 
-    def blocks(x, y, spp=samples_per_period):
+    def blocks(first, last, spp=samples_per_period):  # periods first to last - 1
         T = params.period
         om1 = float(params.omega1)
         om1sq = om1 * om1  # as trajectory_rows forms it, so d agrees bit for bit
         sqrt, hypot, isfinite = math.sqrt, math.hypot, math.isfinite
         per_block = -(-_BLOCK_ROWS // spp)
-        rows = [(0, 0.0, x, y, e, sqrt(om1sq * x * x + y * y), hypot(x, y))]
-        i = 0
-        for start in range(0, n_periods, per_block):
+        x, y = float(x0), float(y0)  # every row an int and six floats
+        t11, t12, t21, t22, _ = grid[-1]  # M(T)
+        for _ in range(first):  # the products the loop makes at each period's end
+            x, y = t11 * x + t12 * y, t21 * x + t22 * y
+        rows = [] if first else [(0, 0.0, x, y, e, sqrt(om1sq * x * x + y * y), hypot(x, y))]
+        i = first * spp
+        for start in range(first, last, per_block):
             append = rows.append
-            for k in range(start, min(start + per_block, n_periods)):
+            for k in range(start, min(start + per_block, last)):
                 for m11, m12, m21, m22, g in grid:
                     i += 1
                     u, v = m11 * x + m12 * y, m21 * x + m22 * y
@@ -389,7 +419,7 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
             yield rows
             rows = []
 
-    return blocks(x0, y0)
+    return OrbitBlocks(blocks, samples_per_period, n_periods)
 
 
 def integrate_orbit(params: SystemParams, x0: float, y0: float, n_periods: int,

@@ -13,7 +13,12 @@ Where the process may use two CPUs and runs no other thread, a table of
 more than two blocks whose number of rows is known, or orders whose
 numerators hold at least ``_ORDERS_FORK_BITS`` bits, is split once
 (``_formatted``): a forked worker formats the tail into an unlinked spool
-file that this process appends after formatting the head itself.
+file while this process formats the head.  A table with a ``split`` (an
+orbit's, ``OrbitBlocks.split``) gives each process rows made without the
+other's; a list's worker skips the head's items, and any other iterable's
+worker iterates them unformatted.  The spool lies beside the file being
+written, where ``atomic_write_chunks`` appends it in the kernel
+(os.sendfile); text, such as stdout's, reads it back from the temp directory.
 ``atomic_write_chunks`` writes the pieces to a temp file and renames it
 after the last, so no command holds a whole document or table; a table's
 first piece is its head with its first block, read before the temp file
@@ -50,29 +55,53 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]):
 
     A symbolic link is followed to its target, as open(path, "w") does.  Any
     exception, the pieces' own included, removes the temp file and leaves
-    ``path`` as it was; an OSError becomes InvalidInput naming ``path``."""
+    ``path`` as it was; an OSError becomes InvalidInput naming ``path``.  A worker
+    forked for the pieces spools beside ``path``, and its spool (``_Spool``) is
+    appended in the kernel where it may (``_appended``)."""
+    global _spool_dir
     target = os.path.realpath(path)
     umask = os.umask(0o022)  # os.umask reads the mask only by setting it
     os.umask(umask)
-    tmp, pieces = None, iter(chunks)
+    tmp, pieces, outer = None, iter(chunks), _spool_dir
     try:
+        _spool_dir = os.path.dirname(target)
         # a table's first piece holds its first block: bad input or an overflow
         # there is reported before the path is tried
         chunks = chain((next(pieces, ""),), pieces)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", text=True)
+        fd, tmp = tempfile.mkstemp(dir=_spool_dir, prefix=".tmp-", text=True)
         # mkstemp creates 0o600; give the mode open(path, "w") would give
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
+            for piece in chunks:
+                if not (type(piece) is _Spool and _appended(handle, piece.file)):
+                    handle.write(piece)
         os.replace(tmp, target)
         tmp = None
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror}") from None
     finally:
+        _spool_dir = outer
         if hasattr(pieces, "close"):  # a generator's worker ends with it
             pieces.close()
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _appended(handle, spool) -> bool:
+    """Whether the bytes of the spool were appended to the file of ``handle`` in the
+    kernel (os.sendfile), the spool then left at its end; False, nothing written,
+    where the kernel refuses these files before the first byte."""
+    handle.flush()
+    sent, size = 0, os.fstat(spool.fileno()).st_size
+    try:
+        while sent < size:
+            sent += os.sendfile(handle.fileno(), spool.fileno(), sent, size - sent)
+    except OSError:
+        if sent:
+            raise
+        return False
+    spool.seek(0, os.SEEK_END)
+    return True
 
 
 def _float_text(value: float) -> str:
@@ -112,29 +141,46 @@ def json_chunks(obj) -> Iterator[str]:
 
 _DEPTH = 3  # the levels whose containers json_chunks splits into pieces
 _BLOCK = 1024  # the items of a list, or the rows of a table, in one block
-_SPOOL_PIECE = 1 << 16  # the characters of a worker's text appended as one piece
+_SPOOL_PIECE = 1 << 16  # the characters of a worker's text read back as one piece
 _in_worker = False  # set in a worker, which forks none of its own
+_spool_dir = None  # the directory of the file atomic_write_chunks writes, else the temp one
+
+
+class _Spool(str):
+    """An empty piece that holds a worker's spool (``file``), its text the pieces
+    after it: a writer that appends the whole file leaves it at its end."""
 
 
 _Pieces = Callable[[list, int], Iterable[str]]  # pieces(block, i): text of items i, i + 1, ...
+_Split = Callable[[int], tuple[int, Iterable, Iterable]]  # split(h): (h', head, tail)
 
 
-def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None) -> Iterator[str]:
-    """The pieces of each block of up to ``_BLOCK`` items.  Where a split point ``h``
-    is given and ``_may_fork`` allows, a worker (``_fork``) spools the pieces of
-    items h, h + 1, ... (the tail) while this process yields the head's; once the
-    worker reports its spool whole, this process yields it ``_SPOOL_PIECE`` characters
-    at a time, else it goes on with its own items from h, so an error comes from the
-    same item as on one process.  The worker is reaped and the spool closed on every way out."""
+def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None,
+               split: _Split | None = None) -> Iterator[str]:
+    """The pieces of each block of up to ``_BLOCK`` items.  Where a split point ``h`` is
+    given and ``_may_fork`` allows, a worker (``_fork``) spools the pieces of the
+    tail, items h, h + 1, ..., while this process yields the head's, items 0 to h - 1.
+    ``split``(h) may move h and give the head and the tail, each made without the
+    other's items; else both come from the items, the worker's copy past h.  Once the
+    worker reports its spool whole, this process yields it, an empty ``_Spool`` and then
+    its text ``_SPOOL_PIECE`` characters at a time; else it goes on with its own tail,
+    so an error comes from the same item as on one process.  The worker is reaped and
+    the spool closed on every way out."""
     items = iter(items)
-    pid, spool, done = _fork(items, pieces, h) if h and _may_fork() else (None, None, None)
+    pid, head, tail = None, items, ()
+    if h and _may_fork():
+        h, head, tail = split(h) if split else (h, islice(items, h), items)
+        pid, spool, done = _fork(tail if split else islice(items, h, None), pieces, h)
     try:
-        yield from _blocks(islice(items, h) if pid else items, pieces, 0)
+        yield from _blocks(iter(head), pieces, 0)
         if pid and os.read(done, 1):  # the worker's one byte, or b"" once it is gone
             spool.seek(0)
+            piece = _Spool()
+            piece.file = spool
+            yield piece
             yield from iter(lambda: spool.read(_SPOOL_PIECE), "")
-        elif pid:
-            yield from _blocks(items, pieces, h)
+        else:
+            yield from _blocks(iter(tail), pieces, h)
     except BaseException:
         if pid:
             import signal  # only here: it takes a millisecond to import
@@ -163,18 +209,18 @@ def _may_fork() -> bool:
             and len(affinity(0)) >= 2)
 
 
-def _fork(items: Iterator, pieces: _Pieces, h: int):
+def _fork(tail: Iterable, pieces: _Pieces, h: int):
     """(pid, spool, read end of a pipe) of a worker that iterates its own copy of the
-    items (a list, or a generator that computes them alike), spools the pieces of
-    those from h on to an unlinked temp file, then writes one byte to the pipe and
-    leaves by os._exit; or (None, None, None) if no file, pipe or process is to be
-    had.  This process's objects stay out of the cyclic collector (``gc.freeze``)
-    until the worker is reaped: a full collection would write to every object's
-    header and copy every shared page (10-14 ms in a 27 MB process on 2 CPUs)."""
+    tail, items h, h + 1, ..., spools their pieces to an unlinked file beside the file
+    being written (``_spool_dir``), then writes one byte to the pipe and leaves by
+    os._exit; or (None, None, None) if no file, pipe or process is to be had.  This
+    process's objects stay out of the cyclic collector (``gc.freeze``) until the
+    worker is reaped: a full collection would write to every object's header and
+    copy every shared page (10-14 ms in a 27 MB process on 2 CPUs)."""
     global _in_worker
     spool, fds = None, ()
     try:
-        spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", dir=_spool_dir)
         fds = done, ready = os.pipe()
         gc.freeze()
         pid = os.fork()
@@ -191,8 +237,7 @@ def _fork(items: Iterator, pieces: _Pieces, h: int):
     try:
         _in_worker = True
         os.close(done)
-        next(islice(items, h, h), None)  # the head, iterated but not formatted
-        spool.writelines(_blocks(items, pieces, h))
+        spool.writelines(_blocks(iter(tail), pieces, h))
         spool.flush()
         os.write(ready, b"\1")
     finally:
@@ -200,8 +245,10 @@ def _fork(items: Iterator, pieces: _Pieces, h: int):
 
 
 def _half(rows: Iterable, length: int | None) -> int | None:
-    """The middle row of a table of over two blocks (len(rows), else ``length`` rows): a
-    worker costs 2-3 ms at 28 MB on 2 CPUs, which a 64-sample orbit repays from ~1,500 rows."""
+    """The middle row of a table of over two blocks (len(rows), else ``length`` rows).
+    A worker costs 2-3 ms at 28 MB on 2 CPUs, which a 64-sample orbit repays from
+    about 2,000 rows: 13.7 against 11.7 ms for 1,089 rows, 15.7 against 14.0 for
+    1,537 and even at 2,049 (in process, medians of 4 alternating sets of 30 runs)."""
     n = len(rows) if type(rows) in (list, tuple) else length or 0
     return n - n // 2 if n > 2 * _BLOCK else None
 
@@ -222,9 +269,9 @@ def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
 
 
 def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
-                 h: int | None = None) -> Iterator[str]:
-    """A JSON list of any iterable's items, a block at a time, split at ``h`` between
-    two processes (``_formatted``).  A list or tuple of an integral's orders
+                 h: int | None = None, split: _Split | None = None) -> Iterator[str]:
+    """A JSON list of any iterable's items, a block at a time, split at ``h`` (and by
+    ``split``) between two processes (``_formatted``).  A list or tuple of an integral's orders
     (QuadFormSeries) goes an order at a time, each converted to its JSON object
     (``QuadFormSeries.to_json_obj``, which reduces its coefficients) as it is
     formatted, split at the first order where the cumulative numerator bits reach
@@ -247,7 +294,7 @@ def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
             yield from _chunks(convert(item) if convert else item, level + 1, templates)
 
     empty = True
-    for piece in _formatted(items, pieces, h):
+    for piece in _formatted(items, pieces, h, split):
         yield piece
         empty = False
     yield "[]" if empty else "\n" + "  " * level + "]"
@@ -344,17 +391,21 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
     return "".join(csv_chunks(header, rows))
 
 
-def csv_chunks(header: Sequence[str], rows: Iterable[tuple],
-               length: int | None = None) -> Iterator[str]:
+def csv_chunks(header: Sequence[str], rows: Iterable[tuple], length: int | None = None,
+               split: _Split | None = None, fixed: bool = False) -> Iterator[str]:
     """The text of columns_csv(header, rows): the header line with the first
     block, then one piece per later block of up to ``_BLOCK`` rows.  A block of
     rows of one length whose columns each hold only str and int cells or only
     other cells takes one ``%`` template; in any other block each row takes its
-    own.  A table of more than two blocks whose number of rows is known (the
-    len() of a list or tuple, else ``length``) may be split between two
-    processes that each iterate the rows (``_formatted``)."""
+    own; where the rows are ``fixed``, each of the types of the first (as the rows of
+    ``orbit_blocks`` are), the first row's template serves its block.  A table of more than two
+    blocks whose number of rows is known (the len() of a list or tuple, else
+    ``length``) may be split between two processes (``_formatted``) at its middle
+    row, or where ``split``, given that row, says: split(h) is (h', the rows before
+    h', the rows from h'), each made without the rows of the other."""
     yield from _with_head(",".join(header) + "\n", _formatted(
-        rows, lambda block, i: (_csv_text(block),), _half(rows, length)))
+        rows, lambda block, i: (_csv_text(block, block[:1] if fixed else block),),
+        _half(rows, length), split))
 
 
 def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
@@ -367,9 +418,9 @@ def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
         pieces.close()
 
 
-def _csv_text(block: list[tuple]) -> str:
-    """A block's lines: by its one template, or each row by its own."""
-    if (template := _csv_template(block)) is None:
+def _csv_text(block: list[tuple], typed: list[tuple]) -> str:
+    """A block's lines: by the one template of the ``typed`` rows, or each row by its own."""
+    if (template := _csv_template(typed)) is None:
         return "".join(_csv_template([row]) % row + "\n" for row in block)
     return "\n".join(map(template.__mod__, block)) + "\n"
 
@@ -400,13 +451,16 @@ def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
 
 
 def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str,
-                   length: int | None = None) -> Iterator[str]:
-    """The text of tabular(header, rows, format) in pieces, a block of rows
-    at a time, the head with the first block; ``length`` as for csv_chunks."""
+                   length: int | None = None, split: _Split | None = None,
+                   fixed: bool = False) -> Iterator[str]:
+    """The text of tabular(header, rows, format) in pieces, a block of rows at a time,
+    the head with the first block; ``length``, ``split`` and ``fixed`` (CSV only) as
+    for csv_chunks."""
     if format != "json":
-        yield from csv_chunks(header, rows, length)
+        yield from csv_chunks(header, rows, length, split, fixed)
         return
     templates: dict[tuple, tuple] = {}
     yield from _with_head('{\n  "columns": ' + _encode(list(header), 1, templates)
-                          + ',\n  "rows": ', _list_chunks(rows, 1, templates, _half(rows, length)))
+                          + ',\n  "rows": ', _list_chunks(rows, 1, templates,
+                                                          _half(rows, length), split))
     yield "\n}\n"

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import signal
 import subprocess
@@ -12,6 +13,7 @@ import threading
 import time
 import tomllib
 import tracemalloc
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -487,6 +489,119 @@ class TestStreamedOutput:
         assert out.stat().st_size > 2_000_000
 
 
+class TestTwoProcesses:
+    """A table of over two blocks of 1024 rows, on two CPUs: this process writes its head
+    and a forked worker its tail, from the tail's own first row, with the bytes and the
+    errors of one process."""
+
+    @staticmethod
+    def _outputs(runner, tmp_path, monkeypatch, n_cpus, *args):
+        """(exit code, stdout, stderr, file bytes) of the command to a file and to stdout
+        on n_cpus, and the workers it forked."""
+        forks = on_cpus(monkeypatch, n_cpus)
+        out, got = tmp_path / f"{n_cpus}.out", []
+        for extra in (["--out", str(out)], []):
+            res = invoke(runner, *args, *extra)
+            written = out.read_bytes() if extra and out.exists() else None
+            got.append((res.exit_code, res.stdout.replace(str(out), "OUT"), res.stderr, written))
+        monkeypatch.undo()
+        return got, forks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", [
+        ("orbit", "--samples", "64", "--periods", "40"),  # 2561 rows
+        ("orbit", "--samples", "64", "--periods", "41"),
+        ("orbit", "--samples", "64", "--time", "130"),  # 42 periods
+        ("orbit", "--samples", "3", "--periods", "700"),
+        ("orbit", "--samples", "3", "--periods", "701"),
+        ("orbit", "--samples", "1", "--periods", "2100"),
+        ("section", "--periods", "2101"),
+        ("section", "--time", "6600.5"),  # 2102 periods
+        ("energy", "--periods", "2100"),
+        ("energy", "--time", "6600.5"),
+        # r passes 1e28 first at k = 1820, in the tail, which the worker checks
+        ("distances", "--epsilon", "0.187", "--periods", "2100", "--r-escape", "1e28"),
+    ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
+    def test_the_bytes_of_one_process(self, runner, tmp_path, monkeypatch, args, fmt):
+        one, forks = self._outputs(runner, tmp_path, monkeypatch, 1, *args, "--format", fmt)
+        assert forks == []
+        two, forks = self._outputs(runner, tmp_path, monkeypatch, 2, *args, "--format", fmt)
+        assert len(forks) == 2 and two == one
+        assert one[0][:3] == (0, "wrote OUT\n", "") and one[0][3].decode() == one[1][1]
+        assert args[0] != "distances" or "# escaped at k=1820" in one[1][1]
+
+    @pytest.mark.parametrize("periods", [5000, 400], ids=["head", "tail"])
+    def test_an_overflow_in_either_part_is_the_error_of_one_process(
+            self, runner, tmp_path, monkeypatch, periods):
+        # E overflows in period 239: in the head of 5000 periods (split at period 2500),
+        # in the tail of 400 (split at period 200), where the worker meets it, ends
+        # without its report, and this process meets it again in its own tail
+        args = ("orbit", "--epsilon", "1", "--samples", "64", "--periods", str(periods))
+        for fmt in ("csv", "json"):
+            one, _ = self._outputs(runner, tmp_path, monkeypatch, 1, *args, "--format", fmt)
+            two, forks = self._outputs(runner, tmp_path, monkeypatch, 2, *args, "--format", fmt)
+            assert len(forks) == 2 and two == one
+            assert one == [(2, "", "error: the state overflows in period 239; "
+                                "the orbit is unbounded\n", None)] * 2
+            assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _walked(monkeypatch, log, end=None):
+        """Note in ``log`` the pid of the process that walks each period of the grid;
+        a worker ends itself (os._exit or SIGKILL) at the ``end`` = (period, how) it
+        walks, counted from its first."""
+        one_period, parent = dynamics._one_period, os.getpid()
+
+        class Walked(list):
+            periods = 0
+
+            def __iter__(self):
+                self.periods += 1
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                if end and os.getpid() != parent and self.periods == end[0]:
+                    if end[1] == "exit":
+                        os._exit(0)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return super().__iter__()
+
+        monkeypatch.setattr(dynamics, "_one_period", lambda *args: Walked(one_period(*args)))
+
+    @pytest.mark.parametrize("periods, head", [(106, 53), (107, 53)])
+    def test_the_worker_computes_no_row_before_its_first(self, runner, tmp_path, monkeypatch,
+                                                        periods, head):
+        # 6785 rows split at row 3393, the first of period 53 (6849 rows: at 3425, the
+        # first of period 53 too): each process walks its own periods and no other, the
+        # worker from the state at t = 53 T that M(T) alone gives
+        log = tmp_path / "walked"
+        self._walked(monkeypatch, log)
+        forks = on_cpus(monkeypatch, 2)
+        res = invoke(runner, "orbit", "--samples", "64", "--periods", str(periods),
+                     "--out", str(tmp_path / "o.csv"))
+        assert res.exit_code == 0 and len(forks) == 1
+        walked = [int(pid) for pid in log.read_text().split()]
+        assert {pid: walked.count(pid) for pid in walked} == {os.getpid(): head,
+                                                               forks[0]: periods - head}
+        monkeypatch.undo()
+        assert (tmp_path / "o.csv").read_text() == invoke(
+            runner, "orbit", "--samples", "64", "--periods", str(periods)).stdout
+
+    @pytest.mark.parametrize("end", [(1, "exit"), (30, "exit"), (53, "exit"), (1, "kill"),
+                                     (53, "kill")], ids=lambda end: f"{end[1]}-{end[0]}")
+    def test_a_worker_that_ends_part_way_changes_no_byte(self, runner, tmp_path, monkeypatch,
+                                                         end):
+        # the worker of 106 periods walks periods 53 to 105; once it is gone without
+        # its report, this process walks them itself from its own copy of the tail
+        args = ("orbit", "--samples", "64", "--periods", "106")
+        one, _ = self._outputs(runner, tmp_path, monkeypatch, 1, *args)
+        self._walked(monkeypatch, tmp_path / "walked", end)
+        two, forks = self._outputs(runner, tmp_path, monkeypatch, 2, *args)
+        assert len(forks) == 2 and two == one and one[0][0] == 0
+        walked = [int(pid) for pid in (tmp_path / "walked").read_text().split()]
+        assert {pid: walked.count(pid) for pid in walked} == {
+            os.getpid(): 2 * 106, forks[0]: end[0], forks[1]: end[0]}
+
+
 class TestAnalysisCommands:
     def test_critical_eps_stdout(self, runner, tmp_path):
         out = tmp_path / "crit.json"
@@ -640,6 +755,34 @@ class TestResonantCommand:
         assert len(steps) == depth + order
 
 
+def _work_before_a_refusal(monkeypatch) -> dict:
+    """Count, in ``dynamics``, the Taylor steps (a math.cos and a math.sin each) and the
+    rows of Hill's determinant recurrence (its ``range`` from row N down to 1), and
+    fail at once at a loop longer than the ``_MAX_STEPS`` budget: a command that
+    starts the work it should refuse fails here, at its first step or row."""
+    work, budget = {"steps": 0, "rows": 0}, dynamics._MAX_STEPS
+
+    def step(fn):
+        def counted(x):
+            work["steps"] += 0.5
+            return fn(x)
+        return counted
+
+    def loop(*args):
+        r = range(*args)
+        assert abs(r.stop - r.start) <= budget * abs(r.step), f"a loop of {r} past the budget"
+        if r.step == -1 and r.stop == 0:  # the recurrence, downward from row N
+            work["rows"] += r.start
+        return r
+
+    proxy = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                     if not k.startswith("_")})
+    proxy.cos, proxy.sin = step(math.cos), step(math.sin)
+    monkeypatch.setattr(dynamics, "math", proxy)
+    monkeypatch.setattr(dynamics, "range", loop, raising=False)
+    return work
+
+
 class TestBadInput:
     @pytest.mark.parametrize("args", [
         ["section", "--omega1", "0"],
@@ -690,14 +833,21 @@ class TestBadInput:
         ["section", "--omega", "1e-150", "--periods", "1"],
         ["orbit", "--omega", "1e-150"],
     ], ids=lambda args: args[0])
-    def test_span_beyond_the_step_budget_fails_fast(self, runner, args):
-        # T/2 = 3.1e150 holds 4.5e149 oscillations of omega1: no step budget covers them
-        start = time.perf_counter()
+    def test_span_beyond_the_step_budget_fails_fast(self, runner, monkeypatch, args):
+        # T/2 = 3.1e150 holds 4.5e149 oscillations of omega1: no step budget covers
+        # them, and the refusal comes before a Taylor step or a determinant's row
+        work = _work_before_a_refusal(monkeypatch)
         res = invoke(runner, *args)
-        assert time.perf_counter() - start < 1.0
         assert res.exit_code == 2
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+        assert work == {"steps": 0, "rows": 0}
+
+    def test_work_before_a_refusal_sees_steps_and_rows(self, runner, monkeypatch):
+        # the counter of the two tests around this one, on a command within the budget
+        work = _work_before_a_refusal(monkeypatch)
+        assert invoke(runner, "orbit", "--periods", "1", "--samples", "2").exit_code == 0
+        assert work["steps"] >= 1 and work["rows"] > 0
 
     @pytest.mark.parametrize("args", [
         ["energy", "--time", "1e308", "--periods", "1"],
@@ -705,14 +855,17 @@ class TestBadInput:
         ["distances", "--time", "1e300"],
         ["orbit", "--periods", "200000", "--samples", "32"],
     ], ids=lambda args: args[0])
-    def test_horizon_beyond_the_row_budget_fails_fast(self, runner, args):
-        # more periods times samples than the step budget: refused before any row is built
-        start = time.perf_counter()
+    def test_horizon_beyond_the_row_budget_fails_fast(self, runner, monkeypatch, args):
+        # more periods times samples than the step budget: refused before the one-period
+        # grid is solved, so before any row is built
+        solved = []
+        monkeypatch.setattr(dynamics, "_one_period", lambda *a: solved.append(a) or 1 / 0)
+        work = _work_before_a_refusal(monkeypatch)
         res = invoke(runner, *args)
-        assert time.perf_counter() - start < 1.0
         assert res.exit_code == 2
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: the horizon needs more than")
+        assert solved == [] and work == {"steps": 0, "rows": 0}
 
     @pytest.mark.parametrize("args, name", [
         (["critical-eps", "--omega", "1e-400"], "omega is 0.0"),

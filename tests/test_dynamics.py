@@ -1326,6 +1326,26 @@ class TestOrbitBlocks:
         assert all((sum(ends[:j + 1]) - 1) % spp == 0 for j in range(len(ends)))
         assert (len(blocks[0]) - 1) // spp == -(-dynamics._BLOCK_ROWS // spp) or len(blocks) == 1
 
+    @pytest.mark.parametrize("periods, spp, row, h", [
+        (106, 64, 3393, 3393), (107, 64, 3425, 3393), (40, 64, 1281, 1281), (700, 3, 1051, 1051),
+        (701, 3, 1052, 1051), (2100, 1, 1050, 1050), (5, 8, 40, 33), (1, 3000, 1501, 3001)])
+    def test_a_split_is_the_table_in_two(self, periods, spp, row, h):
+        # the head holds rows 0 to h - 1 and the tail the rest, bit for bit the whole
+        # table's, h the first row of the last period to start by ``row`` (at least
+        # period 1: a one-period table's tail is empty)
+        want = orbit_rows(P01, 0.03, 0.97, periods, spp)
+        split = dynamics.orbit_blocks(P01, 0.03, 0.97, periods, spp).split(row)
+        head, tail = ([row for block in part for row in block] for part in split[1:])
+        assert split[0] == h == len(head) and (h - 1) % spp == 0
+        assert [tuple(map(repr, r)) for r in head + tail] == [tuple(map(repr, r)) for r in want]
+
+    @pytest.mark.parametrize("x0, y0", [(0, 1), (F(1, 2), 0), (0.25, 0.5)])
+    def test_every_row_is_an_int_and_six_floats(self, x0, y0):
+        # whatever the start's types, so one row's CSV template serves every row
+        blocks = dynamics.orbit_blocks(P01, x0, y0, 40, 64)
+        kinds = {tuple(map(type, row)) for block in blocks for row in block}
+        assert kinds == {(int,) + (float,) * 6}
+
     def test_checks_and_the_solve_run_at_the_call(self, monkeypatch):
         solves = []
         one_period = dynamics._one_period

@@ -450,11 +450,11 @@ def test_column_type_changes_across_a_block_boundary(rows):
         with cpus(n_cpus):
             pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
         # the header line with the first block, then one piece per later block; on two
-        # CPUs a table of more than two blocks goes so up to its split point h and the
-        # worker's spool is one more piece
+        # CPUs a table of more than two blocks goes so up to its split point h, and the
+        # worker's spool is two more pieces: an empty one that holds the spool, then its text
         n, h = len(rows), len(rows) - len(rows) // 2
         assert [len(p) for p in pieces] == [
-            -(-h // size) + 1 if n_cpus == 2 and n > 2 * size else max(1, -(-n // size))
+            -(-h // size) + 2 if n_cpus == 2 and n > 2 * size else max(1, -(-n // size))
             for size in BLOCK_SIZES]
 
 
@@ -561,8 +561,9 @@ def _ending_in_the_worker(rows, at: int, how: str = "exit"):
 
 
 def _ended_in_the_worker(at: int, how: str = "exit"):
-    # the worker iterates its copy of the rows from row 0 and formats rows 2561 to 5120,
-    # the tail; once it is gone without its report this process formats them itself
+    # a table without a split (``_split_at``, ``OrbitBlocks.split``): the worker iterates
+    # its copy of the rows from row 0 and formats rows 2561 to 5120, the tail; once it
+    # is gone without its report this process formats them itself
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks:
         got = tuple("".join(output.tabular_chunks(header, _ending_in_the_worker(rows, at, how),
@@ -574,8 +575,8 @@ def _ended_in_the_worker(at: int, how: str = "exit"):
 
 @pytest.mark.parametrize("at", [0, 1025, 2050, 2560, 2561, 4000, 5120, 5121])
 def test_a_worker_that_dies_part_way_changes_no_byte(at):
-    # rows 0-2560 are the head, which the worker iterates unformatted; 5121 is after
-    # the last row, before the worker's report
+    # rows 0-2560 are the head, which the worker of a table without a split iterates
+    # unformatted; 5121 is after the last row, before the worker's report
     _ended_in_the_worker(at)
 
 
@@ -657,14 +658,16 @@ def test_the_worker_is_reaped_when_the_pieces_are_dropped(fmt):
 
 def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
     # an OSError on the temp file (a full disk) at the last piece of the head (the
-    # CSV head is three pieces, of 1024, 1024 and 513 rows) or at the first piece of
-    # the worker's spool: the writer closes its pieces, which reaps the worker and
+    # CSV head is three pieces, of 1024, 1024 and 513 rows), part way through the
+    # kernel's copy of the worker's spool, or, where the kernel refuses that copy, at
+    # the first piece of the spool's text (the head, the empty piece that holds the
+    # spool, then its text): the writer closes its pieces, which reaps the worker and
     # closes the spool before InvalidInput leaves
-    fdopen = os.fdopen
+    fdopen, sendfile = os.fdopen, os.sendfile
 
     class Full:
         def __init__(self, fd, *args):
-            self.handle = fdopen(fd, *args)
+            self.handle, self.written = fdopen(fd, *args), 0
 
         def __enter__(self):
             return self
@@ -672,15 +675,27 @@ def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.handle.close()
 
-        def writelines(self, pieces):
-            for i, piece in enumerate(pieces):
-                if i == at:
-                    raise OSError(28, "No space left on device")
-                self.handle.write(piece)
+        def __getattr__(self, name):  # flush and fileno
+            return getattr(self.handle, name)
+
+        def write(self, piece):
+            if self.written == at:
+                raise OSError(28, "No space left on device")
+            self.written += 1
+            return self.handle.write(piece)
+
+    def filling(out, src, offset, count):  # the disk fills after 1000 bytes of the spool
+        if offset:
+            raise OSError(28, "No space left on device")
+        return sendfile(out, src, offset, min(count, 1000))
+
+    def refused(*args):
+        raise OSError(22, "Invalid argument")
 
     monkeypatch.setattr(os, "fdopen", Full)
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
-    for at in (2, 3):
+    for at, copy in ((2, sendfile), (None, filling), (4, refused)):
+        monkeypatch.setattr(os, "sendfile", copy)
         with cpus(2) as forks, pytest.raises(InvalidInput, match="No space left") as info:
             output.atomic_write_chunks(str(tmp_path / "o.csv"),
                                        output.csv_chunks(output.ORBIT_COLUMNS, rows))
@@ -698,8 +713,86 @@ def test_the_spool_goes_out_in_bounded_pieces(monkeypatch):
         pieces = list(output.csv_chunks(header, rows))
     assert len(forks) == 1
     assert "".join(pieces) == columns_csv(header, rows)
-    tail = pieces[2:]  # after the head's blocks of 1024 and 476 rows
+    # after the head's blocks of 1024 and 476 rows, the empty piece that holds the spool
+    assert pieces[2] == "" and type(pieces[2]) is output._Spool
+    tail = pieces[3:]
     assert {len(piece) for piece in tail[:-1]} == {1000} and 0 < len(tail[-1]) <= 1000
+
+
+def _split_at(rows, made: list):
+    """A ``split`` of the list of rows that moves the middle row h to h - 100 and
+    notes each (h, row) the head and the tail make, as ``OrbitBlocks.split`` does."""
+    def split(h):
+        def part(start, stop):
+            for i in range(start, stop):
+                made.append((h, i))
+                yield rows[i]
+        return h - 100, part(0, h - 100), part(h - 100, len(rows))
+    return split
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_split_gives_each_process_its_own_rows(fmt):
+    # the 5121 rows of 80 periods, split at row 2461: the worker formats rows 2461 to
+    # 5120 from the split's tail, and this process makes no row but 0 to 2460, from
+    # its head; on one CPU the rows come from the table itself and no split is made
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
+    want = _references(header, rows)[fmt == "json"]
+    for n_cpus in (1, 2):
+        made = []
+        with cpus(n_cpus) as forks:
+            got = "".join(output.tabular_chunks(header, iter(rows), fmt, len(rows),
+                                                _split_at(rows, made)))
+        assert got == want and len(forks) == n_cpus - 1
+        assert made == ([(2561, i) for i in range(2461)] if n_cpus == 2 else [])
+        _no_worker_left()
+
+
+def test_the_spool_lies_beside_the_file_it_joins(tmp_path, monkeypatch):
+    # a table for a file spools in that file's directory; a table for a string in
+    # the temp directory
+    made, make = [], tempfile.TemporaryFile
+
+    def spool(*args, **kwargs):
+        made.append(kwargs.get("dir"))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+    (tmp_path / "data").mkdir()
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
+    with cpus(2) as forks:
+        output.atomic_write_chunks(str(tmp_path / "data" / "o.csv"),
+                                   output.csv_chunks(header, rows))
+        text = output.columns_csv(header, rows)
+    assert len(forks) == 2 and made == [str(tmp_path / "data"), None]
+    assert (tmp_path / "data" / "o.csv").read_text() == text == columns_csv(header, rows)
+    assert os.listdir(tmp_path / "data") == ["o.csv"]
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("kernel", ["copies", "refuses"])
+def test_the_spool_reaches_the_file_in_the_kernel(tmp_path, monkeypatch, kernel):
+    # the worker's bytes go from its spool to the file by os.sendfile, once per
+    # table; where the kernel refuses that copy before its first byte, as text
+    calls, sendfile = [], os.sendfile
+
+    def copy(*args):
+        calls.append(args[2:])
+        if kernel == "refuses":
+            raise OSError(22, "Invalid argument")
+        return sendfile(*args)
+
+    monkeypatch.setattr(os, "sendfile", copy)
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        with cpus(2) as forks:
+            output.atomic_write_chunks(str(tmp_path / "o"), output.tabular_chunks(
+                header, iter(rows), fmt, len(rows)))
+            text = "".join(output.tabular_chunks(header, iter(rows), fmt, len(rows)))
+        assert len(forks) == 2 and len(calls) == 1 and calls[0][0] == 0
+        assert (tmp_path / "o").read_text() == text == _references(header, rows)[fmt == "json"]
+        _no_worker_left()
 
 
 # -- atomic writes -------------------------------------------------------------
