@@ -4,8 +4,9 @@ Every eps search solves the one-period trace equation tr M(eps) = target
 by ITP (``_bracketed_root``) on Hill's determinants (``_hill_trace``, two
 of the four factors of ``dynamics.monodromy``).  The Taylor stepper
 (``_stepped``), which shares no code with them, only verifies: the
-critical_epsilon verdicts at eps_crit +- 1e-3 and find_periodic_orbit's
-closure at the guess and at the root.  tests/dp5_reference.py checks both
+critical_epsilon verdicts at eps_crit +- 1e-3, each at the accuracy its side of
++-2 needs (``_checked_trace``), and find_periodic_orbit's closure at the guess and
+at the root, at full accuracy.  tests/dp5_reference.py checks both
 paths from outside.
 
 * critical_epsilon: the escape boundary |tr M(eps)| = 2 (orbits stay
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import SystemParams, build_integral, conic_at_section
-from .dynamics import (R_ESCAPE, Monodromy, OrbitSample, _full_period, _hill_factors,
-                       _hill_points, stroboscopic_section)
+from .dynamics import (_TOL, R_ESCAPE, Monodromy, OrbitSample, _full_period, _hill_factors,
+                       _hill_points, _step_count, stroboscopic_section)
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 
 @dataclass(frozen=True)
@@ -58,10 +59,35 @@ def _hill_trace(params: SystemParams, eps: float) -> float:
     return trace
 
 
-def _stepped(params: SystemParams, eps: float, n: int = 1) -> Monodromy:
-    """M(nT) from the Taylor stepper alone, sharing no code with ``_hill_factors``."""
-    half, = _hill_points(params, eps, [0.5 * params.period])
+def _stepped(params: SystemParams, eps: float, n: int = 1, tol: float = _TOL) -> Monodromy:
+    """M(nT) from the Taylor stepper alone, sharing no code with ``_hill_factors``, each
+    step's tail below ``tol`` of its start: 2^-53, or ``_COARSE`` (``_checked_trace``)."""
+    half, = _hill_points(params, eps, [0.5 * params.period], tol)
     return Monodromy(*_full_period(*half), n=1).power(n)
+
+
+_COARSE = 2.0 ** -26  # the tail tolerance of a verdict's first solve (``_checked_trace``)
+_MARGIN = 16.0 * _COARSE  # its trace's margin per step and per unit of 1 + max|m_ij|^2
+
+
+def _checked_trace(params: SystemParams, eps: float) -> float:
+    """The stepper's tr M(T), as far as the side of +-2 it lies on goes.
+
+    A solve at tau = ``_COARSE`` takes 16 terms a step where 2^-53 takes 28 (omega1 =
+    9/10 at eps_crit).  Each of its k steps leaves a tail below tau of its start, which
+    the later steps carry to M(T), so the trace, a sum of products of M's entries, is
+    off by about k tau (1 + max|m_ij|^2): by 0.52 of that at most over 4,500 random
+    (omega, omega1, eps), omega from 1/100 to 3 and |eps| <= 9, and 0.037 over the
+    1,512 verdicts of omega1 = p/q in [1/20, 3], q <= 20, and nine other (omega,
+    omega1), both signs.  Where ||tr| - 2| exceeds 16 times that estimate
+    (``_MARGIN``), the full trace lies on the same side of +-2; elsewhere the full solve
+    gives the trace (4 of those verdicts, at omega = 1/100).  At omega = 2 the margin is
+    1.4e-6 to 2.2e-5 for omega1 = 9/10, 11/10 and 1/10, against ||tr| - 2| >= 9.0e-4.
+    """
+    m = _stepped(params, eps, tol=_COARSE)
+    size = max(map(abs, (m.m11, m.m12, m.m21, m.m22)))
+    margin = _MARGIN * _step_count(params, eps, 0.5 * params.period) * (1.0 + size * size)
+    return m.trace if abs(abs(m.trace) - 2.0) > margin else _stepped(params, eps).trace
 
 
 def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
@@ -95,8 +121,9 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
     hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
     ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
     from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every
-    trace is ``_hill_trace``'s; the stepper's trace (``_stepped``), which shares
-    no code with it, cross-checks the verdict 1e-3 beyond and inside the root.
+    trace is ``_hill_trace``'s; the stepper's trace, which shares no code with it,
+    cross-checks the verdict 1e-3 beyond and inside the root (``_checked_trace``: a
+    solve at 2^-26, or at 2^-53 where that one lies within its error margin of +-2).
     The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
     Raises BracketFailure if every expansion point is stable, the last being
     |eps| = 0.05 * 1.6^11 = 8.8, or if the cross-check refutes the root.  At a =
@@ -126,8 +153,8 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
 
     check: bool | None = None  # unstable just beyond eps_crit, stable just inside it
     if 0.5 * (lo + hi) > 2e-3:
-        above = _stepped(params, eps_crit + sign * 1e-3).trace
-        below = _stepped(params, eps_crit - sign * 1e-3).trace
+        above = _checked_trace(params, eps_crit + sign * 1e-3)
+        below = _checked_trace(params, eps_crit - sign * 1e-3)
         check = abs(above) > 2.0 >= abs(below)
         if not check:
             raise BracketFailure(f"eps_crit = {eps_crit:.10g} is refuted: the monodromy trace "

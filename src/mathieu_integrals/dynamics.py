@@ -75,47 +75,61 @@ _MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's row
 R_ESCAPE = 1e3  # the radius r = hypot(x, y) past which an orbit has escaped
 _BLOCK_ROWS = 1024  # the least rows of an orbit_blocks block (but the last)
 _HUGE = 2.0 ** 600  # the rescaling step of Hill's determinant recurrence
+_LOG_MAX = 1024 * math.log(2.0)  # float64's largest value is below e^709.78
+_TOL = 2.0 ** -53  # a Taylor step's tail against its start, by default: float64's rounding
 
 
-def _term_count(a: float, b: float, c: float) -> int:
-    """The terms of a step's series whose tail is below 2^-53 of its start.
+def _term_count(a: float, b: float, c: float, tol: float = _TOL) -> int:
+    """The terms of a step's series whose tail is below ``tol`` of its start.
 
     a = h^2 omega1^2, b = 2 |eps| h^2 and c = h omega bound the recurrence's
     coefficients by a + b and b c^k/k!, so |X_n| <= m_n max(|X_0|, |X_1|), m the
     positive series of u'' = (a + b e^(c s)) u, u(0) = u'(0) = 1; N >= 3 is the
-    least with sum n m_n, n >= N, below 2^-53 (a bound on x's tail and h y's
-    whatever the signs).  It grows with h: the largest step's serves every step.
+    least with sum n m_n, n >= N, below ``tol`` (a bound on x's tail and h y's
+    whatever the signs): 2^-53, or 2^-26 where a trace need only fall on its side of
+    +-2 (``analysis._checked_trace``).  It grows with h: the largest step's serves
+    every step.
     """
-    u, m = [a + b, b * c], [1.0, 1.0]
-    while len(m) * m[-1] >= 2.0 ** -70:  # the tail past m stays far below 2^-53
+    u, m, cutoff = [a + b, b * c], [1.0, 1.0], tol * 2.0 ** -17
+    while len(m) * m[-1] >= cutoff:  # the tail past m stays far below tol
         n = len(m) - 2
         m.append(sum(map(operator.mul, u, m[n::-1])) / ((n + 1) * (n + 2)))
         u.append(u[-1] * c / len(u))
     tails = accumulate(n * m[n] for n in reversed(range(3, len(m))))
-    return len(m) - sum(tail <= 2.0 ** -53 for tail in tails)
+    return len(m) - sum(tail <= tol for tail in tails)
 
 
-def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float]):
+def _step_count(params: SystemParams, epsilon: float, t: float) -> float:
+    """The equal steps of ``_hill_points`` over [0, t], each h <= ``_RHO``/max(sqrt(omega1^2
+    + 2|eps|), omega) (inf if t times that rate overflows)."""
+    om1sq, om = float(params.omega1) ** 2, float(params.omega)
+    rate = max(math.sqrt(om1sq + abs(2.0 * epsilon)), om) / _RHO  # steps per unit time
+    return math.ceil(t * rate) if t * rate < math.inf else math.inf
+
+
+def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
+                 tol: float = _TOL):
     """The fundamental matrix of x'' = -w(t) x, w(t) = omega1^2 - 2 eps cos(omega t).
 
     M at each target (ascending from 0) is yielded row-major.  [0, t], t the last target,
-    is cut into equal steps of h <= ``_RHO``/max(sqrt(omega1^2 + 2|eps|), omega), counted
-    against ``_MAX_STEPS`` before the first.  With t = t0 + h s over a step, w's Taylor
-    coefficients are closed-form from one cos and one sin at t0: h^k W_k = -2 eps (h
-    omega)^k/k! cos(omega t0 + k pi/2) (+ omega1^2 at k = 0), and x = sum X_n s^n solves
-    (n + 1)(n + 2) X_{n+2} = -h^2 sum_k h^k W_k X_{n-k} (Jorba & Zou, Exp. Math. 14, 2005)
-    for both columns at once, summed with x' to ``_term_count`` terms at each target in
-    the step and at s = 1, which starts the next.  A state past float64 is Unbounded.
+    is cut into ``_step_count`` equal steps, counted against ``_MAX_STEPS`` before the
+    first.  With t = t0 + h s over a step, w's Taylor coefficients are closed-form from
+    one cos and one sin at t0: h^k W_k = -2 eps (h omega)^k/k! cos(omega t0 + k pi/2)
+    (+ omega1^2 at k = 0), and x = sum X_n s^n solves (n + 1)(n + 2) X_{n+2} = -h^2
+    sum_k h^k W_k X_{n-k} (Jorba & Zou, Exp. Math. 14, 2005) for both columns at once,
+    summed with x' to ``_term_count`` terms at each target in the step and at s = 1,
+    which starts the next.  Each step's tail stays below ``tol`` of its start: 2^-53,
+    or 2^-26 for a verdict that needs only a side of +-2 (``analysis._checked_trace``).
+    A state past float64 is Unbounded.
     """
     om, om1sq, two_eps = float(params.omega), float(params.omega1) ** 2, 2.0 * epsilon
-    rate = max(math.sqrt(om1sq + abs(two_eps)), om) / _RHO  # steps per unit time
     t = targets[-1] if targets else 0.0
-    steps = math.ceil(t * rate) if t * rate < math.inf else math.inf
+    steps = _step_count(params, epsilon, t)
     if steps > _MAX_STEPS:
         raise StepFailure(f"the solve over [0, {t:.3g}] takes {steps:.3g} steps, more than "
                           f"its budget of {_MAX_STEPS}")
     h = t / steps if steps else 0.0
-    count = _term_count(h * h * om1sq, abs(two_eps) * h * h, h * om)
+    count = _term_count(h * h * om1sq, abs(two_eps) * h * h, h * om, tol)
     p = [-two_eps * h * h * (h * om) ** k / math.factorial(k) for k in range(count - 2)]
     cos, sin, mul, isfinite = math.cos, math.sin, operator.mul, cmath.isfinite
     x, y, j = 1.0 + 0.0j, 1.0j, 0  # the columns (1, 0) and (0, 1) of M; the next target
@@ -231,18 +245,22 @@ def _hill_factors(params: SystemParams, eps: float, odd: bool = False) -> tuple[
     C = (s^2 + q^2)/10 + q^4/500, the neglected terms (second order in
     b_u and the next Euler-Maclaurin terms: O(N^-7) at most) stay below
     1e-13 of the value; rounding adds a few 1e-13 at large q.  A value
-    may be +-inf.  N past ``_MAX_STEPS`` raises Unbounded where a < |q| (the
-    solution grows like exp(0.85 sqrt|q|) within half a period) and
-    StepFailure otherwise; neither calls cos or sin.  The first row sums
-    two terms into each value; g is their sizes' sum over its size (inf at 0).
+    may be +-inf.  Where 2|q| cos 2z > a, C and S' grow by exp of the integral of
+    sqrt(2|q| cos 2z - a) (WKB), at least G = 0.8472 sqrt|q| - (pi/4) sqrt(a); log
+    max(|C|, |S'|) fell at most 0.23 below G over q from 1 to 3e6 and a from 0 to
+    1.15|q|, both signs.  Where G - 1 passes log 2^1024 (|q| = 7.06e5 at a = 0.81, where
+    H leaves float64 at 6.88e5) Unbounded is raised before the first row, as it is
+    wherever a < |q| and N passes ``_MAX_STEPS``; any other N past it raises
+    StepFailure.  Neither calls cos or sin.  The first row sums two terms into each
+    value; g is their sizes' sum over its size (inf at 0).
     """
     a, q = float(params.mathieu_a), params.mathieu_q(eps)
     s, x, q2 = 0.5 * math.sqrt(a), 0.25 * a, q * q
+    if 0.847 * math.sqrt(abs(q)) - 0.5 * math.pi * s - 1.0 > _LOG_MAX:
+        raise Unbounded(f"the solution leaves float64 within half a period at eps = {eps}")
     qq = q2 / 16.0
     size = 3.0 * s + ((x + q2) * 1e12 + q2 * q2 * 2e10) ** (1 / 7)
     if not size <= _MAX_STEPS:
-        if a < abs(q):
-            raise Unbounded(f"the solution leaves float64 within half a period at eps = {eps}")
         raise StepFailure(f"half a period spans {0.5 * s:.3g} oscillations of omega1 at q = "
                           f"{q:.3g}: Hill's determinant needs more rows than its budget "
                           f"of {_MAX_STEPS}")

@@ -269,9 +269,11 @@ def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
 
 
 def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
-                 h: int | None = None, split: _Split | None = None) -> Iterator[str]:
+                 h: int | None = None, split: _Split | None = None,
+                 fixed: bool = False) -> Iterator[str]:
     """A JSON list of any iterable's items, a block at a time, split at ``h`` (and by
-    ``split``) between two processes (``_formatted``).  A list or tuple of an integral's orders
+    ``split``) between two processes (``_formatted``); ``fixed`` as for ``_table``.  A
+    list or tuple of an integral's orders
     (QuadFormSeries) goes an order at a time, each converted to its JSON object
     (``QuadFormSeries.to_json_obj``, which reduces its coefficients) as it is
     formatted, split at the first order where the cumulative numerator bits reach
@@ -286,7 +288,7 @@ def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
              if bits[-1] >= _ORDERS_FORK_BITS else None)
 
     def pieces(block: list, i: int) -> Iterator[str]:
-        if (table := _table(block, level)) is not None:
+        if (table := _table(block, level, fixed)) is not None:
             yield ("," if i else "[") + outer + table
             return
         for i, item in enumerate(block, i):
@@ -330,20 +332,27 @@ def _encode(obj, level: int, templates: dict[tuple, tuple]) -> str:
     return text % tuple(args)
 
 
-def _table(rows: list, level: int) -> str | None:
-    """The rows joined at ``level`` + 1 by one row template, or None."""
-    if not (all(isinstance(row, (tuple, list)) for row in rows) and rows[0]
-            and len(set(map(len, rows))) == 1):
-        return None
-    slots = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            slots.append("%d")
-        elif kinds == {float} and all(map(math.isfinite, column)):
-            slots.append("%r")
-        else:
+def _table(rows: list, level: int, fixed: bool = False) -> str | None:
+    """The rows joined at ``level`` + 1 by one row template, or None.  ``fixed`` rows (each
+    of the types of the first) take the first row's template unless their sum is not
+    finite: a NaN or infinity (or a sum past float64) leaves them to the item path."""
+    if fixed:
+        slots = [{int: "%d", float: "%r"}.get(type(cell)) for cell in rows[0]]
+        if None in slots or not math.isfinite(sum(chain.from_iterable(rows))):
             return None
+    elif not (all(isinstance(row, (tuple, list)) for row in rows) and rows[0]
+              and len(set(map(len, rows))) == 1):
+        return None
+    else:
+        slots = []
+        for column in zip(*rows):
+            kinds = set(map(type, column))
+            if kinds == {int}:
+                slots.append("%d")
+            elif kinds == {float} and all(map(math.isfinite, column)):
+                slots.append("%r")
+            else:
+                return None
     outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     template = "[" + inner + ("," + inner).join(slots) + outer + "]"
     return ("," + outer).join(map(template.__mod__, map(tuple, rows)))
@@ -454,13 +463,13 @@ def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str,
                    length: int | None = None, split: _Split | None = None,
                    fixed: bool = False) -> Iterator[str]:
     """The text of tabular(header, rows, format) in pieces, a block of rows at a time,
-    the head with the first block; ``length``, ``split`` and ``fixed`` (CSV only) as
-    for csv_chunks."""
+    the head with the first block; ``length``, ``split`` and ``fixed`` as for csv_chunks
+    (a JSON block of ``fixed`` rows also needs a finite sum: ``_table``)."""
     if format != "json":
         yield from csv_chunks(header, rows, length, split, fixed)
         return
     templates: dict[tuple, tuple] = {}
     yield from _with_head('{\n  "columns": ' + _encode(list(header), 1, templates)
                           + ',\n  "rows": ', _list_chunks(rows, 1, templates,
-                                                          _half(rows, length), split))
+                                                          _half(rows, length), split, fixed))
     yield "\n}\n"

@@ -117,7 +117,7 @@ class TestCriticalEpsilon:
         # a stepper trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
         # 0, unstable: 3) refutes the Hill root wherever ITP lands
         m = Monodromy(m11=trace, m12=1.0, m21=-1.0, m22=0.0, n=1)
-        monkeypatch.setattr(analysis, "_stepped", lambda params, eps, n=1: m)
+        monkeypatch.setattr(analysis, "_stepped", lambda params, eps, n=1, tol=None: m)
         with pytest.raises(BracketFailure, match=r"^eps_crit = \S+ is refuted"):
             critical_epsilon(P01)
 
@@ -250,6 +250,81 @@ class TestCriticalEpsilon:
         monkeypatch.setattr(analysis, "_hill_points", recording)  # the cross-check's name
         critical_epsilon(SystemParams(F(2), F(omega1), 0.0))
         assert len(calls) == solves
+
+
+def _verdict_sweep():
+    """(omega, omega1, sign): omega1 = p/q in [1/20, 3], q <= 20, at omega = 2, both
+    signs, and omega = 1/10 and 1/100 (the refuted root) at omega1 = 9/10."""
+    ratios = sorted({F(p, q) for q in range(1, 21) for p in range(1, 3 * q + 1)
+                     if F(p, q) >= F(1, 20)})
+    return ([(F(2), r, sign) for r in ratios for sign in (1, -1)]
+            + [(omega, F(9, 10), sign) for omega in (F(1, 10), F(1, 100)) for sign in (1, -1)])
+
+
+class TestCoarseVerdict:
+    """critical_epsilon's verdicts at eps_crit +- 1e-3 from a solve at ``_COARSE``, the
+    full-accuracy solve deciding inside the margin."""
+
+    def test_verdicts_agree_with_full_accuracy(self, monkeypatch):
+        # 772 searches, 1,492 verdicts: each lies on the side of +-2 of the full
+        # trace, and the coarse solve decides all but 4 (at omega = 1/100)
+        verdicts, tols = [], []
+        checked, stepped = analysis._checked_trace, analysis._stepped
+
+        def recording_check(params, eps):
+            verdicts.append((params, eps, checked(params, eps)))
+            return verdicts[-1][2]
+
+        def recording_step(params, eps, n=1, tol=dynamics._TOL):
+            tols.append(tol)
+            return stepped(params, eps, n, tol)
+
+        monkeypatch.setattr(analysis, "_checked_trace", recording_check)
+        monkeypatch.setattr(analysis, "_stepped", recording_step)
+        sweep = _verdict_sweep()
+        for omega, omega1, sign in sweep:
+            try:
+                critical_epsilon(SystemParams(omega, omega1, 0.0), sign)
+            except BracketFailure:
+                pass
+        assert len(sweep) == 772 and len(verdicts) == tols.count(analysis._COARSE) == 1492
+        assert tols.count(dynamics._TOL) == 4
+        for params, eps, trace in verdicts:
+            assert (abs(trace) > 2.0) == (abs(stepped(params, eps).trace) > 2.0)
+
+    @pytest.mark.parametrize("omega", [F(2), F(1, 2), F(1, 10)])
+    def test_coarse_error_stays_16_times_inside_the_margin(self, omega):
+        # |tr_coarse - tr_full| <= k tau (1 + max|m_ij|^2), the margin over its
+        # safety factor 16: 0.12 of that at most here, 0.52 over random draws
+        for omega1 in (F(1, 20), F(9, 10), F(11, 10), F(2), F(3)):
+            params = SystemParams(omega, omega1, 0.0)
+            for eps in (-9.0, -1.0, -0.1, 0.02, 0.2, 1.0, 9.0):
+                coarse = analysis._stepped(params, eps, tol=analysis._COARSE)
+                steps = dynamics._step_count(params, eps, 0.5 * params.period)
+                size = max(map(abs, (coarse.m11, coarse.m12, coarse.m21, coarse.m22)))
+                margin = analysis._MARGIN * steps * (1.0 + size * size)
+                assert abs(coarse.trace - analysis._stepped(params, eps).trace) <= margin / 16
+
+    def test_a_thin_margin_takes_the_full_solve(self, monkeypatch, crit_cache):
+        # at the root the coarse ||tr| - 2| is 2.2e-9, inside the margin of 1.4e-6
+        # (omega1 = 9/10): the full solve decides; 1e-3 beyond it, at 1.1e-3, the
+        # coarse solve, of 16 terms a step against 28, decides alone
+        params, tols = SystemParams(F(2), F(9, 10), 0.0), []
+        root, hill_points = crit_cache("9/10").eps_crit, dynamics._hill_points
+
+        def recording(params, eps, targets, tol=dynamics._TOL):
+            tols.append(tol)
+            return hill_points(params, eps, targets, tol)
+
+        monkeypatch.setattr(analysis, "_hill_points", recording)
+        assert analysis._checked_trace(params, root) == analysis._stepped(params, root).trace
+        assert tols == [analysis._COARSE, dynamics._TOL, dynamics._TOL]
+        tols.clear()
+        analysis._checked_trace(params, root + 1e-3)
+        assert tols == [analysis._COARSE]
+        h = 0.5 * params.period / dynamics._step_count(params, root, 0.5 * params.period)
+        step = (h * h * 0.81, 2.0 * root * h * h, 2.0 * h)  # omega1^2 h^2, 2|eps| h^2, omega h
+        assert [dynamics._term_count(*step, tol) for tol in tols + [dynamics._TOL]] == [16, 28]
 
 
 def _call_graph(*modules):

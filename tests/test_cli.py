@@ -10,7 +10,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import tomllib
 import tracemalloc
 import types
@@ -21,8 +20,9 @@ import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
-from mathieu_integrals import (QuadFormSeries, SystemParams, build_integral, cli, dynamics,
-                               integrate_orbit, output, resonant, stroboscopic_section)
+from mathieu_integrals import (QuadFormSeries, SystemParams, build_integral, builder, cli,
+                               dynamics, integrate_orbit, output, resonant,
+                               stroboscopic_section)
 from mathieu_integrals.cli import main
 
 
@@ -77,12 +77,32 @@ class TestBuildIntegral:
         assert res.exit_code == 2
         assert "resonant" in res.output or "resonance" in res.output
 
-    def test_order_28_under_a_minute(self, runner, tmp_path):
-        start = time.time()
+    def test_order_28_takes_28_steps_of_bounded_size(self, runner, tmp_path, monkeypatch):
+        # the work, counted where a wall-clock bound tied the test to machine load: 28
+        # recursion steps, order s holding s + 1, s + 1 and s terms (x^2, y^2, xy), and
+        # numerators of at most 2,020 bits (2,019 at order 28, growing with the order)
+        steps, built = [], []
+        step, build = builder.recursion_step, builder.build_integral
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        def kept(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(builder, "recursion_step", counted)
+        monkeypatch.setattr(builder, "build_integral", kept)
         res = invoke(runner, "build-integral", "--order", "28",
                      "--out", str(tmp_path / "o28.json"))
-        assert res.exit_code == 0
-        assert time.time() - start < 60.0
+        assert res.exit_code == 0 and len(steps) == 28
+        bits = []
+        for s, q in enumerate(built[0].orders):
+            series = (q.cxx, q.cyy, q.cxy)
+            assert [len(x.terms()) for x in series] == [s + 1, s + 1, s]
+            bits.append(max(c.numerator.bit_length() for x in series for _, c in x.terms()))
+        assert bits == sorted(bits) and bits[-1] <= 2020
 
     def test_pretty_prints_one_block_per_order(self, runner, tmp_path):
         res = invoke(runner, "build-integral", "--order", "3", "--pretty",
@@ -675,14 +695,20 @@ class TestAnalysisCommands:
         assert min(b1, b2, key=abs) == pytest.approx(small, rel=1e-12)
         assert abs(b1 * b2 - 1.0) <= 1e-15
 
-    @pytest.mark.parametrize("args, periods", [
-        (["--epsilon", "1e6"], "1 period"),
+    @pytest.mark.parametrize("args, message", [
+        (["--epsilon", "3e5"], "the monodromy over 1 period overflows"),  # H ~ 1e204, M ~ H^2
         # finite entries of 0.95e308 whose trace is not: it printed Infinity
-        (["--omega", "1/2", "--epsilon", "1.0004", "--n", "162"], "162 periods")])
-    def test_monodromy_overflow_is_one_line(self, runner, args, periods):
+        (["--omega", "1/2", "--epsilon", "1.0004", "--n", "162"],
+         "the monodromy over 162 periods overflows"),
+        # H past float64 by its growth alone, refused before a row of Hill's recurrence:
+        # it ran 1.1 million rows per parity class (1.1 s) before "overflows"
+        (["--epsilon", "1e8"],
+         "the solution leaves float64 within half a period at eps = 100000000.0"),
+    ])
+    def test_monodromy_overflow_is_one_line(self, runner, args, message):
         res = invoke(runner, "monodromy", *args)
         assert res.exit_code == 2 and res.stdout == ""
-        assert res.stderr == f"error: the monodromy over {periods} overflows\n"
+        assert res.stderr == f"error: {message}\n"
 
     def test_convergence_improves(self, runner, tmp_path):
         out = tmp_path / "conv.csv"

@@ -1170,14 +1170,57 @@ class TestHalfPeriod:
         assert [dynamics._half_period(*case) for case in cases] == want
 
     def test_a_recurrence_that_decays_first_is_rescaled_up(self):
-        # at q = 3e8 the recurrence falls below 5e-324 over the rows past sqrt(q)
-        # before it grows to H ~ exp(0.85 sqrt(q)): scaled only down, it gave H = 0,
-        # M(T) = I and a trace of 2
+        # at omega1 = 1000, q = 3e5 (a = 3.3 q) the recurrence falls below 2^-1200 over
+        # the rows past sqrt(q) before it grows back to H ~ 840: scaled only down, it
+        # gave H = 0; the stepper, sharing no code with it, meets H within 1.9e-14 of
+        # max|H|.  (At q = 3e8, a = 0.81, where scaled only down it gave H = 0, M(T) =
+        # I and a trace of 2, H is now refused before the first row.)
+        params = SystemParams(F(2), F(1000), 3e5)
+        hill = dynamics._half_period(params, 3e5)
+        stepped, = _hill_points(params, 3e5, [0.5 * params.period])
+        size = max(map(abs, hill))
+        assert 800 < size < 900
+        assert all(abs(u - v) <= 1e-12 * size for u, v in zip(hill, stepped))
         params = SystemParams(F(2), F(9, 10), 3e8)
-        with pytest.raises(Unbounded, match="overflows"):
+        with pytest.raises(Unbounded, match="leaves float64 within half a period"):
             monodromy(params, 3e8)
-        with pytest.raises(Unbounded, match="leaves float64"):
-            analysis._hill_trace(params, 3e8)
+
+    def test_no_finite_half_period_is_refused(self):
+        # at omega = 2, a = 0.81 and q = eps: stepping eps up by 2500, H is finite up to
+        # 6.875e5 (it leaves float64 at 6.88e5), past float64 from 6.9e5 and refused
+        # (exp(0.847 sqrt|q| - (pi/4) sqrt(a) - 1) past 2^1024 from 7.06e5) from 7.075e5:
+        # no finite H is refused, and the refusal starts within 3 % of the last finite H
+        params, finite = SystemParams(F(2), F(9, 10), 0.0), []
+        for eps in (6.75e5 + 2500.0 * k for k in range(20)):
+            try:
+                finite.append(all(map(math.isfinite, dynamics._half_period(params, eps))))
+            except Unbounded as exc:
+                assert str(exc).endswith(f"within half a period at eps = {eps}")
+                break
+        last = 6.75e5 + 2500.0 * (finite.count(True) - 1)
+        assert finite == sorted(finite, reverse=True) and True in finite and False in finite
+        assert last == 6.875e5 and eps == 7.075e5 <= 1.03 * last
+
+    @pytest.mark.parametrize("eps", [7.06e5, -7.06e5, 1e7, 1e8, 1e9, 4.4e9])
+    def test_what_must_overflow_is_refused_before_the_first_row(self, monkeypatch, eps):
+        # the rows of Hill's recurrence, counted: none before the refusal, where
+        # eps = 1e8 ran 1.1 million rows per parity class before "overflows"
+        rows = []
+
+        def counted(*args):
+            for n in range(*args):
+                rows.append(n)
+                yield n
+
+        monkeypatch.setattr(dynamics, "range", counted, raising=False)
+        params = SystemParams(F(2), F(9, 10), eps)
+        for hill in (lambda: monodromy(params, eps), lambda: analysis._hill_trace(params, eps),
+                     lambda: integrate_orbit(params, 0.0, 1.0, 1, samples_per_period=4)):
+            with pytest.raises(Unbounded, match="^the solution leaves float64 within half a"):
+                hill()
+        assert rows == []
+        dynamics._half_period(params, 1e3)  # and the count sees the rows of a value taken
+        assert len(rows) > 100
 
     def test_energy_over_one_period_at_eps_100_matches_30_digits(self):
         # E = -H of the state: 8.0e-13 of |E| at worst, where the samples past T/2

@@ -469,6 +469,24 @@ def test_orbit_tables_go_out_a_block_at_a_time():
     assert "".join(js) == dumps({"columns": list(header), "rows": [list(r) for r in rows]})
 
 
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, 1e308])
+def test_fixed_json_tables_keep_json_spellings(bad):
+    # fixed rows take the first row's %d/%r template with no type scan; a block with a
+    # NaN or an infinity (or finite floats summing past float64, 1e308 twice) keeps the
+    # item path, which spells them as json.dumps does, at every block size
+    rows = [(i, 0.5 * i, -1.25 * i) for i in range(10)]
+    if bad is not None:
+        rows[7] = (7, bad, bad)
+    header = ("k", "t", "x")
+    want = dumps({"columns": list(header), "rows": [list(r) for r in rows]})
+    for n_cpus in (1, 2):
+        with cpus(n_cpus):
+            for got in _at_block_sizes(lambda: "".join(output.tabular_chunks(
+                    header, iter(rows), "json", len(rows), fixed=True))):
+                assert got == want
+    _no_worker_left()
+
+
 def test_documents_go_out_an_item_at_a_time():
     # the items of the top three levels are pieces: an integral's term lists at most
     doc = build_integral(P, 8).to_json_obj()
