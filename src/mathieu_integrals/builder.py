@@ -104,13 +104,11 @@ class SystemParams:
         """a = 4 omega1^2/omega^2, built once per params (the Hill trace reads it per eps)."""
         return 4 * self.omega1 ** 2 / self.omega ** 2
 
-    def mathieu_q(self, epsilon: float | None = None) -> float:
-        eps = self.epsilon if epsilon is None else epsilon
-        return 4.0 * eps / float(self.omega) ** 2
+    def mathieu_q(self, epsilon: float) -> float:
+        return 4.0 * epsilon / float(self.omega) ** 2
 
-    def hamiltonian(self, x: float, y: float, t: float, epsilon: float | None = None) -> float:
-        eps = self.epsilon if epsilon is None else epsilon
-        om1 = float(self.omega1)
+    def hamiltonian(self, x: float, y: float, t: float) -> float:
+        eps, om1 = self.epsilon, float(self.omega1)
         return 0.5 * (y * y + om1 * om1 * x * x) - eps * x * x * math.cos(float(self.omega) * t)
 
 

@@ -423,16 +423,18 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
                     i += 1
                     u, v = m11 * x + m12 * y, m21 * x + m22 * y
                     energy = g * u * u - 0.5 * v * v
+                    d = sqrt(om1sq * u * u + v * v)
                     # E is quadratic in the state, so it is the first to overflow;
-                    # its terms may overflow where E does not: take them at 2^-512
-                    if not isfinite(energy):
+                    # its terms and d's may overflow where E and d do not (d far
+                    # below float max wherever E is finite): take them at 2^-512
+                    if not isfinite(energy + d):
                         a, b = u * 2.0 ** -256, v * 2.0 ** -256
                         energy = (g * a * a - 0.5 * b * b) * 2.0 ** 512
+                        d = sqrt(om1sq * a * a + b * b) * 2.0 ** 256
                         if not isfinite(energy):
                             raise Unbounded(f"the state overflows in period {k + 1}; "
                                             "the orbit is unbounded")
-                    append((i // spp, (i / spp) * T, u, v, energy,
-                            sqrt(om1sq * u * u + v * v), hypot(u, v)))
+                    append((i // spp, (i / spp) * T, u, v, energy, d, hypot(u, v)))
                 x, y = u, v
             yield rows
             rows = []

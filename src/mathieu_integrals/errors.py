@@ -18,11 +18,10 @@ class InvalidInput(DomainError, ValueError):
 class ResonanceDetected(DomainError):
     """A commensurability j*omega = 2*omega1 blocks the non-resonant recursion."""
 
-    def __init__(self, j: int, message: str | None = None):
+    def __init__(self, j: int):
         self.j = j
         super().__init__(
-            message
-            or f"resonance {j}*omega = 2*omega1 detected; "
+            f"resonance {j}*omega = 2*omega1 detected; "
             "the non-resonant recursion would divide by zero "
             "(use the resonant construction for omega = 2*omega1)"
         )

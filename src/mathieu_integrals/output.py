@@ -13,18 +13,18 @@ Where the process may use two CPUs and runs no other thread, a table of
 more than two blocks whose number of rows is known, or orders whose
 numerators hold at least ``_ORDERS_FORK_BITS`` bits, is split once
 (``_formatted``): a forked worker formats the tail into an unlinked spool
-file while this process formats the head.  A table with a ``split`` (an
-orbit's, ``OrbitBlocks.split``) gives each process rows made without the
-other's; a list's worker skips the head's items, and any other iterable's
-worker iterates them unformatted.  The spool lies beside the file being
-written, where ``atomic_write_chunks`` appends it in the kernel
-(os.sendfile); text, such as stdout's, reads it back from the temp directory.
-``atomic_write_chunks`` writes the pieces to a temp file and renames it
-after the last, so no command holds a whole document or table; a table's
-first piece is its head with its first block, read before the temp file
-is made, so bad input or an overflow there is named before an unwritable
-path.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of an
-orbit and of a section from their samples, as references for those tables.
+file while this process formats the head, whose pieces the spool's text
+follows, read back ``_SPOOL_PIECE`` characters at a time.  A table with a
+``split`` (an orbit's, ``OrbitBlocks.split``) gives each process rows made
+without the other's; a list's worker skips the head's items, and any other
+iterable's worker iterates them unformatted.  The spool lies beside the file
+being written, else in the temp directory.  ``atomic_write_chunks`` writes the
+pieces to a temp file and renames it after the last, so no command holds a
+whole document or table; a table's first piece is its head with its first
+block, read before the temp file is made, so bad input or an overflow there is
+named before an unwritable path.  ``trajectory_rows`` and ``section_rows``
+rebuild the rows of an orbit and of a section from their samples, as
+references for those tables.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]):
     A symbolic link is followed to its target, as open(path, "w") does.  Any
     exception, the pieces' own included, removes the temp file and leaves
     ``path`` as it was; an OSError becomes InvalidInput naming ``path``.  A worker
-    forked for the pieces spools beside ``path``, and its spool (``_Spool``) is
-    appended in the kernel where it may (``_appended``)."""
+    forked for the pieces spools beside ``path``."""
     global _spool_dir
     target = os.path.realpath(path)
     umask = os.umask(0o022)  # os.umask reads the mask only by setting it
@@ -72,9 +71,7 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]):
         # mkstemp creates 0o600; give the mode open(path, "w") would give
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
-            for piece in chunks:
-                if not (type(piece) is _Spool and _appended(handle, piece.file)):
-                    handle.write(piece)
+            handle.writelines(chunks)
         os.replace(tmp, target)
         tmp = None
     except OSError as exc:
@@ -85,23 +82,6 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]):
             pieces.close()
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _appended(handle, spool) -> bool:
-    """Whether the bytes of the spool were appended to the file of ``handle`` in the
-    kernel (os.sendfile), the spool then left at its end; False, nothing written,
-    where the kernel refuses these files before the first byte."""
-    handle.flush()
-    sent, size = 0, os.fstat(spool.fileno()).st_size
-    try:
-        while sent < size:
-            sent += os.sendfile(handle.fileno(), spool.fileno(), sent, size - sent)
-    except OSError:
-        if sent:
-            raise
-        return False
-    spool.seek(0, os.SEEK_END)
-    return True
 
 
 def _float_text(value: float) -> str:
@@ -146,11 +126,6 @@ _in_worker = False  # set in a worker, which forks none of its own
 _spool_dir = None  # the directory of the file atomic_write_chunks writes, else the temp one
 
 
-class _Spool(str):
-    """An empty piece that holds a worker's spool (``file``), its text the pieces
-    after it: a writer that appends the whole file leaves it at its end."""
-
-
 _Pieces = Callable[[list, int], Iterable[str]]  # pieces(block, i): text of items i, i + 1, ...
 _Split = Callable[[int], tuple[int, Iterable, Iterable]]  # split(h): (h', head, tail)
 
@@ -162,10 +137,10 @@ def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None,
     tail, items h, h + 1, ..., while this process yields the head's, items 0 to h - 1.
     ``split``(h) may move h and give the head and the tail, each made without the
     other's items; else both come from the items, the worker's copy past h.  Once the
-    worker reports its spool whole, this process yields it, an empty ``_Spool`` and then
-    its text ``_SPOOL_PIECE`` characters at a time; else it goes on with its own tail,
-    so an error comes from the same item as on one process.  The worker is reaped and
-    the spool closed on every way out."""
+    worker reports its spool whole, this process yields its text ``_SPOOL_PIECE``
+    characters at a time; else it goes on with its own tail, so an error comes from
+    the same item as on one process.  The worker is reaped and the spool closed on
+    every way out."""
     items = iter(items)
     pid, head, tail = None, items, ()
     if h and _may_fork():
@@ -175,9 +150,6 @@ def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None,
         yield from _blocks(iter(head), pieces, 0)
         if pid and os.read(done, 1):  # the worker's one byte, or b"" once it is gone
             spool.seek(0)
-            piece = _Spool()
-            piece.file = spool
-            yield piece
             yield from iter(lambda: spool.read(_SPOOL_PIECE), "")
         else:
             yield from _blocks(iter(tail), pieces, h)

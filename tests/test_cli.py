@@ -273,6 +273,16 @@ class TestLargeEpsilon:
         # -H's terms are 6e4 times E here, so two roundings of it differ by 7.8e-12
         assert abs(e + params.hamiltonian(x, y, t)) <= 1e-10 * abs(e)
 
+    @pytest.mark.parametrize("command", ["section", "distances"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_infinite_d_before_the_overflow(self, runner, command, fmt):
+        # at eps = 1 the state of period 239 (2.6e154) squares past float64: d is
+        # still its finite 3.1730339124639603e154
+        res = invoke(runner, command, "--epsilon", "1", "--periods", "239", "--format", fmt)
+        assert res.exit_code == 0
+        assert "3.17303391246396" in res.stdout  # %.17g in CSV, repr in JSON
+        assert "inf" not in res.stdout.lower()
+
 
 class TestIntegralDocument:
     """build-integral reduces each order's coefficients as it writes that order,

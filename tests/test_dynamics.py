@@ -1419,6 +1419,20 @@ class TestOrbitBlocks:
         with pytest.raises(Unbounded, match="overflows in period 239;"):
             orbit_rows(params, 0.0, 1.0, 5000, 64)
 
+    def test_d_stays_finite_where_its_squares_overflow(self):
+        # at eps = 1 the section's last row before the overflow, k = 239, has a state of
+        # about 2.6e154, past the 1.34e154 where omega1^2 x^2 + y^2 leaves float64 while
+        # E and r do not: d is taken at 2^-512 there, as E is, and every other row keeps
+        # the plain sqrt's value
+        params = SystemParams(F(2), F(9, 10), 1.0)
+        rows = orbit_rows(params, 0.0, 1.0, 239, 1)
+        for k, _, x, y, _, d, _ in rows:
+            plain = math.sqrt(0.81 * x * x + y * y)
+            assert d == plain or k == 239 and plain == math.inf
+        k, _, x, y, e, d, r = rows[-1]
+        assert math.isfinite(e) and math.isfinite(r) and math.isfinite(d)
+        assert abs(d - math.hypot(0.9 * x, y)) <= 1e-15 * d
+
 
 class TestRecords:
     """Orbit samples: the orbit table's rows, immutable, compared by value."""

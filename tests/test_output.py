@@ -19,6 +19,7 @@ import stat
 import tempfile
 import threading
 from fractions import Fraction as F
+from itertools import chain
 from typing import Iterable, Sequence
 from unittest import mock
 
@@ -27,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_integrals import (SystemParams, Unbounded, build_integral, conic_at_section,
-                               convergence_study, integrate_orbit, output, stroboscopic_section)
+                               convergence_study, dynamics, integrate_orbit, output,
+                               stroboscopic_section)
 from mathieu_integrals.errors import InvalidInput
 from orbit_reference import orbit_rows
 
@@ -451,10 +453,10 @@ def test_column_type_changes_across_a_block_boundary(rows):
             pieces = _at_block_sizes(lambda: list(output.csv_chunks(("a", "b", "c"), rows)))
         # the header line with the first block, then one piece per later block; on two
         # CPUs a table of more than two blocks goes so up to its split point h, and the
-        # worker's spool is two more pieces: an empty one that holds the spool, then its text
+        # worker's spool is one more piece, its text
         n, h = len(rows), len(rows) - len(rows) // 2
         assert [len(p) for p in pieces] == [
-            -(-h // size) + 2 if n_cpus == 2 and n > 2 * size else max(1, -(-n // size))
+            -(-h // size) + 1 if n_cpus == 2 and n > 2 * size else max(1, -(-n // size))
             for size in BLOCK_SIZES]
 
 
@@ -676,16 +678,14 @@ def test_the_worker_is_reaped_when_the_pieces_are_dropped(fmt):
 
 def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
     # an OSError on the temp file (a full disk) at the last piece of the head (the
-    # CSV head is three pieces, of 1024, 1024 and 513 rows), part way through the
-    # kernel's copy of the worker's spool, or, where the kernel refuses that copy, at
-    # the first piece of the spool's text (the head, the empty piece that holds the
-    # spool, then its text): the writer closes its pieces, which reaps the worker and
+    # CSV head is three pieces, of 1024, 1024 and 513 rows) or at the first piece of
+    # the spool's text: the writer closes its pieces, which reaps the worker and
     # closes the spool before InvalidInput leaves
-    fdopen, sendfile = os.fdopen, os.sendfile
+    fdopen = os.fdopen
 
     class Full:
         def __init__(self, fd, *args):
-            self.handle, self.written = fdopen(fd, *args), 0
+            self.handle = fdopen(fd, *args)
 
         def __enter__(self):
             return self
@@ -693,27 +693,15 @@ def test_a_failing_write_reaps_the_worker(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.handle.close()
 
-        def __getattr__(self, name):  # flush and fileno
-            return getattr(self.handle, name)
-
-        def write(self, piece):
-            if self.written == at:
-                raise OSError(28, "No space left on device")
-            self.written += 1
-            return self.handle.write(piece)
-
-    def filling(out, src, offset, count):  # the disk fills after 1000 bytes of the spool
-        if offset:
-            raise OSError(28, "No space left on device")
-        return sendfile(out, src, offset, min(count, 1000))
-
-    def refused(*args):
-        raise OSError(22, "Invalid argument")
+        def writelines(self, pieces):
+            for i, piece in enumerate(pieces):
+                if i == at:
+                    raise OSError(28, "No space left on device")
+                self.handle.write(piece)
 
     monkeypatch.setattr(os, "fdopen", Full)
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
-    for at, copy in ((2, sendfile), (None, filling), (4, refused)):
-        monkeypatch.setattr(os, "sendfile", copy)
+    for at in (2, 3):
         with cpus(2) as forks, pytest.raises(InvalidInput, match="No space left") as info:
             output.atomic_write_chunks(str(tmp_path / "o.csv"),
                                        output.csv_chunks(output.ORBIT_COLUMNS, rows))
@@ -731,10 +719,38 @@ def test_the_spool_goes_out_in_bounded_pieces(monkeypatch):
         pieces = list(output.csv_chunks(header, rows))
     assert len(forks) == 1
     assert "".join(pieces) == columns_csv(header, rows)
-    # after the head's blocks of 1024 and 476 rows, the empty piece that holds the spool
-    assert pieces[2] == "" and type(pieces[2]) is output._Spool
-    tail = pieces[3:]
+    # after the head's blocks of 1024 and 476 rows, the spool's text
+    tail = pieces[2:]
     assert {len(piece) for piece in tail[:-1]} == {1000} and 0 < len(tail[-1]) <= 1000
+
+
+def test_every_piece_is_a_plain_str():
+    # on one process and on two, whatever the worker spooled: CSV and JSON of an
+    # orbit's stream split as the CLI splits it and of a list, and the order-40 document
+    doc = build_integral(P, 40).json_document()
+    rows = orbit_rows(P, 0.03, 0.97, 80, 64)
+
+    def orbit_table(fmt):
+        blocks = dynamics.orbit_blocks(P, 0.03, 0.97, 80, 64)
+
+        def split(h):
+            h, head, tail = blocks.split(h)
+            return h, chain.from_iterable(head), chain.from_iterable(tail)
+
+        return output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks), fmt,
+                                     len(rows), split, fixed=True)
+
+    makes = [lambda: output.csv_chunks(output.ORBIT_COLUMNS, rows),
+             lambda: output.json_chunks(doc)]
+    for fmt in ("csv", "json"):
+        makes += [lambda fmt=fmt: orbit_table(fmt),
+                  lambda fmt=fmt: output.tabular_chunks(output.ORBIT_COLUMNS, rows, fmt)]
+    for n_cpus in (1, 2):
+        for make in makes:
+            with cpus(n_cpus) as forks:
+                kinds = {type(piece) for piece in make()}
+            assert kinds == {str} and len(forks) == n_cpus - 1
+            _no_worker_left()
 
 
 def _split_at(rows, made: list):
@@ -786,31 +802,6 @@ def test_the_spool_lies_beside_the_file_it_joins(tmp_path, monkeypatch):
     assert (tmp_path / "data" / "o.csv").read_text() == text == columns_csv(header, rows)
     assert os.listdir(tmp_path / "data") == ["o.csv"]
     _no_worker_left()
-
-
-@pytest.mark.parametrize("kernel", ["copies", "refuses"])
-def test_the_spool_reaches_the_file_in_the_kernel(tmp_path, monkeypatch, kernel):
-    # the worker's bytes go from its spool to the file by os.sendfile, once per
-    # table; where the kernel refuses that copy before its first byte, as text
-    calls, sendfile = [], os.sendfile
-
-    def copy(*args):
-        calls.append(args[2:])
-        if kernel == "refuses":
-            raise OSError(22, "Invalid argument")
-        return sendfile(*args)
-
-    monkeypatch.setattr(os, "sendfile", copy)
-    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
-    for fmt in ("csv", "json"):
-        calls.clear()
-        with cpus(2) as forks:
-            output.atomic_write_chunks(str(tmp_path / "o"), output.tabular_chunks(
-                header, iter(rows), fmt, len(rows)))
-            text = "".join(output.tabular_chunks(header, iter(rows), fmt, len(rows)))
-        assert len(forks) == 2 and len(calls) == 1 and calls[0][0] == 0
-        assert (tmp_path / "o").read_text() == text == _references(header, rows)[fmt == "json"]
-        _no_worker_left()
 
 
 # -- atomic writes -------------------------------------------------------------
