@@ -1,15 +1,14 @@
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-    python3 bench/pairs.py PARENT CHANGE --workload orbits [--workload ...]
-                           [--pairs 10] [--seed 1] [--seconds S]
+    python3 bench/pairs.py PARENT CHANGE --workload orbits [--workload ...] [--seed 1]
 
 PARENT and CHANGE are two source trees, each with ``perfbench/run.py``; lay
 them out alike (``git archive`` of each commit) with no ``__pycache__``.
-Pair i runs ``perfbench/run.py --workload W --seed (seed + i) --seconds S
---trace 0`` once in each tree, as a subprocess with ``PYTHONDONTWRITEBYTECODE=1``;
-the parent runs first in even pairs and the change first in odd ones.  The
-end-to-end metrics (name, ``better``, ``bound``) and the default ``--seconds``
-(``run_seconds``) come from CHANGE's ``BENCHMARK.json``.
+Each of the ``PAIRS`` pairs, i = 0, 1, ..., runs ``perfbench/run.py --workload W
+--seed (seed + i) --seconds S --trace 0`` once in each tree, as a subprocess with
+``PYTHONDONTWRITEBYTECODE=1``; the parent runs first in even pairs and the change
+first in odd ones.  The end-to-end metrics (name, ``better``, ``bound``) and the
+run length S (``run_seconds``) come from CHANGE's ``BENCHMARK.json``.
 
 It prints one row per workload and end-to-end metric: the parent's median and
 interquartile range (IQR), the change's median, the pairs in which the change
@@ -27,6 +26,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+PAIRS = 10
 
 
 def summary(metric: dict, parent: list[float], change: list[float]) -> dict:
@@ -67,20 +68,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     print("workload metric parent_median parent_iqr change_median wins/pairs"
           " parent_failed/attempted change_failed/attempted verdict")
     for workload in args.workload:
         parent, change = [], []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = [(args.parent, parent), (args.change, change)]
             for tree, runs in (order if i % 2 == 0 else order[::-1]):
                 runs.append(run(tree, workload, args.seed + i, seconds))

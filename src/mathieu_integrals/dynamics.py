@@ -407,7 +407,7 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
     def blocks(first, last, spp=samples_per_period):  # periods first to last - 1
         T = params.period
         om1 = float(params.omega1)
-        om1sq = om1 * om1  # as trajectory_rows forms it, so d agrees bit for bit
+        om1sq = om1 * om1  # as output._distance forms it, so d agrees bit for bit
         sqrt, hypot, isfinite = math.sqrt, math.hypot, math.isfinite
         per_block = -(-_BLOCK_ROWS // spp)
         x, y = float(x0), float(y0)  # every row an int and six floats

@@ -349,20 +349,29 @@ def _template(obj: dict, level: int, keys: tuple) -> tuple:
 ORBIT_COLUMNS = OrbitSample._fields
 
 
+def _distance(om1sq: float, x: float, y: float) -> float:
+    """sqrt(om1sq x^2 + y^2) as orbit_blocks forms it: at 2^-512 where its squares overflow."""
+    d = math.sqrt(om1sq * x * x + y * y)
+    if math.isfinite(d):
+        return d
+    a, b = x * 2.0 ** -256, y * 2.0 ** -256
+    return math.sqrt(om1sq * a * a + b * b) * 2.0 ** 256
+
+
 def trajectory_rows(samples: Sequence[OrbitSample], params: SystemParams,
                     samples_per_period: int) -> list[tuple]:
     """Rows k,t,x,y,E,d,r of an orbit, k = i // spp and d, r recomputed from x and y."""
     om1 = float(params.omega1)
-    sqrt, hypot = math.sqrt, math.hypot
-    return [(i // samples_per_period, t, x, y, E, sqrt(om1 * om1 * x * x + y * y), hypot(x, y))
+    om1sq, hypot = om1 * om1, math.hypot
+    return [(i // samples_per_period, t, x, y, E, _distance(om1sq, x, y), hypot(x, y))
             for i, (_, t, x, y, E, _, _) in enumerate(samples)]
 
 
 def section_rows(points: Sequence[OrbitSample], params: SystemParams) -> list[tuple]:
     """Rows k,t,x,y,E,d,r of a section, t = kT and d, r recomputed from x and y."""
     T, om1 = params.period, float(params.omega1)
-    sqrt, hypot = math.sqrt, math.hypot
-    return [(k, k * T, x, y, E, sqrt(om1 * om1 * x * x + y * y), hypot(x, y))
+    om1sq, hypot = om1 * om1, math.hypot
+    return [(k, k * T, x, y, E, _distance(om1sq, x, y), hypot(x, y))
             for k, _, x, y, E, _, _ in points]
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from dp5_reference import integration_points, one_period, rhs_linear, rhs_matrix
 from mathieu_integrals import (StepFailure, SystemParams, Unbounded, analysis, cli, dynamics,
-                               escape_diagnostics, integrate_orbit, monodromy,
+                               escape_diagnostics, integrate_orbit, monodromy, output,
                                stroboscopic_section)
 from mathieu_integrals.dynamics import _hill_points
 from mathieu_integrals.errors import DomainError, InvalidInput
@@ -1432,6 +1432,10 @@ class TestOrbitBlocks:
         k, _, x, y, e, d, r = rows[-1]
         assert math.isfinite(e) and math.isfinite(r) and math.isfinite(d)
         assert abs(d - math.hypot(0.9 * x, y)) <= 1e-15 * d
+        # the tables' references rebuild d alike, bit for bit, on that row too
+        points = stroboscopic_section(params, 0.0, 1.0, 239)
+        assert output.section_rows(points, params) == rows
+        assert output.trajectory_rows(points, params, 1) == rows
 
 
 class TestRecords:
