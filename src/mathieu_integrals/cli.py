@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
 
 import click
 
@@ -78,27 +76,13 @@ def format_option(fn):
 
 
 def _orbit(params: builder.SystemParams, x0: float, y0: float, periods: int,
-           time_: float | None, samples: int = 1):
-    """The orbit's ``orbit_blocks`` over --periods or --time, and its number of rows."""
+           time_: float | None, samples: int = 1) -> dynamics.OrbitBlocks:
+    """The orbit's ``orbit_blocks`` over --periods or --time."""
     if time_ is not None:
         if not (math.isfinite(time_) and time_ > 0):
             raise InvalidInput("--time must be positive and finite")
         periods = max(1, math.ceil(time_ / params.period))
-    return dynamics.orbit_blocks(params, x0, y0, periods, samples), periods * samples + 1
-
-
-def _table(header, blocks: dynamics.OrbitBlocks, n: int, format_: str, columns=None):
-    """The pieces of the orbit table's ``columns`` (all if None), its ``n`` rows split
-    where a worker starts the tail from its own first row (``OrbitBlocks.split``)."""
-    def rows(blocks):
-        rows = chain.from_iterable(blocks)
-        return map(itemgetter(*columns), rows) if columns else rows
-
-    def split(h):
-        h, head, tail = blocks.split(h)
-        return h, rows(head), rows(tail)
-
-    return output.tabular_chunks(header, rows(blocks), format_, n, split, fixed=True)
+    return dynamics.orbit_blocks(params, x0, y0, periods, samples)
 
 
 def _write(path: str | None, chunks):
@@ -158,9 +142,8 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 @click.option("--out", default=None, type=click.Path())
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
-    params = _params(omega, omega1, epsilon)
-    _write(out, _table(output.ORBIT_COLUMNS, *_orbit(params, x0, y0, periods, time_, samples),
-                       format_))
+    blocks = _orbit(_params(omega, omega1, epsilon), x0, y0, periods, time_, samples)
+    _write(out, output.tabular_chunks(output.ORBIT_COLUMNS, blocks, format_))
 
 
 @main.command("section")
@@ -169,9 +152,8 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, 
 @format_option
 @click.option("--out", default=None, type=click.Path())
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
-    """Stroboscopic section points at t = kT."""
-    params = _params(omega, omega1, epsilon)  # the section is the one-sample orbit
-    _write(out, _table(output.ORBIT_COLUMNS, *_orbit(params, x0, y0, periods, time_), format_))
+    """Stroboscopic section points at t = kT: the one-sample orbit."""
+    cmd_orbit.callback(omega, omega1, epsilon, x0, y0, periods, time_, format_, 1, out)
 
 
 @main.command("distances")
@@ -186,7 +168,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
     Escape runs annotate the first period index beyond the threshold.
     """
     params = _params(omega, omega1, epsilon)
-    blocks, n = _orbit(params, x0, y0, periods, time_)
+    blocks = _orbit(params, x0, y0, periods, time_)
 
     def rows():
         report = None  # checked per block up to the first in which the orbit escaped
@@ -198,7 +180,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
         if report.escaped:  # written by the process of the last row
             yield (f"# escaped at k={report.k_escape}",)
 
-    _write(out, output.tabular_chunks(("k", "t", "d", "r"), rows(), format_, n))
+    _write(out, output.tabular_chunks(("k", "t", "d", "r"), rows(), format_, len(blocks)))
 
 
 @main.command("energy")
@@ -208,9 +190,8 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 @click.option("--out", default=None, type=click.Path())
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
-    params = _params(omega, omega1, epsilon)
-    _write(out, _table(("k", "t", "x", "E"), *_orbit(params, x0, y0, periods, time_), format_,
-                       (0, 1, 2, 4)))
+    blocks = _orbit(_params(omega, omega1, epsilon), x0, y0, periods, time_)
+    _write(out, output.tabular_chunks(("k", "t", "x", "E"), blocks, format_))
 
 
 @main.command("critical-eps")

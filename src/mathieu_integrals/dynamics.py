@@ -42,10 +42,10 @@ orbit is the section point at t = kT, where nothing is solved.
 
 One loop walks the period grid (``orbit_blocks``).  In the pass that
 propagates z it builds the orbit table rows (k, t, x, y, E, d, r) and
-yields them in blocks of whole periods, which the CLI writes as they
+yields them in blocks of whole periods, which ``output`` writes as they
 come, so its memory does not grow with the horizon; the same loop also runs
 from a later period, whose state the one-period map alone gives
-(``OrbitBlocks.split``: the CLI's second process starts there).  ``integrate_orbit``
+(``OrbitBlocks.split``: the writer's second process starts there).  ``integrate_orbit``
 is the one list form, the rows as OrbitSamples, and the stroboscopic
 section is the one-sample-per-period orbit.  ``escape_diagnostics``
 reads rows of either form up to the first one past the escape radius;
@@ -74,7 +74,8 @@ _RHO = 1.5  # a Taylor step's h times the fastest rate of the flow, at most
 _MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's rows
 R_ESCAPE = 1e3  # the radius r = hypot(x, y) past which an orbit has escaped
 _BLOCK_ROWS = 1024  # the least rows of an orbit_blocks block (but the last)
-_HUGE = 2.0 ** 600  # the rescaling step of Hill's determinant recurrence
+_HUGE = 2.0 ** 600  # the rescaling step of Hill's determinant recurrence and of d
+_D_MIN = 2.0 ** -511  # below it, d's squares leave float64's normal range
 _LOG_MAX = 1024 * math.log(2.0)  # float64's largest value is below e^709.78
 _TOL = 2.0 ** -53  # a Taylor step's tail against its start, by default: float64's rounding
 
@@ -352,14 +353,17 @@ def _one_period(params: SystemParams, eps: float, samples_per_period: int) -> li
 
 
 class OrbitBlocks:
-    """The blocks of ``orbit_blocks`` as an iterator, and the same table split in two
-    (``split``), each part made without the rows of the other."""
+    """The blocks of ``orbit_blocks`` as an iterator, its number of rows (len), and the
+    same table split in two (``split``), each part made without the rows of the other."""
 
     def __init__(self, blocks: Callable[[int, int], Iterator[list[tuple]]], spp: int, n: int):
         self._blocks, self._spp, self._n, self._all = blocks, spp, n, blocks(0, n)
 
     def __iter__(self) -> OrbitBlocks:
         return self
+
+    def __len__(self) -> int:
+        return self._n * self._spp + 1
 
     def __next__(self) -> list[tuple]:
         return next(self._all)
@@ -373,21 +377,29 @@ class OrbitBlocks:
         return p * self._spp + 1, self._blocks(0, p), self._blocks(p, self._n)
 
 
+def _distance(om1: float, x: float, y: float) -> float:
+    """d = sqrt(om1^2 x^2 + y^2), at 2^+-600 where its squares leave the normal range."""
+    d = math.sqrt(om1 * om1 * x * x + y * y)
+    if not _D_MIN <= d < math.inf:
+        s = _HUGE if d < 1.0 else 1.0 / _HUGE
+        d = math.sqrt(om1 * om1 * (x * s) * (x * s) + (y * s) * (y * s)) / s
+    return d
+
+
 def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
                  samples_per_period: int = 1) -> OrbitBlocks:
     """The orbit table over n periods, rows (k, t, x, y, E, d, r), in blocks
     of whole periods, each but the last of at least ``_BLOCK_ROWS`` rows.
 
-    The one loop over the period grid: row i = 0..n spp is the sample at t
-    = (i/spp) T, hitting the section times t = kT exactly, with k = i //
-    spp, d = sqrt(omega1^2 x^2 + y^2), r = hypot(x, y) and E = -H(x, y, t),
-    from ``_one_period``'s g.  The checks (InvalidInput for the origin, a fixed
-    point, for an E(0) that overflows or n spp past the ``_MAX_STEPS``
-    budget) and ``_one_period`` run at the call; Unbounded comes
-    when the iteration reaches the period that overflows.  The rows are
-    plain tuples of an int and six floats: an OrbitSample per row would cost a
-    quarter of the loop.
-    ``OrbitBlocks.split`` runs the same loop over a head and a tail of the periods.
+    The one loop over the period grid: row i = 0..n spp is the sample at t = (i/spp) T,
+    hitting the section times t = kT exactly, with k = i // spp, d = sqrt(omega1^2 x^2 +
+    y^2) (``_distance`` where its squares leave the normal range), r = hypot(x, y) and E =
+    -H(x, y, t), from ``_one_period``'s g.  The checks (InvalidInput for the origin, a
+    fixed point, for an E(0) that overflows or n spp past the ``_MAX_STEPS`` budget) and
+    ``_one_period`` run at the call; Unbounded comes when the iteration reaches the period
+    that overflows.  The rows are plain tuples of an int and six floats: an OrbitSample per
+    row would cost a quarter of the loop.  ``OrbitBlocks.split`` runs the same loop over a
+    head and a tail of the periods.
     """
     if n_periods < 1 or samples_per_period < 1:
         raise InvalidInput("n_periods and samples_per_period must be >= 1")
@@ -407,14 +419,14 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
     def blocks(first, last, spp=samples_per_period):  # periods first to last - 1
         T = params.period
         om1 = float(params.omega1)
-        om1sq = om1 * om1  # as output._distance forms it, so d agrees bit for bit
-        sqrt, hypot, isfinite = math.sqrt, math.hypot, math.isfinite
+        om1sq = om1 * om1
+        sqrt, hypot, isfinite, tiny = math.sqrt, math.hypot, math.isfinite, _D_MIN
         per_block = -(-_BLOCK_ROWS // spp)
         x, y = float(x0), float(y0)  # every row an int and six floats
         t11, t12, t21, t22, _ = grid[-1]  # M(T)
         for _ in range(first):  # the products the loop makes at each period's end
             x, y = t11 * x + t12 * y, t21 * x + t22 * y
-        rows = [] if first else [(0, 0.0, x, y, e, sqrt(om1sq * x * x + y * y), hypot(x, y))]
+        rows = [] if first else [(0, 0.0, x, y, e, _distance(om1, x, y), hypot(x, y))]
         i = first * spp
         for start in range(first, last, per_block):
             append = rows.append
@@ -424,16 +436,14 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
                     u, v = m11 * x + m12 * y, m21 * x + m22 * y
                     energy = g * u * u - 0.5 * v * v
                     d = sqrt(om1sq * u * u + v * v)
-                    # E is quadratic in the state, so it is the first to overflow;
-                    # its terms and d's may overflow where E and d do not (d far
-                    # below float max wherever E is finite): take them at 2^-512
-                    if not isfinite(energy + d):
-                        a, b = u * 2.0 ** -256, v * 2.0 ** -256
-                        energy = (g * a * a - 0.5 * b * b) * 2.0 ** 512
-                        d = sqrt(om1sq * a * a + b * b) * 2.0 ** 256
-                        if not isfinite(energy):
-                            raise Unbounded(f"the state overflows in period {k + 1}; "
-                                            "the orbit is unbounded")
+                    if not (isfinite(energy + d) and d >= tiny):
+                        d = _distance(om1, u, v)
+                        if not isfinite(energy):  # its terms may overflow where it does not
+                            a, b = u * 2.0 ** -256, v * 2.0 ** -256
+                            energy = (g * a * a - 0.5 * b * b) * 2.0 ** 512
+                            if not isfinite(energy):
+                                raise Unbounded(f"the state overflows in period {k + 1}; "
+                                                "the orbit is unbounded")
                     append((i // spp, (i / spp) * T, u, v, energy, d, hypot(u, v)))
                 x, y = u, v
             yield rows

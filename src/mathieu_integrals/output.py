@@ -12,19 +12,18 @@ converted to JSON as they are written.
 Where the process may use two CPUs and runs no other thread, a table of
 more than two blocks whose number of rows is known, or orders whose
 numerators hold at least ``_ORDERS_FORK_BITS`` bits, is split once
-(``_formatted``): a forked worker formats the tail into an unlinked spool
-file while this process formats the head, whose pieces the spool's text
-follows, read back ``_SPOOL_PIECE`` characters at a time.  A table with a
-``split`` (an orbit's, ``OrbitBlocks.split``) gives each process rows made
-without the other's; a list's worker skips the head's items, and any other
-iterable's worker iterates them unformatted.  The spool lies beside the file
-being written, else in the temp directory.  ``atomic_write_chunks`` writes the
-pieces to a temp file and renames it after the last, so no command holds a
-whole document or table; a table's first piece is its head with its first
-block, read before the temp file is made, so bad input or an overflow there is
-named before an unwritable path.  ``trajectory_rows`` and ``section_rows``
-rebuild the rows of an orbit and of a section from their samples, as
-references for those tables.
+(``_formatted``): a forked worker, bound off this process's CPU, formats the
+tail into an unlinked spool beside the file being written (else in the temp
+directory) while this process formats the head, whose pieces the spool's text
+follows, read back ``_SPOOL_PIECE`` characters at a time.  An orbit's table
+(``OrbitBlocks``) is split where a period starts, each process making only its
+own rows; a list's worker skips the head's items, any other iterable's worker
+iterates them unformatted.  ``atomic_write_chunks`` writes the pieces to a temp
+file and renames it after the last, so no command holds a whole document or
+table; a table's first piece is its head with its first block, read before the
+temp file is made, so bad input or an overflow there is named before an
+unwritable path.  ``trajectory_rows`` and ``section_rows`` rebuild the rows of
+an orbit and of a section from their samples, as references for those tables.
 """
 
 from __future__ import annotations
@@ -35,13 +34,14 @@ import math
 import os
 import tempfile
 import threading
+from contextlib import suppress
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .builder import QuadFormSeries, SystemParams
-from .dynamics import OrbitSample
+from .dynamics import OrbitBlocks, OrbitSample, _distance
 from .errors import InvalidInput
 
 
@@ -127,15 +127,14 @@ _spool_dir = None  # the directory of the file atomic_write_chunks writes, else 
 
 
 _Pieces = Callable[[list, int], Iterable[str]]  # pieces(block, i): text of items i, i + 1, ...
-_Split = Callable[[int], tuple[int, Iterable, Iterable]]  # split(h): (h', head, tail)
 
 
 def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None,
-               split: _Split | None = None) -> Iterator[str]:
+               split: Callable | None = None) -> Iterator[str]:
     """The pieces of each block of up to ``_BLOCK`` items.  Where a split point ``h`` is
     given and ``_may_fork`` allows, a worker (``_fork``) spools the pieces of the
     tail, items h, h + 1, ..., while this process yields the head's, items 0 to h - 1.
-    ``split``(h) may move h and give the head and the tail, each made without the
+    ``split``(h) may move h and give (h', the head, the tail), each made without the
     other's items; else both come from the items, the worker's copy past h.  Once the
     worker reports its spool whole, this process yields its text ``_SPOOL_PIECE``
     characters at a time; else it goes on with its own tail, so an error comes from
@@ -195,6 +194,7 @@ def _fork(tail: Iterable, pieces: _Pieces, h: int):
         spool = tempfile.TemporaryFile("w+", encoding="utf-8", dir=_spool_dir)
         fds = done, ready = os.pipe()
         gc.freeze()
+        cpu = _cpu()
         pid = os.fork()
     except OSError:
         gc.unfreeze()
@@ -209,6 +209,9 @@ def _fork(tail: Iterable, pieces: _Pieces, h: int):
     try:
         _in_worker = True
         os.close(done)
+        with suppress(AttributeError, OSError):  # else it may share that CPU all its life
+            if cpu is not None and (allowed := os.sched_getaffinity(0) - {cpu}):
+                os.sched_setaffinity(0, allowed)
         spool.writelines(_blocks(iter(tail), pieces, h))
         spool.flush()
         os.write(ready, b"\1")
@@ -216,13 +219,35 @@ def _fork(tail: Iterable, pieces: _Pieces, h: int):
         os._exit(0)
 
 
-def _half(rows: Iterable, length: int | None) -> int | None:
-    """The middle row of a table of over two blocks (len(rows), else ``length`` rows).
-    A worker costs 2-3 ms at 28 MB on 2 CPUs, which a 64-sample orbit repays from
-    about 2,000 rows: 13.7 against 11.7 ms for 1,089 rows, 15.7 against 14.0 for
-    1,537 and even at 2,049 (in process, medians of 4 alternating sets of 30 runs)."""
-    n = len(rows) if type(rows) in (list, tuple) else length or 0
-    return n - n // 2 if n > 2 * _BLOCK else None
+def _cpu() -> int | None:
+    """The CPU this thread last ran on (field 39 of Linux's /proc/thread-self/stat), or None."""
+    with suppress(OSError, ValueError, IndexError), open("/proc/thread-self/stat", "rb") as stat:
+        return int(stat.read().rpartition(b")")[2].split()[36])
+
+
+def _table_rows(header: Sequence[str], rows, length: int | None) -> tuple:
+    """(rows, h, split, fixed).  h is the middle row of over two blocks of a known number
+    (len() of a list, tuple or ``OrbitBlocks``, else ``length``): a worker costs 2-3 ms at
+    28 MB on 2 CPUs, repaid by a 64-sample orbit from about 2,000 rows (13.7 against 11.7
+    ms for 1,089 rows, 15.7 against 14.0 for 1,537, even at 2,049; in process, medians of
+    4 alternating sets of 30 runs).  An ``OrbitBlocks`` gives the ``ORBIT_COLUMNS`` the
+    header names, its ``split`` and fixed rows, each of the first row's types."""
+    n = len(rows) if isinstance(rows, (list, tuple, OrbitBlocks)) else length or 0
+    h = n - n // 2 if n > 2 * _BLOCK else None
+    if not isinstance(rows, OrbitBlocks):
+        return rows, h, None, False
+    columns = [ORBIT_COLUMNS.index(name) for name in header]
+    cut = itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
+
+    def flat(blocks):
+        cells = chain.from_iterable(blocks)
+        return cells if tuple(header) == ORBIT_COLUMNS else map(cut, cells)
+
+    def split(h):
+        h, head, tail = rows.split(h)
+        return h, flat(head), flat(tail)
+
+    return flat(rows), h, split, True
 
 
 def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
@@ -241,15 +266,14 @@ def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
 
 
 def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
-                 h: int | None = None, split: _Split | None = None,
+                 h: int | None = None, split: Callable | None = None,
                  fixed: bool = False) -> Iterator[str]:
     """A JSON list of any iterable's items, a block at a time, split at ``h`` (and by
     ``split``) between two processes (``_formatted``); ``fixed`` as for ``_table``.  A
-    list or tuple of an integral's orders
-    (QuadFormSeries) goes an order at a time, each converted to its JSON object
-    (``QuadFormSeries.to_json_obj``, which reduces its coefficients) as it is
-    formatted, split at the first order where the cumulative numerator bits reach
-    half of all, if all reach ``_ORDERS_FORK_BITS``."""
+    list or tuple of an integral's orders (QuadFormSeries) goes an order at a time,
+    each converted to its JSON object (``QuadFormSeries.to_json_obj``, which reduces
+    its coefficients) as it is formatted, split at the first order where the
+    cumulative numerator bits reach half of all, if all reach ``_ORDERS_FORK_BITS``."""
     outer, convert = "\n" + "  " * (level + 1), None
     if type(items) in (list, tuple) and items and all(
             type(q) is QuadFormSeries for q in items):
@@ -349,29 +373,18 @@ def _template(obj: dict, level: int, keys: tuple) -> tuple:
 ORBIT_COLUMNS = OrbitSample._fields
 
 
-def _distance(om1sq: float, x: float, y: float) -> float:
-    """sqrt(om1sq x^2 + y^2) as orbit_blocks forms it: at 2^-512 where its squares overflow."""
-    d = math.sqrt(om1sq * x * x + y * y)
-    if math.isfinite(d):
-        return d
-    a, b = x * 2.0 ** -256, y * 2.0 ** -256
-    return math.sqrt(om1sq * a * a + b * b) * 2.0 ** 256
-
-
 def trajectory_rows(samples: Sequence[OrbitSample], params: SystemParams,
                     samples_per_period: int) -> list[tuple]:
     """Rows k,t,x,y,E,d,r of an orbit, k = i // spp and d, r recomputed from x and y."""
     om1 = float(params.omega1)
-    om1sq, hypot = om1 * om1, math.hypot
-    return [(i // samples_per_period, t, x, y, E, _distance(om1sq, x, y), hypot(x, y))
+    return [(i // samples_per_period, t, x, y, E, _distance(om1, x, y), math.hypot(x, y))
             for i, (_, t, x, y, E, _, _) in enumerate(samples)]
 
 
 def section_rows(points: Sequence[OrbitSample], params: SystemParams) -> list[tuple]:
     """Rows k,t,x,y,E,d,r of a section, t = kT and d, r recomputed from x and y."""
     T, om1 = params.period, float(params.omega1)
-    om1sq, hypot = om1 * om1, math.hypot
-    return [(k, k * T, x, y, E, _distance(om1sq, x, y), hypot(x, y))
+    return [(k, k * T, x, y, E, _distance(om1, x, y), math.hypot(x, y))
             for k, _, x, y, E, _, _ in points]
 
 
@@ -381,21 +394,17 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
     return "".join(csv_chunks(header, rows))
 
 
-def csv_chunks(header: Sequence[str], rows: Iterable[tuple], length: int | None = None,
-               split: _Split | None = None, fixed: bool = False) -> Iterator[str]:
-    """The text of columns_csv(header, rows): the header line with the first
-    block, then one piece per later block of up to ``_BLOCK`` rows.  A block of
-    rows of one length whose columns each hold only str and int cells or only
-    other cells takes one ``%`` template; in any other block each row takes its
-    own; where the rows are ``fixed``, each of the types of the first (as the rows of
-    ``orbit_blocks`` are), the first row's template serves its block.  A table of more than two
-    blocks whose number of rows is known (the len() of a list or tuple, else
-    ``length``) may be split between two processes (``_formatted``) at its middle
-    row, or where ``split``, given that row, says: split(h) is (h', the rows before
-    h', the rows from h'), each made without the rows of the other."""
+def csv_chunks(header: Sequence[str], rows: Iterable[tuple] | OrbitBlocks,
+               length: int | None = None) -> Iterator[str]:
+    """The text of columns_csv(header, rows): the header line with the first block, then one
+    piece per later block of up to ``_BLOCK`` rows.  A block of rows of one length whose
+    columns each hold only str and int cells or only other cells takes one ``%`` template;
+    in any other block each row takes its own.  A table of more than two blocks of a known
+    number of rows may be split between two processes (``_formatted``); ``length``, and an
+    orbit's ``OrbitBlocks``, as ``_table_rows`` says."""
+    rows, h, split, fixed = _table_rows(header, rows, length)
     yield from _with_head(",".join(header) + "\n", _formatted(
-        rows, lambda block, i: (_csv_text(block, block[:1] if fixed else block),),
-        _half(rows, length), split))
+        rows, lambda block, i: (_csv_text(block, fixed),), h, split))
 
 
 def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
@@ -408,9 +417,10 @@ def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
         pieces.close()
 
 
-def _csv_text(block: list[tuple], typed: list[tuple]) -> str:
-    """A block's lines: by the one template of the ``typed`` rows, or each row by its own."""
-    if (template := _csv_template(typed)) is None:
+def _csv_text(block: list[tuple], fixed: bool) -> str:
+    """A block's lines: by the one template of its rows (of its first, if ``fixed``), or
+    each row by its own."""
+    if (template := _csv_template(block[:1] if fixed else block)) is None:
         return "".join(_csv_template([row]) % row + "\n" for row in block)
     return "\n".join(map(template.__mod__, block)) + "\n"
 
@@ -440,17 +450,16 @@ def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
     return columns_csv(header, rows)
 
 
-def tabular_chunks(header: Sequence[str], rows: Iterable[tuple], format: str,
-                   length: int | None = None, split: _Split | None = None,
-                   fixed: bool = False) -> Iterator[str]:
+def tabular_chunks(header: Sequence[str], rows: Iterable[tuple] | OrbitBlocks, format: str,
+                   length: int | None = None) -> Iterator[str]:
     """The text of tabular(header, rows, format) in pieces, a block of rows at a time,
-    the head with the first block; ``length``, ``split`` and ``fixed`` as for csv_chunks
-    (a JSON block of ``fixed`` rows also needs a finite sum: ``_table``)."""
+    the head with the first block; ``length`` and an ``OrbitBlocks`` as for csv_chunks
+    (a JSON block of an orbit's rows also needs a finite sum: ``_table``)."""
     if format != "json":
-        yield from csv_chunks(header, rows, length, split, fixed)
+        yield from csv_chunks(header, rows, length)
         return
+    rows, h, split, fixed = _table_rows(header, rows, length)
     templates: dict[tuple, tuple] = {}
     yield from _with_head('{\n  "columns": ' + _encode(list(header), 1, templates)
-                          + ',\n  "rows": ', _list_chunks(rows, 1, templates,
-                                                          _half(rows, length), split, fixed))
+                          + ',\n  "rows": ', _list_chunks(rows, 1, templates, h, split, fixed))
     yield "\n}\n"

@@ -284,6 +284,29 @@ class TestLargeEpsilon:
         assert "inf" not in res.stdout.lower()
 
 
+class TestTinyStates:
+    """Below a state of about 1.5e-154, omega1^2 x^2 + y^2 leaves float64's normal range
+    (d < 2^-511): d is still formed to float64's precision, row 0 included."""
+
+    @pytest.mark.parametrize("y0", ["1e-170", "1e-160"])
+    def test_d_where_its_squares_underflow(self, runner, y0):
+        res = invoke(runner, "section", "--x0", "0", "--y0", y0, "--periods", "1")
+        assert res.exit_code == 0
+        rows = [tuple(map(float, line.split(","))) for line in res.stdout.splitlines()[1:]]
+        assert len(rows) == 2 and rows[0][3] == float(y0)
+        for _, _, x, y, _, d, _ in rows:
+            assert abs(d - math.hypot(0.9 * x, y)) <= 1e-15 * d
+        # distances prints the same d, and the references rebuild it alike
+        res = invoke(runner, "distances", "--x0", "0", "--y0", y0, "--periods", "1")
+        assert [float(line.split(",")[2]) for line in res.stdout.splitlines()[1:]] == [
+            row[5] for row in rows]
+        params = SystemParams(2, F(9, 10), 0.1)
+        points = stroboscopic_section(params, 0.0, float(y0), 1)
+        assert [row[5] for row in output.section_rows(points, params)] == [
+            row[5] for row in output.trajectory_rows(points, params, 1)] == [
+            row[5] for row in rows]
+
+
 class TestIntegralDocument:
     """build-integral reduces each order's coefficients as it writes that order,
     in a forked worker from the order at which the numerator bits reach half,
@@ -491,17 +514,15 @@ class TestStreamedOutput:
     def test_distances_reads_no_row_past_the_split(self, runner, monkeypatch, n_cpus):
         # 20,001 rows split at h = 10,001 on two CPUs; the escape at k = 13717 is in
         # the tail, whose worker checks it and writes the escape line
-        parent, blocks, pulled = os.getpid(), dynamics.orbit_blocks, []
+        parent, next_block, pulled = os.getpid(), dynamics.OrbitBlocks.__next__, []
 
-        def counted(*args):
-            def rows(made):
-                for block in made:
-                    if os.getpid() == parent:
-                        pulled.append(len(block))
-                    yield block
-            return rows(blocks(*args))
+        def counted(self):
+            block = next_block(self)
+            if os.getpid() == parent:
+                pulled.append(len(block))
+            return block
 
-        monkeypatch.setattr(dynamics, "orbit_blocks", counted)
+        monkeypatch.setattr(dynamics.OrbitBlocks, "__next__", counted)
         forks = on_cpus(monkeypatch, n_cpus)
         res = invoke(runner, "distances", "--periods", "20000", "--x0", "0.5", "--y0", "0",
                      "--r-escape", "0.8147323135")

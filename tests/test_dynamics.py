@@ -1437,6 +1437,24 @@ class TestOrbitBlocks:
         assert output.section_rows(points, params) == rows
         assert output.trajectory_rows(points, params, 1) == rows
 
+    @pytest.mark.parametrize("y0", [1e-170, 1e-160, 1e-300, 2.0 ** -511])
+    @pytest.mark.parametrize("spp", [1, 64])
+    def test_d_where_its_squares_underflow(self, y0, spp):
+        # below d = 2^-511, omega1^2 x^2 + y^2 is below float64's normal range: d is taken
+        # at 2^600, row 0 included, and every row at or above 2^-511 keeps the plain sqrt
+        params = SystemParams(F(2), F(9, 10), 0.1)
+        rows = orbit_rows(params, 0.0, y0, 2, spp)
+        for _, _, x, y, _, d, _ in rows:
+            plain = math.sqrt(0.81 * x * x + y * y)
+            assert d == plain or plain < 2.0 ** -511
+            assert abs(d - math.hypot(0.9 * x, y)) <= 1e-15 * d
+        assert rows[0][5] == y0
+        # the references rebuild d alike, bit for bit
+        samples = integrate_orbit(params, 0.0, y0, 2, spp)
+        assert output.trajectory_rows(samples, params, spp) == rows
+        section = stroboscopic_section(params, 0.0, y0, 2)
+        assert output.section_rows(section, params) == rows[::spp]
+
 
 class TestRecords:
     """Orbit samples: the orbit table's rows, immutable, compared by value."""

@@ -19,7 +19,6 @@ import stat
 import tempfile
 import threading
 from fractions import Fraction as F
-from itertools import chain
 from typing import Iterable, Sequence
 from unittest import mock
 
@@ -471,11 +470,21 @@ def test_orbit_tables_go_out_a_block_at_a_time():
     assert "".join(js) == dumps({"columns": list(header), "rows": [list(r) for r in rows]})
 
 
+def _orbit_of(rows: list) -> dynamics.OrbitBlocks:
+    """The list of rows as the ``OrbitBlocks`` of a one-sample orbit: its len, its blocks
+    and its split those of ``orbit_blocks``, each a slice of the list."""
+    def blocks(first, last):  # periods first to last - 1, row 0 with period 0
+        yield rows[first + 1 if first else 0:last + 1]
+
+    return dynamics.OrbitBlocks(blocks, 1, len(rows) - 1)
+
+
 @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, 1e308])
 def test_fixed_json_tables_keep_json_spellings(bad):
-    # fixed rows take the first row's %d/%r template with no type scan; a block with a
-    # NaN or an infinity (or finite floats summing past float64, 1e308 twice) keeps the
-    # item path, which spells them as json.dumps does, at every block size
+    # an orbit's rows (an OrbitBlocks, here of the columns k, t, x) take the first row's
+    # %d/%r template with no type scan; a block with a NaN or an infinity (or finite
+    # floats summing past float64, 1e308 twice) keeps the item path, which spells them
+    # as json.dumps does, at every block size
     rows = [(i, 0.5 * i, -1.25 * i) for i in range(10)]
     if bad is not None:
         rows[7] = (7, bad, bad)
@@ -484,7 +493,7 @@ def test_fixed_json_tables_keep_json_spellings(bad):
     for n_cpus in (1, 2):
         with cpus(n_cpus):
             for got in _at_block_sizes(lambda: "".join(output.tabular_chunks(
-                    header, iter(rows), "json", len(rows), fixed=True))):
+                    header, _orbit_of(rows), "json"))):
                 assert got == want
     _no_worker_left()
 
@@ -581,7 +590,7 @@ def _ending_in_the_worker(rows, at: int, how: str = "exit"):
 
 
 def _ended_in_the_worker(at: int, how: str = "exit"):
-    # a table without a split (``_split_at``, ``OrbitBlocks.split``): the worker iterates
+    # a table without a split (``_SplitAt``, ``OrbitBlocks.split``): the worker iterates
     # its copy of the rows from row 0 and formats rows 2561 to 5120, the tail; once it
     # is gone without its report this process formats them itself
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
@@ -726,19 +735,13 @@ def test_the_spool_goes_out_in_bounded_pieces(monkeypatch):
 
 def test_every_piece_is_a_plain_str():
     # on one process and on two, whatever the worker spooled: CSV and JSON of an
-    # orbit's stream split as the CLI splits it and of a list, and the order-40 document
+    # orbit's stream (its OrbitBlocks) and of a list, and the order-40 document
     doc = build_integral(P, 40).json_document()
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
 
     def orbit_table(fmt):
-        blocks = dynamics.orbit_blocks(P, 0.03, 0.97, 80, 64)
-
-        def split(h):
-            h, head, tail = blocks.split(h)
-            return h, chain.from_iterable(head), chain.from_iterable(tail)
-
-        return output.tabular_chunks(output.ORBIT_COLUMNS, chain.from_iterable(blocks), fmt,
-                                     len(rows), split, fixed=True)
+        return output.tabular_chunks(output.ORBIT_COLUMNS,
+                                     dynamics.orbit_blocks(P, 0.03, 0.97, 80, 64), fmt)
 
     makes = [lambda: output.csv_chunks(output.ORBIT_COLUMNS, rows),
              lambda: output.json_chunks(doc)]
@@ -753,16 +756,21 @@ def test_every_piece_is_a_plain_str():
             _no_worker_left()
 
 
-def _split_at(rows, made: list):
-    """A ``split`` of the list of rows that moves the middle row h to h - 100 and
-    notes each (h, row) the head and the tail make, as ``OrbitBlocks.split`` does."""
-    def split(h):
+class _SplitAt(dynamics.OrbitBlocks):
+    """The list of rows as an ``OrbitBlocks`` whose split moves the middle row h to
+    h - 100 and notes each (h, row) the head and the tail make, as ``OrbitBlocks.split``
+    does; the whole table comes from the list."""
+
+    def __init__(self, rows: list, made: list):
+        super().__init__(lambda first, last: iter([rows]), 1, len(rows) - 1)
+        self.rows, self.made = rows, made
+
+    def split(self, h):
         def part(start, stop):
             for i in range(start, stop):
-                made.append((h, i))
-                yield rows[i]
-        return h - 100, part(0, h - 100), part(h - 100, len(rows))
-    return split
+                self.made.append((h, i))
+                yield self.rows[i]
+        return h - 100, [part(0, h - 100)], [part(h - 100, len(self.rows))]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -775,11 +783,86 @@ def test_a_split_gives_each_process_its_own_rows(fmt):
     for n_cpus in (1, 2):
         made = []
         with cpus(n_cpus) as forks:
-            got = "".join(output.tabular_chunks(header, iter(rows), fmt, len(rows),
-                                                _split_at(rows, made)))
+            got = "".join(output.tabular_chunks(header, _SplitAt(rows, made), fmt))
         assert got == want and len(forks) == n_cpus - 1
         assert made == ([(2561, i) for i in range(2461)] if n_cpus == 2 else [])
         _no_worker_left()
+
+
+@pytest.mark.parametrize("periods, spp", [(80, 64), (3000, 1)])
+def test_an_orbit_table_is_its_rows_cut_to_the_header(periods, spp):
+    # the writer takes an orbit's OrbitBlocks itself: the same bytes as its rows in a
+    # list cut to the header's columns, CSV and JSON, on one CPU and on two, where the
+    # orbit's table (5121 or 3001 rows) forks one worker, reaped once it is written
+    rows = orbit_rows(P, 0.03, 0.97, periods, spp)
+    for header in (output.ORBIT_COLUMNS, ("k", "t", "x", "E"), ("d",)):
+        cut = [tuple(row[output.ORBIT_COLUMNS.index(name)] for name in header) for row in rows]
+        for fmt in ("csv", "json"):
+            with cpus(1):
+                want = "".join(output.tabular_chunks(header, cut, fmt))
+            for n_cpus in (1, 2):
+                with cpus(n_cpus) as forks:
+                    got = "".join(output.tabular_chunks(
+                        header, dynamics.orbit_blocks(P, 0.03, 0.97, periods, spp), fmt))
+                assert got == want and len(forks) == n_cpus - 1
+                _no_worker_left()
+    assert want == dumps({"columns": ["d"], "rows": [[row[5]] for row in rows]})
+
+
+def _noted_in_the_worker(rows, path):
+    """The rows; a forked copy of them writes its process's CPUs to ``path`` after the
+    last.  This process is named here: the worker may be the first to start them."""
+    parent, affinity = os.getpid(), os.sched_getaffinity
+
+    def rows_of_this_process():
+        yield from rows
+        if os.getpid() != parent:
+            path.write_text(" ".join(map(str, sorted(affinity(0)))))
+
+    return rows_of_this_process()
+
+
+def test_the_worker_runs_off_the_cpu_this_process_ran_on(tmp_path, monkeypatch):
+    # just before the fork this process reads the CPU it runs on; the worker binds itself
+    # to the others it may use, and this process keeps its own CPUs
+    allowed, read, cpu = os.sched_getaffinity(0), [], output._cpu
+    monkeypatch.setattr(output, "_cpu", lambda: read.append(cpu()) or read[-1])
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
+    noted = _noted_in_the_worker(rows, tmp_path / "cpus")
+    with cpus(len(allowed)) as forks, \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(allowed)):
+        got = "".join(output.tabular_chunks(header, noted, "csv", len(rows)))
+    assert got == _references(header, rows)[0] and os.sched_getaffinity(0) == allowed
+    _no_worker_left()
+    if len(allowed) < 2:  # nothing to fork for
+        assert forks == [] and read == []
+        return
+    assert len(forks) == 1 and len(read) == 1 and read[0] in allowed
+    worker = set(map(int, (tmp_path / "cpus").read_text().split()))
+    assert worker == allowed - {read[0]} and read[0] not in worker
+
+
+@pytest.mark.parametrize("how", ["bound", "no-cpu", "refused", "no-setaffinity"])
+def test_the_binding_never_changes_a_byte(how, tmp_path, monkeypatch):
+    # on 2 CPUs the worker binds itself to {0, 1} less the CPU read before the fork (0
+    # here); where none was read, or the call is refused or missing, it goes on unbound
+    bound = tmp_path / "bound"
+    monkeypatch.setattr(output, "_cpu", lambda: None if how == "no-cpu" else 0)
+    if how == "no-setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def setaffinity(pid, cpus):
+            bound.write_text(" ".join(map(str, sorted(cpus))))
+            if how == "refused":
+                raise OSError(22, "Invalid argument")
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
+    with cpus(2) as forks:
+        got = _tables(header, rows)
+    assert len(forks) == 2 and got == _references(header, rows)
+    assert (bound.read_text() if bound.exists() else None) == (
+        "1" if how in ("bound", "refused") else None)
+    _no_worker_left()
 
 
 def test_the_spool_lies_beside_the_file_it_joins(tmp_path, monkeypatch):
