@@ -30,15 +30,17 @@ from .builder import SystemParams, build_integral, conic_at_section
 from .dynamics import (_TOL, R_ESCAPE, Monodromy, OrbitSample, _full_period, _hill_factors,
                        _hill_points, _step_count, stroboscopic_section)
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
+from .trigseries import _Value
 
-@dataclass(frozen=True)
-class CriticalEpsResult:
-    """Escape-boundary location with the bracket that pinned it."""
+class CriticalEpsResult(_Value):
+    """Escape-boundary location with the bracket that pinned it; ``escape_check`` is
+    True where the stepper confirmed it, None if |eps_crit| <= 2e-3."""
 
-    eps_crit: float
-    bracket: tuple[float, float]
-    iterations: int
-    escape_check: bool | None = None  # True: the stepper confirmed it; None if |eps_crit| <= 2e-3
+    __slots__ = ("eps_crit", "bracket", "iterations", "escape_check")
+
+    def __init__(self, eps_crit: float, bracket: tuple[float, float], iterations: int,
+                 escape_check: bool | None = None):
+        self._set(eps_crit, bracket, iterations, escape_check)
 
 
 def _hill_trace(params: SystemParams, eps: float) -> float:
@@ -163,14 +165,14 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
                              iterations=len(evals), escape_check=check)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Value):
     """Relative section residual of the truncated integral per order."""
 
-    orders: tuple[int, ...]
-    residuals: tuple[float, ...]
-    epsilon: float
-    n_periods: int
+    __slots__ = ("orders", "residuals", "epsilon", "n_periods")
+
+    def __init__(self, orders: tuple[int, ...], residuals: tuple[float, ...], epsilon: float,
+                 n_periods: int):
+        self._set(orders, residuals, epsilon, n_periods)
 
 
 def section_residual(conic: tuple[float, float, float],

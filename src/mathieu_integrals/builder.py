@@ -45,17 +45,15 @@ which reduces each coefficient by one gcd as it writes that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidInput, MalformedSpectrum, ResonanceDetected, SecularTerm
 from .trigseries import (COS, SIN, FrequencyBase, TrigSeries, _evaluate_table,
-                         _float_table, _reduce_generators, as_rational)
+                         _float_table, _reduce_generators, _Value, as_rational)
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_Value):
     """System parameters: driving frequency, unperturbed frequency, strength.
 
     ``omega`` and ``omega1`` are exact rationals (they feed the symbolic
@@ -65,13 +63,10 @@ class SystemParams:
     nonzero finite floats.
     """
 
-    omega: Fraction
-    omega1: Fraction
-    epsilon: float = 0.0
+    __slots__ = ("omega", "omega1", "epsilon", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", as_rational(self.omega))
-        object.__setattr__(self, "omega1", as_rational(self.omega1))
+    def __init__(self, omega: Fraction, omega1: Fraction, epsilon: float = 0.0):
+        self._set(as_rational(omega), as_rational(omega1), epsilon)
         if self.omega <= 0 or self.omega1 <= 0:
             raise InvalidInput("omega and omega1 must be positive")
         if not math.isfinite(self.epsilon):
@@ -112,8 +107,7 @@ class SystemParams:
         return 0.5 * (y * y + om1 * om1 * x * x) - eps * x * x * math.cos(float(self.omega) * t)
 
 
-@dataclass(frozen=True)
-class QuadFormSeries:
+class QuadFormSeries(_Value):
     """Quadratic form cxx*x^2 + cyy*y^2 + cxy*xy with TrigSeries coefficients.
 
     The coefficients are envelopes in the driving frequency alone
@@ -121,11 +115,10 @@ class QuadFormSeries:
     (x, y) variables themselves.
     """
 
-    cxx: TrigSeries
-    cyy: TrigSeries
-    cxy: TrigSeries
+    __slots__ = ("cxx", "cyy", "cxy", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, cxx: TrigSeries, cyy: TrigSeries, cxy: TrigSeries):
+        self._set(cxx, cyy, cxy)
         if not (self.cxx.base == self.cyy.base == self.cxy.base):
             raise ValueError("coefficient series live over different bases")
         for series in (self.cxx, self.cyy, self.cxy):
@@ -503,15 +496,14 @@ def recursion_step(params: SystemParams, form: Form, phased: bool = False,
     return den_out // g, parts
 
 
-@dataclass(frozen=True)
-class FormalIntegral:
+class FormalIntegral(_Value):
     """A truncated series integral: orders Phi_0 ... Phi_S plus metadata."""
 
-    params: SystemParams
-    orders: tuple[QuadFormSeries, ...]
-    seed: str = "H0"
-    secular_allowed: bool = False
-    phased: bool = False
+    __slots__ = ("params", "orders", "seed", "secular_allowed", "phased")
+
+    def __init__(self, params: SystemParams, orders: tuple[QuadFormSeries, ...],
+                 seed: str = "H0", secular_allowed: bool = False, phased: bool = False):
+        self._set(params, orders, seed, secular_allowed, phased)
 
     @property
     def order(self) -> int:
@@ -616,8 +608,7 @@ def conic_at_section(phi: FormalIntegral, epsilon: float | None = None,
     return a, b, d
 
 
-@dataclass(frozen=True)
-class PsiSeries:
+class PsiSeries(_Value):
     """The companion integral in extended phase space, seeded with E.
 
     Psi_0 is the energy-momentum marker E itself (bound numerically at
@@ -625,8 +616,10 @@ class PsiSeries:
     Phi + Psi telescopes to H0 + eps*H1 + E = H + E.
     """
 
-    params: SystemParams
-    orders_from_one: tuple[QuadFormSeries, ...]
+    __slots__ = ("params", "orders_from_one")
+
+    def __init__(self, params: SystemParams, orders_from_one: tuple[QuadFormSeries, ...]):
+        self._set(params, orders_from_one)
 
     def order(self) -> int:
         return len(self.orders_from_one)

@@ -63,12 +63,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .builder import SystemParams
 from .errors import InvalidInput, StepFailure, Unbounded
+from .trigseries import _Value
 
 _RHO = 1.5  # a Taylor step's h times the fastest rate of the flow, at most
 _MAX_STEPS = 5_000_000  # the budget of one solve's steps and of one table's rows
@@ -167,15 +167,13 @@ class OrbitSample(NamedTuple):
     r: float
 
 
-@dataclass(frozen=True)
-class Monodromy:
+class Monodromy(_Value):
     """Fundamental-solution matrix of the linear flow over n periods."""
 
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    n: int
+    __slots__ = ("m11", "m12", "m21", "m22", "n")
+
+    def __init__(self, m11: float, m12: float, m21: float, m22: float, n: int):
+        self._set(m11, m12, m21, m22, n)
 
     @property
     def trace(self) -> float:
@@ -482,13 +480,13 @@ def monodromy(params: SystemParams, epsilon: float, n: int = 1) -> Monodromy:
     return Monodromy(*_full_period(*_half_period(params, float(epsilon))), n=1).power(n)
 
 
-@dataclass(frozen=True)
-class EscapeReport:
+class EscapeReport(_Value):
     """Escape verdict, and the growth rate of an orbit that escaped."""
 
-    escaped: bool
-    k_escape: int | None
-    growth_rate: float | None
+    __slots__ = ("escaped", "k_escape", "growth_rate")
+
+    def __init__(self, escaped: bool, k_escape: int | None, growth_rate: float | None):
+        self._set(escaped, k_escape, growth_rate)
 
 
 def escape_diagnostics(params: SystemParams, section: Iterable[Sequence],

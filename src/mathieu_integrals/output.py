@@ -205,13 +205,13 @@ def _fork(tail: Iterable, pieces: _Pieces, h: int):
         return None, None, None
     if pid:
         os.close(ready)
+        with suppress(AttributeError, OSError):  # else it waits on this CPU, may stay all its life
+            if cpu is not None and (allowed := os.sched_getaffinity(0) - {cpu}):
+                os.sched_setaffinity(pid, allowed)
         return pid, spool, done
     try:
         _in_worker = True
         os.close(done)
-        with suppress(AttributeError, OSError):  # else it may share that CPU all its life
-            if cpu is not None and (allowed := os.sched_getaffinity(0) - {cpu}):
-                os.sched_setaffinity(0, allowed)
         spool.writelines(_blocks(iter(tail), pieces, h))
         spool.flush()
         os.write(ready, b"\1")
@@ -227,11 +227,11 @@ def _cpu() -> int | None:
 
 def _table_rows(header: Sequence[str], rows, length: int | None) -> tuple:
     """(rows, h, split, fixed).  h is the middle row of over two blocks of a known number
-    (len() of a list, tuple or ``OrbitBlocks``, else ``length``): a worker costs 2-3 ms at
-    28 MB on 2 CPUs, repaid by a 64-sample orbit from about 2,000 rows (13.7 against 11.7
-    ms for 1,089 rows, 15.7 against 14.0 for 1,537, even at 2,049; in process, medians of
-    4 alternating sets of 30 runs).  An ``OrbitBlocks`` gives the ``ORBIT_COLUMNS`` the
-    header names, its ``split`` and fixed rows, each of the first row's types."""
+    (len() of a list, tuple or ``OrbitBlocks``, else ``length``): a worker costs 2.0-2.6 ms
+    at 20 MB on 2 CPUs, repaid by a 64-sample orbit from about 2,000 rows (two processes
+    were faster in 6-7 of 30 runs at 1,089 rows, 1-18 at 1,537 and 16-29 at 2,049; in
+    process, 4 sets of 30 alternating runs).  An ``OrbitBlocks`` gives the ``ORBIT_COLUMNS``
+    the header names, its ``split`` and fixed rows, each of the first row's types."""
     n = len(rows) if isinstance(rows, (list, tuple, OrbitBlocks)) else length or 0
     h = n - n // 2 if n > 2 * _BLOCK else None
     if not isinstance(rows, OrbitBlocks):
@@ -299,8 +299,8 @@ def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
 
 
 #: the numerator bits of an integral's orders from which two processes write them: the
-#: worker's 5 ms (fork, start, reaping) is repaid from about order 24 at omega1 = 9/10
-#: (695,492 bits; order 26 holds 944,992 bits, order 28 1,255,992)
+#: worker's 2.0-2.6 ms (fork, start, reaping) is repaid from about order 22 to 24 at
+#: omega1 = 9/10 (order 24 holds 695,492 bits, order 26 944,992, order 28 1,255,992)
 _ORDERS_FORK_BITS = 800_000
 
 

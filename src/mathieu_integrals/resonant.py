@@ -34,13 +34,12 @@ c0, s0; they are bound numerically from the initial conditions via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .builder import (Form, FormalIntegral, QuadFormSeries, SystemParams, _add, _series,
                       conic_at_section, from_form, h0_form, recursion_step, to_form)
 from .errors import InvalidInput, NotResonant, UnsolvableSecular, UnsupportedResonance
-from .trigseries import COS, SIN, TrigSeries, _reduce_generators
+from .trigseries import COS, SIN, TrigSeries, _reduce_generators, _Value
 
 
 def require_primary_resonance(params: SystemParams):
@@ -89,18 +88,17 @@ def build_resonant_phi(params: SystemParams, order: int) -> FormalIntegral:
     return _series(params, h0_form(params), "H0", order, resonant=True)
 
 
-@dataclass(frozen=True)
-class PhaseConstants:
+class PhaseConstants(_Value):
     """Numeric binding of the generators (c0, s0) from initial conditions."""
 
-    c0: float
-    s0: float
+    __slots__ = ("c0", "s0")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c0) and math.isfinite(self.s0)):
+    def __init__(self, c0: float, s0: float):
+        if not (math.isfinite(c0) and math.isfinite(s0)):
             raise InvalidInput("phase constants must be finite")
-        if abs(self.c0 ** 2 + self.s0 ** 2 - 1.0) > 1e-9:
+        if abs(c0 ** 2 + s0 ** 2 - 1.0) > 1e-9:
             raise InvalidInput("phase constants must satisfy c0^2 + s0^2 = 1")
+        self._set(c0, s0)
 
     @classmethod
     def from_initial_conditions(cls, params: SystemParams, x0: float, y0: float) -> "PhaseConstants":
@@ -115,8 +113,7 @@ class PhaseConstants:
                    -2.0 * om1 * x0 * y0 / two_phi0)
 
 
-@dataclass(frozen=True)
-class ResonantIntegral:
+class ResonantIntegral(_Value):
     """Mixing coefficients and the secular-free combination.
 
     ``mix[i]`` is the coefficient q_{i+1} of the eps^{i+1} * Phi admixture,
@@ -125,8 +122,10 @@ class ResonantIntegral:
     omega1 = 1); from q_2 on the coefficients may carry c0 powers.
     """
 
-    mix: tuple[TrigSeries, ...]
-    combined: FormalIntegral
+    __slots__ = ("mix", "combined")
+
+    def __init__(self, mix: tuple[TrigSeries, ...], combined: FormalIntegral):
+        self._set(mix, combined)
 
     @property
     def order(self) -> int:

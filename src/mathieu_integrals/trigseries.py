@@ -38,7 +38,6 @@ amplitudes), generator powers reduced so that ``a <= 1`` via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
@@ -66,18 +65,55 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class FrequencyBase:
+class _Value:
+    """An immutable record of the fields its class names in ``__slots__`` (bar the
+    ``"__dict__"`` a ``cached_property`` needs), set by its ``__init__`` with ``_set``:
+    equality, hash and repr as a frozen dataclass has them, written here so that no
+    code is generated at import.  Copies and pickles call the class again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrequencyBase(_Value):
     """The rational frequency pair (omega, omega1) a series lives over."""
 
-    omega: Fraction
-    omega1: Fraction
+    __slots__ = ("omega", "omega1")
 
-    def __post_init__(self):
-        if not isinstance(self.omega, Fraction) or not isinstance(self.omega1, Fraction):
+    def __init__(self, omega: Fraction, omega1: Fraction):
+        if not isinstance(omega, Fraction) or not isinstance(omega1, Fraction):
             raise TypeError("FrequencyBase requires Fraction frequencies")
-        if self.omega <= 0 or self.omega1 <= 0:
+        if omega <= 0 or omega1 <= 0:
             raise ValueError("omega and omega1 must be positive")
+        self._set(omega, omega1)
 
     def nu(self, k: int, m: int) -> Fraction:
         """Exact frequency value k*omega + m*omega1."""

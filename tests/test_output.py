@@ -18,6 +18,7 @@ import signal
 import stat
 import tempfile
 import threading
+import time
 from fractions import Fraction as F
 from typing import Iterable, Sequence
 from unittest import mock
@@ -811,20 +812,25 @@ def test_an_orbit_table_is_its_rows_cut_to_the_header(periods, spp):
 
 def _noted_in_the_worker(rows, path):
     """The rows; a forked copy of them writes its process's CPUs to ``path`` after the
-    last.  This process is named here: the worker may be the first to start them."""
+    last, once they are not this process's (its parent binds it, so it waits for that
+    up to 5 s).  This process is named here: the worker may be the first to start them."""
     parent, affinity = os.getpid(), os.sched_getaffinity
+    mine = affinity(0)
 
     def rows_of_this_process():
         yield from rows
         if os.getpid() != parent:
+            deadline = time.monotonic() + 5.0
+            while affinity(0) == mine and time.monotonic() < deadline:
+                time.sleep(0.001)
             path.write_text(" ".join(map(str, sorted(affinity(0)))))
 
     return rows_of_this_process()
 
 
 def test_the_worker_runs_off_the_cpu_this_process_ran_on(tmp_path, monkeypatch):
-    # just before the fork this process reads the CPU it runs on; the worker binds itself
-    # to the others it may use, and this process keeps its own CPUs
+    # just before the fork this process reads the CPU it runs on; right after it, it binds
+    # the worker to the others it may use, and keeps its own CPUs
     allowed, read, cpu = os.sched_getaffinity(0), [], output._cpu
     monkeypatch.setattr(output, "_cpu", lambda: read.append(cpu()) or read[-1])
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
@@ -844,8 +850,8 @@ def test_the_worker_runs_off_the_cpu_this_process_ran_on(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("how", ["bound", "no-cpu", "refused", "no-setaffinity"])
 def test_the_binding_never_changes_a_byte(how, tmp_path, monkeypatch):
-    # on 2 CPUs the worker binds itself to {0, 1} less the CPU read before the fork (0
-    # here); where none was read, or the call is refused or missing, it goes on unbound
+    # on 2 CPUs this process binds the worker to {0, 1} less the CPU read before the fork
+    # (0 here); where none was read, or the call is refused or missing, it goes on unbound
     bound = tmp_path / "bound"
     monkeypatch.setattr(output, "_cpu", lambda: None if how == "no-cpu" else 0)
     if how == "no-setaffinity":
@@ -862,6 +868,22 @@ def test_the_binding_never_changes_a_byte(how, tmp_path, monkeypatch):
     assert len(forks) == 2 and got == _references(header, rows)
     assert (bound.read_text() if bound.exists() else None) == (
         "1" if how in ("bound", "refused") else None)
+    _no_worker_left()
+
+
+def test_this_process_binds_the_worker_it_forked(monkeypatch):
+    # the binding is made here, right after the fork, not by the worker once it first
+    # runs: until then the worker would wait on the CPU this process keeps busy
+    calls, parent = [], os.getpid()
+    monkeypatch.setattr(output, "_cpu", lambda: 0)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: calls.append((os.getpid(), pid, set(cpus))),
+                        raising=False)
+    header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
+    with cpus(2) as forks:
+        got = _tables(header, rows)
+    assert len(forks) == 2 and got == _references(header, rows)
+    assert calls == [(parent, pid, {1}) for pid in forks]
     _no_worker_left()
 
 
