@@ -13,8 +13,10 @@ run length S (``run_seconds``) come from CHANGE's ``BENCHMARK.json``.
 It prints one row per workload and end-to-end metric: the parent's median and
 interquartile range (IQR), the change's median, the pairs in which the change
 reads better (ties count for neither side), failed/attempted operations on each
-side, and "unresolved" where the parent's IQR is wider than the bound (a share
-of its median) unless every change run beats every parent run.  Each run's
+side, its spread, "unresolved" where the parent's IQR is wider than the bound
+(a share of its median) unless every change run beats every parent run, and its
+verdict, "worse" where the change's median is worse than the parent's by more
+than the bound (a share of the parent's median), else "within".  Each run's
 metrics are printed first, on a line that starts with ``#``.
 """
 
@@ -36,14 +38,16 @@ def summary(metric: dict, parent: list[float], change: list[float]) -> dict:
     def beats(c: float, p: float) -> bool:
         return c < p if metric["better"] == "lower" else c > p
 
-    median = statistics.median(parent)
+    median, change_median = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    iqr = q3 - q1
+    iqr, bound = q3 - q1, metric["bound"] * abs(median)
+    worsened = change_median - median if metric["better"] == "lower" else median - change_median
     return {"name": metric["name"], "parent_median": median, "parent_iqr": iqr,
-            "change_median": statistics.median(change),
+            "change_median": change_median,
             "wins": sum(map(beats, change, parent)), "pairs": len(parent),
-            "unresolved": (iqr > metric["bound"] * abs(median)
-                           and not all(beats(c, p) for c in change for p in parent))}
+            "unresolved": (iqr > bound
+                           and not all(beats(c, p) for c in change for p in parent)),
+            "worse": worsened > bound}
 
 
 def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -74,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         benchmark = json.load(handle)
     seconds = benchmark["run_seconds"]
     print("workload metric parent_median parent_iqr change_median wins/pairs"
-          " parent_failed/attempted change_failed/attempted verdict")
+          " parent_failed/attempted change_failed/attempted spread verdict")
     for workload in args.workload:
         parent, change = [], []
         for i in range(PAIRS):
@@ -89,7 +93,8 @@ def main(argv: list[str] | None = None) -> int:
                           [r["metrics"][name]["value"] for r in change])
             print(f"{workload} {name} {row['parent_median']:.6g} {row['parent_iqr']:.3g}"
                   f" {row['change_median']:.6g} {row['wins']}/{row['pairs']} {counts}"
-                  f" {'unresolved' if row['unresolved'] else 'resolved'}", flush=True)
+                  f" {'unresolved' if row['unresolved'] else 'resolved'}"
+                  f" {'worse' if row['worse'] else 'within'}", flush=True)
     return 0
 
 

@@ -32,6 +32,7 @@ from .dynamics import (_TOL, R_ESCAPE, Monodromy, OrbitSample, _full_period, _hi
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 from .trigseries import _Value
 
+
 class CriticalEpsResult(_Value):
     """Escape-boundary location with the bracket that pinned it; ``escape_check`` is
     True where the stepper confirmed it, None if |eps_crit| <= 2e-3."""

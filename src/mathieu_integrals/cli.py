@@ -97,6 +97,8 @@ def _write(path: str | None, chunks):
 @click.group(cls=_OneLineErrors)
 def main():
     """Formal integrals and Floquet analysis of the driven oscillator."""
+    if hasattr(sys, "set_int_max_str_digits"):  # numerators may pass 4,300 digits at order 40
+        sys.set_int_max_str_digits(0)  # for str(), %d and json alike; a forked writer inherits it
 
 
 @main.command("build-integral")
@@ -177,10 +179,10 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
                 report = dynamics.escape_diagnostics(params, block, r_escape=r_escape)
             for k, t, _, _, _, d, r in block:
                 yield k, t, d, r
-        if report.escaped:  # written by the process of the last row
+        if report.escaped:  # the last row: a generator does not split, this process writes it
             yield (f"# escaped at k={report.k_escape}",)
 
-    _write(out, output.tabular_chunks(("k", "t", "d", "r"), rows(), format_, len(blocks)))
+    _write(out, output.tabular_chunks(("k", "t", "d", "r"), rows(), format_))
 
 
 @main.command("energy")

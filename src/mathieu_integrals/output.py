@@ -10,15 +10,15 @@ orders (QuadFormSeries, from ``FormalIntegral.json_document``) are each
 converted to JSON as they are written.
 
 Where the process may use two CPUs and runs no other thread, a table of
-more than two blocks whose number of rows is known, or orders whose
-numerators hold at least ``_ORDERS_FORK_BITS`` bits, is split once
-(``_formatted``): a forked worker, bound off this process's CPU, formats the
-tail into an unlinked spool beside the file being written (else in the temp
-directory) while this process formats the head, whose pieces the spool's text
-follows, read back ``_SPOOL_PIECE`` characters at a time.  An orbit's table
-(``OrbitBlocks``) is split where a period starts, each process making only its
-own rows; a list's worker skips the head's items, any other iterable's worker
-iterates them unformatted.  ``atomic_write_chunks`` writes the pieces to a temp
+more than two blocks, or orders whose numerators hold at least
+``_ORDERS_FORK_BITS`` bits, is split once where its two parts can be made
+without each other's items (``_formatted``): a list or tuple is sliced, an
+orbit's table (``OrbitBlocks``) is split where a period starts.  A forked
+worker, bound off this process's CPU, formats the tail into an unlinked spool
+beside the file being written (else in the temp directory) while this process
+formats the head, whose pieces the spool's text follows, read back
+``_SPOOL_PIECE`` characters at a time.  Any other iterable is formatted by this
+process alone.  ``atomic_write_chunks`` writes the pieces to a temp
 file and renames it after the last, so no command holds a whole document or
 table; a table's first piece is its head with its first block, read before the
 temp file is made, so bad input or an overflow there is named before an
@@ -114,7 +114,8 @@ def json_chunks(obj) -> Iterator[str]:
     (%d) or all finite exact floats (%r) is one piece by one row template.
     Deeper, a dict is one ``%`` by a template per (level, keys, value
     types); anything else goes to json.dumps, indented to its depth.  Where
-    json_text falls back to json.dumps, this raises RecursionError."""
+    json_text falls back to json.dumps, this raises RecursionError; an int past Python's
+    digit limit raises ValueError unless the caller lifts it, as the CLI does."""
     yield from _chunks(obj, 0, {})
     yield "\n"
 
@@ -129,22 +130,18 @@ _spool_dir = None  # the directory of the file atomic_write_chunks writes, else 
 _Pieces = Callable[[list, int], Iterable[str]]  # pieces(block, i): text of items i, i + 1, ...
 
 
-def _formatted(items: Iterable, pieces: _Pieces, h: int | None = None,
-               split: Callable | None = None) -> Iterator[str]:
-    """The pieces of each block of up to ``_BLOCK`` items.  Where a split point ``h`` is
-    given and ``_may_fork`` allows, a worker (``_fork``) spools the pieces of the
-    tail, items h, h + 1, ..., while this process yields the head's, items 0 to h - 1.
-    ``split``(h) may move h and give (h', the head, the tail), each made without the
-    other's items; else both come from the items, the worker's copy past h.  Once the
-    worker reports its spool whole, this process yields its text ``_SPOOL_PIECE``
-    characters at a time; else it goes on with its own tail, so an error comes from
-    the same item as on one process.  The worker is reaped and the spool closed on
-    every way out."""
-    items = iter(items)
-    pid, head, tail = None, items, ()
-    if h and _may_fork():
-        h, head, tail = split(h) if split else (h, islice(items, h), items)
-        pid, spool, done = _fork(tail if split else islice(items, h, None), pieces, h)
+def _formatted(items: Iterable, pieces: _Pieces, parts: tuple | None) -> Iterator[str]:
+    """The pieces of each block of up to ``_BLOCK`` items.  Where the caller gives the
+    ``parts`` (h, the head, the tail), items 0 to h - 1 and h, h + 1, ..., each made
+    without the other's items, and ``_may_fork`` allows, a worker (``_fork``) spools the
+    pieces of the tail while this process yields the head's.  Once the worker reports
+    its spool whole, this process yields its text ``_SPOOL_PIECE`` characters at a time;
+    else it goes on with its own tail, so an error comes from the same item as on one
+    process.  The worker is reaped and the spool closed on every way out."""
+    pid, h, head, tail = None, 0, items, ()
+    if parts and _may_fork():
+        h, head, tail = parts
+        pid, spool, done = _fork(tail, pieces, h)
     try:
         yield from _blocks(iter(head), pieces, 0)
         if pid and os.read(done, 1):  # the worker's one byte, or b"" once it is gone
@@ -225,17 +222,18 @@ def _cpu() -> int | None:
         return int(stat.read().rpartition(b")")[2].split()[36])
 
 
-def _table_rows(header: Sequence[str], rows, length: int | None) -> tuple:
-    """(rows, h, split, fixed).  h is the middle row of over two blocks of a known number
-    (len() of a list, tuple or ``OrbitBlocks``, else ``length``): a worker costs 2.0-2.6 ms
-    at 20 MB on 2 CPUs, repaid by a 64-sample orbit from about 2,000 rows (two processes
-    were faster in 6-7 of 30 runs at 1,089 rows, 1-18 at 1,537 and 16-29 at 2,049; in
-    process, 4 sets of 30 alternating runs).  An ``OrbitBlocks`` gives the ``ORBIT_COLUMNS``
-    the header names, its ``split`` and fixed rows, each of the first row's types."""
-    n = len(rows) if isinstance(rows, (list, tuple, OrbitBlocks)) else length or 0
-    h = n - n // 2 if n > 2 * _BLOCK else None
+def _table_rows(header: Sequence[str], rows) -> tuple:
+    """(rows, parts, fixed).  A list, tuple or ``OrbitBlocks`` of over two blocks has the
+    ``parts`` of ``_formatted`` at its middle row h, any other iterable none: a worker
+    costs 2.0-2.6 ms at 20 MB on 2 CPUs, repaid by a 64-sample orbit from about 2,000
+    rows (two processes were faster in 6-7 of 30 runs at 1,089 rows, 1-18 at 1,537 and
+    16-29 at 2,049; in process, 4 sets of 30 alternating runs).  A list or tuple is
+    sliced at h; an ``OrbitBlocks`` gives the ``ORBIT_COLUMNS`` the header names, the
+    parts of its ``split`` and fixed rows, each of the first row's types."""
+    n = len(rows) if isinstance(rows, (list, tuple, OrbitBlocks)) else 0
+    h = n - n // 2
     if not isinstance(rows, OrbitBlocks):
-        return rows, h, None, False
+        return rows, (h, rows[:h], rows[h:]) if n > 2 * _BLOCK else None, False
     columns = [ORBIT_COLUMNS.index(name) for name in header]
     cut = itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
 
@@ -243,11 +241,8 @@ def _table_rows(header: Sequence[str], rows, length: int | None) -> tuple:
         cells = chain.from_iterable(blocks)
         return cells if tuple(header) == ORBIT_COLUMNS else map(cut, cells)
 
-    def split(h):
-        h, head, tail = rows.split(h)
-        return h, flat(head), flat(tail)
-
-    return flat(rows), h, split, True
+    h, head, tail = rows.split(h)  # generators, which make no row unless iterated
+    return flat(rows), (h, flat(head), flat(tail)) if n > 2 * _BLOCK else None, True
 
 
 def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
@@ -266,22 +261,22 @@ def _chunks(obj, level: int, templates: dict[tuple, tuple]) -> Iterator[str]:
 
 
 def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
-                 h: int | None = None, split: Callable | None = None,
-                 fixed: bool = False) -> Iterator[str]:
-    """A JSON list of any iterable's items, a block at a time, split at ``h`` (and by
-    ``split``) between two processes (``_formatted``); ``fixed`` as for ``_table``.  A
-    list or tuple of an integral's orders (QuadFormSeries) goes an order at a time,
-    each converted to its JSON object (``QuadFormSeries.to_json_obj``, which reduces
-    its coefficients) as it is formatted, split at the first order where the
-    cumulative numerator bits reach half of all, if all reach ``_ORDERS_FORK_BITS``."""
+                 parts: tuple | None = None, fixed: bool = False) -> Iterator[str]:
+    """A JSON list of any iterable's items, a block at a time, split into ``parts``
+    between two processes (``_formatted``); ``fixed`` as for ``_table``.  A list or tuple of an
+    integral's orders (QuadFormSeries) goes an order at a time, each converted to its
+    JSON object (``QuadFormSeries.to_json_obj``, which reduces its coefficients) as it
+    is formatted, sliced at the first order where the cumulative numerator bits reach
+    half of all, if all reach ``_ORDERS_FORK_BITS``."""
     outer, convert = "\n" + "  " * (level + 1), None
     if type(items) in (list, tuple) and items and all(
             type(q) is QuadFormSeries for q in items):
         bits = list(accumulate(sum(s._numerator_bits() for s in (q.cxx, q.cyy, q.cxy))
                                for q in items))
         convert = QuadFormSeries.to_json_obj
-        h = (next(i for i, b in enumerate(bits) if 2 * b >= bits[-1])
-             if bits[-1] >= _ORDERS_FORK_BITS else None)
+        if bits[-1] >= _ORDERS_FORK_BITS:
+            h = next(i for i, b in enumerate(bits) if 2 * b >= bits[-1])
+            parts = h, items[:h], items[h:]
 
     def pieces(block: list, i: int) -> Iterator[str]:
         if (table := _table(block, level, fixed)) is not None:
@@ -292,7 +287,7 @@ def _list_chunks(items: Iterable, level: int, templates: dict[tuple, tuple],
             yield from _chunks(convert(item) if convert else item, level + 1, templates)
 
     empty = True
-    for piece in _formatted(items, pieces, h, split):
+    for piece in _formatted(items, pieces, parts):
         yield piece
         empty = False
     yield "[]" if empty else "\n" + "  " * level + "]"
@@ -394,17 +389,16 @@ def columns_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
     return "".join(csv_chunks(header, rows))
 
 
-def csv_chunks(header: Sequence[str], rows: Iterable[tuple] | OrbitBlocks,
-               length: int | None = None) -> Iterator[str]:
+def csv_chunks(header: Sequence[str], rows: Iterable[tuple] | OrbitBlocks) -> Iterator[str]:
     """The text of columns_csv(header, rows): the header line with the first block, then one
     piece per later block of up to ``_BLOCK`` rows.  A block of rows of one length whose
     columns each hold only str and int cells or only other cells takes one ``%`` template;
-    in any other block each row takes its own.  A table of more than two blocks of a known
-    number of rows may be split between two processes (``_formatted``); ``length``, and an
-    orbit's ``OrbitBlocks``, as ``_table_rows`` says."""
-    rows, h, split, fixed = _table_rows(header, rows, length)
+    in any other block each row takes its own.  A list, tuple or orbit's ``OrbitBlocks`` of
+    more than two blocks may be split between two processes (``_formatted``), as
+    ``_table_rows`` says; any other iterable is formatted by this process alone."""
+    rows, parts, fixed = _table_rows(header, rows)
     yield from _with_head(",".join(header) + "\n", _formatted(
-        rows, lambda block, i: (_csv_text(block, fixed),), h, split))
+        rows, lambda block, i: (_csv_text(block, fixed),), parts))
 
 
 def _with_head(head: str, pieces: Iterator[str]) -> Iterator[str]:
@@ -450,16 +444,16 @@ def tabular(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
     return columns_csv(header, rows)
 
 
-def tabular_chunks(header: Sequence[str], rows: Iterable[tuple] | OrbitBlocks, format: str,
-                   length: int | None = None) -> Iterator[str]:
+def tabular_chunks(header: Sequence[str], rows: Iterable[tuple] | OrbitBlocks,
+                   format: str) -> Iterator[str]:
     """The text of tabular(header, rows, format) in pieces, a block of rows at a time,
-    the head with the first block; ``length`` and an ``OrbitBlocks`` as for csv_chunks
-    (a JSON block of an orbit's rows also needs a finite sum: ``_table``)."""
+    the head with the first block; the rows split between two processes as for
+    csv_chunks (a JSON block of an orbit's rows also needs a finite sum: ``_table``)."""
     if format != "json":
-        yield from csv_chunks(header, rows, length)
+        yield from csv_chunks(header, rows)
         return
-    rows, h, split, fixed = _table_rows(header, rows, length)
+    rows, parts, fixed = _table_rows(header, rows)
     templates: dict[tuple, tuple] = {}
     yield from _with_head('{\n  "columns": ' + _encode(list(header), 1, templates)
-                          + ',\n  "rows": ', _list_chunks(rows, 1, templates, h, split, fixed))
+                          + ',\n  "rows": ', _list_chunks(rows, 1, templates, parts, fixed))
     yield "\n}\n"

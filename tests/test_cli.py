@@ -346,6 +346,27 @@ class TestIntegralDocument:
         assert self._written(runner, tmp_path, 40) == one
         assert len(forks) == 1
 
+    def test_numerators_past_the_int_digit_limit_are_written(self, runner, tmp_path):
+        # order 40 at omega1 = 123456/654321 holds numerators and denominators of about
+        # 4,700 digits, past Python's default limit of 4,300 on int to str (which ended
+        # the command with a traceback and exit 1): the CLI lifts it, for the streamed
+        # --out and for the text that --dump-symbolic prints and writes, and --pretty
+        out = tmp_path / "phi.json"
+        limit, got = sys.get_int_max_str_digits(), []
+        try:
+            for extra in ([], ["--dump-symbolic", "--pretty"]):
+                sys.set_int_max_str_digits(4300)
+                res = invoke(runner, "build-integral", "--order", "40", "--omega1",
+                             "123456/654321", "--out", str(out), *extra)
+                got.append((res.exit_code, res.stdout, out.read_text()))
+            phi = build_integral(SystemParams(F(2), F(123456, 654321), 0.1), 40)
+            want = json.dumps({**phi.to_json_obj(), "epsilon": 0.1}, indent=2,
+                              sort_keys=True) + "\n"
+            pretty = phi.pretty() + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == [(0, f"wrote {out}\n", want), (0, f"wrote {out}\n" + want + pretty, want)]
+
     @pytest.mark.parametrize("why", ["one-cpu", "a-thread"])
     def test_nothing_forks(self, runner, tmp_path, monkeypatch, why):
         forks = on_cpus(monkeypatch, 1 if why == "one-cpu" else 2)
@@ -439,7 +460,7 @@ class TestStreamedOutput:
                 assert overflow.stderr == ("error: the state overflows in period 239; "
                                            "the orbit is unbounded\n")
                 # r first passes the radius at k = 1106, in the second block of
-                # periods, whose escape check the worker runs too
+                # periods; distances forks no worker, its rows are a generator
                 distances = invoke(runner, "distances", "--epsilon", "0.12", "--periods", "3000",
                                    "--x0", "0.3", "--y0", "0.5", "--r-escape", "0.7635084",
                                    "--format", fmt, *extra)
@@ -447,7 +468,7 @@ class TestStreamedOutput:
                 text = (tmp_path / f"o.{fmt}").read_text() if extra else distances.stdout
                 assert text.endswith("\n# escaped at k=1106\n" if fmt == "csv" else
                                      '\n      "# escaped at k=1106"\n    ]\n  ]\n}\n')
-        assert len(forks) == 12
+        assert len(forks) == 8
         with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -476,14 +497,16 @@ class TestStreamedOutput:
                                                   fmt, start):
         # the whole table would hold about 280 B a row and its text as much again:
         # about 14 MB at 20,001 rows when formatted whole.  On two CPUs a worker
-        # formats rows 10,001 to 20,000, so the escape at k = 13717 is in its tail
+        # formats rows 10,001 to 20,000 of orbit, section and energy; distances, whose
+        # rows are a generator, writes all of its rows and the escape line itself
         out = tmp_path / f"o.{fmt}"
         samples = ["--samples", "1"] if command == "orbit" else []
         forks = on_cpus(monkeypatch, 2)
         peak = self._peak_mb(runner, command, "--periods", "20000", *samples, *start,
                              "--format", fmt, "--out", str(out))
         assert peak < 2.0
-        assert len(forks) == 1 + (command == "orbit")  # and the warm-up orbit's 6401 rows
+        # and the warm-up orbit's 6401 rows
+        assert len(forks) == (command != "distances") + (command == "orbit")
         # the bytes of the section list the commands built before they streamed
         x0, y0 = (0.5, 0.0) if start else (0.0, 1.0)
         pts = stroboscopic_section(SystemParams(F(2), F(9, 10), 0.1), x0, y0, 20000)
@@ -511,9 +534,10 @@ class TestStreamedOutput:
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_distances_reads_no_row_past_the_split(self, runner, monkeypatch, n_cpus):
-        # 20,001 rows split at h = 10,001 on two CPUs; the escape at k = 13717 is in
-        # the tail, whose worker checks it and writes the escape line
+    def test_distances_reads_every_row_once_in_this_process(self, runner, monkeypatch, n_cpus):
+        # the rows are a generator, which does not split: on one CPU and on two this
+        # process reads each of the 20,001 rows once, checks the escape at k = 13717
+        # and writes the escape line
         parent, next_block, pulled = os.getpid(), dynamics.OrbitBlocks.__next__, []
 
         def counted(self):
@@ -527,11 +551,7 @@ class TestStreamedOutput:
         res = invoke(runner, "distances", "--periods", "20000", "--x0", "0.5", "--y0", "0",
                      "--r-escape", "0.8147323135")
         assert res.exit_code == 0 and res.stdout.endswith("\n# escaped at k=13717\n")
-        assert len(forks) == n_cpus - 1
-        if forks:  # this process stops with the block that holds row h - 1
-            assert sum(pulled[:-1]) < 10_001 <= sum(pulled) < 13_717
-        else:
-            assert sum(pulled) == 20_001
+        assert forks == [] and sum(pulled) == 20_001
 
     def test_order_40_integral_streams_in_bounded_memory(self, runner, tmp_path):
         # the integral itself holds about 2 MB; its 2.1 MB of text goes out in pieces
@@ -570,14 +590,14 @@ class TestTwoProcesses:
         ("section", "--time", "6600.5"),  # 2102 periods
         ("energy", "--periods", "2100"),
         ("energy", "--time", "6600.5"),
-        # r passes 1e28 first at k = 1820, in the tail, which the worker checks
+        # r passes 1e28 first at k = 1820; distances forks no worker
         ("distances", "--epsilon", "0.187", "--periods", "2100", "--r-escape", "1e28"),
     ], ids=lambda args: "-".join(a.lstrip("-") for a in args))
     def test_the_bytes_of_one_process(self, runner, tmp_path, monkeypatch, args, fmt):
         one, forks = self._outputs(runner, tmp_path, monkeypatch, 1, *args, "--format", fmt)
         assert forks == []
         two, forks = self._outputs(runner, tmp_path, monkeypatch, 2, *args, "--format", fmt)
-        assert len(forks) == 2 and two == one
+        assert len(forks) == 2 * (args[0] != "distances") and two == one
         assert one[0][:3] == (0, "wrote OUT\n", "") and one[0][3].decode() == one[1][1]
         assert args[0] != "distances" or "# escaped at k=1820" in one[1][1]
 

@@ -20,7 +20,7 @@ import tempfile
 import threading
 import time
 from fractions import Fraction as F
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 from unittest import mock
 
 import pytest
@@ -465,7 +465,7 @@ def test_orbit_tables_go_out_a_block_at_a_time():
     header = output.ORBIT_COLUMNS
     with cpus(1):
         csv = list(output.tabular_chunks(header, rows, "csv"))
-        js = list(output.tabular_chunks(header, iter(rows), "json", len(rows)))
+        js = list(output.tabular_chunks(header, iter(rows), "json"))
     assert len(csv) == 4 and len(js) == 4 + 2  # the head with the first block, blocks, both ends
     assert "".join(csv) == columns_csv(header, rows)
     assert "".join(js) == dumps({"columns": list(header), "rows": [list(r) for r in rows]})
@@ -529,10 +529,10 @@ def _references(header, rows) -> tuple[str, str]:
 
 
 def _tables(header, rows) -> tuple[str, str]:
-    """CSV from the list of rows and JSON from an iterator of them with their
-    number: each a table of known length, whose rows the worker copies."""
+    """CSV from the list of rows and JSON from a tuple of them: each sliced at its
+    middle row where it splits."""
     return (output.columns_csv(header, rows),
-            "".join(output.tabular_chunks(header, iter(rows), "json", len(rows))))
+            "".join(output.tabular_chunks(header, tuple(rows), "json")))
 
 
 TWO_PROCESS_CASES = {  # (rows, block size, a worker per table)
@@ -564,53 +564,69 @@ def test_two_process_tables_match_the_references(case, monkeypatch):
     _no_worker_left()
 
 
-def test_a_table_of_unknown_length_forks_nothing():
+def test_an_iterator_forks_nothing_whatever_its_length():
+    # a list, a tuple or an OrbitBlocks splits; any other iterable, here of 2561 rows,
+    # is formatted by this process alone
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 40, 64)
     with cpus(2) as forks:
         got = (output.columns_csv(header, iter(rows)), output.columns_json(header, iter(rows)),
+               "".join(output.tabular_chunks(header, (row for row in rows), "json")),
                output.json_text({"columns": list(header), "rows": rows}))
-    assert forks == [] and got[:2] == _references(header, rows) and got[2] == got[1]
+    assert forks == [] and got[:2] == _references(header, rows) and got[3] == got[2] == got[1]
 
 
-def _ending_in_the_worker(rows, at: int, how: str = "exit"):
-    """The rows, but a forked copy of this generator ends its process at row
-    ``at`` (at len(rows): once it has yielded every row), by os._exit or SIGKILL.
-    This process is named here: the worker may be the first to start the generator."""
+class _SplitAt(dynamics.OrbitBlocks):
+    """The list of rows as an ``OrbitBlocks`` whose split moves the middle row h to
+    h - 100, as ``OrbitBlocks.split`` may, and calls ``note``(h, i) in the process that
+    makes row i of the head or the tail as it comes to it, and as a part ends at
+    i = len(rows); the whole table comes from the list."""
+
+    def __init__(self, rows: list, note: Callable[[int, int], None]):
+        super().__init__(lambda first, last: iter([rows]), 1, len(rows) - 1)
+        self.rows, self.note = rows, note
+
+    def split(self, h):
+        def part(start, stop):
+            for i in range(start, stop):
+                self.note(h, i)
+                yield self.rows[i]
+            if stop == len(self.rows):
+                self.note(h, stop)
+        return h - 100, [part(0, h - 100)], [part(h - 100, len(self.rows))]
+
+
+def _in_the_worker(act: Callable[[int], None]) -> Callable[[int, int], None]:
+    """A ``_SplitAt`` note that calls act(i) at each row i a forked worker comes to.
+    This process is named here: the worker may be the first to start a part."""
     parent = os.getpid()
-
-    def rows_of_this_process():
-        for i, row in enumerate([*rows, None]):
-            if i == at and os.getpid() != parent:
-                if how == "exit":
-                    os._exit(0)
-                os.kill(os.getpid(), signal.SIGKILL)
-            if row is not None:
-                yield row
-
-    return rows_of_this_process()
+    return lambda h, i: os.getpid() != parent and act(i)
 
 
 def _ended_in_the_worker(at: int, how: str = "exit"):
-    # a table without a split (``_SplitAt``, ``OrbitBlocks.split``): the worker iterates
-    # its copy of the rows from row 0 and formats rows 2561 to 5120, the tail; once it
-    # is gone without its report this process formats them itself
+    # the 5121 rows split at row 2461 (``_SplitAt``): the worker formats rows 2461 to
+    # 5120, the tail, and ends its process at row ``at`` (at 5121 after the last row,
+    # before its report) by os._exit or SIGKILL; this process then formats them itself
+    def end(i):
+        if i == at:
+            if how == "exit":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+
     header, rows = output.ORBIT_COLUMNS, orbit_rows(P, 0.03, 0.97, 80, 64)
     with cpus(2) as forks:
-        got = tuple("".join(output.tabular_chunks(header, _ending_in_the_worker(rows, at, how),
-                                                  fmt, len(rows))) for fmt in ("csv", "json"))
+        got = tuple("".join(output.tabular_chunks(header, _SplitAt(rows, _in_the_worker(end)),
+                                                  fmt)) for fmt in ("csv", "json"))
     assert len(forks) == 2
     assert got == _references(header, rows)
     _no_worker_left()
 
 
-@pytest.mark.parametrize("at", [0, 1025, 2050, 2560, 2561, 4000, 5120, 5121])
+@pytest.mark.parametrize("at", [2461, 4000, 5120, 5121])
 def test_a_worker_that_dies_part_way_changes_no_byte(at):
-    # rows 0-2560 are the head, which the worker of a table without a split iterates
-    # unformatted; 5121 is after the last row, before the worker's report
     _ended_in_the_worker(at)
 
 
-@pytest.mark.parametrize("at", [1000, 2561, 5120, 5121])
+@pytest.mark.parametrize("at", [2461, 5120, 5121])
 def test_a_worker_killed_part_way_changes_no_byte(at):
     _ended_in_the_worker(at, "SIGKILL")
 
@@ -648,27 +664,24 @@ def test_nothing_forks(why, monkeypatch):
     _no_worker_left()
 
 
-def _stops(rows, at: int, exc: BaseException, raised: list):
-    """The rows up to ``at``, then ``exc``: in both processes, as Unbounded comes.
-    Each raise is noted in ``raised`` as (pid, row)."""
-    yield from rows[:at]
-    raised.append((os.getpid(), at))
-    raise exc
-
-
 @pytest.mark.parametrize("exc", [Unbounded("the state overflows"), KeyboardInterrupt()],
                          ids=["Unbounded", "KeyboardInterrupt"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_the_worker_is_reaped_when_the_rows_raise(exc, fmt):
-    # the rows are 5121 with the split at 2561: the error of a head row (1000) comes
-    # from the head; the worker stops at one in the tail (4000), and this process,
-    # going on with its own rows from the split, comes to the same row
+    # the rows are 5121 with the split at 2461 (``_SplitAt``), and either part raises
+    # ``exc`` at row ``at``, as Unbounded comes, noting (pid, row) in ``raised``: the error
+    # of a head row (1000) comes from the head; the worker stops at one in the tail
+    # (4000), and this process, going on with its own tail, comes to the same row
+    def stop(h, i):
+        if i == at:
+            raised.append((os.getpid(), at))
+            raise exc
+
     rows = orbit_rows(P, 0.03, 0.97, 80, 64)
     for at in (1000, 4000):
         raised = []
         with cpus(2) as forks, pytest.raises(type(exc)) as info:
-            "".join(output.tabular_chunks(output.ORBIT_COLUMNS, _stops(rows, at, exc, raised),
-                                          fmt, len(rows)))
+            "".join(output.tabular_chunks(output.ORBIT_COLUMNS, _SplitAt(rows, stop), fmt))
         assert info.value is exc and raised == [(os.getpid(), at)]
         assert len(forks) == 1
         _no_worker_left()
@@ -757,23 +770,6 @@ def test_every_piece_is_a_plain_str():
             _no_worker_left()
 
 
-class _SplitAt(dynamics.OrbitBlocks):
-    """The list of rows as an ``OrbitBlocks`` whose split moves the middle row h to
-    h - 100 and notes each (h, row) the head and the tail make, as ``OrbitBlocks.split``
-    does; the whole table comes from the list."""
-
-    def __init__(self, rows: list, made: list):
-        super().__init__(lambda first, last: iter([rows]), 1, len(rows) - 1)
-        self.rows, self.made = rows, made
-
-    def split(self, h):
-        def part(start, stop):
-            for i in range(start, stop):
-                self.made.append((h, i))
-                yield self.rows[i]
-        return h - 100, [part(0, h - 100)], [part(h - 100, len(self.rows))]
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_split_gives_each_process_its_own_rows(fmt):
     # the 5121 rows of 80 periods, split at row 2461: the worker formats rows 2461 to
@@ -784,7 +780,8 @@ def test_a_split_gives_each_process_its_own_rows(fmt):
     for n_cpus in (1, 2):
         made = []
         with cpus(n_cpus) as forks:
-            got = "".join(output.tabular_chunks(header, _SplitAt(rows, made), fmt))
+            got = "".join(output.tabular_chunks(
+                header, _SplitAt(rows, lambda h, i: made.append((h, i))), fmt))
         assert got == want and len(forks) == n_cpus - 1
         assert made == ([(2561, i) for i in range(2461)] if n_cpus == 2 else [])
         _no_worker_left()
@@ -810,22 +807,21 @@ def test_an_orbit_table_is_its_rows_cut_to_the_header(periods, spp):
     assert want == dumps({"columns": ["d"], "rows": [[row[5]] for row in rows]})
 
 
-def _noted_in_the_worker(rows, path):
-    """The rows; a forked copy of them writes its process's CPUs to ``path`` after the
-    last, once they are not this process's (its parent binds it, so it waits for that
-    up to 5 s).  This process is named here: the worker may be the first to start them."""
-    parent, affinity = os.getpid(), os.sched_getaffinity
+def _noted_in_the_worker(rows, path) -> _SplitAt:
+    """The rows, split by ``_SplitAt``; a forked worker writes its process's CPUs to
+    ``path`` after its last row, once they are not this process's (its parent binds it,
+    so it waits for that up to 5 s)."""
+    affinity = os.sched_getaffinity
     mine = affinity(0)
 
-    def rows_of_this_process():
-        yield from rows
-        if os.getpid() != parent:
+    def note(i):
+        if i == len(rows):
             deadline = time.monotonic() + 5.0
             while affinity(0) == mine and time.monotonic() < deadline:
                 time.sleep(0.001)
             path.write_text(" ".join(map(str, sorted(affinity(0)))))
 
-    return rows_of_this_process()
+    return _SplitAt(rows, _in_the_worker(note))
 
 
 def test_the_worker_runs_off_the_cpu_this_process_ran_on(tmp_path, monkeypatch):
@@ -837,7 +833,7 @@ def test_the_worker_runs_off_the_cpu_this_process_ran_on(tmp_path, monkeypatch):
     noted = _noted_in_the_worker(rows, tmp_path / "cpus")
     with cpus(len(allowed)) as forks, \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(allowed)):
-        got = "".join(output.tabular_chunks(header, noted, "csv", len(rows)))
+        got = "".join(output.tabular_chunks(header, noted, "csv"))
     assert got == _references(header, rows)[0] and os.sched_getaffinity(0) == allowed
     _no_worker_left()
     if len(allowed) < 2:  # nothing to fork for

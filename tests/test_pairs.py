@@ -40,3 +40,15 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
 def test_higher_is_better_counts_the_other_way():
     row = pairs.summary(HIGHER, [10.0, 10.0, 10.0], [11.0, 9.0, 10.5])
     assert row["wins"] == 2 and row["parent_iqr"] == 0.0 and not row["unresolved"]
+
+
+def test_worse_is_past_the_bound_as_a_share_of_the_parent_median():
+    # the bound 0.25 of the parent's median 1.0 (10.0 for the higher-is-better rate)
+    parent = [0.9, 1.0, 1.0, 1.0, 1.1]
+    assert pairs.summary(LOWER, parent, [1.2, 1.25, 1.25, 1.3, 1.2])["worse"] is False
+    assert pairs.summary(LOWER, parent, [1.2, 1.26, 1.3, 1.3, 1.2])["worse"] is True
+    assert pairs.summary(LOWER, parent, [0.1, 0.2, 0.2, 0.3, 0.2])["worse"] is False
+    rates = [9.0, 10.0, 10.0, 10.0, 11.0]
+    assert pairs.summary(HIGHER, rates, [7.5, 7.5, 8.0, 7.0, 9.0])["worse"] is False
+    assert pairs.summary(HIGHER, rates, [7.4, 7.0, 8.0, 7.0, 9.0])["worse"] is True
+    assert pairs.summary(HIGHER, rates, [20.0, 30.0, 30.0, 30.0, 40.0])["worse"] is False
