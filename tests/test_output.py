@@ -621,12 +621,15 @@ def _ended_in_the_worker(at: int, how: str = "exit"):
     _no_worker_left()
 
 
-@pytest.mark.parametrize("at", [2461, 4000, 5120, 5121])
+# the worker's blocks start at rows 2461, 3485 and 4509: it ends before its first row,
+# 100 rows into its first block with nothing spooled, with its first block spooled
+# (3485, 4000), at its last row, and after it (5121)
+@pytest.mark.parametrize("at", [2461, 2561, 3485, 4000, 5120, 5121])
 def test_a_worker_that_dies_part_way_changes_no_byte(at):
     _ended_in_the_worker(at)
 
 
-@pytest.mark.parametrize("at", [2461, 5120, 5121])
+@pytest.mark.parametrize("at", [2461, 2561, 4000, 5120, 5121])
 def test_a_worker_killed_part_way_changes_no_byte(at):
     _ended_in_the_worker(at, "SIGKILL")
 
