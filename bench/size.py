@@ -5,10 +5,11 @@
 It prints one line per module of ``src/mathieu_integrals`` (its line count),
 the total, the number of names in ``__all__``, the number of defaulted
 parameters of public functions and methods (those whose name, and whose
-class's name, has no leading ``_``; a nested function is not counted) and the
-number of ``@dataclass`` decorators, each a class whose methods are generated
-by ``exec`` at every import (about 1 ms each).  The last line is the same
-numbers as one JSON object.
+class's name, has no leading ``_``; a nested function is not counted), the
+number of public methods (properties included: the API a class offers, which
+``__all__`` does not show) and the number of ``@dataclass`` decorators, each a
+class whose methods are generated by ``exec`` at every import (about 1 ms
+each).  The last line is the same numbers as one JSON object.
 """
 
 from __future__ import annotations
@@ -21,19 +22,16 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mathieu_integrals"
 
 
-def _defaulted(body: list[ast.stmt]) -> int:
-    """The defaulted parameters of the public functions in ``body`` and of the
-    public methods of its public classes."""
-    count = 0
+def _public(body: list[ast.stmt], in_class: bool = False):
+    """(function, whether a class defines it) for the public functions in ``body`` and
+    the public methods of its public classes."""
     for node in body:
         if getattr(node, "name", "_").startswith("_"):
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            yield node, in_class
         elif isinstance(node, ast.ClassDef):
-            count += _defaulted(node.body)
-    return count
+            yield from _public(node.body, True)
 
 
 def _dataclasses(tree: ast.Module) -> int:
@@ -50,14 +48,17 @@ def _dataclasses(tree: ast.Module) -> int:
 
 def measure(package: Path) -> dict:
     """{"modules": {file name: lines}, "total", "public_symbols", "defaulted_parameters",
-    "dataclasses"} of the package directory: lines as ``wc -l`` counts them, ``__all__``
-    from its ``__init__.py`` (0 if it has none)."""
-    modules, public, defaulted, dataclasses = {}, 0, 0, 0
+    "public_methods", "dataclasses"} of the package directory: lines as ``wc -l`` counts
+    them, ``__all__`` from its ``__init__.py`` (0 if it has none)."""
+    modules, public, defaulted, methods, dataclasses = {}, 0, 0, 0, 0
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         modules[path.name] = text.count("\n")
         tree = ast.parse(text)
-        defaulted += _defaulted(tree.body)
+        for node, in_class in _public(tree.body):
+            args = node.args
+            defaulted += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            methods += in_class
         dataclasses += _dataclasses(tree)
         if path.name == "__init__.py":
             for node in tree.body:
@@ -65,7 +66,8 @@ def measure(package: Path) -> dict:
                         and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                     public = len(node.value.elts)
     return {"modules": modules, "total": sum(modules.values()), "public_symbols": public,
-            "defaulted_parameters": defaulted, "dataclasses": dataclasses}
+            "defaulted_parameters": defaulted, "public_methods": methods,
+            "dataclasses": dataclasses}
 
 
 def main() -> int:
@@ -75,6 +77,7 @@ def main() -> int:
     print(f"total {size['total']}")
     print(f"__all__ {size['public_symbols']}")
     print(f"defaulted_parameters {size['defaulted_parameters']}")
+    print(f"public_methods {size['public_methods']}")
     print(f"dataclasses {size['dataclasses']}")
     print(json.dumps(size, sort_keys=True))
     return 0

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import SystemParams, build_integral, conic_at_section
-from .dynamics import (_TOL, R_ESCAPE, Monodromy, OrbitSample, _full_period, _hill_factors,
-                       _hill_points, _step_count, stroboscopic_section)
+from .dynamics import (_TOL, R_ESCAPE, Monodromy, OrbitSample, _check_start, _full_period,
+                       _hill_factors, _hill_points, _step_count, stroboscopic_section)
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 from .trigseries import _Value
 
@@ -269,10 +269,15 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     guess, returned as is if it closes within 1e-10 (this covers tangent
     roots, e.g. eps = 0, where the trace is even in eps), and at the root,
     for ``return_distance``.  Raises NoRoot when no sign change exists within
-    the expanded search interval.
+    the expanded search interval, and InvalidInput before the first trace for
+    n < 1, a start that is not finite or is the origin (a fixed point, closed
+    at every eps), or a search radius that is not positive and finite.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
+    _check_start(x0, y0)
+    if not 0.0 < search_radius < math.inf:
+        raise InvalidInput(f"the search radius must be positive and finite, got {search_radius}")
     theta_guess = math.acos(max(-1.0, min(1.0, _hill_trace(params, eps_guess) / 2.0)))
     m = round(n * theta_guess / (2.0 * math.pi))
     target = 2.0 * math.cos(2.0 * math.pi * m / n)
@@ -307,9 +312,14 @@ def invariant_curve_points(conic: tuple[float, float, float], level: float,
 
     Returns the ellipse when A*B - D^2 > 0 and both hyperbola branches
     when A*B - D^2 < 0; raises DegenerateConic when the discriminant
-    vanishes within 1e-12.  Pass the (A, B, D) triple produced by
+    vanishes within 1e-12, and InvalidInput for n_samples < 1 or a level
+    that is not finite.  Pass the (A, B, D) triple produced by
     conic_at_section or resonant_section_form.
     """
+    if n_samples < 1:
+        raise InvalidInput("n_samples must be >= 1")
+    if not math.isfinite(level):
+        raise InvalidInput(f"the level must be finite, got {level}")
     a, b, d = conic
     disc = a * b - d * d
     if abs(disc) <= 1e-12:

@@ -23,10 +23,10 @@ run at unit amplitude 2*Phi_0 = 1 and homogeneity is restored during
 back-substitution; this avoids carrying a symbolic radical.
 
 The phase offset t0 enters only through the generators
-c0 = cos(2 omega1 t0), s0 = sin(2 omega1 t0) and is switched on with
-``phased=True`` (needed by the resonant construction, which also allows
-secular powers of t).  The plain non-resonant build runs unphased with
-secular terms forbidden.
+c0 = cos(2 omega1 t0), s0 = sin(2 omega1 t0).  The recursion runs in one
+of two modes, switched by ``resonant``: the non-resonant build runs
+unphased with secular terms forbidden, the resonant construction phased
+with secular powers of t kept.
 
 Each step is a fixed linear map on the harmonic coefficients.
 ``recursion_step`` applies it in closed form to a ``Form``, one order as
@@ -375,9 +375,9 @@ def _antiderivative(p: int, phase: int, c: int, scale: int, n: int) -> tuple[lis
         p -= 1
 
 
-def _add_phased(acc: dict, p: int, a: int, b: int, xc: int, xs: int, phased: bool):
-    """acc += (xc c0 + xs s0) t^p c0^a s0^b, or xc t^p c0^a s0^b unphased (c0 = 1, s0 = 0)."""
-    if not phased:
+def _add_phased(acc: dict, p: int, a: int, b: int, xc: int, xs: int, resonant: bool):
+    """acc += (xc c0 + xs s0) t^p c0^a s0^b, or xc t^p c0^a s0^b if not ``resonant``."""
+    if not resonant:
         _add(acc, (p, 0, 0, COS, a, b), xc)
         return
     for a2, b2, c in _reduce_generators(a + 1, b, xc):
@@ -385,16 +385,17 @@ def _add_phased(acc: dict, p: int, a: int, b: int, xc: int, xs: int, phased: boo
     _add(acc, (p, 0, 0, COS, a, b + 1), xs)
 
 
-def recursion_step(params: SystemParams, form: Form, phased: bool = False,
-                   secular_allowed: bool = False) -> Form:
+def recursion_step(params: SystemParams, form: Form, resonant: bool = False) -> Form:
     """One order of the recursion, in closed form per envelope harmonic.
 
     Maps a ``Form`` to the next order's, over the least common denominator
     of its coefficients; through ``to_form`` and ``from_form`` it equals
     ``back_substitute(substitute_zero_order(poisson_bracket_with_h1(f))
-    .integrate())``, which stays as the reference.  It multiplies by
-    cos(omega t) once, so no output harmonic exceeds the largest of its
-    only inputs, cyy and cxy, by more than one (else AssertionError).
+    .integrate())``, which stays as the reference.  ``resonant`` runs it
+    phased with secular terms kept; else it runs unphased and a secular
+    term raises SecularTerm.  It multiplies by cos(omega t) once, so no
+    output harmonic exceeds the largest of its only inputs, cyy and cxy,
+    by more than one (else AssertionError).
     With P = -2 vd^2 cos(wt) cxy and Q = -4 vd vn cos(wt) cyy (omega1 =
     vn/vd), the integrand on the orbit is proportional to P - P cos 2psi
     + Q sin 2psi.  The first term is a pure envelope (m = 0) and
@@ -450,7 +451,7 @@ def recursion_step(params: SystemParams, form: Form, phased: bool = False,
                 if n == 0:
                     # resonance: cos of the exact zero frequency is 1, its sine 0
                     xc, xs = (cc, 0) if lam == COS else (0, cc)
-                    _add_phased(A, p + 1, a, b, xc // (p + 1), xs // (p + 1), phased)
+                    _add_phased(A, p + 1, a, b, xc // (p + 1), xs // (p + 1), resonant)
                     continue
                 out, _ = _antiderivative(p, lam, cc, scale, n)
                 for q, ph2, c2 in out:
@@ -471,7 +472,7 @@ def recursion_step(params: SystemParams, form: Form, phased: bool = False,
             if q == 0 and ph == COS:
                 consts.setdefault((a, b), [0, 0])[i] += sign * c
     for (a, b), (xc, xs) in consts.items():
-        _add_phased(A, 0, a, b, xc, xs, phased)
+        _add_phased(A, 0, a, b, xc, xs, resonant)
 
     # (1, cos 2psi, sin 2psi) -> (y^2 + w1^2 x^2, y^2 - w1^2 x^2, 2 w1 xy)
     yy = {key: vd * vd * c for key, c in A.items()}
@@ -487,7 +488,7 @@ def recursion_step(params: SystemParams, form: Form, phased: bool = False,
     if any(key[1] > bound for terms in parts for key in terms):
         raise AssertionError(f"the step yields harmonics above {bound}*omega; "
                              "recursion is broken")
-    if not secular_allowed:
+    if not resonant:
         secular = [key for terms in parts for key in terms if key[0]]
         if secular:
             p, k, *_ = min(secular)
@@ -524,16 +525,10 @@ class FormalIntegral(_Value):
             acc = acc * eps + q.evaluate(x, y, t, c0, s0)
         return acc
 
-    def to_json_obj(self) -> dict:
-        """The integral as plain JSON types: ``json_document`` with each order's JSON."""
-        doc = self.json_document()
-        doc["orders"] = [q.to_json_obj() for q in self.orders]
-        return doc
-
     def json_document(self) -> dict:
-        """The document of ``to_json_obj`` with the quadratic forms themselves as
-        its "orders": ``output.json_chunks`` writes the same bytes, reducing each
-        order's coefficients as it writes that order."""
+        """The integral's JSON document, with the quadratic forms themselves as its
+        "orders": ``output.json_chunks`` converts each order to its JSON object
+        (``QuadFormSeries.to_json_obj``), reducing its coefficients, as it writes it."""
         return {
             "omega": str(self.params.omega),
             "omega1": str(self.params.omega1),
@@ -570,7 +565,7 @@ def _series(params: SystemParams, seed: QuadFormSeries, name: str, order: int,
     form = to_form(seed)
     orders = [seed]
     for _ in range(order):
-        form = recursion_step(params, form, phased=resonant, secular_allowed=resonant)
+        form = recursion_step(params, form, resonant)
         orders.append(from_form(params.base, form))
     return FormalIntegral(params, tuple(orders), name, secular_allowed=resonant, phased=resonant)
 
@@ -620,9 +615,6 @@ class PsiSeries(_Value):
 
     def __init__(self, params: SystemParams, orders_from_one: tuple[QuadFormSeries, ...]):
         self._set(params, orders_from_one)
-
-    def order(self) -> int:
-        return len(self.orders_from_one)
 
     def evaluate(self, x: float, y: float, t: float, energy: float,
                  epsilon: float | None = None) -> float:

@@ -60,8 +60,8 @@ def common_options(fn):
 
 
 def orbit_options(fn):
-    fn = click.option("--x0", default=0.0, show_default=True, type=float)(fn)
-    fn = click.option("--y0", default=1.0, show_default=True, type=float)(fn)
+    fn = click.option("--x0", default=0.0, show_default=True, type=float, help="Initial x.")(fn)
+    fn = click.option("--y0", default=1.0, show_default=True, type=float, help="Initial y.")(fn)
     fn = click.option("--periods", default=200, show_default=True, type=int,
                       help="Number of driving periods to integrate.")(fn)
     fn = click.option("--time", "time_", default=None, type=float,
@@ -103,7 +103,7 @@ def main():
 
 @main.command("build-integral")
 @common_options
-@click.option("--order", default=10, show_default=True, type=int)
+@click.option("--order", default=10, show_default=True, type=int, help="Highest power of eps.")
 @click.option("--out", default=None, type=click.Path(), help="JSON output path.")
 @click.option("--conics-out", default=None, type=click.Path(),
               help="CSV of section-conic coefficients over an epsilon grid.")
@@ -141,7 +141,7 @@ def cmd_build_integral(omega, omega1, epsilon, order, out, conics_out, dump_symb
 @format_option
 @click.option("--samples", default=32, show_default=True, type=int,
               help="Samples per period.")
-@click.option("--out", default=None, type=click.Path())
+@click.option("--out", default=None, type=click.Path(), help="Output path, else stdout.")
 def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, out):
     """Integrate an orbit; columns k,t,x,y,E,d,r."""
     blocks = _orbit(_params(omega, omega1, epsilon), x0, y0, periods, time_, samples)
@@ -152,7 +152,7 @@ def cmd_orbit(omega, omega1, epsilon, x0, y0, periods, time_, format_, samples, 
 @common_options
 @orbit_options
 @format_option
-@click.option("--out", default=None, type=click.Path())
+@click.option("--out", default=None, type=click.Path(), help="Output path, else stdout.")
 def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Stroboscopic section points at t = kT: the one-sample orbit."""
     cmd_orbit.callback(omega, omega1, epsilon, x0, y0, periods, time_, format_, 1, out)
@@ -162,8 +162,9 @@ def cmd_section(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
 @common_options
 @orbit_options
 @format_option
-@click.option("--r-escape", default=dynamics.R_ESCAPE, show_default=True, type=float)
-@click.option("--out", default=None, type=click.Path())
+@click.option("--r-escape", default=dynamics.R_ESCAPE, show_default=True, type=float,
+              help="Radius r past which an orbit has escaped.")
+@click.option("--out", default=None, type=click.Path(), help="Output path, else stdout.")
 def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_escape, out):
     """Section distances d = sqrt(omega1^2 x^2 + y^2) and r vs time.
 
@@ -189,7 +190,7 @@ def cmd_distances(omega, omega1, epsilon, x0, y0, periods, time_, format_, r_esc
 @common_options
 @orbit_options
 @format_option
-@click.option("--out", default=None, type=click.Path())
+@click.option("--out", default=None, type=click.Path(), help="Output path, else stdout.")
 def cmd_energy(omega, omega1, epsilon, x0, y0, periods, time_, format_, out):
     """Section samples of (x, E) for the extended phase space."""
     blocks = _orbit(_params(omega, omega1, epsilon), x0, y0, periods, time_)
@@ -223,7 +224,7 @@ def cmd_critical_eps(omega, omega1, sign, out):
 @main.command("monodromy")
 @common_options
 @click.option("--n", default=1, show_default=True, type=int, help="Number of periods.")
-@click.option("--out", default=None, type=click.Path())
+@click.option("--out", default=None, type=click.Path(), help="Output path, else stdout.")
 def cmd_monodromy(omega, omega1, epsilon, n, out):
     """Fundamental-solution matrix over n periods."""
     params = _params(omega, omega1, epsilon)
@@ -242,12 +243,13 @@ def cmd_monodromy(omega, omega1, epsilon, n, out):
 
 @main.command("resonant")
 @common_options
-@click.option("--order", default=10, show_default=True, type=int)
-@click.option("--x0", default=0.0, show_default=True, type=float)
-@click.option("--y0", default=1.0, show_default=True, type=float)
-@click.option("--periods", default=15, show_default=True, type=int)
+@click.option("--order", default=10, show_default=True, type=int, help="Highest power of eps.")
+@click.option("--x0", default=0.0, show_default=True, type=float, help="Initial x.")
+@click.option("--y0", default=1.0, show_default=True, type=float, help="Initial y.")
+@click.option("--periods", default=15, show_default=True, type=int, help="Periods of the section.")
 @click.option("--out", default=None, type=click.Path(), help="JSON report path.")
-@click.option("--dump-symbolic", is_flag=True)
+@click.option("--dump-symbolic", is_flag=True,
+              help="Add c_series and combined, the C-series and the combined integral.")
 def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbolic):
     """Resonant (omega = 2*omega1) integral: C-series, mixing, section form."""
     params = _params(omega, omega1, epsilon)
@@ -263,9 +265,9 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
         "section_form": {"A": a, "B": b, "D": d},
         "phase_constants": {"c0": constants.c0, "s0": constants.s0},
         "max_section_residual": residual,
-        "c_series": (resonant.build_resonant_c(params, order).to_json_obj()
+        "c_series": (resonant.build_resonant_c(params, order).json_document()
                      if dump_symbolic else None),
-        "combined": combo.combined.to_json_obj() if dump_symbolic else None,
+        "combined": combo.combined.json_document() if dump_symbolic else None,
     }
     _write(out, output.json_chunks(doc))
 
@@ -275,10 +277,10 @@ def cmd_resonant(omega, omega1, epsilon, order, x0, y0, periods, out, dump_symbo
 @format_option
 @click.option("--orders", default="2,4,6", show_default=True,
               help="Comma-separated ascending truncation orders.")
-@click.option("--periods", default=200, show_default=True, type=int)
-@click.option("--x0", default=0.0, show_default=True, type=float)
-@click.option("--y0", default=1.0, show_default=True, type=float)
-@click.option("--out", default=None, type=click.Path())
+@click.option("--periods", default=200, show_default=True, type=int, help="Periods of the section.")
+@click.option("--x0", default=0.0, show_default=True, type=float, help="Initial x.")
+@click.option("--y0", default=1.0, show_default=True, type=float, help="Initial y.")
+@click.option("--out", default=None, type=click.Path(), help="Output path, else stdout.")
 def cmd_convergence(omega, omega1, epsilon, format_, orders, periods, x0, y0, out):
     """Section residual of the truncated integral per truncation order."""
     params = _params(omega, omega1, epsilon)

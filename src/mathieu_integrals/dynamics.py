@@ -384,6 +384,15 @@ def _distance(om1: float, x: float, y: float) -> float:
     return d
 
 
+def _check_start(x0: float, y0: float):
+    """InvalidInput for a start that is not finite or is the origin, a fixed point."""
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise InvalidInput("the initial condition must be finite")
+    if x0 == 0.0 and y0 == 0.0:
+        raise InvalidInput("the initial condition is the origin, a fixed point: "
+                           "its orbit is (0, 0) at every time")
+
+
 def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
                  samples_per_period: int = 1) -> OrbitBlocks:
     """The orbit table over n periods, rows (k, t, x, y, E, d, r), in blocks
@@ -404,11 +413,7 @@ def orbit_blocks(params: SystemParams, x0: float, y0: float, n_periods: int,
     if n_periods * samples_per_period > _MAX_STEPS:
         raise InvalidInput(f"the horizon needs more than the budget of {_MAX_STEPS} rows "
                            "(periods times samples per period)")
-    if not (math.isfinite(x0) and math.isfinite(y0)):
-        raise InvalidInput("the initial condition must be finite")
-    if x0 == 0.0 and y0 == 0.0:
-        raise InvalidInput("the initial condition is the origin, a fixed point: "
-                           "its orbit is (0, 0) at every time")
+    _check_start(x0, y0)
     e = -params.hamiltonian(x0, y0, 0.0)
     if not math.isfinite(e):
         raise InvalidInput(f"the initial energy -H(x0, y0, 0) = {e}: the start is too large")

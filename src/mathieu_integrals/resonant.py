@@ -127,10 +127,6 @@ class ResonantIntegral(_Value):
     def __init__(self, mix: tuple[TrigSeries, ...], combined: FormalIntegral):
         self._set(mix, combined)
 
-    @property
-    def order(self) -> int:
-        return self.combined.order
-
     def mix_rational(self, i: int) -> Fraction:
         """q_i as an exact rational; raises if it carries generator content."""
         return self.mix[i - 1].constant_at_zero()
@@ -223,10 +219,10 @@ def eliminate_secular(params: SystemParams, order: int) -> ResonantIntegral:
     cbars: list[Form] = []
     if order >= 1:
         phi0 = to_form(h0_form(params))
-        phi1 = recursion_step(params, phi0, phased=True, secular_allowed=True)
-        x = recursion_step(params, to_form(c0), phased=True, secular_allowed=True)
+        phi1 = recursion_step(params, phi0, resonant=True)
+        x = recursion_step(params, to_form(c0), resonant=True)
         for _ in range(1, order):
-            nxt = recursion_step(params, x, phased=True, secular_allowed=True)
+            nxt = recursion_step(params, x, resonant=True)
             qs.append(_solve_ratio(_secular(nxt), _secular(phi1)))
             cbars.append(_add_multiple(x, phi0, qs[-1]))
             x = _add_multiple(nxt, phi1, qs[-1])

@@ -354,21 +354,6 @@ class TrigSeries:
             emit(p, k, m, phase, a, b, Fraction(n, self._den))
         return TrigSeries(self.base, raw)
 
-    def derivative(self) -> "TrigSeries":
-        """Termwise d/dt (exact)."""
-        raw: list[tuple[TermKey, Fraction]] = []
-        for (p, k, m, phase, a, b), n in self._nums.items():
-            coeff = Fraction(n, self._den)
-            if p:
-                raw.append(((p - 1, k, m, phase, a, b), coeff * p))
-            nu = self.base.nu(k, m)
-            if nu != 0:
-                if phase == COS:
-                    raw.append(((p, k, m, SIN, a, b), -coeff * nu))
-                else:
-                    raw.append(((p, k, m, COS, a, b), coeff * nu))
-        return TrigSeries(self.base, raw)
-
     # -- numerics ----------------------------------------------------------
 
     def evaluate(self, t: float, c0: float = 1.0, s0: float = 0.0) -> float:

@@ -614,6 +614,26 @@ class TestPeriodicOrbits:
         with pytest.raises(ValueError):
             find_periodic_orbit(P01, 0.1, 0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        # the origin closes at every eps: it returned the guess with distance 0
+        ({"x0": 0.0, "y0": 0.0}, "the initial condition is the origin, a fixed point"),
+        ({"x0": math.inf}, "the initial condition must be finite"),  # distance inf
+        ({"y0": math.nan}, "the initial condition must be finite"),  # distance nan
+        ({"search_radius": -0.02}, "search radius must be positive"),  # math domain error
+        ({"search_radius": 0.0}, "search radius must be positive"),
+        ({"search_radius": math.nan}, "search radius must be positive"),  # "epsilon must be finite"
+        ({"search_radius": math.inf}, "search radius must be positive"),
+    ])
+    def test_a_bad_start_or_radius_is_refused_before_the_first_trace(self, monkeypatch,
+                                                                     kwargs, match):
+        def no_trace(*args):
+            raise AssertionError("a trace was taken")
+
+        monkeypatch.setattr(analysis, "_hill_trace", no_trace)
+        monkeypatch.setattr(analysis, "_stepped", no_trace)
+        with pytest.raises(InvalidInput, match=match):
+            find_periodic_orbit(P01, 0.15, 17, **kwargs)
+
     def test_guess_is_solved_once(self, monkeypatch):
         # the stepper only verifies: one solve at the guess, whose n-th power is the
         # closure test, and one at the root; the search itself runs on the Hill trace
@@ -710,6 +730,18 @@ class TestInvariantCurves:
             invariant_curve_points((-1.0, 1.0, 0.0), 0.0)
         with pytest.raises(DegenerateConic):
             invariant_curve_points((0.5, 0.5, 0.0), -1.0)  # empty level set
+
+    @pytest.mark.parametrize("conic", [(1.0, 1.0, 0.0), (-1.0, 1.0, 0.0)])
+    def test_no_samples_is_refused(self, conic):
+        # it returned 0 points for an ellipse and 4 for a hyperbola
+        with pytest.raises(InvalidInput, match="n_samples must be >= 1"):
+            invariant_curve_points(conic, 1.0, n_samples=0)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_a_level_that_is_not_finite_is_refused(self, level):
+        # a NaN level returned NaN points
+        with pytest.raises(InvalidInput, match="the level must be finite"):
+            invariant_curve_points((1.0, 1.0, 0.0), level)
 
     def test_rotated_form_round_trip(self):
         # a tilted ellipse: all sampled points satisfy the form

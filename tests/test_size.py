@@ -1,5 +1,5 @@
-"""``bench/size.py``: line counts, ``__all__``, defaulted public parameters and
-``@dataclass`` decorators."""
+"""``bench/size.py``: line counts, ``__all__``, defaulted public parameters, public
+methods and ``@dataclass`` decorators."""
 
 import importlib.util
 import json
@@ -51,7 +51,34 @@ def test_a_two_module_tree(tmp_path):
         "        pass\n")
     assert size.measure(tmp_path) == {"modules": {"__init__.py": 7, "mod.py": 26},
                                       "total": 33, "public_symbols": 2,
-                                      "defaulted_parameters": 5, "dataclasses": 3}
+                                      "defaulted_parameters": 5, "public_methods": 3,
+                                      "dataclasses": 3}
+
+
+def test_public_methods(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f():\n"                          # a function, not a method
+        "    pass\n"
+        "class C:\n"
+        "    def __eq__(self, other):\n"      # leading _: not counted
+        "        pass\n"
+        "    def _helper(self):\n"            # private: not counted
+        "        pass\n"
+        "    def m(self):\n"                  # 1
+        "        def inner():\n"              # nested: not counted
+        "            pass\n"
+        "    @property\n"
+        "    def p(self):\n"                  # 2: a property counts
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"                # 3
+        "        pass\n"
+        "    async def n(self):\n"            # 4
+        "        pass\n"
+        "class _Hidden:\n"
+        "    def m(self):\n"                  # a private class's method: not counted
+        "        pass\n")
+    assert size.measure(tmp_path)["public_methods"] == 4
 
 
 def test_this_repository():
@@ -62,10 +89,11 @@ def test_this_repository():
     assert last == size.measure(size.PACKAGE)
     assert last["total"] == sum(last["modules"].values())
     assert last["modules"]["__init__.py"] > 0 and last["public_symbols"] > 0
-    # one line per module, then the total, __all__, the defaulted parameters and the
-    # dataclasses
-    assert lines[:-5] == [f"{name} {n}" for name, n in last["modules"].items()]
-    assert lines[-5] == f"total {last['total']}"
+    # one line per module, then the total, __all__, the defaulted parameters, the public
+    # methods and the dataclasses
+    assert lines[:-6] == [f"{name} {n}" for name, n in last["modules"].items()]
+    assert lines[-6] == f"total {last['total']}"
+    assert lines[-3] == f"public_methods {last['public_methods']}"
     assert lines[-2] == f"dataclasses {last['dataclasses']}"
     for name, path in ((n, size.PACKAGE / n) for n in last["modules"]):
         assert last["modules"][name] == path.read_bytes().count(b"\n")

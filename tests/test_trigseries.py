@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mathieu_integrals
+import series_reference as ref
 from mathieu_integrals import SystemParams, build_integral
 from mathieu_integrals.trigseries import (COS, SIN, FrequencyBase, TrigSeries, _float_table,
                                           as_rational)
@@ -159,7 +160,7 @@ class TestCalculus:
         rng = random.Random(5)
         for _ in range(60):
             s = random_series(rng, secular=True, generators=True)
-            assert s.integrate().derivative() == s
+            assert ref.derivative(s.integrate()) == s
 
     def test_integral_is_zero_at_zero(self):
         # a single sin term integrates to (1 - cos)/nu: bitwise zero at t = 0
