@@ -2,15 +2,14 @@
 
 Every eps search solves the one-period trace equation tr M(eps) = target
 by ITP (``_bracketed_root``) on Hill's determinants (``_hill_trace``, two
-of the four factors of ``dynamics.monodromy``).  The Taylor stepper
-(``_stepped``), which shares no code with them, only verifies: the
-critical_epsilon verdicts at eps_crit +- 1e-3, each at the accuracy its side of
-+-2 needs (``_checked_trace``), and find_periodic_orbit's closure at the guess and
-at the root, at full accuracy.  tests/dp5_reference.py checks both
-paths from outside.
+of the four factors of ``dynamics.monodromy``).  A Sturm count of the Hill
+matrices' eigenvalues below a (``_sturm_count``), which shares no code with
+them, certifies critical_epsilon's root; the Taylor stepper (``_stepped``)
+checks find_periodic_orbit's closure at the guess and at the root.
+tests/dp5_reference.py checks the trace and the stepper from outside.
 
-* critical_epsilon: the escape boundary |tr M(eps)| = 2 (orbits stay
-  bounded iff |tr M| <= 2); a root that the stepper refutes raises.
+* critical_epsilon: the first escape boundary |tr M(eps)| = 2 (orbits stay
+  bounded iff |tr M| <= 2), certified by the count.
 * section_residual: how well a section conic (A, B, D) is conserved on
   section points; convergence_study takes it per truncation order.
 * cover_count: how many section points outline the invariant curve once.
@@ -27,21 +26,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .builder import SystemParams, build_integral, conic_at_section
-from .dynamics import (_TOL, R_ESCAPE, Monodromy, OrbitSample, _check_start, _full_period,
-                       _hill_factors, _hill_points, _step_count, stroboscopic_section)
+from .dynamics import (R_ESCAPE, Monodromy, OrbitSample, _check_start, _full_period,
+                       _hill_factors, _hill_points, stroboscopic_section)
 from .errors import BracketFailure, DegenerateConic, InvalidInput, NoRoot, Unbounded
 from .trigseries import _Value
 
 
 class CriticalEpsResult(_Value):
-    """Escape-boundary location with the bracket that pinned it; ``escape_check`` is
-    True where the stepper confirmed it, None if |eps_crit| <= 2e-3."""
+    """Escape-boundary location with the bracket that pinned it."""
 
-    __slots__ = ("eps_crit", "bracket", "iterations", "escape_check")
+    __slots__ = ("eps_crit", "bracket", "iterations")
 
-    def __init__(self, eps_crit: float, bracket: tuple[float, float], iterations: int,
-                 escape_check: bool | None = None):
-        self._set(eps_crit, bracket, iterations, escape_check)
+    def __init__(self, eps_crit: float, bracket: tuple[float, float], iterations: int):
+        self._set(eps_crit, bracket, iterations)
 
 
 def _hill_trace(params: SystemParams, eps: float) -> float:
@@ -50,8 +47,8 @@ def _hill_trace(params: SystemParams, eps: float) -> float:
     H = M(T/2) has det 1, so ``_full_period`` gives tr M(T) = 2 + 4 h12
     h21 = 2 + 4 S C' at z = pi/2: the two pi-periodic factors of
     ``dynamics._hill_factors`` (Whittaker & Watson, Modern Analysis 19.42).
-    It shares no code with the Taylor stepper, which cross-checks it
-    (``_stepped``); ``tests/dp5_reference.py`` checks both from outside.
+    It shares no code with the Sturm count (``_sturm_count``), which checks its
+    roots; ``tests/dp5_reference.py`` checks it from outside.
     """
     if not math.isfinite(eps):
         raise InvalidInput(f"epsilon must be finite, got {eps}")
@@ -62,35 +59,10 @@ def _hill_trace(params: SystemParams, eps: float) -> float:
     return trace
 
 
-def _stepped(params: SystemParams, eps: float, n: int = 1, tol: float = _TOL) -> Monodromy:
-    """M(nT) from the Taylor stepper alone, sharing no code with ``_hill_factors``, each
-    step's tail below ``tol`` of its start: 2^-53, or ``_COARSE`` (``_checked_trace``)."""
-    half, = _hill_points(params, eps, [0.5 * params.period], tol)
+def _stepped(params: SystemParams, eps: float, n: int = 1) -> Monodromy:
+    """M(nT) from the Taylor stepper alone, sharing no code with ``_hill_factors``."""
+    half, = _hill_points(params, eps, [0.5 * params.period])
     return Monodromy(*_full_period(*half), n=1).power(n)
-
-
-_COARSE = 2.0 ** -26  # the tail tolerance of a verdict's first solve (``_checked_trace``)
-_MARGIN = 16.0 * _COARSE  # its trace's margin per step and per unit of 1 + max|m_ij|^2
-
-
-def _checked_trace(params: SystemParams, eps: float) -> float:
-    """The stepper's tr M(T), as far as the side of +-2 it lies on goes.
-
-    A solve at tau = ``_COARSE`` takes 16 terms a step where 2^-53 takes 28 (omega1 =
-    9/10 at eps_crit).  Each of its k steps leaves a tail below tau of its start, which
-    the later steps carry to M(T), so the trace, a sum of products of M's entries, is
-    off by about k tau (1 + max|m_ij|^2): by 0.52 of that at most over 4,500 random
-    (omega, omega1, eps), omega from 1/100 to 3 and |eps| <= 9, and 0.037 over the
-    1,512 verdicts of omega1 = p/q in [1/20, 3], q <= 20, and nine other (omega,
-    omega1), both signs.  Where ||tr| - 2| exceeds 16 times that estimate
-    (``_MARGIN``), the full trace lies on the same side of +-2; elsewhere the full solve
-    gives the trace (4 of those verdicts, at omega = 1/100).  At omega = 2 the margin is
-    1.4e-6 to 2.2e-5 for omega1 = 9/10, 11/10 and 1/10, against ||tr| - 2| >= 9.0e-4.
-    """
-    m = _stepped(params, eps, tol=_COARSE)
-    size = max(map(abs, (m.m11, m.m12, m.m21, m.m22)))
-    margin = _MARGIN * _step_count(params, eps, 0.5 * params.period) * (1.0 + size * size)
-    return m.trace if abs(abs(m.trace) - 2.0) > margin else _stepped(params, eps).trace
 
 
 def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
@@ -118,20 +90,102 @@ def _bracketed_root(f, lo, hi, flo, fhi, tol) -> tuple[float, float]:
     return lo, hi
 
 
+#: DLMF 28.4's a_2n, a_2n+1, b_2n+1, b_2n+2: (first level k, q's factor on its diagonal
+#: entry, the first coupling's square over q^2)
+_CLASSES = ((0, 0.0, 2.0), (1, 1.0, 1.0), (1, -1.0, 1.0), (2, 0.0, 1.0))
+
+
+def _sturm_count(cls: tuple[int, float, float], q: float, x: float) -> int:
+    """The eigenvalues below x of a class's Hill matrix A(q), k^2 on the diagonal (k = h,
+    h + 2, ...; +-q on the first of the odd classes) and q beside it (sqrt(2) q first in
+    a_2n): the negative pivots of A - x = L D L^T (Parlett, The Symmetric Eigenvalue
+    Problem, 3.3) up to p, the last before a row with d = k^2 - x > 2|q| and p < 0 or p >
+    c/(d - 2|q|), c the coupling squared.  The rows left, B - x >= (d - 2|q|) I, lower p
+    by c [(B - x)^-1]_11 in [0, c/(d - 2|q|)]: this is the infinite matrix's count."""
+    (k, shift, first), q2, wide = cls, q * q, 2.0 * abs(q)
+    p, c = k * k + shift * q - x, first * q2
+    below = int(p < 0.0)
+    while (d := (k := k + 2) ** 2 - x) <= wide or not (p < 0.0 or p * (d - wide) > c):
+        p, c = d - c / (p or 5e-324), q2  # a zero pivot counts as positive
+        below += p < 0.0
+    return below
+
+
+def _march(cls: tuple[int, float, float], a: float, q: float, end: float,
+           tol: float) -> tuple[float, float] | None:
+    """None if ``cls`` keeps its count k below a on [q, end], else a bracket <= tol/2 wide
+    where it changes.  A(q) = A(0) + q J, ||J|| <= 2 (1 beside the diagonal, sqrt(2)
+    once, +-1 once on it): an eigenvalue moves at most 2 per unit q.  None within g of a
+    (counts at a -+ g equal k; else g /= 4) reaches it within a step of 0.4995 g.  If
+    counts at a -+ G, a +- G/2 show none other within G and at most one within G/2, over
+    L with 16 L^2/g + 4 L = G/2 that one keeps a gap over 16 L^2/g to the rest, so
+    |lambda''| <= 2 ||J||^2/gap <= g/(2 L^2): it cannot reach a and turn back (that takes
+    2 g/L^2), and the count at q + L shows whether it crossed, to bisect.  g doubles after
+    a step, G after a stretch (else G /= 4); a step under tol/2, or g under tol/1024,
+    becomes tol/2, checked by its end's count."""
+    k, g, G = _sturm_count(cls, q, a), 1.0, 0.0
+    while q < end:
+        step = plain = 0.0
+        if _sturm_count(cls, q, a - g) == _sturm_count(cls, q, a + g) == k:
+            step = plain = 0.4995 * g
+            G = max(G, 32.0 * g)
+            lo, hi = (_sturm_count(cls, q, a + side) - k for side in (-G, G))
+            if hi - lo < 2 and (lo == hi or _sturm_count(cls, q, a + 0.5 * (lo + hi) * G) - k
+                                == lo + hi):
+                step, G = 0.125 * g * (math.sqrt(1.0 + 2.0 * G / g) - 1.0), 2.0 * G
+            else:
+                G *= 0.25
+            g *= 2.0
+        elif g > tol / 1024.0:
+            g *= 0.25
+            continue
+        top = min(q + max(step, 0.5 * tol), end)
+        if top - q > plain and _sturm_count(cls, top, a) != k:
+            while top - q > 0.5 * tol:  # the count steps once on [q, top]
+                mid = 0.5 * (q + top)
+                q, top = (mid, top) if _sturm_count(cls, mid, a) == k else (q, mid)
+            return q, top
+        q = top
+    return None
+
+
+def _first_crossing(params: SystemParams, end: float) -> tuple[float, float] | None:
+    """A bracket of q, <= 1e-10 wide in eps, of the first boundary before ``end``.
+
+    At q = 0, 1 + 2 #{n >= 1: n^2 < a} levels lie below a: odd, and the orbit is bounded
+    while the total stays odd (DLMF 28.2(v)).  Each class starts at q = 0, but at a =
+    n^2, n >= 3, the row on a splits its class into blocks whose entries R(q) beside it,
+    summed, give its Schur complement -q^2 R(q) at a; R(0) = -1/(2(n^2 - 1)), |R'| <=
+    4/G^2 with the blocks G >= 4(n - 1) - 2q from a, so R < 0 and the count holds up to q
+    = (n - 1)/(n + 1), where that class starts.  A bracket with an odd total at its end
+    holds a tongue narrower than itself: the march goes on from there.
+    """
+    exact, a, tol = params.mathieu_a, float(params.mathieu_a), params.mathieu_q(1e-10)
+    n = math.isqrt(math.floor(exact))
+    starts = [(cls, (n - 1) / (n + 1) if n * n == exact and (n - cls[0]) % 2 == 0 else 0.0)
+              for cls in _CLASSES]
+    while True:
+        bracket, limit = None, end
+        for cls, q in starts:
+            if found := _march(cls, a, q, limit, tol):
+                bracket, limit = (min(found[0], (bracket or found)[0]), found[1]), found[1]
+        if bracket is None or sum(_sturm_count(cls, limit, a) for cls in _CLASSES) % 2 == 0:
+            return bracket
+        starts = [(cls, limit) for cls in _CLASSES]
+
+
 def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
-    """Locate eps_crit as a root of |tr M(eps)| = 2.
+    """Locate the first eps_crit, in the direction of ``sign``, where |tr M(eps)| = 2.
 
     hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
     ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
-    from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every
-    trace is ``_hill_trace``'s; the stepper's trace, which shares no code with it,
-    cross-checks the verdict 1e-3 beyond and inside the root (``_checked_trace``: a
-    solve at 2^-26, or at 2^-53 where that one lies within its error margin of +-2).
-    The bracket has width <= 1e-10; ``iterations`` counts trace evaluations.
-    Raises BracketFailure if every expansion point is stable, the last being
-    |eps| = 0.05 * 1.6^11 = 8.8, or if the cross-check refutes the root.  At a =
-    1 and a = 4 the tongues of a_1, b_1 (1 +- q) and of b_2, a_2 (4 - q^2/12,
-    4 + 5q^2/12) hold a at every q != 0 (DLMF 28.6): eps_crit is 0, no trace taken.
+    from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every trace is
+    ``_hill_trace``'s; ``iterations`` counts them.  Sturm counts, which share no code
+    with it, certify the bracket (width <= 1e-10) up to its stable end, or their bracket
+    of an earlier boundary, or of one before |eps| = 0.05 * 1.6^11 = 8.8 where the
+    expansion saw none, replaces it (``_first_crossing``); else BracketFailure.  At a = 1
+    and 4 the tongues of a_1, b_1 (1 +- q) and b_2, a_2 (4 - q^2/12, 4 + 5q^2/12) hold a
+    at every q != 0 (DLMF 28.6): eps_crit is 0, no trace taken.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
@@ -148,22 +202,18 @@ def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
     while not abs(t_hi := trace(hi)) > 2.0:
         lo, t_lo, hi = hi, t_hi, hi * 1.6
         if hi > 10.0:
-            raise BracketFailure(f"no instability found up to |eps| = {lo:.3g}")
-    s = math.copysign(1.0, t_hi)
-    lo, hi = _bracketed_root(lambda e: s * trace(e) - 2.0, lo, hi,
-                             s * t_lo - 2.0, s * t_hi - 2.0, 1e-10)
-    eps_crit = sign * 0.5 * (lo + hi)
-
-    check: bool | None = None  # unstable just beyond eps_crit, stable just inside it
-    if 0.5 * (lo + hi) > 2e-3:
-        above = _checked_trace(params, eps_crit + sign * 1e-3)
-        below = _checked_trace(params, eps_crit - sign * 1e-3)
-        check = abs(above) > 2.0 >= abs(below)
-        if not check:
-            raise BracketFailure(f"eps_crit = {eps_crit:.10g} is refuted: the monodromy trace "
-                                 "does not turn from stable to unstable across it")
-    return CriticalEpsResult(eps_crit=eps_crit, bracket=(sign * lo, sign * hi),
-                             iterations=len(evals), escape_check=check)
+            break
+    else:
+        s = math.copysign(1.0, t_hi)
+        lo, hi = _bracketed_root(lambda e: s * trace(e) - 2.0, lo, hi,
+                                 s * t_lo - 2.0, s * t_hi - 2.0, 1e-10)
+    per_eps = params.mathieu_q(1.0)
+    if crossing := _first_crossing(params, per_eps * (lo - 5e-11)):  # spares the trace's rounding
+        lo, hi = crossing[0] / per_eps, crossing[1] / per_eps
+    elif hi > 10.0:
+        raise BracketFailure(f"no instability found up to |eps| = {lo:.3g}")
+    return CriticalEpsResult(eps_crit=sign * 0.5 * (lo + hi), bracket=(sign * lo, sign * hi),
+                             iterations=len(evals))
 
 
 class ConvergenceReport(_Value):
@@ -266,7 +316,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
     tr M(eps) = 2*cos(2*pi*m/n) (monotone through the root, so the
     bracketed root finder applies).  Every trace compared with the target
     is ``_hill_trace``'s; the stepper's M(nT) (``_stepped``) runs at the
-    guess, returned as is if it closes within 1e-10 (this covers tangent
+    guess, returned as is if it closes within 1e-10 |z0| (this covers tangent
     roots, e.g. eps = 0, where the trace is even in eps), and at the root,
     for ``return_distance``.  Raises NoRoot when no sign change exists within
     the expanded search interval, and InvalidInput before the first trace for
@@ -284,7 +334,7 @@ def find_periodic_orbit(params: SystemParams, eps_guess: float, n: int,
 
     gx, gy = _stepped(params, eps_guess, n).apply(x0, y0)
     guess_distance = math.hypot(gx - x0, gy - y0)
-    if guess_distance <= 1e-10:
+    if guess_distance <= 1e-10 * math.hypot(x0, y0):
         return PeriodicOrbitResult(epsilon=eps_guess, n=n, winding=m,
                                    return_distance=guess_distance)
 
@@ -311,10 +361,11 @@ def invariant_curve_points(conic: tuple[float, float, float], level: float,
     """Sample the level set A x^2 + B y^2 + 2 D xy = level.
 
     Returns the ellipse when A*B - D^2 > 0 and both hyperbola branches
-    when A*B - D^2 < 0; raises DegenerateConic when the discriminant
-    vanishes within 1e-12, and InvalidInput for n_samples < 1 or a level
-    that is not finite.  Pass the (A, B, D) triple produced by
-    conic_at_section or resonant_section_form.
+    when A*B - D^2 < 0, n_samples points in all: ceil(n/2) on one branch and
+    floor(n/2) on the other.  Raises DegenerateConic when the discriminant
+    vanishes within 1e-12, and InvalidInput for n_samples < 1 (< 4 for a
+    hyperbola, two a branch) or a level that is not finite.  Pass the (A, B,
+    D) triple produced by conic_at_section or resonant_section_form.
     """
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
@@ -346,10 +397,10 @@ def invariant_curve_points(conic: tuple[float, float, float], level: float,
     else:
         if level == 0.0:
             raise DegenerateConic("level 0 of a hyperbolic form is the asymptote pair")
-        # order so that lam_pos > 0 > lam_neg; u along the positive eigenvector
-        smax = 3.0
-        half = max(2, n_samples // 2)
-        for branch in (+1.0, -1.0):
+        if n_samples < 4:
+            raise InvalidInput("a hyperbola needs n_samples >= 4, two on each branch")
+        smax = 3.0  # u along the positive eigenvector
+        for branch, half in ((1.0, n_samples - n_samples // 2), (-1.0, n_samples // 2)):
             for i in range(half):
                 s = -smax + 2.0 * smax * i / (half - 1)
                 if level / lam1 > 0.0:

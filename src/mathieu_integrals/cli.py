@@ -213,7 +213,6 @@ def cmd_critical_eps(omega, omega1, sign, out):
             "bracket": list(result.bracket),
             "oracle": "hill",
             "iterations": result.iterations,
-            "escape_check": result.escape_check,
         }
         output.atomic_write_chunks(out, output.json_chunks(doc))
     click.echo(f"{result.eps_crit:.10g}")

@@ -53,7 +53,7 @@ the growth rate of an escaped orbit is its Floquet exponent.  The flow
 preserves area (Liouville), so det M(T) = 1: the multipliers and exponent
 come from tr M(T) alone, never from the entries' det (0 at eps = 1e4).
 
-The stepper also cross-checks the determinants (``analysis._stepped``).
+The stepper also checks find_periodic_orbit's closures (``analysis._stepped``).
 A Dormand-Prince 5(4) stepper in ``tests/dp5_reference.py``, which still
 integrates the energy form, is the independent oracle for M and for E.
 """
@@ -77,60 +77,49 @@ _BLOCK_ROWS = 1024  # the least rows of an orbit_blocks block (but the last)
 _HUGE = 2.0 ** 600  # the rescaling step of Hill's determinant recurrence and of d
 _D_MIN = 2.0 ** -511  # below it, d's squares leave float64's normal range
 _LOG_MAX = 1024 * math.log(2.0)  # float64's largest value is below e^709.78
-_TOL = 2.0 ** -53  # a Taylor step's tail against its start, by default: float64's rounding
+_TOL = 2.0 ** -53  # a Taylor step's tail against its start: float64's rounding
 
 
-def _term_count(a: float, b: float, c: float, tol: float = _TOL) -> int:
-    """The terms of a step's series whose tail is below ``tol`` of its start.
+def _term_count(a: float, b: float, c: float) -> int:
+    """The terms of a step's series whose tail is below ``_TOL`` of its start.
 
     a = h^2 omega1^2, b = 2 |eps| h^2 and c = h omega bound the recurrence's
     coefficients by a + b and b c^k/k!, so |X_n| <= m_n max(|X_0|, |X_1|), m the
     positive series of u'' = (a + b e^(c s)) u, u(0) = u'(0) = 1; N >= 3 is the
-    least with sum n m_n, n >= N, below ``tol`` (a bound on x's tail and h y's
-    whatever the signs): 2^-53, or 2^-26 where a trace need only fall on its side of
-    +-2 (``analysis._checked_trace``).  It grows with h: the largest step's serves
-    every step.
+    least with sum n m_n, n >= N, below ``_TOL`` (a bound on x's tail and h y's
+    whatever the signs).  It grows with h: the largest step's serves every step.
     """
-    u, m, cutoff = [a + b, b * c], [1.0, 1.0], tol * 2.0 ** -17
-    while len(m) * m[-1] >= cutoff:  # the tail past m stays far below tol
+    u, m, cutoff = [a + b, b * c], [1.0, 1.0], _TOL * 2.0 ** -17
+    while len(m) * m[-1] >= cutoff:  # the tail past m stays far below _TOL
         n = len(m) - 2
         m.append(sum(map(operator.mul, u, m[n::-1])) / ((n + 1) * (n + 2)))
         u.append(u[-1] * c / len(u))
     tails = accumulate(n * m[n] for n in reversed(range(3, len(m))))
-    return len(m) - sum(tail <= tol for tail in tails)
+    return len(m) - sum(tail <= _TOL for tail in tails)
 
 
-def _step_count(params: SystemParams, epsilon: float, t: float) -> float:
-    """The equal steps of ``_hill_points`` over [0, t], each h <= ``_RHO``/max(sqrt(omega1^2
-    + 2|eps|), omega) (inf if t times that rate overflows)."""
-    om1sq, om = float(params.omega1) ** 2, float(params.omega)
-    rate = max(math.sqrt(om1sq + abs(2.0 * epsilon)), om) / _RHO  # steps per unit time
-    return math.ceil(t * rate) if t * rate < math.inf else math.inf
-
-
-def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float],
-                 tol: float = _TOL):
+def _hill_points(params: SystemParams, epsilon: float, targets: Sequence[float]):
     """The fundamental matrix of x'' = -w(t) x, w(t) = omega1^2 - 2 eps cos(omega t).
 
     M at each target (ascending from 0) is yielded row-major.  [0, t], t the last target,
-    is cut into ``_step_count`` equal steps, counted against ``_MAX_STEPS`` before the
-    first.  With t = t0 + h s over a step, w's Taylor coefficients are closed-form from
-    one cos and one sin at t0: h^k W_k = -2 eps (h omega)^k/k! cos(omega t0 + k pi/2)
-    (+ omega1^2 at k = 0), and x = sum X_n s^n solves (n + 1)(n + 2) X_{n+2} = -h^2
-    sum_k h^k W_k X_{n-k} (Jorba & Zou, Exp. Math. 14, 2005) for both columns at once,
-    summed with x' to ``_term_count`` terms at each target in the step and at s = 1,
-    which starts the next.  Each step's tail stays below ``tol`` of its start: 2^-53,
-    or 2^-26 for a verdict that needs only a side of +-2 (``analysis._checked_trace``).
-    A state past float64 is Unbounded.
+    is cut into equal steps, h <= ``_RHO``/max(sqrt(omega1^2 + 2|eps|), omega), counted
+    against ``_MAX_STEPS`` before the first.  With t = t0 + h s over a step, w's Taylor
+    coefficients are closed-form from one cos and one sin at t0: h^k W_k = -2 eps (h
+    omega)^k/k! cos(omega t0 + k pi/2) (+ omega1^2 at k = 0), and x = sum X_n s^n solves
+    (n + 1)(n + 2) X_{n+2} = -h^2 sum_k h^k W_k X_{n-k} (Jorba & Zou, Exp. Math. 14,
+    2005) for both columns at once, summed with x' to ``_term_count`` terms at each
+    target in the step and at s = 1, which starts the next.  Each step's tail stays
+    below ``_TOL`` of its start.  A state past float64 is Unbounded.
     """
     om, om1sq, two_eps = float(params.omega), float(params.omega1) ** 2, 2.0 * epsilon
     t = targets[-1] if targets else 0.0
-    steps = _step_count(params, epsilon, t)
+    rate = max(math.sqrt(om1sq + abs(two_eps)), om) / _RHO  # steps per unit time
+    steps = math.ceil(t * rate) if t * rate < math.inf else math.inf
     if steps > _MAX_STEPS:
         raise StepFailure(f"the solve over [0, {t:.3g}] takes {steps:.3g} steps, more than "
                           f"its budget of {_MAX_STEPS}")
     h = t / steps if steps else 0.0
-    count = _term_count(h * h * om1sq, abs(two_eps) * h * h, h * om, tol)
+    count = _term_count(h * h * om1sq, abs(two_eps) * h * h, h * om)
     p = [-two_eps * h * h * (h * om) ** k / math.factorial(k) for k in range(count - 2)]
     cos, sin, mul, isfinite = math.cos, math.sin, operator.mul, cmath.isfinite
     x, y, j = 1.0 + 0.0j, 1.0j, 0  # the columns (1, 0) and (0, 1) of M; the next target

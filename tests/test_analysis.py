@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sturm_reference
 from dp5_reference import integration_points, rhs_matrix
 from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded, analysis,
                                build_integral, conic_at_section, convergence_study,
@@ -16,7 +17,6 @@ from mathieu_integrals import (DegenerateConic, NoRoot, SystemParams, Unbounded,
                                invariant_curve_points, monodromy)
 from mathieu_integrals.analysis import (_bracketed_root, _hill_trace, section_residual,
                                         section_semiaxis_x)
-from mathieu_integrals.dynamics import Monodromy
 from mathieu_integrals.errors import BracketFailure, InvalidInput
 
 
@@ -31,6 +31,13 @@ def _dp5_trace(params, eps):
     return 2.0 * (a * d + b * c)
 
 
+def _parity(params, eps):
+    """The count of characteristic values below a over the four classes, mod 2: 1
+    where the orbit is bounded (DLMF 28.2(v))."""
+    q, a = params.mathieu_q(eps), float(params.mathieu_a)
+    return sum(analysis._sturm_count(cls, q, a) for cls in analysis._CLASSES) % 2
+
+
 class TestCriticalEpsilon:
     @pytest.mark.parametrize("omega, omega1", [(2, "1"), (2, "2"), (4, "2"), (1, "1/2")])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -43,7 +50,7 @@ class TestCriticalEpsilon:
         params = SystemParams(F(omega), F(omega1), 0.0)
         assert params.mathieu_a in (1, 4)
         res = critical_epsilon(params, sign)
-        assert res == analysis.CriticalEpsResult(0.0, (0.0, 0.0), 0, None)
+        assert res == analysis.CriticalEpsResult(0.0, (0.0, 0.0), 0)
         assert math.copysign(1.0, res.eps_crit) == 1.0
         assert abs(_dp5_trace(params, sign * 0.02)) > 2.0
 
@@ -53,13 +60,12 @@ class TestCriticalEpsilon:
         params = SystemParams(F(2), F(3), 0.0)
         assert all(abs(_dp5_trace(params, e)) < 2.0 for e in (0.02, -0.02))
         res = crit_cache("3")
-        assert abs(res.eps_crit - 6.818513197) < 1e-9 and res.escape_check is True
+        assert abs(res.eps_crit - 6.818513197) < 1e-9
 
     def test_canonical_value(self, crit_cache):
         res = crit_cache("9/10")
         assert abs(res.eps_crit - 0.1857848626) < 1e-6
         assert res.bracket[1] - res.bracket[0] <= 1e-9
-        assert res.escape_check is True
 
     def test_small_omega1(self, crit_cache):
         assert abs(crit_cache("1/10").eps_crit - 0.89964) < 1e-4
@@ -67,11 +73,13 @@ class TestCriticalEpsilon:
     def test_above_resonance_omega1(self, crit_cache):
         assert abs(crit_cache("11/10").eps_crit - 0.21598) < 1e-4
 
-    @pytest.mark.parametrize("om1", ["9/10", "1/10", "11/10"])
+    @pytest.mark.parametrize("om1", ["9/10", "1/10", "11/10", "301/100", "17/6"])
     def test_sign_symmetry(self, crit_cache, om1):
-        plus = crit_cache(om1).eps_crit
-        minus = crit_cache(om1, -1).eps_crit
-        assert abs(minus + plus) < 1e-6
+        # the trace is even in eps and the count marches |q|: an exact mirror, by ITP
+        # (the first three) or by the count's own bracket (301/100, 17/6)
+        plus, minus = crit_cache(om1), crit_cache(om1, -1)
+        assert (minus.eps_crit, minus.bracket) == (-plus.eps_crit, tuple(-e for e in plus.bracket))
+        assert minus.iterations == plus.iterations
 
     def test_trace_changes_sign_across_bracket(self, crit_cache):
         # the search's own trace: the monodromy's error (~1e-12) exceeds |g| at the ends
@@ -88,7 +96,6 @@ class TestCriticalEpsilon:
         # square root of the trace's rounding.
         res = critical_epsilon(SystemParams(F(2), F(1), 0.0))
         assert abs(res.eps_crit) < 5e-6
-        assert res.escape_check is None  # |eps_crit| <= 2e-3 skips the cross-check
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_n2_tongue_tip(self, sign):
@@ -98,28 +105,65 @@ class TestCriticalEpsilon:
         assert abs(res.eps_crit) <= 1e-5
 
     def test_bracket_failure(self):
-        # 17/6: the expansion steps over every tongue (ROADMAP item 1), and
-        # the message names the last |eps| it tested, 0.05 * 1.6^11
+        # omega1 = 201/2 (a = 10100.25): the levels 100^2 and 101^2 lie 100 from a, and
+        # no eigenvalue reaches it before |eps| = 8.8, the last point the expansion tests
         with pytest.raises(BracketFailure, match=r"^no instability found up to \|eps\| = 8\.8$"):
-            critical_epsilon(SystemParams(F(2), F(17, 6), 0.0))
+            critical_epsilon(SystemParams(F(2), F(201, 2), 0.0))
         with pytest.raises(ValueError):
             critical_epsilon(P01, sign=0)
 
-    def test_refuted_root_raises(self):
-        # omega = 1/100 (s = 90): the trace swings through +-2 many times
-        # within 1e-3 of the expansion's bracket, ITP lands on a later root
-        # and the monodromy cross-check refutes it; the library never returns it
-        with pytest.raises(BracketFailure, match=r"^eps_crit = 0\.435922411 is refuted"):
-            critical_epsilon(SystemParams(F(1, 100), F(9, 10), 0.0))
+    def test_a_late_root_from_the_trace_is_replaced(self, monkeypatch):
+        # a trace that reads stable up to 0.5 puts ITP on a later root; the count finds
+        # the boundary at 0.1857848562 before it and brackets it alone
+        def late(params, eps):
+            return 0.0 if abs(eps) < 0.5 else 3.0 * math.copysign(1.0, eps)
 
-    @pytest.mark.parametrize("trace", [0.0, 3.0])
-    def test_one_sided_cross_check_refutes_the_root(self, monkeypatch, trace):
-        # a stepper trace on the same side of +-2 at eps_crit +- 1e-3 (stable:
-        # 0, unstable: 3) refutes the Hill root wherever ITP lands
-        m = Monodromy(m11=trace, m12=1.0, m21=-1.0, m22=0.0, n=1)
-        monkeypatch.setattr(analysis, "_stepped", lambda params, eps, n=1, tol=None: m)
-        with pytest.raises(BracketFailure, match=r"^eps_crit = \S+ is refuted"):
-            critical_epsilon(P01)
+        monkeypatch.setattr(analysis, "_hill_trace", late)
+        for sign in (1, -1):
+            res = critical_epsilon(P01, sign)
+            assert abs(res.eps_crit - sign * 0.18578485621) <= 1e-10
+            assert abs(res.bracket[1] - res.bracket[0]) <= 1e-10
+
+    @pytest.mark.parametrize("omega, omega1, eps_crit", [
+        # the expansion stepped over the first tongue (301/100, 15/19, 13/11), or over
+        # all of them (17/6, 401/100), or ITP took a later root of the trace (a = 18^2);
+        # a scan of perfbench's Hill matrices (step 2e-3) read 0.885915, 1.524048,
+        # 6.620332, 0.619963 and 1.359
+        ("2", "301/100", 0.8859152304), ("2", "401/100", 1.524048158),
+        ("2", "17/6", 6.620331503), ("1", "15/19", 0.6199625369),
+        ("3/2", "13/11", 1.358999558), ("1/10", "9/10", 0.3382962085),
+        # near and at a = n^2, n = 3 and 4 (0.9 and 0.27 past 9 and 16 at eps = 0.1)
+        ("2", "3", 6.818513197), ("2", "299/100", 7.102131163), ("2/3", "1", 0.7576125775),
+        ("1", "2", 2.769753347), ("1", "199/100", 2.673386058), ("1", "201/100", 0.531056034),
+        ("1/2", "1", 0.6924383368)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_first_boundary(self, omega, omega1, eps_crit, sign):
+        # the count is odd at the bracket's stable end and even 1e-9 past the root (the
+        # trace's rounding may move an ITP root by 1e-13), and the DP5 reference's
+        # trace crosses 2 within 1e-6 of it
+        params = SystemParams(F(omega), F(omega1), 0.0)
+        res = critical_epsilon(params, sign)
+        assert abs(res.eps_crit - sign * eps_crit) <= 1e-7 * eps_crit
+        assert _parity(params, res.bracket[0]) == 1
+        assert _parity(params, res.eps_crit * (1.0 + 1e-9)) == 0
+        d = sign * 1e-6 * eps_crit
+        below, beyond = (abs(_dp5_trace(params, res.eps_crit + e)) for e in (-d, d))
+        assert below < 2.0 < beyond
+
+    def test_first_boundary_at_omega_1_100(self):
+        # a = 180^2.  The tongues before 0.3732349194 are narrower than 1e-11 (each
+        # one's two edges agree to 12 digits); this one is 5.1e-10 wide, the next two
+        # 4.2e-8 (at 0.38185462) and 1.8e-6 (at 0.3894257414, which a scan at step
+        # 2e-6 reads).  The trace exceeds 2 by about 1e-20 inside it, which no trace
+        # resolves; a bottom-up count of 200 rows sees both edges
+        params = SystemParams(F(1, 100), F(9, 10), 0.0)
+        for sign in (1, -1):
+            res = critical_epsilon(params, sign)
+            assert abs(res.eps_crit - sign * 0.3732349194) <= 1e-7 * 0.3732349194
+            parities = [sum(sturm_reference.bottom_up_count(name, params.mathieu_q(e), 32400.0,
+                                                            200)
+                            for name in sturm_reference.NAMES) % 2 for e in res.bracket]
+            assert parities == [1, 0]
 
     def test_sign_zero_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="sign"):
@@ -135,7 +179,6 @@ class TestCriticalEpsilon:
             res = crit_cache(om1, sign)
             lo, hi = res.eps_crit - 1e-3, res.eps_crit + 1e-3
             lo, hi = _bracketed_root(g, lo, hi, g(lo), g(hi), 1e-10)
-            assert res.escape_check is True
             assert abs(res.eps_crit - 0.5 * (lo + hi)) <= 1e-9
 
     def test_escape_oracle_agrees_with_trace(self, crit_cache):
@@ -146,18 +189,22 @@ class TestCriticalEpsilon:
         self._assert_escape_oracle_agrees(crit_cache, om1)
 
     @settings(max_examples=100, deadline=None)
-    @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
+    @given(omega=st.fractions(min_value=F(1, 2), max_value=F(4), max_denominator=10),
+           omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
            eps=st.floats(min_value=-1.0, max_value=1.0))
-    def test_escape_verdict_matches_trace_away_from_boundary(self, omega1, eps):
-        params = SystemParams(F(2), omega1, eps)
+    def test_escape_verdict_matches_trace_away_from_boundary(self, omega, omega1, eps):
+        # the stepper's, the Hill trace's and the count's parity's verdicts agree
+        params = SystemParams(omega, omega1, eps)
         trace = analysis._stepped(params, eps).trace
         assume(abs(abs(trace) - 2.0) >= 0.05)
-        assert (abs(_hill_trace(params, eps)) > 2.0) == (abs(trace) > 2.0)
+        assert (abs(_hill_trace(params, eps)) < 2.0) == (abs(trace) < 2.0) == _parity(params, eps)
 
     @pytest.mark.parametrize("om1, sign", [("9/10", -1), ("1/10", 1), ("1/10", -1),
                                            ("11/10", 1), ("11/10", -1)])
-    def test_escape_check_confirms_boundary(self, crit_cache, om1, sign):
-        assert crit_cache(om1, sign).escape_check is True
+    def test_counts_confirm_boundary(self, crit_cache, om1, sign):
+        # bounded 1e-3 inside the boundary (an odd count below a), not 1e-3 beyond it
+        params, res = SystemParams(F(2), F(om1), 0.0), crit_cache(om1, sign)
+        assert [_parity(params, res.eps_crit + sign * d) for d in (-1e-3, 1e-3)] == [1, 0]
 
     @pytest.mark.parametrize("om1, eps_crit", [("9/10", 0.18578485623598096),
                                                ("1/10", 0.899645188056641),
@@ -207,14 +254,17 @@ class TestCriticalEpsilon:
         while k < len(traces) and abs(traces[k][1]) <= 2.0:
             assert traces[k][0] == sign * hi
             lo, hi, k = hi, hi * 1.6, k + 1
-        if res is None:
-            # 17/6 <= omega1 <= 29/10: the expansion steps over every tongue
-            # up to |eps| = 10 and finds all its points stable (ROADMAP item 1)
-            assert k == len(traces) == 12
-            return
-        assert traces[k][0] == sign * hi
+        if k == len(traces):
+            # 17/6 <= omega1 <= 29/10: the expansion steps over every tongue up to
+            # |eps| = 10 and finds all its points stable; the count finds the boundary
+            # where there is one before 8.8 (not at 20/7: 9.5746)
+            assert k == 12
+            if res is None:
+                return
+        else:
+            assert traces[k][0] == sign * hi
+            assert len(traces) <= (k + 1) + math.ceil(math.log2((hi - lo) / tol)) + 1
         assert len(traces) == res.iterations
-        assert len(traces) <= (k + 1) + math.ceil(math.log2((hi - lo) / tol)) + 1
         stable, unstable = res.bracket
         assert abs(unstable - stable) <= tol
         g = lambda e: abs(_hill_trace(params, e)) - 2.0
@@ -235,10 +285,9 @@ class TestCriticalEpsilon:
         res = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0))
         assert len(calls) == res.iterations <= 14
 
-    @pytest.mark.parametrize("omega1, solves", [("9/10", 2), ("11/10", 2), ("2", 0)])
-    def test_dp5_runs_only_for_the_cross_check(self, monkeypatch, omega1, solves):
-        # the root search reads the Hill trace; the kernel solves eps_crit -+ 1e-3
-        # when |eps_crit| > 2e-3 (0.186, 0.216) and nothing at the n = 2 tip
+    @pytest.mark.parametrize("omega1", ["9/10", "11/10", "2"])
+    def test_dp5_runs_only_for_the_cross_check(self, monkeypatch, omega1):
+        # the root search reads the Hill trace and the count certifies it: no solve
         calls = []
         hill_points = dynamics._hill_points
 
@@ -247,84 +296,9 @@ class TestCriticalEpsilon:
             return hill_points(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_hill_points", recording)
-        monkeypatch.setattr(analysis, "_hill_points", recording)  # the cross-check's name
-        critical_epsilon(SystemParams(F(2), F(omega1), 0.0))
-        assert len(calls) == solves
-
-
-def _verdict_sweep():
-    """(omega, omega1, sign): omega1 = p/q in [1/20, 3], q <= 20, at omega = 2, both
-    signs, and omega = 1/10 and 1/100 (the refuted root) at omega1 = 9/10."""
-    ratios = sorted({F(p, q) for q in range(1, 21) for p in range(1, 3 * q + 1)
-                     if F(p, q) >= F(1, 20)})
-    return ([(F(2), r, sign) for r in ratios for sign in (1, -1)]
-            + [(omega, F(9, 10), sign) for omega in (F(1, 10), F(1, 100)) for sign in (1, -1)])
-
-
-class TestCoarseVerdict:
-    """critical_epsilon's verdicts at eps_crit +- 1e-3 from a solve at ``_COARSE``, the
-    full-accuracy solve deciding inside the margin."""
-
-    def test_verdicts_agree_with_full_accuracy(self, monkeypatch):
-        # 772 searches, 1,492 verdicts: each lies on the side of +-2 of the full
-        # trace, and the coarse solve decides all but 4 (at omega = 1/100)
-        verdicts, tols = [], []
-        checked, stepped = analysis._checked_trace, analysis._stepped
-
-        def recording_check(params, eps):
-            verdicts.append((params, eps, checked(params, eps)))
-            return verdicts[-1][2]
-
-        def recording_step(params, eps, n=1, tol=dynamics._TOL):
-            tols.append(tol)
-            return stepped(params, eps, n, tol)
-
-        monkeypatch.setattr(analysis, "_checked_trace", recording_check)
-        monkeypatch.setattr(analysis, "_stepped", recording_step)
-        sweep = _verdict_sweep()
-        for omega, omega1, sign in sweep:
-            try:
-                critical_epsilon(SystemParams(omega, omega1, 0.0), sign)
-            except BracketFailure:
-                pass
-        assert len(sweep) == 772 and len(verdicts) == tols.count(analysis._COARSE) == 1492
-        assert tols.count(dynamics._TOL) == 4
-        for params, eps, trace in verdicts:
-            assert (abs(trace) > 2.0) == (abs(stepped(params, eps).trace) > 2.0)
-
-    @pytest.mark.parametrize("omega", [F(2), F(1, 2), F(1, 10)])
-    def test_coarse_error_stays_16_times_inside_the_margin(self, omega):
-        # |tr_coarse - tr_full| <= k tau (1 + max|m_ij|^2), the margin over its
-        # safety factor 16: 0.12 of that at most here, 0.52 over random draws
-        for omega1 in (F(1, 20), F(9, 10), F(11, 10), F(2), F(3)):
-            params = SystemParams(omega, omega1, 0.0)
-            for eps in (-9.0, -1.0, -0.1, 0.02, 0.2, 1.0, 9.0):
-                coarse = analysis._stepped(params, eps, tol=analysis._COARSE)
-                steps = dynamics._step_count(params, eps, 0.5 * params.period)
-                size = max(map(abs, (coarse.m11, coarse.m12, coarse.m21, coarse.m22)))
-                margin = analysis._MARGIN * steps * (1.0 + size * size)
-                assert abs(coarse.trace - analysis._stepped(params, eps).trace) <= margin / 16
-
-    def test_a_thin_margin_takes_the_full_solve(self, monkeypatch, crit_cache):
-        # at the root the coarse ||tr| - 2| is 2.2e-9, inside the margin of 1.4e-6
-        # (omega1 = 9/10): the full solve decides; 1e-3 beyond it, at 1.1e-3, the
-        # coarse solve, of 16 terms a step against 28, decides alone
-        params, tols = SystemParams(F(2), F(9, 10), 0.0), []
-        root, hill_points = crit_cache("9/10").eps_crit, dynamics._hill_points
-
-        def recording(params, eps, targets, tol=dynamics._TOL):
-            tols.append(tol)
-            return hill_points(params, eps, targets, tol)
-
         monkeypatch.setattr(analysis, "_hill_points", recording)
-        assert analysis._checked_trace(params, root) == analysis._stepped(params, root).trace
-        assert tols == [analysis._COARSE, dynamics._TOL, dynamics._TOL]
-        tols.clear()
-        analysis._checked_trace(params, root + 1e-3)
-        assert tols == [analysis._COARSE]
-        h = 0.5 * params.period / dynamics._step_count(params, root, 0.5 * params.period)
-        step = (h * h * 0.81, 2.0 * root * h * h, 2.0 * h)  # omega1^2 h^2, 2|eps| h^2, omega h
-        assert [dynamics._term_count(*step, tol) for tol in tols + [dynamics._TOL]] == [16, 28]
+        critical_epsilon(SystemParams(F(2), F(omega1), 0.0))
+        assert calls == []
 
 
 def _call_graph(*modules):
@@ -352,18 +326,25 @@ def _reach(graph, name, skip=()):
 
 
 class TestIndependentPaths:
-    """The cross-checks run the stepper; the searches and the monodromy do not."""
+    """The closure checks run the stepper, the boundary's certificate the count; the
+    searches and the monodromy run neither."""
 
     GRAPH = _call_graph(analysis, dynamics)
     DETERMINANTS = {"_hill_factors", "_half_period"}
 
-    @pytest.mark.parametrize("name", ["critical_epsilon", "find_periodic_orbit"])
-    def test_cross_checks_reach_the_stepper_alone(self, name):
-        # every call but the search's own trace: the +-1e-3 verdicts and the
-        # guess and root closures
-        checks = _reach(self.GRAPH, name, skip={"_hill_trace"})
+    def test_cross_checks_reach_the_stepper_alone(self):
+        # every call but the search's own trace: the guess and root closures
+        checks = _reach(self.GRAPH, "find_periodic_orbit", skip={"_hill_trace"})
         assert {"_hill_points", "_full_period"} <= checks
         assert not checks & (self.DETERMINANTS | {"monodromy"})
+
+    def test_the_count_reaches_neither_path(self):
+        # the count certifies the boundary alone; critical_epsilon runs no stepper
+        for name in ("_sturm_count", "_march", "_first_crossing"):
+            reached = _reach(self.GRAPH, name)
+            assert "_sturm_count" in reached | {name}
+            assert not reached & (self.DETERMINANTS | {"_hill_points", "_hill_trace"})
+        assert "_hill_points" not in _reach(self.GRAPH, "critical_epsilon")
 
     @pytest.mark.parametrize("name", ["_hill_factors", "_half_period", "_hill_trace",
                                       "monodromy"])
@@ -374,6 +355,54 @@ class TestIndependentPaths:
         assert "_hill_factors" in _reach(self.GRAPH, "monodromy")
         assert "_hill_factors" in _reach(self.GRAPH, "critical_epsilon")
         assert "_hill_points" in _reach(self.GRAPH, "_stepped")
+
+
+class TestSturmCount:
+    """``_sturm_count`` against dense references, and the march's rules."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cls=st.integers(min_value=0, max_value=3), q=st.floats(min_value=-12, max_value=12),
+           xs=st.lists(st.floats(min_value=-5, max_value=40), min_size=1, max_size=10))
+    def test_matches_dense_eigenvalues(self, cls, q, xs):
+        values = sturm_reference.eigenvalues(
+            sturm_reference.class_matrix(sturm_reference.NAMES[cls], q, 16))
+        for x in xs:
+            if min(abs(v - x) for v in values) > 1e-9:
+                assert analysis._sturm_count(analysis._CLASSES[cls], q, x) == sum(
+                    v < x for v in values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cls=st.integers(min_value=0, max_value=3), q=st.floats(min_value=-2e4, max_value=2e4),
+           x=st.floats(min_value=-4e4, max_value=4e4))
+    def test_matches_a_long_bottom_up_count(self, cls, q, x):
+        # 300 rows reach level 598^2, far past x + 2|q|; the count stops near sqrt(x + 2|q|)/2
+        assert analysis._sturm_count(analysis._CLASSES[cls], q, x) == (
+            sturm_reference.bottom_up_count(sturm_reference.NAMES[cls], q, x, 300))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 18])
+    def test_level_n2_stays_above_a_up_to_the_march_start(self, n):
+        # a = n^2: the class holding level n^2 keeps only the levels below it below a
+        # on (0, (n - 1)/(n + 1)], where _first_crossing starts its march
+        name = ("a_2n", "a_2n+1")[n % 2], ("b_2n+2", "b_2n+1")[n % 2]
+        for q in (1e-3, 0.1, (n - 1) / (n + 1)):
+            for cls in (0, 3) if n % 2 == 0 else (1, 2):
+                values = sturm_reference.eigenvalues(
+                    sturm_reference.class_matrix(sturm_reference.NAMES[cls], q, n + 8))
+                assert sum(v < n * n for v in values) == n // 2 - (cls == 3)
+                assert analysis._sturm_count(analysis._CLASSES[cls], q, n * n) == n // 2 - (cls == 3)
+
+    def test_the_stretch_certifies_and_the_bisection_brackets(self, monkeypatch):
+        # b_1 = 1 - q - q^2/8 + ... reaches a = 0.81 at q = 0.1857848562 (omega1 =
+        # 9/10): the march to just short of it ends in one stretch, and one past it
+        # bisects the count to a bracket of 5e-11
+        cls, calls, count = analysis._CLASSES[2], [], analysis._sturm_count
+        monkeypatch.setattr(analysis, "_sturm_count", lambda *a: calls.append(a) or count(*a))
+        root = 0.18578485621
+        assert analysis._march(cls, 0.81, 0.0, root - 1e-9, 1e-10) is None
+        assert len(calls) <= 40
+        lo, hi = analysis._march(cls, 0.81, 0.0, 0.3, 1e-10)
+        assert lo <= root + 1e-10 and root - 1e-10 <= hi and hi - lo <= 5e-11
+        assert (count(cls, lo, 0.81), count(cls, hi, 0.81)) == (0, 1)
 
 
 class TestBracketedRoot:
@@ -648,6 +677,17 @@ class TestPeriodicOrbits:
         res = find_periodic_orbit(P01, 0.15, 17)
         assert calls == [(0.15, 17), (res.epsilon, 17)]
 
+    @pytest.mark.parametrize("x0", [1e-9, 1e-12])
+    def test_a_start_near_the_origin_is_refined(self, x0):
+        # the closure test at the guess is relative to |z0|: an absolute 1e-10 returned
+        # the guess 0.15 itself for these starts (distances 3.7e-13 and 3.7e-16); the
+        # flow is linear, so they close where the start (1, 0) does, at 0.1500034
+        far = find_periodic_orbit(P01, 0.15, 17, x0=1.0, y0=0.0)
+        res = find_periodic_orbit(P01, 0.15, 17, x0=x0, y0=0.0)
+        assert abs(far.epsilon - 0.1500034) < 1e-7
+        assert (res.epsilon, res.winding) == (far.epsilon, far.winding)
+        assert res.return_distance <= 1e-6 * x0
+
     @pytest.mark.parametrize("om1, n, guess", [("9/10", 5, 6.55), ("9/10", 17, 0.15),
                                                ("1/10", 5, 0.51), ("1/10", 17, 0.09),
                                                ("11/10", 5, 6.02), ("11/10", 17, 0.17)])
@@ -736,6 +776,25 @@ class TestInvariantCurves:
         # it returned 0 points for an ellipse and 4 for a hyperbola
         with pytest.raises(InvalidInput, match="n_samples must be >= 1"):
             invariant_curve_points(conic, 1.0, n_samples=0)
+
+    @pytest.mark.parametrize("conic", [(1.0, 2.0, 0.25), (-1.0, 1.0, 0.25)])
+    @pytest.mark.parametrize("n", [4, 5, 7, 401])
+    def test_returns_n_samples_points(self, conic, n):
+        # a hyperbola returned 2 max(2, n // 2): 6 points for 7 and 400 for 401; now
+        # ceil(n/2) on one branch and floor(n/2) on the other
+        a, b, d = conic
+        pts = invariant_curve_points(conic, 1.0, n_samples=n)
+        assert len(pts) == n
+        assert max(abs(a * x * x + b * y * y + 2 * d * x * y - 1.0) for x, y in pts) < 1e-9
+        if a * b < d * d:  # y^2 + xy/2 = 1 + x^2 has one root y of each sign: a branch each
+            assert sum(y > 0.0 for _, y in pts) in (n // 2, n - n // 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_hyperbola_needs_two_points_a_branch(self, n):
+        # 4 points came back for n = 1 and 3; an ellipse takes any n >= 1
+        with pytest.raises(InvalidInput, match="n_samples >= 4"):
+            invariant_curve_points((-1.0, 1.0, 0.0), 1.0, n_samples=n)
+        assert len(invariant_curve_points((1.0, 1.0, 0.0), 1.0, n_samples=n)) == n
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_a_level_that_is_not_finite_is_refused(self, level):

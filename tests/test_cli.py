@@ -687,13 +687,13 @@ class TestAnalysisCommands:
         assert doc["bracket"][1] - doc["bracket"][0] <= 1e-9
 
     def test_critical_eps_escape_oracle(self, runner, tmp_path):
-        # the monodromy trace at eps_crit -+ 1e-3 confirms the Hill root
+        # the count certifies the Hill root; the report has no escape_check key
         out = tmp_path / "crit.json"
         res = invoke(runner, "critical-eps", "--omega1", "11/10", "--sign", "-1",
                      "--out", str(out))
         assert res.exit_code == 0
         doc = json.loads(out.read_text())
-        assert doc["oracle"] == "hill" and doc["escape_check"] is True
+        assert doc["oracle"] == "hill" and "escape_check" not in doc
         assert abs(doc["eps_crit"] + 0.21598) < 1e-4
 
     @pytest.mark.parametrize("omega, omega1", [("2", "1"), ("2", "2"), ("4", "2"), ("1", "1/2")])
@@ -706,22 +706,28 @@ class TestAnalysisCommands:
                      "--sign", sign, "--out", str(out))
         assert res.exit_code == 0 and res.stdout == "0\n"
         doc = json.loads(out.read_text())
-        assert (doc["eps_crit"], doc["bracket"], doc["escape_check"]) == (0.0, [0.0, 0.0], None)
+        assert (doc["eps_crit"], doc["bracket"], doc["iterations"]) == (0.0, [0.0, 0.0], 0)
 
     def test_critical_eps_at_a_9_is_not_zero(self, runner):
         # the tongue at a = 9 opens at 9 + q^2/16: it does not hold a = 9
         res = invoke(runner, "critical-eps", "--omega1", "3")
         assert res.exit_code == 0 and res.stdout == "6.818513197\n"
 
-    def test_refuted_root_is_an_error(self, runner, tmp_path):
-        # a root the monodromy cross-check refutes is never printed as eps_crit:
-        # at omega = 1/100 the search lands on a later crossing of +-2
+    @pytest.mark.parametrize("args, printed", [
+        (("--omega", "1/100"), "0.3732349194"), (("--omega", "1/10"), "0.3382962085"),
+        (("--omega1", "301/100"), "0.8859152304"), (("--omega1", "401/100"), "1.524048158"),
+        (("--omega1", "17/6"), "6.620331503")])
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_first_boundary_where_the_search_missed_it(self, runner, tmp_path, args, printed,
+                                                       sign):
+        # the search printed a later root, refuted it, or found none; the count brackets
+        # the first boundary (tests/test_analysis.py checks each against references)
         out = tmp_path / "crit.json"
-        res = invoke(runner, "critical-eps", "--omega", "1/100", "--out", str(out))
-        assert res.exit_code == 2
-        lines = res.output.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "refuted" in lines[0]
-        assert not out.exists()
+        res = invoke(runner, "critical-eps", *args, "--sign", sign, "--out", str(out))
+        assert res.exit_code == 0
+        assert res.stdout == ("-" if sign == "-1" else "") + printed + "\n"
+        doc = json.loads(out.read_text())
+        assert abs(doc["bracket"][1] - doc["bracket"][0]) <= 1e-10
 
     def test_monodromy_json(self, runner):
         res = invoke(runner, "monodromy", "--epsilon", "0.0")

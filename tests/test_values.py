@@ -63,10 +63,8 @@ CASES = {
         ("escaped", "k_escape", "growth_rate"), (True, 7, 0.25), {},
         "EscapeReport(escaped=True, k_escape=7, growth_rate=0.25)", []),
     CriticalEpsResult: (
-        ("eps_crit", "bracket", "iterations", "escape_check"), (0.5, (0.25, 0.75), 9, True),
-        {"escape_check": None},
-        "CriticalEpsResult(eps_crit=0.5, bracket=(0.25, 0.75), iterations=9, escape_check=True)",
-        []),
+        ("eps_crit", "bracket", "iterations"), (0.5, (0.25, 0.75), 9), {},
+        "CriticalEpsResult(eps_crit=0.5, bracket=(0.25, 0.75), iterations=9)", []),
     ConvergenceReport: (
         ("orders", "residuals", "epsilon", "n_periods"), ((2, 4), (1e-3, 1e-5), 0.1, 200), {},
         "ConvergenceReport(orders=(2, 4), residuals=(0.001, 1e-05), epsilon=0.1, n_periods=200)",
