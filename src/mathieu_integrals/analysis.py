@@ -1,15 +1,16 @@
 """Higher-level studies combining the symbolic and numeric layers.
 
-Every eps search solves the one-period trace equation tr M(eps) = target
-by ITP (``_bracketed_root``) on Hill's determinants (``_hill_trace``, two
-of the four factors of ``dynamics.monodromy``).  A Sturm count of the Hill
-matrices' eigenvalues below a (``_sturm_count``), which shares no code with
-them, certifies critical_epsilon's root; the Taylor stepper (``_stepped``)
-checks find_periodic_orbit's closure at the guess and at the root.
-tests/dp5_reference.py checks the trace and the stepper from outside.
+critical_epsilon finds the first escape boundary from a Sturm count of the
+Hill matrices' eigenvalues below a (``_sturm_count``) alone.
+find_periodic_orbit solves the one-period trace equation tr M(eps) = target
+by ITP (``_bracketed_root``) on Hill's determinants (``_hill_trace``, two of
+the four factors of ``dynamics.monodromy``), which share no code with the
+count; the Taylor stepper (``_stepped``) checks its closure at the guess and
+at the root.  tests/dp5_reference.py checks the trace and the stepper from
+outside.
 
-* critical_epsilon: the first escape boundary |tr M(eps)| = 2 (orbits stay
-  bounded iff |tr M| <= 2), certified by the count.
+* critical_epsilon: the first escape boundary, where the four classes' total
+  count below a turns even (the orbit is bounded while it is odd).
 * section_residual: how well a section conic (A, B, D) is conserved on
   section points; convergence_study takes it per truncation order.
 * cover_count: how many section points outline the invariant curve once.
@@ -47,8 +48,8 @@ def _hill_trace(params: SystemParams, eps: float) -> float:
     H = M(T/2) has det 1, so ``_full_period`` gives tr M(T) = 2 + 4 h12
     h21 = 2 + 4 S C' at z = pi/2: the two pi-periodic factors of
     ``dynamics._hill_factors`` (Whittaker & Watson, Modern Analysis 19.42).
-    It shares no code with the Sturm count (``_sturm_count``), which checks its
-    roots; ``tests/dp5_reference.py`` checks it from outside.
+    It shares no code with the Sturm count (``_sturm_count``);
+    ``tests/dp5_reference.py`` checks it from outside.
     """
     if not math.isfinite(eps):
         raise InvalidInput(f"epsilon must be finite, got {eps}")
@@ -175,45 +176,38 @@ def _first_crossing(params: SystemParams, end: float) -> tuple[float, float] | N
 
 
 def critical_epsilon(params: SystemParams, sign: int = 1) -> CriticalEpsResult:
-    """Locate the first eps_crit, in the direction of ``sign``, where |tr M(eps)| = 2.
+    """Locate the first eps_crit, in the direction of ``sign``, where orbits escape.
 
-    hi = 0.05 * 1.6^k over sign*[0, hi] expands until instability is seen;
-    ITP (``_bracketed_root``) then solves s tr M(eps) = 2, s = sign tr M(hi),
-    from the expansion's values and tr M(0) = 2 cos(omega1 T).  Every trace is
-    ``_hill_trace``'s; ``iterations`` counts them.  Sturm counts, which share no code
-    with it, certify the bracket (width <= 1e-10) up to its stable end, or their bracket
-    of an earlier boundary, or of one before |eps| = 0.05 * 1.6^11 = 8.8 where the
-    expansion saw none, replaces it (``_first_crossing``); else BracketFailure.  At a = 1
-    and 4 the tongues of a_1, b_1 (1 +- q) and b_2, a_2 (4 - q^2/12, 4 + 5q^2/12) hold a
-    at every q != 0 (DLMF 28.6): eps_crit is 0, no trace taken.
+    The orbit is bounded while the four classes' total Sturm count below a is odd (DLMF
+    28.2(v)).  ``_first_crossing`` brackets the first change of that parity before |eps|
+    = 8.8, else BracketFailure; a bisection of the total parity shrinks the bracket to
+    adjacent floats, odd at its stable end and even at the other, and ``iterations``
+    counts its steps.  The search runs at |eps| and mirrors its result.  At a = 1 and 4
+    the tongues of a_1, b_1 (1 +- q) and b_2, a_2 (4 - q^2/12, 4 + 5q^2/12) hold a at
+    every q != 0 (DLMF 28.6): eps_crit is 0, with no count.
     """
     if sign not in (1, -1):
         raise InvalidInput(f"sign must be +1 or -1, got {sign}")
     if params.mathieu_a in (1, 4):
         return CriticalEpsResult(eps_crit=0.0, bracket=(0.0, 0.0), iterations=0)
-    evals = []
+    a, per_eps = float(params.mathieu_a), params.mathieu_q(1.0)
+    if not (crossing := _first_crossing(params, per_eps * 8.8)):
+        raise BracketFailure("no instability found up to |eps| = 8.8")
 
-    def trace(e: float) -> float:
-        evals.append(e)
-        return _hill_trace(params, sign * e)
+    def odd(e: float) -> bool:
+        return sum(_sturm_count(cls, params.mathieu_q(e), a) for cls in _CLASSES) % 2 == 1
 
-    lo, hi = 0.0, 0.05
-    t_lo = 2.0 * math.cos(float(params.omega1) * params.period)
-    while not abs(t_hi := trace(hi)) > 2.0:
-        lo, t_lo, hi = hi, t_hi, hi * 1.6
-        if hi > 10.0:
-            break
-    else:
-        s = math.copysign(1.0, t_hi)
-        lo, hi = _bracketed_root(lambda e: s * trace(e) - 2.0, lo, hi,
-                                 s * t_lo - 2.0, s * t_hi - 2.0, 1e-10)
-    per_eps = params.mathieu_q(1.0)
-    if crossing := _first_crossing(params, per_eps * (lo - 5e-11)):  # spares the trace's rounding
-        lo, hi = crossing[0] / per_eps, crossing[1] / per_eps
-    elif hi > 10.0:
-        raise BracketFailure(f"no instability found up to |eps| = {lo:.3g}")
+    lo, hi = crossing[0] / per_eps, crossing[1] / per_eps
+    while not odd(lo):  # q(eps) rounds, so an end may lie past the change: step it out
+        lo = math.nextafter(lo, 0.0)
+    while odd(hi):
+        hi = math.nextafter(hi, math.inf)
+    steps = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if odd(mid) else (lo, mid)
+        steps += 1
     return CriticalEpsResult(eps_crit=sign * 0.5 * (lo + hi), bracket=(sign * lo, sign * hi),
-                             iterations=len(evals))
+                             iterations=steps)
 
 
 class ConvergenceReport(_Value):

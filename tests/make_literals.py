@@ -23,6 +23,16 @@ run at 40 and at 50 digits; the script stops if the two disagree in the
   and at omega1 = 1, eps = 0.05, where the Taylor stepper reads about 13
   samples off each step's series, and 4 samples at omega1 = 1, eps =
   +-1/2, where w and w' both vanish at t = 0 and t = T/2.
+* ``BOUNDARIES`` in tests/test_analysis.py: eps_crit, the first eps > 0 where
+  the orbits escape, at each (omega, omega1).  It is not an ``odefun`` solve:
+  the orbit is bounded exactly while an odd number of the characteristic
+  values a_0 < b_1 < a_1 < ... lie below a = 4 omega1^2/omega^2 (DLMF
+  28.2(v)), and each parity class's count comes from the pivots of its
+  200-row Hill matrix (DLMF 28.4) at q = 4 eps/omega^2.  A scan in steps of
+  1e-3 finds the first step whose total count is even, and 100 bisections of
+  the count pin the boundary; the ``odefun`` trace tr M(T) = 2 (h11 h22 + h12
+  h21) from H = M(T/2) then has |tr| < 2 at 1e-25 before it and > 2 at 1e-25
+  past it, or the script stops.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ E_CASE = ("2", "9/10", 100.0, 16)  # (omega, omega1, eps, samples per period)
 ORBIT_CASES = [("2", "9/10", 100.0, 16), ("2", "9/10", 1000.0, 8),
                ("2", "9/10", 0.185, 64), ("2", "1", 0.05, 64),
                ("2", "1", 0.5, 4), ("2", "1", -0.5, 4)]
+BOUNDARY_CASES = [("2", "9/10"), ("2", "1/10"), ("2", "11/10"), ("2", "2/3"), ("2", "1/6"),
+                  ("2", "17/15"), ("1", "18/19")]  # (omega, omega1)
 
 
 def _mp(value) -> mpmath.mpf:
@@ -94,6 +106,44 @@ def states(omega, omega1, eps, spp):
     return _at_two_precisions(compute)
 
 
+def _hill_parity(a, q):
+    """The parity of the characteristic values below a over the four classes: 1 where
+    the orbit is bounded.  Row k of a class holds k^2 (k = 0, 2, ... for a_2n; 2, 4, ...
+    for b_2n+2; 1, 3, ... for a_2n+1 and b_2n+1, with +q and -q added to the first)
+    and q beside it, sqrt(2) q between the first two rows of a_2n."""
+    total = 0
+    for first, shift, coupling in ((0, 0, 2), (2, 0, 1), (1, 1, 1), (1, -1, 1)):
+        pivot = first * first + shift * q - a
+        total += pivot < 0
+        for row in range(1, 200):
+            k = first + 2 * row
+            pivot = k * k - a - (coupling if row == 1 else 1) * q * q / pivot
+            total += pivot < 0
+    return total % 2
+
+
+def boundary(omega, omega1):
+    def compute():
+        a, per_eps = 4 * _mp(omega1) ** 2 / _mp(omega) ** 2, 4 / _mp(omega) ** 2
+        step = mpmath.mpf("1e-3")
+        lo = mpmath.mpf(0)
+        while _hill_parity(a, per_eps * (lo + step)) == 1:
+            lo += step
+        hi = lo + step
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _hill_parity(a, per_eps * mid) == 1 else (lo, mid)
+        for eps, bounded in ((lo * (1 - mpmath.mpf("1e-25")), True),
+                             (hi * (1 + mpmath.mpf("1e-25")), False)):
+            half = mpmath.pi / _mp(omega)
+            (h11, h21), = _flow(omega, omega1, eps, (1, 0), [half])
+            (h12, h22), = _flow(omega, omega1, eps, (0, 1), [half])
+            if (abs(2 * (h11 * h22 + h12 * h21)) < 2) != bounded:
+                raise SystemExit(f"the trace disagrees with the count at {omega}, {omega1}")
+        return [(lo + hi) / 2]
+    return _at_two_precisions(compute)
+
+
 def main():
     print("HALF_PERIOD = {")
     for case in HALF_PERIOD_CASES:
@@ -103,6 +153,10 @@ def main():
     print("ORBIT_STATES = {")
     for case in ORBIT_CASES:
         print(f"    {case!r}: {tuple(states(*case))!r},")
+    print("}")
+    print("BOUNDARIES = {")
+    for case in BOUNDARY_CASES:
+        print(f"    {case!r}: {boundary(*case)[0]!r},")
     print("}")
 
 

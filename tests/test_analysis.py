@@ -23,6 +23,19 @@ from mathieu_integrals.errors import BracketFailure, InvalidInput
 P01 = SystemParams(F(2), F(9, 10), 0.1)
 TOL = 1e-12  # the DP5 reference's rtol = atol, and the unit of the stepper bounds
 
+#: eps_crit at (omega, omega1) from tests/make_literals.py: mpmath bisections, at 40 and
+#: 50 digits, of the total parity of 200-row Hill-matrix counts, checked by the sign of
+#: |tr M| - 2 from odefun solves on either side
+BOUNDARIES = {
+    ("2", "9/10"): "0.185784856233133516837481253766",
+    ("2", "1/10"): "0.899645188058427718587586609559",
+    ("2", "11/10"): "0.215990180376923477019786539941",
+    ("2", "2/3"): "0.523483633272901779859918702445",
+    ("2", "1/6"): "0.884684118536377338611906130494",
+    ("2", "17/15"): "0.295789483048627193818843595134",
+    ("1", "18/19"): "0.560358669340236608279088152235",
+}
+
 
 def _dp5_trace(params, eps):
     """tr M(T) = 2(ad + bc) from the DP5 reference's M(T/2) = ((a, b), (c, d))."""
@@ -36,6 +49,19 @@ def _parity(params, eps):
     where the orbit is bounded (DLMF 28.2(v))."""
     q, a = params.mathieu_q(eps), float(params.mathieu_a)
     return sum(analysis._sturm_count(cls, q, a) for cls in analysis._CLASSES) % 2
+
+
+def _bottom_up_parity(params, eps, rows):
+    """``_parity`` from the bottom-up reference count of ``rows`` rows."""
+    q, a = params.mathieu_q(eps), float(params.mathieu_a)
+    return sum(sturm_reference.bottom_up_count(name, q, a, rows)
+               for name in sturm_reference.NAMES) % 2
+
+
+#: how far past a bracket's ends the bottom-up count is read, relative: its rounding
+#: and the library's differ, and moved its crossing by at most 10 ulp (1.25e-15) over
+#: omega = 2, omega1 = p/q <= 3, q <= 20, and by 1 ulp at omega = 1/100
+OUTSIDE = 1e-14
 
 
 class TestCriticalEpsilon:
@@ -75,19 +101,17 @@ class TestCriticalEpsilon:
 
     @pytest.mark.parametrize("om1", ["9/10", "1/10", "11/10", "301/100", "17/6"])
     def test_sign_symmetry(self, crit_cache, om1):
-        # the trace is even in eps and the count marches |q|: an exact mirror, by ITP
-        # (the first three) or by the count's own bracket (301/100, 17/6)
+        # the count marches and bisects |eps|: an exact mirror
         plus, minus = crit_cache(om1), crit_cache(om1, -1)
         assert (minus.eps_crit, minus.bracket) == (-plus.eps_crit, tuple(-e for e in plus.bracket))
         assert minus.iterations == plus.iterations
 
-    def test_trace_changes_sign_across_bracket(self, crit_cache):
-        # the search's own trace: the monodromy's error (~1e-12) exceeds |g| at the ends
-        # of a 4e-11 bracket, so it is compared with roots, not signs, below
-        res = crit_cache("9/10")
-        lo, hi = res.bracket
-        g = lambda e: abs(_hill_trace(P01, e)) - 2.0
-        assert g(lo) < 0 < g(hi)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_parity_changes_between_adjacent_floats(self, crit_cache, sign):
+        # the search's own count: odd at the stable end, even one float past it
+        stable, unstable = crit_cache("9/10", sign).bracket
+        assert unstable == math.nextafter(stable, sign * math.inf)
+        assert (_parity(P01, stable), _parity(P01, unstable)) == (1, 0)
 
     def test_works_at_resonance(self):
         # at omega1 = 1 the instability tongue opens at eps = 0: the
@@ -106,23 +130,21 @@ class TestCriticalEpsilon:
 
     def test_bracket_failure(self):
         # omega1 = 201/2 (a = 10100.25): the levels 100^2 and 101^2 lie 100 from a, and
-        # no eigenvalue reaches it before |eps| = 8.8, the last point the expansion tests
+        # no eigenvalue reaches it before |eps| = 8.8, where the march ends
         with pytest.raises(BracketFailure, match=r"^no instability found up to \|eps\| = 8\.8$"):
             critical_epsilon(SystemParams(F(2), F(201, 2), 0.0))
         with pytest.raises(ValueError):
             critical_epsilon(P01, sign=0)
 
-    def test_a_late_root_from_the_trace_is_replaced(self, monkeypatch):
-        # a trace that reads stable up to 0.5 puts ITP on a later root; the count finds
-        # the boundary at 0.1857848562 before it and brackets it alone
+    def test_a_trace_that_hides_the_boundary_changes_nothing(self, crit_cache, monkeypatch):
+        # a trace that reads stable up to 0.5 would hide the boundary at 0.1857848562;
+        # the count alone finds it
         def late(params, eps):
             return 0.0 if abs(eps) < 0.5 else 3.0 * math.copysign(1.0, eps)
 
+        expected = [crit_cache("9/10", sign) for sign in (1, -1)]
         monkeypatch.setattr(analysis, "_hill_trace", late)
-        for sign in (1, -1):
-            res = critical_epsilon(P01, sign)
-            assert abs(res.eps_crit - sign * 0.18578485621) <= 1e-10
-            assert abs(res.bracket[1] - res.bracket[0]) <= 1e-10
+        assert [critical_epsilon(P01, sign) for sign in (1, -1)] == expected
 
     @pytest.mark.parametrize("omega, omega1, eps_crit", [
         # the expansion stepped over the first tongue (301/100, 15/19, 13/11), or over
@@ -155,15 +177,13 @@ class TestCriticalEpsilon:
         # one's two edges agree to 12 digits); this one is 5.1e-10 wide, the next two
         # 4.2e-8 (at 0.38185462) and 1.8e-6 (at 0.3894257414, which a scan at step
         # 2e-6 reads).  The trace exceeds 2 by about 1e-20 inside it, which no trace
-        # resolves; a bottom-up count of 200 rows sees both edges
+        # resolves; a bottom-up count of 200 rows sees both edges, within OUTSIDE
         params = SystemParams(F(1, 100), F(9, 10), 0.0)
         for sign in (1, -1):
             res = critical_epsilon(params, sign)
             assert abs(res.eps_crit - sign * 0.3732349194) <= 1e-7 * 0.3732349194
-            parities = [sum(sturm_reference.bottom_up_count(name, params.mathieu_q(e), 32400.0,
-                                                            200)
-                            for name in sturm_reference.NAMES) % 2 for e in res.bracket]
-            assert parities == [1, 0]
+            ends = (res.bracket[0] * (1.0 - OUTSIDE), res.bracket[1] * (1.0 + OUTSIDE))
+            assert [_bottom_up_parity(params, e, 200) for e in ends] == [1, 0]
 
     def test_sign_zero_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="sign"):
@@ -216,65 +236,50 @@ class TestCriticalEpsilon:
         assert abs(res.eps_crit - sign * eps_crit) <= 1e-10
         assert abs(res.bracket[1] - res.bracket[0]) <= 1e-10
 
-    @pytest.mark.parametrize("om1, former", [("9/10", 0.18578485621415186),
-                                             ("1/10", 0.8996451880578997),
-                                             ("11/10", 0.21599018038488604)])
+    @pytest.mark.parametrize("omega, omega1", list(BOUNDARIES))
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_boundary_within_1e_12_of_the_whole_line_determinant(self, crit_cache, om1,
-                                                                 former, sign):
-        # the roots the trace of the whole-line Hill determinant gave; the two
-        # periodic factors carry one more Euler-Maclaurin term of the diagonal
-        # tail, which moves them by 5.4e-13, 0 and 5.3e-13 of themselves
-        assert abs(crit_cache(om1, sign).eps_crit - sign * former) <= 1e-12 * former
+    def test_boundary_within_4_ulp_of_the_literals(self, omega, omega1, sign):
+        # 2 ulp is the most measured (11/10, 17/15); the trace's ITP root was 1.9e-11
+        # off at 9/10 and printed a wrong tenth digit at 2/3, 1/6 and 17/15
+        exact = float(BOUNDARIES[omega, omega1])
+        res = critical_epsilon(SystemParams(F(omega), F(omega1), 0.0), sign)
+        assert abs(res.eps_crit - sign * exact) <= 4 * math.ulp(exact)
 
     @settings(max_examples=25, deadline=None)
     @given(omega1=st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20),
            sign=st.sampled_from([1, -1]))
-    def test_trace_oracle_bracket_and_call_bound(self, omega1, sign):
-        traces = []  # (eps, tr M) of every trace evaluation
+    def test_count_bracket_and_call_bound(self, omega1, sign):
+        calls, count = [], analysis._sturm_count
 
-        def recording(params, eps):
-            trace = _hill_trace(params, eps)
-            traces.append((eps, trace))
-            return trace
+        def recording(*args):
+            calls.append(args)
+            return count(*args)
 
         params = SystemParams(F(2), omega1, 0.0)
-        tol = 1e-10  # the bracket width critical_epsilon resolves to
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_hill_trace", recording)
+            mp.setattr(analysis, "_sturm_count", recording)
+            mp.setattr(analysis, "_hill_trace", None)  # read no trace
             try:
                 res = critical_epsilon(params, sign=sign)
-            except BracketFailure:
-                res = None
-        if params.mathieu_a in (1, 4):  # eps_crit = 0, with no trace (test_zero_at_a_1_and_4)
-            assert traces == [] and res.eps_crit == 0.0
-            return
-        # the expansion: hi = 0.05 * 1.6^k until |tr M| > 2, one call each
-        lo, hi, k = 0.0, 0.05, 0
-        while k < len(traces) and abs(traces[k][1]) <= 2.0:
-            assert traces[k][0] == sign * hi
-            lo, hi, k = hi, hi * 1.6, k + 1
-        if k == len(traces):
-            # 17/6 <= omega1 <= 29/10: the expansion steps over every tongue up to
-            # |eps| = 10 and finds all its points stable; the count finds the boundary
-            # where there is one before 8.8 (not at 20/7: 9.5746)
-            assert k == 12
-            if res is None:
+            except BracketFailure:  # 20/7 <= omega1 <= 29/10: no boundary before 8.8
+                assert F(20, 7) <= omega1 <= F(29, 10) and len(calls) <= 2000
                 return
-        else:
-            assert traces[k][0] == sign * hi
-            assert len(traces) <= (k + 1) + math.ceil(math.log2((hi - lo) / tol)) + 1
-        assert len(traces) == res.iterations
+        if params.mathieu_a in (1, 4):  # eps_crit = 0, with no count (test_zero_at_a_1_and_4)
+            assert calls == [] and res.eps_crit == 0.0
+            return
+        # 1,179 counts at most over omega1 = p/q <= 3, q <= 20
+        assert len(calls) <= 2000
         stable, unstable = res.bracket
-        assert abs(unstable - stable) <= tol
-        g = lambda e: abs(_hill_trace(params, e)) - 2.0
-        if stable == unstable:  # the trace met |tr M| = 2 exactly
-            assert g(stable) == 0.0
-        else:
-            assert g(stable) <= 0.0 < g(unstable)
+        assert unstable == math.nextafter(stable, sign * math.inf)
+        assert (_parity(params, stable), _parity(params, unstable)) == (1, 0)
+        assert _bottom_up_parity(params, stable * (1.0 - OUTSIDE), 300) == 1
+        assert _bottom_up_parity(params, unstable * (1.0 + OUTSIDE), 300) == 0
+        # each step halves the floats in the march's bracket, <= 5e-11 wide
+        assert 0 < res.iterations <= math.log2(5e-11 / math.ulp(stable)) + 1
 
     def test_canonical_boundary_call_count(self, monkeypatch):
-        # the bisection made 34 solves here: 4 to expand, 30 to gain 30 bits
+        # the count alone: no trace, and 20 bisections from the march's bracket of
+        # 2.8e-11 to adjacent floats (the trace's ITP took 11 traces here)
         calls = []
 
         def recording(params, eps):
@@ -283,11 +288,11 @@ class TestCriticalEpsilon:
 
         monkeypatch.setattr(analysis, "_hill_trace", recording)
         res = critical_epsilon(SystemParams(F(2), F(9, 10), 0.0))
-        assert len(calls) == res.iterations <= 14
+        assert (calls, res.iterations) == ([], 20)
 
     @pytest.mark.parametrize("omega1", ["9/10", "11/10", "2"])
     def test_dp5_runs_only_for_the_cross_check(self, monkeypatch, omega1):
-        # the root search reads the Hill trace and the count certifies it: no solve
+        # the count alone finds the boundary: no solve
         calls = []
         hill_points = dynamics._hill_points
 
@@ -352,8 +357,12 @@ class TestIndependentPaths:
         assert "_hill_points" not in _reach(self.GRAPH, name)
 
     def test_the_graph_sees_the_calls(self):
+        # critical_epsilon reads no trace; find_periodic_orbit witnesses that the graph
+        # sees the trace path's calls
+        trace_path = {"_hill_factors", "_hill_trace", "_bracketed_root"}
+        assert not trace_path & _reach(self.GRAPH, "critical_epsilon")
+        assert trace_path <= _reach(self.GRAPH, "find_periodic_orbit")
         assert "_hill_factors" in _reach(self.GRAPH, "monodromy")
-        assert "_hill_factors" in _reach(self.GRAPH, "critical_epsilon")
         assert "_hill_points" in _reach(self.GRAPH, "_stepped")
 
 
@@ -477,7 +486,8 @@ def _assert_hill_matches_monodromy(omega, omega1, eps):
 
 
 class TestHillTrace:
-    """The root search's trace: Hill's determinants, checked against the Taylor stepper."""
+    """The periodic-orbit search's trace: Hill's determinants, checked against the Taylor
+    stepper."""
 
     @settings(max_examples=100, deadline=None)
     @given(omega=st.fractions(min_value=F(1, 2), max_value=F(3), max_denominator=10),

@@ -716,12 +716,15 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("args, printed", [
         (("--omega", "1/100"), "0.3732349194"), (("--omega", "1/10"), "0.3382962085"),
         (("--omega1", "301/100"), "0.8859152304"), (("--omega1", "401/100"), "1.524048158"),
-        (("--omega1", "17/6"), "6.620331503")])
+        (("--omega1", "17/6"), "6.620331503"), (("--omega1", "2/3"), "0.5234836333"),
+        (("--omega1", "1/6"), "0.8846841185"), (("--omega1", "17/15"), "0.295789483")])
     @pytest.mark.parametrize("sign", ["1", "-1"])
     def test_first_boundary_where_the_search_missed_it(self, runner, tmp_path, args, printed,
                                                        sign):
-        # the search printed a later root, refuted it, or found none; the count brackets
-        # the first boundary (tests/test_analysis.py checks each against references)
+        # the search printed a later root, refuted it, or found none, and the trace's ITP
+        # root printed 0.5234836332, 0.8846841186 and 0.2957894831 at the last three; the
+        # count brackets the first boundary (tests/test_analysis.py checks each against
+        # references)
         out = tmp_path / "crit.json"
         res = invoke(runner, "critical-eps", *args, "--sign", sign, "--out", str(out))
         assert res.exit_code == 0
